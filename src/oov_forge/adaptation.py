@@ -160,10 +160,6 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
                               cfg.seed + 1, words=words_n)
     for _ in range(cfg.adapt_steps):
         batch_n = [next(stream_n) for _ in range(cfg.batch_episodes)]
-        if cfg.alpha == 0.0:
-            # the inner step vanishes; this is exactly one fine-tune step
-            finetune_step(model, batch_n, cfg.beta, vocab=vocab_n)
-            continue
         batch_t = [next(stream_t) for _ in range(cfg.batch_episodes)]
         maml_step(model, batch_t, batch_n, cfg,
                   vocab_source=vocab_t, vocab_target=vocab_n)

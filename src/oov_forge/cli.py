@@ -7,9 +7,12 @@
     oov-forge eval      <benchmark_tsv> --embeddings PATH --methods a,b,c [...]
     oov-forge neighbors --embeddings PATH --word W [--top N]
 
-Exit codes: 0 success, 2 ingestion, 3 training, 4 adaptation, 5 inference,
-6 evaluation, 1 unexpected fault. Flags override config-file values, which
-override defaults; OOVFORGE_SEED seeds every RNG when no --seed is given.
+Exit codes: 0 success, 2 ingestion or format, 3 training, 4 adaptation,
+5 inference, 6 evaluation, 1 unexpected fault. A typed error carries its code
+(errors.py); other package errors take the code of the failing command
+(prepare 2, train 3, adapt 4, infer and neighbors 5), and eval reports every
+failure as 6. Flags override config-file values, which override defaults;
+OOVFORGE_SEED seeds every RNG when no --seed is given.
 Every artifact written embeds the options that produced it.
 """
 
@@ -24,15 +27,14 @@ import numpy as np
 
 from . import baselines
 from .adaptation import AdaptConfig, adapt, finetune
-from .corpus import (DEFAULT_MIN_COUNT, DEFAULT_TOKENIZER, EmbeddingTable,
-                     SentenceStore, Vocabulary, contexts_of,
-                     format_vector, load_embeddings, read_sentences,
+from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
+                     SentenceStore, Vocabulary, contexts_of, format_vector,
+                     load_embeddings, prepare_corpus, read_sentences,
                      split_words)
-from .episode import (MASK_TOKEN, decode_context, episode_from_masked,
-                      sample_episode)
-from .errors import (AdaptationError, EvaluationError, FormatError,
-                     InferenceError, IngestionError, OovForgeError,
-                     TrainingError)
+from .episode import (MASK_TOKEN, decode_context, eligible_targets,
+                      episode_from_masked, sample_episode)
+from .errors import (EvaluationError, FormatError, InferenceError,
+                     IngestionError, OovForgeError)
 from .evaluation import (evaluate_method, load_benchmark_tsv,
                          nearest_neighbors)
 from .model import HiceConfig
@@ -83,11 +85,8 @@ def effective(args, name: str, default, cast=str):
     return default
 
 
-def run_config_dict(command: str, args, pairs: dict) -> dict[str, str]:
-    cfg = {"command": command}
-    for key, value in pairs.items():
-        cfg[key] = str(value)
-    return cfg
+def run_config_dict(command: str, pairs: dict) -> dict[str, str]:
+    return {"command": command, **{key: str(value) for key, value in pairs.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -120,31 +119,36 @@ def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore,
     return train_words, val_words
 
 
+def _prepared_lines(prepared_dir: Path, name: str) -> list[str]:
+    try:
+        return open(prepared_dir / name, encoding="utf-8").read().splitlines()
+    except OSError as e:
+        raise IngestionError(f"cannot read prepared {name}: {e}") from e
+
+
 def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, str]]:
     prepared_dir = Path(prepared_dir)
     run_cfg = load_config_file(prepared_dir / RUN_CONFIG_FILE)
     min_count = int(run_cfg.get("min_count", DEFAULT_MIN_COUNT))
     words, counts, stops = [], [], []
-    try:
-        vocab_lines = open(prepared_dir / VOCAB_FILE, encoding="utf-8").read().splitlines()
-    except OSError as e:
-        raise IngestionError(f"cannot read prepared vocabulary: {e}") from e
-    for lineno, line in enumerate(vocab_lines, start=1):
+    for lineno, line in enumerate(_prepared_lines(prepared_dir, VOCAB_FILE), start=1):
         parts = line.split("\t")
         if len(parts) != 4:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: expected 4 fields")
+        try:
+            counts.append(int(parts[1]))
+        except ValueError:
+            raise FormatError(f"{VOCAB_FILE}: line {lineno}: non-integer count") from None
         words.append(parts[0])
-        counts.append(int(parts[1]))
         stops.append(parts[2] == "1")
     vocab = Vocabulary(words, counts, stops, min_count)
     sentences = []
-    for line in open(prepared_dir / SENTENCES_FILE, encoding="utf-8").read().splitlines():
-        sentences.append([int(t) for t in line.split()] if line else [])
-    index: dict[int, list[int]] = {}
-    for sid, sent in enumerate(sentences):
-        for wid in dict.fromkeys(sent):
-            index.setdefault(wid, []).append(sid)
-    return vocab, SentenceStore(sentences, index, vocab), run_cfg
+    for lineno, line in enumerate(_prepared_lines(prepared_dir, SENTENCES_FILE), start=1):
+        try:
+            sentences.append([int(t) for t in line.split()])
+        except ValueError:
+            raise FormatError(f"{SENTENCES_FILE}: line {lineno}: non-integer token") from None
+    return vocab, SentenceStore(sentences, vocab), run_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +157,14 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
 
 def cmd_prepare(args) -> int:
     min_count = effective(args, "min_count", DEFAULT_MIN_COUNT, int)
-    config = DEFAULT_TOKENIZER
-    sentences = read_sentences(args.corpus, config)
-    if not any(sentences):
-        raise IngestionError("empty corpus")
-    from .corpus import build_vocab
-    vocab = build_vocab(sentences, min_count)
-    store = SentenceStore.from_tokens(sentences, vocab)
+    vocab, store = prepare_corpus(args.corpus, min_count=min_count)
     load_embeddings(args.embeddings)  # validate now, record the path
-    run_cfg = run_config_dict("prepare", args, {
+    run_cfg = run_config_dict("prepare", {
         "corpus": args.corpus,
         "embeddings": args.embeddings,
         "min_count": min_count,
-        **{f"tokenizer.{k}": v for k, v in config.as_dict().items()},
+        "tokenizer.lowercase": "true",
+        "tokenizer.strip_chars": STRIP_CHARS,
     })
     train_words, val_words = write_prepared(Path(args.out_dir), vocab, store, run_cfg)
     print(f"vocabulary: {len(vocab)} words")
@@ -201,7 +200,7 @@ def cmd_train(args) -> int:
     )
     model, report = train(tc, vocab, store, table, model_config=mc)
     out = Path(args.out or (Path(args.prepared_dir) / "model.hice"))
-    extra = run_config_dict("train", args, {
+    extra = run_config_dict("train", {
         "prepared_dir": args.prepared_dir,
         "embeddings": emb_path,
         "steps": steps, "k_max": k_max, "seed": seed,
@@ -230,12 +229,7 @@ def cmd_adapt(args) -> int:
         raise IngestionError("no embeddings path: pass --embeddings")
     table = load_embeddings(emb_path)
     model = load_checkpoint(args.checkpoint)
-    sentences_n = read_sentences(args.target_corpus)
-    if not any(sentences_n):
-        raise IngestionError("empty target corpus")
-    from .corpus import build_vocab
-    vocab_n = build_vocab(sentences_n, min_count=1)
-    store_n = SentenceStore.from_tokens(sentences_n, vocab_n)
+    vocab_n, store_n = prepare_corpus(args.target_corpus, min_count=1)
     cfg = AdaptConfig(
         alpha=effective(args, "alpha", 1e-3, float),
         beta=effective(args, "beta", 1e-4, float),
@@ -250,7 +244,7 @@ def cmd_adapt(args) -> int:
     else:
         adapt(model, cfg, (vocab_t, store_t, table), (vocab_n, store_n, table))
     out = Path(args.out or (args.checkpoint + ".adapted"))
-    extra = run_config_dict("adapt", args, {
+    extra = run_config_dict("adapt", {
         "checkpoint": args.checkpoint,
         "target_corpus": args.target_corpus,
         "alpha": cfg.alpha, "beta": cfg.beta,
@@ -345,9 +339,7 @@ def _fit_baselines(methods: list[str], args, table: EmbeddingTable):
             "--alacarte-model/--ngram-model file"
         )
     vocab, store, run_cfg = load_prepared(args.prepared_dir)
-    from .episode import eligible_targets
-    words = [w for w in eligible_targets(vocab, store, table)]
-    words = words[: args.fit_samples]
+    words = eligible_targets(vocab, store, table)[: args.fit_samples]
     if "alacarte" in need_fit:
         rng = np.random.default_rng(effective(args, "seed", 0, int))
         pairs = []
@@ -382,7 +374,13 @@ def _method_fn(method: str, table: EmbeddingTable, args, fitted):
         ngrams = fitted["ngram"]
         return lambda w, ctxs: baselines.ngram_sum(w, ngrams).vector
     if method == "oracle":
-        return lambda w, ctxs: table.vectors[w].astype(np.float64)
+        def oracle(w, ctxs):
+            vec = table.get(w)
+            if vec is None:
+                raise EvaluationError(f"oracle: {w!r} not in the table")
+            return vec.astype(np.float64)
+
+        return oracle
     if method == "hice":
         if not args.checkpoint:
             raise EvaluationError("method hice needs --checkpoint")
@@ -411,7 +409,7 @@ def cmd_eval(args) -> int:
         reports.append(evaluate_method(items, fn, table, method=method))
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_cfg = run_config_dict("eval", args, {
+    run_cfg = run_config_dict("eval", {
         "benchmark": args.benchmark, "embeddings": args.embeddings,
         "methods": ",".join(methods),
     })
@@ -456,7 +454,10 @@ def cmd_neighbors(args) -> int:
             raise InferenceError("pass --word or --vector-file")
         line = open(args.vector_file, encoding="utf-8").read().strip().splitlines()[-1]
         parts = line.split()
-        vec = np.array([float(x) for x in parts[1:]])
+        try:
+            vec = np.array([float(x) for x in parts[1:]])
+        except ValueError:
+            raise FormatError(f"{args.vector_file}: non-numeric value") from None
         exclude = (parts[0],)
     for word, cos in nearest_neighbors(vec, table, args.top, exclude=exclude):
         print(f"{word}\t{cos:.6f}")
@@ -538,13 +539,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oov-forge",
         description="Infer embeddings for out-of-vocabulary words from a few contexts.",
     )
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker cap; every code path here is single-threaded, so any "
-             "value behaves like 1 and results are bit-deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="tokenize a corpus and build artifacts")
+    p.set_defaults(handler=cmd_prepare, exit_code=2)
     p.add_argument("corpus")
     p.add_argument("embeddings")
     p.add_argument("out_dir")
@@ -553,6 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("train", help="train the context-encoder model")
+    p.set_defaults(handler=cmd_train, exit_code=3)
     p.add_argument("prepared_dir")
     p.add_argument("--embeddings", default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -570,6 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("adapt", help="adapt a checkpoint to a new corpus")
+    p.set_defaults(handler=cmd_adapt, exit_code=4)
     p.add_argument("checkpoint")
     p.add_argument("target_corpus")
     p.add_argument("--source-dir", default=None, required=False)
@@ -586,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("infer", help="infer one word's vector from contexts")
+    p.set_defaults(handler=cmd_infer, exit_code=5)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--word", required=True)
     p.add_argument("--contexts-file", required=True)
@@ -596,6 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("eval", help="score methods on a benchmark TSV")
+    p.set_defaults(handler=cmd_eval, exit_code=6)
     p.add_argument("benchmark")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--methods", default="additive")
@@ -611,6 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("neighbors", help="nearest neighbors in a table")
+    p.set_defaults(handler=cmd_neighbors, exit_code=5)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--word", default=None)
     p.add_argument("--vector-file", default=None)
@@ -620,57 +623,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "prepare": cmd_prepare,
-    "train": cmd_train,
-    "adapt": cmd_adapt,
-    "infer": cmd_infer,
-    "eval": cmd_eval,
-    "neighbors": cmd_neighbors,
-}
-
-_PRIMARY_CODE = {
-    "prepare": 2,
-    "train": 3,
-    "adapt": 4,
-    "infer": 5,
-    "eval": 6,
-    "neighbors": 5,
-}
-
-
-def _exit_code(command: str, err: OovForgeError) -> int:
-    if command == "eval":
-        return 6
-    if isinstance(err, (IngestionError, FormatError)):
-        return 2
-    if isinstance(err, TrainingError):
-        return 3
-    if isinstance(err, AdaptationError):
-        return 4
-    if isinstance(err, InferenceError):
-        return 5
-    if isinstance(err, EvaluationError):
-        return 6
-    return _PRIMARY_CODE.get(command, 1)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            args._file_config = load_config_file(args.config)
-        except OovForgeError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    else:
-        args._file_config = {}
-    handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        args._file_config = load_config_file(args.config) if args.config else {}
     except OovForgeError as e:
         print(f"error: {e}", file=sys.stderr)
-        return _exit_code(args.command, e)
+        return e.exit_code
+    try:
+        return args.handler(args)
+    except OovForgeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        if args.command == "eval":
+            return args.exit_code
+        return e.exit_code or args.exit_code
     except Exception as e:  # unexpected fault
         print(f"unexpected error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -21,6 +21,7 @@ mismatch, or unknown dtype raises FormatError - never a bare crash.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -55,34 +56,48 @@ def _decode_config(blob: bytes) -> dict[str, str]:
 
 def write_container(path, magic: str, config: dict[str, str],
                     arrays: list[tuple[str, np.ndarray]]) -> None:
-    with open(path, "wb") as fh:
-        tag = magic.encode("ascii")
-        fh.write(struct.pack("<B", len(tag)))
-        fh.write(tag)
-        blob = _encode_config(config)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(arrays)))
-        prepared = []
-        for name, arr in arrays:
-            if arr.dtype == np.uint8:
-                data = np.ascontiguousarray(arr)
-                tagd = "u1"
-            else:
-                data = np.ascontiguousarray(arr, dtype="<f4")
-                tagd = "f4"
-            prepared.append(data)
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            db = tagd.encode("ascii")
-            fh.write(struct.pack("<B", len(db)))
-            fh.write(db)
-            fh.write(struct.pack("<B", data.ndim))
-            for dim in data.shape:
-                fh.write(struct.pack("<I", dim))
-        for data in prepared:
-            fh.write(data.tobytes())
+    """Write to a temporary file beside ``path``, then rename it into place,
+    so a failed write leaves any previous file untouched."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_body(fh, magic, config, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_body(fh, magic: str, config: dict[str, str],
+                arrays: list[tuple[str, np.ndarray]]) -> None:
+    tag = magic.encode("ascii")
+    fh.write(struct.pack("<B", len(tag)))
+    fh.write(tag)
+    blob = _encode_config(config)
+    fh.write(struct.pack("<I", len(blob)))
+    fh.write(blob)
+    fh.write(struct.pack("<I", len(arrays)))
+    prepared = []
+    for name, arr in arrays:
+        if arr.dtype == np.uint8:
+            data = np.ascontiguousarray(arr)
+            tagd = "u1"
+        else:
+            data = np.ascontiguousarray(arr, dtype="<f4")
+            tagd = "f4"
+        prepared.append(data)
+        nb = name.encode("utf-8")
+        fh.write(struct.pack("<H", len(nb)))
+        fh.write(nb)
+        db = tagd.encode("ascii")
+        fh.write(struct.pack("<B", len(db)))
+        fh.write(db)
+        fh.write(struct.pack("<B", data.ndim))
+        for dim in data.shape:
+            fh.write(struct.pack("<I", dim))
+    for data in prepared:
+        fh.write(data.tobytes())
 
 
 class _Reader:

@@ -22,35 +22,20 @@ from .errors import IngestionError, FormatError
 DEFAULT_MIN_COUNT = 16
 VAL_FRACTION = 0.05
 
-_STRIP_CHARS = string.punctuation + "‘’“”–—"
+STRIP_CHARS = string.punctuation + "‘’“”–—"
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    lowercase: bool = True
-    strip_chars: str = _STRIP_CHARS
-
-    def as_dict(self) -> dict[str, str]:
-        return {"lowercase": str(self.lowercase).lower(),
-                "strip_chars": self.strip_chars}
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties."""
-    if config.lowercase:
-        text = text.lower()
     out = []
-    for raw in text.split():
-        tok = raw.strip(config.strip_chars)
+    for raw in text.lower().split():
+        tok = raw.strip(STRIP_CHARS)
         if tok:
             out.append(tok)
     return out
 
 
-def read_sentences(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[list[str]]:
+def read_sentences(path) -> list[list[str]]:
     """Read a one-sentence-per-line corpus into token lists."""
     try:
         raw = open(path, "rb").read()
@@ -60,7 +45,7 @@ def read_sentences(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[li
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: invalid UTF-8 at byte {e.start}") from e
-    return [tokenize(line, config) for line in text.splitlines()]
+    return [tokenize(line) for line in text.splitlines()]
 
 
 def load_stopwords(path=None) -> frozenset[str]:
@@ -142,32 +127,24 @@ def build_vocab(sentences: list[list[str]], min_count: int = DEFAULT_MIN_COUNT,
 
 
 class SentenceStore:
-    """Sentences as vocab-id sequences plus an inverted index.
+    """Sentences as vocab-id sequences plus an inverted index: word id ->
+    ids of the sentences containing it, ascending.
 
     Immutable after construction; safe to share across threads.
     """
 
-    def __init__(self, sentences: list[list[int]], index: dict[int, list[int]],
-                 vocab: Vocabulary):
+    def __init__(self, sentences: list[list[int]], vocab: Vocabulary):
         self.sentences = sentences
-        self.index = index
         self.vocab = vocab
+        self.index: dict[int, list[int]] = {}
+        for sid, sent in enumerate(sentences):
+            for wid in dict.fromkeys(sent):
+                self.index.setdefault(wid, []).append(sid)
 
     @classmethod
     def from_tokens(cls, sentences: list[list[str]], vocab: Vocabulary) -> "SentenceStore":
-        encoded = []
-        index: dict[int, list[int]] = {}
-        for sid, sent in enumerate(sentences):
-            ids = []
-            seen = set()
-            for tok in sent:
-                wid = vocab.ids[tok]
-                ids.append(wid)
-                if wid not in seen:
-                    seen.add(wid)
-                    index.setdefault(wid, []).append(sid)
-            encoded.append(ids)
-        return cls(encoded, index, vocab)
+        ids = vocab.ids
+        return cls([[ids[tok] for tok in sent] for sent in sentences], vocab)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -181,11 +158,10 @@ def contexts_of(word: str, store: SentenceStore) -> list[int]:
     return list(store.index.get(wid, []))
 
 
-def prepare_corpus(path, config: TokenizerConfig = DEFAULT_TOKENIZER,
-                   min_count: int = DEFAULT_MIN_COUNT,
+def prepare_corpus(path, min_count: int = DEFAULT_MIN_COUNT,
                    stopwords: frozenset[str] | None = None):
     """One-stop: read corpus file -> (Vocabulary, SentenceStore)."""
-    sentences = read_sentences(path, config)
+    sentences = read_sentences(path)
     vocab = build_vocab(sentences, min_count, stopwords)
     return vocab, SentenceStore.from_tokens(sentences, vocab)
 
@@ -216,9 +192,6 @@ class EmbeddingTable:
 
     def words(self) -> list[str]:
         return list(self.vectors.keys())
-
-    def mean_vector(self) -> np.ndarray:
-        return np.mean(np.stack(list(self.vectors.values())), axis=0)
 
 
 def load_embeddings(path) -> EmbeddingTable:

@@ -84,15 +84,6 @@ class Episode:
         return len(self.contexts)
 
 
-def encode_tokens(tokens: list[str], vocab: Vocabulary) -> list[int]:
-    """Token strings -> vocab ids; unknown words get the UNK sentinel."""
-    out = []
-    for tok in tokens:
-        wid = vocab.id_of(tok)
-        out.append(UNK_ID if wid is None else wid)
-    return out
-
-
 def window_on_mask(ids: list[int], window: int = CONTEXT_WINDOW) -> list[int]:
     """Keep ``window`` tokens on each side of the first MASK_ID."""
     first = ids.index(MASK_ID)
@@ -123,7 +114,6 @@ def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
 
 def sample_episode(word: str, k: int, rng: np.random.Generator,
                    store: SentenceStore, table: EmbeddingTable | None = None,
-                   char_vocab: CharVocab = DEFAULT_CHAR_VOCAB,
                    window: int = CONTEXT_WINDOW,
                    max_word_len: int = MAX_WORD_LEN) -> Episode:
     """Draw K masked contexts for ``word``.
@@ -155,39 +145,9 @@ def sample_episode(word: str, k: int, rng: np.random.Generator,
         target_word=word,
         target_id=target_id,
         contexts=contexts,
-        char_seq=char_sequence(word, char_vocab, max_word_len),
+        char_seq=char_sequence(word, max_word_len=max_word_len),
         oracle=oracle,
     )
-
-
-def episode_from_tokens(word: str, token_sentences: list[list[str]],
-                        vocab: Vocabulary | None = None,
-                        table: EmbeddingTable | None = None,
-                        char_vocab: CharVocab = DEFAULT_CHAR_VOCAB,
-                        window: int = CONTEXT_WINDOW,
-                        max_word_len: int = MAX_WORD_LEN) -> Episode:
-    """Build an episode from explicit tokenized sentences (inference path).
-
-    Every sentence must contain the word. With no vocabulary given, a
-    transient one covering exactly these sentences is built.
-    """
-    if not token_sentences:
-        raise EpisodeError("episode needs at least one context sentence")
-    for sent in token_sentences:
-        if word not in sent:
-            raise EpisodeError(f"context sentence does not contain {word!r}: {sent}")
-    if vocab is None:
-        vocab = _transient_vocab(token_sentences)
-    target_id = vocab.id_of(word)
-    if target_id is None:
-        raise EpisodeError(f"{word!r} missing from the provided vocabulary")
-    contexts = [
-        mask_window(encode_tokens(sent, vocab), target_id, window)
-        for sent in token_sentences
-    ]
-    oracle = table.get(word) if table is not None else None
-    return Episode(word, target_id, contexts,
-                   char_sequence(word, char_vocab, max_word_len), oracle)
 
 
 def _transient_vocab(token_sentences: list[list[str]]) -> Vocabulary:
@@ -204,10 +164,10 @@ def _transient_vocab(token_sentences: list[list[str]]) -> Vocabulary:
 def episode_from_masked(word: str, masked_sentences: list[list[str]],
                         vocab: Vocabulary | None = None,
                         table: EmbeddingTable | None = None,
-                        char_vocab: CharVocab = DEFAULT_CHAR_VOCAB,
                         max_word_len: int = MAX_WORD_LEN,
                         max_len: int = 2 * CONTEXT_WINDOW + 1):
-    """Episode from sentences already carrying MASK_TOKEN at target slots.
+    """The inference episode: sentences already carrying MASK_TOKEN at the
+    target slots, windowed to ``max_len`` tokens around the first marker.
 
     Returns (episode, vocabulary); the vocabulary is transient when none is
     given and is what the model needs to resolve the ids.
@@ -222,13 +182,12 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
     window = (max_len - 1) // 2
     contexts = []
     for sent in masked_sentences:
-        ids = [MASK_ID if t == MASK_TOKEN else
-               (vocab.id_of(t) if vocab.id_of(t) is not None else UNK_ID)
+        ids = [MASK_ID if t == MASK_TOKEN else vocab.ids.get(t, UNK_ID)
                for t in sent]
         contexts.append(window_on_mask(ids, window))
     oracle = table.get(word) if table is not None else None
-    episode = Episode(word, vocab.id_of(word) if word in vocab else UNK_ID,
-                      contexts, char_sequence(word, char_vocab, max_word_len),
+    episode = Episode(word, vocab.ids.get(word, UNK_ID),
+                      contexts, char_sequence(word, max_word_len=max_word_len),
                       oracle)
     return episode, vocab
 
@@ -249,9 +208,7 @@ def eligible_targets(vocab: Vocabulary, store: SentenceStore,
 
 def episode_stream(vocab: Vocabulary, store: SentenceStore,
                    table: EmbeddingTable | None, k, seed: int,
-                   words: list[str] | None = None,
-                   char_vocab: CharVocab = DEFAULT_CHAR_VOCAB,
-                   window: int = CONTEXT_WINDOW):
+                   words: list[str] | None = None):
     """Infinite deterministic-for-seed episode generator.
 
     ``k`` is either a fixed int or an inclusive (lo, hi) range sampled per
@@ -269,7 +226,6 @@ def episode_stream(vocab: Vocabulary, store: SentenceStore,
         while True:
             word = words[int(rng.integers(0, len(words)))]
             k_now = k if fixed_k else int(rng.integers(k[0], k[1] + 1))
-            yield sample_episode(word, k_now, rng, store, table,
-                                 char_vocab=char_vocab, window=window)
+            yield sample_episode(word, k_now, rng, store, table)
 
     return generate()

@@ -18,9 +18,9 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import EmbeddingTable, TokenizerConfig, DEFAULT_TOKENIZER, tokenize
+from .corpus import EmbeddingTable, tokenize
 from .episode import MASK_TOKEN
-from .errors import EvaluationError, FormatError
+from .errors import EvaluationError, FormatError, OovForgeError
 
 InferFn = Callable[[str, list[list[str]]], np.ndarray]
 CONTEXT_SEP = "|||"
@@ -119,25 +119,24 @@ class MethodReport:
         return float(np.mean(scored)) if scored else float("nan")
 
 
-def mask_contexts(word: str, contexts: list[str],
-                  config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[list[str]]:
+def mask_contexts(word: str, contexts: list[str]) -> list[list[str]]:
     """Tokenize raw sentences and replace the pseudo-word by the mask marker."""
     out = []
     for ctx in contexts:
-        toks = tokenize(ctx, config)
+        toks = tokenize(ctx)
         out.append([MASK_TOKEN if t == word else t for t in toks])
     return out
 
 
 def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
-                    table: EmbeddingTable, method: str = "method",
-                    config: TokenizerConfig = DEFAULT_TOKENIZER) -> MethodReport:
+                    table: EmbeddingTable, method: str = "method") -> MethodReport:
     """Score one inference method over the benchmark.
 
     Per item: infer a vector from the masked contexts, rank-correlate its
     cosine similarities to the probes against the human ratings. Probes
-    missing from the table are dropped (and counted); items that fail keep
-    a record but are excluded from the means.
+    missing from the table are dropped (and counted); items whose method
+    raises an OovForgeError keep a record but are excluded from the means.
+    Any other exception is a bug and propagates.
     """
     report = MethodReport(method=method)
     start = time.monotonic()
@@ -155,10 +154,10 @@ def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
             if len(probes) < 2:
                 raise EvaluationError("fewer than 2 probes remain in the table")
             vec = infer_fn(item.pseudo_word, mask_contexts(item.pseudo_word,
-                                                           item.contexts, config))
+                                                           item.contexts))
             machine = [cosine_np(vec, table.vectors[p]) for p in probes]
             rho = spearman(machine, human)
-        except Exception as e:  # a method failure must not kill the run
+        except OovForgeError as e:  # a method failure must not kill the run
             report.items.append(ItemResult(item.pseudo_word, item.shot, None,
                                            failed=True, dropped_probes=dropped,
                                            reason=str(e)))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
+from .container import pack_text
 from .corpus import EmbeddingTable, Vocabulary
 from .episode import MASK_ID, UNK_ID, MASK_TOKEN, DEFAULT_CHAR_VOCAB, Episode
 from .errors import FormatError, InputError
@@ -409,12 +410,12 @@ class HiceModel:
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         arrays = [(name, p.data) for name, p in self.parameters()]
         arrays.append(("frozen_rows", self.frozen))
-        from .container import pack_text
         arrays.append(("frozen_words", pack_text("\n".join(self.frozen_words))))
         return arrays
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        from .container import unpack_text
+        """Load the learned parameters; the frozen block is fixed at
+        construction."""
         for name, p in self.parameters():
             if name not in arrays:
                 raise FormatError(f"checkpoint missing parameter {name!r}")
@@ -425,14 +426,6 @@ class HiceModel:
                 )
             p.data = arr
             p.grad = None
-        if "frozen_rows" not in arrays or "frozen_words" not in arrays:
-            raise FormatError("checkpoint missing frozen embedding block")
-        self.frozen = arrays["frozen_rows"].astype(np.float32)
-        text = unpack_text(arrays["frozen_words"])
-        self.frozen_words = text.split("\n") if text else []
-        if len(self.frozen_words) != len(self.frozen):
-            raise FormatError("checkpoint word list does not match frozen rows")
-        self.row_of = {w: i for i, w in enumerate(self.frozen_words)}
 
 
 def _token_text(tid: int, vocab: Vocabulary) -> str:

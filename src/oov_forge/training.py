@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tc
-from .container import read_container, write_container
+from .container import read_container, unpack_text, write_container
 from .corpus import EmbeddingTable, SentenceStore, Vocabulary, split_words
 from .episode import Episode, episode_stream, eligible_targets, sample_episode
-from .errors import TrainingError, NumericError
+from .errors import FormatError, TrainingError, NumericError
+from .evaluation import cosine_np
 from .model import HiceConfig, HiceModel
 from .tensor import Graph, Tensor, backward
 
@@ -136,20 +137,13 @@ def episode_loss(model: HiceModel, episodes: list[Episode],
 def evaluate_cosine(model: HiceModel, episodes: list[Episode],
                     use_morph: bool | None = None,
                     vocab: Vocabulary | None = None) -> float:
-    """Mean cosine(predict, oracle) with no graph recording."""
+    """Mean cosine(predict, oracle) with no graph recording; a zero vector
+    raises EvaluationError, as the tape's cosine raises NumericError."""
     total = 0.0
     for ep in episodes:
         pred = model.predict_vector(ep, vocab, use_morph)
-        total += _cos(pred, ep.oracle)
+        total += cosine_np(pred, ep.oracle)
     return total / len(episodes)
-
-
-def _cos(u: np.ndarray, v: np.ndarray) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
 
 
 def build_validation_episodes(words: list[str], store: SentenceStore,
@@ -259,15 +253,14 @@ def save_checkpoint(model: HiceModel, path,
 
 def load_checkpoint(path) -> HiceModel:
     config, arrays = read_container(path, CHECKPOINT_MAGIC)
-    mc = HiceConfig.from_dict(config)
     named = dict(arrays)
-    if "frozen_rows" not in named:
-        from .errors import FormatError
-        raise FormatError(f"{path}: checkpoint has no frozen embedding block")
-    from .container import unpack_text
-    words_text = unpack_text(named["frozen_words"]) if "frozen_words" in named else ""
-    words = words_text.split("\n") if words_text else []
-    model = HiceModel(mc, named["frozen_rows"].astype(np.float32), words)
+    if "frozen_rows" not in named or "frozen_words" not in named:
+        raise FormatError(f"{path}: checkpoint missing frozen embedding block")
+    text = unpack_text(named["frozen_words"])
+    words = text.split("\n") if text else []
+    if len(words) != len(named["frozen_rows"]):
+        raise FormatError(f"{path}: checkpoint word list does not match frozen rows")
+    model = HiceModel(HiceConfig.from_dict(config), named["frozen_rows"], words)
     model.load_state_arrays(named)
     return model
 

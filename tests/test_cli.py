@@ -1,10 +1,14 @@
+import shutil
+
 import numpy as np
 import pytest
 
 import synthetic_task
+from oov_forge import cli
 from oov_forge.baselines import ngram_fit
 from oov_forge.cli import main
 from oov_forge.corpus import EmbeddingTable, load_embeddings, save_embeddings
+from oov_forge.errors import EpisodeError, FormatError
 from oov_forge.evaluation import EvalItem, cosine_np, save_benchmark_tsv
 from oov_forge.training import load_checkpoint, load_checkpoint_config
 
@@ -109,6 +113,19 @@ def test_train_no_morph_flag_recorded(prepared, tmp_path):
     assert model.config.use_morph is False
 
 
+@pytest.mark.parametrize("name, line", [
+    ("vocab.tsv", "extra\tmany\t0\t1"),      # non-integer count
+    ("sentences.txt", "0 one 2"),             # non-integer token id
+])
+def test_train_malformed_prepared_file_exits_2(prepared, tmp_path, name, line):
+    bad = tmp_path / "prep"
+    shutil.copytree(prepared, bad)
+    with open(bad / name, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    code = main(["train", str(bad), "--steps", "0", "--out", str(tmp_path / "m.hice")])
+    assert code == 2
+
+
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------
@@ -171,7 +188,7 @@ def test_infer_neighbors_listing(workdir, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def benchmark(workdir):
+def bench_tsv(workdir):
     """Pseudo-words are table rows, human ratings are cosine-generated, so
     the oracle method must score a perfect correlation."""
     table = load_embeddings(workdir / "embeddings.txt")
@@ -195,9 +212,9 @@ def benchmark(workdir):
     return path
 
 
-def test_eval_oracle_method_scores_one(workdir, benchmark, tmp_path, capsys):
+def test_eval_oracle_method_scores_one(workdir, bench_tsv, tmp_path, capsys):
     out = tmp_path / "rep"
-    code = main(["eval", str(benchmark), "--embeddings",
+    code = main(["eval", str(bench_tsv), "--embeddings",
                  str(workdir / "embeddings.txt"), "--methods", "oracle",
                  "--out-dir", str(out)])
     assert code == 0
@@ -210,9 +227,9 @@ def test_eval_oracle_method_scores_one(workdir, benchmark, tmp_path, capsys):
 
 
 def test_eval_emits_row_per_method_per_shot_and_recomputes(
-        workdir, prepared, benchmark, tmp_path):
+        workdir, prepared, bench_tsv, tmp_path):
     out = tmp_path / "rep"
-    code = main(["eval", str(benchmark), "--embeddings",
+    code = main(["eval", str(bench_tsv), "--embeddings",
                  str(workdir / "embeddings.txt"),
                  "--methods", "additive,additive-ns,alacarte",
                  "--prepared-dir", str(prepared), "--fit-samples", "40",
@@ -269,6 +286,19 @@ def test_eval_additive_on_planted_perfect_benchmark(workdir, tmp_path, capsys):
     assert float(rows[0].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_eval_oracle_fails_an_item_missing_from_the_table(workdir, tmp_path):
+    probes = sorted(load_embeddings(workdir / "embeddings.txt").vectors)[::8][:6]
+    bench = tmp_path / "missing.tsv"
+    save_benchmark_tsv([EvalItem("blick", ["a blick here"], probes,
+                                 [float(i) for i in range(6)], 2)], bench)
+    out = tmp_path / "rep"
+    assert main(["eval", str(bench), "--embeddings", str(workdir / "embeddings.txt"),
+                 "--methods", "oracle", "--out-dir", str(out)]) == 0
+    rows = [l for l in (out / "eval_items.csv").read_text().splitlines()
+            if l and not l.startswith("#")][1:]
+    assert rows == ["oracle,2,blick,,1"]
+
+
 def test_eval_malformed_tsv_exits_6(workdir, tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("only\ttwo\n")
@@ -277,9 +307,9 @@ def test_eval_malformed_tsv_exits_6(workdir, tmp_path):
     assert code == 6
 
 
-def test_eval_hice_runs(workdir, benchmark, checkpoint, tmp_path):
+def test_eval_hice_runs(workdir, bench_tsv, checkpoint, tmp_path):
     out = tmp_path / "rep"
-    code = main(["eval", str(benchmark), "--embeddings",
+    code = main(["eval", str(bench_tsv), "--embeddings",
                  str(workdir / "embeddings.txt"), "--methods", "hice,additive",
                  "--checkpoint", str(checkpoint), "--out-dir", str(out)])
     assert code == 0
@@ -358,6 +388,28 @@ def test_neighbors_unknown_word_exits_5(workdir):
     code = main(["neighbors", "--embeddings", str(workdir / "embeddings.txt"),
                  "--word", "notaword"])
     assert code == 5
+
+
+def test_neighbors_non_numeric_vector_file_exits_2(workdir, tmp_path):
+    vec = tmp_path / "vec.txt"
+    vec.write_text("word 0.5 half 0.25\n")
+    code = main(["neighbors", "--embeddings", str(workdir / "embeddings.txt"),
+                 "--vector-file", str(vec)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("argv, error, code", [
+    (["train", "prep"], EpisodeError("x"), 3),            # the command's code
+    (["neighbors", "--embeddings", "t"], FormatError("x"), 2),  # the error's code
+    (["eval", "b.tsv", "--embeddings", "t"], FormatError("x"), 6),  # eval: always 6
+    (["prepare", "c", "e", "out"], RuntimeError("x"), 1),  # a bug
+], ids=["fallback", "typed", "eval", "bug"])
+def test_exit_code_of_a_failed_command(monkeypatch, argv, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", fail)
+    assert main(argv) == code
 
 
 def test_env_seed_applies_when_flag_absent(prepared, tmp_path, monkeypatch):

@@ -4,8 +4,8 @@ import pytest
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, tokenize
 from oov_forge.episode import (DEFAULT_CHAR_VOCAB, MASK_ID, MASK_TOKEN,
                                char_sequence, decode_chars, decode_context,
-                               episode_from_masked, episode_from_tokens,
-                               episode_stream, mask_window, sample_episode)
+                               episode_from_masked, episode_stream,
+                               mask_window, sample_episode)
 from oov_forge.errors import EpisodeError
 
 
@@ -199,15 +199,20 @@ def test_no_episode_leaks_target_id():
 # ad-hoc construction
 # ---------------------------------------------------------------------------
 
-def test_episode_from_tokens_requires_word_presence():
+def test_episode_from_masked_requires_a_marker_in_every_context():
     with pytest.raises(EpisodeError):
-        episode_from_tokens("w", [["a", "b"]])
+        episode_from_masked("w", [])
+    with pytest.raises(EpisodeError):
+        episode_from_masked("w", [["a", MASK_TOKEN], ["b"]])
 
 
-def test_episode_from_tokens_masks_and_builds_transient_vocab():
-    ep = episode_from_tokens("w", [["a", "w", "b"], ["w", "w", "c"]])
+def test_episode_from_masked_masks_and_builds_transient_vocab():
+    ep, vocab = episode_from_masked(
+        "w", [["a", MASK_TOKEN, "b"], [MASK_TOKEN, MASK_TOKEN, "c"]])
     assert ep.k == 2
     assert all(MASK_ID in ctx for ctx in ep.contexts)
+    assert vocab.words == ["a", "b", "c"]
+    assert ep.contexts[1] == [MASK_ID, MASK_ID, vocab.id_of("c")]
     assert all(ep.target_id not in ctx for ctx in ep.contexts)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oov_forge.corpus import EmbeddingTable
-from oov_forge.errors import EvaluationError, FormatError
+from oov_forge.errors import EvaluationError, FormatError, InferenceError
 from oov_forge.evaluation import (EvalItem, average_ranks, cosine_np,
                                   evaluate_method, import_chimera,
                                   load_benchmark_tsv, mask_contexts,
@@ -145,15 +145,26 @@ def test_evaluate_method_records_failures_without_dying(rng):
 
     def flaky(w, ctxs):
         if w == "nonce1":
-            raise RuntimeError("boom")
+            raise InferenceError("boom")
         return planted[w]
 
     report = evaluate_method(items, flaky, table)
     assert report.failed == 1
     failed = [r for r in report.items if r.failed]
     assert failed[0].pseudo_word == "nonce1"
+    assert failed[0].reason == "boom"
     scored = [r.rho for r in report.items if not r.failed]
     assert all(r == pytest.approx(1.0, abs=1e-12) for r in scored)
+
+
+def test_evaluate_method_lets_a_bug_propagate(rng):
+    items, table, planted = _synthetic_benchmark(rng, n_items=2)
+
+    def buggy(w, ctxs):
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        evaluate_method(items, buggy, table)
 
 
 def test_mask_contexts_replaces_target():

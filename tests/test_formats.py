@@ -6,6 +6,7 @@ IngestionError for unreadable text), never as an unhandled crash."""
 import numpy as np
 import pytest
 
+from oov_forge import container
 from oov_forge.container import (pack_text, read_container, unpack_text,
                                  write_container)
 from oov_forge.errors import FormatError
@@ -56,6 +57,41 @@ def test_container_trailing_bytes(tmp_path):
     path.write_bytes(path.read_bytes() + b"JUNK")
     with pytest.raises(FormatError, match="trailing"):
         read_container(path, "TST1")
+
+
+def test_container_failed_write_keeps_the_previous_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "blob.bin"
+    write_container(path, "TST1", {"k": "v"},
+                    [("m", rng.normal(size=(4, 4)).astype(np.float32))])
+    before = path.read_bytes()
+    real_open = open
+
+    class DiskFull:
+        """A file whose first payload-sized write stops half-way."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(data) >= 64:
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(container, "open",
+                        lambda *a, **kw: DiskFull(real_open(*a, **kw)), raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_container(path, "TST1", {"k": "w"},
+                        [("m", rng.normal(size=(8, 8)).astype(np.float32))])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
 
 
 def test_container_rejects_nonfinite_floats(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 import oov_forge.tensor as tc
 from fd import rel_err
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
-from oov_forge.episode import (MASK_ID, char_sequence, episode_from_tokens,
-                               sample_episode)
+from oov_forge.episode import (MASK_ID, MASK_TOKEN, char_sequence,
+                               episode_from_masked, sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
                              encoding_block, parse_attention_report,
@@ -408,7 +408,7 @@ def test_dump_attention_single_token_context():
     model, table = make_model()
     vocab, _ = make_corpus()
     model.bind_vocab(vocab)
-    ep = episode_from_tokens("w03", [["w03"]], vocab)
+    ep, _ = episode_from_masked("w03", [[MASK_TOKEN]], vocab)
     report = model.dump_attention(ep)
     for m in report.context_matrices[0]:
         assert np.allclose(m, [[1.0]], atol=1e-12)

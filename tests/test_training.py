@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import synthetic_task
+from oov_forge.container import pack_text, read_container, write_container
 from oov_forge.episode import Episode, char_sequence
 from oov_forge.errors import FormatError, TrainingError
 from oov_forge.model import HiceConfig, HiceModel
-from oov_forge.tensor import Graph, backward, constant, parameter, sum_all
+from oov_forge.tensor import Graph, backward, constant, mul, parameter, sum_all
 from oov_forge.training import (Adam, TrainConfig, episode_loss,
                                 load_checkpoint, load_checkpoint_config,
                                 save_checkpoint, train)
@@ -87,7 +88,7 @@ def test_adam_minimizes_quadratic():
     opt = Adam([("p", p)], lr=0.1)
     for _ in range(300):
         with Graph():
-            backward(sum_all(p * p))
+            backward(sum_all(mul(p, p)))
         opt.step()
         opt.zero_grads()
     assert np.abs(p.data).max() < 1e-3
@@ -240,6 +241,26 @@ def test_checkpoint_truncation_is_a_typed_error(tmp_path):
         bad.write_bytes(blob[:cut])
         with pytest.raises(FormatError):
             load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("drop_words", "missing frozen embedding block"),
+    ("extra_word", "word list does not match frozen rows"),
+])
+def test_checkpoint_frozen_block_must_be_whole(tmp_path, edit, message):
+    vocab, store, table, oracle, _ = small_task()
+    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    path = tmp_path / "model.hice"
+    save_checkpoint(model, path)
+    config, arrays = read_container(path, "HICE1")
+    if edit == "drop_words":
+        arrays = [(n, a) for n, a in arrays if n != "frozen_words"]
+    else:
+        arrays = [(n, pack_text("\n".join(model.frozen_words + ["extra"])))
+                  if n == "frozen_words" else (n, a) for n, a in arrays]
+    write_container(path, "HICE1", config, arrays)
+    with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
 
 
 def test_checkpoint_magic_mismatch(tmp_path):
