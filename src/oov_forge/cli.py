@@ -49,15 +49,16 @@ ENV_SEED = "OOVFORGE_SEED"
 # ---------------------------------------------------------------------------
 
 def load_config_file(path) -> dict[str, str]:
-    """Line-oriented 'key = value' config; '#' starts a comment."""
+    """Line-oriented 'key = value' config. A line whose first non-blank
+    character is '#' is a comment; elsewhere '#' is part of the value."""
     out = {}
     try:
         lines = open(path, encoding="utf-8").read().splitlines()
     except OSError as e:
         raise IngestionError(f"cannot read config {path}: {e}") from e
     for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        body = line.strip()
+        if not body or body.startswith("#"):
             continue
         if "=" not in body:
             raise IngestionError(f"{path}: line {lineno}: expected 'key = value'")
@@ -452,12 +453,17 @@ def cmd_neighbors(args) -> int:
     else:
         if not args.vector_file:
             raise InferenceError("pass --word or --vector-file")
-        line = open(args.vector_file, encoding="utf-8").read().strip().splitlines()[-1]
-        parts = line.split()
+        lines = open(args.vector_file, encoding="utf-8").read().strip().splitlines()
+        if not lines:
+            raise FormatError(f"{args.vector_file}: empty vector file")
+        parts = lines[-1].split()
         try:
             vec = np.array([float(x) for x in parts[1:]])
         except ValueError:
             raise FormatError(f"{args.vector_file}: non-numeric value") from None
+        if vec.shape != (table.dim,):
+            raise FormatError(f"{args.vector_file}: vector has {vec.size} values, "
+                              f"the table {table.dim}")
         exclude = (parts[0],)
     for word, cos in nearest_neighbors(vec, table, args.top, exclude=exclude):
         print(f"{word}\t{cos:.6f}")

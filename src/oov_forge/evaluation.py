@@ -91,7 +91,12 @@ def cosine_np(u: np.ndarray, v: np.ndarray) -> float:
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
         raise EvaluationError("cosine undefined for a zero vector")
-    return float(np.clip(float(u @ v) / (nu * nv), -1.0, 1.0))
+    try:
+        dot = float(u @ v)
+    except ValueError:
+        raise EvaluationError(f"cosine of vectors of shapes {np.shape(u)} "
+                              f"and {np.shape(v)}") from None
+    return float(np.clip(dot / (nu * nv), -1.0, 1.0))
 
 
 @dataclass
@@ -187,6 +192,9 @@ def nearest_neighbors(vector: np.ndarray, table: EmbeddingTable, top_k: int,
     lexicographically; excluded words (e.g. the query itself) are skipped."""
     if top_k < 1:
         raise EvaluationError(f"top_k must be >= 1, got {top_k}")
+    if np.shape(vector) != (table.dim,):
+        raise EvaluationError(f"query vector of shape {np.shape(vector)} for a "
+                              f"table of dimension {table.dim}")
     skip = set(exclude)
     scored = []
     for word, vec in table.vectors.items():

@@ -20,13 +20,17 @@ Architecture, bottom to top:
   fusion            one linear projection from [context | morphology] down
                     to the output embedding dimension
 
-All shapes in comments use L = sentence length, K = shot count.
+Every stage runs on a whole batch of episodes at once: B episodes, C
+contexts and T tokens, packed back to back, with padding only inside
+attention. Shapes in comments also use L = sentence length, K = shot count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -149,32 +153,77 @@ class AttentionBlockParams:
         yield f"{prefix}.ln2.b", self.ln2_b
 
 
-def self_attention(x: Tensor, p: AttentionBlockParams,
+class Segments:
+    """Variable-length sequences stored back to back as the rows of one
+    packed [N, ...] matrix; sequence i holds ``lengths[i]`` rows.
+
+    ``index`` [S, Lmax] gives the packed row of each padded slot (-1 past
+    the end of a sequence) and ``valid`` is ``index >= 0``; ``rows`` lists
+    the flattened padded slot of every packed row, and ``positions`` each
+    packed row's offset inside its sequence.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.intp)
+        if self.lengths.ndim != 1 or not self.lengths.size or self.lengths.min() < 1:
+            raise InputError(f"sequence lengths must be positive, got {list(lengths)}")
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        slot = np.arange(int(self.lengths.max()))
+        self.valid = slot < self.lengths[:, None]
+        self.index = np.where(self.valid, self.starts[:, None] + slot, -1)
+        self.rows = np.flatnonzero(self.valid)
+        self.positions = np.nonzero(self.valid)[1]
+
+
+def self_attention(x: Tensor, p: AttentionBlockParams, seqs: Segments,
                    sink: list | None = None) -> Tensor:
-    """Multi-head self-attention over x[L, d_model]; scores scaled by
-    1/sqrt(d_model). ``sink`` collects the per-head softmax matrices."""
-    scale = 1.0 / math.sqrt(p.d_model)
-    heads = []
-    for wq, wk, wv in p.heads:
-        q = tc.matmul(x, wq)
-        k = tc.matmul(x, wk)
-        v = tc.matmul(x, wv)
-        scores = tc.scale(tc.matmul(q, tc.transpose2d(k)), scale)
-        attn = tc.softmax(scores, axis=-1)
-        if sink is not None:
-            sink.append(attn.data.copy())
-        heads.append(tc.matmul(attn, v))
-    return tc.matmul(tc.concat_cols(heads), p.wo)
+    """Multi-head self-attention within each sequence of the packed rows
+    x[N, d_model]; scores scaled by 1/sqrt(d_model).
+
+    The projections run on the packed rows; only the scores and the
+    weighted sum run padded, as [S, heads, Lmax, Lmax] with padded keys
+    masked out. ``sink`` collects that softmax array, one per call.
+    """
+    n_heads = len(p.heads)
+    d_head = p.d_model // n_heads
+    # columns: every head's query block, then every key block, then values,
+    # so row 3t + j of the reshape holds part j (q, k, v) of packed row t
+    w_qkv = tc.concat_cols([head[j] for j in range(3) for head in p.heads])
+    qkv = tc.reshape(tc.matmul(x, w_qkv), (-1, n_heads, d_head))
+    idx = seqs.index
+    q, k, v = (tc.gather_rows(qkv, np.where(idx < 0, -1, 3 * idx + j))
+               for j in range(3))
+    scores = tc.scale(tc.einsum("slhe,smhe->shlm", q, k), 1.0 / math.sqrt(p.d_model))
+    attn = tc.softmax(scores, -1, mask=seqs.valid[:, None, None, :])
+    if sink is not None:
+        sink.append(attn.data)
+    heads = tc.reshape(tc.einsum("shlm,smhe->slhe", attn, v), (-1, p.d_model))
+    return tc.matmul(tc.gather_rows(heads, seqs.rows), p.wo)
 
 
-def encoding_block(x: Tensor, p: AttentionBlockParams,
+def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
                    sink: list | None = None) -> Tensor:
     """Self-attention and a position-wise FFN, each wrapped in residual +
-    layer norm."""
-    y1 = tc.layer_norm(tc.add(x, self_attention(x, p, sink)), p.ln1_g, p.ln1_b)
+    layer norm, over the packed rows x[N, d_model]."""
+    y1 = tc.layer_norm(tc.add(x, self_attention(x, p, seqs, sink)), p.ln1_g, p.ln1_b)
     h = tc.relu(tc.add_bias(tc.matmul(y1, p.w1), p.b1))
     ffn = tc.add_bias(tc.matmul(h, p.w2), p.b2)
     return tc.layer_norm(tc.add(y1, ffn), p.ln2_g, p.ln2_b)
+
+
+@dataclass
+class Batch:
+    """The layout of a batch of episodes, built once per forward pass by
+    ``HiceModel.batch``: contexts are packed in episode order, tokens in
+    context order."""
+
+    contexts: Segments        # the tokens of every context
+    shots: Segments           # the contexts of every episode
+    frozen_rows: np.ndarray   # [T] frozen-table row of a token, -1 for MASK/UNK
+    special_rows: np.ndarray  # [T] learned row (MASK_ROW, UNK_ROW) where that is -1
+    pool_rows: np.ndarray     # [C] packed token a context is summarized by
+    chars: np.ndarray         # [B, W] character ids, -1 past the end of a word
+    char_lengths: np.ndarray  # [B]
 
 
 class HiceModel:
@@ -237,7 +286,6 @@ class HiceModel:
         self.fuse_w = tc.parameter(
             rng.normal(size=(fuse_in, d_in)) / math.sqrt(fuse_in))
         self.fuse_b = tc.parameter(np.zeros(d_in))
-        self._zero_morph = np.zeros(config.c_morph)
 
     @classmethod
     def from_table(cls, config: HiceConfig, table: EmbeddingTable,
@@ -282,102 +330,114 @@ class HiceModel:
             raise InputError("no vocabulary bound to the model or passed in")
         return v
 
-    def embed_tokens(self, ids: list[int], vocab: Vocabulary | None = None) -> Tensor:
-        """Token ids -> [L, d_in]; frozen rows are constants, MASK/UNK learn."""
-        v = self._resolve_vocab(vocab)
-        L = len(ids)
-        base = np.zeros((L, self.config.embed_dim))
-        special_pos: list[int] = []
-        special_row: list[int] = []
-        for pos, tid in enumerate(ids):
-            if tid == MASK_ID:
-                special_pos.append(pos)
-                special_row.append(self.MASK_ROW)
-                continue
-            if tid == UNK_ID:
-                row = None
-            else:
-                row = self.row_of.get(v.word_of(tid))
-            if row is None:
-                special_pos.append(pos)
-                special_row.append(self.UNK_ROW)
-            else:
-                base[pos] = self.frozen[row]
-        return tc.overlay_rows(base, special_pos, self.special_embed, special_row)
+    def batch(self, episodes: Sequence[Episode],
+              vocab: Vocabulary | None = None) -> Batch:
+        """Validate the episodes and lay them out for one forward pass."""
+        if not episodes:
+            raise InputError("empty batch of episodes")
+        contexts = [ids for ep in episodes for ids in ep.contexts]
+        for ep in episodes:
+            if not ep.contexts:
+                raise InputError(f"episode for {ep.target_word!r} has no contexts")
+            if not ep.char_seq:
+                raise InputError("encode_morphology: empty character sequence")
+        for ids in contexts:
+            if not ids:
+                raise InputError("encode_context: empty context")
+            if len(ids) > self.config.max_len:
+                raise InputError(f"encode_context: length {len(ids)} exceeds "
+                                 f"max_len {self.config.max_len}")
+        tokens = np.fromiter(chain.from_iterable(contexts), dtype=np.intp)
+        frozen_rows = np.full(len(tokens), -1, dtype=np.intp)
+        real = np.flatnonzero(tokens >= 0)
+        if real.size:  # a context of MASK/UNK sentinels needs no vocabulary
+            words, row_of = self._resolve_vocab(vocab).words, self.row_of
+            frozen_rows[real] = [row_of.get(words[t], -1) for t in tokens[real].tolist()]
+        segs = Segments([len(ids) for ids in contexts])
+        # an unmasked ad-hoc context is summarized by its first position
+        pool_at = [ids.index(MASK_ID) if MASK_ID in ids else 0 for ids in contexts]
+        widths = [len(ep.char_seq) for ep in episodes]
+        chars = np.full((len(episodes), max(widths)), -1, dtype=np.intp)
+        for i, ep in enumerate(episodes):
+            chars[i, :widths[i]] = ep.char_seq
+        return Batch(
+            contexts=segs,
+            shots=Segments([ep.k for ep in episodes]),
+            frozen_rows=frozen_rows,
+            special_rows=np.where(tokens == MASK_ID, self.MASK_ROW, self.UNK_ROW),
+            pool_rows=segs.starts + np.asarray(pool_at, dtype=np.intp),
+            chars=chars,
+            char_lengths=np.asarray(widths, dtype=np.intp),
+        )
 
-    def encode_context(self, ids: list[int], vocab: Vocabulary | None = None,
-                       sink: list | None = None) -> Tensor:
-        """One masked sentence -> [d_model] summary vector."""
-        L = len(ids)
-        if L < 1:
-            raise InputError("encode_context: empty context")
-        if L > self.config.max_len:
-            raise InputError(
-                f"encode_context: length {L} exceeds max_len {self.config.max_len}"
-            )
-        x = self.embed_tokens(ids, vocab)
+    def embed_tokens(self, batch: Batch) -> Tensor:
+        """Packed tokens -> [T, d_in]; frozen rows are constants, MASK/UNK
+        learn."""
+        known = batch.frozen_rows >= 0
+        base = np.zeros((len(known), self.config.embed_dim))
+        base[known] = self.frozen[batch.frozen_rows[known]]
+        special = np.flatnonzero(~known)
+        return tc.overlay_rows(base, special, self.special_embed,
+                               batch.special_rows[special])
+
+    def encode_context(self, batch: Batch, sink: list | None = None) -> Tensor:
+        """Every masked sentence of the batch -> [C, d_model] summaries."""
+        x = self.embed_tokens(batch)
         if self.input_proj_w is not None:
             x = tc.add_bias(tc.matmul(x, self.input_proj_w), self.input_proj_b)
-        x = tc.scale_rows(x, tc.gather_vec(self.a_pos, range(L)))
+        x = tc.scale_rows(x, tc.gather_rows(self.a_pos, batch.contexts.positions))
         for block in self.ctx_blocks:
-            x = encoding_block(x, block, sink)
+            x = encoding_block(x, block, batch.contexts, sink)
         if self.config.context_pool == "mean":
-            return tc.mean_rows(x)
-        try:
-            pool_at = ids.index(MASK_ID)
-        except ValueError:
-            pool_at = 0  # unmasked ad-hoc context: fall back to first position
-        return tc.take_row(x, pool_at)
+            return tc.segment_mean(x, batch.contexts.lengths)
+        return tc.gather_rows(x, batch.pool_rows)
 
-    def aggregate(self, ctx_vectors: list[Tensor],
+    def aggregate(self, ctx_vectors: Tensor, shots: Segments,
                   sink: list | None = None) -> Tensor:
-        """K context vectors -> one [d_model] vector, order-invariantly:
-        no positional weighting, symmetric mean pool."""
-        x = tc.stack_rows(ctx_vectors)
+        """Context vectors [C, d_model], ``shots`` of them per episode ->
+        one [B, d_model] row per episode, order-invariantly: no positional
+        weighting, symmetric mean pool."""
+        x = ctx_vectors
         for block in self.agg_blocks:
-            x = encoding_block(x, block, sink)
-        return tc.mean_rows(x)
+            x = encoding_block(x, block, shots, sink)
+        return tc.segment_mean(x, shots.lengths)
 
-    def encode_morphology(self, char_seq: list[int]) -> Tensor:
-        """Character ids -> [c_morph] morphology features."""
-        if not char_seq:
-            raise InputError("encode_morphology: empty character sequence")
-        x = tc.gather_rows(self.char_embed, char_seq)
-        pooled = []
-        for w in self.config.filter_widths:
-            conv = tc.conv1d_maxpool(x, self.conv_filters[w])
-            pooled.append(tc.add(conv, self.conv_bias[w]))
-        return tc.relu(tc.concat_vecs(pooled))
+    def encode_morphology(self, batch: Batch) -> Tensor:
+        """Every target word's characters -> [B, c_morph] morphology
+        features."""
+        x = tc.gather_rows(self.char_embed, batch.chars)
+        pooled = [
+            tc.add_bias(tc.conv1d_maxpool(x, self.conv_filters[w], batch.char_lengths),
+                        self.conv_bias[w])
+            for w in self.config.filter_widths
+        ]
+        return tc.relu(tc.concat_cols(pooled))
 
-    def predict(self, episode: Episode, vocab: Vocabulary | None = None,
+    def predict(self, episodes: Sequence[Episode], vocab: Vocabulary | None = None,
                 use_morph: bool | None = None,
                 ctx_sink: list | None = None,
                 agg_sink: list | None = None) -> Tensor:
-        """Predicted embedding [d_in] for the episode's target word.
+        """Predicted embeddings [B, d_in] for the episodes' target words, in
+        one padded forward pass.
 
         With morphology off, the morphology slot of the fusion input is a
         zero vector of the same width (ablation arm).
         """
         if use_morph is None:
             use_morph = self.config.use_morph
-        ctx_vecs = []
-        for ids in episode.contexts:
-            per_ctx = [] if ctx_sink is not None else None
-            ctx_vecs.append(self.encode_context(ids, vocab, per_ctx))
-            if ctx_sink is not None:
-                ctx_sink.append(per_ctx)
-        agg = self.aggregate(ctx_vecs, agg_sink)
+        batch = self.batch(episodes, vocab)
+        agg = self.aggregate(self.encode_context(batch, ctx_sink), batch.shots, agg_sink)
         if use_morph:
-            morph = self.encode_morphology(episode.char_seq)
+            morph = self.encode_morphology(batch)
         else:
-            morph = tc.constant(self._zero_morph)
-        fused = tc.concat_vecs([agg, morph])
-        return tc.add(tc.vecmat(fused, self.fuse_w), self.fuse_b)
+            morph = tc.constant(np.zeros((len(episodes), self.config.c_morph)))
+        fused = tc.concat_cols([agg, morph])
+        return tc.add_bias(tc.matmul(fused, self.fuse_w), self.fuse_b)
 
     def predict_vector(self, episode: Episode, vocab: Vocabulary | None = None,
                        use_morph: bool | None = None) -> np.ndarray:
         """Inference path: no graph recording, returns a plain array."""
-        return self.predict(episode, vocab, use_morph).data
+        return self.predict([episode], vocab, use_morph).data[0]
 
     def dump_attention(self, episode: Episode,
                        vocab: Vocabulary | None = None) -> "AttentionReport":
@@ -385,16 +445,18 @@ class HiceModel:
         v = self._resolve_vocab(vocab)
         ctx_sink: list = []
         agg_sink: list = []
-        self.predict(episode, v, ctx_sink=ctx_sink, agg_sink=agg_sink)
-        tokens = [
-            [_token_text(tid, v) for tid in ids]
-            for ids in episode.contexts
-        ]
+        self.predict([episode], v, ctx_sink=ctx_sink, agg_sink=agg_sink)
+        heads = range(self.config.n_heads)
+        k = episode.k
         return AttentionReport(
             word=episode.target_word,
-            context_tokens=tokens,
-            context_matrices=ctx_sink,
-            aggregator_matrices=agg_sink,
+            context_tokens=[[_token_text(tid, v) for tid in ids]
+                            for ids in episode.contexts],
+            context_matrices=[
+                [a[c, h, :len(ids), :len(ids)].copy() for a in ctx_sink for h in heads]
+                for c, ids in enumerate(episode.contexts)
+            ],
+            aggregator_matrices=[a[0, h, :k, :k].copy() for a in agg_sink for h in heads],
         )
 
     def frozen_table(self) -> EmbeddingTable:

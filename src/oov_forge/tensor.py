@@ -6,22 +6,31 @@ the tape in reverse, accumulating gradients into leaf tensors that were
 created with ``requires_grad=True``. Ops executed with no active graph are
 plain numpy computations (cheap inference path).
 
+The ops work on whole batches: a leading-dims ``einsum``, a ``softmax``
+that takes a key mask, row gathers that pad with zeros, a mean over
+contiguous segments and a char-CNN max-pool that ignores padded time steps,
+so a model runs one op per layer rather than one per vector.
+
 Deliberate restrictions, to keep the core auditable:
 
-* no broadcasting except bias-add over the last axis (``add_bias``) and the
-  dedicated per-row scaling op (``scale_rows``);
+* no broadcasting except bias-add over the last axis (``add_bias``), the
+  dedicated per-row scaling op (``scale_rows``) and ``einsum``'s explicit
+  index lists;
 * float64 is the default dtype (gradient checks stay meaningful); float32
   tensors are allowed for inference-style use, but a single expression must
   not mix dtypes;
 * every op validates that its output is finite and raises NumericError
   otherwise, so NaN/Inf never propagate silently.
 
-A Graph is single-owner while it is being built. Tensors that are not
-attached to a graph are immutable values and safe to share across threads.
+Each thread (and each asyncio task) has its own stack of active graphs, so
+graphs built concurrently never share a tape. Tensors that are not attached
+to a graph are immutable values and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import weakref
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +40,7 @@ from .errors import GraphError, NumericError, ShapeError
 LAYER_NORM_EPS = 1e-5
 COSINE_EPS = 1e-8
 
-_GRAPH_STACK: list["Graph"] = []
+_GRAPH_STACK: ContextVar[tuple["Graph", ...]] = ContextVar("graph_stack", default=())
 
 
 def _require_finite(arr: np.ndarray, op: str) -> None:
@@ -88,35 +97,47 @@ class Tensor:
 
 
 class Node:
-    """One tape entry: the op kind, its inputs, and a backward rule."""
+    """One tape entry: the op kind, its inputs, and a backward rule.
 
-    __slots__ = ("op", "inputs", "out", "backward_fn", "index", "graph")
+    A node holds its graph weakly and not its output, so a tape forms no
+    reference cycle: it is freed as soon as the last of its graph and its
+    tensors is dropped, without waiting for the cyclic garbage collector.
+    """
 
-    def __init__(self, op: str, inputs: tuple, out: Tensor,
+    __slots__ = ("op", "inputs", "backward_fn", "index", "_graph")
+
+    def __init__(self, op: str, inputs: tuple,
                  backward_fn: Callable[[np.ndarray], tuple], graph: "Graph"):
         self.op = op
         self.inputs = inputs
-        self.out = out
         self.backward_fn = backward_fn
         self.index = -1
-        self.graph = graph
+        self._graph = weakref.ref(graph)
+
+    @property
+    def graph(self) -> "Graph | None":
+        return self._graph()
 
 
 class Graph:
-    """Append-only op tape. Entering the context makes it the active graph."""
+    """Append-only op tape. Entering the context makes it the active graph
+    of the current thread; keep a reference (``with Graph() as g``) to call
+    ``backward`` after the block."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Node] = []
 
     def __enter__(self) -> "Graph":
-        _GRAPH_STACK.append(self)
+        _GRAPH_STACK.set(_GRAPH_STACK.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        popped = _GRAPH_STACK.pop()
-        assert popped is self, "graphs must be exited in LIFO order"
+        stack = _GRAPH_STACK.get()
+        if not stack or stack[-1] is not self:
+            raise GraphError("graphs must be exited in LIFO order")
+        _GRAPH_STACK.set(stack[:-1])
         return False
 
     def _append(self, node: Node) -> None:
@@ -125,7 +146,8 @@ class Graph:
 
 
 def _active_graph() -> Graph | None:
-    return _GRAPH_STACK[-1] if _GRAPH_STACK else None
+    stack = _GRAPH_STACK.get()
+    return stack[-1] if stack else None
 
 
 def _record(op: str, out_arr: np.ndarray, inputs: tuple,
@@ -137,7 +159,7 @@ def _record(op: str, out_arr: np.ndarray, inputs: tuple,
     )
     out = Tensor._wrap(out_arr, tracked)
     if tracked:
-        node = Node(op, inputs, out, backward_fn, graph)
+        node = Node(op, inputs, backward_fn, graph)
         out.node = node
         graph._append(node)
     return out
@@ -155,9 +177,12 @@ def backward(loss: Tensor) -> None:
         raise GraphError("loss is not attached to a graph (no ops were recorded)")
 
     graph = loss.node.graph
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    if graph is None:
+        raise GraphError("the loss's graph is gone: call backward inside its "
+                         "'with Graph()' block or keep the graph")
+    adjoint: dict[Node, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     for node in reversed(graph.nodes[: loss.node.index + 1]):
-        g_out = adjoint.pop(id(node.out), None)
+        g_out = adjoint.pop(node, None)
         if g_out is None:
             continue
         grads = node.backward_fn(g_out)
@@ -165,11 +190,10 @@ def backward(loss: Tensor) -> None:
             if g is None:
                 continue
             if inp.node is not None:
-                key = id(inp)
-                if key in adjoint:
-                    adjoint[key] += g
-                else:
-                    adjoint[key] = g
+                key = inp.node
+                # never in place: a backward rule may hand one array to
+                # several inputs, or a view of its own incoming gradient
+                adjoint[key] = adjoint[key] + g if key in adjoint else g
             elif inp.requires_grad:
                 inp._accumulate(g)
 
@@ -277,30 +301,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", ad @ bd, (a, b), bwd)
 
 
-def vecmat(v: Tensor, w: Tensor) -> Tensor:
-    """v[m] @ w[m,n] -> [n]."""
-    if v.data.ndim != 1 or w.data.ndim != 2 or v.shape[0] != w.shape[0]:
-        raise ShapeError(f"vecmat: {v.shape} x {w.shape}")
-    nv, nw = _needs(v), _needs(w)
-    vd, wd = v.data, w.data
+def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
+    """Two-operand ``np.einsum`` with an explicit output, e.g. the batched
+    attention scores ``"slhe,smhe->shlm"``.
+
+    Every index of an operand must appear in the other operand or in the
+    output, and no operand may repeat an index, so each gradient is again
+    one einsum of the output gradient with the other operand.
+    """
+    try:
+        ins, out_ix = spec.split("->")
+        a_ix, b_ix = ins.split(",")
+    except ValueError:
+        raise ShapeError(f"einsum: expected 'ab,bc->ac', got {spec!r}") from None
+    if len(set(a_ix)) != len(a_ix) or len(set(b_ix)) != len(b_ix) \
+            or not set(a_ix) <= set(b_ix + out_ix) or not set(b_ix) <= set(a_ix + out_ix):
+        raise ShapeError(f"einsum: unsupported index pattern {spec!r}")
+    na, nb = _needs(a), _needs(b)
+    ad, bd = a.data, b.data
+    try:
+        out = np.einsum(spec, ad, bd, optimize=True)
+    except ValueError as e:
+        raise ShapeError(f"einsum: {spec!r} on {a.shape}, {b.shape}: {e}") from None
 
     def bwd(g):
-        gv = wd @ g if nv else None
-        gw = np.outer(vd, g) if nw else None
-        return (gv, gw)
+        ga = np.einsum(f"{out_ix},{b_ix}->{a_ix}", g, bd, optimize=True) if na else None
+        gb = np.einsum(f"{out_ix},{a_ix}->{b_ix}", g, ad, optimize=True) if nb else None
+        return (ga, gb)
 
-    return _record("vecmat", vd @ wd, (v, w), bwd)
+    return _record("einsum", out, (a, b), bwd)
 
 
-def transpose2d(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose2d: expected 2-D, got {x.shape}")
+def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     nx = _needs(x)
+    old = x.shape
+    try:
+        out = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeError(f"reshape: {old} to {tuple(shape)}") from None
 
     def bwd(g):
-        return (g.T if nx else None,)
+        return (g.reshape(old) if nx else None,)
 
-    return _record("transpose2d", x.data.T.copy(), (x,), bwd)
+    return _record("reshape", out, (x,), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -324,103 +367,68 @@ def sum_all(x: Tensor) -> Tensor:
     return _record("sum_all", np.asarray(x.data.sum(), dtype=dt), (x,), bwd)
 
 
-def mean_rows(x: Tensor) -> Tensor:
-    """Mean over axis 0 of x[k,n] -> [n]."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"mean_rows: expected 2-D, got {x.shape}")
+def segment_mean(x: Tensor, lengths: Sequence[int]) -> Tensor:
+    """Mean of each run of consecutive rows of x[N, ...]: run i holds
+    ``lengths[i]`` rows and the runs cover x exactly -> [len(lengths), ...].
+    """
+    counts = np.asarray(lengths, dtype=np.intp)
+    if x.data.ndim < 1 or counts.ndim != 1 or not counts.size \
+            or counts.min() < 1 or counts.sum() != x.shape[0]:
+        raise ShapeError(f"segment_mean: lengths {counts.tolist()} for shape {x.shape}")
     nx = _needs(x)
-    k = x.shape[0]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    denom = counts.reshape((-1,) + (1,) * (x.data.ndim - 1)).astype(x.data.dtype)
 
     def bwd(g):
-        if not nx:
-            return (None,)
-        return (np.broadcast_to(g / k, (k, g.shape[0])).copy(),)
+        return (np.repeat(g / denom, counts, axis=0) if nx else None,)
 
-    return _record("mean_rows", x.data.mean(axis=0), (x,), bwd)
-
-
-def take_row(x: Tensor, i: int) -> Tensor:
-    if x.data.ndim != 2 or not 0 <= i < x.shape[0]:
-        raise ShapeError(f"take_row: index {i} in shape {x.shape}")
-    nx = _needs(x)
-    shape = x.shape
-    dt = x.data.dtype
-
-    def bwd(g):
-        if not nx:
-            return (None,)
-        gx = np.zeros(shape, dtype=dt)
-        gx[i] = g
-        return (gx,)
-
-    return _record("take_row", x.data[i].copy(), (x,), bwd)
-
-
-def stack_rows(vs: Sequence[Tensor]) -> Tensor:
-    """Stack k vectors of length n into [k,n]."""
-    if not vs:
-        raise ShapeError("stack_rows: empty input")
-    n = vs[0].shape
-    for v in vs:
-        if v.data.ndim != 1 or v.shape != n:
-            raise ShapeError(f"stack_rows: mixed shapes {n} vs {v.shape}")
-    needs = [_needs(v) for v in vs]
-
-    def bwd(g):
-        return tuple(g[j].copy() if needs[j] else None for j in range(len(vs)))
-
-    return _record("stack_rows", np.stack([v.data for v in vs]), tuple(vs), bwd)
-
-
-def concat_vecs(vs: Sequence[Tensor]) -> Tensor:
-    if not vs:
-        raise ShapeError("concat_vecs: empty input")
-    for v in vs:
-        if v.data.ndim != 1:
-            raise ShapeError(f"concat_vecs: expected 1-D, got {v.shape}")
-    needs = [_needs(v) for v in vs]
-    sizes = [v.shape[0] for v in vs]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        return tuple(
-            g[offsets[j]:offsets[j + 1]].copy() if needs[j] else None
-            for j in range(len(vs))
-        )
-
-    return _record("concat_vecs", np.concatenate([v.data for v in vs]), tuple(vs), bwd)
+    return _record("segment_mean", np.add.reduceat(x.data, starts, axis=0) / denom,
+                   (x,), bwd)
 
 
 def concat_cols(xs: Sequence[Tensor]) -> Tensor:
-    """Concatenate [L,n_i] blocks along the last axis."""
+    """Concatenate blocks [..., n_i] with equal leading dims along the last
+    axis."""
     if not xs:
         raise ShapeError("concat_cols: empty input")
-    rows = xs[0].shape[0]
+    lead = xs[0].shape[:-1]
     for x in xs:
-        if x.data.ndim != 2 or x.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row mismatch {xs[0].shape} vs {x.shape}")
+        if x.data.ndim < 1 or x.shape[:-1] != lead:
+            raise ShapeError(f"concat_cols: leading dims {xs[0].shape} vs {x.shape}")
     needs = [_needs(x) for x in xs]
-    sizes = [x.shape[1] for x in xs]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [x.shape[-1] for x in xs])
 
     def bwd(g):
         return tuple(
-            g[:, offsets[j]:offsets[j + 1]].copy() if needs[j] else None
+            g[..., offsets[j]:offsets[j + 1]] if needs[j] else None
             for j in range(len(xs))
         )
 
-    return _record("concat_cols", np.concatenate([x.data for x in xs], axis=1),
+    return _record("concat_cols", np.concatenate([x.data for x in xs], axis=-1),
                    tuple(xs), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax: subtracts the per-slice max first."""
+def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
+    """Numerically stable softmax: subtracts the per-slice max first.
+
+    ``mask`` (booleans, broadcast against x) keeps the True entries; the
+    others get probability exactly 0 and no gradient. Every slice along
+    ``axis`` must keep at least one entry.
+    """
     nd = x.data.ndim
     if not -nd <= axis < nd:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
     nx = _needs(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    xd = x.data
+    if mask is not None:
+        try:
+            keep = np.broadcast_to(np.asarray(mask, dtype=bool), xd.shape)
+        except ValueError:
+            raise ShapeError(f"softmax: mask {np.shape(mask)} vs {xd.shape}") from None
+        if not keep.any(axis=axis).all():
+            raise ShapeError("softmax: a slice has every entry masked")
+        xd = np.where(keep, xd, -np.inf)
+    e = np.exp(xd - xd.max(axis=axis, keepdims=True))
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
@@ -466,131 +474,131 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return _record("layer_norm", xhat * gd + bias.data, (x, gain, bias), bwd)
 
 
-def conv1d_maxpool(seq: Tensor, filters: Tensor) -> Tensor:
-    """Valid cross-correlation of seq[L,c_in] with filters[w,c_in,c_out],
-    max-pooled over time -> [c_out].
+def conv1d_maxpool(seq: Tensor, filters: Tensor,
+                   lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
+    """Valid cross-correlation of seq[..., W, c_in] with filters[w,c_in,c_out],
+    max-pooled over time -> [..., c_out].
 
-    Sequences shorter than the filter width are zero-padded on the right.
-    Pooling ties break toward the lowest time index, so the backward pass is
-    deterministic: gradient flows only to the argmax position.
+    ``lengths`` (shape ``seq.shape[:-2]``, each 1..W; default W) marks how
+    many time steps of each sequence are real: the rest are treated as
+    zeros and never pooled. A sequence shorter than the filter width is
+    zero-padded on the right to one window. Pooling ties break toward the
+    lowest time index, so the backward pass is deterministic: gradient flows
+    only to the argmax position.
     """
-    if seq.data.ndim != 2 or filters.data.ndim != 3:
+    if seq.data.ndim < 2 or filters.data.ndim != 3:
         raise ShapeError(f"conv1d_maxpool: {seq.shape} with {filters.shape}")
-    L, c_in = seq.shape
+    lead, (W, c_in) = seq.shape[:-2], seq.shape[-2:]
     w, f_cin, c_out = filters.shape
-    if L < 1:
+    if W < 1:
         raise ShapeError("conv1d_maxpool: empty sequence")
     if f_cin != c_in:
         raise ShapeError(f"conv1d_maxpool: channel mismatch {seq.shape} vs {filters.shape}")
+    lens = np.full(lead, W, dtype=np.intp) if lengths is None \
+        else np.asarray(lengths, dtype=np.intp)
+    if lens.shape != lead or (lens.size and (lens.min() < 1 or lens.max() > W)):
+        raise ShapeError(f"conv1d_maxpool: lengths {lens.shape} out of range for {seq.shape}")
     ns, nf = _needs(seq), _needs(filters)
 
-    if L < w:
-        padded = np.zeros((w, c_in), dtype=seq.data.dtype)
-        padded[:L] = seq.data
-    else:
-        padded = seq.data
-    positions = padded.shape[0] - w + 1
-    conv = np.zeros((positions, c_out), dtype=seq.data.dtype)
-    for i in range(w):
-        conv += padded[i:i + positions] @ filters.data[i]
-    best = conv.argmax(axis=0)  # first max wins
-    out = conv[best, np.arange(c_out)]
+    span = max(W, w)
+    real = (np.arange(span) < lens[..., None])[..., None]       # [..., span, 1]
+    padded = np.zeros(lead + (span, c_in), dtype=seq.data.dtype)
+    padded[..., :W, :] = seq.data
+    padded *= real
+    positions = span - w + 1
     fd = filters.data
+    conv = padded[..., 0:positions, :] @ fd[0]
+    for i in range(1, w):
+        conv += padded[..., i:i + positions, :] @ fd[i]
+    # a window must start at a real step and, when the sequence is long
+    # enough, end at one: positions 0 .. max(len, w) - w
+    valid = np.arange(positions) <= (np.maximum(lens, w) - w)[..., None]
+    best = np.where(valid[..., None], conv, -np.inf).argmax(axis=-2)[..., None, :]
+    out = np.take_along_axis(conv, best, axis=-2)[..., 0, :]
 
     def bwd(g):
         dconv = np.zeros_like(conv)
-        dconv[best, np.arange(c_out)] = g
+        np.put_along_axis(dconv, best, g[..., None, :], axis=-2)
         g_seq = None
         if ns:
             g_pad = np.zeros_like(padded)
             for i in range(w):
-                g_pad[i:i + positions] += dconv @ fd[i].T
-            g_seq = g_pad[:L]
+                g_pad[..., i:i + positions, :] += dconv @ fd[i].T
+            g_seq = (g_pad * real)[..., :W, :]
         g_fil = None
         if nf:
-            g_fil = np.empty_like(fd)
-            for i in range(w):
-                g_fil[i] = padded[i:i + positions].T @ dconv
+            flat_d = dconv.reshape(-1, c_out)
+            g_fil = np.stack([
+                padded[..., i:i + positions, :].reshape(-1, c_in).T @ flat_d
+                for i in range(w)
+            ])
         return (g_seq, g_fil)
 
     return _record("conv1d_maxpool", out, (seq, filters), bwd)
 
 
 def cosine(u: Tensor, v: Tensor) -> Tensor:
-    """cos(u, v) as a scalar tensor, clamped to [-1, 1].
+    """Row-wise cos(u, v) over the last axis of same-shape u, v -> the
+    leading shape (a scalar tensor for vectors), clamped to [-1, 1].
 
     Norms below COSINE_EPS are clamped in the denominator, which keeps the
     output exactly scale-invariant for any usable input; zero-norm inputs
     are rejected outright.
     """
-    if u.data.ndim != 1 or u.shape != v.shape:
+    if u.data.ndim < 1 or u.shape != v.shape:
         raise ShapeError(f"cosine: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu == 0.0:
+    ud, vd = u.data, v.data
+    nu = np.linalg.norm(ud, axis=-1)
+    nv = np.linalg.norm(vd, axis=-1)
+    if not (nu > 0.0).all():
         raise NumericError("cosine: zero-norm input u")
-    if nv == 0.0:
+    if not (nv > 0.0).all():
         raise NumericError("cosine: zero-norm input v")
     needs_u, needs_v = _needs(u), _needs(v)
-    mu = max(nu, COSINE_EPS)
-    mv = max(nv, COSINE_EPS)
-    d = float(u.data @ v.data)
-    c = d / (mu * mv)
-    out = np.asarray(np.clip(c, -1.0, 1.0), dtype=u.data.dtype)
-    ud, vd = u.data, v.data
+    mu = np.maximum(nu, COSINE_EPS)
+    mv = np.maximum(nv, COSINE_EPS)
+    d = (ud * vd).sum(axis=-1)
+    out = np.clip(d / (mu * mv), -1.0, 1.0).astype(ud.dtype)
 
     def bwd(g):
-        gs = float(g)
         gu = gv = None
         if needs_u:
-            gu = gs * (vd / (mu * mv) - (d * ud / (nu * mu * mu * mv) if nu > COSINE_EPS else 0.0))
+            self_u = np.where(nu > COSINE_EPS, d / (nu * mu * mu * mv), 0.0)
+            gu = g[..., None] * ((vd / (mu * mv)[..., None]) - self_u[..., None] * ud)
         if needs_v:
-            gv = gs * (ud / (mu * mv) - (d * vd / (nv * mv * mv * mu) if nv > COSINE_EPS else 0.0))
+            self_v = np.where(nv > COSINE_EPS, d / (nv * mv * mv * mu), 0.0)
+            gv = g[..., None] * ((ud / (mu * mv)[..., None]) - self_v[..., None] * vd)
         return (gu, gv)
 
-    return _record("cosine", out, (u, v), bwd)
+    return _record("cosine", np.asarray(out), (u, v), bwd)
 
 
-def gather_vec(v: Tensor, ids: Sequence[int]) -> Tensor:
-    """Elements of v[n] selected by ids -> [len(ids)]; backward scatters."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"gather_vec: expected 1-D, got {v.shape}")
+def gather_rows(table: Tensor, ids) -> Tensor:
+    """Rows of table[V, ...] selected by an integer array of any shape ->
+    ids.shape + table.shape[1:]. Id -1 selects a zero row (padding); the
+    backward pass scatter-adds into the selected rows.
+    """
+    if table.data.ndim < 1:
+        raise ShapeError(f"gather_rows: expected an array of rows, got {table.shape}")
     idx = np.asarray(ids, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= v.shape[0]):
-        raise ShapeError(f"gather_vec: ids out of range for {v.shape}")
-    nv = _needs(v)
-    n = v.shape[0]
-    dt = v.data.dtype
+    if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
+        raise ShapeError(f"gather_rows: ids out of range for {table.shape}")
+    nt = _needs(table)
+    shape = table.shape
+    dt = table.data.dtype
+    pad = idx < 0
+    out = table.data[np.where(pad, 0, idx)]
+    out[pad] = 0.0
 
     def bwd(g):
-        if not nv:
+        if not nt:
             return (None,)
-        gv = np.zeros(n, dtype=dt)
-        np.add.at(gv, idx, g)
-        return (gv,)
+        gt = np.zeros(shape, dtype=dt)
+        keep = ~pad
+        np.add.at(gt, idx[keep], g[keep])
+        return (gt,)
 
-    return _record("gather_vec", v.data[idx].copy(), (v,), bwd)
-
-
-def gather_rows(matrix: Tensor, ids: Sequence[int]) -> Tensor:
-    """Rows of matrix[V,n] selected by ids -> [len(ids), n]; backward scatters."""
-    if matrix.data.ndim != 2:
-        raise ShapeError(f"gather_rows: expected 2-D table, got {matrix.shape}")
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= matrix.shape[0]):
-        raise ShapeError(f"gather_rows: ids out of range for {matrix.shape}")
-    nm = _needs(matrix)
-    shape = matrix.shape
-    dt = matrix.data.dtype
-
-    def bwd(g):
-        if not nm:
-            return (None,)
-        gm = np.zeros(shape, dtype=dt)
-        np.add.at(gm, idx, g)
-        return (gm,)
-
-    return _record("gather_rows", matrix.data[idx].copy(), (matrix,), bwd)
+    return _record("gather_rows", out, (table,), bwd)
 
 
 def overlay_rows(base: np.ndarray, positions: Sequence[int],

@@ -121,16 +121,14 @@ def episode_loss(model: HiceModel, episodes: list[Episode],
     """Negative mean cosine over the batch -> (loss tensor, mean cosine)."""
     if not episodes:
         raise TrainingError("episode_loss: empty batch")
-    total = None
     for ep in episodes:
         if ep.oracle is None:
             raise TrainingError(f"episode for {ep.target_word!r} has no oracle")
         if not float(np.linalg.norm(ep.oracle)) > 0.0:
             raise TrainingError(f"zero-norm oracle for word {ep.target_word!r}")
-        pred = model.predict(ep, vocab, use_morph)
-        c = tc.cosine(pred, tc.constant(ep.oracle.astype(np.float64)))
-        total = c if total is None else tc.add(total, c)
-    mean = tc.scale(total, 1.0 / len(episodes))
+    pred = model.predict(episodes, vocab, use_morph)
+    oracle = tc.constant(np.stack([ep.oracle for ep in episodes]).astype(np.float64))
+    mean = tc.scale(tc.sum_all(tc.cosine(pred, oracle)), 1.0 / len(episodes))
     return tc.scale(mean, -1.0), float(mean.data)
 
 
@@ -139,10 +137,8 @@ def evaluate_cosine(model: HiceModel, episodes: list[Episode],
                     vocab: Vocabulary | None = None) -> float:
     """Mean cosine(predict, oracle) with no graph recording; a zero vector
     raises EvaluationError, as the tape's cosine raises NumericError."""
-    total = 0.0
-    for ep in episodes:
-        pred = model.predict_vector(ep, vocab, use_morph)
-        total += cosine_np(pred, ep.oracle)
+    preds = model.predict(episodes, vocab, use_morph).data
+    total = sum(cosine_np(pred, ep.oracle) for pred, ep in zip(preds, episodes))
     return total / len(episodes)
 
 

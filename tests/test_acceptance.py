@@ -10,6 +10,7 @@ variables point at real files:
     OOVFORGE_FIT_DIR                  prepared corpus artifacts (transform fit)
 """
 
+import inspect
 import os
 import time
 
@@ -78,7 +79,8 @@ def _additive_mean_cos(episodes, vocab, input_table):
 # ---------------------------------------------------------------------------
 
 def _op_cases(rng):
-    """Builders for every registered op: (name, build_scalar, params)."""
+    """Builders for every registered op: (name, build_scalar, params). A name
+    is an op of oov_forge.tensor, optionally followed by ':variant'."""
     n = rng.normal
 
     def c(*shape):
@@ -88,13 +90,15 @@ def _op_cases(rng):
         return parameter(n(size=shape))
 
     x, y = p(4, 3), p(4, 3)
-    b, s, v = p(3), p(4), p(4)
-    q = p(6)
-    seq, filt = p(7, 3), p(3, 3, 4)
+    b, s = p(3), p(4)
+    seqs, filt = p(3, 5, 3), p(3, 3, 4)
     mat = p(5, 3)
-    u1, u2 = p(5), p(5)
-    w43, w34, w3, w4, w23, w46, w8, wc = (c(4, 3), c(3, 4), c(3), c(4),
-                                          c(2, 3), c(4, 6), c(8), c(4))
+    u1, u2 = p(3, 5), p(3, 5)
+    qa, kb = p(2, 3, 2, 2), p(2, 4, 2, 2)
+    scores = p(2, 3, 4)
+    keep = np.array([[True, False, True, True], [False, True, False, False]])[:, None]
+    w43, w3, w34, w26, w23, w46 = c(4, 3), c(3), c(3, 4), c(2, 6), c(2, 3), c(4, 6)
+    w2234, w233, w234 = c(2, 2, 3, 4), c(2, 3, 3), c(2, 3, 4)
     m45, m53 = p(4, 5), p(5, 3)
     w45out = c(4, 3)
     donor = p(2, 3)
@@ -105,30 +109,41 @@ def _op_cases(rng):
 
     return [
         ("matmul", lambda: wrap(tc.matmul(m45, m53), w45out), [m45, m53]),
+        ("einsum", lambda: wrap(tc.einsum("slhe,smhe->shlm", qa, kb), w2234), [qa, kb]),
         ("softmax", lambda: wrap(tc.softmax(x, -1), w43), [x]),
+        ("softmax:masked", lambda: wrap(tc.softmax(scores, -1, mask=keep), w234),
+         [scores]),
         ("layer_norm", lambda: wrap(tc.layer_norm(x, b, tc.scale(b, 0.5)), w43), [x, b]),
-        ("conv1d_maxpool", lambda: wrap(tc.conv1d_maxpool(seq, filt), wc), [seq, filt]),
-        ("cosine", lambda: tc.cosine(u1, u2), [u1, u2]),
+        ("conv1d_maxpool",
+         lambda: wrap(tc.conv1d_maxpool(seqs, filt, [5, 2, 1]), w34), [seqs, filt]),
+        ("cosine", lambda: wrap(tc.cosine(u1, u2), w3), [u1, u2]),
         ("add", lambda: wrap(tc.add(x, y), w43), [x, y]),
         ("sub", lambda: wrap(tc.sub(x, y), w43), [x, y]),
         ("mul", lambda: wrap(tc.mul(x, y), w43), [x, y]),
         ("scale", lambda: wrap(tc.scale(x, -1.7), w43), [x]),
         ("add_bias", lambda: wrap(tc.add_bias(x, b), w43), [x, b]),
         ("scale_rows", lambda: wrap(tc.scale_rows(x, s), w43), [x, s]),
-        ("vecmat", lambda: wrap(tc.vecmat(s, x), w3), [s, x]),
-        ("transpose2d", lambda: wrap(tc.transpose2d(x), w34), [x]),
+        ("reshape", lambda: wrap(tc.reshape(x, (2, 6)), w26), [x]),
         ("relu", lambda: wrap(tc.relu(x), w43), [x]),
         ("sum_all", lambda: tc.sum_all(tc.mul(x, y)), [x, y]),
-        ("mean_rows", lambda: wrap(tc.mean_rows(x), w3), [x]),
-        ("take_row", lambda: wrap(tc.take_row(x, 1), w3), [x]),
-        ("stack_rows", lambda: wrap(tc.stack_rows([b, tc.take_row(x, 0)]), w23), [b, x]),
-        ("concat_vecs", lambda: wrap(tc.concat_vecs([s, v]), w8), [s, v]),
+        ("segment_mean", lambda: wrap(tc.segment_mean(x, [1, 3]), w23), [x]),
         ("concat_cols", lambda: wrap(tc.concat_cols([x, y]), w46), [x, y]),
-        ("gather_vec", lambda: wrap(tc.gather_vec(q, [1, 4, 1]), w3), [q]),
-        ("gather_rows", lambda: wrap(tc.gather_rows(mat, [0, 4, 0, 2]), w43), [mat]),
+        ("gather_rows",
+         lambda: wrap(tc.gather_rows(mat, [[0, 4, -1], [0, 2, 4]]), w233), [mat]),
         ("overlay_rows",
          lambda: wrap(tc.overlay_rows(base, [0, 2], donor, [1, 1]), w43), [donor]),
     ]
+
+
+def test_criterion_1_covers_every_tensor_op():
+    # an op is a public function of oov_forge.tensor that records a tape node
+    ops = {name for name, fn in vars(tc).items()
+           if inspect.isfunction(fn) and fn.__module__ == tc.__name__
+           and not name.startswith("_") and "_record" in fn.__code__.co_names}
+    cases = {name.split(":")[0] for name, _, _ in _op_cases(np.random.default_rng(0))}
+    assert "einsum" in ops and "matmul" in ops
+    assert ops - cases == set(), f"ops without a gradient case: {sorted(ops - cases)}"
+    assert cases - ops == set(), f"cases for missing ops: {sorted(cases - ops)}"
 
 
 def _grad_check(build, params, h=1e-5):
@@ -171,11 +186,13 @@ def test_criterion_1_gradient_integrity():
     model = HiceModel.from_table(config, table, vocab)
     model_worst = 0.0
     for trial in range(2):
-        ep = sample_episode("w03", 2, np.random.default_rng(trial), store, table)
-        oracle = constant(ep.oracle.astype(np.float64))
+        # a padded batch: the episodes differ in K and in word length
+        batch = [sample_episode(w, k, np.random.default_rng(trial), store, table)
+                 for w, k in (("w03", 2), ("w11", 3))]
+        oracle = constant(np.stack([ep.oracle for ep in batch]).astype(np.float64))
 
         def build():
-            return tc.cosine(model.predict(ep), oracle)
+            return tc.sum_all(tc.cosine(model.predict(batch), oracle))
 
         model.zero_grads()
         with Graph():

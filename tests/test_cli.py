@@ -398,6 +398,27 @@ def test_neighbors_non_numeric_vector_file_exits_2(workdir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "word 0.5 0.25\n", "word\n"],
+                         ids=["empty", "blank", "wrong-dimension", "no-values"])
+def test_neighbors_unusable_vector_file_exits_2(workdir, tmp_path, capsys, text):
+    vec = tmp_path / "vec.txt"
+    vec.write_text(text)
+    code = main(["neighbors", "--embeddings", str(workdir / "embeddings.txt"),
+                 "--vector-file", str(vec)])
+    assert code == 2
+    assert "unexpected" not in capsys.readouterr().err
+
+
+def test_config_file_round_trips_values_containing_hash(tmp_path):
+    config = {"tokenizer.strip_chars": cli.STRIP_CHARS,
+              "out": "/data/run#3/model.hice", "seed": "7"}
+    path = tmp_path / "run_config.txt"
+    cli.write_config_file(path, config)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("# a comment line\n   # an indented comment\n\n")
+    assert cli.load_config_file(path) == config
+
+
 @pytest.mark.parametrize("argv, error, code", [
     (["train", "prep"], EpisodeError("x"), 3),            # the command's code
     (["neighbors", "--embeddings", "t"], FormatError("x"), 2),  # the error's code

@@ -157,6 +157,23 @@ def test_evaluate_method_records_failures_without_dying(rng):
     assert all(r == pytest.approx(1.0, abs=1e-12) for r in scored)
 
 
+def test_evaluate_method_fails_an_item_with_a_wrong_dimension_vector(rng):
+    items, table, planted = _synthetic_benchmark(rng, n_items=2)
+
+    def short(w, ctxs):
+        return planted[w][:3] if w == "nonce1" else planted[w]
+
+    report = evaluate_method(items, short, table)
+    assert report.failed == 1
+    failed = [r for r in report.items if r.failed]
+    assert failed[0].pseudo_word == "nonce1"
+    assert "shape" in failed[0].reason
+    with pytest.raises(EvaluationError):
+        cosine_np(np.ones(3), np.ones(5))
+    with pytest.raises(EvaluationError):  # not an empty neighbour list
+        nearest_neighbors(np.ones(3), table, 2)
+
+
 def test_evaluate_method_lets_a_bug_propagate(rng):
     items, table, planted = _synthetic_benchmark(rng, n_items=2)
 

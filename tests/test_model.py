@@ -6,11 +6,11 @@ import pytest
 import oov_forge.tensor as tc
 from fd import rel_err
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
-from oov_forge.episode import (MASK_ID, MASK_TOKEN, char_sequence,
+from oov_forge.episode import (MASK_ID, MASK_TOKEN, Episode, char_sequence,
                                episode_from_masked, sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
-                             encoding_block, parse_attention_report,
+                             Segments, encoding_block, parse_attention_report,
                              self_attention)
 from oov_forge.tensor import Graph, backward, constant, cosine, parameter, sum_all
 
@@ -43,6 +43,16 @@ def make_model(table=None, vocab=None, **overrides):
     return HiceModel.from_table(config, table, vocab), table
 
 
+def episode_of(contexts, word="w03"):
+    """An oracle-free episode with the given context token ids."""
+    return Episode(word, 0, contexts, char_sequence(word))
+
+
+def morph_features(model, *words):
+    batch = model.batch([episode_of([[MASK_ID]], w) for w in words])
+    return model.encode_morphology(batch)
+
+
 # ---------------------------------------------------------------------------
 # self-attention
 # ---------------------------------------------------------------------------
@@ -51,9 +61,9 @@ def test_self_attention_single_position(rng):
     block = AttentionBlockParams(6, 2, 12, rng)
     x = constant(rng.normal(size=(1, 6)))
     sink = []
-    out = self_attention(x, block, sink)
-    for mat in sink:
-        assert np.allclose(mat, [[1.0]], atol=1e-12)
+    out = self_attention(x, block, Segments([1]), sink)
+    assert sink[0].shape == (1, 2, 1, 1)
+    assert np.allclose(sink[0], 1.0, atol=1e-12)
     values = np.concatenate([x.data @ wv.data for _, _, wv in block.heads], axis=1)
     assert np.allclose(out.data, values @ block.wo.data, atol=1e-12)
 
@@ -63,9 +73,9 @@ def test_self_attention_identical_rows_attend_uniformly(rng):
     row = rng.normal(size=6)
     x = constant(np.stack([row, row]))
     sink = []
-    self_attention(x, block, sink)
-    for mat in sink:
-        assert np.abs(mat - 0.5).max() < 1e-9
+    self_attention(x, block, Segments([2]), sink)
+    assert sink[0].shape == (1, 2, 2, 2)
+    assert np.abs(sink[0] - 0.5).max() < 1e-9
 
 
 def _naive_self_attention(x, block):
@@ -88,10 +98,15 @@ def _naive_self_attention(x, block):
 
 
 def test_self_attention_matches_naive_loop(rng):
+    # packed sequences of different lengths attend only within themselves
     block = AttentionBlockParams(8, 4, 16, rng)
-    x = rng.normal(size=(5, 8))
-    got = self_attention(constant(x), block).data
-    assert np.abs(got - _naive_self_attention(x, block)).max() < 1e-10
+    lengths = [5, 1, 3]
+    x = rng.normal(size=(sum(lengths), 8))
+    seqs = Segments(lengths)
+    got = self_attention(constant(x), block, seqs).data
+    for start, n in zip(seqs.starts, lengths):
+        rows = slice(start, start + n)
+        assert np.abs(got[rows] - _naive_self_attention(x[rows], block)).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +119,7 @@ def test_encoding_block_residual_path_only(rng):
     block.w2.data[:] = 0.0
     block.b2.data[:] = 0.0
     x = constant(rng.normal(size=(3, 6)))
-    got = encoding_block(x, block).data
+    got = encoding_block(x, block, Segments([2, 1])).data
     ln1 = tc.layer_norm(x, block.ln1_g, block.ln1_b).data
     expected = tc.layer_norm(constant(ln1), block.ln2_g, block.ln2_b).data
     assert np.abs(got - expected).max() < 1e-12
@@ -117,8 +132,8 @@ def test_encoding_block_is_position_wise(rng):
     block.wo.data[:] = 0.0
     x = rng.normal(size=(4, 6))
     perm = [2, 0, 3, 1]
-    direct = encoding_block(constant(x[perm]), block).data
-    swapped = encoding_block(constant(x), block).data[perm]
+    direct = encoding_block(constant(x[perm]), block, Segments([4])).data
+    swapped = encoding_block(constant(x), block, Segments([4])).data[perm]
     assert np.abs(direct - swapped).max() < 1e-12
 
 
@@ -128,7 +143,8 @@ def test_encoding_block_gradients(rng):
     x = parameter(rng.normal(size=(3, 4)))
     w = constant(rng.normal(size=(3, 4)))
     params = [x] + [p for _, p in block.named("b")]
-    err = check_grads(lambda: sum_all(tc.mul(encoding_block(x, block), w)), params)
+    seqs = Segments([2, 1])
+    err = check_grads(lambda: sum_all(tc.mul(encoding_block(x, block, seqs), w)), params)
     assert err < 1e-4
 
 
@@ -142,24 +158,25 @@ def test_encode_context_unit_positional_weights_are_identity():
     model.bind_vocab(vocab)
     ep = sample_episode("w03", 1, np.random.default_rng(0), store)
     ids = ep.contexts[0]
-    got = model.encode_context(ids).data
+    batch = model.batch([ep])
+    got = model.encode_context(batch).data[0]
 
     # manual forward without the positional weighting (a_pos is all ones)
-    x = model.embed_tokens(ids)
+    x = model.embed_tokens(batch)
     for block in model.ctx_blocks:
-        x = encoding_block(x, block)
-    expected = tc.take_row(x, ids.index(MASK_ID)).data
+        x = encoding_block(x, block, batch.contexts)
+    expected = x.data[ids.index(MASK_ID)]
     assert np.abs(got - expected).max() < 1e-12
 
     model.a_pos.data[:] = 2.0  # scaling now changes the encoding
-    assert np.abs(model.encode_context(ids).data - expected).max() > 1e-8
+    assert np.abs(model.encode_context(batch).data[0] - expected).max() > 1e-8
 
 
 def test_encode_context_single_mask_token_is_finite():
     model, _ = make_model()
     vocab, _ = make_corpus()
-    out = model.encode_context([MASK_ID], vocab)
-    assert out.data.shape == (model.config.resolved_d_model(),)
+    out = model.encode_context(model.batch([episode_of([[MASK_ID]])], vocab))
+    assert out.data.shape == (1, model.config.resolved_d_model())
     assert np.isfinite(out.data).all()
 
 
@@ -167,9 +184,11 @@ def test_encode_context_length_contracts():
     model, _ = make_model()
     vocab, _ = make_corpus()
     with pytest.raises(InputError):
-        model.encode_context([], vocab)
+        model.batch([episode_of([[MASK_ID], []])], vocab)
     with pytest.raises(InputError):
-        model.encode_context([MASK_ID] * (model.config.max_len + 1), vocab)
+        model.batch([episode_of([[MASK_ID] * (model.config.max_len + 1)])], vocab)
+    with pytest.raises(InputError):
+        model.batch([], vocab)
 
 
 def test_gradient_reaches_positional_weights():
@@ -178,8 +197,8 @@ def test_gradient_reaches_positional_weights():
     model.bind_vocab(vocab)
     ep = sample_episode("w03", 2, np.random.default_rng(0), store, table)
     with Graph():
-        pred = model.predict(ep)
-        backward(cosine(pred, constant(ep.oracle.astype(np.float64))))
+        pred = model.predict([ep])
+        backward(sum_all(cosine(pred, constant(ep.oracle[None].astype(np.float64)))))
     assert model.a_pos.grad is not None
     assert np.abs(model.a_pos.grad).max() > 0.0
 
@@ -190,29 +209,30 @@ def test_gradient_reaches_positional_weights():
 
 def test_aggregate_k1_equals_block_on_single_row(rng):
     model, _ = make_model()
-    v = constant(rng.normal(size=model.config.resolved_d_model()))
-    got = model.aggregate([v]).data
-    x = tc.stack_rows([v])
+    v = constant(rng.normal(size=(1, model.config.resolved_d_model())))
+    got = model.aggregate(v, Segments([1])).data
+    x = v
     for block in model.agg_blocks:
-        x = encoding_block(x, block)
-    assert np.abs(got - tc.mean_rows(x).data).max() < 1e-12
+        x = encoding_block(x, block, Segments([1]))
+    assert np.abs(got - x.data).max() < 1e-12
 
 
 def test_aggregate_permutation_invariant(rng):
     model, _ = make_model()
     d = model.config.resolved_d_model()
-    vecs = [constant(rng.normal(size=d)) for _ in range(5)]
-    base = model.aggregate(vecs).data
+    vecs = rng.normal(size=(5, d))
+    shots = Segments([5])
+    base = model.aggregate(constant(vecs), shots).data
     for perm in ([4, 3, 2, 1, 0], [1, 0, 3, 2, 4], [2, 4, 0, 1, 3]):
-        other = model.aggregate([vecs[i] for i in perm]).data
+        other = model.aggregate(constant(vecs[perm]), shots).data
         assert np.abs(base - other).max() < 1e-6
 
 
 def test_aggregate_duplicate_equals_singleton(rng):
     model, _ = make_model()
-    v = constant(rng.normal(size=model.config.resolved_d_model()))
-    one = model.aggregate([v]).data
-    two = model.aggregate([v, v]).data
+    v = rng.normal(size=(1, model.config.resolved_d_model()))
+    one = model.aggregate(constant(v), Segments([1])).data
+    two = model.aggregate(constant(np.concatenate([v, v])), Segments([2])).data
     assert np.abs(one - two).max() < 1e-6
 
 
@@ -222,26 +242,25 @@ def test_aggregate_duplicate_equals_singleton(rng):
 
 def test_morphology_is_word_determined():
     model, _ = make_model()
-    a = model.encode_morphology(char_sequence("scooter")).data
-    b = model.encode_morphology(char_sequence("scooter")).data
-    assert np.array_equal(a, b)
+    a = morph_features(model, "scooter").data
+    b = morph_features(model, "scooter", "cat").data
+    assert np.array_equal(a[0], b[0])
 
 
 def test_morphology_distinguishes_words():
     model, _ = make_model()
-    a = model.encode_morphology(char_sequence("scooter")).data
-    b = model.encode_morphology(char_sequence("cooter")).data
+    a, b = morph_features(model, "scooter", "cooter").data
     assert not np.array_equal(a, b)
 
 
 def test_morphology_gradients(rng):
     from fd import check_grads
     model, _ = make_model()
-    seq = char_sequence("word")
-    w = constant(rng.normal(size=model.config.c_morph))
+    # a padded batch: "a" (3 characters) is shorter than the widest filter
+    w = constant(rng.normal(size=(2, model.config.c_morph)))
     params = [model.char_embed] + [model.conv_filters[i] for i in (2, 3, 4)] \
         + [model.conv_bias[i] for i in (2, 3, 4)]
-    err = check_grads(lambda: sum_all(tc.mul(model.encode_morphology(seq), w)),
+    err = check_grads(lambda: sum_all(tc.mul(morph_features(model, "word", "a"), w)),
                       params)
     assert err < 1e-4
 
@@ -275,8 +294,9 @@ def test_predict_morph_flag_changes_output_only_via_morph_slot():
     without = model.predict_vector(ep, use_morph=False)
     assert not np.array_equal(with_morph, without)
     # zero morphology slot equals fusing [agg | zeros]
-    agg = model.aggregate([model.encode_context(ids) for ids in ep.contexts])
-    fused = np.concatenate([agg.data, np.zeros(model.config.c_morph)])
+    batch = model.batch([ep])
+    agg = model.aggregate(model.encode_context(batch), batch.shots)
+    fused = np.concatenate([agg.data[0], np.zeros(model.config.c_morph)])
     expected = fused @ model.fuse_w.data + model.fuse_b.data
     assert np.abs(without - expected).max() < 1e-12
 
@@ -349,10 +369,10 @@ def test_up_projection_when_dim_not_divisible():
 
 def test_full_model_gradient_check_tiny_config(rng):
     model, table, vocab, store, ep = _training_episode(k=2)
-    oracle = constant(ep.oracle.astype(np.float64))
+    oracle = constant(ep.oracle[None].astype(np.float64))
 
     def build():
-        return cosine(model.predict(ep), oracle)
+        return sum_all(cosine(model.predict([ep]), oracle))
 
     with Graph():
         backward(build())
@@ -412,3 +432,68 @@ def test_dump_attention_single_token_context():
     report = model.dump_attention(ep)
     for m in report.context_matrices[0]:
         assert np.allclose(m, [[1.0]], atol=1e-12)
+
+
+def test_dump_attention_slices_match_per_head_reference():
+    # the report's matrices are the per-context, per-head softmax a
+    # single-sequence loop computes, in block-major then head order
+    model, table, vocab, store, ep = _training_episode(k=3)
+    report = model.dump_attention(ep)
+    scale = 1.0 / math.sqrt(model.config.resolved_d_model())
+
+    def reference(x, block):
+        mats = []
+        for wq, wk, _ in block.heads:
+            s = (x @ wq.data) @ (x @ wk.data).T * scale
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            mats.append(e / e.sum(axis=-1, keepdims=True))
+        return mats
+
+    batch = model.batch([ep])
+    x = model.embed_tokens(batch).data * model.a_pos.data[batch.contexts.positions, None]
+    for c, (start, n) in enumerate(zip(batch.contexts.starts, batch.contexts.lengths)):
+        want = reference(x[start:start + n], model.ctx_blocks[0])
+        assert len(report.context_matrices[c]) == len(want)
+        for got, ref in zip(report.context_matrices[c], want):
+            assert got.shape == (n, n)
+            assert np.abs(got - ref).max() < 1e-12
+    agg_in = model.encode_context(batch).data
+    for got, ref in zip(report.aggregator_matrices, reference(agg_in, model.agg_blocks[0])):
+        assert np.abs(got - ref).max() < 1e-12
+
+
+@pytest.mark.parametrize("pool", ["mask", "mean"])
+def test_padded_batch_matches_episodes_one_at_a_time(pool):
+    from oov_forge.training import episode_loss
+    model, table = make_model(context_pool=pool)
+    vocab, store = make_corpus()
+    model.bind_vocab(vocab)
+    rng = np.random.default_rng(11)
+    words = [w for w in vocab.words if w in table]
+    episodes = [sample_episode(words[i % len(words)], 2 + i % 5, rng, store, table)
+                for i in range(32)]
+    episodes[3].contexts[1] = [MASK_ID]                   # a single-token context
+    episodes[7].char_seq = char_sequence("a")             # shorter than every filter
+    episodes[8].char_seq = char_sequence("a-much-longer-word")
+    assert len({len(ids) for ep in episodes for ids in ep.contexts}) > 3
+    assert {ep.k for ep in episodes} == {2, 3, 4, 5, 6}
+
+    batched = model.predict(episodes).data
+    single = np.stack([model.predict([ep]).data[0] for ep in episodes])
+    assert np.abs(batched - single).max() < 1e-10
+
+    def grads(batch):
+        model.zero_grads()
+        with Graph():
+            loss, _ = episode_loss(model, batch)
+            backward(loss)
+        out = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+               for name, p in model.parameters()}
+        model.zero_grads()
+        return out
+
+    together = grads(episodes)
+    apart = [grads([ep]) for ep in episodes]
+    for name, g in together.items():
+        mean_single = sum(a[name] for a in apart) / len(episodes)
+        assert np.abs(g - mean_single).max() < 1e-10, name

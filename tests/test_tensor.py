@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -272,7 +276,7 @@ def test_composite_two_layer_net_gradients(rng):
 
     def build():
         h = tc.relu(tc.add_bias(matmul(x, w1), b1))
-        out = tc.mean_rows(matmul(h, w2))
+        out = tc.reshape(tc.segment_mean(matmul(h, w2), [2]), (3,))
         return cosine(out, t)
 
     err = check_grads(build, [w1, b1, w2])
@@ -333,10 +337,10 @@ def test_elementwise_and_shaping_op_gradients(rng):
     v = parameter(rng.normal(size=4))
     w43 = constant(rng.normal(size=(4, 3)))
     w34 = constant(rng.normal(size=(3, 4)))
-    w3 = constant(rng.normal(size=3))
-    w8 = constant(rng.normal(size=8))
     w23 = constant(rng.normal(size=(2, 3)))
     w46 = constant(rng.normal(size=(4, 6)))
+    w226 = constant(rng.normal(size=(2, 2, 6)))
+    w44 = constant(rng.normal(size=(4, 4)))
     m43 = constant(rng.normal(size=(4, 3)))
 
     cases = [
@@ -346,15 +350,15 @@ def test_elementwise_and_shaping_op_gradients(rng):
         (lambda: sum_all(tc.mul(tc.scale(x, 2.5), w43)), [x]),
         (lambda: sum_all(tc.mul(tc.add_bias(x, b), w43)), [x, b]),
         (lambda: sum_all(tc.mul(tc.scale_rows(x, s), w43)), [x, s]),
-        (lambda: sum_all(tc.mul(tc.transpose2d(x), w34)), [x]),
+        (lambda: sum_all(tc.mul(tc.reshape(x, (3, 4)), w34)), [x]),
         (lambda: sum_all(tc.mul(tc.relu(x), w43)), [x]),
-        (lambda: sum_all(tc.mul(tc.mean_rows(x), w3)), [x]),
-        (lambda: sum_all(tc.mul(tc.take_row(x, 2), w3)), [x]),
-        (lambda: sum_all(tc.mul(tc.vecmat(v, m43), w3)), [v]),
-        (lambda: sum_all(tc.mul(tc.stack_rows([tc.take_row(x, 0), tc.take_row(x, 1)]),
-                                w23)), [x]),
-        (lambda: sum_all(tc.mul(tc.concat_vecs([s, v]), w8)), [s, v]),
+        (lambda: sum_all(tc.mul(tc.segment_mean(x, [3, 1]), w23)), [x]),
+        (lambda: sum_all(tc.mul(tc.einsum("ij,kj->ik", x, m43), w44)), [x]),
+        (lambda: sum_all(tc.mul(tc.scale_rows(m43, v), w43)), [v]),
         (lambda: sum_all(tc.mul(tc.concat_cols([x, y]), w46)), [x, y]),
+        (lambda: sum_all(tc.mul(tc.concat_cols([tc.reshape(x, (2, 2, 3)),
+                                                tc.reshape(y, (2, 2, 3))]), w226)),
+         [x, y]),
     ]
     for build, params in cases:
         assert check_grads(build, params) < 1e-5
@@ -369,7 +373,7 @@ def test_gather_ops_scatter_add_duplicates(rng):
 
     vec = parameter(rng.normal(size=6))
     wv = constant(rng.normal(size=3))
-    err = check_grads(lambda: sum_all(tc.mul(tc.gather_vec(vec, [2, 2, 5]), wv)), [vec])
+    err = check_grads(lambda: sum_all(tc.mul(tc.gather_rows(vec, [2, 2, 5]), wv)), [vec])
     assert err < 1e-6
 
 
@@ -390,3 +394,183 @@ def test_float32_tensors_are_supported(rng):
     a = constant(rng.normal(size=(2, 2)), dtype=np.float32)
     b = constant(rng.normal(size=(2, 2)), dtype=np.float32)
     assert matmul(a, b).data.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# batched ops
+# ---------------------------------------------------------------------------
+
+def test_softmax_key_mask_zeroes_masked_entries(rng):
+    x = rng.normal(size=(2, 3, 5))
+    keep = np.array([[True, True, False, True, False],
+                     [True, False, False, False, False]])[:, None, :]
+    y = softmax(constant(x), -1, mask=keep).data
+    assert np.array_equal(y[0][:, [2, 4]], np.zeros((3, 2)))
+    kept = softmax(constant(x[0][:, [0, 1, 3]]), -1).data
+    assert np.abs(y[0][:, [0, 1, 3]] - kept).max() < 1e-15
+    assert np.allclose(y[1][:, 0], 1.0, atol=1e-15)
+
+    p = parameter(x)
+    w = constant(rng.normal(size=x.shape))
+    assert check_grads(lambda: sum_all(tc.mul(softmax(p, -1, mask=keep), w)), [p]) < 1e-6
+    with Graph():
+        backward(sum_all(tc.mul(softmax(p, -1, mask=keep), w)))
+    assert np.array_equal(p.grad[0][:, [2, 4]], np.zeros((3, 2)))
+
+    with pytest.raises(ShapeError):
+        softmax(constant(x), -1, mask=np.zeros(5, dtype=bool))
+    with pytest.raises(ShapeError):
+        softmax(constant(x), -1, mask=np.ones(4, dtype=bool))
+
+
+def test_einsum_matches_numpy_and_checks_its_spec(rng):
+    a = parameter(rng.normal(size=(2, 4, 3, 2)))
+    b = parameter(rng.normal(size=(2, 5, 3, 2)))
+    spec = "slhe,smhe->shlm"
+    assert np.allclose(tc.einsum(spec, a, b).data, np.einsum(spec, a.data, b.data),
+                       atol=1e-12)
+    w = constant(rng.normal(size=(2, 3, 4, 5)))
+    assert check_grads(lambda: sum_all(tc.mul(tc.einsum(spec, a, b), w)), [a, b]) < 1e-6
+    m = constant(np.zeros((3, 3)))
+    for bad in ("ij,jk", "ii,ij->j", "ij,jk->ikz", "ij,kl->ik", "ij,jk->iik", "ijk,jk->ik"):
+        with pytest.raises(ShapeError):
+            tc.einsum(bad, m, m)
+    with pytest.raises(ShapeError):
+        tc.einsum("ij,jk->ik", m, constant(np.zeros((2, 3))))
+
+
+def test_gather_rows_pads_id_minus_one_with_zeros(rng):
+    table = parameter(rng.normal(size=(4, 3)))
+    ids = np.array([[2, -1], [0, 2]])
+    out = tc.gather_rows(table, ids)
+    assert out.shape == (2, 2, 3)
+    assert np.array_equal(out.data[0, 1], np.zeros(3))
+    assert np.array_equal(out.data[1, 1], table.data[2])
+    with Graph():
+        backward(sum_all(tc.gather_rows(table, ids)))
+    assert np.array_equal(table.grad, [[1.0] * 3, [0.0] * 3, [2.0] * 3, [0.0] * 3])
+    for bad in ([-2], [4]):
+        with pytest.raises(ShapeError):
+            tc.gather_rows(table, bad)
+
+
+def test_segment_mean_of_consecutive_runs(rng):
+    x = rng.normal(size=(6, 2))
+    out = tc.segment_mean(constant(x), [1, 3, 2]).data
+    expected = [x[0], x[1:4].mean(axis=0), x[4:].mean(axis=0)]
+    assert np.abs(out - np.stack(expected)).max() < 1e-15
+    for bad in ([1, 3], [0, 6], [7, -1]):
+        with pytest.raises(ShapeError):
+            tc.segment_mean(constant(x), bad)
+
+
+def test_conv_batch_with_lengths_matches_each_sequence(rng):
+    filt = rng.normal(size=(3, 2, 4))
+    lengths = [5, 1, 3, 2]
+    seqs = rng.normal(size=(4, 5, 2))  # steps past each length are garbage
+    out = conv1d_maxpool(constant(seqs), constant(filt), lengths).data
+    for i, n in enumerate(lengths):
+        alone = conv1d_maxpool(constant(seqs[i, :n]), constant(filt)).data
+        assert np.abs(out[i] - alone).max() < 1e-12
+
+    seq = parameter(seqs)
+    fil = parameter(filt)
+    w = constant(rng.normal(size=(4, 4)))
+    err = check_grads(lambda: sum_all(tc.mul(conv1d_maxpool(seq, fil, lengths), w)),
+                      [seq, fil])
+    assert err < 1e-5
+    with Graph():
+        backward(sum_all(tc.mul(conv1d_maxpool(seq, fil, lengths), w)))
+    assert np.array_equal(seq.grad[1, 1:], np.zeros((4, 2)))
+    for bad in ([0, 1, 1, 1], [6, 1, 1, 1], [1, 1]):
+        with pytest.raises(ShapeError):
+            conv1d_maxpool(constant(seqs), constant(filt), bad)
+
+
+def test_cosine_is_row_wise(rng):
+    u = rng.normal(size=(3, 2, 5))
+    v = rng.normal(size=(3, 2, 5))
+    out = cosine(constant(u), constant(v)).data
+    assert out.shape == (3, 2)
+    for i in range(3):
+        for j in range(2):
+            assert out[i, j] == pytest.approx(cosine(constant(u[i, j]),
+                                                     constant(v[i, j])).item(), abs=1e-15)
+    pu, pv = parameter(u), parameter(v)
+    w = constant(rng.normal(size=(3, 2)))
+    assert check_grads(lambda: sum_all(tc.mul(cosine(pu, pv), w)), [pu, pv]) < 1e-6
+    v[1, 0] = 0.0
+    with pytest.raises(NumericError, match="v"):
+        cosine(constant(u), constant(v))
+
+
+def test_graphs_of_concurrent_threads_stay_separate():
+    # each thread builds and backprops its own tapes; a shared graph stack
+    # would interleave their nodes and trip the LIFO check
+    def reference(seed):
+        r = np.random.default_rng(seed)
+        w = parameter(r.normal(size=(4, 4)))
+        x = constant(r.normal(size=(3, 4)))
+        return w, x
+
+    def grad_of(w, x):
+        w.zero_grad()
+        with Graph() as g:
+            backward(sum_all(tc.relu(matmul(x, w))))
+        return g, w.grad.copy()
+
+    expected = {seed: grad_of(*reference(seed))[1] for seed in range(4)}
+    errors, barrier = [], threading.Barrier(4, timeout=10)
+
+    def work(seed):
+        try:
+            w, x = reference(seed)
+            barrier.wait()
+            for _ in range(300):
+                g, grad = grad_of(w, x)
+                assert [n.op for n in g.nodes] == ["matmul", "relu", "sum_all"]
+                assert np.array_equal(grad, expected[seed])
+        except BaseException as e:  # reported by the main thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+
+
+def test_graph_exit_out_of_order_raises():
+    outer, inner = Graph(), Graph()
+    outer.__enter__()
+    inner.__enter__()
+    with pytest.raises(GraphError):
+        outer.__exit__(None, None, None)
+    inner.__exit__(None, None, None)
+    outer.__exit__(None, None, None)
+
+
+def test_a_dropped_tape_is_freed_without_the_garbage_collector(rng):
+    # no reference cycles: the tape goes when its graph and loss go
+    p = parameter(rng.normal(size=(3, 3)))
+    gc.disable()
+    try:
+        with Graph() as g:
+            loss = sum_all(tc.relu(matmul(p, p)))
+            backward(loss)
+        refs = [weakref.ref(g), weakref.ref(loss.node.inputs[0].data)]
+        del g, loss
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+    with Graph():
+        loss = sum_all(p)
+    with pytest.raises(GraphError):
+        backward(loss)  # its graph is gone

@@ -30,8 +30,8 @@ class _StubModel:
     def __init__(self, outputs):
         self.outputs = outputs
 
-    def predict(self, ep, vocab=None, use_morph=None):
-        return constant(self.outputs[ep.target_word])
+    def predict(self, episodes, vocab=None, use_morph=None):
+        return constant(np.stack([self.outputs[ep.target_word] for ep in episodes]))
 
 
 def _episode(word, oracle):
@@ -217,6 +217,39 @@ def test_checkpoint_roundtrip_float32_identical(tmp_path):
     a = path.read_bytes()
     b = path2.read_bytes()
     assert a == b
+
+
+def test_checkpoint_keeps_its_per_head_layout(tmp_path):
+    # the forward pass joins the head projections at run time; the file
+    # keeps one array per head and projection, in this order
+    config = HiceConfig(embed_dim=6, n_heads=4, char_emb_dim=4, char_filters=3,
+                        seed=0)
+    frozen = np.random.default_rng(0).normal(size=(5, 6)).astype(np.float32)
+    model = HiceModel(config, frozen, [f"w{i}" for i in range(5)])
+    path = tmp_path / "model.hice"
+    save_checkpoint(model, path)
+    _, arrays = read_container(path, "HICE1")
+
+    def block(prefix):
+        heads = [(f"{prefix}.head{h}.{w}", (8, 2))
+                 for h in range(4) for w in ("wq", "wk", "wv")]
+        return heads + [
+            (f"{prefix}.wo", (8, 8)), (f"{prefix}.ffn.w1", (8, 32)),
+            (f"{prefix}.ffn.b1", (32,)), (f"{prefix}.ffn.w2", (32, 8)),
+            (f"{prefix}.ffn.b2", (8,)), (f"{prefix}.ln1.g", (8,)),
+            (f"{prefix}.ln1.b", (8,)), (f"{prefix}.ln2.g", (8,)),
+            (f"{prefix}.ln2.b", (8,))]
+
+    expected = ([("special_embed", (2, 6)), ("input_proj.w", (6, 8)),
+                 ("input_proj.b", (8,)), ("a_pos", (25,))]
+                + block("ctx0") + block("agg0")
+                + [("char_embed", (67, 4)),
+                   ("conv2.filters", (2, 4, 3)), ("conv2.bias", (3,)),
+                   ("conv3.filters", (3, 4, 3)), ("conv3.bias", (3,)),
+                   ("conv4.filters", (4, 4, 3)), ("conv4.bias", (3,)),
+                   ("fuse.w", (17, 6)), ("fuse.b", (6,)),
+                   ("frozen_rows", (5, 6)), ("frozen_words", (14,))])
+    assert [(name, arr.shape) for name, arr in arrays] == expected
 
 
 def test_checkpoint_config_survives_textually(tmp_path):
