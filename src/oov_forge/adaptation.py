@@ -32,6 +32,7 @@ from .tensor import Graph, Tensor, backward
 from .training import episode_loss
 
 ADAPT_K_RANGE = (2, 6)
+HVP_EPS = 1e-4  # finite-difference step of the Hessian-vector product, over max |v|
 
 
 @dataclass
@@ -43,7 +44,6 @@ class AdaptConfig:
     target_min_count: int = 4
     seed: int = 0
     batch_episodes: int = 8
-    hvp_eps: float = 1e-4
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
@@ -91,7 +91,7 @@ def maml_update(params: list[Tensor], loss_source_fn, loss_target_fn,
         if v_scale == 0.0:
             update = g_n
         else:
-            eps = cfg.hvp_eps / v_scale
+            eps = HVP_EPS / v_scale
             for p, th, v in zip(params, theta, g_n):
                 p.data = th + eps * v
             g_plus = _grads(params, loss_source_fn)

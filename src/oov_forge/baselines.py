@@ -34,8 +34,6 @@ NGRAM_MAX = 6
 @dataclass
 class ContextAverage:
     vector: np.ndarray
-    used_contexts: int = 0
-    used_tokens: int = 0
     empty: bool = False
 
 
@@ -54,7 +52,6 @@ def additive(contexts: list[list[str]], table: EmbeddingTable,
     if drop_stopwords and stopwords is None:
         stopwords = load_stopwords()
     context_means = []
-    used_tokens = 0
     for ctx in contexts:
         contribs = []
         for tok in ctx:
@@ -67,10 +64,9 @@ def additive(contexts: list[list[str]], table: EmbeddingTable,
                 contribs.append(vec.astype(np.float64))
         if contribs:
             context_means.append(_exact_mean(contribs))
-            used_tokens += len(contribs)
     if not context_means:
-        return ContextAverage(np.zeros(table.dim), 0, 0, empty=True)
-    return ContextAverage(_exact_mean(context_means), len(context_means), used_tokens)
+        return ContextAverage(np.zeros(table.dim), empty=True)
+    return ContextAverage(_exact_mean(context_means))
 
 
 def _exact_mean(rows: list[np.ndarray]) -> np.ndarray:

@@ -19,6 +19,7 @@ Every artifact written embeds the options that produced it.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
@@ -324,8 +325,6 @@ def _fit_baselines(methods: list[str], args, table: EmbeddingTable):
     """Fit the corpus-dependent baselines on prepared training words."""
     fitted: dict[str, object] = {}
     need_fit = {m for m in methods if m in ("alacarte", "ngram")}
-    if not need_fit:
-        return fitted
     if args.alacarte_model and "alacarte" in need_fit:
         fitted["alacarte"] = baselines.AlaCarteModel.load(args.alacarte_model)
         need_fit.discard("alacarte")
@@ -427,13 +426,14 @@ def cmd_eval(args) -> int:
                 fh.write(f"{rep.method},{shot},{rep.mean_by_shot[shot]!r},"
                          f"{pooled!r},{n},{failed}\n")
     items_path = out_dir / "eval_items.csv"
-    with open(items_path, "w", encoding="utf-8") as fh:
+    with open(items_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        fh.write("method,shot,pseudo_word,rho,failed\n")
-        for rep in reports:
-            for r in rep.items:
-                rho = "" if r.rho is None else repr(r.rho)
-                fh.write(f"{rep.method},{r.shot},{r.pseudo_word},{rho},{int(r.failed)}\n")
+        rows = csv.writer(fh, lineterminator="\n")  # a reason may hold commas
+        rows.writerow(["method", "shot", "pseudo_word", "rho", "failed", "reason"])
+        rows.writerows(
+            [rep.method, r.shot, r.pseudo_word, "" if r.rho is None else repr(r.rho),
+             int(r.failed), r.reason]
+            for rep in reports for r in rep.items)
     print(render_text_table(reports))
     if args.svg:
         Path(args.svg).write_text(render_svg(reports, run_cfg), encoding="utf-8")

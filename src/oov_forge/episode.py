@@ -38,7 +38,6 @@ class CharVocab:
         self.eow = 1
         self.unk = 2
         self.char_ids = {c: i + 3 for i, c in enumerate(self.ALPHABET)}
-        self.chars = {i: c for c, i in self.char_ids.items()}
 
     def __len__(self) -> int:
         return len(self.char_ids) + 3
@@ -57,16 +56,6 @@ def char_sequence(word: str, cv: CharVocab = DEFAULT_CHAR_VOCAB,
         raise InputError("char_sequence: empty word")
     body = [cv.encode_char(c) for c in word[:max_word_len]]
     return [cv.bow] + body + [cv.eow]
-
-
-def decode_chars(ids: list[int], cv: CharVocab = DEFAULT_CHAR_VOCAB) -> str:
-    """Inverse of char_sequence up to truncation; unknown chars fold to '?'."""
-    out = []
-    for i in ids:
-        if i in (cv.bow, cv.eow):
-            continue
-        out.append(cv.chars.get(i, "?"))
-    return "".join(out)
 
 
 @dataclass

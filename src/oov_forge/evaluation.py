@@ -12,7 +12,6 @@ tokenizes and masks them before handing them to a method.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -117,7 +116,6 @@ class MethodReport:
     pooled_by_shot: dict[int, float] = field(default_factory=dict)
     failed: int = 0
     dropped_probes: int = 0
-    runtime: float = 0.0
 
     def mean_rho(self) -> float:
         scored = [r.rho for r in self.items if not r.failed]
@@ -144,7 +142,6 @@ def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
     Any other exception is a bug and propagates.
     """
     report = MethodReport(method=method)
-    start = time.monotonic()
     pooled: dict[int, tuple[list[float], list[float]]] = {}
     for item in items:
         probes, human, dropped = [], [], 0
@@ -182,7 +179,6 @@ def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
                 report.pooled_by_shot[shot] = spearman(*pooled[shot])
             except EvaluationError:
                 pass
-    report.runtime = time.monotonic() - start
     return report
 
 

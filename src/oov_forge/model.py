@@ -11,7 +11,9 @@ Architecture, bottom to top:
   context encoder   per-position learned scalar weights ("positional
                     attention") followed by self-attention encoding
                     block(s); the sentence is summarized by the output at
-                    the first MASK position (config-switchable to mean)
+                    the first MASK position (config-switchable to mean);
+                    under that mask pool the last block computes only the
+                    mask rows, though its keys and values cover every token
   aggregator        the K context vectors as a length-K sequence through
                     encoding block(s) WITHOUT positional weighting (order
                     must not matter), then mean-pooled
@@ -158,9 +160,8 @@ class Segments:
     packed [N, ...] matrix; sequence i holds ``lengths[i]`` rows.
 
     ``index`` [S, Lmax] gives the packed row of each padded slot (-1 past
-    the end of a sequence) and ``valid`` is ``index >= 0``; ``rows`` lists
-    the flattened padded slot of every packed row, and ``positions`` each
-    packed row's offset inside its sequence.
+    the end of a sequence) and ``valid`` is ``index >= 0``; ``positions``
+    gives each packed row's offset inside its sequence.
     """
 
     def __init__(self, lengths):
@@ -171,41 +172,60 @@ class Segments:
         slot = np.arange(int(self.lengths.max()))
         self.valid = slot < self.lengths[:, None]
         self.index = np.where(self.valid, self.starts[:, None] + slot, -1)
-        self.rows = np.flatnonzero(self.valid)
         self.positions = np.nonzero(self.valid)[1]
 
 
 def self_attention(x: Tensor, p: AttentionBlockParams, seqs: Segments,
-                   sink: list | None = None) -> Tensor:
+                   sink: list | None = None, rows: np.ndarray | None = None) -> Tensor:
     """Multi-head self-attention within each sequence of the packed rows
     x[N, d_model]; scores scaled by 1/sqrt(d_model).
 
-    The projections run on the packed rows; only the scores and the
-    weighted sum run padded, as [S, heads, Lmax, Lmax] with padded keys
-    masked out. ``sink`` collects that softmax array, one per call.
+    ``rows`` [S, Lq] picks the output rows of each sequence (-1 pads; default
+    ``seqs.index``, every row) and the result holds them in order, [Nq,
+    d_model]. Keys and values are projected for every row, queries for the
+    picked ones; only the scores and the weighted sum run padded, as [S,
+    heads, Lq, Lmax] with padded keys masked out. ``sink`` collects that
+    softmax array, one per call.
     """
+    return _attention(x, _picked(x, rows), p, seqs, sink, rows)
+
+
+def _picked(x: Tensor, rows: np.ndarray | None) -> Tensor:
+    return x if rows is None else tc.gather_rows(x, rows[rows >= 0])
+
+
+def _attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segments,
+               sink: list | None, rows: np.ndarray | None) -> Tensor:
+    # self_attention with the picked rows xq of x already gathered
     n_heads = len(p.heads)
     d_head = p.d_model // n_heads
-    # columns: every head's query block, then every key block, then values,
-    # so row 3t + j of the reshape holds part j (q, k, v) of packed row t
-    w_qkv = tc.concat_cols([head[j] for j in range(3) for head in p.heads])
-    qkv = tc.reshape(tc.matmul(x, w_qkv), (-1, n_heads, d_head))
-    idx = seqs.index
-    q, k, v = (tc.gather_rows(qkv, np.where(idx < 0, -1, 3 * idx + j))
-               for j in range(3))
+    picked = (seqs.index if rows is None else rows) >= 0
+    # slot of each picked row in xq, -1 past the end of a sequence
+    q_slot = np.where(picked, np.cumsum(picked).reshape(picked.shape) - 1, -1)
+    w_q = tc.concat_cols([wq for wq, _, _ in p.heads])
+    q = tc.gather_rows(tc.reshape(tc.matmul(xq, w_q), (-1, n_heads, d_head)), q_slot)
+    # columns: every head's key block, then every value block, so row
+    # 2t + j of the reshape holds part j (k, v) of packed row t
+    w_kv = tc.concat_cols([head[j] for j in (1, 2) for head in p.heads])
+    kv = tc.reshape(tc.matmul(x, w_kv), (-1, n_heads, d_head))
+    k, v = (tc.gather_rows(kv, np.where(seqs.valid, 2 * seqs.index + j, -1))
+            for j in range(2))
     scores = tc.scale(tc.einsum("slhe,smhe->shlm", q, k), 1.0 / math.sqrt(p.d_model))
     attn = tc.softmax(scores, -1, mask=seqs.valid[:, None, None, :])
     if sink is not None:
         sink.append(attn.data)
     heads = tc.reshape(tc.einsum("shlm,smhe->slhe", attn, v), (-1, p.d_model))
-    return tc.matmul(tc.gather_rows(heads, seqs.rows), p.wo)
+    return tc.matmul(tc.gather_rows(heads, np.flatnonzero(picked)), p.wo)
 
 
 def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
-                   sink: list | None = None) -> Tensor:
+                   sink: list | None = None, rows: np.ndarray | None = None) -> Tensor:
     """Self-attention and a position-wise FFN, each wrapped in residual +
-    layer norm, over the packed rows x[N, d_model]."""
-    y1 = tc.layer_norm(tc.add(x, self_attention(x, p, seqs, sink)), p.ln1_g, p.ln1_b)
+    layer norm, over the packed rows x[N, d_model]; with ``rows``, as in
+    ``self_attention``, all but the keys and values run on those rows only."""
+    xq = _picked(x, rows)
+    y1 = tc.layer_norm(tc.add(xq, _attention(x, xq, p, seqs, sink, rows)),
+                       p.ln1_g, p.ln1_b)
     h = tc.relu(tc.add_bias(tc.matmul(y1, p.w1), p.b1))
     ffn = tc.add_bias(tc.matmul(h, p.w2), p.b2)
     return tc.layer_norm(tc.add(y1, ffn), p.ln2_g, p.ln2_b)
@@ -239,6 +259,8 @@ class HiceModel:
 
     def __init__(self, config: HiceConfig, frozen: np.ndarray,
                  frozen_words: list[str], vocab: Vocabulary | None = None):
+        if config.n_context_blocks < 1:
+            raise InputError("the context encoder needs at least one block")
         if frozen.ndim != 2 or frozen.shape[1] != config.embed_dim:
             raise InputError(
                 f"frozen table {frozen.shape} does not match embed_dim {config.embed_dim}"
@@ -386,11 +408,15 @@ class HiceModel:
         if self.input_proj_w is not None:
             x = tc.add_bias(tc.matmul(x, self.input_proj_w), self.input_proj_b)
         x = tc.scale_rows(x, tc.gather_rows(self.a_pos, batch.contexts.positions))
-        for block in self.ctx_blocks:
+        *inner, last = self.ctx_blocks
+        for block in inner:
             x = encoding_block(x, block, batch.contexts, sink)
         if self.config.context_pool == "mean":
-            return tc.segment_mean(x, batch.contexts.lengths)
-        return tc.gather_rows(x, batch.pool_rows)
+            return tc.segment_mean(encoding_block(x, last, batch.contexts, sink),
+                                   batch.contexts.lengths)
+        # the mask pool reads one row per context, so the last block computes
+        # only those; its keys and values still cover every token
+        return encoding_block(x, last, batch.contexts, sink, batch.pool_rows[:, None])
 
     def aggregate(self, ctx_vectors: Tensor, shots: Segments,
                   sink: list | None = None) -> Tensor:
@@ -441,7 +467,8 @@ class HiceModel:
 
     def dump_attention(self, episode: Episode,
                        vocab: Vocabulary | None = None) -> "AttentionReport":
-        """Capture every softmax attention matrix of a forward pass."""
+        """Capture every softmax attention matrix of a forward pass; under the
+        mask pool the last context block's are [1, L_i], the mask row's."""
         v = self._resolve_vocab(vocab)
         ctx_sink: list = []
         agg_sink: list = []

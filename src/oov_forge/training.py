@@ -8,7 +8,6 @@ are kept (and written to the checkpoint path when one is configured).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,6 @@ class TrainReport:
     points: list[tuple[int, float, float]] = field(default_factory=list)
     best_step: int = 0
     best_val: float = float("-inf")
-    wall_seconds: float = 0.0
     step_cosines: list[float] = field(default_factory=list)  # batch-mean per step
 
     def to_csv(self) -> str:
@@ -182,9 +180,7 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
     assert not set(train_words) & set(val_words)
 
     report = TrainReport()
-    start = time.monotonic()
     if config.steps == 0:
-        report.wall_seconds = time.monotonic() - start
         return model, report
 
     val_probes = build_validation_episodes(val_words, store, table, config)
@@ -234,7 +230,6 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
         for name, p in model.parameters():
             p.data = best_state[name]
             p.grad = None
-    report.wall_seconds = time.monotonic() - start
     return model, report
 
 
@@ -259,8 +254,3 @@ def load_checkpoint(path) -> HiceModel:
     model = HiceModel(HiceConfig.from_dict(config), named["frozen_rows"], words)
     model.load_state_arrays(named)
     return model
-
-
-def load_checkpoint_config(path) -> dict[str, str]:
-    config, _ = read_container(path, CHECKPOINT_MAGIC)
-    return config

@@ -1,3 +1,4 @@
+import csv
 import shutil
 
 import numpy as np
@@ -7,10 +8,11 @@ import synthetic_task
 from oov_forge import cli
 from oov_forge.baselines import ngram_fit
 from oov_forge.cli import main
+from oov_forge.container import read_container
 from oov_forge.corpus import EmbeddingTable, load_embeddings, save_embeddings
 from oov_forge.errors import EpisodeError, FormatError
 from oov_forge.evaluation import EvalItem, cosine_np, save_benchmark_tsv
-from oov_forge.training import load_checkpoint, load_checkpoint_config
+from oov_forge.training import CHECKPOINT_MAGIC, load_checkpoint
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -107,9 +109,8 @@ def test_train_no_morph_flag_recorded(prepared, tmp_path):
     out = tmp_path / "nomorph.hice"
     assert main(["train", str(prepared), "--steps", "0", "--no-morph",
                  "--out", str(out)]) == 0
-    config = load_checkpoint_config(out)
-    assert config["use_morph"] == "false"
     model = load_checkpoint(out)
+    assert model.config.as_dict()["use_morph"] == "false"
     assert model.config.use_morph is False
 
 
@@ -239,13 +240,12 @@ def test_eval_emits_row_per_method_per_shot_and_recomputes(
     summary = [l for l in (out / "eval_summary.csv").read_text().splitlines()
                if l and not l.startswith("#")][1:]
     assert len(summary) == 6  # 3 methods x 2 shots
-    items = [l for l in (out / "eval_items.csv").read_text().splitlines()
-             if l and not l.startswith("#")][1:]
+    items = _item_rows(out)
     # summary means equal recomputation from the per-item dump
     from collections import defaultdict
     per = defaultdict(list)
-    for line in items:
-        method, shot, word, rho, failed = line.split(",")
+    for method, shot, word, rho, failed, reason in items:
+        assert (reason == "") == (failed == "0")  # a failed item says why
         if failed == "0":
             per[(method, int(shot))].append(float(rho))
     for line in summary:
@@ -289,14 +289,27 @@ def test_eval_additive_on_planted_perfect_benchmark(workdir, tmp_path, capsys):
 def test_eval_oracle_fails_an_item_missing_from_the_table(workdir, tmp_path):
     probes = sorted(load_embeddings(workdir / "embeddings.txt").vectors)[::8][:6]
     bench = tmp_path / "missing.tsv"
-    save_benchmark_tsv([EvalItem("blick", ["a blick here"], probes,
-                                 [float(i) for i in range(6)], 2)], bench)
+    ratings = [float(i) for i in range(6)]
+    save_benchmark_tsv([EvalItem("blick", ["a blick here"], probes, ratings, 2),
+                        EvalItem("bl,ick", ["a bl,ick here"], probes, ratings, 2)],
+                       bench)
     out = tmp_path / "rep"
     assert main(["eval", str(bench), "--embeddings", str(workdir / "embeddings.txt"),
                  "--methods", "oracle", "--out-dir", str(out)]) == 0
-    rows = [l for l in (out / "eval_items.csv").read_text().splitlines()
-            if l and not l.startswith("#")][1:]
-    assert rows == ["oracle,2,blick,,1"]
+    # the failure reason is written, quoted where it holds a comma
+    assert _item_rows(out) == [
+        ["oracle", "2", "blick", "", "1", "oracle: 'blick' not in the table"],
+        ["oracle", "2", "bl,ick", "", "1", "oracle: 'bl,ick' not in the table"],
+    ]
+
+
+def _item_rows(out_dir):
+    """The rows of eval_items.csv below its provenance comments and header."""
+    lines = [l for l in (out_dir / "eval_items.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    header, *rows = csv.reader(lines)
+    assert header == ["method", "shot", "pseudo_word", "rho", "failed", "reason"]
+    return rows
 
 
 def test_eval_malformed_tsv_exits_6(workdir, tmp_path):
@@ -331,7 +344,7 @@ def test_adapt_zero_steps_keeps_params(workdir, prepared, checkpoint, tmp_path):
     after = load_checkpoint(out)
     for (_, a), (_, b) in zip(before.parameters(), after.parameters()):
         assert np.array_equal(a.data, b.data)
-    config = load_checkpoint_config(out)
+    config, _ = read_container(out, CHECKPOINT_MAGIC)
     assert config["adapted"] == "true"
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, tokenize
 from oov_forge.episode import (DEFAULT_CHAR_VOCAB, MASK_ID, MASK_TOKEN,
-                               char_sequence, decode_chars, decode_context,
+                               char_sequence, decode_context,
                                episode_from_masked, episode_stream,
                                mask_window, sample_episode)
 from oov_forge.errors import EpisodeError
@@ -36,10 +36,12 @@ def test_char_sequence_length():
 
 
 def test_char_sequence_roundtrip_and_truncation():
+    cv = DEFAULT_CHAR_VOCAB
     for word in ("a", "scooter", "state-of-the-art", "o'clock", "x" * 40):
         ids = char_sequence(word)
-        assert decode_chars(ids) == word[:20]
-    assert decode_chars(char_sequence("café")) == "caf?"  # unknown folds
+        assert ids == [cv.bow] + [cv.char_ids[c] for c in word[:20]] + [cv.eow]
+    unknown = char_sequence("café")  # unknown characters fold to one id
+    assert unknown[1:-1] == [cv.char_ids[c] for c in "caf"] + [cv.unk]
 
 
 def test_char_sequence_rejects_empty():

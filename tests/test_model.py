@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oov_forge.tensor as tc
 from fd import rel_err
@@ -172,6 +173,42 @@ def test_encode_context_unit_positional_weights_are_identity():
     assert np.abs(model.encode_context(batch).data[0] - expected).max() > 1e-8
 
 
+@st.composite
+def _masked_contexts(draw, max_len=HiceConfig.max_len):
+    """1-4 contexts of 1..max_len ids of ``make_corpus`` words, each with
+    MASK_ID at a drawn position or, for position -1, no mask at all."""
+    contexts = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, max_len))
+        ids = draw(st.lists(st.integers(0, 19), min_size=n, max_size=n))
+        at = draw(st.integers(-1, n - 1))
+        if at >= 0:
+            ids[at] = MASK_ID
+        contexts.append(ids)
+    return contexts
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(contexts=_masked_contexts())
+@example(contexts=[[MASK_ID], [1], [2, MASK_ID], [4, 5]])  # one-token, unmasked
+def test_mask_pool_last_block_matches_full_block_rows(blocks, contexts):
+    # the pruned last block gives the pool rows of the full block stack;
+    # an unmasked context pools at position 0
+    model, _ = make_model(n_context_blocks=blocks)
+    vocab, _ = make_corpus()
+    batch = model.batch([episode_of(contexts)], vocab)
+    got = model.encode_context(batch).data
+
+    x = model.embed_tokens(batch)
+    x = tc.scale_rows(x, tc.gather_rows(model.a_pos, batch.contexts.positions))
+    for block in model.ctx_blocks:
+        x = encoding_block(x, block, batch.contexts)
+    want = tc.gather_rows(x, batch.pool_rows).data
+    assert got.shape == want.shape == (len(contexts), model.config.resolved_d_model())
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_encode_context_single_mask_token_is_finite():
     model, _ = make_model()
     vocab, _ = make_corpus()
@@ -189,6 +226,8 @@ def test_encode_context_length_contracts():
         model.batch([episode_of([[MASK_ID] * (model.config.max_len + 1)])], vocab)
     with pytest.raises(InputError):
         model.batch([], vocab)
+    with pytest.raises(InputError):  # the mask pool reads the last block
+        make_model(n_context_blocks=0)
 
 
 def test_gradient_reaches_positional_weights():
@@ -269,8 +308,8 @@ def test_morphology_gradients(rng):
 # predict
 # ---------------------------------------------------------------------------
 
-def _training_episode(seed=0, k=3):
-    model, table = make_model()
+def _training_episode(seed=0, k=3, **overrides):
+    model, table = make_model(**overrides)
     vocab, store = make_corpus()
     model.bind_vocab(vocab)
     ep = sample_episode("w03", k, np.random.default_rng(seed), store, table)
@@ -368,7 +407,15 @@ def test_up_projection_when_dim_not_divisible():
 # ---------------------------------------------------------------------------
 
 def test_full_model_gradient_check_tiny_config(rng):
-    model, table, vocab, store, ep = _training_episode(k=2)
+    # the default, then two context blocks (a full block under a pruned
+    # one) under either pool
+    for overrides in ({}, dict(n_context_blocks=2),
+                      dict(n_context_blocks=2, context_pool="mean")):
+        _check_full_model_gradients(rng, **overrides)
+
+
+def _check_full_model_gradients(rng, **overrides):
+    model, table, vocab, store, ep = _training_episode(k=2, **overrides)
     oracle = constant(ep.oracle[None].astype(np.float64))
 
     def build():
@@ -434,9 +481,19 @@ def test_dump_attention_single_token_context():
         assert np.allclose(m, [[1.0]], atol=1e-12)
 
 
+def test_dump_attention_mean_pool_reports_full_matrices():
+    model, table, vocab, store, ep = _training_episode(k=3, context_pool="mean")
+    report = model.dump_attention(ep)
+    for ids, mats in zip(ep.contexts, report.context_matrices):
+        for m in mats:
+            assert m.shape == (len(ids), len(ids))
+            assert np.abs(m.sum(axis=-1) - 1.0).max() < 1e-12
+
+
 def test_dump_attention_slices_match_per_head_reference():
     # the report's matrices are the per-context, per-head softmax a
-    # single-sequence loop computes, in block-major then head order
+    # single-sequence loop computes, in block-major then head order; under
+    # the mask pool the last context block reports only the pool row
     model, table, vocab, store, ep = _training_episode(k=3)
     report = model.dump_attention(ep)
     scale = 1.0 / math.sqrt(model.config.resolved_d_model())
@@ -452,11 +509,12 @@ def test_dump_attention_slices_match_per_head_reference():
     batch = model.batch([ep])
     x = model.embed_tokens(batch).data * model.a_pos.data[batch.contexts.positions, None]
     for c, (start, n) in enumerate(zip(batch.contexts.starts, batch.contexts.lengths)):
+        pool = batch.pool_rows[c] - start
         want = reference(x[start:start + n], model.ctx_blocks[0])
         assert len(report.context_matrices[c]) == len(want)
         for got, ref in zip(report.context_matrices[c], want):
-            assert got.shape == (n, n)
-            assert np.abs(got - ref).max() < 1e-12
+            assert got.shape == (1, n)
+            assert np.abs(got - ref[pool:pool + 1]).max() < 1e-12
     agg_in = model.encode_context(batch).data
     for got, ref in zip(report.aggregator_matrices, reference(agg_in, model.agg_blocks[0])):
         assert np.abs(got - ref).max() < 1e-12

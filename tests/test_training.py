@@ -8,7 +8,7 @@ from oov_forge.errors import FormatError, TrainingError
 from oov_forge.model import HiceConfig, HiceModel
 from oov_forge.tensor import Graph, backward, constant, mul, parameter, sum_all
 from oov_forge.training import (Adam, TrainConfig, episode_loss,
-                                load_checkpoint, load_checkpoint_config,
+                                CHECKPOINT_MAGIC, load_checkpoint,
                                 save_checkpoint, train)
 
 
@@ -257,7 +257,7 @@ def test_checkpoint_config_survives_textually(tmp_path):
     model = HiceModel.from_table(small_model_config(), oracle, vocab)
     path = tmp_path / "model.hice"
     save_checkpoint(model, path, extra_config={"run.note": "abc def", "adapted": "true"})
-    config = load_checkpoint_config(path)
+    config, _ = read_container(path, CHECKPOINT_MAGIC)
     assert config["run.note"] == "abc def"
     assert config["adapted"] == "true"
     assert config["embed_dim"] == "8"
@@ -312,7 +312,7 @@ def test_checkpointing_during_training_keeps_best(tmp_path):
                           model_config=small_model_config())
     assert path.exists()
     best = load_checkpoint(path)
-    cfgd = load_checkpoint_config(path)
+    cfgd, _ = read_container(path, CHECKPOINT_MAGIC)
     assert float(cfgd["best_val"]) == pytest.approx(report.best_val)
     for (_, a), (_, b) in zip(model.parameters(), best.parameters()):
         assert np.array_equal(a.data.astype(np.float32), b.data.astype(np.float32))
