@@ -61,7 +61,7 @@ def additive(contexts: list[list[str]], table: EmbeddingTable,
                 continue
             vec = table.get(tok)
             if vec is not None:
-                contribs.append(vec.astype(np.float64))
+                contribs.append(vec)
         if contribs:
             context_means.append(_exact_mean(contribs))
     if not context_means:
@@ -71,9 +71,9 @@ def additive(contexts: list[list[str]], table: EmbeddingTable,
 
 def _exact_mean(rows: list[np.ndarray]) -> np.ndarray:
     # fsum is correctly rounded, so the mean is permutation invariant bit for bit
+    # (a float32 row widens to Python floats exactly, so rows may be float32)
     n = len(rows)
-    return np.array([math.fsum(r[j] for r in rows) / n
-                     for j in range(len(rows[0]))])
+    return np.array([math.fsum(col) / n for col in np.stack(rows).T.tolist()])
 
 
 @dataclass
@@ -227,7 +227,7 @@ def ngram_fit(words: list[str], table: EmbeddingTable,
             vals.append(float(c))
     design = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(words), len(gram_ids)))
-    targets = np.stack([table.vectors[w] for w in words]).astype(np.float64)
+    targets = table.matrix[[table.index[w] for w in words]].astype(np.float64)
     sol = np.zeros((len(gram_ids), table.dim))
     damp = np.sqrt(ridge)
     for j in range(table.dim):

@@ -348,7 +348,7 @@ def _fit_baselines(methods: list[str], args, table: EmbeddingTable):
             ctxs = [decode_context(ids, vocab) for ids in ep.contexts]
             base = baselines.additive(ctxs, table)
             if not base.empty:
-                pairs.append((base.vector, table.vectors[w].astype(np.float64)))
+                pairs.append((base.vector, table[w].astype(np.float64)))
         fitted["alacarte"] = baselines.alacarte_fit(pairs)
     if "ngram" in need_fit:
         fitted["ngram"] = baselines.ngram_fit(words, table)

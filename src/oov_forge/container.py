@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -54,19 +55,26 @@ def _decode_config(blob: bytes) -> dict[str, str]:
     return config
 
 
-def write_container(path, magic: str, config: dict[str, str],
-                    arrays: list[tuple[str, np.ndarray]]) -> None:
-    """Write to a temporary file beside ``path``, then rename it into place,
-    so a failed write leaves any previous file untouched."""
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Open a temporary file beside ``path`` for writing and rename it into
+    place once the block completes, so a failed write leaves any previous
+    file untouched and no temporary file behind."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            _write_body(fh, magic, config, arrays)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def write_container(path, magic: str, config: dict[str, str],
+                    arrays: list[tuple[str, np.ndarray]]) -> None:
+    with atomic_open(path) as fh:
+        _write_body(fh, magic, config, arrays)
 
 
 def _write_body(fh, magic: str, config: dict[str, str],

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import string
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
 
-from .errors import IngestionError, FormatError
+from .container import atomic_open
+from .errors import FormatError, IngestionError, InputError
 
 DEFAULT_MIN_COUNT = 16
 VAL_FRACTION = 0.05
@@ -166,32 +168,73 @@ def prepare_corpus(path, min_count: int = DEFAULT_MIN_COUNT,
     return vocab, SentenceStore.from_tokens(sentences, vocab)
 
 
-@dataclass
-class EmbeddingTable:
-    """Word -> float32[dim] map with provenance. Lookup of an absent word
-    returns None, never a zero vector."""
+class EmbeddingTable(Mapping):
+    """Read-only word -> float32[dim] map with provenance. Lookup of an
+    absent word returns None, never a zero vector.
 
-    dim: int
-    vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    source: str = ""
+    The rows live in one read-only float32 [V, dim] ``matrix``, in insertion
+    order; ``index`` maps each word to its row, and ``t[w]`` is a view of
+    that row.
+    """
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
+    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray] | None = None,
+                 source: str = ""):
+        words = list(vectors or {})
+        matrix = (np.stack([np.asarray(vectors[w], dtype=np.float32) for w in words])
+                  if words else np.zeros((0, dim), dtype=np.float32))
+        self._bind(dim, words, matrix, source)
+
+    @classmethod
+    def from_rows(cls, words: list[str], matrix: np.ndarray,
+                  source: str = "") -> "EmbeddingTable":
+        """A table over ``matrix`` [V, dim] (shared, not copied, when it is
+        float32) whose row i is the vector of ``words[i]``."""
+        table = cls.__new__(cls)
+        matrix = np.asarray(matrix, dtype=np.float32)
+        if matrix.ndim != 2:
+            raise InputError(f"embedding matrix of shape {matrix.shape} is not 2-D")
+        table._bind(matrix.shape[1], list(words), matrix, source)
+        return table
+
+    def _bind(self, dim: int, words: list[str], matrix: np.ndarray, source: str) -> None:
+        if matrix.shape != (len(words), dim):
+            raise InputError(f"embedding matrix of shape {matrix.shape} for "
+                             f"{len(words)} words of dimension {dim}")
+        self.index = {w: i for i, w in enumerate(words)}
+        if len(self.index) != len(words):
+            raise InputError("duplicate word in an embedding table")
+        self.dim = dim
+        self.source = source
+        self._words = words
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """float32 [V] Euclidean norm of every row."""
+        return np.sqrt(np.einsum("ij,ij->i", self.matrix, self.matrix))
+
+    def __contains__(self, word) -> bool:
+        return word in self.index
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self._words)
 
-    def get(self, word: str) -> np.ndarray | None:
-        return self.vectors.get(word)
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._words)
+
+    def get(self, word: str, default=None) -> np.ndarray | None:
+        i = self.index.get(word)
+        return default if i is None else self.matrix[i]
 
     def __getitem__(self, word: str) -> np.ndarray:
         try:
-            return self.vectors[word]
+            return self.matrix[self.index[word]]
         except KeyError:
             raise KeyError(f"word not in embedding table: {word!r}") from None
 
     def words(self) -> list[str]:
-        return list(self.vectors.keys())
+        return list(self._words)
 
 
 def load_embeddings(path) -> EmbeddingTable:
@@ -209,7 +252,11 @@ def load_embeddings(path) -> EmbeddingTable:
             raise FormatError(f"{path}: line 1: non-integer header") from None
         if n_words < 0 or dim < 1:
             raise FormatError(f"{path}: line 1: bad header values {header}")
-        table = EmbeddingTable(dim=dim, source=str(path))
+        # rows are collected, not written into a matrix sized by the header,
+        # which a malformed file may overstate
+        words: list[str] = []
+        rows: list[np.ndarray] = []
+        seen: set[str] = set()
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -219,31 +266,34 @@ def load_embeddings(path) -> EmbeddingTable:
                     f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
                 )
             word = parts[0]
-            if word in table.vectors:
+            if word in seen:
                 raise FormatError(f"{path}: line {lineno}: duplicate word {word!r}")
             try:
-                vec = np.array([float(p) for p in parts[1:]], dtype=np.float32)
+                vec = np.fromiter(map(float, parts[1:]), dtype=np.float32, count=dim)
             except ValueError:
                 raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
             if not np.isfinite(vec).all():
                 raise FormatError(f"{path}: line {lineno}: non-finite value")
-            table.vectors[word] = vec
-    if len(table.vectors) != n_words:
+            seen.add(word)
+            words.append(word)
+            rows.append(vec)
+    if len(rows) != n_words:
         raise FormatError(
-            f"{path}: header promises {n_words} rows, found {len(table.vectors)}"
+            f"{path}: header promises {n_words} rows, found {len(rows)}"
         )
-    return table
+    matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
+    return EmbeddingTable.from_rows(words, matrix, source=str(path))
 
 
 def format_vector(vec: np.ndarray) -> str:
     # repr of the exact float64 value a float32 widens to; parses back bit-equal
-    return " ".join(repr(float(x)) for x in vec)
+    return " ".join(map(repr, np.asarray(vec, dtype=np.float64).tolist()))
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.vectors)} {table.dim}\n")
-        for word, vec in table.vectors.items():
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table)} {table.dim}\n")
+        for word, vec in zip(table.words(), table.matrix):
             fh.write(f"{word} {format_vector(vec)}\n")
 
 

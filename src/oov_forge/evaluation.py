@@ -12,6 +12,7 @@ tokenizes and masks them before handing them to a method.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -157,7 +158,7 @@ def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
                 raise EvaluationError("fewer than 2 probes remain in the table")
             vec = infer_fn(item.pseudo_word, mask_contexts(item.pseudo_word,
                                                            item.contexts))
-            machine = [cosine_np(vec, table.vectors[p]) for p in probes]
+            machine = [cosine_np(vec, table[p]) for p in probes]
             rho = spearman(machine, human)
         except OovForgeError as e:  # a method failure must not kill the run
             report.items.append(ItemResult(item.pseudo_word, item.shot, None,
@@ -182,22 +183,60 @@ def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
     return report
 
 
+# Rows whose float32 norm lies outside this range are scored exactly, never
+# screened: inside it the screening products neither overflow nor lose
+# accuracy to underflow.
+_SCREEN_NORMS = (2.0 ** -50, 2.0 ** 50)
+
+
 def nearest_neighbors(vector: np.ndarray, table: EmbeddingTable, top_k: int,
                       exclude: tuple[str, ...] = ()) -> list[tuple[str, float]]:
     """top_k in-table words by cosine, descending; ties break
-    lexicographically; excluded words (e.g. the query itself) are skipped."""
+    lexicographically; excluded words (e.g. the query itself) and zero-norm
+    rows are skipped.
+
+    Every returned cosine is ``cosine_np(vector, table[word])``, and the list
+    is the one a scan of every row gives. One float32 product of the matrix
+    with the unit query screens the rows first: for a row whose norm is in
+    ``_SCREEN_NORMS``, the screened score and ``cosine_np`` each lie within
+    the float32 rounding error of a length-dim dot product and a norm of the
+    true cosine, so they differ by less than ``bound`` = 8 (dim + 2) 2^-24.
+    Every row of the top k then scores at least the k-th best screened score
+    minus 2 ``bound``, and only such rows are scored exactly.
+    """
     if top_k < 1:
         raise EvaluationError(f"top_k must be >= 1, got {top_k}")
     if np.shape(vector) != (table.dim,):
         raise EvaluationError(f"query vector of shape {np.shape(vector)} for a "
                               f"table of dimension {table.dim}")
-    skip = set(exclude)
+    q = np.asarray(vector)
+    if not np.isfinite(q).all():
+        raise EvaluationError("query vector has a non-finite value")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(q))
+    if not math.isfinite(norm):
+        raise EvaluationError("query vector norm overflows")
+    if norm == 0.0:
+        return []  # no cosine is defined
+    norms = table.row_norms
+    screened = (norms >= _SCREEN_NORMS[0]) & (norms <= _SCREEN_NORMS[1])
+    skip = [r for r in map(table.index.get, exclude) if r is not None]
+    screened[skip] = False
+    exact = ~screened
+    exact[skip] = False
+    with np.errstate(all="ignore"):  # unscreened rows may divide by zero
+        scores = table.matrix @ (q / norm).astype(np.float32) / norms
+    scores[~screened] = -np.inf
+    n = min(top_k, int(screened.sum()))
+    if n:
+        bound = 8 * (table.dim + 2) * 2.0 ** -24
+        kth = np.partition(scores, len(scores) - n)[len(scores) - n]
+        exact |= scores >= kth - 2 * bound
+    words = table.words()
     scored = []
-    for word, vec in table.vectors.items():
-        if word in skip:
-            continue
+    for r in np.flatnonzero(exact).tolist():
         try:
-            scored.append((word, cosine_np(vector, vec)))
+            scored.append((words[r], cosine_np(q, table.matrix[r])))
         except EvaluationError:
             continue  # zero-norm table rows can never be neighbors
     scored.sort(key=lambda wc: (-wc[1], wc[0]))

@@ -4,7 +4,7 @@ embedding vector.
 
 Architecture, bottom to top:
 
-  token embedding   frozen rows copied from the input table, plus two
+  token embedding   the input table's rows, shared and read-only, plus two
                     learned rows (MASK, UNK); optional learned projection
                     up to d_model when the table dimension is not divisible
                     by the head count
@@ -44,6 +44,7 @@ from .errors import FormatError, InputError
 from .tensor import Tensor
 
 UNK_TOKEN = "<unk>"
+CONTEXT_POOLS = ("mask", "mean")
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,11 @@ class HiceConfig:
     use_morph: bool = True
     context_pool: str = "mask"   # "mask" | "mean"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.context_pool not in CONTEXT_POOLS:
+            raise InputError(f"unknown context_pool {self.context_pool!r}; "
+                             f"expected one of {CONTEXT_POOLS}")
 
     def resolved_d_model(self) -> int:
         if self.d_model:
@@ -95,6 +101,8 @@ class HiceConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "HiceConfig":
+        if d["context_pool"] not in CONTEXT_POOLS:
+            raise FormatError(f"config: unknown context_pool {d['context_pool']!r}")
         return cls(
             embed_dim=int(d["embed_dim"]),
             n_heads=int(d["n_heads"]),
@@ -266,9 +274,8 @@ class HiceModel:
                 f"frozen table {frozen.shape} does not match embed_dim {config.embed_dim}"
             )
         self.config = config
-        self.frozen = np.asarray(frozen, dtype=np.float32)
-        self.frozen_words = list(frozen_words)
-        self.row_of = {w: i for i, w in enumerate(self.frozen_words)}
+        # shares ``frozen`` when it is float32
+        self.table = EmbeddingTable.from_rows(frozen_words, frozen)
         self.vocab = vocab
         self.n_chars = len(DEFAULT_CHAR_VOCAB)
 
@@ -277,7 +284,7 @@ class HiceModel:
         d_ff = config.resolved_d_ff()
         rng = np.random.default_rng(config.seed)
 
-        mean_row = (self.frozen.astype(np.float64).mean(axis=0)
+        mean_row = (self.frozen.mean(axis=0, dtype=np.float64)
                     if len(self.frozen) else np.zeros(d_in))
         self.special_embed = tc.parameter(np.stack([mean_row, mean_row]))
 
@@ -312,10 +319,16 @@ class HiceModel:
     @classmethod
     def from_table(cls, config: HiceConfig, table: EmbeddingTable,
                    vocab: Vocabulary | None = None) -> "HiceModel":
-        words = table.words()
-        frozen = (np.stack([table.vectors[w] for w in words])
-                  if words else np.zeros((0, config.embed_dim), dtype=np.float32))
-        return cls(config, frozen, words, vocab)
+        return cls(config, table.matrix, table.words(), vocab)
+
+    @property
+    def frozen(self) -> np.ndarray:
+        """The frozen rows, float32 [V, embed_dim]: the table's matrix."""
+        return self.table.matrix
+
+    @property
+    def frozen_words(self) -> list[str]:
+        return self.table.words()
 
     def bind_vocab(self, vocab: Vocabulary) -> None:
         self.vocab = vocab
@@ -373,7 +386,7 @@ class HiceModel:
         frozen_rows = np.full(len(tokens), -1, dtype=np.intp)
         real = np.flatnonzero(tokens >= 0)
         if real.size:  # a context of MASK/UNK sentinels needs no vocabulary
-            words, row_of = self._resolve_vocab(vocab).words, self.row_of
+            words, row_of = self._resolve_vocab(vocab).words, self.table.index
             frozen_rows[real] = [row_of.get(words[t], -1) for t in tokens[real].tolist()]
         segs = Segments([len(ids) for ids in contexts])
         # an unmasked ad-hoc context is summarized by its first position
@@ -487,10 +500,8 @@ class HiceModel:
         )
 
     def frozen_table(self) -> EmbeddingTable:
-        """The frozen rows repackaged as an embedding table (neighbor probes)."""
-        table = EmbeddingTable(dim=self.config.embed_dim, source="<checkpoint>")
-        table.vectors = {w: self.frozen[i] for i, w in enumerate(self.frozen_words)}
-        return table
+        """The frozen rows as an embedding table (neighbor probes)."""
+        return self.table
 
     # ------------------------------------------------------------------
     # state

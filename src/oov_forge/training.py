@@ -16,7 +16,7 @@ from . import tensor as tc
 from .container import read_container, unpack_text, write_container
 from .corpus import EmbeddingTable, SentenceStore, Vocabulary, split_words
 from .episode import Episode, episode_stream, eligible_targets, sample_episode
-from .errors import FormatError, TrainingError, NumericError
+from .errors import FormatError, InputError, NumericError, TrainingError
 from .evaluation import cosine_np
 from .model import HiceConfig, HiceModel
 from .tensor import Graph, Tensor, backward
@@ -251,6 +251,9 @@ def load_checkpoint(path) -> HiceModel:
     words = text.split("\n") if text else []
     if len(words) != len(named["frozen_rows"]):
         raise FormatError(f"{path}: checkpoint word list does not match frozen rows")
-    model = HiceModel(HiceConfig.from_dict(config), named["frozen_rows"], words)
+    try:
+        model = HiceModel(HiceConfig.from_dict(config), named["frozen_rows"], words)
+    except InputError as e:
+        raise FormatError(f"{path}: {e}") from None
     model.load_state_arrays(named)
     return model

@@ -84,10 +84,10 @@ def partial_rotation(dim, angle, seed=0):
 
 
 def rotate_table(table: EmbeddingTable, rot) -> EmbeddingTable:
-    out = EmbeddingTable(dim=table.dim, source=table.source + "<rotated>")
-    out.vectors = {w: (rot @ v.astype(np.float64)).astype(np.float32)
-                   for w, v in table.vectors.items()}
-    return out
+    return EmbeddingTable(
+        dim=table.dim, source=table.source + "<rotated>",
+        vectors={w: (rot @ v.astype(np.float64)).astype(np.float32)
+                 for w, v in table.items()})
 
 
 def corpus_text(store: SentenceStore) -> str:

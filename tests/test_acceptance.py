@@ -172,10 +172,9 @@ def test_criterion_1_gradient_integrity():
             worst[name] = max(worst.get(name, 0.0), err)
 
     # full tiny-config forward pass: all parameters, sampled coordinates
-    table = EmbeddingTable(dim=8)
     rng = np.random.default_rng(5)
-    for i in range(20):
-        table.vectors[f"w{i:02d}"] = rng.normal(size=8).astype(np.float32)
+    table = EmbeddingTable(dim=8, vectors={
+        f"w{i:02d}": rng.normal(size=8).astype(np.float32) for i in range(20)})
     sentences = [[f"w{int(rng.integers(20)):02d}" for _ in range(6)]
                  for _ in range(30)]
     from oov_forge.corpus import SentenceStore, build_vocab
@@ -451,7 +450,7 @@ def test_criterion_7_real_benchmark_reproduction():
             ctxs = [decode_context(ids, vocab) for ids in ep.contexts]
             res = additive(ctxs, table)
             if not res.empty:
-                pairs.append((res.vector, table.vectors[w].astype(np.float64)))
+                pairs.append((res.vector, table[w].astype(np.float64)))
         alc = alacarte_fit(pairs)
         alc_report = evaluate_method(
             items, lambda w, ctxs: alacarte_infer(ctxs, alc, table), table,
@@ -471,9 +470,8 @@ def test_criterion_8_format_roundtrips(tmp_path, rng):
     checks = []
 
     # checkpoint: float32 fixed point, byte-identical second save
-    table = EmbeddingTable(dim=6)
-    for i in range(12):
-        table.vectors[f"w{i}"] = rng.normal(size=6).astype(np.float32)
+    table = EmbeddingTable(dim=6, vectors={
+        f"w{i}": rng.normal(size=6).astype(np.float32) for i in range(12)})
     mc = HiceConfig(embed_dim=6, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     model = HiceModel.from_table(mc, table)
     p1, p2 = tmp_path / "a.hice", tmp_path / "b.hice"
@@ -487,7 +485,7 @@ def test_criterion_8_format_roundtrips(tmp_path, rng):
     ep = tmp_path / "emb.txt"
     save_embeddings(table, ep)
     back = load_embeddings(ep)
-    assert all(np.array_equal(back[w], v) for w, v in table.vectors.items())
+    assert all(np.array_equal(back[w], v) for w, v in table.items())
     checks.append("embeddings")
 
     # benchmark TSV
@@ -501,7 +499,7 @@ def test_criterion_8_format_roundtrips(tmp_path, rng):
     checks.append("benchmark TSV")
 
     # attention report
-    vocab_words = list(table.vectors)
+    vocab_words = table.words()
     from oov_forge.corpus import SentenceStore, build_vocab
     sentences = [[vocab_words[0], vocab_words[1], vocab_words[2]]] * 3
     vocab = build_vocab(sentences, min_count=1)

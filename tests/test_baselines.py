@@ -214,7 +214,7 @@ def test_ngram_fit_reconstructs_training_words(rng):
     ngrams = ngram_fit(words, table, ridge=1e-6)
     for w in words:
         rec = ngram_sum(w, ngrams).vector
-        target = table.vectors[w].astype(np.float64)
+        target = table[w].astype(np.float64)
         cos = rec @ target / (np.linalg.norm(rec) * np.linalg.norm(target))
         assert cos > 0.95
 

@@ -133,7 +133,7 @@ def test_train_malformed_prepared_file_exits_2(prepared, tmp_path, name, line):
 
 def test_infer_additive_single_word_context(workdir, tmp_path, capsys):
     table = load_embeddings(workdir / "embeddings.txt")
-    known = next(iter(table.vectors))
+    known = next(iter(table))
     ctx = tmp_path / "ctx.txt"
     ctx.write_text(f"{known} newword\n")
     code = main(["infer", "--word", "newword", "--contexts-file", str(ctx),
@@ -144,7 +144,7 @@ def test_infer_additive_single_word_context(workdir, tmp_path, capsys):
     parts = line.split()
     assert parts[0] == "newword"
     vec = np.array([float(x) for x in parts[1:]])
-    assert np.allclose(vec, table.vectors[known].astype(np.float64))
+    assert np.allclose(vec, table[known].astype(np.float64))
 
 
 def test_infer_output_parses_as_embedding_row(workdir, checkpoint, tmp_path, capsys):
@@ -171,7 +171,7 @@ def test_infer_word_missing_from_contexts_exits_5(workdir, tmp_path):
 
 def test_infer_neighbors_listing(workdir, tmp_path, capsys):
     table = load_embeddings(workdir / "embeddings.txt")
-    known = sorted(table.vectors)[0]
+    known = sorted(table)[0]
     ctx = tmp_path / "ctx.txt"
     ctx.write_text(f"{known} target\n")
     code = main(["infer", "--word", "target", "--contexts-file", str(ctx),
@@ -193,12 +193,12 @@ def bench_tsv(workdir):
     """Pseudo-words are table rows, human ratings are cosine-generated, so
     the oracle method must score a perfect correlation."""
     table = load_embeddings(workdir / "embeddings.txt")
-    words = sorted(table.vectors)
+    words = sorted(table)
     probes = words[::8][:6]  # one per topic: distinct oracle vectors
     items = []
     for i, pw in enumerate(words[10:14]):
-        human = [cosine_np(table.vectors[pw].astype(np.float64),
-                           table.vectors[p].astype(np.float64)) for p in probes]
+        human = [cosine_np(table[pw].astype(np.float64),
+                           table[p].astype(np.float64)) for p in probes]
         fill = words[20 + 4 * i: 24 + 4 * i]
         items.append(EvalItem(
             pseudo_word=pw,
@@ -263,14 +263,14 @@ def test_eval_additive_on_planted_perfect_benchmark(workdir, tmp_path, capsys):
     from oov_forge.baselines import additive as additive_fn
     from oov_forge.evaluation import mask_contexts
     table = load_embeddings(workdir / "embeddings.txt")
-    words = sorted(table.vectors)
+    words = sorted(table)
     probes = words[::8][:6]
     items = []
     for i, pw in enumerate(["blick", "wug", "florp"]):
         raw = [f"{words[30 + 3 * i]} {pw} {words[31 + 3 * i]}",
                f"{words[32 + 3 * i]} with the {pw}"]
         est = additive_fn(mask_contexts(pw, raw), table).vector
-        human = [cosine_np(est, table.vectors[p].astype(np.float64))
+        human = [cosine_np(est, table[p].astype(np.float64))
                  for p in probes]
         items.append(EvalItem(pw, raw, list(probes), human, 2))
     bench = tmp_path / "planted.tsv"
@@ -287,7 +287,7 @@ def test_eval_additive_on_planted_perfect_benchmark(workdir, tmp_path, capsys):
 
 
 def test_eval_oracle_fails_an_item_missing_from_the_table(workdir, tmp_path):
-    probes = sorted(load_embeddings(workdir / "embeddings.txt").vectors)[::8][:6]
+    probes = sorted(load_embeddings(workdir / "embeddings.txt"))[::8][:6]
     bench = tmp_path / "missing.tsv"
     ratings = [float(i) for i in range(6)]
     save_benchmark_tsv([EvalItem("blick", ["a blick here"], probes, ratings, 2),
@@ -387,7 +387,7 @@ def test_adapt_replay_determinism(workdir, prepared, checkpoint, tmp_path):
 
 def test_neighbors_command(workdir, capsys):
     table = load_embeddings(workdir / "embeddings.txt")
-    word = sorted(table.vectors)[0]
+    word = sorted(table)[0]
     code = main(["neighbors", "--embeddings", str(workdir / "embeddings.txt"),
                  "--word", word, "--top", "4"])
     assert code == 0
@@ -419,6 +419,17 @@ def test_neighbors_unusable_vector_file_exits_2(workdir, tmp_path, capsys, text)
     code = main(["neighbors", "--embeddings", str(workdir / "embeddings.txt"),
                  "--vector-file", str(vec)])
     assert code == 2
+    assert "unexpected" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "1e300"], ids=["nan", "norm-overflow"])
+def test_neighbors_unusable_query_vector_exits_6(workdir, tmp_path, capsys, value):
+    dim = load_embeddings(workdir / "embeddings.txt").dim
+    vec = tmp_path / "vec.txt"
+    vec.write_text("word " + " ".join([value] * dim) + "\n")
+    code = main(["neighbors", "--embeddings", str(workdir / "embeddings.txt"),
+                 "--vector-file", str(vec)])
+    assert code == 6
     assert "unexpected" not in capsys.readouterr().err
 
 
@@ -502,14 +513,14 @@ def scooter_setup(tmp_path_factory):
     dim = 8
     centers = {t: rng.normal(size=dim) * 2.0
                for t in (*trained_topics, "lookalike")}
-    table = EmbeddingTable(dim=dim)
+    vectors = {}
     for t, words in trained_topics.items():
         for w in words:
-            table.vectors[w] = (centers[t] + 0.15 * rng.normal(size=dim)
-                                ).astype(np.float32)
+            vectors[w] = (centers[t] + 0.15 * rng.normal(size=dim)).astype(np.float32)
     for w in lookalikes:
-        table.vectors[w] = (centers["lookalike"] + 0.15 * rng.normal(size=dim)
-                            ).astype(np.float32)
+        vectors[w] = (centers["lookalike"] + 0.15 * rng.normal(size=dim)
+                      ).astype(np.float32)
+    table = EmbeddingTable(dim=dim, vectors=vectors)
     sentences = []
     for _ in range(500):
         t = list(trained_topics)[int(rng.integers(len(trained_topics)))]
@@ -519,7 +530,7 @@ def scooter_setup(tmp_path_factory):
                                   for _ in range(length)))
     (root / "corpus.txt").write_text("\n".join(sentences) + "\n")
     save_embeddings(table, root / "embeddings.txt")
-    ngrams = ngram_fit(list(table.vectors), table, ridge=1e-4)
+    ngrams = ngram_fit(table.words(), table, ridge=1e-4)
     ngrams.save(root / "grams.ngr")
     return root
 

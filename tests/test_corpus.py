@@ -7,7 +7,7 @@ from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab,
                               contexts_of, load_embeddings, load_stopwords,
                               read_sentences, save_embeddings, split_words,
                               tokenize)
-from oov_forge.errors import FormatError, IngestionError
+from oov_forge.errors import FormatError, IngestionError, InputError
 
 
 def test_tokenize_basic():
@@ -124,6 +124,34 @@ def test_embeddings_header_count_mismatch(tmp_path):
         load_embeddings(path)
 
 
+def test_embeddings_overstated_header_is_a_format_error(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("1000000000000 2\nfoo 1 2\n")
+    with pytest.raises(FormatError, match="header promises"):
+        load_embeddings(path)
+
+
+def test_embedding_table_is_a_read_only_row_map():
+    vectors = {"b": np.array([1, 2], np.float32), "a": np.array([3, 4], np.float32)}
+    table = EmbeddingTable(dim=2, vectors=vectors, source="mem")
+    assert table.words() == list(table) == ["b", "a"] and len(table) == 2
+    assert table.index == {"b": 0, "a": 1}
+    assert "a" in table and "z" not in table and table.get("z") is None
+    assert table["a"].dtype == np.float32 and np.array_equal(table["a"], [3, 4])
+    with pytest.raises(KeyError, match="'z'"):
+        table["z"]
+    with pytest.raises(ValueError):
+        table["a"][0] = 9
+    vectors["a"][0] = 9  # the table holds its own rows
+    assert table["a"][0] == 3
+    with pytest.raises(InputError):
+        EmbeddingTable(dim=3, vectors=vectors)
+    with pytest.raises(InputError, match="duplicate"):
+        EmbeddingTable.from_rows(["a", "a"], np.zeros((2, 2), np.float32))
+    rows = np.zeros((2, 2), np.float32)
+    assert np.shares_memory(EmbeddingTable.from_rows(["x", "y"], rows).matrix, rows)
+
+
 def test_embeddings_nonfinite_rejected(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("1 2\nfoo nan 2\n")
@@ -132,15 +160,16 @@ def test_embeddings_nonfinite_rejected(tmp_path):
 
 
 def test_embeddings_roundtrip_float32_identical(tmp_path, rng):
-    table = EmbeddingTable(dim=4)
+    vectors = {}
     for i in range(10):
         scale = 10.0 ** float(rng.integers(-3, 4))
-        table.vectors[f"w{i}"] = (rng.normal(size=4) * scale).astype(np.float32)
+        vectors[f"w{i}"] = (rng.normal(size=4) * scale).astype(np.float32)
+    table = EmbeddingTable(dim=4, vectors=vectors)
     path = tmp_path / "emb.txt"
     save_embeddings(table, path)
     loaded = load_embeddings(path)
     assert loaded.dim == table.dim
-    for w, vec in table.vectors.items():
+    for w, vec in vectors.items():
         assert np.array_equal(loaded[w], vec)
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.errors import EvaluationError, FormatError, InferenceError
@@ -96,7 +97,7 @@ def _synthetic_benchmark(rng, n_items=6, dim=5):
         pw = f"nonce{i}"
         vec = rng.normal(size=dim)
         planted[pw] = vec
-        human = [cosine_np(vec, table.vectors[w].astype(np.float64))
+        human = [cosine_np(vec, table[w].astype(np.float64))
                  for w in words]
         items.append(EvalItem(
             pseudo_word=pw,
@@ -126,7 +127,7 @@ def test_evaluate_method_per_item_rho_recomputable(rng):
     report = evaluate_method(items, fuzzy, table, method="fuzzy")
     for item, res in zip(items, report.items):
         vec = fuzzy(item.pseudo_word, None)
-        machine = [cosine_np(vec, table.vectors[p].astype(np.float64))
+        machine = [cosine_np(vec, table[p].astype(np.float64))
                    for p in item.probes]
         assert res.rho == pytest.approx(spearman(machine, item.human), abs=1e-15)
 
@@ -201,7 +202,7 @@ def test_nearest_neighbors_excludes_query_word(rng):
         "b": np.array([0.9, 0.1, 0.0], dtype=np.float32),
         "c": np.array([0.0, 1.0, 0.0], dtype=np.float32),
     })
-    got = nearest_neighbors(table.vectors["a"].astype(np.float64), table, 2,
+    got = nearest_neighbors(table["a"].astype(np.float64), table, 2,
                             exclude=("a",))
     assert [w for w, _ in got] == ["b", "c"]
 
@@ -223,11 +224,82 @@ def test_nearest_neighbors_matches_full_scan(rng):
     q = rng.normal(size=6)
     got = nearest_neighbors(q, table, 7)
     brute = sorted(
-        ((w, cosine_np(q, v.astype(np.float64))) for w, v in table.vectors.items()),
+        ((w, cosine_np(q, v.astype(np.float64))) for w, v in table.items()),
         key=lambda wc: (-wc[1], wc[0]))[:7]
     assert [w for w, _ in got] == [w for w, _ in brute]
     with pytest.raises(EvaluationError):
         nearest_neighbors(q, table, 0)
+
+
+def per_row_nearest(vector, table, top_k, exclude=()):
+    """The reference: cosine_np against every row, zero-norm rows skipped,
+    sorted by (-cosine, word)."""
+    scored = []
+    for word in table:
+        if word in exclude:
+            continue
+        try:
+            scored.append((word, cosine_np(vector, table[word])))
+        except EvaluationError:
+            continue
+    scored.sort(key=lambda wc: (-wc[1], wc[0]))
+    return scored[:top_k]
+
+
+@st.composite
+def _neighbor_cases(draw):
+    """Tables drawn from a few distinct rows, so exact duplicates, zero rows
+    and rows too small or too large to screen in float32 all occur."""
+    dim = draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-30, 1e30]),
+                      st.floats(-4, 4, width=32))
+    row = st.lists(value, min_size=dim, max_size=dim).map(
+        lambda r: np.array(r, dtype=np.float32))
+    pool = draw(st.lists(row, min_size=1, max_size=4)) + [np.zeros(dim, np.float32)]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    names = draw(st.permutations([f"w{i:02d}" for i in range(len(picks))]))
+    table = EmbeddingTable(dim=dim, vectors={n: pool[p] for n, p in zip(names, picks)})
+    query = draw(st.one_of(row, st.sampled_from(names).map(lambda w: table[w])))
+    query = query.astype(draw(st.sampled_from([np.float32, np.float64])))
+    exclude = tuple(draw(st.lists(st.sampled_from(names + ["absent"]), max_size=3)))
+    return table, query, draw(st.integers(1, len(names) + 2)), exclude
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e30 rows
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_neighbor_cases())
+def test_nearest_neighbors_equals_the_per_row_scan(case):
+    table, query, top_k, exclude = case
+    if not np.isfinite(np.linalg.norm(query)):  # a float32 query of 1e30s
+        with pytest.raises(EvaluationError, match="overflows"):
+            nearest_neighbors(query, table, top_k, exclude=exclude)
+        return
+    assert (nearest_neighbors(query, table, top_k, exclude=exclude)
+            == per_row_nearest(query, table, top_k, exclude))
+
+
+def test_nearest_neighbors_equals_the_per_row_scan_among_near_ties(rng):
+    # 400 rows within a few float32 ulps of one direction: every score near
+    # the k-th lies inside the screening bound and is settled exactly
+    base = rng.normal(size=24)
+    rows = base * (1 + rng.integers(-8, 9, size=(400, 24)) * 2.0 ** -23)
+    other = rng.normal(size=(600, 24))
+    table = EmbeddingTable(dim=24, vectors={
+        f"r{i:04d}": v.astype(np.float32)
+        for i, v in enumerate(rng.permutation(np.vstack([rows, other])))})
+    for query in (base, base.astype(np.float32), rng.normal(size=24)):
+        for top_k in (1, 10, 450, 2000):
+            assert (nearest_neighbors(query, table, top_k, exclude=("r0003",))
+                    == per_row_nearest(query, table, top_k, ("r0003",)))
+
+
+@pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 0.0], [1e300, 1e300]],
+                         ids=["nan", "inf", "norm-overflow"])
+def test_nearest_neighbors_rejects_an_unusable_query(query):
+    table = EmbeddingTable(dim=2, vectors={"a": np.array([1, 0], np.float32),
+                                           "b": np.array([1, 1], np.float32)})
+    with pytest.raises(EvaluationError):
+        nearest_neighbors(np.array(query), table, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from oov_forge import container
 from oov_forge.container import (pack_text, read_container, unpack_text,
                                  write_container)
+from oov_forge.corpus import EmbeddingTable, save_embeddings
 from oov_forge.errors import FormatError
 from oov_forge.model import AttentionReport, parse_attention_report
 
@@ -59,39 +60,59 @@ def test_container_trailing_bytes(tmp_path):
         read_container(path, "TST1")
 
 
+class DiskFull:
+    """A file whose first write of 64 or more bytes or characters stops
+    half-way."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        if len(data) >= 64:
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+def fill_the_disk(monkeypatch):
+    """Make every file the atomic writer opens a DiskFull."""
+    real_open = open
+    monkeypatch.setattr(container, "open",
+                        lambda *a, **kw: DiskFull(real_open(*a, **kw)), raising=False)
+
+
 def test_container_failed_write_keeps_the_previous_file(tmp_path, rng, monkeypatch):
     path = tmp_path / "blob.bin"
     write_container(path, "TST1", {"k": "v"},
                     [("m", rng.normal(size=(4, 4)).astype(np.float32))])
     before = path.read_bytes()
-    real_open = open
-
-    class DiskFull:
-        """A file whose first payload-sized write stops half-way."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, data):
-            if len(data) >= 64:
-                self.fh.write(data[: len(data) // 2])
-                raise OSError(28, "No space left on device")
-            return self.fh.write(data)
-
-    monkeypatch.setattr(container, "open",
-                        lambda *a, **kw: DiskFull(real_open(*a, **kw)), raising=False)
+    fill_the_disk(monkeypatch)
     with pytest.raises(OSError, match="No space"):
         write_container(path, "TST1", {"k": "w"},
                         [("m", rng.normal(size=(8, 8)).astype(np.float32))])
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+
+def test_save_embeddings_failed_write_keeps_the_previous_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "emb.txt"
+    save_embeddings(EmbeddingTable(dim=4, vectors={
+        f"w{i}": rng.normal(size=4).astype(np.float32) for i in range(5)}), path)
+    before = path.read_bytes()
+    fill_the_disk(monkeypatch)
+    with pytest.raises(OSError, match="No space"):  # the first row stops half-way
+        save_embeddings(EmbeddingTable(dim=4, vectors={
+            "new": rng.normal(size=4).astype(np.float32)}), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
 
 
 def test_container_rejects_nonfinite_floats(tmp_path):

@@ -230,6 +230,24 @@ def test_encode_context_length_contracts():
         make_model(n_context_blocks=0)
 
 
+@pytest.mark.parametrize("pool", ["Mean", "mean ", "MASK", "max", ""])
+def test_config_rejects_an_unknown_context_pool(pool):
+    with pytest.raises(InputError, match="context_pool"):
+        HiceConfig(embed_dim=8, context_pool=pool)
+
+
+def test_model_shares_the_table_rows():
+    model, table = make_model()
+    assert np.shares_memory(model.frozen, table.matrix)
+    assert not model.frozen.flags.writeable
+    assert model.frozen_words == table.words()
+    frozen = model.frozen_table()
+    assert frozen.words() == table.words() and frozen.matrix is model.frozen
+    # the MASK/UNK rows start at the float64 mean of the frozen rows
+    mean = table.matrix.astype(np.float64).mean(axis=0)
+    assert np.array_equal(model.special_embed.data, np.stack([mean, mean]))
+
+
 def test_gradient_reaches_positional_weights():
     model, table = make_model()
     vocab, store = make_corpus()

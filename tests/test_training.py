@@ -279,6 +279,7 @@ def test_checkpoint_truncation_is_a_typed_error(tmp_path):
 @pytest.mark.parametrize("edit, message", [
     ("drop_words", "missing frozen embedding block"),
     ("extra_word", "word list does not match frozen rows"),
+    ("duplicate_word", "duplicate word"),
 ])
 def test_checkpoint_frozen_block_must_be_whole(tmp_path, edit, message):
     vocab, store, table, oracle, _ = small_task()
@@ -289,10 +290,23 @@ def test_checkpoint_frozen_block_must_be_whole(tmp_path, edit, message):
     if edit == "drop_words":
         arrays = [(n, a) for n, a in arrays if n != "frozen_words"]
     else:
-        arrays = [(n, pack_text("\n".join(model.frozen_words + ["extra"])))
-                  if n == "frozen_words" else (n, a) for n, a in arrays]
+        words = model.frozen_words
+        words = words + ["extra"] if edit == "extra_word" else words[:-1] + words[:1]
+        arrays = [(n, pack_text("\n".join(words))) if n == "frozen_words" else (n, a)
+                  for n, a in arrays]
     write_container(path, "HICE1", config, arrays)
     with pytest.raises(FormatError, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("pool", ["Mean", "mean ", "max"])
+def test_checkpoint_with_an_unknown_context_pool_is_a_format_error(tmp_path, pool):
+    vocab, store, table, oracle, _ = small_task()
+    path = tmp_path / "model.hice"
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    config, arrays = read_container(path, "HICE1")
+    write_container(path, "HICE1", {**config, "context_pool": pool}, arrays)
+    with pytest.raises(FormatError, match="context_pool"):
         load_checkpoint(path)
 
 
