@@ -28,10 +28,11 @@ import numpy as np
 
 from . import baselines
 from .adaptation import AdaptConfig, adapt, finetune
+from .container import atomic_open
 from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
                      SentenceStore, Vocabulary, contexts_of, format_vector,
                      load_embeddings, prepare_corpus, read_sentences,
-                     split_words)
+                     read_text, split_words)
 from .episode import (MASK_TOKEN, decode_context, eligible_targets,
                       episode_from_masked, sample_episode)
 from .errors import (EvaluationError, FormatError, InferenceError,
@@ -53,11 +54,7 @@ def load_config_file(path) -> dict[str, str]:
     """Line-oriented 'key = value' config. A line whose first non-blank
     character is '#' is a comment; elsewhere '#' is part of the value."""
     out = {}
-    try:
-        lines = open(path, encoding="utf-8").read().splitlines()
-    except OSError as e:
-        raise IngestionError(f"cannot read config {path}: {e}") from e
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, "config").splitlines(), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
@@ -69,7 +66,7 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def write_config_file(path, config: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for key in sorted(config):
             fh.write(f"{key} = {config[key]}\n")
 
@@ -104,15 +101,15 @@ RUN_CONFIG_FILE = "run_config.txt"
 def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore,
                    run_cfg: dict[str, str]) -> tuple[list[str], list[str]]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / VOCAB_FILE, "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / VOCAB_FILE, "w", encoding="utf-8") as fh:
         for i, word in enumerate(vocab.words):
             fh.write(f"{word}\t{vocab.counts[i]}\t{int(vocab.stop_flags[i])}\t"
                      f"{int(vocab.counts[i] > vocab.min_count)}\n")
-    with open(out_dir / SENTENCES_FILE, "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / SENTENCES_FILE, "w", encoding="utf-8") as fh:
         for sent in store.sentences:
             fh.write(" ".join(str(t) for t in sent) + "\n")
     train_words, val_words = split_words(vocab.eligible_words())
-    with open(out_dir / SPLIT_FILE, "w", encoding="utf-8") as fh:
+    with atomic_open(out_dir / SPLIT_FILE, "w", encoding="utf-8") as fh:
         for w in sorted(train_words):
             fh.write(f"{w}\ttrain\n")
         for w in sorted(val_words):
@@ -121,19 +118,13 @@ def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore,
     return train_words, val_words
 
 
-def _prepared_lines(prepared_dir: Path, name: str) -> list[str]:
-    try:
-        return open(prepared_dir / name, encoding="utf-8").read().splitlines()
-    except OSError as e:
-        raise IngestionError(f"cannot read prepared {name}: {e}") from e
-
-
 def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, str]]:
     prepared_dir = Path(prepared_dir)
     run_cfg = load_config_file(prepared_dir / RUN_CONFIG_FILE)
     min_count = int(run_cfg.get("min_count", DEFAULT_MIN_COUNT))
     words, counts, stops = [], [], []
-    for lineno, line in enumerate(_prepared_lines(prepared_dir, VOCAB_FILE), start=1):
+    vocab_lines = read_text(prepared_dir / VOCAB_FILE, "prepared").splitlines()
+    for lineno, line in enumerate(vocab_lines, start=1):
         parts = line.split("\t")
         if len(parts) != 4:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: expected 4 fields")
@@ -145,7 +136,8 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
         stops.append(parts[2] == "1")
     vocab = Vocabulary(words, counts, stops, min_count)
     sentences = []
-    for lineno, line in enumerate(_prepared_lines(prepared_dir, SENTENCES_FILE), start=1):
+    sentence_lines = read_text(prepared_dir / SENTENCES_FILE, "prepared").splitlines()
+    for lineno, line in enumerate(sentence_lines, start=1):
         try:
             sentences.append([int(t) for t in line.split()])
         except ValueError:
@@ -212,7 +204,7 @@ def cmd_train(args) -> int:
     })
     save_checkpoint(model, out, extra_config={f"run.{k}": v for k, v in extra.items()})
     csv_path = Path(args.report or (str(out) + ".csv"))
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with atomic_open(csv_path, "w", encoding="utf-8") as fh:
         for k in sorted(extra):
             fh.write(f"# {k} = {extra[k]}\n")
         fh.write(report.to_csv())
@@ -283,7 +275,7 @@ def _infer_vector(args, word: str, masked: list[list[str]]) -> tuple[np.ndarray,
                                         max_word_len=model.config.max_word_len,
                                         max_len=model.config.max_len)
         vec = model.predict_vector(ep, vocab)
-        return vec, table or model.frozen_table()
+        return vec, table or model.table
     if method in ("additive", "additive-ns"):
         if table is None:
             raise InferenceError(f"method {method} needs --embeddings")
@@ -415,7 +407,7 @@ def cmd_eval(args) -> int:
     })
     header = "".join(f"# {k} = {run_cfg[k]}\n" for k in sorted(run_cfg))
     summary_path = out_dir / "eval_summary.csv"
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with atomic_open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.write("method,shot,mean_rho,pooled_rho,items,failed\n")
         for rep in reports:
@@ -426,7 +418,7 @@ def cmd_eval(args) -> int:
                 fh.write(f"{rep.method},{shot},{rep.mean_by_shot[shot]!r},"
                          f"{pooled!r},{n},{failed}\n")
     items_path = out_dir / "eval_items.csv"
-    with open(items_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(items_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         rows = csv.writer(fh, lineterminator="\n")  # a reason may hold commas
         rows.writerow(["method", "shot", "pseudo_word", "rho", "failed", "reason"])
@@ -436,7 +428,8 @@ def cmd_eval(args) -> int:
             for rep in reports for r in rep.items)
     print(render_text_table(reports))
     if args.svg:
-        Path(args.svg).write_text(render_svg(reports, run_cfg), encoding="utf-8")
+        with atomic_open(args.svg, "w", encoding="utf-8") as fh:
+            fh.write(render_svg(reports, run_cfg))
         print(f"chart: {args.svg}")
     print(f"summary: {summary_path}")
     print(f"per-item: {items_path}")
@@ -453,7 +446,7 @@ def cmd_neighbors(args) -> int:
     else:
         if not args.vector_file:
             raise InferenceError("pass --word or --vector-file")
-        lines = open(args.vector_file, encoding="utf-8").read().strip().splitlines()
+        lines = read_text(args.vector_file, "vector file").strip().splitlines()
         if not lines:
             raise FormatError(f"{args.vector_file}: empty vector file")
         parts = lines[-1].split()

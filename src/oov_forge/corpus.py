@@ -37,17 +37,22 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def read_sentences(path) -> list[list[str]]:
-    """Read a one-sentence-per-line corpus into token lists."""
+def read_text(path, what: str) -> str:
+    """A whole UTF-8 text file; a file that cannot be read or decoded raises
+    IngestionError."""
     try:
         raw = open(path, "rb").read()
     except OSError as e:
-        raise IngestionError(f"cannot read corpus {path}: {e}") from e
+        raise IngestionError(f"cannot read {what} {path}: {e}") from e
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: invalid UTF-8 at byte {e.start}") from e
-    return [tokenize(line) for line in text.splitlines()]
+
+
+def read_sentences(path) -> list[list[str]]:
+    """Read a one-sentence-per-line corpus into token lists."""
+    return [tokenize(line) for line in read_text(path, "corpus").splitlines()]
 
 
 def load_stopwords(path=None) -> frozenset[str]:

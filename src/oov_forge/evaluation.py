@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .container import atomic_open
 from .corpus import EmbeddingTable, tokenize
 from .episode import MASK_TOKEN
 from .errors import EvaluationError, FormatError, OovForgeError
@@ -87,6 +88,8 @@ def spearman(a, b) -> float:
 
 
 def cosine_np(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine in the inputs' own precision; when a float32 square sum or dot
+    product overflows (numpy warns), it is recomputed in float64."""
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
@@ -96,7 +99,13 @@ def cosine_np(u: np.ndarray, v: np.ndarray) -> float:
     except ValueError:
         raise EvaluationError(f"cosine of vectors of shapes {np.shape(u)} "
                               f"and {np.shape(v)}") from None
-    return float(np.clip(dot / (nu * nv), -1.0, 1.0))
+    if math.isfinite(dot) and math.isfinite(nu * nv):
+        return float(np.clip(dot / (nu * nv), -1.0, 1.0))
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    cos = float(u @ v) / float(np.linalg.norm(u)) / float(np.linalg.norm(v))
+    if not math.isfinite(cos):
+        raise EvaluationError("cosine is not finite even in float64")
+    return float(np.clip(cos, -1.0, 1.0))
 
 
 @dataclass
@@ -248,7 +257,7 @@ def nearest_neighbors(vector: np.ndarray, table: EmbeddingTable, top_k: int,
 # ---------------------------------------------------------------------------
 
 def save_benchmark_tsv(items: list[EvalItem], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for item in items:
             fh.write("\t".join([
                 item.pseudo_word,

@@ -101,23 +101,32 @@ class HiceConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "HiceConfig":
-        if d["context_pool"] not in CONTEXT_POOLS:
-            raise FormatError(f"config: unknown context_pool {d['context_pool']!r}")
+        def get(key: str, default: str | None = None) -> str:
+            value = d.get(key, default)
+            if value is None:
+                raise FormatError(f"config: missing {key!r}")
+            return value
+
+        def integer(key: str, default: str | None = None, parse=int):
+            value = get(key, default)
+            try:
+                return parse(value)
+            except ValueError:
+                raise FormatError(f"config: {key} {value!r} is not an integer") from None
+
+        pool = get("context_pool")
+        if pool not in CONTEXT_POOLS:
+            raise FormatError(f"config: unknown context_pool {pool!r}")
         return cls(
-            embed_dim=int(d["embed_dim"]),
-            n_heads=int(d["n_heads"]),
-            d_model=int(d["d_model"]),
-            d_ff=int(d["d_ff"]),
-            n_context_blocks=int(d["n_context_blocks"]),
-            n_agg_blocks=int(d["n_agg_blocks"]),
-            char_emb_dim=int(d["char_emb_dim"]),
-            char_filters=int(d["char_filters"]),
-            filter_widths=tuple(int(w) for w in d["filter_widths"].split(",")),
-            max_len=int(d["max_len"]),
-            max_word_len=int(d["max_word_len"]),
-            use_morph=d["use_morph"] == "true",
-            context_pool=d["context_pool"],
-            seed=int(d.get("seed", "0")),
+            **{key: integer(key) for key in (
+                "embed_dim", "n_heads", "d_model", "d_ff", "n_context_blocks",
+                "n_agg_blocks", "char_emb_dim", "char_filters", "max_len",
+                "max_word_len")},
+            filter_widths=integer(
+                "filter_widths", parse=lambda v: tuple(int(w) for w in v.split(","))),
+            use_morph=get("use_morph") == "true",
+            context_pool=pool,
+            seed=integer("seed", "0"),
         )
 
 
@@ -128,14 +137,12 @@ class AttentionBlockParams:
                  rng: np.random.Generator):
         if d_model % n_heads:
             raise InputError(f"d_model {d_model} not divisible by {n_heads} heads")
-        d_head = d_model // n_heads
         s_in = 1.0 / math.sqrt(d_model)
-        self.heads = [
-            (tc.parameter(rng.normal(size=(d_model, d_head)) * s_in),
-             tc.parameter(rng.normal(size=(d_model, d_head)) * s_in),
-             tc.parameter(rng.normal(size=(d_model, d_head)) * s_in))
-            for _ in range(n_heads)
-        ]
+        # [head, (q, k, v)] blocks of d_head columns; wq holds every head's
+        # query block, wkv every head's key block, then every value block
+        w = rng.normal(size=(n_heads, 3, d_model, d_model // n_heads)) * s_in
+        self.wq = tc.parameter(w[:, 0].transpose(1, 0, 2).reshape(d_model, -1))
+        self.wkv = tc.parameter(w[:, 1:].transpose(2, 1, 0, 3).reshape(d_model, -1))
         self.wo = tc.parameter(rng.normal(size=(d_model, d_model)) * s_in)
         self.w1 = tc.parameter(rng.normal(size=(d_model, d_ff)) * s_in)
         self.b1 = tc.parameter(np.zeros(d_ff))
@@ -146,12 +153,11 @@ class AttentionBlockParams:
         self.ln2_g = tc.parameter(np.ones(d_model))
         self.ln2_b = tc.parameter(np.zeros(d_model))
         self.d_model = d_model
+        self.n_heads = n_heads
 
     def named(self, prefix: str):
-        for i, (wq, wk, wv) in enumerate(self.heads):
-            yield f"{prefix}.head{i}.wq", wq
-            yield f"{prefix}.head{i}.wk", wk
-            yield f"{prefix}.head{i}.wv", wv
+        yield f"{prefix}.wq", self.wq
+        yield f"{prefix}.wkv", self.wkv
         yield f"{prefix}.wo", self.wo
         yield f"{prefix}.ffn.w1", self.w1
         yield f"{prefix}.ffn.b1", self.b1
@@ -205,25 +211,22 @@ def _picked(x: Tensor, rows: np.ndarray | None) -> Tensor:
 def _attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segments,
                sink: list | None, rows: np.ndarray | None) -> Tensor:
     # self_attention with the picked rows xq of x already gathered
-    n_heads = len(p.heads)
-    d_head = p.d_model // n_heads
+    split = (-1, p.n_heads, p.d_model // p.n_heads)
     picked = (seqs.index if rows is None else rows) >= 0
     # slot of each picked row in xq, -1 past the end of a sequence
     q_slot = np.where(picked, np.cumsum(picked).reshape(picked.shape) - 1, -1)
-    w_q = tc.concat_cols([wq for wq, _, _ in p.heads])
-    q = tc.gather_rows(tc.reshape(tc.matmul(xq, w_q), (-1, n_heads, d_head)), q_slot)
-    # columns: every head's key block, then every value block, so row
-    # 2t + j of the reshape holds part j (k, v) of packed row t
-    w_kv = tc.concat_cols([head[j] for j in (1, 2) for head in p.heads])
-    kv = tc.reshape(tc.matmul(x, w_kv), (-1, n_heads, d_head))
+    q = tc.gather_rows(tc.reshape(tc.matmul(xq, p.wq), split), q_slot)
+    # wkv's key columns come before its value columns, so row 2t + j of the
+    # reshape holds part j (k, v) of packed row t
+    kv = tc.reshape(tc.matmul(x, p.wkv), split)
     k, v = (tc.gather_rows(kv, np.where(seqs.valid, 2 * seqs.index + j, -1))
             for j in range(2))
     scores = tc.scale(tc.einsum("slhe,smhe->shlm", q, k), 1.0 / math.sqrt(p.d_model))
     attn = tc.softmax(scores, -1, mask=seqs.valid[:, None, None, :])
     if sink is not None:
         sink.append(attn.data)
-    heads = tc.reshape(tc.einsum("shlm,smhe->slhe", attn, v), (-1, p.d_model))
-    return tc.matmul(tc.gather_rows(heads, np.flatnonzero(picked)), p.wo)
+    out = tc.reshape(tc.einsum("shlm,smhe->slhe", attn, v), (-1, p.d_model))
+    return tc.matmul(tc.gather_rows(out, np.flatnonzero(picked)), p.wo)
 
 
 def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
@@ -498,10 +501,6 @@ class HiceModel:
             ],
             aggregator_matrices=[a[0, h, :k, :k].copy() for a in agg_sink for h in heads],
         )
-
-    def frozen_table(self) -> EmbeddingTable:
-        """The frozen rows as an embedding table (neighbor probes)."""
-        return self.table
 
     # ------------------------------------------------------------------
     # state

@@ -8,7 +8,7 @@ import synthetic_task
 from oov_forge import cli
 from oov_forge.baselines import ngram_fit
 from oov_forge.cli import main
-from oov_forge.container import read_container
+from oov_forge.container import read_container, write_container
 from oov_forge.corpus import EmbeddingTable, load_embeddings, save_embeddings
 from oov_forge.errors import EpisodeError, FormatError
 from oov_forge.evaluation import EvalItem, cosine_np, save_benchmark_tsv
@@ -158,6 +158,22 @@ def test_infer_output_parses_as_embedding_row(workdir, checkpoint, tmp_path, cap
     emb.write_text(f"1 8\n{line}\n")
     parsed = load_embeddings(emb)  # the row format round-trips
     assert "flurble" in parsed
+
+
+@pytest.mark.parametrize("edit", [{"n_heads": None}, {"n_heads": "two"}],
+                         ids=["missing-n_heads", "n_heads-two"])
+def test_infer_checkpoint_with_a_bad_config_exits_2(workdir, checkpoint, tmp_path,
+                                                    capsys, edit):
+    config, arrays = read_container(checkpoint, CHECKPOINT_MAGIC)
+    config = {k: v for k, v in {**config, **edit}.items() if v is not None}
+    bad = tmp_path / "bad.hice"
+    write_container(bad, CHECKPOINT_MAGIC, config, arrays)
+    ctx = tmp_path / "ctx.txt"
+    ctx.write_text("t00w00 flurble t00w01\n")
+    code = main(["infer", "--word", "flurble", "--contexts-file", str(ctx),
+                 "--method", "hice", "--checkpoint", str(bad)])
+    assert code == 2
+    assert "n_heads" in capsys.readouterr().err
 
 
 def test_infer_word_missing_from_contexts_exits_5(workdir, tmp_path):
@@ -411,11 +427,14 @@ def test_neighbors_non_numeric_vector_file_exits_2(workdir, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("text", ["", "\n\n", "word 0.5 0.25\n", "word\n"],
-                         ids=["empty", "blank", "wrong-dimension", "no-values"])
-def test_neighbors_unusable_vector_file_exits_2(workdir, tmp_path, capsys, text):
+@pytest.mark.parametrize("content", [b"", b"\n\n", b"word 0.5 0.25\n", b"word\n",
+                                     None, b"word \xff 0.5\n"],
+                         ids=["empty", "blank", "wrong-dimension", "no-values",
+                              "missing", "non-utf8"])
+def test_neighbors_unusable_vector_file_exits_2(workdir, tmp_path, capsys, content):
     vec = tmp_path / "vec.txt"
-    vec.write_text(text)
+    if content is not None:
+        vec.write_bytes(content)
     code = main(["neighbors", "--embeddings", str(workdir / "embeddings.txt"),
                  "--vector-file", str(vec)])
     assert code == 2

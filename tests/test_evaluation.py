@@ -293,6 +293,32 @@ def test_nearest_neighbors_equals_the_per_row_scan_among_near_ties(rng):
                     == per_row_nearest(query, table, top_k, ("r0003",)))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cosine_of_a_float32_row_whose_square_sum_overflows():
+    v = np.full(4, 1e20, np.float32)  # finite, but its float32 square sum is not
+    assert cosine_np(v, v) == 1.0
+    assert cosine_np(v.astype(np.float64), v) == 1.0
+    assert cosine_np(-v, v) == -1.0
+    assert cosine_np(np.array([1.0, 0.0, 0.0, 0.0]), v) == 0.5
+    for bad in ([np.inf, 1.0, 1.0, 1.0], [np.nan, 1.0, 1.0, 1.0], [1e300] * 4):
+        with pytest.raises(EvaluationError, match="not finite"):
+            cosine_np(np.array(bad), v)
+    # a neighbour search scores such a row exactly
+    table = EmbeddingTable(dim=4, vectors={"big": v, "unit": np.eye(4, dtype=np.float32)[1]})
+    assert nearest_neighbors(np.ones(4), table, 2) == [("big", 1.0), ("unit", 0.5)]
+
+
+def test_cosine_of_finite_inputs_keeps_its_arithmetic(rng):
+    # the benchmark generator copies this arithmetic so that ranks agree
+    for dtype in (np.float32, np.float64):
+        for _ in range(50):
+            u, v = rng.normal(size=(2, 300)) * 10.0 ** rng.integers(-8, 9)
+            u, v = u.astype(dtype), v.astype(np.float64)
+            want = float(np.clip(float(u @ v) / (float(np.linalg.norm(u))
+                                                 * float(np.linalg.norm(v))), -1.0, 1.0))
+            assert cosine_np(u, v) == want
+
+
 @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 0.0], [1e300, 1e300]],
                          ids=["nan", "inf", "norm-overflow"])
 def test_nearest_neighbors_rejects_an_unusable_query(query):

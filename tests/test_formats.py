@@ -3,14 +3,18 @@ format: the binary container, checkpoints, embedding tables, benchmark TSVs,
 and attention reports. Corruption must always surface as FormatError (or
 IngestionError for unreadable text), never as an unhandled crash."""
 
+import os
+
 import numpy as np
 import pytest
 
-from oov_forge import container
+from oov_forge import cli, container
 from oov_forge.container import (pack_text, read_container, unpack_text,
                                  write_container)
-from oov_forge.corpus import EmbeddingTable, save_embeddings
+from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab,
+                              save_embeddings)
 from oov_forge.errors import FormatError
+from oov_forge.evaluation import EvalItem, save_benchmark_tsv
 from oov_forge.model import AttentionReport, parse_attention_report
 
 
@@ -61,11 +65,12 @@ def test_container_trailing_bytes(tmp_path):
 
 
 class DiskFull:
-    """A file whose first write of 64 or more bytes or characters stops
-    half-way."""
+    """A file that takes 64 bytes or characters: the write that would go
+    past them stops there."""
 
     def __init__(self, fh):
         self.fh = fh
+        self.room = 64
 
     def __enter__(self):
         return self
@@ -74,17 +79,24 @@ class DiskFull:
         self.fh.close()
 
     def write(self, data):
-        if len(data) >= 64:
-            self.fh.write(data[: len(data) // 2])
+        if len(data) > self.room:
+            self.fh.write(data[: self.room])
+            self.room = 0
             raise OSError(28, "No space left on device")
+        self.room -= len(data)
         return self.fh.write(data)
 
 
-def fill_the_disk(monkeypatch):
-    """Make every file the atomic writer opens a DiskFull."""
+def fill_the_disk(monkeypatch, name=""):
+    """Make every file the atomic writer opens whose name starts with
+    ``name`` a DiskFull."""
     real_open = open
-    monkeypatch.setattr(container, "open",
-                        lambda *a, **kw: DiskFull(real_open(*a, **kw)), raising=False)
+
+    def full_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        return DiskFull(fh) if os.path.basename(path).startswith(name) else fh
+
+    monkeypatch.setattr(container, "open", full_open, raising=False)
 
 
 def test_container_failed_write_keeps_the_previous_file(tmp_path, rng, monkeypatch):
@@ -107,12 +119,93 @@ def test_save_embeddings_failed_write_keeps_the_previous_file(tmp_path, rng, mon
         f"w{i}": rng.normal(size=4).astype(np.float32) for i in range(5)}), path)
     before = path.read_bytes()
     fill_the_disk(monkeypatch)
-    with pytest.raises(OSError, match="No space"):  # the first row stops half-way
+    with pytest.raises(OSError, match="No space"):  # the first row stops part-way
         save_embeddings(EmbeddingTable(dim=4, vectors={
             "new": rng.normal(size=4).astype(np.float32)}), path)
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+
+
+def test_save_benchmark_tsv_failed_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "bench.tsv"
+    item = EvalItem("car", ["the car on the road"], ["bike", "music"], [2.0, 1.0], 2)
+    save_benchmark_tsv([item], path)
+    before = path.read_bytes()
+    fill_the_disk(monkeypatch)
+    with pytest.raises(OSError, match="No space"):
+        save_benchmark_tsv([item, item], path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["bench.tsv"]
+
+
+@pytest.mark.parametrize("name", [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE,
+                                  cli.RUN_CONFIG_FILE])
+def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
+    # each file of a prepared directory is replaced whole or not at all
+    sentences = [s.split() for s in (
+        "the car has a wheel and an engine", "we like the car on the road",
+        "the bike is on the road", "the piano and the violin make music",
+        "the car and the bike share the road", "a band plays a song")]
+    out = tmp_path / "prep"
+
+    def prepare(token_lists, note):
+        vocab = build_vocab(token_lists, min_count=1)
+        store = SentenceStore.from_tokens(token_lists, vocab)
+        cli.write_prepared(out, vocab, store, {"command": "prepare", "note": note,
+                                               "tokenizer.strip_chars": cli.STRIP_CHARS})
+
+    prepare(sentences, "first")
+    before = (out / name).read_bytes()
+    fill_the_disk(monkeypatch, name)
+    with pytest.raises(OSError, match="No space"):
+        prepare(sentences[::-1] + sentences, "second")
+    monkeypatch.undo()
+    assert (out / name).read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE, cli.RUN_CONFIG_FILE])
+
+
+@pytest.mark.parametrize("report", ["eval_summary.csv", "eval_items.csv", "chart.svg",
+                                    "model.hice.csv"])
+def test_cli_report_failed_write_keeps_the_previous_file(tmp_path, tiny_table, tiny_corpus,
+                                                         monkeypatch, report):
+    emb, out = tmp_path / "emb.txt", tmp_path / "out"
+    save_embeddings(tiny_table, emb)
+    out.mkdir()
+    if report == "model.hice.csv":
+        vocab, store = tiny_corpus
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(" ".join(vocab.words[t] for t in s) + "\n"
+                                  for s in store.sentences))
+        prep = tmp_path / "prep"
+        assert cli.main(["prepare", str(corpus), str(emb), str(prep),
+                         "--min-count", "1"]) == 0
+
+        def run(steps):
+            return cli.main(["train", str(prep), "--steps", steps, "--batch", "2",
+                             "--val-every", "1", "--heads", "2",
+                             "--out", str(out / "model.hice")])
+    else:
+        bench = tmp_path / "bench.tsv"
+        save_benchmark_tsv([EvalItem("car", ["the car on the road", "we like the car"],
+                                     ["bike", "music", "piano"], [3.0, 1.0, 2.0], 2)],
+                           bench)
+
+        def run(methods):
+            return cli.main(["eval", str(bench), "--embeddings", str(emb),
+                             "--methods", methods, "--out-dir", str(out),
+                             "--svg", str(out / "chart.svg")])
+
+    first, second = ("1", "2") if report == "model.hice.csv" else ("oracle", "oracle,additive")
+    assert run(first) == 0
+    before = (out / report).read_bytes()
+    fill_the_disk(monkeypatch, report)
+    assert run(second) != 0
+    monkeypatch.undo()
+    assert (out / report).read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_container_rejects_nonfinite_floats(tmp_path):

@@ -58,6 +58,15 @@ def morph_features(model, *words):
 # self-attention
 # ---------------------------------------------------------------------------
 
+def head_blocks(block):
+    """Per head, its (query, key, value) weights [d_model, d_head]: column
+    blocks of wq, and of wkv's key half and value half."""
+    d_model, n = block.d_model, block.n_heads
+    cols = [slice(h * d_model // n, (h + 1) * d_model // n) for h in range(n)]
+    wq, wkv = block.wq.data, block.wkv.data
+    return [(wq[:, c], wkv[:, :d_model][:, c], wkv[:, d_model:][:, c]) for c in cols]
+
+
 def test_self_attention_single_position(rng):
     block = AttentionBlockParams(6, 2, 12, rng)
     x = constant(rng.normal(size=(1, 6)))
@@ -65,8 +74,26 @@ def test_self_attention_single_position(rng):
     out = self_attention(x, block, Segments([1]), sink)
     assert sink[0].shape == (1, 2, 1, 1)
     assert np.allclose(sink[0], 1.0, atol=1e-12)
-    values = np.concatenate([x.data @ wv.data for _, _, wv in block.heads], axis=1)
+    values = np.concatenate([x.data @ wv for _, _, wv in head_blocks(block)], axis=1)
     assert np.allclose(out.data, values @ block.wo.data, atol=1e-12)
+
+
+def test_attention_weights_are_the_per_head_draws_joined(rng):
+    # one draw of every head's query, key and value blocks, in head order,
+    # gives the same numbers as drawing them one [d_model, d_head] at a time
+    d_model, n_heads, seed = 12, 3, 17
+    block = AttentionBlockParams(d_model, n_heads, 8, np.random.default_rng(seed))
+    draw = np.random.default_rng(seed)
+    s_in = 1.0 / math.sqrt(d_model)
+    per_head = [[draw.normal(size=(d_model, d_model // n_heads)) * s_in
+                 for _ in range(3)] for _ in range(n_heads)]
+    assert block.wq.data.shape == (d_model, d_model)
+    assert block.wkv.data.shape == (d_model, 2 * d_model)
+    assert np.array_equal(block.wq.data, np.concatenate([q for q, _, _ in per_head], 1))
+    assert np.array_equal(block.wkv.data, np.concatenate(
+        [k for _, k, _ in per_head] + [v for _, _, v in per_head], 1))
+    # the draws after the projections are unchanged too
+    assert np.array_equal(block.wo.data, draw.normal(size=(d_model, d_model)) * s_in)
 
 
 def test_self_attention_identical_rows_attend_uniformly(rng):
@@ -83,10 +110,10 @@ def _naive_self_attention(x, block):
     """Straight-loop reimplementation of the attention formula."""
     d_model = block.d_model
     outs = []
-    for wq, wk, wv in block.heads:
-        q = x @ wq.data
-        k = x @ wk.data
-        v = x @ wv.data
+    for wq, wk, wv in head_blocks(block):
+        q = x @ wq
+        k = x @ wk
+        v = x @ wv
         n = x.shape[0]
         att = np.zeros((n, n))
         for i in range(n):
@@ -241,8 +268,7 @@ def test_model_shares_the_table_rows():
     assert np.shares_memory(model.frozen, table.matrix)
     assert not model.frozen.flags.writeable
     assert model.frozen_words == table.words()
-    frozen = model.frozen_table()
-    assert frozen.words() == table.words() and frozen.matrix is model.frozen
+    assert model.table.words() == table.words() and model.table.matrix is model.frozen
     # the MASK/UNK rows start at the float64 mean of the frozen rows
     mean = table.matrix.astype(np.float64).mean(axis=0)
     assert np.array_equal(model.special_embed.data, np.stack([mean, mean]))
@@ -518,8 +544,8 @@ def test_dump_attention_slices_match_per_head_reference():
 
     def reference(x, block):
         mats = []
-        for wq, wk, _ in block.heads:
-            s = (x @ wq.data) @ (x @ wk.data).T * scale
+        for wq, wk, _ in head_blocks(block):
+            s = (x @ wq) @ (x @ wk).T * scale
             e = np.exp(s - s.max(axis=-1, keepdims=True))
             mats.append(e / e.sum(axis=-1, keepdims=True))
         return mats

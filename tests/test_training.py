@@ -219,9 +219,8 @@ def test_checkpoint_roundtrip_float32_identical(tmp_path):
     assert a == b
 
 
-def test_checkpoint_keeps_its_per_head_layout(tmp_path):
-    # the forward pass joins the head projections at run time; the file
-    # keeps one array per head and projection, in this order
+def test_checkpoint_layout(tmp_path):
+    # one query and one key/value projection per block, in this order
     config = HiceConfig(embed_dim=6, n_heads=4, char_emb_dim=4, char_filters=3,
                         seed=0)
     frozen = np.random.default_rng(0).normal(size=(5, 6)).astype(np.float32)
@@ -231,9 +230,8 @@ def test_checkpoint_keeps_its_per_head_layout(tmp_path):
     _, arrays = read_container(path, "HICE1")
 
     def block(prefix):
-        heads = [(f"{prefix}.head{h}.{w}", (8, 2))
-                 for h in range(4) for w in ("wq", "wk", "wv")]
-        return heads + [
+        return [
+            (f"{prefix}.wq", (8, 8)), (f"{prefix}.wkv", (8, 16)),
             (f"{prefix}.wo", (8, 8)), (f"{prefix}.ffn.w1", (8, 32)),
             (f"{prefix}.ffn.b1", (32,)), (f"{prefix}.ffn.w2", (32, 8)),
             (f"{prefix}.ffn.b2", (8,)), (f"{prefix}.ln1.g", (8,)),
@@ -307,6 +305,44 @@ def test_checkpoint_with_an_unknown_context_pool_is_a_format_error(tmp_path, poo
     config, arrays = read_container(path, "HICE1")
     write_container(path, "HICE1", {**config, "context_pool": pool}, arrays)
     with pytest.raises(FormatError, match="context_pool"):
+        load_checkpoint(path)
+
+
+def test_per_head_checkpoint_is_a_format_error(tmp_path):
+    # a file that keeps one array per head and projection does not load
+    vocab, store, table, oracle, _ = small_task()
+    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    path = tmp_path / "model.hice"
+    save_checkpoint(model, path)
+    config, arrays = read_container(path, "HICE1")
+    per_head = []
+    for name, arr in arrays:
+        prefix, _, kind = name.rpartition(".")
+        if kind == "wq":
+            per_head += [(f"{prefix}.head{h}.wq", arr[:, 4 * h:4 * h + 4]) for h in range(2)]
+        elif kind == "wkv":
+            per_head += [(f"{prefix}.head{h}.{w}", arr[:, 8 * j + 4 * h:8 * j + 4 * h + 4])
+                         for h in range(2) for j, w in enumerate(("wk", "wv"))]
+        else:
+            per_head.append((name, arr))
+    write_container(path, "HICE1", config, per_head)
+    with pytest.raises(FormatError, match="missing parameter 'ctx0.wq'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    {"n_heads": None}, {"embed_dim": None}, {"n_heads": "two"},
+    {"filter_widths": "2,x"}, {"max_len": "2.5"}, {"seed": ""},
+], ids=["missing-n_heads", "missing-embed_dim", "n_heads-two", "filter_widths-2,x",
+        "max_len-2.5", "empty-seed"])
+def test_checkpoint_with_a_bad_config_value_is_a_format_error(tmp_path, edit):
+    vocab, store, table, oracle, _ = small_task()
+    path = tmp_path / "model.hice"
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    config, arrays = read_container(path, "HICE1")
+    config = {k: v for k, v in {**config, **edit}.items() if v is not None}
+    write_container(path, "HICE1", config, arrays)
+    with pytest.raises(FormatError, match="config"):
         load_checkpoint(path)
 
 
