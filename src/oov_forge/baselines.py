@@ -38,8 +38,7 @@ class ContextAverage:
 
 
 def additive(contexts: list[list[str]], table: EmbeddingTable,
-             drop_stopwords: bool = False,
-             stopwords: frozenset[str] | None = None) -> ContextAverage:
+             drop_stopwords: bool = False) -> ContextAverage:
     """Mean over contexts of the per-context mean of contributing tokens.
 
     A token contributes when it is in the table and is not the mask marker
@@ -49,7 +48,7 @@ def additive(contexts: list[list[str]], table: EmbeddingTable,
     """
     if not contexts:
         raise OovForgeError("additive: at least one context required")
-    if drop_stopwords and stopwords is None:
+    if drop_stopwords:
         stopwords = load_stopwords()
     context_means = []
     for ctx in contexts:
@@ -155,11 +154,11 @@ def alacarte_infer(contexts: list[list[str]], model: AlaCarteModel,
     return model.matrix @ base.vector
 
 
-def word_ngrams(word: str, n_min: int = NGRAM_MIN, n_max: int = NGRAM_MAX) -> list[str]:
+def word_ngrams(word: str) -> list[str]:
     """All character n-grams of the boundary-marked word, with multiplicity."""
     marked = f"<{word}>"
     out = []
-    for n in range(n_min, n_max + 1):
+    for n in range(NGRAM_MIN, NGRAM_MAX + 1):
         for i in range(len(marked) - n + 1):
             out.append(marked[i:i + n])
     return out

@@ -232,7 +232,6 @@ def cmd_adapt(args) -> int:
         target_min_count=effective(args, "min_count", 4, int),
         seed=effective(args, "seed", 0, int),
     )
-    model.bind_vocab(vocab_t)
     if args.finetune:
         finetune(model, cfg, (vocab_n, store_n, table))
     else:
@@ -271,10 +270,7 @@ def _infer_vector(args, word: str, masked: list[list[str]]) -> tuple[np.ndarray,
         if not args.checkpoint:
             raise InferenceError("method hice needs --checkpoint")
         model = load_checkpoint(args.checkpoint)
-        ep, vocab = episode_from_masked(word, masked,
-                                        max_word_len=model.config.max_word_len,
-                                        max_len=model.config.max_len)
-        vec = model.predict_vector(ep, vocab)
+        vec = model.predict_vector(*episode_from_masked(word, masked))
         return vec, table or model.table
     if method in ("additive", "additive-ns"):
         if table is None:
@@ -378,13 +374,7 @@ def _method_fn(method: str, table: EmbeddingTable, args, fitted):
             raise EvaluationError("method hice needs --checkpoint")
         model = load_checkpoint(args.checkpoint)
 
-        def fn(w, ctxs, model=model):
-            ep, vocab = episode_from_masked(w, ctxs,
-                                            max_word_len=model.config.max_word_len,
-                                            max_len=model.config.max_len)
-            return model.predict_vector(ep, vocab)
-
-        return fn
+        return lambda w, ctxs: model.predict_vector(*episode_from_masked(w, ctxs))
     raise EvaluationError(f"unknown method {method!r}")
 
 

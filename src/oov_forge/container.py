@@ -21,6 +21,7 @@ mismatch, or unknown dtype raises FormatError - never a bare crash.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -45,7 +46,7 @@ def _encode_config(config: dict[str, str]) -> bytes:
 
 def _decode_config(blob: bytes) -> dict[str, str]:
     config = {}
-    for line in blob.decode("utf-8").splitlines():
+    for line in _utf8(blob, "config block").splitlines():
         if not line:
             continue
         if "=" not in line:
@@ -131,6 +132,13 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{what}: invalid UTF-8 at byte {e.start}") from None
+
+
 def read_container(path, expected_magic: str):
     """-> (config dict, list of (name, ndarray)). Floats come back float32."""
     try:
@@ -149,8 +157,8 @@ def read_container(path, expected_magic: str):
         raise FormatError(f"{path}: implausible manifest size {n_entries}")
     manifest = []
     for _ in range(n_entries):
-        name = r.take(r.u16()).decode("utf-8")
-        dtag = r.take(r.u8()).decode("ascii")
+        name = _utf8(r.take(r.u16()), f"{path}: entry name")
+        dtag = r.take(r.u8()).decode("ascii", errors="replace")
         if dtag not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype tag {dtag!r}")
         ndim = r.u8()
@@ -159,7 +167,7 @@ def read_container(path, expected_magic: str):
     arrays = []
     for name, dtag, shape in manifest:
         dt = _DTYPES[dtag]
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        count = math.prod(shape)  # exact: a corrupt shape must not wrap around
         raw = r.take(count * dt.itemsize)
         arr = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
         if dtag == "f4" and not np.isfinite(arr).all():
@@ -175,4 +183,4 @@ def pack_text(text: str) -> np.ndarray:
 
 
 def unpack_text(arr: np.ndarray) -> str:
-    return arr.tobytes().decode("utf-8")
+    return _utf8(arr.tobytes(), "text entry")

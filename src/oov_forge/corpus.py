@@ -55,12 +55,9 @@ def read_sentences(path) -> list[list[str]]:
     return [tokenize(line) for line in read_text(path, "corpus").splitlines()]
 
 
-def load_stopwords(path=None) -> frozenset[str]:
-    """The bundled English list by default, or any one-word-per-line file."""
-    if path is None:
-        text = resources.files("oov_forge.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    else:
-        text = open(path, encoding="utf-8").read()
+def load_stopwords() -> frozenset[str]:
+    """The bundled English list, one word per line."""
+    text = resources.files("oov_forge.data").joinpath("stopwords_en.txt").read_text("utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
@@ -107,15 +104,14 @@ class Vocabulary:
         return [w for i, w in enumerate(self.words) if self.counts[i] > self.min_count]
 
 
-def build_vocab(sentences: list[list[str]], min_count: int = DEFAULT_MIN_COUNT,
-                stopwords: frozenset[str] | None = None) -> Vocabulary:
+def build_vocab(sentences: list[list[str]],
+                min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
     """Count words over tokenized sentences; ids follow first appearance."""
     if min_count < 1:
         raise IngestionError(f"min_count must be >= 1, got {min_count}")
     if not any(sentences):
         raise IngestionError("empty corpus")
-    if stopwords is None:
-        stopwords = load_stopwords()
+    stopwords = load_stopwords()
     words: list[str] = []
     counts: dict[str, int] = {}
     for sent in sentences:
@@ -165,11 +161,10 @@ def contexts_of(word: str, store: SentenceStore) -> list[int]:
     return list(store.index.get(wid, []))
 
 
-def prepare_corpus(path, min_count: int = DEFAULT_MIN_COUNT,
-                   stopwords: frozenset[str] | None = None):
+def prepare_corpus(path, min_count: int = DEFAULT_MIN_COUNT):
     """One-stop: read corpus file -> (Vocabulary, SentenceStore)."""
     sentences = read_sentences(path)
-    vocab = build_vocab(sentences, min_count, stopwords)
+    vocab = build_vocab(sentences, min_count)
     return vocab, SentenceStore.from_tokens(sentences, vocab)
 
 

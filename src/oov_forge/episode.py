@@ -19,8 +19,10 @@ from .errors import EpisodeError, InputError
 MASK_ID = -1
 UNK_ID = -2
 MASK_TOKEN = "<mask>"
+UNK_TOKEN = "<unk>"
 
 CONTEXT_WINDOW = 12      # tokens kept on each side of the target
+MAX_LEN = 2 * CONTEXT_WINDOW + 1  # tokens in a windowed context
 MAX_WORD_LEN = 20        # characters kept before truncation
 
 
@@ -49,11 +51,11 @@ class CharVocab:
 DEFAULT_CHAR_VOCAB = CharVocab()
 
 
-def char_sequence(word: str, cv: CharVocab = DEFAULT_CHAR_VOCAB,
-                  max_word_len: int = MAX_WORD_LEN) -> list[int]:
+def char_sequence(word: str, max_word_len: int = MAX_WORD_LEN) -> list[int]:
     """[BOW] + character ids + [EOW], truncated from the right."""
     if not word:
         raise InputError("char_sequence: empty word")
+    cv = DEFAULT_CHAR_VOCAB
     body = [cv.encode_char(c) for c in word[:max_word_len]]
     return [cv.bow] + body + [cv.eow]
 
@@ -81,11 +83,10 @@ def window_on_mask(ids: list[int], window: int = CONTEXT_WINDOW) -> list[int]:
     return ids[lo:hi]
 
 
-def mask_window(ids: list[int], target_id: int, window: int = CONTEXT_WINDOW) -> list[int]:
-    """Mask every target occurrence, keep ``window`` tokens each side of the
-    first one."""
-    masked = [MASK_ID if t == target_id else t for t in ids]
-    return window_on_mask(masked, window)
+def mask_window(ids: list[int], target_id: int) -> list[int]:
+    """Mask every target occurrence, keep CONTEXT_WINDOW tokens each side of
+    the first one."""
+    return window_on_mask([MASK_ID if t == target_id else t for t in ids])
 
 
 def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
@@ -95,16 +96,14 @@ def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
         if tid == MASK_ID:
             out.append(MASK_TOKEN)
         elif tid == UNK_ID:
-            out.append("<unk>")
+            out.append(UNK_TOKEN)
         else:
             out.append(vocab.word_of(tid))
     return out
 
 
 def sample_episode(word: str, k: int, rng: np.random.Generator,
-                   store: SentenceStore, table: EmbeddingTable | None = None,
-                   window: int = CONTEXT_WINDOW,
-                   max_word_len: int = MAX_WORD_LEN) -> Episode:
+                   store: SentenceStore, table: EmbeddingTable | None = None) -> Episode:
     """Draw K masked contexts for ``word``.
 
     Sampling is uniform without replacement while enough sentences exist,
@@ -122,7 +121,7 @@ def sample_episode(word: str, k: int, rng: np.random.Generator,
     else:
         chosen = rng.integers(0, len(sids), size=k)
     contexts = [
-        mask_window(store.sentences[sids[int(i)]], target_id, window)
+        mask_window(store.sentences[sids[int(i)]], target_id)
         for i in chosen
     ]
     oracle = None
@@ -134,7 +133,7 @@ def sample_episode(word: str, k: int, rng: np.random.Generator,
         target_word=word,
         target_id=target_id,
         contexts=contexts,
-        char_seq=char_sequence(word, max_word_len=max_word_len),
+        char_seq=char_sequence(word),
         oracle=oracle,
     )
 
@@ -154,7 +153,7 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
                         vocab: Vocabulary | None = None,
                         table: EmbeddingTable | None = None,
                         max_word_len: int = MAX_WORD_LEN,
-                        max_len: int = 2 * CONTEXT_WINDOW + 1):
+                        max_len: int = MAX_LEN):
     """The inference episode: sentences already carrying MASK_TOKEN at the
     target slots, windowed to ``max_len`` tokens around the first marker.
 

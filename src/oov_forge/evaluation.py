@@ -19,12 +19,13 @@ from typing import Callable
 import numpy as np
 
 from .container import atomic_open
-from .corpus import EmbeddingTable, tokenize
+from .corpus import EmbeddingTable, read_text, tokenize
 from .episode import MASK_TOKEN
 from .errors import EvaluationError, FormatError, OovForgeError
 
 InferFn = Callable[[str, list[list[str]]], np.ndarray]
 CONTEXT_SEP = "|||"
+CHIMERA_PLACEHOLDER = "___"  # marks the pseudo-word in a raw Chimera passage
 
 
 @dataclass
@@ -40,6 +41,8 @@ class EvalItem:
             raise FormatError(
                 f"item {self.pseudo_word!r}: needs >= 2 aligned probes/ratings"
             )
+        if not all(math.isfinite(h) for h in self.human):
+            raise FormatError(f"item {self.pseudo_word!r}: non-finite rating")
         for ctx in self.contexts:
             if self.pseudo_word not in tokenize(ctx):
                 raise FormatError(
@@ -270,11 +273,7 @@ def save_benchmark_tsv(items: list[EvalItem], path) -> None:
 
 def load_benchmark_tsv(path) -> list[EvalItem]:
     items = []
-    try:
-        lines = open(path, encoding="utf-8").read().splitlines()
-    except OSError as e:
-        raise FormatError(f"cannot read benchmark {path}: {e}") from e
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, "benchmark").splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -296,17 +295,16 @@ def load_benchmark_tsv(path) -> list[EvalItem]:
     return items
 
 
-def import_chimera(path, shot: int, placeholder: str = "___") -> list[EvalItem]:
+def import_chimera(path, shot: int) -> list[EvalItem]:
     """Normalize a raw benchmark file into EvalItems.
 
     Expected raw layout, one item per line, four tab-separated fields:
     pseudo-word, passage with sentences joined by "@@" and the pseudo-word
-    marked by ``placeholder``, comma-separated probes, comma-separated
+    marked by CHIMERA_PLACEHOLDER, comma-separated probes, comma-separated
     ratings. Text is lowercased and the separators removed.
     """
     items = []
-    lines = open(path, encoding="utf-8").read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text(path, "benchmark").splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -316,7 +314,7 @@ def import_chimera(path, shot: int, placeholder: str = "___") -> list[EvalItem]:
         word = word.strip().lower()
         contexts = []
         for sent in passage.split("@@"):
-            sent = sent.strip().lower().replace(placeholder, word)
+            sent = sent.strip().lower().replace(CHIMERA_PLACEHOLDER, word)
             if sent and word in tokenize(sent):
                 contexts.append(sent)
         if not contexts:

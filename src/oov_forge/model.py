@@ -32,18 +32,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from . import tensor as tc
 from .container import pack_text
 from .corpus import EmbeddingTable, Vocabulary
-from .episode import MASK_ID, UNK_ID, MASK_TOKEN, DEFAULT_CHAR_VOCAB, Episode
+from .episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, DEFAULT_CHAR_VOCAB, Episode,
+                      decode_context)
 from .errors import FormatError, InputError
 from .tensor import Tensor
 
-UNK_TOKEN = "<unk>"
 CONTEXT_POOLS = ("mask", "mean")
 
 
@@ -51,31 +51,43 @@ CONTEXT_POOLS = ("mask", "mean")
 class HiceConfig:
     embed_dim: int
     n_heads: int = 4
-    d_model: int = 0          # 0: smallest multiple of n_heads >= embed_dim
-    d_ff: int = 0             # 0: 4 * d_model
     n_context_blocks: int = 1
     n_agg_blocks: int = 1
     char_emb_dim: int = 16
     char_filters: int = 32
     filter_widths: tuple[int, ...] = (2, 3, 4)
-    max_len: int = 25
-    max_word_len: int = 20
     use_morph: bool = True
     context_pool: str = "mask"   # "mask" | "mean"
     seed: int = 0
+
+    # the episode shape sample_episode trains on
+    max_len: ClassVar[int] = MAX_LEN
+    max_word_len: ClassVar[int] = MAX_WORD_LEN
 
     def __post_init__(self):
         if self.context_pool not in CONTEXT_POOLS:
             raise InputError(f"unknown context_pool {self.context_pool!r}; "
                              f"expected one of {CONTEXT_POOLS}")
+        # the mask pool reads the last context block, so there must be one
+        sizes = {"embed_dim": self.embed_dim, "n_heads": self.n_heads,
+                 "n_context_blocks": self.n_context_blocks,
+                 "char_emb_dim": self.char_emb_dim, "char_filters": self.char_filters,
+                 "filter width": min(self.filter_widths, default=1)}
+        for name, value in sizes.items():
+            if value < 1:
+                raise InputError(f"{name} must be >= 1, got {value}")
+        for name in ("n_agg_blocks", "seed"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
 
-    def resolved_d_model(self) -> int:
-        if self.d_model:
-            return self.d_model
+    @property
+    def d_model(self) -> int:
+        """The smallest multiple of n_heads >= embed_dim."""
         return self.n_heads * math.ceil(self.embed_dim / self.n_heads)
 
-    def resolved_d_ff(self) -> int:
-        return self.d_ff or 4 * self.resolved_d_model()
+    @property
+    def d_ff(self) -> int:
+        return 4 * self.d_model
 
     @property
     def c_morph(self) -> int:
@@ -85,8 +97,8 @@ class HiceConfig:
         return {
             "embed_dim": str(self.embed_dim),
             "n_heads": str(self.n_heads),
-            "d_model": str(self.resolved_d_model()),
-            "d_ff": str(self.resolved_d_ff()),
+            "d_model": str(self.d_model),
+            "d_ff": str(self.d_ff),
             "n_context_blocks": str(self.n_context_blocks),
             "n_agg_blocks": str(self.n_agg_blocks),
             "char_emb_dim": str(self.char_emb_dim),
@@ -114,20 +126,25 @@ class HiceConfig:
             except ValueError:
                 raise FormatError(f"config: {key} {value!r} is not an integer") from None
 
-        pool = get("context_pool")
-        if pool not in CONTEXT_POOLS:
-            raise FormatError(f"config: unknown context_pool {pool!r}")
-        return cls(
-            **{key: integer(key) for key in (
-                "embed_dim", "n_heads", "d_model", "d_ff", "n_context_blocks",
-                "n_agg_blocks", "char_emb_dim", "char_filters", "max_len",
-                "max_word_len")},
-            filter_widths=integer(
-                "filter_widths", parse=lambda v: tuple(int(w) for w in v.split(","))),
-            use_morph=get("use_morph") == "true",
-            context_pool=pool,
-            seed=integer("seed", "0"),
-        )
+        try:
+            config = cls(
+                **{key: integer(key) for key in (
+                    "embed_dim", "n_heads", "n_context_blocks", "n_agg_blocks",
+                    "char_emb_dim", "char_filters")},
+                filter_widths=integer(
+                    "filter_widths", parse=lambda v: tuple(int(w) for w in v.split(","))),
+                use_morph=get("use_morph") == "true",
+                context_pool=get("context_pool"),
+                seed=integer("seed", "0"),
+            )
+        except InputError as e:
+            raise FormatError(f"config: {e}") from None
+        # as_dict records these derived values; an older config could set them
+        for key in ("d_model", "d_ff", "max_len", "max_word_len"):
+            if integer(key) != getattr(config, key):
+                raise FormatError(f"config: {key}={d[key]} differs from the "
+                                  f"derived value {getattr(config, key)}")
+        return config
 
 
 class AttentionBlockParams:
@@ -270,8 +287,6 @@ class HiceModel:
 
     def __init__(self, config: HiceConfig, frozen: np.ndarray,
                  frozen_words: list[str], vocab: Vocabulary | None = None):
-        if config.n_context_blocks < 1:
-            raise InputError("the context encoder needs at least one block")
         if frozen.ndim != 2 or frozen.shape[1] != config.embed_dim:
             raise InputError(
                 f"frozen table {frozen.shape} does not match embed_dim {config.embed_dim}"
@@ -283,8 +298,8 @@ class HiceModel:
         self.n_chars = len(DEFAULT_CHAR_VOCAB)
 
         d_in = config.embed_dim
-        d_model = config.resolved_d_model()
-        d_ff = config.resolved_d_ff()
+        d_model = config.d_model
+        d_ff = config.d_ff
         rng = np.random.default_rng(config.seed)
 
         mean_row = (self.frozen.mean(axis=0, dtype=np.float64)
@@ -456,7 +471,6 @@ class HiceModel:
         return tc.relu(tc.concat_cols(pooled))
 
     def predict(self, episodes: Sequence[Episode], vocab: Vocabulary | None = None,
-                use_morph: bool | None = None,
                 ctx_sink: list | None = None,
                 agg_sink: list | None = None) -> Tensor:
         """Predicted embeddings [B, d_in] for the episodes' target words, in
@@ -465,21 +479,19 @@ class HiceModel:
         With morphology off, the morphology slot of the fusion input is a
         zero vector of the same width (ablation arm).
         """
-        if use_morph is None:
-            use_morph = self.config.use_morph
         batch = self.batch(episodes, vocab)
         agg = self.aggregate(self.encode_context(batch, ctx_sink), batch.shots, agg_sink)
-        if use_morph:
+        if self.config.use_morph:
             morph = self.encode_morphology(batch)
         else:
             morph = tc.constant(np.zeros((len(episodes), self.config.c_morph)))
         fused = tc.concat_cols([agg, morph])
         return tc.add_bias(tc.matmul(fused, self.fuse_w), self.fuse_b)
 
-    def predict_vector(self, episode: Episode, vocab: Vocabulary | None = None,
-                       use_morph: bool | None = None) -> np.ndarray:
+    def predict_vector(self, episode: Episode,
+                       vocab: Vocabulary | None = None) -> np.ndarray:
         """Inference path: no graph recording, returns a plain array."""
-        return self.predict([episode], vocab, use_morph).data[0]
+        return self.predict([episode], vocab).data[0]
 
     def dump_attention(self, episode: Episode,
                        vocab: Vocabulary | None = None) -> "AttentionReport":
@@ -493,8 +505,7 @@ class HiceModel:
         k = episode.k
         return AttentionReport(
             word=episode.target_word,
-            context_tokens=[[_token_text(tid, v) for tid in ids]
-                            for ids in episode.contexts],
+            context_tokens=[decode_context(ids, v) for ids in episode.contexts],
             context_matrices=[
                 [a[c, h, :len(ids), :len(ids)].copy() for a in ctx_sink for h in heads]
                 for c, ids in enumerate(episode.contexts)
@@ -514,8 +525,10 @@ class HiceModel:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Load the learned parameters; the frozen block is fixed at
-        construction."""
-        for name, p in self.parameters():
+        construction. An array the model has no parameter for is an error,
+        so a checkpoint whose config was edited cannot drop parameters."""
+        params = self.parameters()
+        for name, p in params:
             if name not in arrays:
                 raise FormatError(f"checkpoint missing parameter {name!r}")
             arr = arrays[name].astype(np.float64)
@@ -525,14 +538,10 @@ class HiceModel:
                 )
             p.data = arr
             p.grad = None
-
-
-def _token_text(tid: int, vocab: Vocabulary) -> str:
-    if tid == MASK_ID:
-        return MASK_TOKEN
-    if tid == UNK_ID:
-        return UNK_TOKEN
-    return vocab.word_of(tid)
+        known = {name for name, _ in params} | {"frozen_rows", "frozen_words"}
+        for name in arrays:
+            if name not in known:
+                raise FormatError(f"checkpoint has unexpected array {name!r}")
 
 
 @dataclass

@@ -440,11 +440,8 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     return _record("softmax", y, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    if eps <= 0:
-        raise ShapeError(f"layer_norm: eps must be positive, got {eps}")
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
@@ -453,7 +450,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     nx, ng, nb = _needs(x), _needs(gain), _needs(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     axes = tuple(range(x.data.ndim - 1))
     gd = gain.data

@@ -22,6 +22,11 @@ from .model import HiceConfig, HiceModel
 from .tensor import Graph, Tensor, backward
 
 CHECKPOINT_MAGIC = "HICE1"
+GRAD_CLIP = 5.0  # global gradient-norm bound of a training step
+# Adam's moment decays and denominator offset (Kingma & Ba 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -29,17 +34,12 @@ class TrainConfig:
     steps: int = 2000
     batch_episodes: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     k_min: int = 2
     k_max: int = 6
     seed: int = 0
     validation_every: int = 100
     patience: int = 5
     checkpoint_path: str | None = None
-    grad_clip: float = 5.0
-    val_fraction: float = 0.05
     val_episodes: int = 200
 
     def __post_init__(self):
@@ -69,13 +69,9 @@ class Adam:
     """Adam on a named parameter list, with global-norm gradient clipping."""
 
     def __init__(self, params: list[tuple[str, Tensor]], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  grad_clip: float = 0.0):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.grad_clip = grad_clip
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params}
@@ -94,19 +90,19 @@ class Adam:
                     if p.grad is not None:
                         p.grad *= factor
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - ADAM_BETA1 ** self.t
+        b2t = 1.0 - ADAM_BETA2 ** self.t
         for name, p in self.params:
             g = p.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
     def zero_grads(self) -> None:
         for _, p in self.params:
@@ -114,7 +110,6 @@ class Adam:
 
 
 def episode_loss(model: HiceModel, episodes: list[Episode],
-                 use_morph: bool | None = None,
                  vocab: Vocabulary | None = None) -> tuple[Tensor, float]:
     """Negative mean cosine over the batch -> (loss tensor, mean cosine)."""
     if not episodes:
@@ -124,18 +119,17 @@ def episode_loss(model: HiceModel, episodes: list[Episode],
             raise TrainingError(f"episode for {ep.target_word!r} has no oracle")
         if not float(np.linalg.norm(ep.oracle)) > 0.0:
             raise TrainingError(f"zero-norm oracle for word {ep.target_word!r}")
-    pred = model.predict(episodes, vocab, use_morph)
+    pred = model.predict(episodes, vocab)
     oracle = tc.constant(np.stack([ep.oracle for ep in episodes]).astype(np.float64))
     mean = tc.scale(tc.sum_all(tc.cosine(pred, oracle)), 1.0 / len(episodes))
     return tc.scale(mean, -1.0), float(mean.data)
 
 
 def evaluate_cosine(model: HiceModel, episodes: list[Episode],
-                    use_morph: bool | None = None,
                     vocab: Vocabulary | None = None) -> float:
     """Mean cosine(predict, oracle) with no graph recording; a zero vector
     raises EvaluationError, as the tape's cosine raises NumericError."""
-    preds = model.predict(episodes, vocab, use_morph).data
+    preds = model.predict(episodes, vocab).data
     total = sum(cosine_np(pred, ep.oracle) for pred, ep in zip(preds, episodes))
     return total / len(episodes)
 
@@ -170,7 +164,7 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
         raise TrainingError(
             f"need at least 2 eligible target words to split, have {len(words)}"
         )
-    train_words, val_words = split_words(words, config.val_fraction)
+    train_words, val_words = split_words(words)
     if not train_words:
         train_words, val_words = val_words, []
     if not val_words:
@@ -186,8 +180,7 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
     val_probes = build_validation_episodes(val_words, store, table, config)
     stream = episode_stream(vocab, store, table, (config.k_min, config.k_max),
                             config.seed, words=train_words)
-    opt = Adam(model.parameters(), config.learning_rate, config.beta1,
-               config.beta2, config.adam_eps, config.grad_clip)
+    opt = Adam(model.parameters(), config.learning_rate, GRAD_CLIP)
 
     best_state: dict[str, np.ndarray] | None = None
     window_cos: list[float] = []

@@ -160,8 +160,11 @@ def test_infer_output_parses_as_embedding_row(workdir, checkpoint, tmp_path, cap
     assert "flurble" in parsed
 
 
-@pytest.mark.parametrize("edit", [{"n_heads": None}, {"n_heads": "two"}],
-                         ids=["missing-n_heads", "n_heads-two"])
+@pytest.mark.parametrize("edit", [
+    {"n_heads": None}, {"n_heads": "two"}, {"n_heads": "0"}, {"d_model": "64"},
+    {"d_ff": "7"}, {"max_len": "11"}, {"max_word_len": "5"},
+], ids=["missing-n_heads", "n_heads-two", "n_heads-0", "d_model-64", "d_ff-7",
+        "max_len-11", "max_word_len-5"])
 def test_infer_checkpoint_with_a_bad_config_exits_2(workdir, checkpoint, tmp_path,
                                                     capsys, edit):
     config, arrays = read_container(checkpoint, CHECKPOINT_MAGIC)
@@ -173,7 +176,7 @@ def test_infer_checkpoint_with_a_bad_config_exits_2(workdir, checkpoint, tmp_pat
     code = main(["infer", "--word", "flurble", "--contexts-file", str(ctx),
                  "--method", "hice", "--checkpoint", str(bad)])
     assert code == 2
-    assert "n_heads" in capsys.readouterr().err
+    assert next(iter(edit)) in capsys.readouterr().err
 
 
 def test_infer_word_missing_from_contexts_exits_5(workdir, tmp_path):
@@ -330,10 +333,12 @@ def _item_rows(out_dir):
 
 def test_eval_malformed_tsv_exits_6(workdir, tmp_path):
     bad = tmp_path / "bad.tsv"
-    bad.write_text("only\ttwo\n")
-    code = main(["eval", str(bad), "--embeddings",
-                 str(workdir / "embeddings.txt"), "--methods", "additive"])
-    assert code == 6
+    for content in (b"only\ttwo\n", b"w\xff\t2\tw here\tp,q\t1,2\n",
+                    b"w\t2\tw here\tp,q,r\t1,nan,2\n"):
+        bad.write_bytes(content)
+        code = main(["eval", str(bad), "--embeddings",
+                     str(workdir / "embeddings.txt"), "--methods", "additive"])
+        assert code == 6
 
 
 def test_eval_hice_runs(workdir, bench_tsv, checkpoint, tmp_path):

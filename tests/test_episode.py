@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, tokenize
-from oov_forge.episode import (DEFAULT_CHAR_VOCAB, MASK_ID, MASK_TOKEN,
+from oov_forge.episode import (CONTEXT_WINDOW, DEFAULT_CHAR_VOCAB, MASK_ID, MASK_TOKEN,
                                char_sequence, decode_context,
                                episode_from_masked, episode_stream,
                                mask_window, sample_episode)
@@ -28,7 +28,7 @@ def _table_for(vocab, dim=4, seed=0):
 
 def test_char_sequence_single_letter():
     cv = DEFAULT_CHAR_VOCAB
-    assert char_sequence("a", cv) == [cv.bow, cv.encode_char("a"), cv.eow]
+    assert char_sequence("a") == [cv.bow, cv.encode_char("a"), cv.eow]
 
 
 def test_char_sequence_length():
@@ -90,12 +90,13 @@ def test_sampling_with_replacement_when_scarce():
 
 
 def test_multiple_occurrences_all_masked_window_on_first():
-    tokens = ["w"] + ["f"] * 20 + ["w", "x", "w"]
+    tokens = ["w"] + ["f"] * 5 + ["w", "x", "w"] + ["f"] * 20
     vocab, store = _mini_store([tokens])
-    ep = sample_episode("w", 1, np.random.default_rng(0), store, window=3)
+    ep = sample_episode("w", 1, np.random.default_rng(0), store)
     ctx = ep.contexts[0]
     assert ctx[0] == MASK_ID                       # centered on first occurrence
-    assert len(ctx) == 4                           # nothing to the left, 3 right
+    assert len(ctx) == 1 + CONTEXT_WINDOW          # nothing to the left
+    assert ctx[6] == ctx[8] == MASK_ID
     assert vocab.id_of("w") not in ctx
 
 
@@ -228,6 +229,6 @@ def test_episode_from_masked_returns_usable_vocab():
 
 
 def test_mask_window_helper():
-    ids = [9, 9, 1, 2, 9]
-    out = mask_window(ids, 9, window=1)
-    assert out == [MASK_ID, MASK_ID]  # window 1 around first occurrence
+    ids = [5] * 20 + [9, 1, 9] + [2] * 20
+    out = mask_window(ids, 9)  # CONTEXT_WINDOW around the first occurrence
+    assert out == [5] * 12 + [MASK_ID, 1, MASK_ID] + [2] * 10

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oov_forge.corpus import EmbeddingTable
-from oov_forge.errors import EvaluationError, FormatError, InferenceError
+from oov_forge.errors import (EvaluationError, FormatError, InferenceError,
+                              IngestionError)
 from oov_forge.evaluation import (EvalItem, average_ranks, cosine_np,
                                   evaluate_method, import_chimera,
                                   load_benchmark_tsv, mask_contexts,
@@ -354,6 +355,12 @@ def test_benchmark_tsv_malformed_reports_line(tmp_path):
     path.write_text("word\t2\tword here\tp1,p2\tx,y\n")
     with pytest.raises(FormatError, match="line 1"):
         load_benchmark_tsv(path)
+    path.write_text("word\t2\tword here\tp1,p2,p3\t1.0,nan,2.0\n")
+    with pytest.raises(FormatError, match="line 1: .*non-finite rating"):
+        load_benchmark_tsv(path)
+    path.write_bytes(b"word\xff\t2\tword here\tp1,p2\t1.0,2.0\n")
+    with pytest.raises(IngestionError, match="UTF-8"):
+        load_benchmark_tsv(path)
 
 
 def test_benchmark_item_context_must_contain_word(tmp_path):
@@ -377,3 +384,9 @@ def test_import_chimera_normalizes(tmp_path):
     assert item.probes == ["car", "bus"]
     assert item.human == [3.5, 2.0]
     assert item.shot == 2
+    path.write_bytes(raw.replace("2.0", "inf").encode())
+    with pytest.raises(FormatError, match="non-finite rating"):
+        import_chimera(path, shot=2)
+    path.write_bytes(raw.encode() + b"\xff\n")
+    with pytest.raises(IngestionError, match="UTF-8"):
+        import_chimera(path, shot=2)

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 import oov_forge.tensor as tc
 from fd import rel_err
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
-from oov_forge.episode import (MASK_ID, MASK_TOKEN, Episode, char_sequence,
-                               episode_from_masked, sample_episode)
+from oov_forge.episode import (MASK_ID, MASK_TOKEN, MAX_LEN, MAX_WORD_LEN, Episode,
+                               char_sequence, episode_from_masked, sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
                              Segments, encoding_block, parse_attention_report,
@@ -232,7 +232,7 @@ def test_mask_pool_last_block_matches_full_block_rows(blocks, contexts):
     for block in model.ctx_blocks:
         x = encoding_block(x, block, batch.contexts)
     want = tc.gather_rows(x, batch.pool_rows).data
-    assert got.shape == want.shape == (len(contexts), model.config.resolved_d_model())
+    assert got.shape == want.shape == (len(contexts), model.config.d_model)
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -240,7 +240,7 @@ def test_encode_context_single_mask_token_is_finite():
     model, _ = make_model()
     vocab, _ = make_corpus()
     out = model.encode_context(model.batch([episode_of([[MASK_ID]])], vocab))
-    assert out.data.shape == (1, model.config.resolved_d_model())
+    assert out.data.shape == (1, model.config.d_model)
     assert np.isfinite(out.data).all()
 
 
@@ -261,6 +261,25 @@ def test_encode_context_length_contracts():
 def test_config_rejects_an_unknown_context_pool(pool):
     with pytest.raises(InputError, match="context_pool"):
         HiceConfig(embed_dim=8, context_pool=pool)
+
+
+def test_config_derives_the_episode_shape_and_widths():
+    for name in ("max_len", "max_word_len", "d_model", "d_ff"):
+        with pytest.raises(TypeError):
+            HiceConfig(embed_dim=8, **{name: 11})
+    config = HiceConfig(embed_dim=6, n_heads=4)
+    assert (config.d_model, config.d_ff) == (8, 32)
+    assert (config.max_len, config.max_word_len) == (MAX_LEN, MAX_WORD_LEN) == (25, 20)
+
+
+@pytest.mark.parametrize("edit", [
+    {"embed_dim": 0}, {"n_heads": 0}, {"n_heads": -2}, {"n_context_blocks": 0},
+    {"char_emb_dim": -1}, {"char_filters": -1}, {"filter_widths": (-2, 3, 4)},
+    {"n_agg_blocks": -1}, {"seed": -1},
+], ids=lambda edit: "{}={}".format(*next(iter(edit.items()))))
+def test_config_rejects_a_size_below_its_minimum(edit):
+    with pytest.raises(InputError, match="must be >= "):
+        HiceConfig(**{"embed_dim": 8, **edit})
 
 
 def test_model_shares_the_table_rows():
@@ -292,7 +311,7 @@ def test_gradient_reaches_positional_weights():
 
 def test_aggregate_k1_equals_block_on_single_row(rng):
     model, _ = make_model()
-    v = constant(rng.normal(size=(1, model.config.resolved_d_model())))
+    v = constant(rng.normal(size=(1, model.config.d_model)))
     got = model.aggregate(v, Segments([1])).data
     x = v
     for block in model.agg_blocks:
@@ -302,7 +321,7 @@ def test_aggregate_k1_equals_block_on_single_row(rng):
 
 def test_aggregate_permutation_invariant(rng):
     model, _ = make_model()
-    d = model.config.resolved_d_model()
+    d = model.config.d_model
     vecs = rng.normal(size=(5, d))
     shots = Segments([5])
     base = model.aggregate(constant(vecs), shots).data
@@ -313,7 +332,7 @@ def test_aggregate_permutation_invariant(rng):
 
 def test_aggregate_duplicate_equals_singleton(rng):
     model, _ = make_model()
-    v = rng.normal(size=(1, model.config.resolved_d_model()))
+    v = rng.normal(size=(1, model.config.d_model))
     one = model.aggregate(constant(v), Segments([1])).data
     two = model.aggregate(constant(np.concatenate([v, v])), Segments([2])).data
     assert np.abs(one - two).max() < 1e-6
@@ -373,14 +392,17 @@ def test_predict_shape_and_finiteness_for_every_shot_count():
 
 def test_predict_morph_flag_changes_output_only_via_morph_slot():
     model, table, vocab, store, ep = _training_episode()
-    with_morph = model.predict_vector(ep, use_morph=True)
-    without = model.predict_vector(ep, use_morph=False)
+    off, *_ = _training_episode(use_morph=False)
+    assert all(np.array_equal(a.data, b.data)
+               for (_, a), (_, b) in zip(model.parameters(), off.parameters()))
+    with_morph = model.predict_vector(ep)
+    without = off.predict_vector(ep)
     assert not np.array_equal(with_morph, without)
     # zero morphology slot equals fusing [agg | zeros]
-    batch = model.batch([ep])
-    agg = model.aggregate(model.encode_context(batch), batch.shots)
-    fused = np.concatenate([agg.data[0], np.zeros(model.config.c_morph)])
-    expected = fused @ model.fuse_w.data + model.fuse_b.data
+    batch = off.batch([ep])
+    agg = off.aggregate(off.encode_context(batch), batch.shots)
+    fused = np.concatenate([agg.data[0], np.zeros(off.config.c_morph)])
+    expected = fused @ off.fuse_w.data + off.fuse_b.data
     assert np.abs(without - expected).max() < 1e-12
 
 
@@ -438,7 +460,7 @@ def test_up_projection_when_dim_not_divisible():
     table = make_table(dim=6)  # 6 not divisible by 4 heads
     config = HiceConfig(embed_dim=6, n_heads=4, char_emb_dim=4, char_filters=3, seed=0)
     model = HiceModel.from_table(config, table)
-    assert model.config.resolved_d_model() == 8
+    assert model.config.d_model == 8
     assert model.input_proj_w is not None
     vocab, store = make_corpus()
     ep = sample_episode("w03", 2, np.random.default_rng(0), store, table)
@@ -540,7 +562,7 @@ def test_dump_attention_slices_match_per_head_reference():
     # the mask pool the last context block reports only the pool row
     model, table, vocab, store, ep = _training_episode(k=3)
     report = model.dump_attention(ep)
-    scale = 1.0 / math.sqrt(model.config.resolved_d_model())
+    scale = 1.0 / math.sqrt(model.config.d_model)
 
     def reference(x, block):
         mats = []

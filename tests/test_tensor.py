@@ -125,12 +125,6 @@ def test_layer_norm_gradients(rng):
     assert err < 1e-5
 
 
-def test_layer_norm_requires_positive_eps():
-    gain, bias = _ln_args(2)
-    with pytest.raises(ShapeError):
-        layer_norm(constant([1.0, 2.0]), gain, bias, eps=0.0)
-
-
 # ---------------------------------------------------------------------------
 # conv1d_maxpool
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synthetic_task
 from oov_forge.container import pack_text, read_container, write_container
@@ -30,7 +31,7 @@ class _StubModel:
     def __init__(self, outputs):
         self.outputs = outputs
 
-    def predict(self, episodes, vocab=None, use_morph=None):
+    def predict(self, episodes, vocab=None):
         return constant(np.stack([self.outputs[ep.target_word] for ep in episodes]))
 
 
@@ -171,11 +172,11 @@ def test_divergence_aborts_with_step_number(monkeypatch):
     calls = {"n": 0}
     real = training_mod.episode_loss
 
-    def exploding(model, episodes, use_morph=None, vocab=None):
+    def exploding(model, episodes, vocab=None):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise NumericError("cosine: non-finite value produced")
-        return real(model, episodes, use_morph, vocab)
+        return real(model, episodes, vocab)
 
     monkeypatch.setattr(training_mod, "episode_loss", exploding)
     cfg = TrainConfig(steps=5, batch_episodes=2, validation_every=5, seed=0)
@@ -248,6 +249,17 @@ def test_checkpoint_layout(tmp_path):
                    ("fuse.w", (17, 6)), ("fuse.b", (6,)),
                    ("frozen_rows", (5, 6)), ("frozen_words", (14,))])
     assert [(name, arr.shape) for name, arr in arrays] == expected
+
+
+def test_checkpoint_with_an_unexpected_array_is_a_format_error(tmp_path):
+    # a config rewritten to drop the aggregator must not load without it
+    vocab, store, table, oracle, _ = small_task()
+    path = tmp_path / "model.hice"
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    config, arrays = read_container(path, "HICE1")
+    write_container(path, "HICE1", {**config, "n_agg_blocks": "0"}, arrays)
+    with pytest.raises(FormatError, match="unexpected array 'agg0.wq'"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_config_survives_textually(tmp_path):
@@ -333,8 +345,13 @@ def test_per_head_checkpoint_is_a_format_error(tmp_path):
 @pytest.mark.parametrize("edit", [
     {"n_heads": None}, {"embed_dim": None}, {"n_heads": "two"},
     {"filter_widths": "2,x"}, {"max_len": "2.5"}, {"seed": ""},
+    {"n_heads": "0"}, {"n_heads": "-2"}, {"char_filters": "-1"}, {"char_emb_dim": "-1"},
+    {"filter_widths": "-2,3,4"}, {"seed": "-1"},
+    {"d_model": "12"}, {"d_ff": "16"}, {"max_len": "11"}, {"max_word_len": "5"},
 ], ids=["missing-n_heads", "missing-embed_dim", "n_heads-two", "filter_widths-2,x",
-        "max_len-2.5", "empty-seed"])
+        "max_len-2.5", "empty-seed", "n_heads-0", "n_heads--2", "char_filters--1",
+        "char_emb_dim--1", "filter_widths--2,3,4", "seed--1", "d_model-12", "d_ff-16",
+        "max_len-11", "max_word_len-5"])
 def test_checkpoint_with_a_bad_config_value_is_a_format_error(tmp_path, edit):
     vocab, store, table, oracle, _ = small_task()
     path = tmp_path / "model.hice"
@@ -344,6 +361,39 @@ def test_checkpoint_with_a_bad_config_value_is_a_format_error(tmp_path, edit):
     write_container(path, "HICE1", config, arrays)
     with pytest.raises(FormatError, match="config"):
         load_checkpoint(path)
+
+
+def _small_checkpoint(path):
+    config = HiceConfig(embed_dim=4, n_heads=2, char_emb_dim=2, char_filters=2,
+                        filter_widths=(2,))
+    frozen = np.random.default_rng(0).normal(size=(3, 4)).astype(np.float32)
+    save_checkpoint(HiceModel(config, frozen, ["ab", "cd", "ef"]), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("where", [b"embed_dim=4", b"special_embed", b"ab\ncd"],
+                         ids=["config", "entry-name", "frozen-words"])
+def test_checkpoint_non_utf8_text_is_a_format_error(tmp_path, where):
+    # the last byte of ``where`` becomes 0xff
+    blob = _small_checkpoint(tmp_path / "model.hice")
+    at = blob.index(where) + len(where) - 1
+    (tmp_path / "model.hice").write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_checkpoint(tmp_path / "model.hice")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(at=st.integers(0, 5000), byte=st.none() | st.integers(0, 255))
+def test_a_corrupted_checkpoint_loads_or_is_a_format_error(tmp_path_factory, at, byte):
+    # one byte replaced (or, for byte None, the file cut there)
+    path = tmp_path_factory.getbasetemp() / "corrupted.hice"
+    blob = _small_checkpoint(path)
+    at %= len(blob)
+    path.write_bytes(blob[:at] if byte is None else blob[:at] + bytes([byte]) + blob[at + 1:])
+    try:
+        load_checkpoint(path)
+    except FormatError:
+        pass
 
 
 def test_checkpoint_magic_mismatch(tmp_path):
