@@ -72,13 +72,6 @@ def maml_update(params: list[Tensor], loss_source_fn, loss_target_fn,
     current parameter values (they are re-evaluated at perturbed points).
     """
     theta = [p.data.copy() for p in params]
-
-    if cfg.alpha == 0.0:
-        g_n = _grads(params, loss_target_fn)
-        for p, th, g in zip(params, theta, g_n):
-            p.data = th - cfg.beta * g
-        return
-
     g_t = _grads(params, loss_source_fn)
     for p, th, g in zip(params, theta, g_t):
         p.data = th - cfg.alpha * g

@@ -20,15 +20,17 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .container import pack_text, read_container, unpack_text, write_container
+from .container import (config_value, pack_text, read_container, unpack_text,
+                        write_container)
 from .corpus import EmbeddingTable, load_stopwords
 from .episode import MASK_TOKEN
-from .errors import FormatError, NumericError, OovForgeError
+from .errors import FormatError, InferenceError, NumericError, OovForgeError
 
 ALACARTE_MAGIC = "ALC1"
 NGRAM_MAGIC = "NGR1"
 NGRAM_MIN = 3
 NGRAM_MAX = 6
+NO_CONTEXT_TOKEN = "no context token found in the embedding table"
 
 
 @dataclass
@@ -79,18 +81,12 @@ def _exact_mean(rows: list[np.ndarray]) -> np.ndarray:
 class AlaCarteModel:
     """d x d linear correction on top of the additive estimate."""
 
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray
     ridge: float = 0.0
     samples: int = 0
     residual: float = 0.0
 
-    @property
-    def fitted(self) -> bool:
-        return self.matrix is not None
-
     def save(self, path) -> None:
-        if not self.fitted:
-            raise OovForgeError("cannot save an unfitted model")
         config = {
             "format": "alacarte",
             "dim": str(self.matrix.shape[0]),
@@ -110,9 +106,9 @@ class AlaCarteModel:
         m = named["matrix"].astype(np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise FormatError(f"{path}: transform must be square, got {m.shape}")
-        return cls(matrix=m, ridge=float(config.get("ridge", "0")),
-                   samples=int(config.get("samples", "0")),
-                   residual=float(config.get("residual", "0")))
+        return cls(matrix=m, ridge=config_value(config, "ridge", float, "0"),
+                   samples=config_value(config, "samples", int, "0"),
+                   residual=config_value(config, "residual", float, "0"))
 
 
 def alacarte_fit(pairs: list[tuple[np.ndarray, np.ndarray]],
@@ -147,10 +143,12 @@ def alacarte_fit(pairs: list[tuple[np.ndarray, np.ndarray]],
 
 
 def alacarte_infer(contexts: list[list[str]], model: AlaCarteModel,
-                   table: EmbeddingTable, drop_stopwords: bool = False) -> np.ndarray:
-    if not model.fitted:
-        raise OovForgeError("alacarte_infer: model is not fitted")
-    base = additive(contexts, table, drop_stopwords=drop_stopwords)
+                   table: EmbeddingTable) -> np.ndarray:
+    """The transform applied to the additive vector of the contexts; no
+    in-table context token is an InferenceError."""
+    base = additive(contexts, table)
+    if base.empty:
+        raise InferenceError(NO_CONTEXT_TOKEN)
     return model.matrix @ base.vector
 
 
@@ -199,9 +197,12 @@ class NgramTable:
         text = unpack_text(named["grams"])
         grams = text.split("\n") if text else []
         mat = named["vectors"].astype(np.float64)
+        dim = config_value(config, "dim", int)
+        if mat.shape[1:] != (dim,):
+            raise FormatError(f"{path}: dim={dim} but the vectors are {mat.shape}")
         if len(grams) != len(mat):
             raise FormatError(f"{path}: {len(grams)} grams vs {len(mat)} vectors")
-        table = cls(dim=int(config["dim"]), ridge=float(config.get("ridge", "0")))
+        table = cls(dim=dim, ridge=config_value(config, "ridge", float, "0"))
         table.vectors = {g: mat[i] for i, g in enumerate(grams)}
         return table
 

@@ -262,43 +262,30 @@ def _load_contexts(args, word: str) -> list[list[str]]:
     return [[MASK_TOKEN if t == word else t for t in s] for s in containing]
 
 
-def _infer_vector(args, word: str, masked: list[list[str]]) -> tuple[np.ndarray, EmbeddingTable | None]:
-    """-> (vector, a table usable for neighbor lookups)."""
-    method = args.method
-    table = load_embeddings(args.embeddings) if args.embeddings else None
-    if method == "hice":
-        if not args.checkpoint:
-            raise InferenceError("method hice needs --checkpoint")
-        model = load_checkpoint(args.checkpoint)
-        vec = model.predict_vector(*episode_from_masked(word, masked))
-        return vec, table or model.table
-    if method in ("additive", "additive-ns"):
-        if table is None:
-            raise InferenceError(f"method {method} needs --embeddings")
-        res = baselines.additive(masked, table, drop_stopwords=method.endswith("ns"))
-        if res.empty:
-            raise InferenceError("no context token found in the embedding table")
-        return res.vector, table
-    if method == "alacarte":
-        if table is None or not args.checkpoint:
-            raise InferenceError("method alacarte needs --embeddings and --checkpoint")
-        model = baselines.AlaCarteModel.load(args.checkpoint)
-        return baselines.alacarte_infer(masked, model, table), table
-    if method == "ngram":
-        if not args.checkpoint:
-            raise InferenceError("method ngram needs --checkpoint")
-        ngrams = baselines.NgramTable.load(args.checkpoint)
-        res = baselines.ngram_sum(word, ngrams)
-        if res.empty:
-            raise InferenceError(f"no known n-grams in {word!r}")
-        return res.vector, table
-    raise InferenceError(f"unknown method {args.method!r}")
+# what ``infer --method M`` needs besides the contexts
+INFER_NEEDS = {"hice": "--checkpoint", "additive": "--embeddings",
+               "additive-ns": "--embeddings",
+               "alacarte": "--embeddings and --checkpoint", "ngram": "--checkpoint"}
 
 
 def cmd_infer(args) -> int:
     word = args.word.lower()
     masked = _load_contexts(args, word)
-    vec, table = _infer_vector(args, word, masked)
+    method = args.method
+    table = load_embeddings(args.embeddings) if args.embeddings else None
+    needs = INFER_NEEDS[method]
+    if ("--embeddings" in needs and table is None
+            or "--checkpoint" in needs and not args.checkpoint):
+        raise InferenceError(f"method {method} needs {needs}")
+    fitted = None
+    if method == "hice":
+        fitted = load_checkpoint(args.checkpoint)
+        table = table if table is not None else fitted.table
+    elif method == "alacarte":
+        fitted = _load_alacarte(args.checkpoint, table)
+    elif method == "ngram":
+        fitted = baselines.NgramTable.load(args.checkpoint)
+    vec = _method_fn(method, fitted, table)(word, masked)
     print(f"{word} {format_vector(vec)}")
     if args.neighbors:
         if table is None:
@@ -309,12 +296,20 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _load_alacarte(path, table: EmbeddingTable) -> baselines.AlaCarteModel:
+    model = baselines.AlaCarteModel.load(path)
+    if len(model.matrix) != table.dim:
+        raise FormatError(f"{path}: a {len(model.matrix)}-dimensional transform "
+                          f"for a {table.dim}-dimensional table")
+    return model
+
+
 def _fit_baselines(methods: list[str], args, table: EmbeddingTable):
     """Fit the corpus-dependent baselines on prepared training words."""
     fitted: dict[str, object] = {}
     need_fit = {m for m in methods if m in ("alacarte", "ngram")}
     if args.alacarte_model and "alacarte" in need_fit:
-        fitted["alacarte"] = baselines.AlaCarteModel.load(args.alacarte_model)
+        fitted["alacarte"] = _load_alacarte(args.alacarte_model, table)
         need_fit.discard("alacarte")
     if args.ngram_model and "ngram" in need_fit:
         fitted["ngram"] = baselines.NgramTable.load(args.ngram_model)
@@ -350,17 +345,22 @@ def _fit_baselines(methods: list[str], args, table: EmbeddingTable):
     return fitted
 
 
-def _method_fn(method: str, table: EmbeddingTable, args, fitted):
-    if method == "additive":
-        return lambda w, ctxs: baselines.additive(ctxs, table).vector
-    if method == "additive-ns":
-        return lambda w, ctxs: baselines.additive(ctxs, table, drop_stopwords=True).vector
+def _method_fn(method: str, fitted, table: EmbeddingTable | None):
+    """The (word, masked contexts) -> vector function of a method, shared by
+    infer and eval. ``fitted`` is the method's model: a HiceModel,
+    AlaCarteModel or NgramTable, unused by the table-only methods. A method
+    with nothing to infer from raises InferenceError."""
+    if method == "hice":
+        return lambda w, ctxs: fitted.predict_vector(*episode_from_masked(w, ctxs))
+    if method in ("additive", "additive-ns"):
+        drop = method == "additive-ns"
+        return lambda w, ctxs: _found(baselines.additive(ctxs, table, drop_stopwords=drop),
+                                      baselines.NO_CONTEXT_TOKEN)
     if method == "alacarte":
-        model = fitted["alacarte"]
-        return lambda w, ctxs: baselines.alacarte_infer(ctxs, model, table)
+        return lambda w, ctxs: baselines.alacarte_infer(ctxs, fitted, table)
     if method == "ngram":
-        ngrams = fitted["ngram"]
-        return lambda w, ctxs: baselines.ngram_sum(w, ngrams).vector
+        return lambda w, ctxs: _found(baselines.ngram_sum(w, fitted),
+                                      f"no known n-grams in {w!r}")
     if method == "oracle":
         def oracle(w, ctxs):
             vec = table.get(w)
@@ -369,13 +369,15 @@ def _method_fn(method: str, table: EmbeddingTable, args, fitted):
             return vec.astype(np.float64)
 
         return oracle
-    if method == "hice":
-        if not args.checkpoint:
-            raise EvaluationError("method hice needs --checkpoint")
-        model = load_checkpoint(args.checkpoint)
-
-        return lambda w, ctxs: model.predict_vector(*episode_from_masked(w, ctxs))
     raise EvaluationError(f"unknown method {method!r}")
+
+
+def _found(result, message: str) -> np.ndarray:
+    """The vector of an additive or n-gram result; an empty one is an
+    InferenceError with ``message``."""
+    if result.empty:
+        raise InferenceError(message)
+    return result.vector
 
 
 def cmd_eval(args) -> int:
@@ -387,7 +389,11 @@ def cmd_eval(args) -> int:
     fitted = _fit_baselines(methods, args, table)
     reports = []
     for method in methods:
-        fn = _method_fn(method, table, args, fitted)
+        if method == "hice":
+            if not args.checkpoint:
+                raise EvaluationError("method hice needs --checkpoint")
+            fitted["hice"] = load_checkpoint(args.checkpoint)
+        fn = _method_fn(method, fitted.get(method), table)
         reports.append(evaluate_method(items, fn, table, method=method))
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -580,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--contexts-file", required=True)
     p.add_argument("--method", default="hice",
-                   choices=["hice", "additive", "additive-ns", "alacarte", "ngram"])
+                   choices=list(INFER_NEEDS))
     p.add_argument("--embeddings", default=None)
     p.add_argument("--neighbors", type=int, default=0)
     p.add_argument("--config", default=None)

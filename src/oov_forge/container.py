@@ -44,6 +44,20 @@ def _encode_config(config: dict[str, str]) -> bytes:
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
 
 
+def config_value(config: dict[str, str], key: str, parse=str,
+                 default: str | None = None):
+    """``parse`` of the value of ``key``, or of ``default`` when the key is
+    absent; a missing key or a value ``parse`` rejects is a FormatError
+    naming the key."""
+    value = config.get(key, default)
+    if value is None:
+        raise FormatError(f"config: missing {key!r}")
+    try:
+        return parse(value)
+    except ValueError:
+        raise FormatError(f"config: cannot parse {key}={value!r}") from None
+
+
 def _decode_config(blob: bytes) -> dict[str, str]:
     config = {}
     for line in _utf8(blob, "config block").splitlines():
@@ -155,7 +169,7 @@ def read_container(path, expected_magic: str):
     n_entries = r.u32()
     if n_entries > 1_000_000:
         raise FormatError(f"{path}: implausible manifest size {n_entries}")
-    manifest = []
+    manifest, names = [], set()
     for _ in range(n_entries):
         name = _utf8(r.take(r.u16()), f"{path}: entry name")
         dtag = r.take(r.u8()).decode("ascii", errors="replace")
@@ -163,6 +177,9 @@ def read_container(path, expected_magic: str):
             raise FormatError(f"{path}: unknown dtype tag {dtag!r}")
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
+        if name in names:
+            raise FormatError(f"{path}: repeated entry {name!r}")
+        names.add(name)
         manifest.append((name, dtag, shape))
     arrays = []
     for name, dtag, shape in manifest:

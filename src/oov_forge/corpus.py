@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import string
 from collections.abc import Iterator, Mapping
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 
 import numpy as np
@@ -55,8 +55,9 @@ def read_sentences(path) -> list[list[str]]:
     return [tokenize(line) for line in read_text(path, "corpus").splitlines()]
 
 
+@cache
 def load_stopwords() -> frozenset[str]:
-    """The bundled English list, one word per line."""
+    """The bundled English list, one word per line, read once per process."""
     text = resources.files("oov_forge.data").joinpath("stopwords_en.txt").read_text("utf-8")
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
@@ -87,18 +88,6 @@ class Vocabulary:
 
     def word_of(self, wid: int) -> str:
         return self.words[wid]
-
-    def count_of(self, word: str) -> int:
-        wid = self.ids.get(word)
-        return 0 if wid is None else self.counts[wid]
-
-    def is_stopword(self, word: str) -> bool:
-        wid = self.ids.get(word)
-        return False if wid is None else self.stop_flags[wid]
-
-    def is_eligible(self, word: str) -> bool:
-        wid = self.ids.get(word)
-        return wid is not None and self.counts[wid] > self.min_count
 
     def eligible_words(self) -> list[str]:
         return [w for i, w in enumerate(self.words) if self.counts[i] > self.min_count]
@@ -302,9 +291,9 @@ def _word_bucket(word: str) -> int:
     return int.from_bytes(digest[:8], "big") % 100
 
 
-def split_words(words, val_fraction: float = VAL_FRACTION):
+def split_words(words):
     """Deterministic train/validation split keyed on a hash of each word."""
-    cut = round(val_fraction * 100)
+    cut = round(VAL_FRACTION * 100)
     train, val = [], []
     for w in words:
         (val if _word_bucket(w) < cut else train).append(w)

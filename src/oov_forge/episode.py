@@ -65,7 +65,6 @@ class Episode:
     """One K-shot task: masked contexts, character features, oracle target."""
 
     target_word: str
-    target_id: int
     contexts: list[list[int]]
     char_seq: list[int]
     oracle: np.ndarray | None = None
@@ -131,7 +130,6 @@ def sample_episode(word: str, k: int, rng: np.random.Generator,
             raise EpisodeError(f"no oracle embedding for {word!r}")
     return Episode(
         target_word=word,
-        target_id=target_id,
         contexts=contexts,
         char_seq=char_sequence(word),
         oracle=oracle,
@@ -174,8 +172,7 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
                for t in sent]
         contexts.append(window_on_mask(ids, window))
     oracle = table.get(word) if table is not None else None
-    episode = Episode(word, vocab.ids.get(word, UNK_ID),
-                      contexts, char_sequence(word, max_word_len=max_word_len),
+    episode = Episode(word, contexts, char_sequence(word, max_word_len=max_word_len),
                       oracle)
     return episode, vocab
 

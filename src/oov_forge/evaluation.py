@@ -130,10 +130,6 @@ class MethodReport:
     failed: int = 0
     dropped_probes: int = 0
 
-    def mean_rho(self) -> float:
-        scored = [r.rho for r in self.items if not r.failed]
-        return float(np.mean(scored)) if scored else float("nan")
-
 
 def mask_contexts(word: str, contexts: list[str]) -> list[list[str]]:
     """Tokenize raw sentences and replace the pseudo-word by the mask marker."""

@@ -37,7 +37,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import tensor as tc
-from .container import pack_text
+from .container import config_value, pack_text
 from .corpus import EmbeddingTable, Vocabulary
 from .episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, DEFAULT_CHAR_VOCAB, Episode,
                       decode_context)
@@ -113,35 +113,22 @@ class HiceConfig:
 
     @classmethod
     def from_dict(cls, d: dict[str, str]) -> "HiceConfig":
-        def get(key: str, default: str | None = None) -> str:
-            value = d.get(key, default)
-            if value is None:
-                raise FormatError(f"config: missing {key!r}")
-            return value
-
-        def integer(key: str, default: str | None = None, parse=int):
-            value = get(key, default)
-            try:
-                return parse(value)
-            except ValueError:
-                raise FormatError(f"config: {key} {value!r} is not an integer") from None
-
         try:
             config = cls(
-                **{key: integer(key) for key in (
+                **{key: config_value(d, key, int) for key in (
                     "embed_dim", "n_heads", "n_context_blocks", "n_agg_blocks",
                     "char_emb_dim", "char_filters")},
-                filter_widths=integer(
-                    "filter_widths", parse=lambda v: tuple(int(w) for w in v.split(","))),
-                use_morph=get("use_morph") == "true",
-                context_pool=get("context_pool"),
-                seed=integer("seed", "0"),
+                filter_widths=config_value(
+                    d, "filter_widths", lambda v: tuple(int(w) for w in v.split(","))),
+                use_morph=config_value(d, "use_morph") == "true",
+                context_pool=config_value(d, "context_pool"),
+                seed=config_value(d, "seed", int, "0"),
             )
         except InputError as e:
             raise FormatError(f"config: {e}") from None
         # as_dict records these derived values; an older config could set them
         for key in ("d_model", "d_ff", "max_len", "max_word_len"):
-            if integer(key) != getattr(config, key):
+            if config_value(d, key, int) != getattr(config, key):
                 raise FormatError(f"config: {key}={d[key]} differs from the "
                                   f"derived value {getattr(config, key)}")
         return config
@@ -206,28 +193,18 @@ class Segments:
         self.positions = np.nonzero(self.valid)[1]
 
 
-def self_attention(x: Tensor, p: AttentionBlockParams, seqs: Segments,
+def self_attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segments,
                    sink: list | None = None, rows: np.ndarray | None = None) -> Tensor:
     """Multi-head self-attention within each sequence of the packed rows
     x[N, d_model]; scores scaled by 1/sqrt(d_model).
 
     ``rows`` [S, Lq] picks the output rows of each sequence (-1 pads; default
-    ``seqs.index``, every row) and the result holds them in order, [Nq,
-    d_model]. Keys and values are projected for every row, queries for the
-    picked ones; only the scores and the weighted sum run padded, as [S,
-    heads, Lq, Lmax] with padded keys masked out. ``sink`` collects that
-    softmax array, one per call.
+    ``seqs.index``, every row), ``xq`` holds those rows of x in order, and
+    the result holds them in order, [Nq, d_model]. Keys and values are
+    projected for every row, queries for the picked ones; only the scores
+    and the weighted sum run padded, as [S, heads, Lq, Lmax] with padded
+    keys masked out. ``sink`` collects that softmax array, one per call.
     """
-    return _attention(x, _picked(x, rows), p, seqs, sink, rows)
-
-
-def _picked(x: Tensor, rows: np.ndarray | None) -> Tensor:
-    return x if rows is None else tc.gather_rows(x, rows[rows >= 0])
-
-
-def _attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segments,
-               sink: list | None, rows: np.ndarray | None) -> Tensor:
-    # self_attention with the picked rows xq of x already gathered
     split = (-1, p.n_heads, p.d_model // p.n_heads)
     picked = (seqs.index if rows is None else rows) >= 0
     # slot of each picked row in xq, -1 past the end of a sequence
@@ -251,8 +228,8 @@ def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
     """Self-attention and a position-wise FFN, each wrapped in residual +
     layer norm, over the packed rows x[N, d_model]; with ``rows``, as in
     ``self_attention``, all but the keys and values run on those rows only."""
-    xq = _picked(x, rows)
-    y1 = tc.layer_norm(tc.add(xq, _attention(x, xq, p, seqs, sink, rows)),
+    xq = x if rows is None else tc.gather_rows(x, rows[rows >= 0])
+    y1 = tc.layer_norm(tc.add(xq, self_attention(x, xq, p, seqs, sink, rows)),
                        p.ln1_g, p.ln1_b)
     h = tc.relu(tc.add_bias(tc.matmul(y1, p.w1), p.b1))
     ffn = tc.add_bias(tc.matmul(h, p.w2), p.b2)
@@ -268,7 +245,7 @@ class Batch:
     contexts: Segments        # the tokens of every context
     shots: Segments           # the contexts of every episode
     frozen_rows: np.ndarray   # [T] frozen-table row of a token, -1 for MASK/UNK
-    special_rows: np.ndarray  # [T] learned row (MASK_ROW, UNK_ROW) where that is -1
+    special_rows: np.ndarray  # [T] learned row (MASK_ROW, UNK_ROW), -1 at frozen tokens
     pool_rows: np.ndarray     # [C] packed token a context is summarized by
     chars: np.ndarray         # [B, W] character ids, -1 past the end of a word
     char_lengths: np.ndarray  # [B]
@@ -417,21 +394,22 @@ class HiceModel:
             contexts=segs,
             shots=Segments([ep.k for ep in episodes]),
             frozen_rows=frozen_rows,
-            special_rows=np.where(tokens == MASK_ID, self.MASK_ROW, self.UNK_ROW),
+            special_rows=np.where(frozen_rows >= 0, -1,
+                                  np.where(tokens == MASK_ID, self.MASK_ROW, self.UNK_ROW)),
             pool_rows=segs.starts + np.asarray(pool_at, dtype=np.intp),
             chars=chars,
             char_lengths=np.asarray(widths, dtype=np.intp),
         )
 
     def embed_tokens(self, batch: Batch) -> Tensor:
-        """Packed tokens -> [T, d_in]; frozen rows are constants, MASK/UNK
-        learn."""
+        """Packed tokens -> [T, d_in]: a constant holding each frozen token's
+        table row plus the learned MASK/UNK rows, which are zero at frozen
+        tokens."""
         known = batch.frozen_rows >= 0
         base = np.zeros((len(known), self.config.embed_dim))
         base[known] = self.frozen[batch.frozen_rows[known]]
-        special = np.flatnonzero(~known)
-        return tc.overlay_rows(base, special, self.special_embed,
-                               batch.special_rows[special])
+        return tc.add(tc.constant(base), tc.gather_rows(self.special_embed,
+                                                        batch.special_rows))
 
     def encode_context(self, batch: Batch, sink: list | None = None) -> Tensor:
         """Every masked sentence of the batch -> [C, d_model] summaries."""

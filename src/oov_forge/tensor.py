@@ -597,32 +597,3 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
     return _record("gather_rows", out, (table,), bwd)
 
-
-def overlay_rows(base: np.ndarray, positions: Sequence[int],
-                 donor: Tensor, donor_rows: Sequence[int]) -> Tensor:
-    """A constant [L,n] block with rows at ``positions`` replaced by rows of
-    the (learnable) donor table. Gradient reaches only the donor rows; the
-    constant base can never receive one.
-    """
-    pos = np.asarray(positions, dtype=np.intp)
-    rows = np.asarray(donor_rows, dtype=np.intp)
-    if pos.shape != rows.shape:
-        raise ShapeError("overlay_rows: positions and donor_rows differ in length")
-    if donor.data.ndim != 2 or base.ndim != 2 or base.shape[1] != donor.shape[1]:
-        raise ShapeError(f"overlay_rows: {base.shape} vs donor {donor.shape}")
-    nd = _needs(donor)
-    out = np.array(base, dtype=donor.data.dtype, copy=True)
-    if pos.size:
-        out[pos] = donor.data[rows]
-    dshape = donor.shape
-    dt = donor.data.dtype
-
-    def bwd(g):
-        if not nd:
-            return (None,)
-        gd = np.zeros(dshape, dtype=dt)
-        if pos.size:
-            np.add.at(gd, rows, g[pos])
-        return (gd,)
-
-    return _record("overlay_rows", out, (donor,), bwd)

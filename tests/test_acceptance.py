@@ -101,8 +101,6 @@ def _op_cases(rng):
     w2234, w233, w234 = c(2, 2, 3, 4), c(2, 3, 3), c(2, 3, 4)
     m45, m53 = p(4, 5), p(5, 3)
     w45out = c(4, 3)
-    donor = p(2, 3)
-    base = n(size=(4, 3))
 
     def wrap(out, w):
         return sum_all(tc.mul(out, w))
@@ -130,8 +128,6 @@ def _op_cases(rng):
         ("concat_cols", lambda: wrap(tc.concat_cols([x, y]), w46), [x, y]),
         ("gather_rows",
          lambda: wrap(tc.gather_rows(mat, [[0, 4, -1], [0, 2, 4]]), w233), [mat]),
-        ("overlay_rows",
-         lambda: wrap(tc.overlay_rows(base, [0, 2], donor, [1, 1]), w43), [donor]),
     ]
 
 

@@ -125,7 +125,7 @@ def test_pseudo_targets_threshold():
     words = pseudo_targets(vocab_n, store_n, oracle_n, min_count=4)
     assert words
     for w in words:
-        assert vocab_n.count_of(w) > 4
+        assert vocab_n.counts[vocab_n.id_of(w)] > 4
         assert w in oracle_n
 
 

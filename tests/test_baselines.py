@@ -142,11 +142,6 @@ def test_alacarte_infer_identity_equals_additive(rng):
     assert np.array_equal(alacarte_infer(contexts, zero, table), np.zeros(3))
 
 
-def test_alacarte_unfitted_infer_raises():
-    with pytest.raises(OovForgeError):
-        alacarte_infer([["a"]], AlaCarteModel(), table_of({"a": [1.0]}))
-
-
 def test_alacarte_roundtrip(tmp_path, rng):
     model = alacarte_fit([(rng.normal(size=4), rng.normal(size=4))
                           for _ in range(20)])

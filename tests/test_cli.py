@@ -6,7 +6,8 @@ import pytest
 
 import synthetic_task
 from oov_forge import cli
-from oov_forge.baselines import ngram_fit
+from oov_forge.baselines import (ALACARTE_MAGIC, NGRAM_MAGIC, AlaCarteModel,
+                                 ngram_fit)
 from oov_forge.cli import main
 from oov_forge.container import read_container, write_container
 from oov_forge.corpus import EmbeddingTable, load_embeddings, save_embeddings
@@ -177,6 +178,118 @@ def test_infer_checkpoint_with_a_bad_config_exits_2(workdir, checkpoint, tmp_pat
                  "--method", "hice", "--checkpoint", str(bad)])
     assert code == 2
     assert next(iter(edit)) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fitted_files(workdir):
+    """An ALC1 and an NGR1 file fitted to the 8-dimensional table."""
+    table = load_embeddings(workdir / "embeddings.txt")
+    alc, ngr = workdir / "identity.alc", workdir / "grams.ngr"
+    AlaCarteModel(matrix=np.eye(table.dim)).save(alc)
+    ngram_fit(sorted(table), table).save(ngr)
+    return {"alacarte": alc, "ngram": ngr}
+
+
+def _edit_container(src, dst, magic, config_edit=None, arrays_edit=None):
+    config, arrays = read_container(src, magic)
+    config = {k: v for k, v in {**config, **(config_edit or {})}.items() if v is not None}
+    write_container(dst, magic, config, arrays_edit(arrays) if arrays_edit else arrays)
+    return dst
+
+
+@pytest.mark.parametrize("method, edit, key", [
+    ("ngram", {"dim": None}, "dim"),
+    ("ngram", {"dim": "x"}, "dim"),
+    ("ngram", {"dim": "9"}, "dim=9"),
+    ("ngram", {"ridge": "x"}, "ridge"),
+    ("alacarte", {"samples": "x"}, "samples"),
+    ("alacarte", {"residual": "1,5"}, "residual"),
+], ids=["ngram-missing-dim", "ngram-dim-x", "ngram-dim-9", "ngram-ridge-x",
+        "alacarte-samples-x", "alacarte-residual-1,5"])
+def test_infer_baseline_file_with_a_bad_config_exits_2(workdir, fitted_files, tmp_path,
+                                                       capsys, method, edit, key):
+    magic = NGRAM_MAGIC if method == "ngram" else ALACARTE_MAGIC
+    bad = _edit_container(fitted_files[method], tmp_path / "bad", magic, edit)
+    ctx = tmp_path / "ctx.txt"
+    ctx.write_text("t00w00 t00w99 t00w01\n")
+    code = main(["infer", "--word", "t00w99", "--contexts-file", str(ctx),
+                 "--method", method, "--checkpoint", str(bad),
+                 "--embeddings", str(workdir / "embeddings.txt")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+
+
+def test_infer_and_eval_reject_a_transform_of_another_dimension(
+        workdir, bench_tsv, tmp_path, capsys):
+    small = tmp_path / "small.alc"
+    AlaCarteModel(matrix=np.eye(4)).save(small)
+    ctx = tmp_path / "ctx.txt"
+    ctx.write_text("t00w00 t00w99 t00w01\n")
+    assert main(["infer", "--word", "t00w99", "--contexts-file", str(ctx),
+                 "--method", "alacarte", "--checkpoint", str(small),
+                 "--embeddings", str(workdir / "embeddings.txt")]) == 2
+    assert main(["eval", str(bench_tsv), "--embeddings", str(workdir / "embeddings.txt"),
+                 "--methods", "alacarte", "--alacarte-model", str(small),
+                 "--out-dir", str(tmp_path / "rep")]) == 6
+    err = capsys.readouterr().err
+    assert err.count("a 4-dimensional transform for a 8-dimensional table") == 2
+
+
+def test_infer_baseline_file_with_a_repeated_entry_exits_2(workdir, fitted_files, tmp_path,
+                                                          capsys):
+    bad = _edit_container(fitted_files["ngram"], tmp_path / "bad.ngr", NGRAM_MAGIC,
+                          arrays_edit=lambda arrays: arrays + arrays[-1:])
+    ctx = tmp_path / "ctx.txt"
+    ctx.write_text("t00w00 t00w99\n")
+    assert main(["infer", "--word", "t00w99", "--contexts-file", str(ctx),
+                 "--method", "ngram", "--checkpoint", str(bad)]) == 2
+    assert "repeated entry 'vectors'" in capsys.readouterr().err
+
+
+def _nothing_to_infer_bench(workdir, tmp_path):
+    """One item whose contexts hold no table word besides the pseudo-word,
+    which has no known n-gram either."""
+    probes = sorted(load_embeddings(workdir / "embeddings.txt"))[::8][:6]
+    bench = tmp_path / "nothing.tsv"
+    save_benchmark_tsv([EvalItem("qqqq", ["the qqqq is here", "of qqqq"], probes,
+                                 [float(i) for i in range(6)], 2)], bench)
+    return bench
+
+
+@pytest.mark.parametrize("method", ["additive", "additive-ns", "alacarte"])
+def test_no_in_table_context_token_fails_infer_and_eval_alike(
+        workdir, fitted_files, tmp_path, capsys, method):
+    message = "no context token found in the embedding table"
+    ctx = tmp_path / "ctx.txt"
+    ctx.write_text("the qqqq is here\nof qqqq\n")
+    code = main(["infer", "--word", "qqqq", "--contexts-file", str(ctx),
+                 "--method", method, "--checkpoint", str(fitted_files["alacarte"]),
+                 "--embeddings", str(workdir / "embeddings.txt")])
+    assert code == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "rep"
+    assert main(["eval", str(_nothing_to_infer_bench(workdir, tmp_path)),
+                 "--embeddings", str(workdir / "embeddings.txt"), "--methods", method,
+                 "--alacarte-model", str(fitted_files["alacarte"]),
+                 "--out-dir", str(out)]) == 0
+    assert _item_rows(out) == [[method, "2", "qqqq", "", "1", message]]
+
+
+def test_no_known_ngram_fails_infer_and_eval_alike(workdir, fitted_files, tmp_path,
+                                                   capsys):
+    message = "no known n-grams in 'qqqq'"
+    ctx = tmp_path / "ctx.txt"
+    ctx.write_text("the qqqq is here\n")
+    code = main(["infer", "--word", "qqqq", "--contexts-file", str(ctx),
+                 "--method", "ngram", "--checkpoint", str(fitted_files["ngram"])])
+    assert code == 5
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "rep"
+    assert main(["eval", str(_nothing_to_infer_bench(workdir, tmp_path)),
+                 "--embeddings", str(workdir / "embeddings.txt"), "--methods", "ngram",
+                 "--ngram-model", str(fitted_files["ngram"]),
+                 "--out-dir", str(out)]) == 0
+    assert _item_rows(out) == [["ngram", "2", "qqqq", "", "1", message]]
 
 
 def test_infer_word_missing_from_contexts_exits_5(workdir, tmp_path):

@@ -29,9 +29,9 @@ def test_tokenize_strips_edges_keeps_inner_punctuation():
 
 def test_build_vocab_eligibility_threshold_is_strict():
     vocab = build_vocab([["a", "a"]], min_count=1)
-    assert vocab.is_eligible("a")          # count 2 > 1
+    assert vocab.eligible_words() == ["a"]   # count 2 > 1
     vocab2 = build_vocab([["a", "a"]], min_count=2)
-    assert not vocab2.is_eligible("a")     # count 2 is not > 2
+    assert vocab2.eligible_words() == []     # count 2 is not > 2
 
 
 def test_build_vocab_empty_corpus():
@@ -47,9 +47,10 @@ def test_build_vocab_matches_bruteforce_recount(rng):
     ]
     vocab = build_vocab(sentences, min_count=5)
     oracle = Counter(tok for sent in sentences for tok in sent)
+    eligible = set(vocab.eligible_words())
     for w, n in oracle.items():
-        assert vocab.count_of(w) == n
-        assert vocab.is_eligible(w) == (n > 5)
+        assert vocab.counts[vocab.id_of(w)] == n
+        assert (w in eligible) == (n > 5)
 
 
 def test_build_vocab_counts_order_independent(rng):
@@ -57,7 +58,7 @@ def test_build_vocab_counts_order_independent(rng):
     v1 = build_vocab(sentences, min_count=1)
     v2 = build_vocab(sentences[::-1], min_count=1)
     for w in ("x", "y", "z"):
-        assert v1.count_of(w) == v2.count_of(w)
+        assert v1.counts[v1.id_of(w)] == v2.counts[v2.id_of(w)]
 
 
 def test_stopword_list_is_reasonable():
@@ -65,7 +66,11 @@ def test_stopword_list_is_reasonable():
     assert 120 <= len(stops) <= 200
     assert {"the", "and", "of", "we"} <= stops
     vocab = build_vocab([["the", "scooter"]], min_count=1)
-    assert vocab.is_stopword("the") and not vocab.is_stopword("scooter")
+    assert vocab.stop_flags == [True, False]   # "the", "scooter"
+
+
+def test_stopword_list_is_read_once():
+    assert load_stopwords() is load_stopwords()
 
 
 def test_contexts_of_order_and_dedup():

@@ -64,6 +64,14 @@ def test_container_trailing_bytes(tmp_path):
         read_container(path, "TST1")
 
 
+def test_container_repeated_entry_name(tmp_path):
+    path = tmp_path / "blob.bin"
+    write_container(path, "TST1", {}, [("m", np.zeros(2, np.float32)),
+                                       ("m", np.ones(2, np.float32))])
+    with pytest.raises(FormatError, match="repeated entry 'm'"):
+        read_container(path, "TST1")
+
+
 class DiskFull:
     """A file that takes 64 bytes or characters: the write that would go
     past them stops there."""

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 import oov_forge.tensor as tc
 from fd import rel_err
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
-from oov_forge.episode import (MASK_ID, MASK_TOKEN, MAX_LEN, MAX_WORD_LEN, Episode,
-                               char_sequence, episode_from_masked, sample_episode)
+from oov_forge.episode import (MASK_ID, MASK_TOKEN, MAX_LEN, MAX_WORD_LEN, UNK_ID,
+                               Episode, char_sequence, episode_from_masked,
+                               sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
                              Segments, encoding_block, parse_attention_report,
@@ -46,7 +47,7 @@ def make_model(table=None, vocab=None, **overrides):
 
 def episode_of(contexts, word="w03"):
     """An oracle-free episode with the given context token ids."""
-    return Episode(word, 0, contexts, char_sequence(word))
+    return Episode(word, contexts, char_sequence(word))
 
 
 def morph_features(model, *words):
@@ -71,7 +72,7 @@ def test_self_attention_single_position(rng):
     block = AttentionBlockParams(6, 2, 12, rng)
     x = constant(rng.normal(size=(1, 6)))
     sink = []
-    out = self_attention(x, block, Segments([1]), sink)
+    out = self_attention(x, x, block, Segments([1]), sink)
     assert sink[0].shape == (1, 2, 1, 1)
     assert np.allclose(sink[0], 1.0, atol=1e-12)
     values = np.concatenate([x.data @ wv for _, _, wv in head_blocks(block)], axis=1)
@@ -101,7 +102,7 @@ def test_self_attention_identical_rows_attend_uniformly(rng):
     row = rng.normal(size=6)
     x = constant(np.stack([row, row]))
     sink = []
-    self_attention(x, block, Segments([2]), sink)
+    self_attention(x, x, block, Segments([2]), sink)
     assert sink[0].shape == (1, 2, 2, 2)
     assert np.abs(sink[0] - 0.5).max() < 1e-9
 
@@ -131,7 +132,7 @@ def test_self_attention_matches_naive_loop(rng):
     lengths = [5, 1, 3]
     x = rng.normal(size=(sum(lengths), 8))
     seqs = Segments(lengths)
-    got = self_attention(constant(x), block, seqs).data
+    got = self_attention(constant(x), constant(x), block, seqs).data
     for start, n in zip(seqs.starts, lengths):
         rows = slice(start, start + n)
         assert np.abs(got[rows] - _naive_self_attention(x[rows], block)).max() < 1e-10
@@ -436,6 +437,29 @@ def test_overfit_single_episode():
     oracle = ep.oracle.astype(np.float64)
     cos = float(pred @ oracle / (np.linalg.norm(pred) * np.linalg.norm(oracle)))
     assert cos > 0.99
+
+
+def test_embed_tokens_gradient_only_reaches_special_rows(rng):
+    # a frozen token reads its table row exactly, MASK and UNK read the
+    # learned rows, and only those learned rows take a gradient
+    vocab, _ = make_corpus()
+    model, table = make_model(vocab=vocab)
+    model.special_embed.data = rng.normal(size=(2, DIM))
+    a, b = vocab.words[:2]
+    batch = model.batch([episode_of([[vocab.id_of(a), MASK_ID, UNK_ID,
+                                      vocab.id_of(b), MASK_ID]])])
+    w = constant(rng.normal(size=(5, DIM)))
+    with Graph():
+        out = model.embed_tokens(batch)
+        backward(sum_all(tc.mul(out, w)))
+    special = model.special_embed.data
+    assert np.array_equal(out.data[[0, 3]], np.stack([table[a], table[b]]).astype(np.float64))
+    assert np.array_equal(out.data[[1, 4]], special[[model.MASK_ROW] * 2])
+    assert np.array_equal(out.data[2], special[model.UNK_ROW])
+    assert [n for n, p in model.parameters() if p.grad is not None] == ["special_embed"]
+    grad = model.special_embed.grad
+    assert np.array_equal(grad[model.MASK_ROW], w.data[1] + w.data[4])
+    assert np.array_equal(grad[model.UNK_ROW], w.data[2])
 
 
 def test_frozen_rows_never_receive_gradient():

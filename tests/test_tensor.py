@@ -371,19 +371,6 @@ def test_gather_ops_scatter_add_duplicates(rng):
     assert err < 1e-6
 
 
-def test_overlay_rows_gradient_only_reaches_donor(rng):
-    base = rng.normal(size=(4, 3))
-    donor = parameter(rng.normal(size=(2, 3)))
-    w = constant(rng.normal(size=(4, 3)))
-    err = check_grads(
-        lambda: sum_all(tc.mul(tc.overlay_rows(base, [1, 3], donor, [0, 0]), w)),
-        [donor])
-    assert err < 1e-6
-    out = tc.overlay_rows(base, [1, 3], donor, [0, 1])
-    assert np.array_equal(out.data[0], base[0])
-    assert np.array_equal(out.data[1], donor.data[0])
-
-
 def test_float32_tensors_are_supported(rng):
     a = constant(rng.normal(size=(2, 2)), dtype=np.float32)
     b = constant(rng.normal(size=(2, 2)), dtype=np.float32)

@@ -36,7 +36,7 @@ class _StubModel:
 
 
 def _episode(word, oracle):
-    return Episode(word, 0, [[EpisodeMask := -1]], char_sequence(word),
+    return Episode(word, [[EpisodeMask := -1]], char_sequence(word),
                    np.asarray(oracle, dtype=np.float32))
 
 
@@ -75,7 +75,7 @@ def test_loss_rejects_zero_norm_oracle():
 
 
 def test_loss_requires_oracle():
-    ep = Episode("w", 0, [[-1]], char_sequence("w"), None)
+    ep = Episode("w", [[-1]], char_sequence("w"), None)
     with pytest.raises(TrainingError):
         episode_loss(_StubModel({"w": np.zeros(2)}), [ep])
 
