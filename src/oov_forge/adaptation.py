@@ -170,22 +170,17 @@ def finetune_step(model: HiceModel, batch: list[Episode], lr: float,
 
 
 def finetune(model: HiceModel, cfg: AdaptConfig,
-             target: tuple[Vocabulary, SentenceStore, EmbeddingTable | None],
-             episodes: list[Episode] | None = None) -> HiceModel:
+             target: tuple[Vocabulary, SentenceStore, EmbeddingTable | None]) -> HiceModel:
     """The comparison arm: plain SGD (rate ``beta``) on target pseudo-episodes
-    only. With ``episodes`` given, every step reuses that fixed set."""
+    only."""
     vocab_n, store_n, table_n = target
-    if episodes is None:
-        words_n = pseudo_targets(vocab_n, store_n, table_n, cfg.target_min_count)
-        if not words_n:
-            raise AdaptationError("no eligible adaptation words for fine-tuning")
-        # seed offset matches adapt()'s target stream so alpha=0 is identical
-        stream = episode_stream(vocab_n, store_n, table_n, ADAPT_K_RANGE,
-                                cfg.seed + 1, words=words_n)
-        for _ in range(cfg.adapt_steps):
-            batch = [next(stream) for _ in range(cfg.batch_episodes)]
-            finetune_step(model, batch, cfg.beta, vocab=vocab_n)
-    else:
-        for _ in range(cfg.adapt_steps):
-            finetune_step(model, episodes, cfg.beta, vocab=vocab_n)
+    words_n = pseudo_targets(vocab_n, store_n, table_n, cfg.target_min_count)
+    if not words_n:
+        raise AdaptationError("no eligible adaptation words for fine-tuning")
+    # seed offset matches adapt()'s target stream so alpha=0 is identical
+    stream = episode_stream(vocab_n, store_n, table_n, ADAPT_K_RANGE,
+                            cfg.seed + 1, words=words_n)
+    for _ in range(cfg.adapt_steps):
+        batch = [next(stream) for _ in range(cfg.batch_episodes)]
+        finetune_step(model, batch, cfg.beta, vocab=vocab_n)
     return model

@@ -280,11 +280,13 @@ def cmd_infer(args) -> int:
     fitted = None
     if method == "hice":
         fitted = load_checkpoint(args.checkpoint)
+        _check_dim(args.checkpoint, "model", fitted.config.embed_dim, table)
         table = table if table is not None else fitted.table
     elif method == "alacarte":
         fitted = _load_alacarte(args.checkpoint, table)
     elif method == "ngram":
         fitted = baselines.NgramTable.load(args.checkpoint)
+        _check_dim(args.checkpoint, "n-gram table", fitted.dim, table)
     vec = _method_fn(method, fitted, table)(word, masked)
     print(f"{word} {format_vector(vec)}")
     if args.neighbors:
@@ -296,11 +298,16 @@ def cmd_infer(args) -> int:
     return 0
 
 
+def _check_dim(path, what: str, dim: int, table: EmbeddingTable | None) -> None:
+    """A method's file and the --embeddings table must agree in dimension."""
+    if table is not None and dim != table.dim:
+        raise FormatError(f"{path}: a {dim}-dimensional {what} "
+                          f"for a {table.dim}-dimensional table")
+
+
 def _load_alacarte(path, table: EmbeddingTable) -> baselines.AlaCarteModel:
     model = baselines.AlaCarteModel.load(path)
-    if len(model.matrix) != table.dim:
-        raise FormatError(f"{path}: a {len(model.matrix)}-dimensional transform "
-                          f"for a {table.dim}-dimensional table")
+    _check_dim(path, "transform", len(model.matrix), table)
     return model
 
 

@@ -26,38 +26,20 @@ MAX_LEN = 2 * CONTEXT_WINDOW + 1  # tokens in a windowed context
 MAX_WORD_LEN = 20        # characters kept before truncation
 
 
-class CharVocab:
-    """Characters the morphology encoder understands, with BOW/EOW markers.
-
-    Covers ASCII letters, digits, hyphen and apostrophe; anything else maps
-    to CHAR_UNK.
-    """
-
-    ALPHABET = string.ascii_lowercase + string.ascii_uppercase + string.digits + "-'"
-
-    def __init__(self):
-        self.bow = 0
-        self.eow = 1
-        self.unk = 2
-        self.char_ids = {c: i + 3 for i, c in enumerate(self.ALPHABET)}
-
-    def __len__(self) -> int:
-        return len(self.char_ids) + 3
-
-    def encode_char(self, c: str) -> int:
-        return self.char_ids.get(c, self.unk)
-
-
-DEFAULT_CHAR_VOCAB = CharVocab()
+# Characters the morphology encoder understands: ASCII letters, digits,
+# hyphen and apostrophe; anything else maps to CHAR_UNK. A word is framed by
+# the CHAR_BOW/CHAR_EOW markers.
+CHAR_BOW, CHAR_EOW, CHAR_UNK = 0, 1, 2
+CHAR_IDS = {c: i + 3 for i, c in enumerate(
+    string.ascii_lowercase + string.ascii_uppercase + string.digits + "-'")}
+N_CHARS = len(CHAR_IDS) + 3
 
 
 def char_sequence(word: str, max_word_len: int = MAX_WORD_LEN) -> list[int]:
     """[BOW] + character ids + [EOW], truncated from the right."""
     if not word:
         raise InputError("char_sequence: empty word")
-    cv = DEFAULT_CHAR_VOCAB
-    body = [cv.encode_char(c) for c in word[:max_word_len]]
-    return [cv.bow] + body + [cv.eow]
+    return [CHAR_BOW] + [CHAR_IDS.get(c, CHAR_UNK) for c in word[:max_word_len]] + [CHAR_EOW]
 
 
 @dataclass
@@ -148,33 +130,25 @@ def _transient_vocab(token_sentences: list[list[str]]) -> Vocabulary:
 
 
 def episode_from_masked(word: str, masked_sentences: list[list[str]],
-                        vocab: Vocabulary | None = None,
-                        table: EmbeddingTable | None = None,
                         max_word_len: int = MAX_WORD_LEN,
                         max_len: int = MAX_LEN):
     """The inference episode: sentences already carrying MASK_TOKEN at the
     target slots, windowed to ``max_len`` tokens around the first marker.
 
-    Returns (episode, vocabulary); the vocabulary is transient when none is
-    given and is what the model needs to resolve the ids.
+    Returns (episode, vocabulary): the ids index a transient vocabulary of
+    the sentences' words, which the model needs to resolve them.
     """
     if not masked_sentences:
         raise EpisodeError("episode needs at least one context sentence")
     for sent in masked_sentences:
         if MASK_TOKEN not in sent:
             raise EpisodeError(f"context has no {MASK_TOKEN} marker: {sent}")
-    if vocab is None:
-        vocab = _transient_vocab(masked_sentences)
+    vocab = _transient_vocab(masked_sentences)
     window = (max_len - 1) // 2
-    contexts = []
-    for sent in masked_sentences:
-        ids = [MASK_ID if t == MASK_TOKEN else vocab.ids.get(t, UNK_ID)
-               for t in sent]
-        contexts.append(window_on_mask(ids, window))
-    oracle = table.get(word) if table is not None else None
-    episode = Episode(word, contexts, char_sequence(word, max_word_len=max_word_len),
-                      oracle)
-    return episode, vocab
+    contexts = [window_on_mask([MASK_ID if t == MASK_TOKEN else vocab.ids[t] for t in sent],
+                               window)
+                for sent in masked_sentences]
+    return Episode(word, contexts, char_sequence(word, max_word_len=max_word_len)), vocab
 
 
 def eligible_targets(vocab: Vocabulary, store: SentenceStore,
@@ -192,25 +166,24 @@ def eligible_targets(vocab: Vocabulary, store: SentenceStore,
 
 
 def episode_stream(vocab: Vocabulary, store: SentenceStore,
-                   table: EmbeddingTable | None, k, seed: int,
+                   table: EmbeddingTable | None, k: tuple[int, int], seed: int,
                    words: list[str] | None = None):
     """Infinite deterministic-for-seed episode generator.
 
-    ``k`` is either a fixed int or an inclusive (lo, hi) range sampled per
-    episode; targets are drawn uniformly from ``words`` (default: all
+    Each episode's shot count is drawn from the inclusive range ``k`` =
+    (lo, hi); targets are drawn uniformly from ``words`` (default: all
     eligible targets).
     """
     if words is None:
         words = eligible_targets(vocab, store, table)
     if not words:
         raise EpisodeError("no eligible target words")
-    fixed_k = isinstance(k, int)
+    lo, hi = k
 
     def generate():
         rng = np.random.default_rng(seed)
         while True:
             word = words[int(rng.integers(0, len(words)))]
-            k_now = k if fixed_k else int(rng.integers(k[0], k[1] + 1))
-            yield sample_episode(word, k_now, rng, store, table)
+            yield sample_episode(word, int(rng.integers(lo, hi + 1)), rng, store, table)
 
     return generate()

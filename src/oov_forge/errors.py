@@ -38,7 +38,7 @@ class IngestionError(OovForgeError):
 
 
 class FormatError(OovForgeError):
-    """A serialized artifact (checkpoint, TSV, report) is malformed."""
+    """A serialized artifact (checkpoint, TSV, config) is malformed."""
 
     exit_code = 2
 

@@ -11,9 +11,9 @@ Architecture, bottom to top:
   context encoder   per-position learned scalar weights ("positional
                     attention") followed by self-attention encoding
                     block(s); the sentence is summarized by the output at
-                    the first MASK position (config-switchable to mean);
-                    under that mask pool the last block computes only the
-                    mask rows, though its keys and values cover every token
+                    the first MASK position, so the last block computes
+                    only the mask rows, though its keys and values cover
+                    every token
   aggregator        the K context vectors as a length-K sequence through
                     encoding block(s) WITHOUT positional weighting (order
                     must not matter), then mean-pooled
@@ -39,12 +39,9 @@ import numpy as np
 from . import tensor as tc
 from .container import config_value, pack_text
 from .corpus import EmbeddingTable, Vocabulary
-from .episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, DEFAULT_CHAR_VOCAB, Episode,
-                      decode_context)
+from .episode import MASK_ID, MAX_LEN, MAX_WORD_LEN, N_CHARS, Episode
 from .errors import FormatError, InputError
 from .tensor import Tensor
-
-CONTEXT_POOLS = ("mask", "mean")
 
 
 @dataclass(frozen=True)
@@ -57,17 +54,15 @@ class HiceConfig:
     char_filters: int = 32
     filter_widths: tuple[int, ...] = (2, 3, 4)
     use_morph: bool = True
-    context_pool: str = "mask"   # "mask" | "mean"
     seed: int = 0
 
     # the episode shape sample_episode trains on
     max_len: ClassVar[int] = MAX_LEN
     max_word_len: ClassVar[int] = MAX_WORD_LEN
+    # a sentence is summarized by its first MASK position
+    context_pool: ClassVar[str] = "mask"
 
     def __post_init__(self):
-        if self.context_pool not in CONTEXT_POOLS:
-            raise InputError(f"unknown context_pool {self.context_pool!r}; "
-                             f"expected one of {CONTEXT_POOLS}")
         # the mask pool reads the last context block, so there must be one
         sizes = {"embed_dim": self.embed_dim, "n_heads": self.n_heads,
                  "n_context_blocks": self.n_context_blocks,
@@ -121,16 +116,16 @@ class HiceConfig:
                 filter_widths=config_value(
                     d, "filter_widths", lambda v: tuple(int(w) for w in v.split(","))),
                 use_morph=config_value(d, "use_morph") == "true",
-                context_pool=config_value(d, "context_pool"),
                 seed=config_value(d, "seed", int, "0"),
             )
         except InputError as e:
             raise FormatError(f"config: {e}") from None
         # as_dict records these derived values; an older config could set them
-        for key in ("d_model", "d_ff", "max_len", "max_word_len"):
-            if config_value(d, key, int) != getattr(config, key):
+        for key in ("d_model", "d_ff", "max_len", "max_word_len", "context_pool"):
+            derived = getattr(config, key)
+            if config_value(d, key, type(derived)) != derived:
                 raise FormatError(f"config: {key}={d[key]} differs from the "
-                                  f"derived value {getattr(config, key)}")
+                                  f"derived value {derived}")
         return config
 
 
@@ -224,12 +219,12 @@ def self_attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segment
 
 
 def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
-                   sink: list | None = None, rows: np.ndarray | None = None) -> Tensor:
+                   rows: np.ndarray | None = None) -> Tensor:
     """Self-attention and a position-wise FFN, each wrapped in residual +
     layer norm, over the packed rows x[N, d_model]; with ``rows``, as in
     ``self_attention``, all but the keys and values run on those rows only."""
     xq = x if rows is None else tc.gather_rows(x, rows[rows >= 0])
-    y1 = tc.layer_norm(tc.add(xq, self_attention(x, xq, p, seqs, sink, rows)),
+    y1 = tc.layer_norm(tc.add(xq, self_attention(x, xq, p, seqs, rows=rows)),
                        p.ln1_g, p.ln1_b)
     h = tc.relu(tc.add_bias(tc.matmul(y1, p.w1), p.b1))
     ffn = tc.add_bias(tc.matmul(h, p.w2), p.b2)
@@ -272,7 +267,6 @@ class HiceModel:
         # shares ``frozen`` when it is float32
         self.table = EmbeddingTable.from_rows(frozen_words, frozen)
         self.vocab = vocab
-        self.n_chars = len(DEFAULT_CHAR_VOCAB)
 
         d_in = config.embed_dim
         d_model = config.d_model
@@ -298,7 +292,7 @@ class HiceModel:
                            for _ in range(config.n_agg_blocks)]
 
         ce = config.char_emb_dim
-        self.char_embed = tc.parameter(rng.normal(size=(self.n_chars, ce)) * 0.1)
+        self.char_embed = tc.parameter(rng.normal(size=(N_CHARS, ce)) * 0.1)
         self.conv_filters = {}
         self.conv_bias = {}
         for w in config.filter_widths:
@@ -411,7 +405,7 @@ class HiceModel:
         return tc.add(tc.constant(base), tc.gather_rows(self.special_embed,
                                                         batch.special_rows))
 
-    def encode_context(self, batch: Batch, sink: list | None = None) -> Tensor:
+    def encode_context(self, batch: Batch) -> Tensor:
         """Every masked sentence of the batch -> [C, d_model] summaries."""
         x = self.embed_tokens(batch)
         if self.input_proj_w is not None:
@@ -419,22 +413,18 @@ class HiceModel:
         x = tc.scale_rows(x, tc.gather_rows(self.a_pos, batch.contexts.positions))
         *inner, last = self.ctx_blocks
         for block in inner:
-            x = encoding_block(x, block, batch.contexts, sink)
-        if self.config.context_pool == "mean":
-            return tc.segment_mean(encoding_block(x, last, batch.contexts, sink),
-                                   batch.contexts.lengths)
+            x = encoding_block(x, block, batch.contexts)
         # the mask pool reads one row per context, so the last block computes
         # only those; its keys and values still cover every token
-        return encoding_block(x, last, batch.contexts, sink, batch.pool_rows[:, None])
+        return encoding_block(x, last, batch.contexts, batch.pool_rows[:, None])
 
-    def aggregate(self, ctx_vectors: Tensor, shots: Segments,
-                  sink: list | None = None) -> Tensor:
+    def aggregate(self, ctx_vectors: Tensor, shots: Segments) -> Tensor:
         """Context vectors [C, d_model], ``shots`` of them per episode ->
         one [B, d_model] row per episode, order-invariantly: no positional
         weighting, symmetric mean pool."""
         x = ctx_vectors
         for block in self.agg_blocks:
-            x = encoding_block(x, block, shots, sink)
+            x = encoding_block(x, block, shots)
         return tc.segment_mean(x, shots.lengths)
 
     def encode_morphology(self, batch: Batch) -> Tensor:
@@ -448,9 +438,8 @@ class HiceModel:
         ]
         return tc.relu(tc.concat_cols(pooled))
 
-    def predict(self, episodes: Sequence[Episode], vocab: Vocabulary | None = None,
-                ctx_sink: list | None = None,
-                agg_sink: list | None = None) -> Tensor:
+    def predict(self, episodes: Sequence[Episode],
+                vocab: Vocabulary | None = None) -> Tensor:
         """Predicted embeddings [B, d_in] for the episodes' target words, in
         one padded forward pass.
 
@@ -458,7 +447,7 @@ class HiceModel:
         zero vector of the same width (ablation arm).
         """
         batch = self.batch(episodes, vocab)
-        agg = self.aggregate(self.encode_context(batch, ctx_sink), batch.shots, agg_sink)
+        agg = self.aggregate(self.encode_context(batch), batch.shots)
         if self.config.use_morph:
             morph = self.encode_morphology(batch)
         else:
@@ -470,26 +459,6 @@ class HiceModel:
                        vocab: Vocabulary | None = None) -> np.ndarray:
         """Inference path: no graph recording, returns a plain array."""
         return self.predict([episode], vocab).data[0]
-
-    def dump_attention(self, episode: Episode,
-                       vocab: Vocabulary | None = None) -> "AttentionReport":
-        """Capture every softmax attention matrix of a forward pass; under the
-        mask pool the last context block's are [1, L_i], the mask row's."""
-        v = self._resolve_vocab(vocab)
-        ctx_sink: list = []
-        agg_sink: list = []
-        self.predict([episode], v, ctx_sink=ctx_sink, agg_sink=agg_sink)
-        heads = range(self.config.n_heads)
-        k = episode.k
-        return AttentionReport(
-            word=episode.target_word,
-            context_tokens=[decode_context(ids, v) for ids in episode.contexts],
-            context_matrices=[
-                [a[c, h, :len(ids), :len(ids)].copy() for a in ctx_sink for h in heads]
-                for c, ids in enumerate(episode.contexts)
-            ],
-            aggregator_matrices=[a[0, h, :k, :k].copy() for a in agg_sink for h in heads],
-        )
 
     # ------------------------------------------------------------------
     # state
@@ -521,67 +490,3 @@ class HiceModel:
             if name not in known:
                 raise FormatError(f"checkpoint has unexpected array {name!r}")
 
-
-@dataclass
-class AttentionReport:
-    """Attention matrices from one forward pass, serializable to text."""
-
-    word: str
-    context_tokens: list[list[str]]
-    context_matrices: list[list[np.ndarray]]   # per context, per softmax call
-    aggregator_matrices: list[np.ndarray]
-
-    def render(self) -> str:
-        lines = ["oov-forge attention report v1", f"word: {self.word}",
-                 f"contexts: {len(self.context_tokens)}"]
-        for i, (tokens, mats) in enumerate(
-                zip(self.context_tokens, self.context_matrices)):
-            lines.append(f"context {i}: {' '.join(tokens)}")
-            for j, m in enumerate(mats):
-                lines.append(f"matrix {i}.{j}: {m.shape[0]} {m.shape[1]}")
-                for row in m:
-                    lines.append(" ".join(repr(float(x)) for x in row))
-        lines.append(f"aggregator: {len(self.aggregator_matrices)}")
-        for j, m in enumerate(self.aggregator_matrices):
-            lines.append(f"matrix a.{j}: {m.shape[0]} {m.shape[1]}")
-            for row in m:
-                lines.append(" ".join(repr(float(x)) for x in row))
-        return "\n".join(lines) + "\n"
-
-
-def parse_attention_report(text: str) -> AttentionReport:
-    lines = text.splitlines()
-    if not lines or lines[0] != "oov-forge attention report v1":
-        raise FormatError("not an attention report")
-    try:
-        word = lines[1].split(": ", 1)[1]
-        n_ctx = int(lines[2].split(": ", 1)[1])
-        pos = 3
-        tokens: list[list[str]] = []
-        matrices: list[list[np.ndarray]] = []
-        for i in range(n_ctx):
-            head, rest = lines[pos].split(": ", 1)
-            if head != f"context {i}":
-                raise FormatError(f"expected 'context {i}', got {head!r}")
-            tokens.append(rest.split(" "))
-            pos += 1
-            mats = []
-            while pos < len(lines) and lines[pos].startswith(f"matrix {i}."):
-                r, c = (int(x) for x in lines[pos].split(": ", 1)[1].split())
-                pos += 1
-                rows = [[float(x) for x in lines[pos + k].split()] for k in range(r)]
-                pos += r
-                mats.append(np.array(rows).reshape(r, c))
-            matrices.append(mats)
-        n_agg = int(lines[pos].split(": ", 1)[1])
-        pos += 1
-        agg = []
-        for _ in range(n_agg):
-            r, c = (int(x) for x in lines[pos].split(": ", 1)[1].split())
-            pos += 1
-            rows = [[float(x) for x in lines[pos + k].split()] for k in range(r)]
-            pos += r
-            agg.append(np.array(rows).reshape(r, c))
-    except (IndexError, ValueError) as e:
-        raise FormatError(f"malformed attention report: {e}") from e
-    return AttentionReport(word, tokens, matrices, agg)

@@ -16,9 +16,7 @@ Deliberate restrictions, to keep the core auditable:
 * no broadcasting except bias-add over the last axis (``add_bias``), the
   dedicated per-row scaling op (``scale_rows``) and ``einsum``'s explicit
   index lists;
-* float64 is the default dtype (gradient checks stay meaningful); float32
-  tensors are allowed for inference-style use, but a single expression must
-  not mix dtypes;
+* every tensor is float64 (gradient checks stay meaningful);
 * every op validates that its output is finite and raises NumericError
   otherwise, so NaN/Inf never propagate silently.
 
@@ -53,8 +51,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "node", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=np.float64)
         _require_finite(arr, "tensor")
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -74,10 +72,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data)
@@ -202,12 +196,12 @@ def backward(loss: Tensor) -> None:
 # ops
 # ---------------------------------------------------------------------------
 
-def constant(data, dtype=np.float64) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
-def parameter(data, dtype=np.float64) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 def _needs(t: Tensor) -> bool:
@@ -223,17 +217,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (g if na else None, g if nb else None)
 
     return _record("add", a.data + b.data, (a, b), bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-    na, nb = _needs(a), _needs(b)
-
-    def bwd(g):
-        return (g if na else None, -g if nb else None)
-
-    return _record("sub", a.data - b.data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

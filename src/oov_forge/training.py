@@ -104,10 +104,6 @@ class Adam:
             v += (1 - ADAM_BETA2) * g * g
             p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
-    def zero_grads(self) -> None:
-        for _, p in self.params:
-            p.zero_grad()
-
 
 def episode_loss(model: HiceModel, episodes: list[Episode],
                  vocab: Vocabulary | None = None) -> tuple[Tensor, float]:
@@ -196,7 +192,7 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
         if not np.isfinite(loss.data):
             raise TrainingError(f"divergence at step {step}: non-finite loss")
         opt.step()
-        opt.zero_grads()
+        model.zero_grads()
         window_cos.append(mean_cos)
         report.step_cosines.append(mean_cos)
 

@@ -8,20 +8,20 @@ from oov_forge.corpus import EmbeddingTable
 from oov_forge.episode import episode_stream, sample_episode
 from oov_forge.errors import AdaptationError
 from oov_forge.model import HiceConfig, HiceModel
-from oov_forge.tensor import constant, mul, parameter, sub, sum_all
+from oov_forge.tensor import add, constant, mul, parameter, sum_all
 from oov_forge.training import TrainConfig, evaluate_cosine, train
 
 
 def quadratic_losses(theta, a, b):
     """L_T(x) = (x - a)^2, L_N(x) = (x - b)^2 on a scalar parameter."""
-    ca, cb = constant(np.array(a)), constant(np.array(b))
+    minus_a, minus_b = constant(-np.array(a)), constant(-np.array(b))
 
     def loss_t():
-        d = sub(theta, ca)
+        d = add(theta, minus_a)
         return sum_all(mul(d, d))
 
     def loss_n():
-        d = sub(theta, cb)
+        d = add(theta, minus_b)
         return sum_all(mul(d, d))
 
     return loss_t, loss_n
@@ -168,8 +168,8 @@ def test_finetune_overfits_tiny_target_set():
     train_eps = [sample_episode(w, 3, rng, store_n, oracle_n) for w in words[:10]]
     holdout = [sample_episode(w, 3, rng, store_n, oracle_n) for w in words[10:22]]
 
-    cfg = AdaptConfig(beta=5e-3, adapt_steps=150, seed=2)
-    finetune(model, cfg, (vocab_n, store_n, oracle_n), episodes=train_eps)
+    for _ in range(150):
+        finetune_step(model, train_eps, 5e-3, vocab=vocab_n)
     train_cos = evaluate_cosine(model, train_eps, vocab=vocab_n)
     holdout_cos = evaluate_cosine(model, holdout, vocab=vocab_n)
     assert train_cos >= holdout_cos

@@ -1,0 +1,79 @@
+"""The package interface that the benchmark (``bench/``) calls, exercised the
+way ``bench/workload.py``, ``bench/gen.py`` and ``bench/spans.py`` call it.
+The benchmark skips a layer it cannot find and reports a failed check as
+``correct: false``, so a change that drops one of these names passes every
+other test."""
+
+import numpy as np
+import pytest
+
+from oov_forge import (adaptation, baselines, corpus, episode, evaluation,
+                       training)
+from oov_forge import model as hice
+
+# every module-level name bench/*.py reads
+BENCH_NAMES = {
+    adaptation: ["AdaptConfig", "adapt", "episode_loss", "maml_update", "backward"],
+    baselines: ["additive", "alacarte_fit", "alacarte_infer", "ngram_fit", "ngram_sum"],
+    corpus: ["EmbeddingTable", "contexts_of", "load_embeddings", "prepare_corpus",
+             "save_embeddings", "split_words"],
+    episode: ["MASK_TOKEN", "decode_context", "eligible_targets", "episode_from_masked",
+              "sample_episode"],
+    evaluation: ["evaluate_method", "load_benchmark_tsv", "mask_contexts",
+                 "nearest_neighbors", "spearman", "tokenize"],
+    training: ["Adam", "TrainConfig", "build_validation_episodes", "episode_loss",
+               "evaluate_cosine", "load_checkpoint", "read_container",
+               "sample_episode", "save_checkpoint", "train", "write_container",
+               "backward"],
+    hice: ["HiceConfig", "HiceModel"],
+}
+
+# HiceModel attributes bench/spans.py wraps and bench/workload.py reads
+MODEL_ATTRIBUTES = ["embed_tokens", "encode_context", "aggregate", "encode_morphology",
+                    "predict", "predict_vector", "parameters", "state_arrays",
+                    "frozen_words", "from_table"]
+
+
+@pytest.mark.parametrize("module", list(BENCH_NAMES), ids=lambda m: m.__name__)
+def test_module_names_the_benchmark_reads(module):
+    assert [n for n in BENCH_NAMES[module] if not hasattr(module, n)] == []
+
+
+def test_model_attributes_the_benchmark_reads():
+    assert [n for n in MODEL_ATTRIBUTES if not hasattr(hice.HiceModel, n)] == []
+    assert hasattr(training.Adam, "step")
+
+
+@pytest.fixture
+def table():
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in range(12)]
+    return corpus.EmbeddingTable.from_rows(words, rng.normal(size=(12, 8)).astype(np.float32))
+
+
+def test_model_constructors_and_inference_as_the_benchmark_calls_them(table, tiny_corpus):
+    vocab, _ = tiny_corpus
+    config = hice.HiceConfig(embed_dim=table.dim, seed=5)
+    with_vocab = hice.HiceModel.from_table(config, table, vocab)   # train-planted
+    bare = hice.HiceModel.from_table(config, table)                # artifact-io
+    built = hice.HiceModel(config, table.matrix, table.words())    # gen.py
+    ep, ep_vocab = episode.episode_from_masked(                    # eval-d300
+        "w99", [["w1", episode.MASK_TOKEN, "w2"], [episode.MASK_TOKEN, "w3"]],
+        max_word_len=bare.config.max_word_len, max_len=bare.config.max_len)
+    vectors = [m.predict_vector(ep, ep_vocab) for m in (with_vocab, bare, built)]
+    assert vectors[0].shape == (table.dim,)
+    assert all(np.array_equal(vectors[0], v) for v in vectors[1:])
+
+
+def test_checkpoint_round_trip_as_the_benchmark_checks_it(table, tmp_path):
+    model = hice.HiceModel.from_table(hice.HiceConfig(embed_dim=table.dim, seed=5), table)
+    path = tmp_path / "model.hice"
+    training.save_checkpoint(model, path)
+    again = training.load_checkpoint(path)
+    assert again.config.as_dict() == model.config.as_dict()
+    assert again.frozen_words == model.frozen_words == table.words()
+    mine, theirs = model.state_arrays(), again.state_arrays()
+    assert [n for n, _ in mine] == [n for n, _ in theirs]
+    as_stored = lambda a: a.astype(np.float32) if a.dtype.kind == "f" else a  # noqa: E731
+    assert all(np.array_equal(as_stored(a), as_stored(b))
+               for (_, a), (_, b) in zip(mine, theirs))

@@ -163,9 +163,9 @@ def test_infer_output_parses_as_embedding_row(workdir, checkpoint, tmp_path, cap
 
 @pytest.mark.parametrize("edit", [
     {"n_heads": None}, {"n_heads": "two"}, {"n_heads": "0"}, {"d_model": "64"},
-    {"d_ff": "7"}, {"max_len": "11"}, {"max_word_len": "5"},
+    {"d_ff": "7"}, {"max_len": "11"}, {"max_word_len": "5"}, {"context_pool": "mean"},
 ], ids=["missing-n_heads", "n_heads-two", "n_heads-0", "d_model-64", "d_ff-7",
-        "max_len-11", "max_word_len-5"])
+        "max_len-11", "max_word_len-5", "context_pool-mean"])
 def test_infer_checkpoint_with_a_bad_config_exits_2(workdir, checkpoint, tmp_path,
                                                     capsys, edit):
     config, arrays = read_container(checkpoint, CHECKPOINT_MAGIC)
@@ -233,6 +233,24 @@ def test_infer_and_eval_reject_a_transform_of_another_dimension(
                  "--out-dir", str(tmp_path / "rep")]) == 6
     err = capsys.readouterr().err
     assert err.count("a 4-dimensional transform for a 8-dimensional table") == 2
+
+
+@pytest.mark.parametrize("method", ["hice", "ngram"])
+def test_infer_rejects_a_file_of_another_dimension_before_any_output(
+        workdir, checkpoint, fitted_files, tmp_path, capsys, method):
+    small = tmp_path / "small.txt"
+    save_embeddings(EmbeddingTable(dim=4, vectors={"t00w00": np.ones(4, np.float32),
+                                                   "t00w01": np.eye(4, dtype=np.float32)[0]}),
+                    small)
+    path = checkpoint if method == "hice" else fitted_files["ngram"]
+    ctx = tmp_path / "ctx.txt"
+    ctx.write_text("t00w00 t00w99 t00w01\n")
+    assert main(["infer", "--word", "t00w99", "--contexts-file", str(ctx),
+                 "--method", method, "--checkpoint", str(path),
+                 "--embeddings", str(small), "--neighbors", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "a 8-dimensional" in err and "for a 4-dimensional table" in err
 
 
 def test_infer_baseline_file_with_a_repeated_entry_exits_2(workdir, fitted_files, tmp_path,

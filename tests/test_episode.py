@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, tokenize
-from oov_forge.episode import (CONTEXT_WINDOW, DEFAULT_CHAR_VOCAB, MASK_ID, MASK_TOKEN,
-                               char_sequence, decode_context,
+from oov_forge.episode import (CHAR_BOW, CHAR_EOW, CHAR_IDS, CHAR_UNK, CONTEXT_WINDOW,
+                               MASK_ID, MASK_TOKEN, N_CHARS, char_sequence, decode_context,
                                episode_from_masked, episode_stream,
                                mask_window, sample_episode)
 from oov_forge.errors import EpisodeError
@@ -27,8 +27,7 @@ def _table_for(vocab, dim=4, seed=0):
 # ---------------------------------------------------------------------------
 
 def test_char_sequence_single_letter():
-    cv = DEFAULT_CHAR_VOCAB
-    assert char_sequence("a") == [cv.bow, cv.encode_char("a"), cv.eow]
+    assert char_sequence("a") == [CHAR_BOW, CHAR_IDS["a"], CHAR_EOW]
 
 
 def test_char_sequence_length():
@@ -36,12 +35,12 @@ def test_char_sequence_length():
 
 
 def test_char_sequence_roundtrip_and_truncation():
-    cv = DEFAULT_CHAR_VOCAB
     for word in ("a", "scooter", "state-of-the-art", "o'clock", "x" * 40):
         ids = char_sequence(word)
-        assert ids == [cv.bow] + [cv.char_ids[c] for c in word[:20]] + [cv.eow]
+        assert ids == [CHAR_BOW] + [CHAR_IDS[c] for c in word[:20]] + [CHAR_EOW]
+        assert max(ids) < N_CHARS
     unknown = char_sequence("café")  # unknown characters fold to one id
-    assert unknown[1:-1] == [cv.char_ids[c] for c in "caf"] + [cv.unk]
+    assert unknown[1:-1] == [CHAR_IDS[c] for c in "caf"] + [CHAR_UNK]
 
 
 def test_char_sequence_rejects_empty():
@@ -152,7 +151,7 @@ def test_stream_single_eligible_word_always_targets_it():
     sentences = [["solo", "x", "solo"], ["solo", "y"]]
     vocab, store = _mini_store(sentences)
     table = _table_for(vocab)
-    stream = episode_stream(vocab, store, table, 2, seed=0, words=["solo"])
+    stream = episode_stream(vocab, store, table, (2, 2), seed=0, words=["solo"])
     for _ in range(10):
         assert next(stream).target_word == "solo"
 
@@ -174,7 +173,7 @@ def test_stream_replay_first_100_identical():
 def test_stream_supports_six_shot():
     sentences = [["t", f"w{i}"] for i in range(8)]
     vocab, store = _mini_store(sentences)
-    stream = episode_stream(vocab, store, None, 6, seed=0, words=["t"])
+    stream = episode_stream(vocab, store, None, (6, 6), seed=0, words=["t"])
     ep = next(stream)
     assert ep.k == 6
 
@@ -183,7 +182,7 @@ def test_stream_no_targets_raises():
     sentences = [["a", "b"]]
     vocab, store = _mini_store(sentences)
     with pytest.raises(EpisodeError):
-        episode_stream(vocab, store, None, 2, seed=0, words=[])
+        episode_stream(vocab, store, None, (2, 2), seed=0, words=[])
 
 
 def test_no_episode_leaks_target_id():

@@ -15,7 +15,6 @@ from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab,
                               save_embeddings)
 from oov_forge.errors import FormatError
 from oov_forge.evaluation import EvalItem, save_benchmark_tsv
-from oov_forge.model import AttentionReport, parse_attention_report
 
 
 def test_container_roundtrip(tmp_path, rng):
@@ -249,33 +248,3 @@ def test_container_unknown_dtype_tag(tmp_path):
     with pytest.raises(FormatError, match="dtype"):
         read_container(path, "TST1")
 
-
-def test_attention_report_parse_rejects_garbage():
-    with pytest.raises(FormatError):
-        parse_attention_report("not a report\nat all")
-    report = AttentionReport(
-        word="w",
-        context_tokens=[["a", "<mask>"]],
-        context_matrices=[[np.array([[0.5, 0.5], [0.25, 0.75]])]],
-        aggregator_matrices=[np.array([[1.0]])],
-    )
-    text = report.render()
-    assert parse_attention_report(text).word == "w"
-    broken = "\n".join(text.splitlines()[:4])
-    with pytest.raises(FormatError):
-        parse_attention_report(broken)
-
-
-def test_attention_report_roundtrip_bitexact(rng):
-    mats = [rng.random((3, 3)) for _ in range(2)]
-    report = AttentionReport(
-        word="scooter",
-        context_tokens=[["we", "<mask>", "ride"]],
-        context_matrices=[mats],
-        aggregator_matrices=[rng.random((1, 1))],
-    )
-    back = parse_attention_report(report.render())
-    for a, b in zip(back.context_matrices[0], mats):
-        assert np.array_equal(a, b)
-    assert np.array_equal(back.aggregator_matrices[0],
-                          report.aggregator_matrices[0])

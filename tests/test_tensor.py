@@ -339,7 +339,6 @@ def test_elementwise_and_shaping_op_gradients(rng):
 
     cases = [
         (lambda: sum_all(tc.mul(tc.add(x, y), w43)), [x, y]),
-        (lambda: sum_all(tc.mul(tc.sub(x, y), w43)), [x, y]),
         (lambda: sum_all(tc.mul(tc.mul(x, y), w43)), [x, y]),
         (lambda: sum_all(tc.mul(tc.scale(x, 2.5), w43)), [x]),
         (lambda: sum_all(tc.mul(tc.add_bias(x, b), w43)), [x, b]),
@@ -369,12 +368,6 @@ def test_gather_ops_scatter_add_duplicates(rng):
     wv = constant(rng.normal(size=3))
     err = check_grads(lambda: sum_all(tc.mul(tc.gather_rows(vec, [2, 2, 5]), wv)), [vec])
     assert err < 1e-6
-
-
-def test_float32_tensors_are_supported(rng):
-    a = constant(rng.normal(size=(2, 2)), dtype=np.float32)
-    b = constant(rng.normal(size=(2, 2)), dtype=np.float32)
-    assert matmul(a, b).data.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
