@@ -22,13 +22,14 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines
 from .adaptation import AdaptConfig, adapt, finetune
-from .container import atomic_open
+from .container import atomic_open, config_value
 from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
                      SentenceStore, Vocabulary, contexts_of, format_vector,
                      load_embeddings, prepare_corpus, read_sentences,
@@ -72,15 +73,16 @@ def write_config_file(path, config: dict[str, str]) -> None:
 
 
 def effective(args, name: str, default, cast=str):
-    """Flag > config file > environment (seed only) > default."""
+    """Flag > config file > environment (seed only) > default. A config or
+    environment value that ``cast`` rejects is a FormatError."""
     value = getattr(args, name.replace("-", "_"), None)
     if value is not None:
         return value
     file_cfg = getattr(args, "_file_config", {})
     if name in file_cfg:
-        return cast(file_cfg[name])
+        return config_value(file_cfg, name, cast)
     if name == "seed" and os.environ.get(ENV_SEED):
-        return cast(os.environ[ENV_SEED])
+        return config_value(os.environ, ENV_SEED, cast)
     return default
 
 
@@ -100,28 +102,33 @@ RUN_CONFIG_FILE = "run_config.txt"
 
 def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore,
                    run_cfg: dict[str, str]) -> tuple[list[str], list[str]]:
+    """Write the four files of a prepared directory; no file is replaced
+    until every write has succeeded."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_dir / VOCAB_FILE, "w", encoding="utf-8") as fh:
-        for i, word in enumerate(vocab.words):
-            fh.write(f"{word}\t{vocab.counts[i]}\t{int(vocab.stop_flags[i])}\t"
-                     f"{int(vocab.counts[i] > vocab.min_count)}\n")
-    with atomic_open(out_dir / SENTENCES_FILE, "w", encoding="utf-8") as fh:
-        for sent in store.sentences:
-            fh.write(" ".join(str(t) for t in sent) + "\n")
     train_words, val_words = split_words(vocab.eligible_words())
-    with atomic_open(out_dir / SPLIT_FILE, "w", encoding="utf-8") as fh:
+    with ExitStack() as stack:
+        vocab_fh, sent_fh, split_fh = (
+            stack.enter_context(atomic_open(out_dir / name, "w", encoding="utf-8"))
+            for name in (VOCAB_FILE, SENTENCES_FILE, SPLIT_FILE))
+        for i, word in enumerate(vocab.words):
+            vocab_fh.write(f"{word}\t{vocab.counts[i]}\t{int(vocab.stop_flags[i])}\t"
+                           f"{int(vocab.counts[i] > vocab.min_count)}\n")
+        for sent in store.sentences:
+            sent_fh.write(" ".join(str(t) for t in sent) + "\n")
         for w in sorted(train_words):
-            fh.write(f"{w}\ttrain\n")
+            split_fh.write(f"{w}\ttrain\n")
         for w in sorted(val_words):
-            fh.write(f"{w}\tval\n")
-    write_config_file(out_dir / RUN_CONFIG_FILE, run_cfg)
+            split_fh.write(f"{w}\tval\n")
+        for fh in (vocab_fh, sent_fh, split_fh):
+            fh.flush()  # a full disk shows here, before any file is renamed
+        write_config_file(out_dir / RUN_CONFIG_FILE, run_cfg)
     return train_words, val_words
 
 
 def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, str]]:
     prepared_dir = Path(prepared_dir)
     run_cfg = load_config_file(prepared_dir / RUN_CONFIG_FILE)
-    min_count = int(run_cfg.get("min_count", DEFAULT_MIN_COUNT))
+    min_count = config_value(run_cfg, "min_count", int, str(DEFAULT_MIN_COUNT))
     words, counts, stops = [], [], []
     vocab_lines = read_text(prepared_dir / VOCAB_FILE, "prepared").splitlines()
     for lineno, line in enumerate(vocab_lines, start=1):
@@ -277,16 +284,10 @@ def cmd_infer(args) -> int:
     if ("--embeddings" in needs and table is None
             or "--checkpoint" in needs and not args.checkpoint):
         raise InferenceError(f"method {method} needs {needs}")
-    fitted = None
-    if method == "hice":
-        fitted = load_checkpoint(args.checkpoint)
-        _check_dim(args.checkpoint, "model", fitted.config.embed_dim, table)
-        table = table if table is not None else fitted.table
-    elif method == "alacarte":
-        fitted = _load_alacarte(args.checkpoint, table)
-    elif method == "ngram":
-        fitted = baselines.NgramTable.load(args.checkpoint)
-        _check_dim(args.checkpoint, "n-gram table", fitted.dim, table)
+    fitted = _load_fitted(method, args.checkpoint, table) if "--checkpoint" in needs \
+        else None
+    if method == "hice" and table is None:
+        table = fitted.table
     vec = _method_fn(method, fitted, table)(word, masked)
     print(f"{word} {format_vector(vec)}")
     if args.neighbors:
@@ -298,29 +299,33 @@ def cmd_infer(args) -> int:
     return 0
 
 
-def _check_dim(path, what: str, dim: int, table: EmbeddingTable | None) -> None:
-    """A method's file and the --embeddings table must agree in dimension."""
+def _load_fitted(method: str, path, table: EmbeddingTable | None):
+    """The model file of hice, alacarte or ngram; a file whose dimension
+    differs from the --embeddings table is a FormatError."""
+    if method == "hice":
+        fitted = load_checkpoint(path)
+        dim, what = fitted.config.embed_dim, "model"
+    elif method == "alacarte":
+        fitted = baselines.AlaCarteModel.load(path)
+        dim, what = len(fitted.matrix), "transform"
+    else:
+        fitted = baselines.NgramTable.load(path)
+        dim, what = fitted.dim, "n-gram table"
     if table is not None and dim != table.dim:
         raise FormatError(f"{path}: a {dim}-dimensional {what} "
                           f"for a {table.dim}-dimensional table")
+    return fitted
 
 
-def _load_alacarte(path, table: EmbeddingTable) -> baselines.AlaCarteModel:
-    model = baselines.AlaCarteModel.load(path)
-    _check_dim(path, "transform", len(model.matrix), table)
-    return model
-
-
-def _fit_baselines(methods: list[str], args, table: EmbeddingTable):
-    """Fit the corpus-dependent baselines on prepared training words."""
-    fitted: dict[str, object] = {}
-    need_fit = {m for m in methods if m in ("alacarte", "ngram")}
-    if args.alacarte_model and "alacarte" in need_fit:
-        fitted["alacarte"] = _load_alacarte(args.alacarte_model, table)
-        need_fit.discard("alacarte")
-    if args.ngram_model and "ngram" in need_fit:
-        fitted["ngram"] = baselines.NgramTable.load(args.ngram_model)
-        need_fit.discard("ngram")
+def _load_or_fit(methods: list[str], args, table: EmbeddingTable):
+    """Each method's model: loaded from its file, or for the
+    corpus-dependent baselines fitted on prepared training words."""
+    files = {"hice": args.checkpoint, "alacarte": args.alacarte_model,
+             "ngram": args.ngram_model}
+    fitted = {m: _load_fitted(m, files[m], table) for m in methods if files.get(m)}
+    if "hice" in methods and "hice" not in fitted:
+        raise EvaluationError("method hice needs --checkpoint")
+    need_fit = {m for m in methods if m in ("alacarte", "ngram") and m not in fitted}
     if not need_fit:
         return fitted
     if not args.prepared_dir:
@@ -393,13 +398,9 @@ def cmd_eval(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise EvaluationError("no methods given")
-    fitted = _fit_baselines(methods, args, table)
+    fitted = _load_or_fit(methods, args, table)
     reports = []
     for method in methods:
-        if method == "hice":
-            if not args.checkpoint:
-                raise EvaluationError("method hice needs --checkpoint")
-            fitted["hice"] = load_checkpoint(args.checkpoint)
         fn = _method_fn(method, fitted.get(method), table)
         reports.append(evaluate_method(items, fn, table, method=method))
     out_dir = Path(args.out_dir or ".")

@@ -3,8 +3,10 @@
 The design is a tape: ops executed inside a ``with Graph():`` block append
 nodes to the active graph in execution order, and ``backward(loss)`` walks
 the tape in reverse, accumulating gradients into leaf tensors that were
-created with ``requires_grad=True``. Ops executed with no active graph are
-plain numpy computations (cheap inference path).
+created with ``requires_grad=True``. A backward rule returns a gradient for
+every input; ``backward`` keeps only those of recorded nodes and
+``requires_grad`` leaves. Ops executed with no active graph are plain numpy
+computations (cheap inference path).
 
 The ops work on whole batches: a leading-dims ``einsum``, a ``softmax``
 that takes a key mask, row gathers that pad with zeros, a mean over
@@ -148,9 +150,8 @@ def _record(op: str, out_arr: np.ndarray, inputs: tuple,
             backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     _require_finite(out_arr, op)
     graph = _active_graph()
-    tracked = graph is not None and any(
-        t.requires_grad or t.node is not None for t in inputs
-    )
+    tracked = graph is not None and any(t.requires_grad or t.node is not None
+                                        for t in inputs)
     out = Tensor._wrap(out_arr, tracked)
     if tracked:
         node = Node(op, inputs, backward_fn, graph)
@@ -179,10 +180,7 @@ def backward(loss: Tensor) -> None:
         g_out = adjoint.pop(node, None)
         if g_out is None:
             continue
-        grads = node.backward_fn(g_out)
-        for inp, g in zip(node.inputs, grads):
-            if g is None:
-                continue
+        for inp, g in zip(node.inputs, node.backward_fn(g_out)):
             if inp.node is not None:
                 key = inp.node
                 # never in place: a backward rule may hand one array to
@@ -204,17 +202,12 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def _needs(t: Tensor) -> bool:
-    return t.requires_grad or t.node is not None
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    na, nb = _needs(a), _needs(b)
 
     def bwd(g):
-        return (g if na else None, g if nb else None)
+        return (g, g)
 
     return _record("add", a.data + b.data, (a, b), bwd)
 
@@ -223,20 +216,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: {a.shape} vs {b.shape}")
-    na, nb = _needs(a), _needs(b)
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return (g * bd if na else None, g * ad if nb else None)
+        return (g * bd, g * ad)
 
     return _record("mul", ad * bd, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    na = _needs(a)
-
     def bwd(g):
-        return (g * s if na else None,)
+        return (g * s,)
 
     return _record("scale", a.data * s, (a,), bwd)
 
@@ -245,12 +235,10 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x + b with b broadcast over the last axis (the only broadcast allowed)."""
     if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
         raise ShapeError(f"add_bias: {x.shape} vs {b.shape}")
-    nx, nb = _needs(x), _needs(b)
     axes = tuple(range(x.data.ndim - 1))
 
     def bwd(g):
-        gb = g.sum(axis=axes) if nb and axes else (g.copy() if nb else None)
-        return (g if nx else None, gb)
+        return (g, g.sum(axis=axes))
 
     return _record("add_bias", x.data + b.data, (x, b), bwd)
 
@@ -259,13 +247,10 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
     """Multiply row i of x[L,n] by s[i] (per-position scalar weighting)."""
     if x.data.ndim != 2 or s.data.ndim != 1 or x.shape[0] != s.shape[0]:
         raise ShapeError(f"scale_rows: {x.shape} vs {s.shape}")
-    nx, ns = _needs(x), _needs(s)
     xd, sd = x.data, s.data
 
     def bwd(g):
-        gx = g * sd[:, None] if nx else None
-        gs = (g * xd).sum(axis=1) if ns else None
-        return (gx, gs)
+        return (g * sd[:, None], (g * xd).sum(axis=1))
 
     return _record("scale_rows", xd * sd[:, None], (x, s), bwd)
 
@@ -273,13 +258,10 @@ def scale_rows(x: Tensor, s: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} x {b.shape}")
-    na, nb = _needs(a), _needs(b)
     ad, bd = a.data, b.data
 
     def bwd(g):
-        ga = g @ bd.T if na else None
-        gb = ad.T @ g if nb else None
-        return (ga, gb)
+        return (g @ bd.T, ad.T @ g)
 
     return _record("matmul", ad @ bd, (a, b), bwd)
 
@@ -300,7 +282,6 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
     if len(set(a_ix)) != len(a_ix) or len(set(b_ix)) != len(b_ix) \
             or not set(a_ix) <= set(b_ix + out_ix) or not set(b_ix) <= set(a_ix + out_ix):
         raise ShapeError(f"einsum: unsupported index pattern {spec!r}")
-    na, nb = _needs(a), _needs(b)
     ad, bd = a.data, b.data
     try:
         out = np.einsum(spec, ad, bd, optimize=True)
@@ -308,15 +289,13 @@ def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"einsum: {spec!r} on {a.shape}, {b.shape}: {e}") from None
 
     def bwd(g):
-        ga = np.einsum(f"{out_ix},{b_ix}->{a_ix}", g, bd, optimize=True) if na else None
-        gb = np.einsum(f"{out_ix},{a_ix}->{b_ix}", g, ad, optimize=True) if nb else None
-        return (ga, gb)
+        return (np.einsum(f"{out_ix},{b_ix}->{a_ix}", g, bd, optimize=True),
+                np.einsum(f"{out_ix},{a_ix}->{b_ix}", g, ad, optimize=True))
 
     return _record("einsum", out, (a, b), bwd)
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    nx = _needs(x)
     old = x.shape
     try:
         out = x.data.reshape(shape)
@@ -324,30 +303,25 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"reshape: {old} to {tuple(shape)}") from None
 
     def bwd(g):
-        return (g.reshape(old) if nx else None,)
+        return (g.reshape(old),)
 
     return _record("reshape", out, (x,), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
-    nx = _needs(x)
     mask = x.data > 0
 
     def bwd(g):
-        return (g * mask if nx else None,)
+        return (g * mask,)
 
     return _record("relu", np.where(mask, x.data, 0.0), (x,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    nx = _needs(x)
-    shape = x.shape
-    dt = x.data.dtype
-
     def bwd(g):
-        return (np.full(shape, g, dtype=dt) if nx else None,)
+        return (np.full(x.shape, g),)
 
-    return _record("sum_all", np.asarray(x.data.sum(), dtype=dt), (x,), bwd)
+    return _record("sum_all", np.asarray(x.data.sum()), (x,), bwd)
 
 
 def segment_mean(x: Tensor, lengths: Sequence[int]) -> Tensor:
@@ -358,12 +332,11 @@ def segment_mean(x: Tensor, lengths: Sequence[int]) -> Tensor:
     if x.data.ndim < 1 or counts.ndim != 1 or not counts.size \
             or counts.min() < 1 or counts.sum() != x.shape[0]:
         raise ShapeError(f"segment_mean: lengths {counts.tolist()} for shape {x.shape}")
-    nx = _needs(x)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    denom = counts.reshape((-1,) + (1,) * (x.data.ndim - 1)).astype(x.data.dtype)
+    denom = counts.reshape((-1,) + (1,) * (x.data.ndim - 1))
 
     def bwd(g):
-        return (np.repeat(g / denom, counts, axis=0) if nx else None,)
+        return (np.repeat(g / denom, counts, axis=0),)
 
     return _record("segment_mean", np.add.reduceat(x.data, starts, axis=0) / denom,
                    (x,), bwd)
@@ -378,14 +351,10 @@ def concat_cols(xs: Sequence[Tensor]) -> Tensor:
     for x in xs:
         if x.data.ndim < 1 or x.shape[:-1] != lead:
             raise ShapeError(f"concat_cols: leading dims {xs[0].shape} vs {x.shape}")
-    needs = [_needs(x) for x in xs]
     offsets = np.cumsum([0] + [x.shape[-1] for x in xs])
 
     def bwd(g):
-        return tuple(
-            g[..., offsets[j]:offsets[j + 1]] if needs[j] else None
-            for j in range(len(xs))
-        )
+        return tuple(g[..., offsets[j]:offsets[j + 1]] for j in range(len(xs)))
 
     return _record("concat_cols", np.concatenate([x.data for x in xs], axis=-1),
                    tuple(xs), bwd)
@@ -401,7 +370,6 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     nd = x.data.ndim
     if not -nd <= axis < nd:
         raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    nx = _needs(x)
     xd = x.data
     if mask is not None:
         try:
@@ -415,8 +383,6 @@ def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        if not nx:
-            return (None,)
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
@@ -430,28 +396,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: gain {gain.shape} / bias {bias.shape} vs last dim {n}"
         )
-    nx, ng, nb = _needs(x), _needs(gain), _needs(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     axes = tuple(range(x.data.ndim - 1))
-    gd = gain.data
 
     def bwd(g):
-        g_gain = (g * xhat).sum(axis=axes) if ng and axes else \
-                 ((g * xhat).copy() if ng else None)
-        g_bias = g.sum(axis=axes) if nb and axes else (g.copy() if nb else None)
-        if nx:
-            dxhat = g * gd
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (dxhat - m1 - xhat * m2)
-        else:
-            gx = None
-        return (gx, g_gain, g_bias)
+        dxhat = g * gain.data
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=axes),
+                g.sum(axis=axes))
 
-    return _record("layer_norm", xhat * gd + bias.data, (x, gain, bias), bwd)
+    return _record("layer_norm", xhat * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def conv1d_maxpool(seq: Tensor, filters: Tensor,
@@ -478,11 +436,9 @@ def conv1d_maxpool(seq: Tensor, filters: Tensor,
         else np.asarray(lengths, dtype=np.intp)
     if lens.shape != lead or (lens.size and (lens.min() < 1 or lens.max() > W)):
         raise ShapeError(f"conv1d_maxpool: lengths {lens.shape} out of range for {seq.shape}")
-    ns, nf = _needs(seq), _needs(filters)
-
     span = max(W, w)
     real = (np.arange(span) < lens[..., None])[..., None]       # [..., span, 1]
-    padded = np.zeros(lead + (span, c_in), dtype=seq.data.dtype)
+    padded = np.zeros(lead + (span, c_in))
     padded[..., :W, :] = seq.data
     padded *= real
     positions = span - w + 1
@@ -499,20 +455,13 @@ def conv1d_maxpool(seq: Tensor, filters: Tensor,
     def bwd(g):
         dconv = np.zeros_like(conv)
         np.put_along_axis(dconv, best, g[..., None, :], axis=-2)
-        g_seq = None
-        if ns:
-            g_pad = np.zeros_like(padded)
-            for i in range(w):
-                g_pad[..., i:i + positions, :] += dconv @ fd[i].T
-            g_seq = (g_pad * real)[..., :W, :]
-        g_fil = None
-        if nf:
-            flat_d = dconv.reshape(-1, c_out)
-            g_fil = np.stack([
-                padded[..., i:i + positions, :].reshape(-1, c_in).T @ flat_d
-                for i in range(w)
-            ])
-        return (g_seq, g_fil)
+        g_pad = np.zeros_like(padded)
+        for i in range(w):
+            g_pad[..., i:i + positions, :] += dconv @ fd[i].T
+        flat_d = dconv.reshape(-1, c_out)
+        g_fil = np.stack([padded[..., i:i + positions, :].reshape(-1, c_in).T @ flat_d
+                          for i in range(w)])
+        return ((g_pad * real)[..., :W, :], g_fil)
 
     return _record("conv1d_maxpool", out, (seq, filters), bwd)
 
@@ -534,21 +483,16 @@ def cosine(u: Tensor, v: Tensor) -> Tensor:
         raise NumericError("cosine: zero-norm input u")
     if not (nv > 0.0).all():
         raise NumericError("cosine: zero-norm input v")
-    needs_u, needs_v = _needs(u), _needs(v)
     mu = np.maximum(nu, COSINE_EPS)
     mv = np.maximum(nv, COSINE_EPS)
     d = (ud * vd).sum(axis=-1)
-    out = np.clip(d / (mu * mv), -1.0, 1.0).astype(ud.dtype)
+    out = np.clip(d / (mu * mv), -1.0, 1.0)
 
     def bwd(g):
-        gu = gv = None
-        if needs_u:
-            self_u = np.where(nu > COSINE_EPS, d / (nu * mu * mu * mv), 0.0)
-            gu = g[..., None] * ((vd / (mu * mv)[..., None]) - self_u[..., None] * ud)
-        if needs_v:
-            self_v = np.where(nv > COSINE_EPS, d / (nv * mv * mv * mu), 0.0)
-            gv = g[..., None] * ((ud / (mu * mv)[..., None]) - self_v[..., None] * vd)
-        return (gu, gv)
+        self_u = np.where(nu > COSINE_EPS, d / (nu * mu * mu * mv), 0.0)
+        self_v = np.where(nv > COSINE_EPS, d / (nv * mv * mv * mu), 0.0)
+        return (g[..., None] * ((vd / (mu * mv)[..., None]) - self_u[..., None] * ud),
+                g[..., None] * ((ud / (mu * mv)[..., None]) - self_v[..., None] * vd))
 
     return _record("cosine", np.asarray(out), (u, v), bwd)
 
@@ -563,19 +507,13 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.intp)
     if idx.size and (idx.min() < -1 or idx.max() >= table.shape[0]):
         raise ShapeError(f"gather_rows: ids out of range for {table.shape}")
-    nt = _needs(table)
-    shape = table.shape
-    dt = table.data.dtype
     pad = idx < 0
     out = table.data[np.where(pad, 0, idx)]
     out[pad] = 0.0
 
     def bwd(g):
-        if not nt:
-            return (None,)
-        gt = np.zeros(shape, dtype=dt)
-        keep = ~pad
-        np.add.at(gt, idx[keep], g[keep])
+        gt = np.zeros(table.shape)
+        np.add.at(gt, idx[~pad], g[~pad])
         return (gt,)
 
     return _record("gather_rows", out, (table,), bwd)

@@ -118,6 +118,7 @@ def test_train_no_morph_flag_recorded(prepared, tmp_path):
 @pytest.mark.parametrize("name, line", [
     ("vocab.tsv", "extra\tmany\t0\t1"),      # non-integer count
     ("sentences.txt", "0 one 2"),             # non-integer token id
+    ("run_config.txt", "min_count = x"),      # non-integer setting
 ])
 def test_train_malformed_prepared_file_exits_2(prepared, tmp_path, name, line):
     bad = tmp_path / "prep"
@@ -235,13 +236,18 @@ def test_infer_and_eval_reject_a_transform_of_another_dimension(
     assert err.count("a 4-dimensional transform for a 8-dimensional table") == 2
 
 
-@pytest.mark.parametrize("method", ["hice", "ngram"])
-def test_infer_rejects_a_file_of_another_dimension_before_any_output(
-        workdir, checkpoint, fitted_files, tmp_path, capsys, method):
+def _four_dim_table(tmp_path):
     small = tmp_path / "small.txt"
     save_embeddings(EmbeddingTable(dim=4, vectors={"t00w00": np.ones(4, np.float32),
                                                    "t00w01": np.eye(4, dtype=np.float32)[0]}),
                     small)
+    return small
+
+
+@pytest.mark.parametrize("method", ["hice", "ngram"])
+def test_infer_rejects_a_file_of_another_dimension_before_any_output(
+        workdir, checkpoint, fitted_files, tmp_path, capsys, method):
+    small = _four_dim_table(tmp_path)
     path = checkpoint if method == "hice" else fitted_files["ngram"]
     ctx = tmp_path / "ctx.txt"
     ctx.write_text("t00w00 t00w99 t00w01\n")
@@ -251,6 +257,19 @@ def test_infer_rejects_a_file_of_another_dimension_before_any_output(
     out, err = capsys.readouterr()
     assert out == ""
     assert "a 8-dimensional" in err and "for a 4-dimensional table" in err
+
+
+@pytest.mark.parametrize("method", ["hice", "ngram"])
+def test_eval_rejects_a_file_of_another_dimension_before_scoring(
+        bench_tsv, checkpoint, fitted_files, tmp_path, capsys, method):
+    flag, path = (("--checkpoint", checkpoint) if method == "hice"
+                  else ("--ngram-model", fitted_files["ngram"]))
+    out = tmp_path / "rep"
+    assert main(["eval", str(bench_tsv), "--embeddings", str(_four_dim_table(tmp_path)),
+                 "--methods", method, flag, str(path), "--out-dir", str(out)]) == 6
+    err = capsys.readouterr().err
+    assert "a 8-dimensional" in err and "for a 4-dimensional table" in err
+    assert not out.exists()
 
 
 def test_infer_baseline_file_with_a_repeated_entry_exits_2(workdir, fitted_files, tmp_path,
@@ -610,6 +629,26 @@ def test_exit_code_of_a_failed_command(monkeypatch, argv, error, code):
 
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", fail)
     assert main(argv) == code
+
+
+@pytest.mark.parametrize("command, setting, code", [
+    ("train", "lr = abc", 2), ("train", None, 2), ("eval", "seed = abc", 6),
+], ids=["train-config-file", "train-env-seed", "eval-config-file"])
+def test_a_setting_that_does_not_parse_is_a_format_error(
+        workdir, prepared, bench_tsv, tmp_path, monkeypatch, capsys, command, setting, code):
+    argv = (["train", str(prepared), "--steps", "0", "--out", str(tmp_path / "m.hice")]
+            if command == "train" else
+            ["eval", str(bench_tsv), "--embeddings", str(workdir / "embeddings.txt"),
+             "--methods", "alacarte", "--prepared-dir", str(prepared),
+             "--out-dir", str(tmp_path / "rep")])
+    if setting:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("OOVFORGE_SEED", "abc")
+    assert main(argv) == code
+    assert "cannot parse" in capsys.readouterr().err
 
 
 def test_env_seed_applies_when_flag_absent(prepared, tmp_path, monkeypatch):

@@ -150,7 +150,7 @@ def test_save_benchmark_tsv_failed_write_keeps_the_previous_file(tmp_path, monke
 @pytest.mark.parametrize("name", [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE,
                                   cli.RUN_CONFIG_FILE])
 def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
-    # each file of a prepared directory is replaced whole or not at all
+    # a failed write to any file of a prepared directory replaces none of them
     sentences = [s.split() for s in (
         "the car has a wheel and an engine", "we like the car on the road",
         "the bike is on the road", "the piano and the violin make music",
@@ -163,15 +163,15 @@ def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypat
         cli.write_prepared(out, vocab, store, {"command": "prepare", "note": note,
                                                "tokenizer.strip_chars": cli.STRIP_CHARS})
 
+    files = [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE, cli.RUN_CONFIG_FILE]
     prepare(sentences, "first")
-    before = (out / name).read_bytes()
+    before = {f: (out / f).read_bytes() for f in files}
     fill_the_disk(monkeypatch, name)
     with pytest.raises(OSError, match="No space"):
         prepare(sentences[::-1] + sentences, "second")
     monkeypatch.undo()
-    assert (out / name).read_bytes() == before
-    assert sorted(p.name for p in out.iterdir()) == sorted(
-        [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE, cli.RUN_CONFIG_FILE])
+    assert {f: (out / f).read_bytes() for f in files} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
 @pytest.mark.parametrize("report", ["eval_summary.csv", "eval_items.csv", "chart.svg",

@@ -261,6 +261,43 @@ def test_repeated_backward_accumulates(rng):
     assert np.array_equal(p.grad, 2 * np.ones(4))
 
 
+# each op of criterion 1's case list that takes two or more tensors: the op
+# and the shapes of its operands
+MULTI_OPERAND_OPS = {
+    "add": (tc.add, [(4, 3), (4, 3)]),
+    "mul": (tc.mul, [(4, 3), (4, 3)]),
+    "add_bias": (tc.add_bias, [(4, 3), (3,)]),
+    "scale_rows": (tc.scale_rows, [(4, 3), (4,)]),
+    "matmul": (matmul, [(4, 5), (5, 3)]),
+    "einsum": (lambda a, b: tc.einsum("slhe,smhe->shlm", a, b), [(2, 3, 2, 2), (2, 4, 2, 2)]),
+    "layer_norm": (layer_norm, [(4, 3), (3,), (3,)]),
+    "conv1d_maxpool": (lambda s, f: conv1d_maxpool(s, f, [5, 2, 1]), [(3, 5, 3), (3, 3, 4)]),
+    "cosine": (cosine, [(3, 5), (3, 5)]),
+    "concat_cols": (lambda *xs: tc.concat_cols(xs), [(4, 3), (4, 2), (4, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_OPERAND_OPS))
+def test_a_constant_operand_leaves_the_other_gradients_unchanged(rng, name):
+    op, shapes = MULTI_OPERAND_OPS[name]
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    weight = constant(rng.normal(size=op(*map(constant, arrays)).shape))
+
+    def operands(const_at):
+        ts = [constant(a) if j == const_at else parameter(a) for j, a in enumerate(arrays)]
+        with Graph():
+            backward(sum_all(tc.mul(op(*ts), weight)))
+        return ts
+
+    reference = operands(None)
+    for i in range(len(arrays)):
+        ts = operands(i)
+        assert ts[i].grad is None
+        for j, t in enumerate(ts):
+            if j != i:
+                assert np.array_equal(t.grad, reference[j].grad), (name, i, j)
+
+
 def test_composite_two_layer_net_gradients(rng):
     w1 = parameter(rng.normal(size=(5, 8)) * 0.5)
     b1 = parameter(rng.normal(size=8) * 0.1)
