@@ -1,5 +1,5 @@
-"""Two-stage adaptation of a trained model to a new corpus, plus the plain
-fine-tuning arm it is compared against.
+"""Two-stage adaptation of a trained model to a new corpus; its comparison
+arm, plain fine-tuning, is the same update with alpha = 0.
 
 One update is:
 
@@ -11,6 +11,7 @@ In first-order mode the Jacobian of the inner step is treated as identity
 update multiplies through (I - alpha * H_source(theta)), with the
 Hessian-vector product computed by central differences of the source
 gradient; that is exact for quadratic losses and O(eps^2) otherwise.
+At alpha = 0 both source terms vanish and the source loss is not evaluated.
 
 Because true OOV words in the new corpus have no oracle vectors, the
 target-side episodes are pseudo-episodes: words the new corpus shares with
@@ -72,12 +73,13 @@ def maml_update(params: list[Tensor], loss_source_fn, loss_target_fn,
     current parameter values (they are re-evaluated at perturbed points).
     """
     theta = [p.data.copy() for p in params]
-    g_t = _grads(params, loss_source_fn)
-    for p, th, g in zip(params, theta, g_t):
-        p.data = th - cfg.alpha * g
+    if cfg.alpha:
+        g_t = _grads(params, loss_source_fn)
+        for p, th, g in zip(params, theta, g_t):
+            p.data = th - cfg.alpha * g
     g_n = _grads(params, loss_target_fn)  # evaluated at theta*
 
-    if cfg.first_order:
+    if cfg.first_order or not cfg.alpha:
         update = g_n
     else:
         v_scale = max(float(np.abs(g).max()) for g in g_n) if g_n else 0.0
@@ -130,16 +132,10 @@ def pseudo_targets(vocab_n: Vocabulary, store_n: SentenceStore,
 
 def adapt(model: HiceModel, cfg: AdaptConfig,
           source: tuple[Vocabulary, SentenceStore, EmbeddingTable],
-          target: tuple[Vocabulary, SentenceStore, EmbeddingTable | None]) -> HiceModel:
-    """Run ``adapt_steps`` meta-updates against the target corpus.
-
-    The target oracle table defaults to the source table (shared words keep
-    their source embeddings as supervision).
-    """
+          target: tuple[Vocabulary, SentenceStore, EmbeddingTable]) -> HiceModel:
+    """Run ``adapt_steps`` meta-updates against the target corpus."""
     vocab_t, store_t, table_t = source
     vocab_n, store_n, table_n = target
-    if table_n is None:
-        table_n = table_t
     words_n = pseudo_targets(vocab_n, store_n, table_n, cfg.target_min_count)
     if not words_n:
         raise AdaptationError(
@@ -168,19 +164,3 @@ def finetune_step(model: HiceModel, batch: list[Episode], lr: float,
         p.data = p.data - lr * gi
     return model
 
-
-def finetune(model: HiceModel, cfg: AdaptConfig,
-             target: tuple[Vocabulary, SentenceStore, EmbeddingTable | None]) -> HiceModel:
-    """The comparison arm: plain SGD (rate ``beta``) on target pseudo-episodes
-    only."""
-    vocab_n, store_n, table_n = target
-    words_n = pseudo_targets(vocab_n, store_n, table_n, cfg.target_min_count)
-    if not words_n:
-        raise AdaptationError("no eligible adaptation words for fine-tuning")
-    # seed offset matches adapt()'s target stream so alpha=0 is identical
-    stream = episode_stream(vocab_n, store_n, table_n, ADAPT_K_RANGE,
-                            cfg.seed + 1, words=words_n)
-    for _ in range(cfg.adapt_steps):
-        batch = [next(stream) for _ in range(cfg.batch_episodes)]
-        finetune_step(model, batch, cfg.beta, vocab=vocab_n)
-    return model

@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 ingestion or format, 3 training, 4 adaptation,
 (errors.py); other package errors take the code of the failing command
 (prepare 2, train 3, adapt 4, infer and neighbors 5), and eval reports every
 failure as 6. Flags override config-file values, which override defaults;
-OOVFORGE_SEED seeds every RNG when no --seed is given.
-Every artifact written embeds the options that produced it.
+OOVFORGE_SEED seeds every RNG when no --seed is given. Every artifact
+written embeds the options that produced it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines
-from .adaptation import AdaptConfig, adapt, finetune
+from .adaptation import AdaptConfig, adapt
 from .container import atomic_open, config_value
 from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
                      SentenceStore, Vocabulary, contexts_of, format_vector,
@@ -72,22 +72,65 @@ def write_config_file(path, config: dict[str, str]) -> None:
             fh.write(f"{key} = {config[key]}\n")
 
 
-def effective(args, name: str, default, cast=str):
+def effective(args, name: str, default):
     """Flag > config file > environment (seed only) > default. A config or
-    environment value that ``cast`` rejects is a FormatError."""
-    value = getattr(args, name.replace("-", "_"), None)
+    environment value not of the default's type is a FormatError."""
+    value = getattr(args, name, None)
     if value is not None:
         return value
     file_cfg = getattr(args, "_file_config", {})
     if name in file_cfg:
-        return config_value(file_cfg, name, cast)
+        return config_value(file_cfg, name, type(default))
     if name == "seed" and os.environ.get(ENV_SEED):
-        return config_value(os.environ, ENV_SEED, cast)
+        return config_value(os.environ, ENV_SEED, type(default))
     return default
+
+
+# flag -> (config dataclass, field): the one declaration of each train and
+# adapt setting; the field's default gives the flag's type and default
+TRAIN_SETTINGS = {
+    "steps": (TrainConfig, "steps"),
+    "batch": (TrainConfig, "batch_episodes"),
+    "lr": (TrainConfig, "learning_rate"),
+    "k_max": (TrainConfig, "k_max"),
+    "val_every": (TrainConfig, "validation_every"),
+    "patience": (TrainConfig, "patience"),
+    "seed": (TrainConfig, "seed"),
+    "heads": (HiceConfig, "n_heads"),
+}
+ADAPT_SETTINGS = {
+    "alpha": (AdaptConfig, "alpha"),
+    "beta": (AdaptConfig, "beta"),
+    "steps": (AdaptConfig, "adapt_steps"),
+    "min_count": (AdaptConfig, "target_min_count"),
+    "seed": (AdaptConfig, "seed"),
+}
+
+
+def add_settings(parser, settings: dict) -> None:
+    for flag, (cls, field) in settings.items():
+        parser.add_argument("--" + flag.replace("_", "-"),
+                            type=type(getattr(cls, field)), default=None)
+
+
+def resolve(args, settings: dict) -> dict:
+    """Each setting's value by flag name, resolved by ``effective``."""
+    return {flag: effective(args, flag, getattr(cls, field))
+            for flag, (cls, field) in settings.items()}
+
+
+def config_fields(cls, settings: dict, values: dict) -> dict:
+    """The resolved values of the settings that fill fields of ``cls``."""
+    return {field: values[flag] for flag, (c, field) in settings.items() if c is cls}
 
 
 def run_config_dict(command: str, pairs: dict) -> dict[str, str]:
     return {"command": command, **{key: str(value) for key, value in pairs.items()}}
+
+
+def config_header(run_cfg: dict[str, str]) -> str:
+    """The run config as the ``#`` comment lines that head a CSV report."""
+    return "".join(f"# {k} = {run_cfg[k]}\n" for k in sorted(run_cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +200,7 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
 # ---------------------------------------------------------------------------
 
 def cmd_prepare(args) -> int:
-    min_count = effective(args, "min_count", DEFAULT_MIN_COUNT, int)
+    min_count = effective(args, "min_count", DEFAULT_MIN_COUNT)
     vocab, store = prepare_corpus(args.corpus, min_count=min_count)
     load_embeddings(args.embeddings)  # validate now, record the path
     run_cfg = run_config_dict("prepare", {
@@ -175,36 +218,27 @@ def cmd_prepare(args) -> int:
     return 0
 
 
+def _embeddings(args, run_cfg: dict[str, str]) -> tuple[str, EmbeddingTable]:
+    """The --embeddings table, or the one the prepared directory names."""
+    path = args.embeddings or run_cfg.get("embeddings")
+    if not path:
+        raise IngestionError("no embeddings path: pass --embeddings or re-run prepare")
+    return path, load_embeddings(path)
+
+
 def cmd_train(args) -> int:
     vocab, store, run_cfg = load_prepared(args.prepared_dir)
-    emb_path = args.embeddings or run_cfg.get("embeddings")
-    if not emb_path:
-        raise IngestionError("no embeddings path: pass --embeddings or re-run prepare")
-    table = load_embeddings(emb_path)
-    seed = effective(args, "seed", 0, int)
-    steps = effective(args, "steps", 2000, int)
-    k_max = effective(args, "k_max", 6, int)
-    tc = TrainConfig(
-        steps=steps,
-        batch_episodes=effective(args, "batch", 32, int),
-        learning_rate=effective(args, "lr", 1e-3, float),
-        k_max=k_max,
-        seed=seed,
-        validation_every=effective(args, "val_every", 100, int),
-        patience=effective(args, "patience", 5, int),
-    )
-    mc = HiceConfig(
-        embed_dim=table.dim,
-        n_heads=effective(args, "heads", 4, int),
-        use_morph=not args.no_morph,
-        seed=seed,
-    )
+    emb_path, table = _embeddings(args, run_cfg)
+    settings = resolve(args, TRAIN_SETTINGS)
+    tc = TrainConfig(**config_fields(TrainConfig, TRAIN_SETTINGS, settings))
+    mc = HiceConfig(embed_dim=table.dim, use_morph=not args.no_morph, seed=tc.seed,
+                    **config_fields(HiceConfig, TRAIN_SETTINGS, settings))
     model, report = train(tc, vocab, store, table, model_config=mc)
     out = Path(args.out or (Path(args.prepared_dir) / "model.hice"))
     extra = run_config_dict("train", {
         "prepared_dir": args.prepared_dir,
         "embeddings": emb_path,
-        "steps": steps, "k_max": k_max, "seed": seed,
+        **settings,
         "no_morph": args.no_morph,
         "best_val": repr(report.best_val),
         "best_step": report.best_step,
@@ -212,8 +246,7 @@ def cmd_train(args) -> int:
     save_checkpoint(model, out, extra_config={f"run.{k}": v for k, v in extra.items()})
     csv_path = Path(args.report or (str(out) + ".csv"))
     with atomic_open(csv_path, "w", encoding="utf-8") as fh:
-        for k in sorted(extra):
-            fh.write(f"# {k} = {extra[k]}\n")
+        fh.write(config_header(extra))
         fh.write(report.to_csv())
     print(f"checkpoint: {out}")
     print(f"report: {csv_path}")
@@ -222,39 +255,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    if not args.source_dir:
-        raise IngestionError("--source-dir with prepared source artifacts is required")
     vocab_t, store_t, run_cfg = load_prepared(args.source_dir)
-    emb_path = args.embeddings or run_cfg.get("embeddings")
-    if not emb_path:
-        raise IngestionError("no embeddings path: pass --embeddings")
-    table = load_embeddings(emb_path)
+    emb_path, table = _embeddings(args, run_cfg)
     model = load_checkpoint(args.checkpoint)
     vocab_n, store_n = prepare_corpus(args.target_corpus, min_count=1)
-    cfg = AdaptConfig(
-        alpha=effective(args, "alpha", 1e-3, float),
-        beta=effective(args, "beta", 1e-4, float),
-        first_order=args.first_order,
-        adapt_steps=effective(args, "steps", 500, int),
-        target_min_count=effective(args, "min_count", 4, int),
-        seed=effective(args, "seed", 0, int),
-    )
-    if args.finetune:
-        finetune(model, cfg, (vocab_n, store_n, table))
-    else:
-        adapt(model, cfg, (vocab_t, store_t, table), (vocab_n, store_n, table))
+    settings = resolve(args, ADAPT_SETTINGS)
+    cfg = AdaptConfig(first_order=args.first_order,
+                      **config_fields(AdaptConfig, ADAPT_SETTINGS, settings))
+    adapt(model, cfg, (vocab_t, store_t, table), (vocab_n, store_n, table))
     out = Path(args.out or (args.checkpoint + ".adapted"))
     extra = run_config_dict("adapt", {
         "checkpoint": args.checkpoint,
         "target_corpus": args.target_corpus,
-        "alpha": cfg.alpha, "beta": cfg.beta,
-        "first_order": cfg.first_order, "steps": cfg.adapt_steps,
-        "seed": cfg.seed, "mode": "finetune" if args.finetune else "maml",
+        "source_dir": args.source_dir,
+        "embeddings": emb_path,
+        **settings,
+        "first_order": cfg.first_order,
+        "mode": "finetune" if cfg.alpha == 0 else "maml",
     })
     save_checkpoint(model, out, extra_config={
-        "adapted": "true", "adapted_from": str(args.target_corpus),
-        **{f"run.{k}": v for k, v in extra.items()},
-    })
+        "adapted": "true", **{f"run.{k}": v for k, v in extra.items()}})
     print(f"adapted checkpoint: {out}")
     return 0
 
@@ -336,7 +356,7 @@ def _load_or_fit(methods: list[str], args, table: EmbeddingTable):
     vocab, store, run_cfg = load_prepared(args.prepared_dir)
     words = eligible_targets(vocab, store, table)[: args.fit_samples]
     if "alacarte" in need_fit:
-        rng = np.random.default_rng(effective(args, "seed", 0, int))
+        rng = np.random.default_rng(effective(args, "seed", 0))
         pairs = []
         for w in words:
             ep = sample_episode(w, min(6, len(contexts_of(w, store))), rng, store, table)
@@ -409,18 +429,18 @@ def cmd_eval(args) -> int:
         "benchmark": args.benchmark, "embeddings": args.embeddings,
         "methods": ",".join(methods),
     })
-    header = "".join(f"# {k} = {run_cfg[k]}\n" for k in sorted(run_cfg))
+    header = config_header(run_cfg)
     summary_path = out_dir / "eval_summary.csv"
     with atomic_open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.write("method,shot,mean_rho,pooled_rho,items,failed\n")
         for rep in reports:
-            for shot in sorted(rep.mean_by_shot):
+            for shot in sorted({r.shot for r in rep.items}):
                 n = sum(1 for r in rep.items if r.shot == shot)
                 failed = sum(1 for r in rep.items if r.shot == shot and r.failed)
+                mean = rep.mean_by_shot.get(shot, float("nan"))
                 pooled = rep.pooled_by_shot.get(shot, float("nan"))
-                fh.write(f"{rep.method},{shot},{rep.mean_by_shot[shot]!r},"
-                         f"{pooled!r},{n},{failed}\n")
+                fh.write(f"{rep.method},{shot},{mean!r},{pooled!r},{n},{failed}\n")
     items_path = out_dir / "eval_items.csv"
     with atomic_open(items_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
@@ -487,12 +507,10 @@ def render_text_table(reports) -> str:
     return "\n".join(lines)
 
 
-def render_svg(reports, run_cfg: dict[str, str] | None = None) -> str:
+def render_svg(reports, run_cfg: dict[str, str]) -> str:
     """A minimal grouped bar chart of mean rho per method and shot."""
-    provenance = ""
-    if run_cfg:
-        body = " ".join(f"{k}={v}" for k, v in sorted(run_cfg.items()))
-        provenance = f"<!-- {body.replace('--', '- -')} -->"
+    body = " ".join(f"{k}={v}" for k, v in sorted(run_cfg.items()))
+    provenance = f"<!-- {body.replace('--', '- -')} -->"
     shots = sorted({s for rep in reports for s in rep.mean_by_shot})
     bar_w, gap, group_gap, height, base = 22, 4, 30, 220, 200
     colors = ["#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c"]
@@ -557,14 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train, exit_code=3)
     p.add_argument("prepared_dir")
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--val-every", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
+    add_settings(p, TRAIN_SETTINGS)
     p.add_argument("--no-morph", action="store_true",
                    help="zero out the morphology slot (ablation)")
     p.add_argument("--out", default=None)
@@ -575,16 +586,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_adapt, exit_code=4)
     p.add_argument("checkpoint")
     p.add_argument("target_corpus")
-    p.add_argument("--source-dir", default=None, required=False)
+    p.add_argument("--source-dir", required=True,
+                   help="the prepared directory of the source corpus")
     p.add_argument("--embeddings", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    add_settings(p, ADAPT_SETTINGS)
     p.add_argument("--first-order", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--finetune", action="store_true",
-                   help="plain fine-tuning on the target corpus instead")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--min-count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--finetune", dest="alpha", action="store_const", const=0.0,
+                   help="plain fine-tuning on the target corpus: --alpha 0")
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
 
@@ -597,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(INFER_NEEDS))
     p.add_argument("--embeddings", default=None)
     p.add_argument("--neighbors", type=int, default=0)
-    p.add_argument("--config", default=None)
 
     p = sub.add_parser("eval", help="score methods on a benchmark TSV")
     p.set_defaults(handler=cmd_eval, exit_code=6)
@@ -621,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", default=None)
     p.add_argument("--vector-file", default=None)
     p.add_argument("--top", type=int, default=5)
-    p.add_argument("--config", default=None)
 
     return parser
 
@@ -629,7 +635,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args._file_config = load_config_file(args.config) if args.config else {}
+        config = getattr(args, "config", None)
+        args._file_config = load_config_file(config) if config else {}
     except OovForgeError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -1,7 +1,16 @@
-import numpy as np
-import pytest
+import os
+import sys
 
-from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
+# One BLAS thread, set before numpy loads: the summation order of a d=300
+# matmul, and so the last bits of the golden arrays, depend on the count.
+assert "numpy" not in sys.modules, "numpy was imported before tests/conftest.py"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab  # noqa: E402
 
 
 @pytest.fixture

@@ -25,7 +25,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, as tests/conftest.py sets: the d=300 forward pass's
+# summation order depends on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))  # synthetic_task

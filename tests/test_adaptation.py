@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import synthetic_task
-from oov_forge.adaptation import (AdaptConfig, adapt, finetune, finetune_step,
+from oov_forge.adaptation import (AdaptConfig, adapt, finetune_step,
                                   maml_step, maml_update, pseudo_targets)
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.episode import episode_stream, sample_episode
@@ -50,6 +50,20 @@ def test_maml_matches_hand_derived_quadratic(theta0, a, b, alpha, beta, first_or
     maml_update([theta], loss_t, loss_n, cfg)
     expected = hand_solution(theta0, a, b, alpha, beta, first_order)
     assert abs(float(theta.data) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("first_order", [True, False])
+def test_alpha_zero_never_evaluates_the_source_loss(first_order):
+    """Plain fine-tuning (alpha = 0) costs one target gradient per update."""
+    theta = parameter(np.array(0.7))
+    _, loss_n = quadratic_losses(theta, 2.0, -1.0)
+
+    def loss_source():
+        raise AssertionError("the source loss was evaluated at alpha = 0")
+
+    maml_update([theta], loss_source, loss_n,
+                AdaptConfig(alpha=0.0, beta=0.05, first_order=first_order))
+    assert float(theta.data) == pytest.approx(0.7 - 2 * 0.05 * (0.7 + 1.0), abs=1e-12)
 
 
 def test_beta_zero_leaves_theta_unchanged():
@@ -180,8 +194,8 @@ def test_finetune_lr_zero_is_identity():
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     model = HiceModel.from_table(mc, oracle, vocab)
     before = {n: p.data.copy() for n, p in model.parameters()}
-    cfg = AdaptConfig(beta=0.0, adapt_steps=5, seed=0)
-    finetune(model, cfg, (vocab_n, store_n, oracle_n))
+    cfg = AdaptConfig(alpha=0.0, beta=0.0, adapt_steps=5, seed=0)
+    adapt(model, cfg, (vocab, store, oracle), (vocab_n, store_n, oracle_n))
     for n, p in model.parameters():
         assert np.array_equal(p.data, before[n])
 
@@ -192,8 +206,8 @@ def test_finetune_deterministic_replay():
 
     def run():
         model = HiceModel.from_table(mc, oracle, vocab)
-        finetune(model, AdaptConfig(beta=1e-3, adapt_steps=10, seed=5),
-                 (vocab_n, store_n, oracle_n))
+        adapt(model, AdaptConfig(alpha=0.0, beta=1e-3, adapt_steps=10, seed=5),
+              (vocab, store, oracle), (vocab_n, store_n, oracle_n))
         return {n: p.data.copy() for n, p in model.parameters()}
 
     s1, s2 = run(), run()

@@ -472,6 +472,24 @@ def test_eval_oracle_fails_an_item_missing_from_the_table(workdir, tmp_path):
     ]
 
 
+def test_eval_summary_keeps_a_shot_whose_items_all_failed(workdir, tmp_path):
+    table = load_embeddings(workdir / "embeddings.txt")
+    words = sorted(table)
+    probes = words[::8][:6]
+    ratings = [float(i) for i in range(6)]
+    bench = tmp_path / "mixed.tsv"
+    save_benchmark_tsv([EvalItem(words[3], [f"a {words[3]} here"], probes, ratings, 2),
+                        EvalItem("blick", ["a blick here"], probes, ratings, 4)], bench)
+    out = tmp_path / "rep"
+    assert main(["eval", str(bench), "--embeddings", str(workdir / "embeddings.txt"),
+                 "--methods", "oracle", "--out-dir", str(out)]) == 0
+    rows = [l.split(",") for l in (out / "eval_summary.csv").read_text().splitlines()
+            if not l.startswith("#")][1:]
+    assert [r[:2] + r[4:] for r in rows] == [["oracle", "2", "1", "0"],
+                                             ["oracle", "4", "1", "1"]]
+    assert rows[1][2:4] == ["nan", "nan"]  # the all-failed shot has no rho
+
+
 def _item_rows(out_dir):
     """The rows of eval_items.csv below its provenance comments and header."""
     lines = [l for l in (out_dir / "eval_items.csv").read_text().splitlines()
@@ -531,6 +549,28 @@ def test_adapt_alpha_zero_equals_finetune_mode(workdir, prepared, checkpoint, tm
     b = load_checkpoint(out_b)
     for (_, pa), (_, pb) in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa.data, pb.data)
+
+
+def test_train_and_adapt_record_every_setting(workdir, prepared, tmp_path):
+    out = tmp_path / "m.hice"
+    assert main(["train", str(prepared), "--steps", "4", "--lr", "0.01", "--batch", "4",
+                 "--val-every", "2", "--patience", "3", "--heads", "2",
+                 "--out", str(out)]) == 0
+    config, _ = read_container(out, CHECKPOINT_MAGIC)
+    given = {"lr": "0.01", "batch": "4", "val_every": "2", "patience": "3", "heads": "2"}
+    assert {k: config[f"run.{k}"] for k in given} == given
+    assert {f"run.{k}" for k in cli.TRAIN_SETTINGS} <= set(config)
+    header = (tmp_path / "m.hice.csv").read_text()
+    assert all(f"# {k} = {v}\n" in header for k, v in given.items())
+
+    adapted = tmp_path / "a.hice"
+    assert main(["adapt", str(out), str(workdir / "corpus.txt"), "--source-dir",
+                 str(prepared), "--steps", "1", "--min-count", "7", "--finetune",
+                 "--out", str(adapted)]) == 0
+    config, _ = read_container(adapted, CHECKPOINT_MAGIC)
+    assert {f"run.{k}" for k in cli.ADAPT_SETTINGS} <= set(config)
+    assert (config["run.min_count"], config["run.alpha"], config["run.mode"]) == (
+        "7", "0.0", "finetune")
 
 
 def test_adapt_no_eligible_words_exits_4(workdir, prepared, checkpoint, tmp_path):
@@ -615,6 +655,19 @@ def test_config_file_round_trips_values_containing_hash(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("# a comment line\n   # an indented comment\n\n")
     assert cli.load_config_file(path) == config
+
+
+@pytest.mark.parametrize("argv", [
+    ["infer", "--word", "w", "--contexts-file", "c.txt"],
+    ["neighbors", "--embeddings", "t.txt"],
+], ids=["infer", "neighbors"])
+def test_commands_that_read_no_setting_reject_config(argv, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--config", str(cfg)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, error, code", [
