@@ -492,7 +492,8 @@ def cmd_neighbors(args) -> int:
 # ---------------------------------------------------------------------------
 
 def render_text_table(reports) -> str:
-    shots = sorted({s for rep in reports for s in rep.mean_by_shot})
+    # every shot an item has, as in eval_summary.csv; "-" where all failed
+    shots = sorted({r.shot for rep in reports for r in rep.items})
     headers = ["method"] + [f"{s}-shot" for s in shots]
     rows = [headers]
     for rep in reports:
@@ -511,7 +512,7 @@ def render_svg(reports, run_cfg: dict[str, str]) -> str:
     """A minimal grouped bar chart of mean rho per method and shot."""
     body = " ".join(f"{k}={v}" for k, v in sorted(run_cfg.items()))
     provenance = f"<!-- {body.replace('--', '- -')} -->"
-    shots = sorted({s for rep in reports for s in rep.mean_by_shot})
+    shots = sorted({r.shot for rep in reports for r in rep.items})
     bar_w, gap, group_gap, height, base = 22, 4, 30, 220, 200
     colors = ["#4878d0", "#ee854a", "#6acc64", "#d65f5f", "#956cb4", "#8c613c"]
     x = 40
@@ -522,14 +523,13 @@ def render_svg(reports, run_cfg: dict[str, str]) -> str:
     for s_i, shot in enumerate(shots):
         for m_i, rep in enumerate(reports):
             rho = rep.mean_by_shot.get(shot)
-            if rho is None:
-                continue
-            h = max(1.0, rho * scale)
-            parts.append(
-                f'<rect x="{x:.1f}" y="{base - h:.1f}" width="{bar_w}" '
-                f'height="{h:.1f}" fill="{colors[m_i % len(colors)]}">'
-                f'<title>{rep.method} {shot}-shot: {rho:.4f}</title></rect>'
-            )
+            if rho is not None:  # a shot whose items all failed keeps its slot
+                h = max(1.0, rho * scale)
+                parts.append(
+                    f'<rect x="{x:.1f}" y="{base - h:.1f}" width="{bar_w}" '
+                    f'height="{h:.1f}" fill="{colors[m_i % len(colors)]}">'
+                    f'<title>{rep.method} {shot}-shot: {rho:.4f}</title></rect>'
+                )
             x += bar_w + gap
         parts.append(
             f'<text x="{x - (bar_w + gap) * len(reports) / 2:.1f}" y="{base + 16}" '

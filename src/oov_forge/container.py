@@ -88,48 +88,30 @@ def atomic_open(path, mode: str = "wb", **kwargs):
 
 def write_container(path, magic: str, config: dict[str, str],
                     arrays: list[tuple[str, np.ndarray]]) -> None:
-    with atomic_open(path) as fh:
-        _write_body(fh, magic, config, arrays)
-
-
-def _write_body(fh, magic: str, config: dict[str, str],
-                arrays: list[tuple[str, np.ndarray]]) -> None:
-    tag = magic.encode("ascii")
-    fh.write(struct.pack("<B", len(tag)))
-    fh.write(tag)
-    blob = _encode_config(config)
-    fh.write(struct.pack("<I", len(blob)))
-    fh.write(blob)
-    fh.write(struct.pack("<I", len(arrays)))
-    prepared = []
+    tag, blob = magic.encode("ascii"), _encode_config(config)
+    head = [struct.pack("<B", len(tag)), tag, struct.pack("<I", len(blob)), blob,
+            struct.pack("<I", len(arrays))]
+    payloads = []
     for name, arr in arrays:
-        if arr.dtype == np.uint8:
-            data = np.ascontiguousarray(arr)
-            tagd = "u1"
-        else:
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            tagd = "f4"
-        prepared.append(data)
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<H", len(nb)))
-        fh.write(nb)
-        db = tagd.encode("ascii")
-        fh.write(struct.pack("<B", len(db)))
-        fh.write(db)
-        fh.write(struct.pack("<B", data.ndim))
-        for dim in data.shape:
-            fh.write(struct.pack("<I", dim))
-    for data in prepared:
-        fh.write(data.tobytes())
+        raw = arr.dtype == np.uint8
+        data = np.ascontiguousarray(arr, dtype=None if raw else "<f4")
+        nb, db = name.encode("utf-8"), b"u1" if raw else b"f4"
+        head += [struct.pack("<H", len(nb)), nb, struct.pack("<B", len(db)), db,
+                 struct.pack(f"<B{data.ndim}I", data.ndim, *data.shape)]
+        payloads.append(data.reshape(-1).view(np.uint8))  # the array's bytes, not a copy
+    with atomic_open(path) as fh:
+        fh.write(b"".join(head))
+        for payload in payloads:
+            fh.write(payload)
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob: memoryview, path):
         self.blob = blob
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.blob):
             raise FormatError(f"{self.path}: truncated file")
         chunk = self.blob[self.pos:self.pos + n]
@@ -146,21 +128,23 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
-def _utf8(raw: bytes, what: str) -> str:
+def _utf8(raw, what: str) -> str:
     try:
-        return raw.decode("utf-8")
+        return str(raw, "utf-8")
     except UnicodeDecodeError as e:
         raise FormatError(f"{what}: invalid UTF-8 at byte {e.start}") from None
 
 
 def read_container(path, expected_magic: str):
-    """-> (config dict, list of (name, ndarray)). Floats come back float32."""
+    """-> (config dict, list of (name, ndarray)). Floats come back float32,
+    and each array owns a copy of its payload."""
     try:
-        blob = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            blob = memoryview(fh.read())
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
     r = _Reader(blob, path)
-    magic = r.take(r.u8()).decode("ascii", errors="replace")
+    magic = str(r.take(r.u8()), "ascii", "replace")
     if magic != expected_magic:
         raise FormatError(
             f"{path}: magic mismatch: expected {expected_magic!r}, found {magic!r}"
@@ -172,7 +156,7 @@ def read_container(path, expected_magic: str):
     manifest, names = [], set()
     for _ in range(n_entries):
         name = _utf8(r.take(r.u16()), f"{path}: entry name")
-        dtag = r.take(r.u8()).decode("ascii", errors="replace")
+        dtag = str(r.take(r.u8()), "ascii", "replace")
         if dtag not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype tag {dtag!r}")
         ndim = r.u8()
@@ -186,6 +170,7 @@ def read_container(path, expected_magic: str):
         dt = _DTYPES[dtag]
         count = math.prod(shape)  # exact: a corrupt shape must not wrap around
         raw = r.take(count * dt.itemsize)
+        # one copy: a view would sit at an unaligned offset and keep the file alive
         arr = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
         if dtag == "f4" and not np.isfinite(arr).all():
             raise FormatError(f"{path}: non-finite values in entry {name!r}")

@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class HiceConfig:
         for name in ("n_agg_blocks", "seed"):
             if getattr(self, name) < 0:
                 raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if len(set(self.filter_widths)) < len(self.filter_widths):
+            raise InputError(f"filter widths repeat: {self.filter_widths}")
 
     @property
     def d_model(self) -> int:
@@ -129,43 +132,73 @@ class HiceConfig:
         return config
 
 
-class AttentionBlockParams:
-    """Weights of one self-attention encoding block."""
+def block_arrays(prefix: str, d_model: int, n_heads: int, d_ff: int,
+                 rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """A fresh attention block's arrays, named ``prefix.*`` and drawn in
+    that order."""
+    s_in = 1.0 / math.sqrt(d_model)
+    # [head, (q, k, v)] blocks of d_head columns; wq holds every head's
+    # query block, wkv every head's key block, then every value block
+    w = rng.normal(size=(n_heads, 3, d_model, d_model // n_heads)) * s_in
+    return {f"{prefix}.{name}": arr for name, arr in (
+        ("wq", w[:, 0].transpose(1, 0, 2).reshape(d_model, -1)),
+        ("wkv", w[:, 1:].transpose(2, 1, 0, 3).reshape(d_model, -1)),
+        ("wo", rng.normal(size=(d_model, d_model)) * s_in),
+        ("ffn.w1", rng.normal(size=(d_model, d_ff)) * s_in),
+        ("ffn.b1", np.zeros(d_ff)),
+        ("ffn.w2", rng.normal(size=(d_ff, d_model)) / math.sqrt(d_ff)),
+        ("ffn.b2", np.zeros(d_model)),
+        ("ln1.g", np.ones(d_model)), ("ln1.b", np.zeros(d_model)),
+        ("ln2.g", np.ones(d_model)), ("ln2.b", np.zeros(d_model)))}
 
-    def __init__(self, d_model: int, n_heads: int, d_ff: int,
-                 rng: np.random.Generator):
-        if d_model % n_heads:
-            raise InputError(f"d_model {d_model} not divisible by {n_heads} heads")
-        s_in = 1.0 / math.sqrt(d_model)
-        # [head, (q, k, v)] blocks of d_head columns; wq holds every head's
-        # query block, wkv every head's key block, then every value block
-        w = rng.normal(size=(n_heads, 3, d_model, d_model // n_heads)) * s_in
-        self.wq = tc.parameter(w[:, 0].transpose(1, 0, 2).reshape(d_model, -1))
-        self.wkv = tc.parameter(w[:, 1:].transpose(2, 1, 0, 3).reshape(d_model, -1))
-        self.wo = tc.parameter(rng.normal(size=(d_model, d_model)) * s_in)
-        self.w1 = tc.parameter(rng.normal(size=(d_model, d_ff)) * s_in)
-        self.b1 = tc.parameter(np.zeros(d_ff))
-        self.w2 = tc.parameter(rng.normal(size=(d_ff, d_model)) / math.sqrt(d_ff))
-        self.b2 = tc.parameter(np.zeros(d_model))
-        self.ln1_g = tc.parameter(np.ones(d_model))
-        self.ln1_b = tc.parameter(np.zeros(d_model))
-        self.ln2_g = tc.parameter(np.ones(d_model))
-        self.ln2_b = tc.parameter(np.zeros(d_model))
+
+def fresh_arrays(config: HiceConfig, frozen: np.ndarray) -> dict[str, np.ndarray]:
+    """A fresh model's parameter arrays by name, in ``parameters()`` order,
+    drawn from ``config.seed`` in that order; the MASK and UNK rows start as
+    the mean of the frozen rows."""
+    d_in, d_model = config.embed_dim, config.d_model
+    rng = np.random.default_rng(config.seed)
+    mean_row = frozen.mean(axis=0, dtype=np.float64) if len(frozen) else np.zeros(d_in)
+    arrays = {"special_embed": np.stack([mean_row, mean_row])}
+    if d_model != d_in:
+        arrays["input_proj.w"] = rng.normal(size=(d_in, d_model)) / math.sqrt(d_in)
+        arrays["input_proj.b"] = np.zeros(d_model)
+    arrays["a_pos"] = np.ones(config.max_len)
+    for kind, n in (("ctx", config.n_context_blocks), ("agg", config.n_agg_blocks)):
+        for i in range(n):
+            arrays.update(block_arrays(f"{kind}{i}", d_model, config.n_heads,
+                                       config.d_ff, rng))
+    ce = config.char_emb_dim
+    arrays["char_embed"] = rng.normal(size=(N_CHARS, ce)) * 0.1
+    for w in config.filter_widths:
+        arrays[f"conv{w}.filters"] = (rng.normal(size=(w, ce, config.char_filters))
+                                      / math.sqrt(w * ce))
+        arrays[f"conv{w}.bias"] = np.zeros(config.char_filters)
+    fuse_in = d_model + config.c_morph
+    arrays["fuse.w"] = rng.normal(size=(fuse_in, d_in)) / math.sqrt(fuse_in)
+    arrays["fuse.b"] = np.zeros(d_in)
+    return arrays
+
+
+class AttentionBlockParams:
+    """Weights of one self-attention encoding block; ``take(name, *shape)``
+    gives the parameter of each array named ``prefix.*`` (see
+    ``block_arrays``)."""
+
+    def __init__(self, take: Callable[..., Tensor], prefix: str, d_model: int,
+                 n_heads: int, d_ff: int):
+        self.wq = take(f"{prefix}.wq", d_model, d_model)
+        self.wkv = take(f"{prefix}.wkv", d_model, 2 * d_model)
+        self.wo = take(f"{prefix}.wo", d_model, d_model)
+        self.w1 = take(f"{prefix}.ffn.w1", d_model, d_ff)
+        self.b1 = take(f"{prefix}.ffn.b1", d_ff)
+        self.w2 = take(f"{prefix}.ffn.w2", d_ff, d_model)
+        self.b2 = take(f"{prefix}.ffn.b2", d_model)
+        self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b = (
+            take(f"{prefix}.{name}", d_model)
+            for name in ("ln1.g", "ln1.b", "ln2.g", "ln2.b"))
         self.d_model = d_model
         self.n_heads = n_heads
-
-    def named(self, prefix: str):
-        yield f"{prefix}.wq", self.wq
-        yield f"{prefix}.wkv", self.wkv
-        yield f"{prefix}.wo", self.wo
-        yield f"{prefix}.ffn.w1", self.w1
-        yield f"{prefix}.ffn.b1", self.b1
-        yield f"{prefix}.ffn.w2", self.w2
-        yield f"{prefix}.ffn.b2", self.b2
-        yield f"{prefix}.ln1.g", self.ln1_g
-        yield f"{prefix}.ln1.b", self.ln1_b
-        yield f"{prefix}.ln2.g", self.ln2_g
-        yield f"{prefix}.ln2.b", self.ln2_b
 
 
 class Segments:
@@ -259,51 +292,63 @@ class HiceModel:
 
     def __init__(self, config: HiceConfig, frozen: np.ndarray,
                  frozen_words: list[str], vocab: Vocabulary | None = None):
-        if frozen.ndim != 2 or frozen.shape[1] != config.embed_dim:
-            raise InputError(
-                f"frozen table {frozen.shape} does not match embed_dim {config.embed_dim}"
-            )
-        self.config = config
-        # shares ``frozen`` when it is float32
-        self.table = EmbeddingTable.from_rows(frozen_words, frozen)
-        self.vocab = vocab
+        """A fresh model over the rows ``frozen`` of ``frozen_words`` (shared
+        when float32), its parameters drawn by ``fresh_arrays``."""
+        table = EmbeddingTable.from_rows(frozen_words, frozen)
+        self._bind(config, table, fresh_arrays(config, table.matrix), vocab)
 
-        d_in = config.embed_dim
-        d_model = config.d_model
-        d_ff = config.d_ff
-        rng = np.random.default_rng(config.seed)
+    @classmethod
+    def from_arrays(cls, config: HiceConfig, table: EmbeddingTable,
+                    arrays: dict[str, np.ndarray],
+                    vocab: Vocabulary | None = None) -> "HiceModel":
+        """A model over ``table`` holding ``arrays``, one per parameter name,
+        as a checkpoint stores them."""
+        model = cls.__new__(cls)
+        model._bind(config, table, arrays, vocab)
+        return model
 
-        mean_row = (self.frozen.mean(axis=0, dtype=np.float64)
-                    if len(self.frozen) else np.zeros(d_in))
-        self.special_embed = tc.parameter(np.stack([mean_row, mean_row]))
+    def _bind(self, config: HiceConfig, table: EmbeddingTable,
+              arrays: dict[str, np.ndarray], vocab: Vocabulary | None) -> None:
+        """Make each parameter from its array in ``arrays``. A missing,
+        misshapen or extra array is an error, so a checkpoint whose config
+        was edited cannot drop parameters."""
+        if table.dim != config.embed_dim:
+            raise InputError(f"frozen table {table.matrix.shape} does not match "
+                             f"embed_dim {config.embed_dim}")
+        self.config, self.table, self.vocab = config, table, vocab
+        arrays, self._params = dict(arrays), []
 
+        def take(name: str, *shape: int) -> Tensor:
+            if name not in arrays:
+                raise FormatError(f"checkpoint missing parameter {name!r}")
+            arr = np.asarray(arrays.pop(name), dtype=np.float64)
+            if arr.shape != shape:
+                raise FormatError(
+                    f"checkpoint parameter {name!r}: shape {arr.shape} vs {shape}")
+            self._params.append((name, tc.parameter(arr)))
+            return self._params[-1][1]
+
+        d_in, d_model = config.embed_dim, config.d_model
+        self.special_embed = take("special_embed", 2, d_in)
+        self.input_proj_w = self.input_proj_b = None
         if d_model != d_in:
-            self.input_proj_w = tc.parameter(
-                rng.normal(size=(d_in, d_model)) / math.sqrt(d_in))
-            self.input_proj_b = tc.parameter(np.zeros(d_model))
-        else:
-            self.input_proj_w = None
-            self.input_proj_b = None
-
-        self.a_pos = tc.parameter(np.ones(config.max_len))
-        self.ctx_blocks = [AttentionBlockParams(d_model, config.n_heads, d_ff, rng)
-                           for _ in range(config.n_context_blocks)]
-        self.agg_blocks = [AttentionBlockParams(d_model, config.n_heads, d_ff, rng)
-                           for _ in range(config.n_agg_blocks)]
-
+            self.input_proj_w = take("input_proj.w", d_in, d_model)
+            self.input_proj_b = take("input_proj.b", d_model)
+        self.a_pos = take("a_pos", config.max_len)
+        block = partial(AttentionBlockParams, take, d_model=d_model,
+                        n_heads=config.n_heads, d_ff=config.d_ff)
+        self.ctx_blocks = [block(f"ctx{i}") for i in range(config.n_context_blocks)]
+        self.agg_blocks = [block(f"agg{i}") for i in range(config.n_agg_blocks)]
         ce = config.char_emb_dim
-        self.char_embed = tc.parameter(rng.normal(size=(N_CHARS, ce)) * 0.1)
-        self.conv_filters = {}
-        self.conv_bias = {}
+        self.char_embed = take("char_embed", N_CHARS, ce)
+        self.conv_filters, self.conv_bias = {}, {}
         for w in config.filter_widths:
-            self.conv_filters[w] = tc.parameter(
-                rng.normal(size=(w, ce, config.char_filters)) / math.sqrt(w * ce))
-            self.conv_bias[w] = tc.parameter(np.zeros(config.char_filters))
-
-        fuse_in = d_model + config.c_morph
-        self.fuse_w = tc.parameter(
-            rng.normal(size=(fuse_in, d_in)) / math.sqrt(fuse_in))
-        self.fuse_b = tc.parameter(np.zeros(d_in))
+            self.conv_filters[w] = take(f"conv{w}.filters", w, ce, config.char_filters)
+            self.conv_bias[w] = take(f"conv{w}.bias", config.char_filters)
+        self.fuse_w = take("fuse.w", d_model + config.c_morph, d_in)
+        self.fuse_b = take("fuse.b", d_in)
+        if arrays:
+            raise FormatError(f"checkpoint has unexpected array {next(iter(arrays))!r}")
 
     @classmethod
     def from_table(cls, config: HiceConfig, table: EmbeddingTable,
@@ -323,22 +368,9 @@ class HiceModel:
         self.vocab = vocab
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = [("special_embed", self.special_embed)]
-        if self.input_proj_w is not None:
-            out.append(("input_proj.w", self.input_proj_w))
-            out.append(("input_proj.b", self.input_proj_b))
-        out.append(("a_pos", self.a_pos))
-        for i, block in enumerate(self.ctx_blocks):
-            out.extend(block.named(f"ctx{i}"))
-        for i, block in enumerate(self.agg_blocks):
-            out.extend(block.named(f"agg{i}"))
-        out.append(("char_embed", self.char_embed))
-        for w in self.config.filter_widths:
-            out.append((f"conv{w}.filters", self.conv_filters[w]))
-            out.append((f"conv{w}.bias", self.conv_bias[w]))
-        out.append(("fuse.w", self.fuse_w))
-        out.append(("fuse.b", self.fuse_b))
-        return out
+        """Every parameter by name, in the order ``_bind`` takes them, which
+        is the checkpoint's."""
+        return list(self._params)
 
     def zero_grads(self) -> None:
         for _, p in self.parameters():
@@ -469,24 +501,3 @@ class HiceModel:
         arrays.append(("frozen_rows", self.frozen))
         arrays.append(("frozen_words", pack_text("\n".join(self.frozen_words))))
         return arrays
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Load the learned parameters; the frozen block is fixed at
-        construction. An array the model has no parameter for is an error,
-        so a checkpoint whose config was edited cannot drop parameters."""
-        params = self.parameters()
-        for name, p in params:
-            if name not in arrays:
-                raise FormatError(f"checkpoint missing parameter {name!r}")
-            arr = arrays[name].astype(np.float64)
-            if arr.shape != p.data.shape:
-                raise FormatError(
-                    f"checkpoint parameter {name!r}: shape {arr.shape} vs {p.data.shape}"
-                )
-            p.data = arr
-            p.grad = None
-        known = {name for name, _ in params} | {"frozen_rows", "frozen_words"}
-        for name in arrays:
-            if name not in known:
-                raise FormatError(f"checkpoint has unexpected array {name!r}")
-

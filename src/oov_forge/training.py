@@ -232,17 +232,17 @@ def save_checkpoint(model: HiceModel, path,
 
 
 def load_checkpoint(path) -> HiceModel:
+    """The model a checkpoint holds, built from the file's arrays."""
     config, arrays = read_container(path, CHECKPOINT_MAGIC)
     named = dict(arrays)
     if "frozen_rows" not in named or "frozen_words" not in named:
         raise FormatError(f"{path}: checkpoint missing frozen embedding block")
-    text = unpack_text(named["frozen_words"])
+    rows, text = named.pop("frozen_rows"), unpack_text(named.pop("frozen_words"))
     words = text.split("\n") if text else []
-    if len(words) != len(named["frozen_rows"]):
+    if len(words) != len(rows):
         raise FormatError(f"{path}: checkpoint word list does not match frozen rows")
     try:
-        model = HiceModel(HiceConfig.from_dict(config), named["frozen_rows"], words)
+        return HiceModel.from_arrays(HiceConfig.from_dict(config),
+                                     EmbeddingTable.from_rows(words, rows), named)
     except InputError as e:
         raise FormatError(f"{path}: {e}") from None
-    model.load_state_arrays(named)
-    return model

@@ -472,7 +472,7 @@ def test_eval_oracle_fails_an_item_missing_from_the_table(workdir, tmp_path):
     ]
 
 
-def test_eval_summary_keeps_a_shot_whose_items_all_failed(workdir, tmp_path):
+def test_eval_summary_keeps_a_shot_whose_items_all_failed(workdir, tmp_path, capsys):
     table = load_embeddings(workdir / "embeddings.txt")
     words = sorted(table)
     probes = words[::8][:6]
@@ -482,12 +482,19 @@ def test_eval_summary_keeps_a_shot_whose_items_all_failed(workdir, tmp_path):
                         EvalItem("blick", ["a blick here"], probes, ratings, 4)], bench)
     out = tmp_path / "rep"
     assert main(["eval", str(bench), "--embeddings", str(workdir / "embeddings.txt"),
-                 "--methods", "oracle", "--out-dir", str(out)]) == 0
+                 "--methods", "oracle", "--out-dir", str(out),
+                 "--svg", str(tmp_path / "chart.svg")]) == 0
     rows = [l.split(",") for l in (out / "eval_summary.csv").read_text().splitlines()
             if not l.startswith("#")][1:]
     assert [r[:2] + r[4:] for r in rows] == [["oracle", "2", "1", "0"],
                                              ["oracle", "4", "1", "1"]]
     assert rows[1][2:4] == ["nan", "nan"]  # the all-failed shot has no rho
+    # the printed table and the chart keep the shot too, with no score
+    header, scores = capsys.readouterr().out.splitlines()[:2]
+    assert header.split() == ["method", "2-shot", "4-shot"]
+    assert scores.split()[0] == "oracle" and scores.split()[2] == "-"
+    svg = (tmp_path / "chart.svg").read_text()
+    assert "4-shot</text>" in svg and "4-shot:" not in svg
 
 
 def _item_rows(out_dir):

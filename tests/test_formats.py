@@ -36,6 +36,23 @@ def test_container_roundtrip(tmp_path, rng):
     assert named["empty"].shape == (0, 5)
 
 
+def test_read_arrays_own_aligned_writable_memory(tmp_path, rng):
+    # the 3-byte text entry leaves the float payloads after it at offsets
+    # that are not multiples of 4
+    arrays = [("note", pack_text("abc")), ("alpha", rng.normal(size=(3, 4))),
+              ("empty", np.zeros((0, 2))), ("beta", rng.normal(size=5))]
+    path = tmp_path / "blob.bin"
+    write_container(path, "TST1", {"k": "v"}, arrays)
+    alpha_at = path.stat().st_size - 4 * (12 + 0 + 5)  # alpha, empty, beta end the file
+    assert alpha_at % 4
+    _, got = read_container(path, "TST1")
+    for name, arr in got:
+        flags = arr.flags
+        assert flags.owndata and flags.c_contiguous and flags.aligned, name
+        assert flags.writeable, name
+        arr[...] = 0
+
+
 def test_container_magic_mismatch(tmp_path):
     path = tmp_path / "blob.bin"
     write_container(path, "AAA1", {}, [])

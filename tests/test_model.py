@@ -11,7 +11,8 @@ from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, UNK_ID, Episode,
                                char_sequence, sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
-                             Segments, encoding_block, self_attention)
+                             Segments, block_arrays, encoding_block, fresh_arrays,
+                             self_attention)
 from oov_forge.tensor import Graph, backward, constant, cosine, parameter, sum_all
 
 DIM = 8
@@ -57,6 +58,13 @@ def morph_features(model, *words):
 # self-attention
 # ---------------------------------------------------------------------------
 
+def fresh_block(d_model, n_heads, d_ff, rng):
+    """A block of weights drawn as a fresh model draws them."""
+    arrays = block_arrays("b", d_model, n_heads, d_ff, rng)
+    return AttentionBlockParams(lambda name, *shape: parameter(arrays[name]), "b",
+                                d_model, n_heads, d_ff)
+
+
 def head_blocks(block):
     """Per head, its (query, key, value) weights [d_model, d_head]: column
     blocks of wq, and of wkv's key half and value half."""
@@ -67,7 +75,7 @@ def head_blocks(block):
 
 
 def test_self_attention_single_position(rng):
-    block = AttentionBlockParams(6, 2, 12, rng)
+    block = fresh_block(6, 2, 12, rng)
     x = constant(rng.normal(size=(1, 6)))
     sink = []
     out = self_attention(x, x, block, Segments([1]), sink)
@@ -81,7 +89,7 @@ def test_attention_weights_are_the_per_head_draws_joined(rng):
     # one draw of every head's query, key and value blocks, in head order,
     # gives the same numbers as drawing them one [d_model, d_head] at a time
     d_model, n_heads, seed = 12, 3, 17
-    block = AttentionBlockParams(d_model, n_heads, 8, np.random.default_rng(seed))
+    block = fresh_block(d_model, n_heads, 8, np.random.default_rng(seed))
     draw = np.random.default_rng(seed)
     s_in = 1.0 / math.sqrt(d_model)
     per_head = [[draw.normal(size=(d_model, d_model // n_heads)) * s_in
@@ -96,7 +104,7 @@ def test_attention_weights_are_the_per_head_draws_joined(rng):
 
 
 def test_self_attention_identical_rows_attend_uniformly(rng):
-    block = AttentionBlockParams(6, 2, 12, rng)
+    block = fresh_block(6, 2, 12, rng)
     row = rng.normal(size=6)
     x = constant(np.stack([row, row]))
     sink = []
@@ -126,7 +134,7 @@ def _naive_self_attention(x, block):
 
 def test_self_attention_matches_naive_loop(rng):
     # packed sequences of different lengths attend only within themselves
-    block = AttentionBlockParams(8, 4, 16, rng)
+    block = fresh_block(8, 4, 16, rng)
     lengths = [5, 1, 3]
     x = rng.normal(size=(sum(lengths), 8))
     seqs = Segments(lengths)
@@ -141,7 +149,7 @@ def test_self_attention_matches_naive_loop(rng):
 # ---------------------------------------------------------------------------
 
 def test_encoding_block_residual_path_only(rng):
-    block = AttentionBlockParams(6, 2, 12, rng)
+    block = fresh_block(6, 2, 12, rng)
     block.wo.data[:] = 0.0
     block.w2.data[:] = 0.0
     block.b2.data[:] = 0.0
@@ -155,7 +163,7 @@ def test_encoding_block_residual_path_only(rng):
 def test_encoding_block_is_position_wise(rng):
     # with attention output silenced the block acts per position, so it
     # commutes with any permutation of the rows
-    block = AttentionBlockParams(6, 2, 12, rng)
+    block = fresh_block(6, 2, 12, rng)
     block.wo.data[:] = 0.0
     x = rng.normal(size=(4, 6))
     perm = [2, 0, 3, 1]
@@ -166,10 +174,10 @@ def test_encoding_block_is_position_wise(rng):
 
 def test_encoding_block_gradients(rng):
     from fd import check_grads
-    block = AttentionBlockParams(4, 2, 8, rng)
+    block = fresh_block(4, 2, 8, rng)
     x = parameter(rng.normal(size=(3, 4)))
     w = constant(rng.normal(size=(3, 4)))
-    params = [x] + [p for _, p in block.named("b")]
+    params = [x] + [p for p in vars(block).values() if isinstance(p, tc.Tensor)]
     seqs = Segments([2, 1])
     err = check_grads(lambda: sum_all(tc.mul(encoding_block(x, block, seqs), w)), params)
     assert err < 1e-4
@@ -280,6 +288,24 @@ def test_config_derives_the_episode_shape_and_widths():
 def test_config_rejects_a_size_below_its_minimum(edit):
     with pytest.raises(InputError, match="must be >= "):
         HiceConfig(**{"embed_dim": 8, **edit})
+
+
+def test_config_rejects_a_repeated_filter_width():
+    # a model would hold one conv{w} pair for both, and its checkpoint two
+    with pytest.raises(InputError, match="filter widths repeat"):
+        HiceConfig(embed_dim=8, filter_widths=(2, 3, 2))
+
+
+def test_a_model_holds_the_arrays_it_is_given():
+    model, table = make_model()
+    arrays = fresh_arrays(model.config, table.matrix)
+    bound = HiceModel.from_arrays(model.config, table, arrays)
+    # float64 arrays become parameters without a copy, in the order given
+    assert [name for name, _ in bound.parameters()] == list(arrays)
+    assert all(p.data is arrays[name] for name, p in bound.parameters())
+    # the fresh model is the one these arrays make
+    assert all(np.array_equal(p.data, arrays[name]) for name, p in model.parameters())
+    assert bound.table is table
 
 
 def test_model_shares_the_table_rows():

@@ -1,3 +1,7 @@
+import gc
+import sys
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,6 +222,39 @@ def test_checkpoint_roundtrip_float32_identical(tmp_path):
     a = path.read_bytes()
     b = path2.read_bytes()
     assert a == b
+
+
+def test_a_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    # the parameters come from the file's arrays, not from a seeded draw
+    vocab, store, table, oracle, _ = small_task()
+    path = tmp_path / "model.hice"
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = load_checkpoint(path)
+    monkeypatch.undo()
+    _, arrays = read_container(path, CHECKPOINT_MAGIC)
+    stored = {name: arr for name, arr in arrays if not name.startswith("frozen_")}
+    assert [name for name, _ in loaded.parameters()] == list(stored)
+    for name, p in loaded.parameters():
+        assert p.data.dtype == np.float64
+        assert np.array_equal(p.data, stored[name]), name
+
+
+def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
+    vocab, store, table, oracle, _ = small_task()
+    path = tmp_path / "model.hice"
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    unraisable = []  # a ResourceWarning raised while a file object is collected
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        load_checkpoint(path)
+        gc.collect()
+    assert unraisable == []
 
 
 def test_checkpoint_layout(tmp_path):
