@@ -11,7 +11,7 @@ In first-order mode the Jacobian of the inner step is treated as identity
 update multiplies through (I - alpha * H_source(theta)), with the
 Hessian-vector product computed by central differences of the source
 gradient; that is exact for quadratic losses and O(eps^2) otherwise.
-At alpha = 0 both source terms vanish and the source loss is not evaluated.
+At alpha = 0 both source terms vanish, and no source episode is drawn.
 
 Because true OOV words in the new corpus have no oracle vectors, the
 target-side episodes are pseudo-episodes: words the new corpus shares with
@@ -22,6 +22,7 @@ regression targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -106,9 +107,9 @@ def maml_step(model: HiceModel, batch_source: list[Episode],
               batch_target: list[Episode], cfg: AdaptConfig,
               vocab_source: Vocabulary | None = None,
               vocab_target: Vocabulary | None = None) -> HiceModel:
-    """One meta-update of the model from one batch per corpus."""
-    if not batch_source or not batch_target:
-        raise AdaptationError("maml_step needs non-empty batches from both corpora")
+    """One meta-update from one batch per corpus (at alpha = 0, the source batch may be empty)."""
+    if not batch_target or (cfg.alpha and not batch_source):
+        raise AdaptationError("maml_step needs a target batch, and a source batch at alpha > 0")
     params = [p for _, p in model.parameters()]
     maml_update(
         params,
@@ -144,12 +145,13 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
         )
     if cfg.adapt_steps == 0:
         return model
-    stream_t = episode_stream(vocab_t, store_t, table_t, ADAPT_K_RANGE, cfg.seed)
+    stream_t = (episode_stream(vocab_t, store_t, table_t, ADAPT_K_RANGE, cfg.seed)
+                if cfg.alpha else iter(()))
     stream_n = episode_stream(vocab_n, store_n, table_n, ADAPT_K_RANGE,
                               cfg.seed + 1, words=words_n)
     for _ in range(cfg.adapt_steps):
         batch_n = [next(stream_n) for _ in range(cfg.batch_episodes)]
-        batch_t = [next(stream_t) for _ in range(cfg.batch_episodes)]
+        batch_t = list(islice(stream_t, cfg.batch_episodes))
         maml_step(model, batch_t, batch_n, cfg,
                   vocab_source=vocab_t, vocab_target=vocab_n)
     return model

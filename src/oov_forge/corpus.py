@@ -11,10 +11,13 @@ File formats handled here:
 from __future__ import annotations
 
 import hashlib
+import io
+import os
 import string
 from collections.abc import Iterator, Mapping
 from functools import cache, cached_property
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
@@ -41,7 +44,8 @@ def read_text(path, what: str) -> str:
     """A whole UTF-8 text file; a file that cannot be read or decoded raises
     IngestionError."""
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         raise IngestionError(f"cannot read {what} {path}: {e}") from e
     try:
@@ -226,7 +230,60 @@ class EmbeddingTable(Mapping):
         return list(self._words)
 
 
+BLOCK_LINES = 1024  # table lines parsed per block
+
+
+def parse_rows(path, lines, first: int, dim: int,
+               seen: set[str]) -> tuple[list[str], np.ndarray]:
+    """The rows of ``lines``, numbered from line ``first`` of ``path``; this loop defines a row.
+    Words go into ``seen``, and a bad line raises FormatError with its number."""
+    words: list[str] = []
+    rows: list[np.ndarray] = []
+    for lineno, line in enumerate(lines, start=first):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise FormatError(
+                f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
+            )
+        word = parts[0]
+        if word in seen:
+            raise FormatError(f"{path}: line {lineno}: duplicate word {word!r}")
+        try:
+            vec = np.fromiter(map(float, parts[1:]), dtype=np.float32, count=dim)
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
+        if not np.isfinite(vec).all():
+            raise FormatError(f"{path}: line {lineno}: non-finite value")
+        seen.add(word)
+        words.append(word)
+        rows.append(vec)
+    return words, np.array(rows, dtype=np.float32).reshape(len(rows), dim)
+
+
+def parse_plain_block(lines, dim: int, seen: set[str]) -> tuple[list[str], np.ndarray] | None:
+    """``parse_rows`` of lines that are each a word new to ``seen`` and the block, then ``dim``
+    finite single-spaced values (numpy parses them as ``float`` does); else None."""
+    words, _, values = zip(*(line.partition(" ") for line in lines))
+    if (any(w.split() != [w] for w in words) or len(set(words)) < len(words)
+            or not seen.isdisjoint(words) or not values[0].strip()):
+        return None  # (numpy warns about a block whose first row holds no values)
+    try:
+        rows = np.loadtxt(values, dtype=np.float64, comments=None, delimiter=" ", ndmin=2)
+    except ValueError:
+        return None
+    with np.errstate(over="ignore"):  # an overflow is parse_rows' error to report
+        rows = rows.astype(np.float32)
+    if rows.shape != (len(lines), dim) or not np.isfinite(rows).all():
+        return None
+    seen.update(words)
+    return list(words), rows
+
+
 def load_embeddings(path) -> EmbeddingTable:
+    """A text table, read in blocks of lines. A block that ``parse_plain_block`` rejects,
+    as one with an error, goes through ``parse_rows``, which names the bad line."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as e:
@@ -241,36 +298,27 @@ def load_embeddings(path) -> EmbeddingTable:
             raise FormatError(f"{path}: line 1: non-integer header") from None
         if n_words < 0 or dim < 1:
             raise FormatError(f"{path}: line 1: bad header values {header}")
-        # rows are collected, not written into a matrix sized by the header,
-        # which a malformed file may overstate
+        size = os.fstat(fh.fileno()).st_size
+        if not size:  # a pipe: its size is known once it is read
+            fh = io.StringIO(fh.read())
+            size = len(fh.getvalue())
+        # a row takes at least 2 * dim bytes (or characters): a bound on an overstated header
+        matrix = np.empty((min(n_words, size // (2 * dim)), dim), dtype=np.float32)
         words: list[str] = []
-        rows: list[np.ndarray] = []
         seen: set[str] = set()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(parts) - 1}"
-                )
-            word = parts[0]
-            if word in seen:
-                raise FormatError(f"{path}: line {lineno}: duplicate word {word!r}")
-            try:
-                vec = np.fromiter(map(float, parts[1:]), dtype=np.float32, count=dim)
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
-            if not np.isfinite(vec).all():
-                raise FormatError(f"{path}: line {lineno}: non-finite value")
-            seen.add(word)
-            words.append(word)
-            rows.append(vec)
-    if len(rows) != n_words:
+        lineno = 2
+        while block := list(islice(fh, BLOCK_LINES)):
+            block_words, rows = (parse_plain_block(block, dim, seen)
+                                 or parse_rows(path, block, lineno, dim, seen))
+            start = len(words)
+            words += block_words
+            if start < len(matrix):  # rows past the header's count are only counted
+                matrix[start:len(words)] = rows[:len(matrix) - start]
+            lineno += len(block)
+    if len(words) != n_words:
         raise FormatError(
-            f"{path}: header promises {n_words} rows, found {len(rows)}"
+            f"{path}: header promises {n_words} rows, found {len(words)}"
         )
-    matrix = np.stack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
     return EmbeddingTable.from_rows(words, matrix, source=str(path))
 
 

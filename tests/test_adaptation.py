@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import synthetic_task
+from oov_forge import adaptation
 from oov_forge.adaptation import (AdaptConfig, adapt, finetune_step,
                                   maml_step, maml_update, pseudo_targets)
 from oov_forge.corpus import EmbeddingTable
@@ -98,6 +101,23 @@ def test_maml_step_rejects_empty_batches():
     model = HiceModel.from_table(mc, oracle, vocab)
     with pytest.raises(AdaptationError):
         maml_step(model, [], [], AdaptConfig())
+
+
+def test_maml_step_reads_no_source_batch_at_alpha_zero():
+    vocab, store, table, oracle, _ = synthetic_task.planted_task(
+        n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)
+    mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
+    stream = episode_stream(vocab, store, oracle, (2, 3), seed=9)
+    batch_t = [next(stream) for _ in range(3)]
+    batch_n = [next(stream) for _ in range(3)]
+    m1 = HiceModel.from_table(mc, oracle, vocab)
+    maml_step(m1, batch_t, batch_n, AdaptConfig(alpha=0.0, first_order=False))
+    m2 = HiceModel.from_table(mc, oracle, vocab)
+    maml_step(m2, [], batch_n, AdaptConfig(alpha=0.0, first_order=False))
+    for (_, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
+        assert np.array_equal(p1.data, p2.data)
+    with pytest.raises(AdaptationError, match="source batch"):
+        maml_step(m2, [], batch_n, AdaptConfig(alpha=1e-3))
 
 
 def _shift_setup(seed=4):
@@ -213,3 +233,24 @@ def test_finetune_deterministic_replay():
     s1, s2 = run(), run()
     for n in s1:
         assert np.array_equal(s1[n], s2[n])
+
+
+def test_adapt_at_alpha_zero_draws_no_source_episode(monkeypatch):
+    vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
+    mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
+    drawn_from = []
+
+    def counted_stream(vocab, store, table, k, seed, words=None):
+        for ep in episode_stream(vocab, store, table, k, seed, words=words):
+            drawn_from.append(store)
+            yield ep
+
+    monkeypatch.setattr(adaptation, "episode_stream", counted_stream)
+    cfg = AdaptConfig(alpha=0.0, beta=1e-3, adapt_steps=3, batch_episodes=4, seed=5)
+    adapt(HiceModel.from_table(mc, oracle, vocab), cfg, (vocab, store, oracle),
+          (vocab_n, store_n, oracle_n))
+    assert len(drawn_from) == 12 and all(s is store_n for s in drawn_from)
+    drawn_from.clear()
+    adapt(HiceModel.from_table(mc, oracle, vocab), replace(cfg, alpha=1e-3),
+          (vocab, store, oracle), (vocab_n, store_n, oracle_n))
+    assert sum(s is store for s in drawn_from) == 12

@@ -1,10 +1,14 @@
+import os
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab,
-                              contexts_of, load_embeddings, load_stopwords,
+from oov_forge.corpus import (BLOCK_LINES, EmbeddingTable, SentenceStore,
+                              build_vocab, contexts_of, load_embeddings,
+                              load_stopwords, parse_plain_block, parse_rows,
                               read_sentences, save_embeddings, split_words,
                               tokenize)
 from oov_forge.errors import FormatError, IngestionError, InputError
@@ -176,6 +180,137 @@ def test_embeddings_roundtrip_float32_identical(tmp_path, rng):
     assert loaded.dim == table.dim
     for w, vec in vectors.items():
         assert np.array_equal(loaded[w], vec)
+
+
+def _table_lines(n: int, dim: int) -> list[str]:
+    return [f"w{i} " + " ".join(f"{i}.{j}5" for j in range(dim)) + "\n" for i in range(n)]
+
+
+def test_embeddings_duplicate_in_a_later_block_reports_its_line(tmp_path):
+    rows = _table_lines(BLOCK_LINES + 20, 2)
+    rows[BLOCK_LINES + 10] = "w3 1 2\n"  # w3 is row 4, in the first block
+    path = tmp_path / "emb.txt"
+    path.write_text(f"{len(rows)} 2\n\n" + "".join(rows))  # line 2 is blank
+    with pytest.raises(FormatError, match=f"line {BLOCK_LINES + 13}: duplicate word 'w3'"):
+        load_embeddings(path)
+
+
+def test_embeddings_understated_header_reports_every_row_found(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("3 2\n" + "".join(_table_lines(BLOCK_LINES + 5, 2)))
+    with pytest.raises(FormatError, match=f"header promises 3 rows, found {BLOCK_LINES + 5}$"):
+        load_embeddings(path)
+
+
+def test_embeddings_odd_spacing_loads_as_single_spacing(tmp_path):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("3 3\nfoo 1.0 2.5 -3\nbar 0.25 4 1e-3\nbaz 7 8 9\n")
+    odd = tmp_path / "odd.txt"
+    odd.write_text("3 3\nfoo\t1.0  2.5 -3 \n\nbar  0.25\t\t4 1e-3\n baz 7 8 9")
+    want, got = load_embeddings(plain), load_embeddings(odd)
+    assert got.words() == want.words() == ["foo", "bar", "baz"]
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_plain_block_parses_only_plain_rows():
+    seen = {"old"}
+    lines = ["a 1.5 -2\n", "b 3e-2 4\n", "c 5 6"]
+    words, rows = parse_plain_block(lines, 2, seen)
+    assert words == ["a", "b", "c"] and seen == {"old", "a", "b", "c"}
+    assert rows.tobytes() == parse_rows("p", lines, 2, 2, set())[1].tobytes()
+    odd_rows = ["d\t1 2\n", "\td 1 2\n", "d\t0 1 2\n", "d 1  2\n", "d 1 2 \n", "\n",
+                "old 1 2\n", "d 1\n", "d \n", "d 1 nan\n", "d 1 1e39\n", "d 1 1_0\n",
+                "d 1 \u0661\n"]
+    blocks = ([[odd] for odd in odd_rows] + [["a 1 2\n", odd] for odd in odd_rows]
+              + [["a 1 2\n", "a 3 4\n"], ["a 1\n", "b 2\n"]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns about a block without values
+        for block in blocks:
+            seen = {"old"}
+            assert parse_plain_block(block, 2, seen) is None, block
+            assert seen == {"old"}
+
+
+def _load_from_a_pipe(data: bytes):
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, data)
+    os.close(write_fd)
+    try:
+        return load_embeddings(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+
+
+def test_embeddings_load_from_a_pipe():
+    table = _load_from_a_pipe(b"2 2\nfoo 1 2\nbar 3 4\n")
+    assert table.words() == ["foo", "bar"]
+    assert np.array_equal(table.matrix, [[1, 2], [3, 4]])
+    with pytest.raises(FormatError, match="header promises 1000000000000 rows, found 1$"):
+        _load_from_a_pipe(b"1000000000000 2\nfoo 1 2\n")
+
+
+_VALUES = ["0", "1.5", "-2.25e-3", "7", "3.4028235e38", "1e-50",
+           "nan", "inf", "1e39", "1_0", "\u0661", "x"]
+_SEPARATORS = [" ", " ", " ", "  ", "\t", "\xa0", "\x0c"]
+
+
+@st.composite
+def _table_files(draw):
+    """Small tables over separators, values and words that each take one of
+    the loader's paths: plain rows, odd spacing, bad values, blank lines,
+    repeated words and wrong counts. Half the files space every row plainly."""
+    dim = draw(st.integers(1, 3))
+    odd = draw(st.booleans())
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        if odd and draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\xa0"])))
+            continue
+        n = dim + draw(st.sampled_from([0] * 12 + [-1, 1]))
+        word = draw(st.sampled_from(["a", "b", "\u0661", "a_b", "nan"]))
+        word += draw(st.sampled_from(["", str(i), str(i)]))
+        values = draw(st.lists(st.sampled_from(_VALUES[:6] * 12 + _VALUES[6:]),
+                               min_size=n, max_size=n))
+        seps = draw(st.lists(st.sampled_from(_SEPARATORS if odd else [" "]),
+                             min_size=n, max_size=n))
+        tail = draw(st.sampled_from(["", "", " ", "\t"])) if odd else ""
+        lead = draw(st.sampled_from(["", "", " ", "\t"])) if odd else ""
+        lines.append(lead + word + "".join(s + v for s, v in zip(seps, values)) + tail)
+    count = sum(1 for line in lines if line.strip()) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", ""]))
+    return f"{max(count, 0)} {dim}\n" + "\n".join(lines) + end
+
+
+def _row_loop_table(path):
+    """The reference: ``parse_rows`` over every line after the header."""
+    with open(path, encoding="utf-8") as fh:
+        n_words, dim = map(int, fh.readline().split())
+        words, rows = parse_rows(path, list(fh), 2, dim, set())
+    if len(words) != n_words:
+        raise FormatError(f"{path}: header promises {n_words} rows, found {len(words)}")
+    return words, rows
+
+
+def _outcome(load, path):
+    try:
+        words, rows = load(path)
+    except FormatError as e:
+        return "error", str(e)
+    return words, rows.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # 1e39
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_table_files())
+def test_blocked_load_equals_the_row_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_table.txt"
+    path.write_bytes(text.encode("utf-8"))
+
+    def blocked(p):
+        table = load_embeddings(p)
+        return table.words(), table.matrix
+
+    assert _outcome(blocked, path) == _outcome(_row_loop_table, path)
 
 
 def test_invalid_utf8_reports_byte_offset(tmp_path):

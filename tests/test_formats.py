@@ -3,7 +3,10 @@ format: the binary container, checkpoints, embedding tables, benchmark TSVs,
 and attention reports. Corruption must always surface as FormatError (or
 IngestionError for unreadable text), never as an unhandled crash."""
 
+import gc
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +14,10 @@ import pytest
 from oov_forge import cli, container
 from oov_forge.container import (pack_text, read_container, unpack_text,
                                  write_container)
-from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab,
+from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab, prepare_corpus,
                               save_embeddings)
 from oov_forge.errors import FormatError
-from oov_forge.evaluation import EvalItem, save_benchmark_tsv
+from oov_forge.evaluation import EvalItem, load_benchmark_tsv, save_benchmark_tsv
 
 
 def test_container_roundtrip(tmp_path, rng):
@@ -163,6 +166,21 @@ def test_save_benchmark_tsv_failed_write_keeps_the_previous_file(tmp_path, monke
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["bench.tsv"]
 
+
+def test_text_readers_leave_no_file_open(tmp_path, monkeypatch):
+    (tmp_path / "corpus.txt").write_text("the car on the road\n")
+    item = EvalItem("car", ["the car"], ["bike", "music"], [2.0, 1.0], 1)
+    save_benchmark_tsv([item], tmp_path / "bench.tsv")
+    (tmp_path / "run.cfg").write_text("steps = 3\n")
+    unraisable = []  # a ResourceWarning raised while a file object is collected
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        prepare_corpus(tmp_path / "corpus.txt", min_count=1)
+        load_benchmark_tsv(tmp_path / "bench.tsv")
+        cli.load_config_file(tmp_path / "run.cfg")
+        gc.collect()
+    assert unraisable == []
 
 @pytest.mark.parametrize("name", [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE,
                                   cli.RUN_CONFIG_FILE])
