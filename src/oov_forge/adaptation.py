@@ -132,10 +132,13 @@ def pseudo_targets(vocab_n: Vocabulary, store_n: SentenceStore,
 
 
 def adapt(model: HiceModel, cfg: AdaptConfig,
-          source: tuple[Vocabulary, SentenceStore, EmbeddingTable],
+          source: tuple[Vocabulary, SentenceStore, EmbeddingTable] | None,
           target: tuple[Vocabulary, SentenceStore, EmbeddingTable]) -> HiceModel:
-    """Run ``adapt_steps`` meta-updates against the target corpus."""
-    vocab_t, store_t, table_t = source
+    """Run ``adapt_steps`` meta-updates against the target corpus. At alpha = 0
+    nothing is drawn from the source corpus, which may then be None."""
+    if cfg.alpha and source is None:
+        raise AdaptationError("adaptation at alpha > 0 needs a source corpus")
+    vocab_t, store_t, table_t = source or (None, None, None)
     vocab_n, store_n, table_n = target
     words_n = pseudo_targets(vocab_n, store_n, table_n, cfg.target_min_count)
     if not words_n:
@@ -155,14 +158,3 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
         maml_step(model, batch_t, batch_n, cfg,
                   vocab_source=vocab_t, vocab_target=vocab_n)
     return model
-
-
-def finetune_step(model: HiceModel, batch: list[Episode], lr: float,
-                  vocab: Vocabulary | None = None) -> HiceModel:
-    """One plain SGD step on target-corpus episodes."""
-    params = [p for _, p in model.parameters()]
-    g = _grads(params, lambda: episode_loss(model, batch, vocab=vocab)[0])
-    for p, gi in zip(params, g):
-        p.data = p.data - lr * gi
-    return model
-

@@ -71,10 +71,25 @@ def additive(contexts: list[list[str]], table: EmbeddingTable,
 
 
 def _exact_mean(rows: list[np.ndarray]) -> np.ndarray:
-    # fsum is correctly rounded, so the mean is permutation invariant bit for bit
-    # (a float32 row widens to Python floats exactly, so rows may be float32)
-    n = len(rows)
-    return np.array([math.fsum(col) / n for col in np.stack(rows).T.tolist()])
+    # Each column sum is fsum's correctly rounded one, so the mean is
+    # permutation invariant bit for bit. A value with frexp exponent e and a
+    # p-bit mantissa is a multiple of 2^(e - p); with g the least exponent of a
+    # column's nonzero values, an absolute sum below 2^(g - p + 53) keeps every
+    # partial sum, in any order, exact in float64, so numpy's sum is fsum's.
+    # Other columns go through fsum, as does a zero sum (numpy may give -0.0)
+    # and a sum that overflows or meets inf or nan, so numpy need not warn.
+    x = np.stack(rows)
+    p = np.finfo(x.dtype).nmant + 1
+    with np.errstate(all="ignore"):
+        sums = x.sum(axis=0, dtype=np.float64)
+        abs_sums = np.abs(x).sum(axis=0, dtype=np.float64)
+    g = np.min(np.frexp(x)[1], axis=0, where=x != 0, initial=1 << 12)
+    exact = ((np.frexp(abs_sums)[1] <= g - p + 53) & np.isfinite(abs_sums)
+             & (sums != 0))
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        sums[rest] = [math.fsum(col) for col in x[:, rest].T.tolist()]
+    return sums / len(rows)
 
 
 @dataclass

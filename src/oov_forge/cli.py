@@ -2,7 +2,7 @@
 
     oov-forge prepare   <corpus> <embeddings> <out_dir> [--min-count N]
     oov-forge train     <prepared_dir> [--steps N --k-max K --seed S --no-morph --out PATH]
-    oov-forge adapt     <checkpoint> <target_corpus> --source-dir DIR [...]
+    oov-forge adapt     <checkpoint> <target_corpus> [--source-dir DIR --finetune ...]
     oov-forge infer     --checkpoint PATH --word W --contexts-file PATH --method M
     oov-forge eval      <benchmark_tsv> --embeddings PATH --methods a,b,c [...]
     oov-forge neighbors --embeddings PATH --word W [--top N]
@@ -36,8 +36,8 @@ from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
                      read_text, split_words)
 from .episode import (MASK_TOKEN, decode_context, eligible_targets,
                       episode_from_masked, sample_episode)
-from .errors import (EvaluationError, FormatError, InferenceError,
-                     IngestionError, OovForgeError)
+from .errors import (AdaptationError, EvaluationError, FormatError,
+                     InferenceError, IngestionError, OovForgeError)
 from .evaluation import (evaluate_method, load_benchmark_tsv,
                          nearest_neighbors)
 from .model import HiceConfig
@@ -255,14 +255,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    vocab_t, store_t, run_cfg = load_prepared(args.source_dir)
-    emb_path, table = _embeddings(args, run_cfg)
-    model = load_checkpoint(args.checkpoint)
-    vocab_n, store_n = prepare_corpus(args.target_corpus, min_count=1)
     settings = resolve(args, ADAPT_SETTINGS)
     cfg = AdaptConfig(first_order=args.first_order,
                       **config_fields(AdaptConfig, ADAPT_SETTINGS, settings))
-    adapt(model, cfg, (vocab_t, store_t, table), (vocab_n, store_n, table))
+    if cfg.alpha and not args.source_dir:
+        raise AdaptationError("alpha > 0 needs --source-dir, the prepared source corpus")
+    # at alpha = 0 nothing is drawn from the source: only its table path is read
+    run_cfg = (load_config_file(Path(args.source_dir) / RUN_CONFIG_FILE)
+               if args.source_dir else {})
+    emb_path, table = _embeddings(args, run_cfg)
+    model = load_checkpoint(args.checkpoint)
+    vocab_n, store_n = prepare_corpus(args.target_corpus, min_count=1)
+    source = load_prepared(args.source_dir)[:2] + (table,) if cfg.alpha else None
+    adapt(model, cfg, source, (vocab_n, store_n, table))
     out = Path(args.out or (args.checkpoint + ".adapted"))
     extra = run_config_dict("adapt", {
         "checkpoint": args.checkpoint,
@@ -586,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_adapt, exit_code=4)
     p.add_argument("checkpoint")
     p.add_argument("target_corpus")
-    p.add_argument("--source-dir", required=True,
-                   help="the prepared directory of the source corpus")
+    p.add_argument("--source-dir", default=None,
+                   help="the prepared source corpus; needed when alpha > 0")
     p.add_argument("--embeddings", default=None)
     add_settings(p, ADAPT_SETTINGS)
     p.add_argument("--first-order", action=argparse.BooleanOptionalAction, default=True)

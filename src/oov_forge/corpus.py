@@ -288,33 +288,37 @@ def load_embeddings(path) -> EmbeddingTable:
         fh = open(path, encoding="utf-8")
     except OSError as e:
         raise IngestionError(f"cannot read embeddings {path}: {e}") from e
-    with fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: line 1: expected '<vocab_size> <dim>' header")
-        try:
-            n_words, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise FormatError(f"{path}: line 1: non-integer header") from None
-        if n_words < 0 or dim < 1:
-            raise FormatError(f"{path}: line 1: bad header values {header}")
-        size = os.fstat(fh.fileno()).st_size
-        if not size:  # a pipe: its size is known once it is read
-            fh = io.StringIO(fh.read())
-            size = len(fh.getvalue())
-        # a row takes at least 2 * dim bytes (or characters): a bound on an overstated header
-        matrix = np.empty((min(n_words, size // (2 * dim)), dim), dtype=np.float32)
-        words: list[str] = []
-        seen: set[str] = set()
-        lineno = 2
-        while block := list(islice(fh, BLOCK_LINES)):
-            block_words, rows = (parse_plain_block(block, dim, seen)
-                                 or parse_rows(path, block, lineno, dim, seen))
-            start = len(words)
-            words += block_words
-            if start < len(matrix):  # rows past the header's count are only counted
-                matrix[start:len(words)] = rows[:len(matrix) - start]
-            lineno += len(block)
+    try:
+        with fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise FormatError(f"{path}: line 1: expected '<vocab_size> <dim>' header")
+            try:
+                n_words, dim = int(header[0]), int(header[1])
+            except ValueError:
+                raise FormatError(f"{path}: line 1: non-integer header") from None
+            if n_words < 0 or dim < 1:
+                raise FormatError(f"{path}: line 1: bad header values {header}")
+            size = os.fstat(fh.fileno()).st_size
+            if not size:  # a pipe: its size is known once it is read
+                fh = io.StringIO(fh.read())
+                size = len(fh.getvalue())
+            # a row takes at least 2 * dim bytes (or characters): a bound on an overstated header
+            matrix = np.empty((min(n_words, size // (2 * dim)), dim), dtype=np.float32)
+            words: list[str] = []
+            seen: set[str] = set()
+            lineno = 2
+            while block := list(islice(fh, BLOCK_LINES)):
+                block_words, rows = (parse_plain_block(block, dim, seen)
+                                     or parse_rows(path, block, lineno, dim, seen))
+                start = len(words)
+                words += block_words
+                if start < len(matrix):  # rows past the header's count are only counted
+                    matrix[start:len(words)] = rows[:len(matrix) - start]
+                lineno += len(block)
+    except UnicodeDecodeError as e:  # the position is within a decoded chunk
+        raise IngestionError(
+            f"{path}: invalid UTF-8 byte 0x{e.object[e.start]:02x}") from e
     if len(words) != n_words:
         raise FormatError(
             f"{path}: header promises {n_words} rows, found {len(words)}"

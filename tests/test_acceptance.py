@@ -19,9 +19,10 @@ import pytest
 
 import synthetic_task
 from fd import central_diff, rel_err
+from finetune import finetune_step
 import oov_forge.tensor as tc
-from oov_forge.adaptation import (AdaptConfig, adapt, finetune_step,
-                                  maml_step, maml_update, pseudo_targets)
+from oov_forge.adaptation import (AdaptConfig, adapt, maml_step, maml_update,
+                                  pseudo_targets)
 from oov_forge.baselines import additive, alacarte_fit, alacarte_infer
 from oov_forge.corpus import (EmbeddingTable, load_embeddings,
                               save_embeddings, split_words)

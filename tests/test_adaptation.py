@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import synthetic_task
+from finetune import finetune_step
 from oov_forge import adaptation
-from oov_forge.adaptation import (AdaptConfig, adapt, finetune_step,
-                                  maml_step, maml_update, pseudo_targets)
+from oov_forge.adaptation import (AdaptConfig, adapt, maml_step, maml_update,
+                                  pseudo_targets)
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.episode import episode_stream, sample_episode
 from oov_forge.errors import AdaptationError
@@ -152,6 +153,19 @@ def test_adapt_requires_eligible_words():
     with pytest.raises(AdaptationError):
         adapt(model, AdaptConfig(adapt_steps=1), (vocab, store, oracle),
               (vocab_n, store_n, empty))
+
+
+def test_adapt_takes_no_source_corpus_at_alpha_zero():
+    vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
+    mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
+    cfg = AdaptConfig(alpha=0.0, beta=1e-3, adapt_steps=2, seed=5)
+    m1, m2 = HiceModel.from_table(mc, oracle, vocab), HiceModel.from_table(mc, oracle, vocab)
+    adapt(m1, cfg, (vocab, store, oracle), (vocab_n, store_n, oracle_n))
+    adapt(m2, cfg, None, (vocab_n, store_n, oracle_n))
+    for (_, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
+        assert np.array_equal(p1.data, p2.data)
+    with pytest.raises(AdaptationError, match="needs a source corpus"):
+        adapt(m2, replace(cfg, alpha=1e-3), None, (vocab_n, store_n, oracle_n))
 
 
 def test_pseudo_targets_threshold():

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oov_forge import baselines
 from oov_forge.baselines import (AlaCarteModel, NgramTable, additive,
                                  alacarte_fit, alacarte_infer, ngram_fit,
-                                 ngram_sum, word_ngrams)
+                                 ngram_sum, word_ngrams, _exact_mean)
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.episode import MASK_TOKEN
 from oov_forge.errors import FormatError, OovForgeError
@@ -55,6 +59,62 @@ def test_additive_is_permutation_invariant_exactly():
     # tokens within one context are summed, so order there is exact too
     shuffled = [list(reversed(c)) for c in contexts]
     assert np.array_equal(base, additive(shuffled, table).vector)
+
+
+def _fsum_mean(x: np.ndarray) -> np.ndarray:
+    return np.array([math.fsum(col) / len(x) for col in x.T.tolist()])
+
+
+@st.composite
+def _blocks(draw):
+    """float32 or float64 [n, d] blocks with signed zeros: each column's values
+    lie within 2^27 above a scale of 2^-149 to 2^100 (so float32 subnormals
+    too), so some columns pass the exactness test and some fail it."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    scales = draw(st.lists(st.integers(-149, 100), min_size=d, max_size=d))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1))
+    x = [[math.ldexp(draw(value), s + draw(st.integers(0, 27))) for s in scales]
+         for _ in range(n)]
+    return np.array(x).astype(dtype)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_blocks())
+def test_exact_mean_is_fsum_bit_for_bit(x):
+    assert _exact_mean(list(x)).tobytes() == _fsum_mean(x).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("column", [
+    [-0.0, -0.0, -0.0],              # numpy may sum to -0.0, fsum to 0.0
+    [0.0, 0.0, 0.0],
+    [0.0, -0.0, 0.0],
+    [2.0 ** 100, 1.0, -2.0 ** 100],  # cancels: only an exact sum keeps the 1
+    [0.75, -0.5, -0.25],             # cancels to zero
+    [2.0 ** -149, 2.0 ** -149, -2.0 ** -148],
+])
+def test_exact_mean_named_columns_are_fsum(dtype, column):
+    x = np.array([column, [1.0, 2.0, 3.0]], dtype=dtype).T
+    assert _exact_mean(list(x)).tobytes() == _fsum_mean(x).tobytes()
+
+
+def test_exact_mean_overflow_is_fsum_overflow():
+    x = np.array([[1e308, 1.0], [1e308, 2.0]])
+    with pytest.raises(OverflowError):
+        _fsum_mean(x)
+    with pytest.raises(OverflowError):
+        _exact_mean(list(x))
+
+
+def test_exact_mean_of_float32_table_rows_needs_no_fsum(monkeypatch):
+    rows = list(np.random.default_rng(3).normal(size=(12, 300)).astype(np.float32))
+    want = _fsum_mean(np.stack(rows))
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(baselines.math, "fsum", lambda col: calls.append(1) or fsum(col))
+    assert _exact_mean(rows).tobytes() == want.tobytes()
+    assert calls == []
 
 
 def test_additive_stopword_filter_uses_strict_subset():

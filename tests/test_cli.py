@@ -580,6 +580,35 @@ def test_train_and_adapt_record_every_setting(workdir, prepared, tmp_path):
         "7", "0.0", "finetune")
 
 
+def test_adapt_finetune_needs_no_source_corpus(workdir, prepared, checkpoint, tmp_path):
+    common = [str(checkpoint), str(workdir / "corpus.txt"), "--finetune", "--steps", "2",
+              "--seed", "4", "--beta", "1e-3", "--min-count", "4"]
+    with_source = tmp_path / "s.hice"
+    assert main(["adapt", *common, "--source-dir", str(prepared),
+                 "--out", str(with_source)]) == 0
+    # only the source's run config is read at alpha = 0, for the table's path
+    config_only = tmp_path / "config_only"
+    config_only.mkdir()
+    shutil.copy(prepared / cli.RUN_CONFIG_FILE, config_only)
+    from_config, bare = tmp_path / "c.hice", tmp_path / "b.hice"
+    assert main(["adapt", *common, "--source-dir", str(config_only),
+                 "--out", str(from_config)]) == 0
+    assert main(["adapt", *common, "--embeddings", str(workdir / "embeddings.txt"),
+                 "--out", str(bare)]) == 0
+    want = load_checkpoint(with_source).parameters()
+    for out in (from_config, bare):
+        for (_, a), (_, b) in zip(want, load_checkpoint(out).parameters()):
+            assert np.array_equal(a.data, b.data)
+
+
+def test_adapt_without_source_dir_needs_alpha_zero_and_a_table(workdir, checkpoint, capsys):
+    args = ["adapt", str(checkpoint), str(workdir / "corpus.txt"), "--steps", "1"]
+    assert main([*args, "--embeddings", str(workdir / "embeddings.txt")]) == 4
+    assert "needs --source-dir" in capsys.readouterr().err
+    assert main([*args, "--finetune"]) == 2
+    assert "no embeddings path" in capsys.readouterr().err
+
+
 def test_adapt_no_eligible_words_exits_4(workdir, prepared, checkpoint, tmp_path):
     alien = tmp_path / "alien.txt"
     alien.write_text("zzz yyy xxx\nzzz yyy\n")
@@ -613,6 +642,14 @@ def test_neighbors_command(workdir, capsys):
     assert len(lines) == 4
     assert all("\t" in l for l in lines)
     assert word not in [l.split("\t")[0] for l in lines]
+
+
+def test_neighbors_table_not_utf8_exits_2(tmp_path, capsys):
+    table = tmp_path / "emb.txt"
+    table.write_bytes(b"2 2\nfoo 1 2\nb\xffr 3 4\n")
+    code = main(["neighbors", "--embeddings", str(table), "--word", "foo"])
+    assert code == 2
+    assert "invalid UTF-8" in capsys.readouterr().err
 
 
 def test_neighbors_unknown_word_exits_5(workdir):

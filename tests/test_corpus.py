@@ -195,6 +195,17 @@ def test_embeddings_duplicate_in_a_later_block_reports_its_line(tmp_path):
         load_embeddings(path)
 
 
+@pytest.mark.parametrize("line", [1, BLOCK_LINES + 12])  # the header, a later block
+def test_embeddings_not_utf8_is_an_ingestion_error(tmp_path, line):
+    rows = _table_lines(BLOCK_LINES + 20, 2)
+    lines = [f"{len(rows)} 2\n".encode()] + [row.encode() for row in rows]
+    lines[line - 1] = lines[line - 1].replace(b" ", b"\xff ", 1)
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(IngestionError, match=f"{path}: invalid UTF-8 byte 0xff"):
+        load_embeddings(path)
+
+
 def test_embeddings_understated_header_reports_every_row_found(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("3 2\n" + "".join(_table_lines(BLOCK_LINES + 5, 2)))
