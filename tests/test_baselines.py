@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from oov_forge import baselines
@@ -10,7 +12,7 @@ from oov_forge.baselines import (AlaCarteModel, NgramTable, additive,
                                  ngram_sum, word_ngrams, _exact_mean)
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.episode import MASK_TOKEN
-from oov_forge.errors import FormatError, OovForgeError
+from oov_forge.errors import FormatError, NumericError, OovForgeError
 
 
 def table_of(vectors):
@@ -287,3 +289,47 @@ def test_ngram_table_roundtrip(tmp_path, rng):
                               ngrams.vectors[g].astype(np.float32))
     with pytest.raises(FormatError):
         AlaCarteModel.load(path)  # wrong magic is a typed error
+
+
+@pytest.mark.parametrize("ridge", [-1.0, math.nan, math.inf])
+def test_ngram_fit_rejects_a_negative_or_non_finite_ridge(ridge):
+    table = table_of({"car": [1.0, 2.0], "cart": [0.5, 1.0]})
+    with pytest.raises(NumericError, match="ridge"):
+        ngram_fit(["car", "cart"], table, ridge=ridge)
+
+
+def _lsmr_design(rng, m, n):
+    """A count matrix like ngram_fit's, with its last row repeating the
+    first (a repeated word, so rank-deficient) and three rows on two
+    columns of their own: row m alone on column n, so a target on that row
+    is fitted exactly in one step (beta = 0), and rows m + 1 and m + 2
+    both on column n + 1 (alpha = 0 after one step)."""
+    dense = np.where(rng.random((m, n)) < 0.25, rng.integers(1, 3, (m, n)), 0)
+    dense[-1] = dense[0]
+    own = np.array([[2, 0], [0, 1], [0, 1]])
+    full = np.block([[dense, np.zeros((m, 2))], [np.zeros((3, n)), own]])
+    return scipy.sparse.csr_matrix(full.astype(np.float64))
+
+
+@pytest.mark.parametrize("damp", [0.0, 0.05])
+@pytest.mark.parametrize("m,n", [(12, 30), (30, 12)])
+def test_block_lsmr_equals_scipy_lsmr_column_by_column(rng, m, n, damp):
+    design = _lsmr_design(rng, m, n)
+    k = baselines.LSMR_CHUNK + 6  # the second chunk holds 6 columns
+    targets = rng.normal(size=(m + 3, k)) * rng.choice([1e-3, 1.0, 1e3], size=k)
+    targets[:, 0] = 0.0  # normb == 0
+    targets[:, 1] = 0.0
+    targets[0, 1], targets[m - 1, 1] = 1.0, -1.0  # design.T @ b == 0: normar == 0
+    targets[:, 2] = design @ rng.normal(size=n + 2)  # a consistent system
+    targets[:, 3] = 0.0
+    targets[m, 3] = 3.0  # beta == 0 after the first step
+    targets[:, 4] = 0.0
+    targets[m + 1, 4] = 1.0  # alpha == 0 after the first step
+    sol, itns = baselines._lsmr_columns(design, targets, damp)
+    expected = [scipy.sparse.linalg.lsmr(design, targets[:, j], damp=damp)
+                for j in range(k)]
+    for j, (x, _, itn, *_) in enumerate(expected):
+        assert np.array_equal(sol[:, j], x), f"column {j}"
+        assert itns[j] == itn, f"column {j}"
+    assert itns[0] == itns[1] == 0
+    assert len(set(itns[5:].tolist())) > 1  # columns stop at different iterations

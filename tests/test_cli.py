@@ -272,6 +272,18 @@ def test_eval_rejects_a_file_of_another_dimension_before_scoring(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_eval_rejects_fit_samples_below_one_before_fitting(
+        workdir, prepared, bench_tsv, tmp_path, capsys, samples):
+    out = tmp_path / "rep"
+    assert main(["eval", str(bench_tsv), "--embeddings", str(workdir / "embeddings.txt"),
+                 "--methods", "ngram", "--prepared-dir", str(prepared),
+                 "--fit-samples", samples, "--save-fitted", str(tmp_path / "fit"),
+                 "--out-dir", str(out)]) == 6
+    assert f"--fit-samples must be at least 1, got {samples}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "fit").exists()
+
+
 def test_infer_baseline_file_with_a_repeated_entry_exits_2(workdir, fitted_files, tmp_path,
                                                           capsys):
     bad = _edit_container(fitted_files["ngram"], tmp_path / "bad.ngr", NGRAM_MAGIC,
