@@ -172,7 +172,7 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
     prepared_dir = Path(prepared_dir)
     run_cfg = load_config_file(prepared_dir / RUN_CONFIG_FILE)
     min_count = config_value(run_cfg, "min_count", int, str(DEFAULT_MIN_COUNT))
-    words, counts, stops = [], [], []
+    words, counts, stops, seen = [], [], [], set()
     vocab_lines = read_text(prepared_dir / VOCAB_FILE, "prepared").splitlines()
     for lineno, line in enumerate(vocab_lines, start=1):
         parts = line.split("\t")
@@ -182,6 +182,9 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
             counts.append(int(parts[1]))
         except ValueError:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: non-integer count") from None
+        if parts[0] in seen:
+            raise FormatError(f"{VOCAB_FILE}: line {lineno}: repeated word {parts[0]!r}")
+        seen.add(parts[0])
         words.append(parts[0])
         stops.append(parts[2] == "1")
     vocab = Vocabulary(words, counts, stops, min_count)
@@ -192,6 +195,9 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
             sentences.append([int(t) for t in line.split()])
         except ValueError:
             raise FormatError(f"{SENTENCES_FILE}: line {lineno}: non-integer token") from None
+        if sentences[-1] and (min(sentences[-1]) < 0 or max(sentences[-1]) >= len(words)):
+            raise FormatError(f"{SENTENCES_FILE}: line {lineno}: token id out of range "
+                              f"[0, {len(words)})")
     return vocab, SentenceStore(sentences, vocab), run_cfg
 
 

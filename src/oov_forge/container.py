@@ -21,6 +21,7 @@ mismatch, or unknown dtype raises FormatError - never a bare crash.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import struct
@@ -105,29 +106,6 @@ def write_container(path, magic: str, config: dict[str, str],
             fh.write(payload)
 
 
-class _Reader:
-    def __init__(self, blob: memoryview, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.blob):
-            raise FormatError(f"{self.path}: truncated file")
-        chunk = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def _utf8(raw, what: str) -> str:
     try:
         return str(raw, "utf-8")
@@ -137,46 +115,64 @@ def _utf8(raw, what: str) -> str:
 
 def read_container(path, expected_magic: str):
     """-> (config dict, list of (name, ndarray)). Floats come back float32,
-    and each array owns a copy of its payload."""
+    and each payload is read straight into memory its array owns."""
     try:
         with open(path, "rb") as fh:
-            blob = memoryview(fh.read())
+            left = os.fstat(fh.fileno()).st_size  # bytes not yet read
+            if not left:  # a pipe: its size is known once it is read
+                fh = io.BytesIO(fh.read())
+                left = len(fh.getvalue())
+
+            def take(n: int) -> bytes:
+                nonlocal left  # a corrupt length must not make read() allocate it
+                if n > left or len(chunk := fh.read(n)) != n:
+                    raise FormatError(f"{path}: truncated file")
+                left -= n
+                return chunk
+
+            def uint(n: int) -> int:
+                return int.from_bytes(take(n), "little")
+
+            magic = str(take(uint(1)), "ascii", "replace")
+            if magic != expected_magic:
+                raise FormatError(
+                    f"{path}: magic mismatch: expected {expected_magic!r}, found {magic!r}"
+                )
+            config = _decode_config(take(uint(4)))
+            n_entries = uint(4)
+            if n_entries > 1_000_000:
+                raise FormatError(f"{path}: implausible manifest size {n_entries}")
+            manifest, names = [], set()
+            for _ in range(n_entries):
+                name = _utf8(take(uint(2)), f"{path}: entry name")
+                dtag = str(take(uint(1)), "ascii", "replace")
+                if dtag not in _DTYPES:
+                    raise FormatError(f"{path}: unknown dtype tag {dtag!r}")
+                ndim = uint(1)
+                shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+                if name in names:
+                    raise FormatError(f"{path}: repeated entry {name!r}")
+                names.add(name)
+                manifest.append((name, _DTYPES[dtag], shape))
+            need = sum(math.prod(shape) * dt.itemsize for _, dt, shape in manifest)
+            if need > left:  # in exact integers, before any allocation
+                raise FormatError(f"{path}: truncated file")
+            arrays = []
+            for name, dt, shape in manifest:
+                try:
+                    arr = np.empty(shape, dtype=dt)
+                except ValueError:  # a zero beside dimensions whose product overflows
+                    raise FormatError(f"{path}: implausible shape {shape} of {name!r}") from None
+                if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                    raise FormatError(f"{path}: truncated file")  # it shrank as we read it
+                # min and max propagate NaN and show an infinity, with no temporary array
+                if dt.kind == "f" and arr.size and not np.isfinite([arr.min(), arr.max()]).all():
+                    raise FormatError(f"{path}: non-finite values in entry {name!r}")
+                arrays.append((name, arr))
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from e
-    r = _Reader(blob, path)
-    magic = str(r.take(r.u8()), "ascii", "replace")
-    if magic != expected_magic:
-        raise FormatError(
-            f"{path}: magic mismatch: expected {expected_magic!r}, found {magic!r}"
-        )
-    config = _decode_config(r.take(r.u32()))
-    n_entries = r.u32()
-    if n_entries > 1_000_000:
-        raise FormatError(f"{path}: implausible manifest size {n_entries}")
-    manifest, names = [], set()
-    for _ in range(n_entries):
-        name = _utf8(r.take(r.u16()), f"{path}: entry name")
-        dtag = str(r.take(r.u8()), "ascii", "replace")
-        if dtag not in _DTYPES:
-            raise FormatError(f"{path}: unknown dtype tag {dtag!r}")
-        ndim = r.u8()
-        shape = tuple(r.u32() for _ in range(ndim))
-        if name in names:
-            raise FormatError(f"{path}: repeated entry {name!r}")
-        names.add(name)
-        manifest.append((name, dtag, shape))
-    arrays = []
-    for name, dtag, shape in manifest:
-        dt = _DTYPES[dtag]
-        count = math.prod(shape)  # exact: a corrupt shape must not wrap around
-        raw = r.take(count * dt.itemsize)
-        # one copy: a view would sit at an unaligned offset and keep the file alive
-        arr = np.frombuffer(raw, dtype=dt).reshape(shape).copy()
-        if dtag == "f4" and not np.isfinite(arr).all():
-            raise FormatError(f"{path}: non-finite values in entry {name!r}")
-        arrays.append((name, arr))
-    if r.pos != len(blob):
-        raise FormatError(f"{path}: {len(blob) - r.pos} trailing bytes")
+    if left > need:
+        raise FormatError(f"{path}: {left - need} trailing bytes")
     return config, arrays
 
 

@@ -264,8 +264,10 @@ def parse_rows(path, lines, first: int, dim: int,
 
 def parse_plain_block(lines, dim: int, seen: set[str]) -> tuple[list[str], np.ndarray] | None:
     """``parse_rows`` of lines that are each a word new to ``seen`` and the block, then ``dim``
-    finite single-spaced values (numpy parses them as ``float`` does); else None."""
+    finite single-spaced values (numpy parses them as ``float`` does) and at most one space
+    before the line end, as word2vec writes its rows; else None."""
     words, _, values = zip(*(line.partition(" ") for line in lines))
+    values = [v.removesuffix("\n").removesuffix(" ") for v in values]
     if (any(w.split() != [w] for w in words) or len(set(words)) < len(words)
             or not seen.isdisjoint(words) or not values[0].strip()):
         return None  # (numpy warns about a block whose first row holds no values)

@@ -218,6 +218,30 @@ def test_alacarte_roundtrip(tmp_path, rng):
         AlaCarteModel.load(path)
 
 
+def _small_fitted_file(path, kind: str) -> bytes:
+    rng = np.random.default_rng(0)
+    if kind == "alc":
+        AlaCarteModel(rng.normal(size=(4, 4)), ridge=0.5, samples=3, residual=0.25).save(path)
+    else:
+        NgramTable(4, {g: rng.normal(size=4) for g in ("<ca", "car", "ar>")}, 1e-3).save(path)
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["alc", "ngr"]), at=st.integers(0, 1000),
+       byte=st.none() | st.integers(0, 255))
+def test_a_corrupted_baseline_file_loads_or_is_a_format_error(tmp_path_factory, kind, at, byte):
+    # one byte replaced (or, for byte None, the file cut there)
+    path = tmp_path_factory.getbasetemp() / f"corrupted.{kind}"
+    blob = _small_fitted_file(path, kind)
+    at %= len(blob)
+    path.write_bytes(blob[:at] if byte is None else blob[:at] + bytes([byte]) + blob[at + 1:])
+    try:
+        (AlaCarteModel if kind == "alc" else NgramTable).load(path)
+    except FormatError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # n-gram sum
 # ---------------------------------------------------------------------------

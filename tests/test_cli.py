@@ -129,6 +129,25 @@ def test_train_malformed_prepared_file_exits_2(prepared, tmp_path, name, line):
     assert code == 2
 
 
+@pytest.mark.parametrize("name, line, message", [
+    ("sentences.txt", "0 -1 2", "token id out of range"),
+    ("sentences.txt", "0 {n_words}", "token id out of range"),
+    ("vocab.tsv", "{first}\t9\t0\t1", "repeated word '{first}'"),
+], ids=["negative-id", "id-past-the-vocabulary", "repeated-word"])
+def test_load_prepared_names_the_line_of_an_id_or_word_it_cannot_map(prepared, tmp_path,
+                                                                     name, line, message):
+    bad = tmp_path / "prep"
+    shutil.copytree(prepared, bad)
+    words = [row.split("\t")[0]
+             for row in (bad / "vocab.tsv").read_text(encoding="utf-8").splitlines()]
+    lineno = len((bad / name).read_text(encoding="utf-8").splitlines()) + 1
+    with open(bad / name, "a", encoding="utf-8") as fh:
+        fh.write(line.format(n_words=len(words), first=words[0]) + "\n")
+    with pytest.raises(FormatError, match=f"^{name}: line {lineno}: "
+                       + message.format(first=words[0])):
+        cli.load_prepared(bad)
+
+
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------

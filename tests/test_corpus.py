@@ -229,9 +229,9 @@ def test_plain_block_parses_only_plain_rows():
     words, rows = parse_plain_block(lines, 2, seen)
     assert words == ["a", "b", "c"] and seen == {"old", "a", "b", "c"}
     assert rows.tobytes() == parse_rows("p", lines, 2, 2, set())[1].tobytes()
-    odd_rows = ["d\t1 2\n", "\td 1 2\n", "d\t0 1 2\n", "d 1  2\n", "d 1 2 \n", "\n",
-                "old 1 2\n", "d 1\n", "d \n", "d 1 nan\n", "d 1 1e39\n", "d 1 1_0\n",
-                "d 1 \u0661\n"]
+    odd_rows = ["d\t1 2\n", "\td 1 2\n", "d\t0 1 2\n", "d 1  2\n", "d 1 2  \n", "d 1 2 \t\n",
+                "\n", "old 1 2\n", "d 1\n", "d \n", "d  \n", "d 1 \n", "d 1 nan\n",
+                "d 1 1e39\n", "d 1 1_0\n", "d 1 \u0661\n"]
     blocks = ([[odd] for odd in odd_rows] + [["a 1 2\n", odd] for odd in odd_rows]
               + [["a 1 2\n", "a 3 4\n"], ["a 1\n", "b 2\n"]])
     with warnings.catch_warnings():
@@ -240,6 +240,18 @@ def test_plain_block_parses_only_plain_rows():
             seen = {"old"}
             assert parse_plain_block(block, 2, seen) is None, block
             assert seen == {"old"}
+
+
+def test_plain_block_takes_one_trailing_space_as_the_row_loop_does():
+    # word2vec ends every row with a space; the last line of a file may lack its newline
+    blocks = [["a 1.5 -2 \n"], ["a 1 2 \n", "b 3 4\n", "c 5 6 "], ["a 1 2\n", "b 3 4 "],
+              ["a 0 1e-3 \n", "b -7 2.5 \n"]]
+    for block in blocks:
+        seen = {"old"}
+        words, rows = parse_plain_block(block, 2, seen)
+        want_words, want_rows = parse_rows("p", block, 2, 2, {"old"})
+        assert words == want_words and seen == {"old", *want_words}, block
+        assert rows.tobytes() == want_rows.tobytes(), block
 
 
 def _load_from_a_pipe(data: bytes):
@@ -269,7 +281,8 @@ _SEPARATORS = [" ", " ", " ", "  ", "\t", "\xa0", "\x0c"]
 def _table_files(draw):
     """Small tables over separators, values and words that each take one of
     the loader's paths: plain rows, odd spacing, bad values, blank lines,
-    repeated words and wrong counts. Half the files space every row plainly."""
+    repeated words and wrong counts. Half the files space every row plainly, some rows with
+    one trailing space, as word2vec writes them."""
     dim = draw(st.integers(1, 3))
     odd = draw(st.booleans())
     lines = []
@@ -284,7 +297,7 @@ def _table_files(draw):
                                min_size=n, max_size=n))
         seps = draw(st.lists(st.sampled_from(_SEPARATORS if odd else [" "]),
                              min_size=n, max_size=n))
-        tail = draw(st.sampled_from(["", "", " ", "\t"])) if odd else ""
+        tail = draw(st.sampled_from(["", "", " ", "  ", "\t"] if odd else ["", "", " "]))
         lead = draw(st.sampled_from(["", "", " ", "\t"])) if odd else ""
         lines.append(lead + word + "".join(s + v for s, v in zip(seps, values)) + tail)
     count = sum(1 for line in lines if line.strip()) + draw(st.sampled_from([0] * 6 + [-1, 1]))

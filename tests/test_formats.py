@@ -5,18 +5,21 @@ IngestionError for unreadable text), never as an unhandled crash."""
 
 import gc
 import os
+import struct
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oov_forge import cli, container
 from oov_forge.container import (pack_text, read_container, unpack_text,
                                  write_container)
 from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab, prepare_corpus,
                               save_embeddings)
-from oov_forge.errors import FormatError
+from oov_forge.errors import FormatError, OovForgeError
 from oov_forge.evaluation import EvalItem, load_benchmark_tsv, save_benchmark_tsv
 
 
@@ -88,6 +91,84 @@ def test_container_repeated_entry_name(tmp_path):
     write_container(path, "TST1", {}, [("m", np.zeros(2, np.float32)),
                                        ("m", np.ones(2, np.float32))])
     with pytest.raises(FormatError, match="repeated entry 'm'"):
+        read_container(path, "TST1")
+
+
+def _one_entry_container(path, dtag: bytes, shape, payload: bytes = b"") -> None:
+    """A TST1 container of one entry ``x`` whose manifest says ``dtag`` and
+    ``shape``, followed by ``payload`` whatever its size."""
+    path.write_bytes(b"\x04TST1" + struct.pack("<II", 0, 1) + struct.pack("<H", 1) + b"x"
+                     + struct.pack("<B", len(dtag)) + dtag
+                     + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + payload)
+
+
+@pytest.mark.parametrize("shape", [(2**32 - 1, 2**32 - 1), (4096, 4096)])
+def test_container_shape_past_the_file_end_is_truncated_before_any_allocation(tmp_path, shape):
+    path = tmp_path / "blob.bin"
+    _one_entry_container(path, b"f4", shape, np.ones(8, np.float32).tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated file"):
+            read_container(path, "TST1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 64 MiB the second shape promises was never allocated
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 5), (5, 0), (2, 0, 3)])
+def test_container_empty_float_entry_loads(tmp_path, shape):
+    path = tmp_path / "blob.bin"
+    _one_entry_container(path, b"f4", shape)
+    _, [(name, arr)] = read_container(path, "TST1")
+    assert name == "x" and arr.shape == shape and arr.dtype == np.float32
+
+
+def test_container_empty_entry_numpy_cannot_shape_is_a_format_error(tmp_path):
+    # no bytes to read, but the product of the other dimensions overflows numpy's sizes
+    path = tmp_path / "blob.bin"
+    _one_entry_container(path, b"f4", (0, 2**32 - 1, 2**32 - 1, 2**32 - 1))
+    with pytest.raises(FormatError, match="implausible shape"):
+        read_container(path, "TST1")
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_container_rejects_a_nonfinite_first_or_last_value(tmp_path, value, at):
+    arr = np.linspace(-1, 1, 37, dtype=np.float32).reshape(37, 1)
+    arr[at] = value
+    path = tmp_path / "blob.bin"
+    write_container(path, "TST1", {}, [("ok", np.ones(3, np.float32)), ("x", arr)])
+    with pytest.raises(FormatError, match="non-finite values in entry 'x'"):
+        read_container(path, "TST1")
+
+
+class FailingRead:
+    """A file whose ``readinto`` fails as a bad disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def readinto(self, buffer):
+        raise OSError(5, "Input/output error")
+
+
+def test_container_read_error_is_a_format_error(tmp_path, monkeypatch):
+    path = tmp_path / "blob.bin"
+    write_container(path, "TST1", {}, [("x", np.ones(3, np.float32))])
+    real_open = open
+    monkeypatch.setattr(container, "open", lambda *a, **kw: FailingRead(real_open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(FormatError, match="cannot read .*Input/output error"):
         read_container(path, "TST1")
 
 
@@ -207,6 +288,31 @@ def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypat
     monkeypatch.undo()
     assert {f: (out / f).read_bytes() for f in files} == before
     assert sorted(p.name for p in out.iterdir()) == sorted(files)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from([cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.RUN_CONFIG_FILE]),
+       at=st.integers(0, 1000),
+       byte=st.none() | st.sampled_from(b"-019\t\n ") | st.integers(0, 255))
+def test_a_corrupted_prepared_directory_loads_or_is_a_typed_error(tmp_path_factory, name, at,
+                                                                   byte):
+    # one byte replaced (or, for byte None, the file cut there)
+    out = tmp_path_factory.getbasetemp() / "corrupted-prep"
+    sentences = [s.split() for s in ("the car has a wheel", "we like the car on the road",
+                                     "the bike is on the road", "a band plays a song")]
+    vocab = build_vocab(sentences, min_count=1)
+    cli.write_prepared(out, vocab, SentenceStore.from_tokens(sentences, vocab),
+                       {"command": "prepare", "min_count": "1"})
+    blob = (out / name).read_bytes()
+    at %= len(blob)
+    (out / name).write_bytes(blob[:at] if byte is None
+                             else blob[:at] + bytes([byte]) + blob[at + 1:])
+    try:
+        vocab, store, _ = cli.load_prepared(out)
+    except OovForgeError:
+        return
+    assert len(set(vocab.words)) == len(vocab.words)
+    assert all(0 <= t < len(vocab) for sent in store.sentences for t in sent)
 
 
 @pytest.mark.parametrize("report", ["eval_summary.csv", "eval_items.csv", "chart.svg",

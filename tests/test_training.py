@@ -1,4 +1,5 @@
 import gc
+import os
 import sys
 import warnings
 
@@ -255,6 +256,32 @@ def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
         load_checkpoint(path)
         gc.collect()
     assert unraisable == []
+
+
+def _load_from_a_pipe(blob: bytes):
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, blob)
+    os.close(write_fd)
+    try:
+        return load_checkpoint(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+
+
+def test_a_checkpoint_loads_from_a_pipe_as_from_its_file(tmp_path):
+    path = tmp_path / "model.hice"
+    blob = _small_checkpoint(path)
+    assert len(blob) < 1 << 16  # the pipe holds it all before the load reads it
+    piped, loaded = _load_from_a_pipe(blob), load_checkpoint(path)
+    assert [name for name, _ in piped.parameters()] == [name for name, _ in loaded.parameters()]
+    for (name, a), (_, b) in zip(piped.parameters(), loaded.parameters()):
+        assert np.array_equal(a.data, b.data), name
+    assert np.array_equal(piped.frozen, loaded.frozen)
+    assert piped.frozen_words == loaded.frozen_words
+    with pytest.raises(FormatError, match="truncated file"):
+        _load_from_a_pipe(blob[:-3])
+    with pytest.raises(FormatError, match="3 trailing bytes"):
+        _load_from_a_pipe(blob + b"abc")
 
 
 def test_checkpoint_layout(tmp_path):
