@@ -12,8 +12,9 @@ Exit codes: 0 success, 2 ingestion or format, 3 training, 4 adaptation,
 (errors.py); other package errors take the code of the failing command
 (prepare 2, train 3, adapt 4, infer and neighbors 5), and eval reports every
 failure as 6. Flags override config-file values, which override defaults;
-OOVFORGE_SEED seeds every RNG when no --seed is given. Every artifact
-written embeds the options that produced it.
+a config key the command does not read is a format error. OOVFORGE_SEED
+seeds every RNG when no --seed is given. Every artifact written embeds the
+options that produced it.
 """
 
 from __future__ import annotations
@@ -64,6 +65,17 @@ def load_config_file(path) -> dict[str, str]:
         key, value = body.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+def read_config(args) -> dict[str, str]:
+    """The ``--config`` file's settings; a key the command does not read is
+    a FormatError."""
+    config = load_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(config).difference(getattr(args, "config_keys", ())))
+    if unknown:
+        raise FormatError(f"{args.config}: {args.command} reads no setting "
+                          f"{unknown[0]!r}; it reads {', '.join(sorted(args.config_keys))}")
+    return config
 
 
 def write_config_file(path, config: dict[str, str]) -> None:
@@ -576,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="tokenize a corpus and build artifacts")
-    p.set_defaults(handler=cmd_prepare, exit_code=2)
+    p.set_defaults(handler=cmd_prepare, exit_code=2, config_keys=("min_count",))
     p.add_argument("corpus")
     p.add_argument("embeddings")
     p.add_argument("out_dir")
@@ -585,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("train", help="train the context-encoder model")
-    p.set_defaults(handler=cmd_train, exit_code=3)
+    p.set_defaults(handler=cmd_train, exit_code=3, config_keys=TRAIN_SETTINGS)
     p.add_argument("prepared_dir")
     p.add_argument("--embeddings", default=None)
     add_settings(p, TRAIN_SETTINGS)
@@ -596,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("adapt", help="adapt a checkpoint to a new corpus")
-    p.set_defaults(handler=cmd_adapt, exit_code=4)
+    p.set_defaults(handler=cmd_adapt, exit_code=4, config_keys=ADAPT_SETTINGS)
     p.add_argument("checkpoint")
     p.add_argument("target_corpus")
     p.add_argument("--source-dir", default=None,
@@ -620,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neighbors", type=int, default=0)
 
     p = sub.add_parser("eval", help="score methods on a benchmark TSV")
-    p.set_defaults(handler=cmd_eval, exit_code=6)
+    p.set_defaults(handler=cmd_eval, exit_code=6, config_keys=("seed",))
     p.add_argument("benchmark")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--methods", default="additive")
@@ -648,12 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = getattr(args, "config", None)
-        args._file_config = load_config_file(config) if config else {}
-    except OovForgeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.exit_code
-    try:
+        args._file_config = read_config(args)
         return args.handler(args)
     except OovForgeError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -256,38 +256,48 @@ def nearest_neighbors(vector: np.ndarray, table: EmbeddingTable, top_k: int,
 # ---------------------------------------------------------------------------
 
 def save_benchmark_tsv(items: list[EvalItem], path) -> None:
+    """One item per line, as ``load_benchmark_tsv`` reads them. An item that
+    would not load back equal (it fails ``validate``, or a field holds a
+    line break or its separator) is a FormatError and nothing is written."""
+    lines = []
+    for item in items:
+        line = "\t".join([item.pseudo_word, str(item.shot), CONTEXT_SEP.join(item.contexts),
+                          ",".join(item.probes),
+                          ",".join(repr(float(h)) for h in item.human)])
+        try:
+            if "\n" in line or _parse_item(line) != item:
+                raise FormatError("a field holds a line break or its separator")
+        except FormatError as e:
+            raise FormatError(f"cannot write item {item.pseudo_word!r}: {e}") from None
+        lines.append(line + "\n")
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write("\t".join([
-                item.pseudo_word,
-                str(item.shot),
-                CONTEXT_SEP.join(item.contexts),
-                ",".join(item.probes),
-                ",".join(repr(float(h)) for h in item.human),
-            ]) + "\n")
+        fh.write("".join(lines))
+
+
+def _parse_item(line: str) -> EvalItem:
+    parts = line.split("\t")
+    if len(parts) != 5:
+        raise FormatError(f"expected 5 fields, got {len(parts)}")
+    word, shot_s, ctx_s, probes_s, human_s = parts
+    try:
+        item = EvalItem(word, ctx_s.split(CONTEXT_SEP), probes_s.split(","),
+                        [float(h) for h in human_s.split(",")], int(shot_s))
+    except ValueError as e:
+        raise FormatError(str(e)) from e
+    item.validate()
+    return item
 
 
 def load_benchmark_tsv(path) -> list[EvalItem]:
     items = []
-    for lineno, line in enumerate(read_text(path, "benchmark").splitlines(), start=1):
+    # lines end at "\n" only, as save_benchmark_tsv writes them
+    for lineno, line in enumerate(read_text(path, "benchmark").split("\n"), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise FormatError(f"{path}: line {lineno}: expected 5 fields, got {len(parts)}")
-        word, shot_s, ctx_s, probes_s, human_s = parts
         try:
-            shot = int(shot_s)
-            probes = probes_s.split(",")
-            human = [float(h) for h in human_s.split(",")]
-        except ValueError as e:
-            raise FormatError(f"{path}: line {lineno}: {e}") from e
-        item = EvalItem(word, ctx_s.split(CONTEXT_SEP), probes, human, shot)
-        try:
-            item.validate()
+            items.append(_parse_item(line))
         except FormatError as e:
             raise FormatError(f"{path}: line {lineno}: {e}") from e
-        items.append(item)
     return items
 
 

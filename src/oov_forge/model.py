@@ -206,8 +206,8 @@ class Segments:
     packed [N, ...] matrix; sequence i holds ``lengths[i]`` rows.
 
     ``index`` [S, Lmax] gives the packed row of each padded slot (-1 past
-    the end of a sequence) and ``valid`` is ``index >= 0``; ``positions``
-    gives each packed row's offset inside its sequence.
+    the end of a sequence); ``positions`` gives each packed row's offset
+    inside its sequence.
     """
 
     def __init__(self, lengths):
@@ -216,9 +216,9 @@ class Segments:
             raise InputError(f"sequence lengths must be positive, got {list(lengths)}")
         self.starts = np.cumsum(self.lengths) - self.lengths
         slot = np.arange(int(self.lengths.max()))
-        self.valid = slot < self.lengths[:, None]
-        self.index = np.where(self.valid, self.starts[:, None] + slot, -1)
-        self.positions = np.nonzero(self.valid)[1]
+        valid = slot < self.lengths[:, None]
+        self.index = np.where(valid, self.starts[:, None] + slot, -1)
+        self.positions = np.nonzero(valid)[1]
 
 
 def self_attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segments,
@@ -229,26 +229,15 @@ def self_attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segment
     ``rows`` [S, Lq] picks the output rows of each sequence (-1 pads; default
     ``seqs.index``, every row), ``xq`` holds those rows of x in order, and
     the result holds them in order, [Nq, d_model]. Keys and values are
-    projected for every row, queries for the picked ones; only the scores
-    and the weighted sum run padded, as [S, heads, Lq, Lmax] with padded
-    keys masked out. ``sink`` collects that softmax array, one per call.
+    projected for every row, queries for the picked ones. ``sink`` collects
+    the softmax array of ``tc.attention`` [S, heads, Lq, Lmax], one per call.
     """
-    split = (-1, p.n_heads, p.d_model // p.n_heads)
     picked = (seqs.index if rows is None else rows) >= 0
     # slot of each picked row in xq, -1 past the end of a sequence
     q_slot = np.where(picked, np.cumsum(picked).reshape(picked.shape) - 1, -1)
-    q = tc.gather_rows(tc.reshape(tc.matmul(xq, p.wq), split), q_slot)
-    # wkv's key columns come before its value columns, so row 2t + j of the
-    # reshape holds part j (k, v) of packed row t
-    kv = tc.reshape(tc.matmul(x, p.wkv), split)
-    k, v = (tc.gather_rows(kv, np.where(seqs.valid, 2 * seqs.index + j, -1))
-            for j in range(2))
-    scores = tc.scale(tc.einsum("slhe,smhe->shlm", q, k), 1.0 / math.sqrt(p.d_model))
-    attn = tc.softmax(scores, -1, mask=seqs.valid[:, None, None, :])
-    if sink is not None:
-        sink.append(attn.data)
-    out = tc.reshape(tc.einsum("shlm,smhe->slhe", attn, v), (-1, p.d_model))
-    return tc.matmul(tc.gather_rows(out, np.flatnonzero(picked)), p.wo)
+    out = tc.attention(tc.matmul(xq, p.wq), tc.matmul(x, p.wkv), p.n_heads,
+                       q_slot, seqs.index, sink)
+    return tc.matmul(out, p.wo)
 
 
 def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,

@@ -8,16 +8,15 @@ every input; ``backward`` keeps only those of recorded nodes and
 ``requires_grad`` leaves. Ops executed with no active graph are plain numpy
 computations (cheap inference path).
 
-The ops work on whole batches: a leading-dims ``einsum``, a ``softmax``
-that takes a key mask, row gathers that pad with zeros, a mean over
-contiguous segments and a char-CNN max-pool that ignores padded time steps,
-so a model runs one op per layer rather than one per vector.
+The ops work on whole batches: multi-head attention within padded
+sequences that masks the padded keys, row gathers that pad with zeros, a
+mean over contiguous segments and a char-CNN max-pool that ignores padded
+time steps, so a model runs one op per layer rather than one per vector.
 
 Deliberate restrictions, to keep the core auditable:
 
-* no broadcasting except bias-add over the last axis (``add_bias``), the
-  dedicated per-row scaling op (``scale_rows``) and ``einsum``'s explicit
-  index lists;
+* no broadcasting except bias-add over the last axis (``add_bias``) and
+  the dedicated per-row scaling op (``scale_rows``);
 * every tensor is float64 (gradient checks stay meaningful);
 * every op validates that its output is finite and raises NumericError
   otherwise, so NaN/Inf never propagate silently.
@@ -29,6 +28,7 @@ to a graph are immutable values and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import weakref
 from contextvars import ContextVar
 from typing import Callable, Sequence
@@ -266,46 +266,62 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", ad @ bd, (a, b), bwd)
 
 
-def einsum(spec: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand ``np.einsum`` with an explicit output, e.g. the batched
-    attention scores ``"slhe,smhe->shlm"``.
+def attention(qp: Tensor, kvp: Tensor, n_heads: int, queries, keys,
+              sink: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention within padded sequences,
+    from the query projection qp[Nq, d] and the key/value projection
+    kvp[N, 2d] (every head's key columns, then every head's value columns)
+    to one output row per query.
 
-    Every index of an operand must appear in the other operand or in the
-    output, and no operand may repeat an index, so each gradient is again
-    one einsum of the output gradient with the other operand.
+    ``queries`` [S, Lq] gives the qp row of each query slot of sequence s
+    and ``keys`` [S, Lk] the kvp row of each key slot, -1 past its end.
+    Scores are scaled by 1/sqrt(d) and padded keys get weight exactly 0
+    and no gradient; every sequence needs a key. The result holds the
+    query slots that are not padding in row-major order, [*, d]. ``sink``
+    collects the softmax array [S, heads, Lq, Lk].
     """
-    try:
-        ins, out_ix = spec.split("->")
-        a_ix, b_ix = ins.split(",")
-    except ValueError:
-        raise ShapeError(f"einsum: expected 'ab,bc->ac', got {spec!r}") from None
-    if len(set(a_ix)) != len(a_ix) or len(set(b_ix)) != len(b_ix) \
-            or not set(a_ix) <= set(b_ix + out_ix) or not set(b_ix) <= set(a_ix + out_ix):
-        raise ShapeError(f"einsum: unsupported index pattern {spec!r}")
-    ad, bd = a.data, b.data
-    try:
-        out = np.einsum(spec, ad, bd, optimize=True)
-    except ValueError as e:
-        raise ShapeError(f"einsum: {spec!r} on {a.shape}, {b.shape}: {e}") from None
+    if qp.data.ndim != 2 or kvp.data.ndim != 2 or kvp.shape[1] != 2 * qp.shape[1] \
+            or n_heads < 1 or qp.shape[1] % n_heads:
+        raise ShapeError(f"attention: {qp.shape}, {kvp.shape} with {n_heads} heads")
+    (n_q, d), n_kv = qp.shape, kvp.shape[0]
+    q_ids, k_ids = (np.asarray(ids, dtype=np.intp) for ids in (queries, keys))
+    if q_ids.ndim != 2 or k_ids.ndim != 2 or len(q_ids) != len(k_ids) \
+            or (q_ids.size and not -1 <= q_ids.min() <= q_ids.max() < n_q) \
+            or (k_ids.size and not -1 <= k_ids.min() <= k_ids.max() < n_kv) \
+            or (k_ids < 0).all(axis=1).any():
+        raise ShapeError(f"attention: slots {q_ids.shape}, {k_ids.shape} for {qp.shape}, "
+                         f"{kvp.shape}: an id out of range or a sequence with no key")
+    q_pad, k_pad = q_ids < 0, k_ids < 0
+    heads = (n_heads, d // n_heads)
+    kv = kvp.data.reshape((n_kv, 2) + heads)
+    q = qp.data.reshape((n_q,) + heads)[np.where(q_pad, 0, q_ids)]
+    k, v = (kv[np.where(k_pad, 0, k_ids), j] for j in range(2))
+    q[q_pad] = k[k_pad] = v[k_pad] = 0.0
+    s = 1.0 / math.sqrt(d)
+    scores = np.einsum("slhe,smhe->shlm", q, k, optimize=True) * s
+    scores = np.where(k_pad[:, None, None, :], -np.inf, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    if sink is not None:
+        sink.append(attn)
+    out = np.einsum("shlm,smhe->slhe", attn, v, optimize=True)
 
     def bwd(g):
-        return (np.einsum(f"{out_ix},{b_ix}->{a_ix}", g, bd, optimize=True),
-                np.einsum(f"{out_ix},{a_ix}->{b_ix}", g, ad, optimize=True))
+        g_out = np.zeros(out.shape)
+        g_out[~q_pad] += g.reshape((-1,) + heads)
+        g_attn = np.einsum("slhe,smhe->shlm", g_out, v, optimize=True)
+        g_v = np.einsum("slhe,shlm->smhe", g_out, attn, optimize=True)
+        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - dot) * s
+        g_q = np.einsum("shlm,smhe->slhe", g_scores, k, optimize=True)
+        g_k = np.einsum("shlm,slhe->smhe", g_scores, q, optimize=True)
+        g_qp = np.zeros((n_q,) + heads)
+        np.add.at(g_qp, q_ids[~q_pad], g_q[~q_pad])
+        g_kv = np.zeros(kv.shape)
+        np.add.at(g_kv, k_ids[~k_pad], np.stack((g_k, g_v), axis=2)[~k_pad])
+        return (g_qp.reshape(n_q, d), g_kv.reshape(n_kv, 2 * d))
 
-    return _record("einsum", out, (a, b), bwd)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    old = x.shape
-    try:
-        out = x.data.reshape(shape)
-    except ValueError:
-        raise ShapeError(f"reshape: {old} to {tuple(shape)}") from None
-
-    def bwd(g):
-        return (g.reshape(old),)
-
-    return _record("reshape", out, (x,), bwd)
+    return _record("attention", out[~q_pad].reshape(-1, d), (qp, kvp), bwd)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -358,35 +374,6 @@ def concat_cols(xs: Sequence[Tensor]) -> Tensor:
 
     return _record("concat_cols", np.concatenate([x.data for x in xs], axis=-1),
                    tuple(xs), bwd)
-
-
-def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax: subtracts the per-slice max first.
-
-    ``mask`` (booleans, broadcast against x) keeps the True entries; the
-    others get probability exactly 0 and no gradient. Every slice along
-    ``axis`` must keep at least one entry.
-    """
-    nd = x.data.ndim
-    if not -nd <= axis < nd:
-        raise ShapeError(f"softmax: axis {axis} invalid for shape {x.shape}")
-    xd = x.data
-    if mask is not None:
-        try:
-            keep = np.broadcast_to(np.asarray(mask, dtype=bool), xd.shape)
-        except ValueError:
-            raise ShapeError(f"softmax: mask {np.shape(mask)} vs {xd.shape}") from None
-        if not keep.any(axis=axis).all():
-            raise ShapeError("softmax: a slice has every entry masked")
-        xd = np.where(keep, xd, -np.inf)
-    e = np.exp(xd - xd.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record("softmax", y, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

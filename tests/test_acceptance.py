@@ -95,11 +95,11 @@ def _op_cases(rng):
     seqs, filt = p(3, 5, 3), p(3, 3, 4)
     mat = p(5, 3)
     u1, u2 = p(3, 5), p(3, 5)
-    qa, kb = p(2, 3, 2, 2), p(2, 4, 2, 2)
-    scores = p(2, 3, 4)
-    keep = np.array([[True, False, True, True], [False, True, False, False]])[:, None]
-    w43, w3, w34, w26, w23, w46 = c(4, 3), c(3), c(3, 4), c(2, 6), c(2, 3), c(4, 6)
-    w2234, w233, w234 = c(2, 2, 3, 4), c(2, 3, 3), c(2, 3, 4)
+    # two sequences of 2 and 4 rows, queries at a subset of their rows
+    qp, kvp = p(3, 4), p(6, 8)
+    queries, keys = [[0, -1], [1, 2]], [[0, 1, -1, -1], [2, 3, 4, 5]]
+    w43, w3, w34, w23, w46 = c(4, 3), c(3), c(3, 4), c(2, 3), c(4, 6)
+    w233 = c(2, 3, 3)
     m45, m53 = p(4, 5), p(5, 3)
     w45out = c(4, 3)
 
@@ -108,10 +108,8 @@ def _op_cases(rng):
 
     return [
         ("matmul", lambda: wrap(tc.matmul(m45, m53), w45out), [m45, m53]),
-        ("einsum", lambda: wrap(tc.einsum("slhe,smhe->shlm", qa, kb), w2234), [qa, kb]),
-        ("softmax", lambda: wrap(tc.softmax(x, -1), w43), [x]),
-        ("softmax:masked", lambda: wrap(tc.softmax(scores, -1, mask=keep), w234),
-         [scores]),
+        ("attention",
+         lambda: wrap(tc.attention(qp, kvp, 2, queries, keys), w34), [qp, kvp]),
         ("layer_norm", lambda: wrap(tc.layer_norm(x, b, tc.scale(b, 0.5)), w43), [x, b]),
         ("conv1d_maxpool",
          lambda: wrap(tc.conv1d_maxpool(seqs, filt, [5, 2, 1]), w34), [seqs, filt]),
@@ -121,7 +119,6 @@ def _op_cases(rng):
         ("scale", lambda: wrap(tc.scale(x, -1.7), w43), [x]),
         ("add_bias", lambda: wrap(tc.add_bias(x, b), w43), [x, b]),
         ("scale_rows", lambda: wrap(tc.scale_rows(x, s), w43), [x, s]),
-        ("reshape", lambda: wrap(tc.reshape(x, (2, 6)), w26), [x]),
         ("relu", lambda: wrap(tc.relu(x), w43), [x]),
         ("sum_all", lambda: tc.sum_all(tc.mul(x, y)), [x, y]),
         ("segment_mean", lambda: wrap(tc.segment_mean(x, [1, 3]), w23), [x]),
@@ -137,7 +134,7 @@ def test_criterion_1_covers_every_tensor_op():
            if inspect.isfunction(fn) and fn.__module__ == tc.__name__
            and not name.startswith("_") and "_record" in fn.__code__.co_names}
     cases = {name.split(":")[0] for name, _, _ in _op_cases(np.random.default_rng(0))}
-    assert "einsum" in ops and "matmul" in ops
+    assert "attention" in ops and "matmul" in ops
     assert ops - cases == set(), f"ops without a gradient case: {sorted(ops - cases)}"
     assert cases - ops == set(), f"cases for missing ops: {sorted(cases - ops)}"
 

@@ -357,3 +357,22 @@ def test_block_lsmr_equals_scipy_lsmr_column_by_column(rng, m, n, damp):
         assert itns[j] == itn, f"column {j}"
     assert itns[0] == itns[1] == 0
     assert len(set(itns[5:].tolist())) > 1  # columns stop at different iterations
+
+
+@pytest.mark.parametrize("shift", [0, 12])
+def test_block_lsmr_equals_scipy_lsmr_on_columns_scaled_over_twelve_decades(shift):
+    # scipy's condition estimate starts its largest rbar at 1 and keeps the
+    # first rbar out of its smallest: columns scaled by 10**-12..1 make it
+    # stop on conlim (istop 3), columns scaled by 1..10**12 need the guard
+    rng = np.random.default_rng(30)
+    m, n = 11, 13
+    dense = np.where(rng.random((m, n)) < 0.25, rng.integers(1, 3, (m, n)), 0)
+    design = scipy.sparse.csr_matrix(dense * 10.0 ** (rng.uniform(-12, 0, size=n) + shift))
+    targets = rng.normal(size=(m, baselines.LSMR_CHUNK + 6))
+    sol, itns = baselines._lsmr_columns(design, targets, 0.0)
+    expected = [scipy.sparse.linalg.lsmr(design, t) for t in targets.T]
+    for j, (x, istop, itn, *_) in enumerate(expected):
+        assert np.array_equal(sol[:, j], x), f"column {j}"
+        assert itns[j] == itn, f"column {j}"
+    if shift == 0:
+        assert any(istop == 3 for _, istop, *_ in expected)

@@ -3,6 +3,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import synthetic_task
 from oov_forge import cli
@@ -11,7 +12,7 @@ from oov_forge.baselines import (ALACARTE_MAGIC, NGRAM_MAGIC, AlaCarteModel,
 from oov_forge.cli import main
 from oov_forge.container import read_container, write_container
 from oov_forge.corpus import EmbeddingTable, load_embeddings, save_embeddings
-from oov_forge.errors import EpisodeError, FormatError
+from oov_forge.errors import EpisodeError, FormatError, OovForgeError
 from oov_forge.evaluation import EvalItem, cosine_np, save_benchmark_tsv
 from oov_forge.training import CHECKPOINT_MAGIC, load_checkpoint
 
@@ -732,6 +733,23 @@ def test_config_file_round_trips_values_containing_hash(tmp_path):
     assert cli.load_config_file(path) == config
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(blob=st.binary(max_size=40) | st.lists(st.sampled_from(
+    [b"seed", b" = ", b"=", b"#", b" ", b"\t", b"\n", b"\r", b"\xc2\x85", b"\xe9", b"7"]),
+    max_size=12).map(b"".join))
+def test_a_config_file_loads_or_is_a_typed_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(blob)
+    try:
+        config = cli.load_config_file(path)
+    except OovForgeError:
+        return
+    for key, value in config.items():
+        assert key == key.strip() and value == value.strip()
+        assert "=" not in key and not key.startswith("#")
+        assert not any(ch in key + value for ch in "\n\r\x85")
+
+
 @pytest.mark.parametrize("argv", [
     ["infer", "--word", "w", "--contexts-file", "c.txt"],
     ["neighbors", "--embeddings", "t.txt"],
@@ -777,6 +795,32 @@ def test_a_setting_that_does_not_parse_is_a_format_error(
         monkeypatch.setenv("OOVFORGE_SEED", "abc")
     assert main(argv) == code
     assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, typo, code, reads", [
+    ("prepare", "min_cuont = 99", 2, "min_count"),
+    ("train", "stpes = 5", 2, ", ".join(sorted(cli.TRAIN_SETTINGS))),
+    ("adapt", "first_order = false", 2, ", ".join(sorted(cli.ADAPT_SETTINGS))),
+    ("eval", "sede = 3", 6, "seed"),
+])
+def test_a_config_key_the_command_does_not_read_is_a_format_error(
+        workdir, checkpoint, bench_tsv, tmp_path, capsys, command, typo, code, reads):
+    out = tmp_path / "out"
+    argv = {
+        "prepare": ["prepare", str(workdir / "corpus.txt"), str(workdir / "embeddings.txt"),
+                    str(out)],
+        "train": ["train", str(tmp_path), "--out", str(out)],
+        "adapt": ["adapt", str(checkpoint), str(workdir / "corpus.txt"), "--out", str(out)],
+        "eval": ["eval", str(bench_tsv), "--embeddings", str(workdir / "embeddings.txt"),
+                 "--out-dir", str(out)],
+    }[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# a comment\n{typo}\n")
+    assert main(argv + ["--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    key = typo.split(" = ")[0]
+    assert f"{command} reads no setting {key!r}; it reads {reads}" in err
+    assert not out.exists()
 
 
 def test_env_seed_applies_when_flag_absent(prepared, tmp_path, monkeypatch):

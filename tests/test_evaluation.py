@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.errors import (EvaluationError, FormatError, InferenceError,
-                              IngestionError)
+                              IngestionError, OovForgeError)
 from oov_forge.evaluation import (EvalItem, average_ranks, cosine_np,
                                   evaluate_method, import_chimera,
                                   load_benchmark_tsv, mask_contexts,
@@ -390,3 +390,58 @@ def test_import_chimera_normalizes(tmp_path):
     path.write_bytes(raw.encode() + b"\xff\n")
     with pytest.raises(IngestionError, match="UTF-8"):
         import_chimera(path, shot=2)
+
+
+@st.composite
+def _benchmark_items(draw, hostile):
+    """Writable items; in a hostile one, the word, a context or a probe may
+    hold a tab, a line break or a separator of its field."""
+    bad = ["|", "|||", "\t", "\n", ""] if hostile else []
+    word = draw(st.sampled_from(["qqqq", "zorp", "bl,ick", "x|y", "a.b"] + bad))
+    filler = st.lists(st.sampled_from(["the", "a", "here", ".", ",", "\r", "\x85", "\u2028",
+                                       "x|y"] + bad), max_size=3).map(" ".join)
+    context = st.builds("{} {} {}".format, filler, st.just(word), filler)
+    contexts = draw(st.lists(context | filler if hostile else context,
+                             min_size=1 - hostile, max_size=3))
+    probes = draw(st.lists(st.sampled_from(["car", "bike", "a b", "x|y", ""]
+                                           + (["a,b"] + bad if hostile else [])),
+                           min_size=2 - hostile, max_size=4))
+    human = draw(st.lists(st.floats(allow_nan=False, allow_infinity=hostile)
+                          | st.sampled_from([-0.0, 1e300, 5e-324]),
+                          min_size=len(probes), max_size=len(probes) + hostile))
+    return EvalItem(word, contexts, probes, human, draw(st.integers(-2, 10)))
+
+
+@pytest.mark.parametrize("hostile", [False, True])
+@settings(max_examples=75, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_written_benchmark_loads_back_equal_or_the_write_is_refused(tmp_path_factory,
+                                                                      hostile, data):
+    items = data.draw(st.lists(_benchmark_items(hostile), max_size=3))
+    path = tmp_path_factory.getbasetemp() / "fuzz-bench.tsv"
+    try:
+        save_benchmark_tsv(items, path)
+    except FormatError:
+        assert hostile
+        return
+    assert load_benchmark_tsv(path) == items
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(at=st.integers(0, 400), byte=st.none() | st.sampled_from(b"\t\n\r,|.-0e ")
+       | st.integers(0, 255))
+def test_a_corrupted_benchmark_loads_or_is_a_typed_error(tmp_path_factory, at, byte):
+    # one byte of a valid file replaced (or, for byte None, the file cut there)
+    path = tmp_path_factory.getbasetemp() / "corrupted-bench.tsv"
+    save_benchmark_tsv([EvalItem("qqqq", ["the qqqq is here", "a qqqq."], ["car", "bike"],
+                                 [1.5, -2.0], 2),
+                        EvalItem("zorp", ["zorp"], ["x", "y", "z"], [0.0, 3.0, 1e-9], 1)], path)
+    blob = path.read_bytes()
+    at %= len(blob)
+    path.write_bytes(blob[:at] if byte is None else blob[:at] + bytes([byte]) + blob[at + 1:])
+    try:
+        items = load_benchmark_tsv(path)
+    except OovForgeError:
+        return
+    for item in items:
+        item.validate()

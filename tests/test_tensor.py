@@ -12,7 +12,7 @@ from fd import check_grads
 from oov_forge.errors import GraphError, NumericError, ShapeError
 from oov_forge.tensor import (Graph, Tensor, backward, constant, cosine,
                               conv1d_maxpool, layer_norm, matmul, parameter,
-                              softmax, sum_all)
+                              sum_all)
 
 
 # ---------------------------------------------------------------------------
@@ -46,44 +46,119 @@ def test_matmul_gradients_match_finite_differences(rng):
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# attention: the softmax of its scores
 # ---------------------------------------------------------------------------
 
-def test_softmax_uniform_on_equal_inputs():
-    y = softmax(constant([0.0, 0.0, 0.0]), axis=0)
-    assert np.allclose(y.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
+def _attention_weights(qp, kvp, n_heads, queries, keys):
+    sink = []
+    out = tc.attention(constant(qp), constant(kvp), n_heads, queries, keys, sink)
+    return out.data, sink[0]
+
+
+def test_softmax_uniform_on_equal_inputs(rng):
+    # three keys equal in every head: each query spreads its weight evenly
+    kvp = rng.normal(size=(3, 8))
+    kvp[:, :4] = kvp[0, :4]
+    out, weights = _attention_weights(rng.normal(size=(2, 4)), kvp, 2, [[0, 1]], [[0, 1, 2]])
+    assert weights.shape == (1, 2, 2, 3)
+    assert np.allclose(weights, 1 / 3, atol=1e-12)
+    assert np.allclose(out, np.tile(kvp[:, 4:].mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_softmax_shift_invariance_hand_case():
+    # one head of width 1: the query 1 scores the keys c and c + log 2
     for c in (-50.0, 0.0, 3.25, 700.0):
-        y = softmax(constant([c, c + math.log(2.0)]), axis=0)
-        assert np.allclose(y.data, [1 / 3, 2 / 3], atol=1e-12)
+        out, weights = _attention_weights([[1.0]], [[c, 3.0], [c + math.log(2.0), 6.0]],
+                                          1, [[0]], [[0, 1]])
+        assert np.allclose(weights[0, 0, 0], [1 / 3, 2 / 3], atol=1e-12)
+        assert np.allclose(out, [[5.0]], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant(rng):
-    for _ in range(100):
-        x = rng.normal(size=(3, 5)) * 10
-        y = softmax(constant(x), axis=-1).data
+    # a vector added to every key shifts each query's scores by one constant
+    queries, keys = [[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]], [[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]]
+    for _ in range(50):
+        qp, kvp = rng.normal(size=(8, 6)) * 3, rng.normal(size=(8, 12)) * 3
+        out, y = _attention_weights(qp, kvp, 3, queries, keys)
         assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-9
-        y_shift = softmax(constant(x + rng.normal()), axis=-1).data
+        assert (y[1] > 0).all() and (y[0, :, :, :3] > 0).all()
+        shifted = kvp.copy()
+        shifted[:, :6] += rng.normal(size=6) * 3
+        out_shift, y_shift = _attention_weights(qp, shifted, 3, queries, keys)
         assert np.abs(y - y_shift).max() < 1e-9
-        assert (y > 0).all()
+        assert np.abs(out - out_shift).max() < 1e-9
 
 
 def test_softmax_jacobian_matches_finite_differences(rng):
-    x = parameter(rng.normal(size=7))
-
-    for j in range(7):
-        onehot = np.zeros(7)
-        onehot[j] = 1.0
+    # two sequences of 3 and 2 rows, with and without a subset of query rows
+    keys = [[0, 1, 2], [3, 4, -1]]
+    kvp = parameter(rng.normal(size=(5, 8)))
+    for queries in ([[0, 1, 2], [3, 4, -1]], [[-1, 0, -1], [1, -1, -1]]):
+        n_q = int((np.asarray(queries) >= 0).sum())
+        qp = parameter(rng.normal(size=(n_q, 4)))
+        w = constant(rng.normal(size=(n_q, 4)))
         err = check_grads(
-            lambda: sum_all(tc.mul(softmax(x, axis=0), constant(onehot))), [x])
+            lambda: sum_all(tc.mul(tc.attention(qp, kvp, 2, queries, keys), w)), [qp, kvp])
         assert err < 1e-6
 
 
-def test_softmax_bad_axis():
-    with pytest.raises(ShapeError):
-        softmax(constant([1.0, 2.0]), axis=2)
+def test_softmax_key_mask_zeroes_masked_entries(rng):
+    # sequence 0 has keys 0-2, sequence 1 keys 3-4; kvp row 5 is no key
+    queries, keys = [[0, 1, 2], [3, 4, -1]], [[0, 1, 2], [3, 4, -1]]
+    qp, kvp = rng.normal(size=(5, 4)), rng.normal(size=(6, 8))
+    out, y = _attention_weights(qp, kvp, 2, queries, keys)
+    assert np.array_equal(y[1, :, :, 2], np.zeros((2, 3)))
+    alone, y_alone = _attention_weights(qp[3:], kvp[3:5], 2, [[0, 1]], [[0, 1]])
+    assert np.abs(y[1, :, :2, :2] - y_alone[0]).max() < 1e-15
+    assert np.abs(out[3:] - alone).max() < 1e-15
+
+    # another sequence's rows never reach a sequence's output
+    edited_q, edited_kv = qp.copy(), kvp.copy()
+    edited_q[:3] = rng.normal(size=(3, 4))
+    edited_kv[:3] = rng.normal(size=(3, 8))
+    assert np.array_equal(_attention_weights(edited_q, edited_kv, 2, queries, keys)[0][3:],
+                          out[3:])
+
+    # a loss on sequence 1 alone: its padded key slot passes nothing back
+    q_t, kv_t = parameter(qp), parameter(kvp)
+    w = rng.normal(size=(5, 4))
+    w[:3] = 0.0
+    with Graph():
+        backward(sum_all(tc.mul(tc.attention(q_t, kv_t, 2, queries, keys), constant(w))))
+    assert np.array_equal(q_t.grad[:3], np.zeros((3, 4)))
+    assert np.array_equal(kv_t.grad[[0, 1, 2, 5]], np.zeros((4, 8)))
+    assert (kv_t.grad[3:5] != 0).all()
+
+
+def test_attention_matches_a_loop_over_sequences_and_heads(rng):
+    queries, keys = [[-1, 0, 1], [2, -1, -1]], [[0, 1, 2], [3, 4, -1]]
+    qp, kvp = rng.normal(size=(3, 6)), rng.normal(size=(5, 12))
+    out, _ = _attention_weights(qp, kvp, 3, queries, keys)
+    expected = []
+    for q_rows, k_rows in zip(queries, keys):
+        k_rows = [r for r in k_rows if r >= 0]
+        for r in (r for r in q_rows if r >= 0):
+            heads = []
+            for h in range(3):
+                cols = slice(2 * h, 2 * h + 2)
+                scores = np.array([qp[r, cols] @ kvp[m, :6][cols] for m in k_rows])
+                e = np.exp(scores / math.sqrt(6) - (scores / math.sqrt(6)).max())
+                heads.append(sum(wt * kvp[m, 6:][cols] for wt, m in zip(e / e.sum(), k_rows)))
+            expected.append(np.concatenate(heads))
+    assert np.abs(out - np.array(expected)).max() < 1e-12
+
+
+def test_attention_rejects_bad_shapes_and_slots():
+    qp, kvp = constant(np.zeros((2, 4))), constant(np.zeros((3, 8)))
+    ok = ([[0, 1]], [[0, 1, 2]])
+    for bad_qp, bad_kvp, heads in ((np.zeros(4), kvp.data, 2), (qp.data, np.zeros((3, 6)), 2),
+                                   (qp.data, kvp.data, 3), (qp.data, kvp.data, 0)):
+        with pytest.raises(ShapeError):
+            tc.attention(constant(bad_qp), constant(bad_kvp), heads, *ok)
+    for queries, keys in (([[0, 2]], ok[1]), ([[-2, 0]], ok[1]), (ok[0], [[0, 1, 3]]),
+                          ([0, 1], ok[1]), ([[0], [1]], ok[1]), (ok[0], [[-1, -1, -1]])):
+        with pytest.raises(ShapeError):
+            tc.attention(qp, kvp, 2, queries, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +344,9 @@ MULTI_OPERAND_OPS = {
     "add_bias": (tc.add_bias, [(4, 3), (3,)]),
     "scale_rows": (tc.scale_rows, [(4, 3), (4,)]),
     "matmul": (matmul, [(4, 5), (5, 3)]),
-    "einsum": (lambda a, b: tc.einsum("slhe,smhe->shlm", a, b), [(2, 3, 2, 2), (2, 4, 2, 2)]),
+    "attention": (lambda q, kv: tc.attention(q, kv, 2, [[0, -1], [1, 2]],
+                                             [[0, 1, -1, -1], [2, 3, 4, 5]]),
+                  [(3, 4), (6, 8)]),
     "layer_norm": (layer_norm, [(4, 3), (3,), (3,)]),
     "conv1d_maxpool": (lambda s, f: conv1d_maxpool(s, f, [5, 2, 1]), [(3, 5, 3), (3, 3, 4)]),
     "cosine": (cosine, [(3, 5), (3, 5)]),
@@ -303,12 +380,11 @@ def test_composite_two_layer_net_gradients(rng):
     b1 = parameter(rng.normal(size=8) * 0.1)
     w2 = parameter(rng.normal(size=(8, 3)) * 0.5)
     x = constant(rng.normal(size=(2, 5)))
-    t = constant(rng.normal(size=3))
+    t = constant(rng.normal(size=(1, 3)))
 
     def build():
         h = tc.relu(tc.add_bias(matmul(x, w1), b1))
-        out = tc.reshape(tc.segment_mean(matmul(h, w2), [2]), (3,))
-        return cosine(out, t)
+        return sum_all(cosine(tc.segment_mean(matmul(h, w2), [2]), t))
 
     err = check_grads(build, [w1, b1, w2])
     assert err < 1e-4
@@ -367,11 +443,11 @@ def test_elementwise_and_shaping_op_gradients(rng):
     s = parameter(rng.normal(size=4))
     v = parameter(rng.normal(size=4))
     w43 = constant(rng.normal(size=(4, 3)))
-    w34 = constant(rng.normal(size=(3, 4)))
     w23 = constant(rng.normal(size=(2, 3)))
     w46 = constant(rng.normal(size=(4, 6)))
     w226 = constant(rng.normal(size=(2, 2, 6)))
-    w44 = constant(rng.normal(size=(4, 4)))
+    x3 = parameter(rng.normal(size=(2, 2, 3)))
+    y3 = parameter(rng.normal(size=(2, 2, 3)))
     m43 = constant(rng.normal(size=(4, 3)))
 
     cases = [
@@ -380,15 +456,11 @@ def test_elementwise_and_shaping_op_gradients(rng):
         (lambda: sum_all(tc.mul(tc.scale(x, 2.5), w43)), [x]),
         (lambda: sum_all(tc.mul(tc.add_bias(x, b), w43)), [x, b]),
         (lambda: sum_all(tc.mul(tc.scale_rows(x, s), w43)), [x, s]),
-        (lambda: sum_all(tc.mul(tc.reshape(x, (3, 4)), w34)), [x]),
         (lambda: sum_all(tc.mul(tc.relu(x), w43)), [x]),
         (lambda: sum_all(tc.mul(tc.segment_mean(x, [3, 1]), w23)), [x]),
-        (lambda: sum_all(tc.mul(tc.einsum("ij,kj->ik", x, m43), w44)), [x]),
         (lambda: sum_all(tc.mul(tc.scale_rows(m43, v), w43)), [v]),
         (lambda: sum_all(tc.mul(tc.concat_cols([x, y]), w46)), [x, y]),
-        (lambda: sum_all(tc.mul(tc.concat_cols([tc.reshape(x, (2, 2, 3)),
-                                                tc.reshape(y, (2, 2, 3))]), w226)),
-         [x, y]),
+        (lambda: sum_all(tc.mul(tc.concat_cols([x3, y3]), w226)), [x3, y3]),
     ]
     for build, params in cases:
         assert check_grads(build, params) < 1e-5
@@ -410,45 +482,6 @@ def test_gather_ops_scatter_add_duplicates(rng):
 # ---------------------------------------------------------------------------
 # batched ops
 # ---------------------------------------------------------------------------
-
-def test_softmax_key_mask_zeroes_masked_entries(rng):
-    x = rng.normal(size=(2, 3, 5))
-    keep = np.array([[True, True, False, True, False],
-                     [True, False, False, False, False]])[:, None, :]
-    y = softmax(constant(x), -1, mask=keep).data
-    assert np.array_equal(y[0][:, [2, 4]], np.zeros((3, 2)))
-    kept = softmax(constant(x[0][:, [0, 1, 3]]), -1).data
-    assert np.abs(y[0][:, [0, 1, 3]] - kept).max() < 1e-15
-    assert np.allclose(y[1][:, 0], 1.0, atol=1e-15)
-
-    p = parameter(x)
-    w = constant(rng.normal(size=x.shape))
-    assert check_grads(lambda: sum_all(tc.mul(softmax(p, -1, mask=keep), w)), [p]) < 1e-6
-    with Graph():
-        backward(sum_all(tc.mul(softmax(p, -1, mask=keep), w)))
-    assert np.array_equal(p.grad[0][:, [2, 4]], np.zeros((3, 2)))
-
-    with pytest.raises(ShapeError):
-        softmax(constant(x), -1, mask=np.zeros(5, dtype=bool))
-    with pytest.raises(ShapeError):
-        softmax(constant(x), -1, mask=np.ones(4, dtype=bool))
-
-
-def test_einsum_matches_numpy_and_checks_its_spec(rng):
-    a = parameter(rng.normal(size=(2, 4, 3, 2)))
-    b = parameter(rng.normal(size=(2, 5, 3, 2)))
-    spec = "slhe,smhe->shlm"
-    assert np.allclose(tc.einsum(spec, a, b).data, np.einsum(spec, a.data, b.data),
-                       atol=1e-12)
-    w = constant(rng.normal(size=(2, 3, 4, 5)))
-    assert check_grads(lambda: sum_all(tc.mul(tc.einsum(spec, a, b), w)), [a, b]) < 1e-6
-    m = constant(np.zeros((3, 3)))
-    for bad in ("ij,jk", "ii,ij->j", "ij,jk->ikz", "ij,kl->ik", "ij,jk->iik", "ijk,jk->ik"):
-        with pytest.raises(ShapeError):
-            tc.einsum(bad, m, m)
-    with pytest.raises(ShapeError):
-        tc.einsum("ij,jk->ik", m, constant(np.zeros((2, 3))))
-
 
 def test_gather_rows_pads_id_minus_one_with_zeros(rng):
     table = parameter(rng.normal(size=(4, 3)))

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import os
 import sys
 import warnings
@@ -8,8 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synthetic_task
+import oov_forge.tensor as tc
 from oov_forge.container import pack_text, read_container, write_container
-from oov_forge.episode import Episode, char_sequence
+from oov_forge.episode import (Episode, char_sequence, eligible_targets,
+                               sample_episode)
 from oov_forge.errors import FormatError, TrainingError
 from oov_forge.model import HiceConfig, HiceModel
 from oov_forge.tensor import Graph, backward, constant, mul, parameter, sum_all
@@ -167,6 +170,34 @@ def test_validation_words_never_targeted_in_training():
     stream = episode_stream(vocab, store, oracle, (2, 4), seed=0, words=train_words)
     targets = {next(stream).target_word for _ in range(300)}
     assert not targets & set(val_words)
+
+
+# the ops the tape records: every public function of oov_forge.tensor that
+# calls _record (criterion 1 gives each a gradient case)
+TAPE_OPS = {"add", "mul", "scale", "add_bias", "scale_rows", "matmul", "attention",
+            "relu", "sum_all", "segment_mean", "concat_cols", "layer_norm",
+            "conv1d_maxpool", "cosine", "gather_rows"}
+
+
+def test_a_training_step_records_48_nodes_of_the_15_tape_ops():
+    assert TAPE_OPS == {name for name, fn in vars(tc).items()
+                        if inspect.isfunction(fn) and fn.__module__ == tc.__name__
+                        and not name.startswith("_") and "_record" in fn.__code__.co_names}
+    vocab, store, table, oracle, _ = small_task()
+    rng = np.random.default_rng(0)
+    words = eligible_targets(vocab, store, oracle)[:4]
+    batch = [sample_episode(w, k, rng, store, oracle) for w, k in zip(words, (2, 3, 4, 6))]
+    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    with Graph() as g:
+        episode_loss(model, batch)
+    ops = [node.op for node in g.nodes]
+    # 2 nodes of embedding, 2 of positional weights, 14 of the last context
+    # block (its query-row gather included), 13 of the aggregator block and 1
+    # of its mean pool, 9 of the char-CNN, 3 of fusion and 4 of loss; each
+    # block's attention is 2 projections, one attention node and wo
+    assert len(ops) == 48, ops
+    assert set(ops) <= TAPE_OPS
+    assert ops.count("attention") == 2
 
 
 def test_divergence_aborts_with_step_number(monkeypatch):
