@@ -80,6 +80,7 @@ class Vocabulary:
         self.stop_flags = stop_flags
         self.min_count = min_count
         self.ids = {w: i for i, w in enumerate(words)}
+        self._rows: tuple[EmbeddingTable, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -95,6 +96,15 @@ class Vocabulary:
 
     def eligible_words(self) -> list[str]:
         return [w for i, w in enumerate(self.words) if self.counts[i] > self.min_count]
+
+    def rows_in(self, table: EmbeddingTable) -> np.ndarray:
+        """intp [V]: the row of each word in ``table``, -1 where it has none.
+        The map of the last table asked is kept, since a table is read-only."""
+        if self._rows is None or self._rows[0] is not table:
+            rows = np.fromiter((table.index.get(w, -1) for w in self.words),
+                               dtype=np.intp, count=len(self.words))
+            self._rows = (table, rows)
+        return self._rows[1]
 
 
 def build_vocab(sentences: list[list[str]],
@@ -340,6 +350,7 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(f"{word} {format_vector(vec)}\n")
 
 
+@cache
 def _word_bucket(word: str) -> int:
     digest = hashlib.sha1(word.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % 100

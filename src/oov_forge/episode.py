@@ -65,9 +65,12 @@ def window_on_mask(ids: list[int], window: int = CONTEXT_WINDOW) -> list[int]:
 
 
 def mask_window(ids: list[int], target_id: int) -> list[int]:
-    """Mask every target occurrence, keep CONTEXT_WINDOW tokens each side of
-    the first one."""
-    return window_on_mask([MASK_ID if t == target_id else t for t in ids])
+    """Keep CONTEXT_WINDOW tokens each side of the first target occurrence
+    and mask every occurrence in that window. ``ids`` are vocabulary ids,
+    so none is a sentinel; an absent target is a ValueError."""
+    first = ids.index(target_id)
+    window = ids[max(0, first - CONTEXT_WINDOW):first + CONTEXT_WINDOW + 1]
+    return [MASK_ID if t == target_id else t for t in window]
 
 
 def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:

@@ -43,6 +43,8 @@ class EvalItem:
             )
         if not all(math.isfinite(h) for h in self.human):
             raise FormatError(f"item {self.pseudo_word!r}: non-finite rating")
+        if self.shot < 1:
+            raise FormatError(f"item {self.pseudo_word!r}: shot {self.shot} is below 1")
         for ctx in self.contexts:
             if self.pseudo_word not in tokenize(ctx):
                 raise FormatError(

@@ -396,8 +396,7 @@ class HiceModel:
         frozen_rows = np.full(len(tokens), -1, dtype=np.intp)
         real = np.flatnonzero(tokens >= 0)
         if real.size:  # a context of MASK/UNK sentinels needs no vocabulary
-            words, row_of = self._resolve_vocab(vocab).words, self.table.index
-            frozen_rows[real] = [row_of.get(words[t], -1) for t in tokens[real].tolist()]
+            frozen_rows[real] = self._resolve_vocab(vocab).rows_in(self.table)[tokens[real]]
         segs = Segments([len(ids) for ids in contexts])
         # an unmasked ad-hoc context is summarized by its first position
         pool_at = [ids.index(MASK_ID) if MASK_ID in ids else 0 for ids in contexts]

@@ -274,11 +274,12 @@ def attention(qp: Tensor, kvp: Tensor, n_heads: int, queries, keys,
     to one output row per query.
 
     ``queries`` [S, Lq] gives the qp row of each query slot of sequence s
-    and ``keys`` [S, Lk] the kvp row of each key slot, -1 past its end.
-    Scores are scaled by 1/sqrt(d) and padded keys get weight exactly 0
-    and no gradient; every sequence needs a key. The result holds the
-    query slots that are not padding in row-major order, [*, d]. ``sink``
-    collects the softmax array [S, heads, Lq, Lk].
+    and ``keys`` [S, Lk] the kvp row of each key slot, -1 past its end. No
+    row may fill two query slots or two key slots, so the backward pass
+    adds each gradient row once. Scores are scaled by 1/sqrt(d) and padded
+    keys get weight exactly 0 and no gradient; every sequence needs a key.
+    The result holds the query slots that are not padding in row-major
+    order, [*, d]. ``sink`` collects the softmax array [S, heads, Lq, Lk].
     """
     if qp.data.ndim != 2 or kvp.data.ndim != 2 or kvp.shape[1] != 2 * qp.shape[1] \
             or n_heads < 1 or qp.shape[1] % n_heads:
@@ -288,37 +289,53 @@ def attention(qp: Tensor, kvp: Tensor, n_heads: int, queries, keys,
     if q_ids.ndim != 2 or k_ids.ndim != 2 or len(q_ids) != len(k_ids) \
             or (q_ids.size and not -1 <= q_ids.min() <= q_ids.max() < n_q) \
             or (k_ids.size and not -1 <= k_ids.min() <= k_ids.max() < n_kv) \
-            or (k_ids < 0).all(axis=1).any():
+            or (k_ids < 0).all(axis=1).any() \
+            or np.bincount(q_ids.ravel() + 1, minlength=2)[1:].max() > 1 \
+            or np.bincount(k_ids.ravel() + 1, minlength=2)[1:].max() > 1:
         raise ShapeError(f"attention: slots {q_ids.shape}, {k_ids.shape} for {qp.shape}, "
-                         f"{kvp.shape}: an id out of range or a sequence with no key")
+                         f"{kvp.shape}: an id out of range or in two slots, or no key")
     q_pad, k_pad = q_ids < 0, k_ids < 0
     heads = (n_heads, d // n_heads)
     kv = kvp.data.reshape((n_kv, 2) + heads)
     q = qp.data.reshape((n_q,) + heads)[np.where(q_pad, 0, q_ids)]
     k, v = (kv[np.where(k_pad, 0, k_ids), j] for j in range(2))
     q[q_pad] = k[k_pad] = v[k_pad] = 0.0
+    n_seq = len(q_ids)
+
+    # products over (sequence, head) pairs, laid out as numpy's batched-matmul
+    # einsum plans lay them out, so the reductions after them add in the
+    # same order: fold permutes by ``axes`` and merges the first two axes
+    def fold(x, axes):
+        x = x.transpose(axes)
+        return x.reshape((n_seq * n_heads,) + x.shape[2:])
+
+    def unfold(x, axes):
+        return x.reshape((n_seq, n_heads) + x.shape[1:]).transpose(axes)
+
     s = 1.0 / math.sqrt(d)
-    scores = np.einsum("slhe,smhe->shlm", q, k, optimize=True) * s
+    q_shel = fold(q, (0, 2, 3, 1))
+    scores = unfold(fold(k, (0, 2, 1, 3)) @ q_shel, (0, 1, 3, 2)) * s
     scores = np.where(k_pad[:, None, None, :], -np.inf, scores)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     if sink is not None:
         sink.append(attn)
-    out = np.einsum("shlm,smhe->slhe", attn, v, optimize=True)
+    attn_shml = fold(attn, (0, 1, 3, 2))
+    out = unfold(fold(v, (0, 2, 3, 1)) @ attn_shml, (0, 3, 1, 2))
 
     def bwd(g):
         g_out = np.zeros(out.shape)
         g_out[~q_pad] += g.reshape((-1,) + heads)
-        g_attn = np.einsum("slhe,smhe->shlm", g_out, v, optimize=True)
-        g_v = np.einsum("slhe,shlm->smhe", g_out, attn, optimize=True)
+        g_attn = unfold(fold(v, (0, 2, 1, 3)) @ fold(g_out, (0, 2, 3, 1)), (0, 1, 3, 2))
+        g_v = unfold(attn_shml @ fold(g_out, (0, 2, 1, 3)), (0, 2, 1, 3))
         dot = (g_attn * attn).sum(axis=-1, keepdims=True)
         g_scores = attn * (g_attn - dot) * s
-        g_q = np.einsum("shlm,smhe->slhe", g_scores, k, optimize=True)
-        g_k = np.einsum("shlm,slhe->smhe", g_scores, q, optimize=True)
+        g_q = unfold(fold(k, (0, 2, 3, 1)) @ fold(g_scores, (0, 1, 3, 2)), (0, 3, 1, 2))
+        g_k = unfold(q_shel @ fold(g_scores, (0, 1, 2, 3)), (0, 3, 1, 2))
         g_qp = np.zeros((n_q,) + heads)
-        np.add.at(g_qp, q_ids[~q_pad], g_q[~q_pad])
+        g_qp[q_ids[~q_pad]] += g_q[~q_pad]
         g_kv = np.zeros(kv.shape)
-        np.add.at(g_kv, k_ids[~k_pad], np.stack((g_k, g_v), axis=2)[~k_pad])
+        g_kv[k_ids[~k_pad]] += np.stack((g_k, g_v), axis=2)[~k_pad]
         return (g_qp.reshape(n_q, d), g_kv.reshape(n_kv, 2 * d))
 
     return _record("attention", out[~q_pad].reshape(-1, d), (qp, kvp), bwd)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import warnings
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oov_forge.corpus import (BLOCK_LINES, EmbeddingTable, SentenceStore,
+from oov_forge.corpus import (BLOCK_LINES, VAL_FRACTION, EmbeddingTable, SentenceStore,
                               build_vocab, contexts_of, load_embeddings,
                               load_stopwords, parse_plain_block, parse_rows,
                               read_sentences, save_embeddings, split_words,
@@ -352,3 +353,16 @@ def test_split_words_deterministic_and_disjoint():
     assert not set(t1) & set(v1)
     assert len(t1) + len(v1) == 1000
     assert 20 <= len(v1) <= 90  # ~5% of 1000
+
+
+def test_split_words_equals_an_uncached_sha1_split(rng):
+    def bucket(word):
+        return int.from_bytes(hashlib.sha1(word.encode("utf-8")).digest()[:8], "big") % 100
+
+    cut = round(VAL_FRACTION * 100)
+    words = [f"word{i}" for i in range(400)] + ["naïve", "x-y", "o'k", "日本"]
+    for _ in range(4):  # repeated calls, each in a new order and with repeats
+        order = [words[i] for i in rng.permutation(len(words))] + words[:25]
+        train, val = split_words(order)
+        assert val == [w for w in order if bucket(w) < cut]
+        assert train == [w for w in order if bucket(w) >= cut]

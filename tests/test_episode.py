@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, tokenize
 from oov_forge.episode import (CHAR_BOW, CHAR_EOW, CHAR_IDS, CHAR_UNK, CONTEXT_WINDOW,
                                MASK_ID, MASK_TOKEN, N_CHARS, char_sequence, decode_context,
                                episode_from_masked, episode_stream,
-                               mask_window, sample_episode)
+                               mask_window, sample_episode, window_on_mask)
 from oov_forge.errors import EpisodeError
 
 
@@ -230,3 +231,26 @@ def test_mask_window_helper():
     ids = [5] * 20 + [9, 1, 9] + [2] * 20
     out = mask_window(ids, 9)  # CONTEXT_WINDOW around the first occurrence
     assert out == [5] * 12 + [MASK_ID, 1, MASK_ID] + [2] * 10
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mask_window_equals_masking_the_sentence_then_windowing(data):
+    n = data.draw(st.integers(1, 80))
+    ids = data.draw(st.lists(st.integers(0, 30).filter(lambda t: t != 7), min_size=n,
+                             max_size=n))
+    # 0-3 occurrences of the target 7, at the ends, the middle, a window's
+    # width from either end or anywhere
+    spots = st.sampled_from([0, n // 2, n - 1, min(CONTEXT_WINDOW, n - 1),
+                             max(n - 1 - CONTEXT_WINDOW, 0)]) | st.integers(0, n - 1)
+    for at in data.draw(st.lists(spots, max_size=3, unique=True)):
+        ids[at] = 7
+    before = list(ids)
+    if 7 in ids:
+        assert mask_window(ids, 7) == window_on_mask([MASK_ID if t == 7 else t for t in ids])
+    else:
+        with pytest.raises(ValueError):
+            mask_window(ids, 7)
+        with pytest.raises(ValueError):
+            window_on_mask(ids)
+    assert ids == before

@@ -363,6 +363,23 @@ def test_benchmark_tsv_malformed_reports_line(tmp_path):
         load_benchmark_tsv(path)
 
 
+def test_a_shot_below_one_is_refused_on_load_and_save(tmp_path):
+    path = tmp_path / "bench.tsv"
+    for shot in (0, -2):
+        item = EvalItem("zorp", ["a zorp here"], ["x", "y"], [1.0, 2.0], shot)
+        with pytest.raises(FormatError, match=f"'zorp': shot {shot} is below 1"):
+            item.validate()
+        with pytest.raises(FormatError, match="cannot write item 'zorp'"):
+            save_benchmark_tsv([item], path)
+        assert not path.exists()
+        path.write_text(f"zorp\t{shot}\ta zorp here\tx,y\t1.0,2.0\n")
+        with pytest.raises(FormatError, match="line 1: .*shot"):
+            load_benchmark_tsv(path)
+        path.unlink()
+    path.write_text("zorp\t1\ta zorp here\tx,y\t1.0,2.0\n")
+    assert load_benchmark_tsv(path)[0].shot == 1
+
+
 def test_benchmark_item_context_must_contain_word(tmp_path):
     path = tmp_path / "bench.tsv"
     path.write_text("word\t2\tnothing relevant\tp1,p2\t1.0,2.0\n")
@@ -422,7 +439,7 @@ def test_a_written_benchmark_loads_back_equal_or_the_write_is_refused(tmp_path_f
     try:
         save_benchmark_tsv(items, path)
     except FormatError:
-        assert hostile
+        assert hostile or any(item.shot < 1 for item in items)
         return
     assert load_benchmark_tsv(path) == items
 

@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 import oov_forge.tensor as tc
 from fd import rel_err
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
-from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, UNK_ID, Episode,
-                               char_sequence, sample_episode)
+from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, MASK_TOKEN, UNK_ID,
+                               Episode, char_sequence, episode_from_masked,
+                               sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
                              Segments, block_arrays, encoding_block, fresh_arrays,
@@ -485,6 +486,34 @@ def test_embed_tokens_gradient_only_reaches_special_rows(rng):
     grad = model.special_embed.grad
     assert np.array_equal(grad[model.MASK_ROW], w.data[1] + w.data[4])
     assert np.array_equal(grad[model.UNK_ROW], w.data[2])
+
+
+def test_batch_rows_equal_a_lookup_of_each_token():
+    def per_token(model, episodes, vocab):
+        return [model.table.index.get(vocab.words[t], -1) if t >= 0 else -1
+                for ep in episodes for ids in ep.contexts for t in ids]
+
+    vocab = build_vocab([["w01", "zz", "w05", "w29", "yy", "w00"]], min_count=1)
+    small, _ = make_model(make_table(n_words=6))
+    large, _ = make_model(make_table(n_words=30, seed=4))
+    ids = [vocab.id_of(w) for w in vocab.words]
+    episodes = [episode_of([ids + [MASK_ID, UNK_ID], [MASK_ID], [UNK_ID, MASK_ID]]),
+                episode_of([ids[::-1], [vocab.id_of("zz"), MASK_ID]])]
+    # one vocabulary with two tables, alternately: each keeps its own rows
+    for model in (small, large, small, large):
+        rows = model.batch(episodes, vocab).frozen_rows
+        assert rows.tolist() == per_token(model, episodes, vocab)
+    assert large.batch(episodes, vocab).frozen_rows[:6].tolist() == [1, -1, 5, 29, -1, 0]
+    assert small.batch(episodes, vocab).frozen_rows[:6].tolist() == [1, -1, 5, -1, -1, 0]
+    # contexts of sentinels only resolve no vocabulary at all
+    sentinels = [episode_of([[MASK_ID], [UNK_ID, MASK_ID, UNK_ID]])]
+    assert small.batch(sentinels).frozen_rows.tolist() == [-1] * 4
+    # the transient vocabulary of an inference episode
+    ep, transient = episode_from_masked("w03", [["w02", MASK_TOKEN, "qq"],
+                                                [MASK_TOKEN, "w05", "w02", "w40"]])
+    for model in (small, large):
+        assert model.batch([ep], transient).frozen_rows.tolist() == per_token(model, [ep],
+                                                                              transient)
 
 
 def test_frozen_rows_never_receive_gradient():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oov_forge.tensor as tc
+from attention_reference import attention_reference
 from fd import check_grads
 from oov_forge.errors import GraphError, NumericError, ShapeError
 from oov_forge.tensor import (Graph, Tensor, backward, constant, cosine,
@@ -159,6 +160,73 @@ def test_attention_rejects_bad_shapes_and_slots():
                           ([0, 1], ok[1]), ([[0], [1]], ok[1]), (ok[0], [[-1, -1, -1]])):
         with pytest.raises(ShapeError):
             tc.attention(qp, kvp, 2, queries, keys)
+
+
+def test_attention_refuses_a_row_in_two_slots():
+    qp, kvp = constant(np.zeros((2, 4))), constant(np.zeros((3, 8)))
+    for queries, keys in (([[0, 0]], [[0, 1, 2]]), ([[0, 1]], [[0, 1, 1]]),
+                          ([[0, -1], [1, 0]], [[0, -1], [1, 2]]),
+                          ([[0], [1]], [[0, 2], [2, 1]])):
+        with pytest.raises(ShapeError, match="two slots"):
+            tc.attention(qp, kvp, 2, queries, keys)
+
+
+def _padded_slots(rng, lengths, queries):
+    """The key slots of packed sequences of ``lengths``, and query slots
+    numbered in row-major order: every row ("all"), one per sequence as the
+    mask pool reads them ("pool") or a random subset ("subset")."""
+    lengths = np.asarray(lengths)
+    slot = np.arange(lengths.max())
+    valid = slot < lengths[:, None]
+    keys = np.where(valid, (np.cumsum(lengths) - lengths)[:, None] + slot, -1)
+    if queries == "all":
+        picked = valid
+    elif queries == "pool":
+        picked = np.ones((len(lengths), 1), dtype=bool)
+    else:
+        picked = valid & (rng.random(valid.shape) < 0.5)
+        picked[0, 0] = True
+    return np.where(picked, np.cumsum(picked).reshape(picked.shape) - 1, -1), keys
+
+
+def _attention_against_reference(rng, lengths, queries, n_heads, width):
+    """(tc.attention's output, softmax and both gradients; the reference's)
+    on random inputs and a random upstream gradient."""
+    q_ids, k_ids = _padded_slots(rng, lengths, queries)
+    n_q, d = int((q_ids >= 0).sum()), n_heads * width
+    qp, kvp = rng.normal(size=(n_q, d)) * 2, rng.normal(size=(int(np.sum(lengths)), 2 * d)) * 2
+    g = rng.normal(size=(n_q, d))
+    q_t, kv_t, sink = parameter(qp), parameter(kvp), []
+    with Graph():
+        out = tc.attention(q_t, kv_t, n_heads, q_ids, k_ids, sink)
+        backward(sum_all(tc.mul(out, constant(g))))
+    return ((out.data, sink[0], q_t.grad, kv_t.grad),
+            attention_reference(qp, kvp, n_heads, q_ids, k_ids, g))
+
+
+_REFERENCE_LENGTHS = ([1], [1, 1, 1], [3, 1, 5], [12, 25, 7, 1, 25, 16])
+
+
+@pytest.mark.parametrize("queries", ["all", "pool", "subset"])
+@pytest.mark.parametrize("width", [2, 4, 75])
+def test_attention_equals_the_einsum_reference(rng, width, queries):
+    for n_heads in (1, 2, 4):
+        for lengths in _REFERENCE_LENGTHS + (rng.integers(1, 26, size=5),):
+            got, want = _attention_against_reference(rng, lengths, queries, n_heads, width)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("queries", ["all", "pool", "subset"])
+def test_attention_of_width_one_heads_is_within_rounding_of_the_reference(rng, queries):
+    # numpy's einsum multiplies width-1 heads by broadcasting, so its scores
+    # are laid out with the keys contiguous and the softmax and gradient
+    # sums over them add in another order
+    for n_heads in (1, 2, 4):
+        for lengths in _REFERENCE_LENGTHS + (rng.integers(1, 41, size=5),):
+            got, want = _attention_against_reference(rng, lengths, queries, n_heads, 1)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 # ---------------------------------------------------------------------------
