@@ -27,10 +27,10 @@ from itertools import islice
 import numpy as np
 
 from .corpus import EmbeddingTable, SentenceStore, Vocabulary
-from .episode import Episode, episode_stream
+from .episode import Episode, eligible_targets, episode_stream
 from .errors import AdaptationError
 from .model import HiceModel
-from .tensor import Graph, Tensor, backward
+from .tensor import Graph, ParamVector, backward
 from .training import episode_loss
 
 ADAPT_K_RANGE = (2, 6)
@@ -54,53 +54,41 @@ class AdaptConfig:
             raise AdaptationError("adapt_steps must be >= 0")
 
 
-def _grads(params: list[Tensor], loss_fn) -> list[np.ndarray]:
-    for p in params:
-        p.zero_grad()
+def _grads(params: ParamVector, loss_fn) -> np.ndarray:
+    """The gradient of ``loss_fn()`` as ``params.grad``, zero where a
+    parameter gets none; the next call overwrites it."""
+    params.zero_grads()
     with Graph():
         backward(loss_fn())
-    out = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-           for p in params]
-    for p in params:
-        p.zero_grad()
-    return out
+    g = params.grads()
+    params.zero_grads()
+    return g
 
 
-def maml_update(params: list[Tensor], loss_source_fn, loss_target_fn,
+def maml_update(params: ParamVector, loss_source_fn, loss_target_fn,
                 cfg: AdaptConfig) -> None:
-    """One two-stage update, in place on ``params``.
+    """One two-stage update, in place on ``params.data``.
 
     ``loss_*_fn`` are zero-argument callables that rebuild the loss from the
     current parameter values (they are re-evaluated at perturbed points).
     """
-    theta = [p.data.copy() for p in params]
+    data = params.data
+    theta = data.copy()
     if cfg.alpha:
-        g_t = _grads(params, loss_source_fn)
-        for p, th, g in zip(params, theta, g_t):
-            p.data = th - cfg.alpha * g
-    g_n = _grads(params, loss_target_fn)  # evaluated at theta*
+        np.subtract(theta, cfg.alpha * _grads(params, loss_source_fn), out=data)
+    g_n = _grads(params, loss_target_fn).copy()  # evaluated at theta*
 
-    if cfg.first_order or not cfg.alpha:
-        update = g_n
-    else:
-        v_scale = max(float(np.abs(g).max()) for g in g_n) if g_n else 0.0
-        if v_scale == 0.0:
-            update = g_n
-        else:
+    update = g_n
+    if not cfg.first_order and cfg.alpha:
+        v_scale = float(np.abs(g_n).max(initial=0.0))
+        if v_scale != 0.0:
             eps = HVP_EPS / v_scale
-            for p, th, v in zip(params, theta, g_n):
-                p.data = th + eps * v
-            g_plus = _grads(params, loss_source_fn)
-            for p, th, v in zip(params, theta, g_n):
-                p.data = th - eps * v
+            np.add(theta, eps * g_n, out=data)
+            g_plus = _grads(params, loss_source_fn).copy()
+            np.subtract(theta, eps * g_n, out=data)
             g_minus = _grads(params, loss_source_fn)
-            update = [
-                gn - cfg.alpha * (gp - gm) / (2.0 * eps)
-                for gn, gp, gm in zip(g_n, g_plus, g_minus)
-            ]
-
-    for p, th, u in zip(params, theta, update):
-        p.data = th - cfg.beta * u
+            update = g_n - cfg.alpha * (g_plus - g_minus) / (2.0 * eps)
+    np.subtract(theta, cfg.beta * update, out=data)
 
 
 def maml_step(model: HiceModel, batch_source: list[Episode],
@@ -110,25 +98,13 @@ def maml_step(model: HiceModel, batch_source: list[Episode],
     """One meta-update from one batch per corpus (at alpha = 0, the source batch may be empty)."""
     if not batch_target or (cfg.alpha and not batch_source):
         raise AdaptationError("maml_step needs a target batch, and a source batch at alpha > 0")
-    params = [p for _, p in model.parameters()]
     maml_update(
-        params,
+        model.parameters(),
         lambda: episode_loss(model, batch_source, vocab=vocab_source)[0],
         lambda: episode_loss(model, batch_target, vocab=vocab_target)[0],
         cfg,
     )
     return model
-
-
-def pseudo_targets(vocab_n: Vocabulary, store_n: SentenceStore,
-                   table: EmbeddingTable, min_count: int) -> list[str]:
-    """Adaptation targets: words the new corpus shares with the table, with
-    count strictly above ``min_count``."""
-    out = []
-    for wid, word in enumerate(vocab_n.words):
-        if vocab_n.counts[wid] > min_count and word in table and store_n.index.get(wid):
-            out.append(word)
-    return out
 
 
 def adapt(model: HiceModel, cfg: AdaptConfig,
@@ -140,7 +116,7 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
         raise AdaptationError("adaptation at alpha > 0 needs a source corpus")
     vocab_t, store_t, table_t = source or (None, None, None)
     vocab_n, store_n, table_n = target
-    words_n = pseudo_targets(vocab_n, store_n, table_n, cfg.target_min_count)
+    words_n = eligible_targets(vocab_n, store_n, table_n, cfg.target_min_count)
     if not words_n:
         raise AdaptationError(
             "no eligible adaptation words: nothing in the new corpus is both "

@@ -81,6 +81,8 @@ class Vocabulary:
         self.min_count = min_count
         self.ids = {w: i for i, w in enumerate(words)}
         self._rows: tuple[EmbeddingTable, np.ndarray] | None = None
+        # the last [store, table, threshold, targets, split] of episode.eligible_targets
+        self._targets: list | None = None
 
     def __len__(self) -> int:
         return len(self.words)

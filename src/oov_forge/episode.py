@@ -9,11 +9,12 @@ marks tokens that have no vocabulary entry (ad-hoc inference sentences).
 from __future__ import annotations
 
 import string
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EmbeddingTable, SentenceStore, Vocabulary, contexts_of
+from .corpus import EmbeddingTable, SentenceStore, Vocabulary, contexts_of, split_words
 from .errors import EpisodeError, InputError
 
 MASK_ID = -1
@@ -154,18 +155,43 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
     return Episode(word, contexts, char_sequence(word, max_word_len=max_word_len)), vocab
 
 
+def _targets(vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable | None,
+             min_count: int | None) -> list:
+    """The [store, table, threshold, targets, split] kept on ``vocab``,
+    made anew when one of the arguments differs; the split is filled in
+    when first asked for. The store is held weakly: it holds the
+    vocabulary, and a cycle would keep both alive until the cyclic garbage
+    collector runs."""
+    threshold = vocab.min_count if min_count is None else min_count
+    kept = vocab._targets
+    if kept is None or kept[0]() is not store or kept[1] is not table or kept[2] != threshold:
+        keep = np.asarray(vocab.counts) > threshold
+        if table is not None:
+            keep &= vocab.rows_in(table) >= 0
+        seen = np.zeros(len(vocab), dtype=bool)
+        seen[np.fromiter(store.index, dtype=np.intp, count=len(store.index))] = True
+        words = tuple(vocab.words[i] for i in np.flatnonzero(keep & seen))
+        kept = vocab._targets = [weakref.ref(store), table, threshold, words, None]
+    return kept
+
+
 def eligible_targets(vocab: Vocabulary, store: SentenceStore,
-                     table: EmbeddingTable | None) -> list[str]:
-    """Words usable as episode targets: eligible count, present in the
-    oracle table, and occurring in at least one sentence."""
-    out = []
-    for w in vocab.eligible_words():
-        if table is not None and w not in table:
-            continue
-        wid = vocab.id_of(w)
-        if store.index.get(wid):
-            out.append(w)
-    return out
+                     table: EmbeddingTable | None, min_count: int | None = None) -> list[str]:
+    """Words usable as episode targets, in vocabulary order: count above
+    ``min_count`` (default ``vocab.min_count``), present in the oracle
+    table, and occurring in at least one sentence. The last result is kept
+    on the vocabulary, since a store and a table are read-only."""
+    return list(_targets(vocab, store, table, min_count)[3])
+
+
+def split_targets(vocab: Vocabulary, store: SentenceStore,
+                  table: EmbeddingTable | None) -> tuple[list[str], list[str]]:
+    """``split_words`` of ``eligible_targets(vocab, store, table)``, kept with it."""
+    kept = _targets(vocab, store, table, None)
+    if kept[4] is None:
+        kept[4] = tuple(map(tuple, split_words(kept[3])))
+    train, val = kept[4]
+    return list(train), list(val)
 
 
 def episode_stream(vocab: Vocabulary, store: SentenceStore,

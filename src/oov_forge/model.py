@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .container import config_value, pack_text
 from .corpus import EmbeddingTable, Vocabulary
 from .episode import MASK_ID, MAX_LEN, MAX_WORD_LEN, N_CHARS, Episode
 from .errors import FormatError, InputError
-from .tensor import Tensor
+from .tensor import Parameter, ParamVector, Tensor
 
 
 @dataclass(frozen=True)
@@ -133,51 +133,65 @@ class HiceConfig:
 
 
 def block_arrays(prefix: str, d_model: int, n_heads: int, d_ff: int,
-                 rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """A fresh attention block's arrays, named ``prefix.*`` and drawn in
-    that order."""
+                 rng: np.random.Generator) -> Iterator[tuple[str, np.ndarray]]:
+    """A fresh attention block's (name, array) pairs, named ``prefix.*``,
+    each drawn as it is yielded."""
     s_in = 1.0 / math.sqrt(d_model)
     # [head, (q, k, v)] blocks of d_head columns; wq holds every head's
     # query block, wkv every head's key block, then every value block
     w = rng.normal(size=(n_heads, 3, d_model, d_model // n_heads)) * s_in
-    return {f"{prefix}.{name}": arr for name, arr in (
-        ("wq", w[:, 0].transpose(1, 0, 2).reshape(d_model, -1)),
-        ("wkv", w[:, 1:].transpose(2, 1, 0, 3).reshape(d_model, -1)),
-        ("wo", rng.normal(size=(d_model, d_model)) * s_in),
-        ("ffn.w1", rng.normal(size=(d_model, d_ff)) * s_in),
-        ("ffn.b1", np.zeros(d_ff)),
-        ("ffn.w2", rng.normal(size=(d_ff, d_model)) / math.sqrt(d_ff)),
-        ("ffn.b2", np.zeros(d_model)),
-        ("ln1.g", np.ones(d_model)), ("ln1.b", np.zeros(d_model)),
-        ("ln2.g", np.ones(d_model)), ("ln2.b", np.zeros(d_model)))}
+    yield f"{prefix}.wq", w[:, 0].transpose(1, 0, 2).reshape(d_model, -1)
+    yield f"{prefix}.wkv", w[:, 1:].transpose(2, 1, 0, 3).reshape(d_model, -1)
+    yield f"{prefix}.wo", rng.normal(size=(d_model, d_model)) * s_in
+    yield f"{prefix}.ffn.w1", rng.normal(size=(d_model, d_ff)) * s_in
+    yield f"{prefix}.ffn.b1", np.zeros(d_ff)
+    yield f"{prefix}.ffn.w2", rng.normal(size=(d_ff, d_model)) / math.sqrt(d_ff)
+    yield f"{prefix}.ffn.b2", np.zeros(d_model)
+    for name in ("ln1", "ln2"):
+        yield f"{prefix}.{name}.g", np.ones(d_model)
+        yield f"{prefix}.{name}.b", np.zeros(d_model)
 
 
-def fresh_arrays(config: HiceConfig, frozen: np.ndarray) -> dict[str, np.ndarray]:
-    """A fresh model's parameter arrays by name, in ``parameters()`` order,
-    drawn from ``config.seed`` in that order; the MASK and UNK rows start as
-    the mean of the frozen rows."""
+def fresh_arrays(config: HiceConfig, frozen: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
+    """A fresh model's (name, array) pairs, in ``parameters()`` order, each
+    drawn from ``config.seed`` as it is yielded; the MASK and UNK rows start
+    as the mean of the frozen rows."""
     d_in, d_model = config.embed_dim, config.d_model
     rng = np.random.default_rng(config.seed)
     mean_row = frozen.mean(axis=0, dtype=np.float64) if len(frozen) else np.zeros(d_in)
-    arrays = {"special_embed": np.stack([mean_row, mean_row])}
+    yield "special_embed", np.stack([mean_row, mean_row])
     if d_model != d_in:
-        arrays["input_proj.w"] = rng.normal(size=(d_in, d_model)) / math.sqrt(d_in)
-        arrays["input_proj.b"] = np.zeros(d_model)
-    arrays["a_pos"] = np.ones(config.max_len)
+        yield "input_proj.w", rng.normal(size=(d_in, d_model)) / math.sqrt(d_in)
+        yield "input_proj.b", np.zeros(d_model)
+    yield "a_pos", np.ones(config.max_len)
     for kind, n in (("ctx", config.n_context_blocks), ("agg", config.n_agg_blocks)):
         for i in range(n):
-            arrays.update(block_arrays(f"{kind}{i}", d_model, config.n_heads,
-                                       config.d_ff, rng))
+            yield from block_arrays(f"{kind}{i}", d_model, config.n_heads, config.d_ff, rng)
     ce = config.char_emb_dim
-    arrays["char_embed"] = rng.normal(size=(N_CHARS, ce)) * 0.1
+    yield "char_embed", rng.normal(size=(N_CHARS, ce)) * 0.1
     for w in config.filter_widths:
-        arrays[f"conv{w}.filters"] = (rng.normal(size=(w, ce, config.char_filters))
-                                      / math.sqrt(w * ce))
-        arrays[f"conv{w}.bias"] = np.zeros(config.char_filters)
+        yield f"conv{w}.filters", rng.normal(size=(w, ce, config.char_filters)) / math.sqrt(w * ce)
+        yield f"conv{w}.bias", np.zeros(config.char_filters)
     fuse_in = d_model + config.c_morph
-    arrays["fuse.w"] = rng.normal(size=(fuse_in, d_in)) / math.sqrt(fuse_in)
-    arrays["fuse.b"] = np.zeros(d_in)
-    return arrays
+    yield "fuse.w", rng.normal(size=(fuse_in, d_in)) / math.sqrt(fuse_in)
+    yield "fuse.b", np.zeros(d_in)
+
+
+def _in_checkpoint_order(shapes: dict[str, tuple[int, ...]],
+                         arrays: dict[str, np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
+    """The (name, array) pairs of ``arrays`` in the order of ``shapes``. A
+    missing, misshapen or extra array is an error, so a checkpoint whose
+    config was edited cannot drop parameters."""
+    arrays = dict(arrays)
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise FormatError(f"checkpoint missing parameter {name!r}")
+        arr = arrays.pop(name)
+        if np.shape(arr) != shape:
+            raise FormatError(f"checkpoint parameter {name!r}: shape {np.shape(arr)} vs {shape}")
+        yield name, arr
+    if arrays:
+        raise FormatError(f"checkpoint has unexpected array {next(iter(arrays))!r}")
 
 
 class AttentionBlockParams:
@@ -185,7 +199,7 @@ class AttentionBlockParams:
     gives the parameter of each array named ``prefix.*`` (see
     ``block_arrays``)."""
 
-    def __init__(self, take: Callable[..., Tensor], prefix: str, d_model: int,
+    def __init__(self, take: Callable[..., Parameter], prefix: str, d_model: int,
                  n_heads: int, d_ff: int):
         self.wq = take(f"{prefix}.wq", d_model, d_model)
         self.wkv = take(f"{prefix}.wkv", d_model, 2 * d_model)
@@ -283,8 +297,7 @@ class HiceModel:
                  frozen_words: list[str], vocab: Vocabulary | None = None):
         """A fresh model over the rows ``frozen`` of ``frozen_words`` (shared
         when float32), its parameters drawn by ``fresh_arrays``."""
-        table = EmbeddingTable.from_rows(frozen_words, frozen)
-        self._bind(config, table, fresh_arrays(config, table.matrix), vocab)
+        self._bind(config, EmbeddingTable.from_rows(frozen_words, frozen), None, vocab)
 
     @classmethod
     def from_arrays(cls, config: HiceConfig, table: EmbeddingTable,
@@ -297,26 +310,28 @@ class HiceModel:
         return model
 
     def _bind(self, config: HiceConfig, table: EmbeddingTable,
-              arrays: dict[str, np.ndarray], vocab: Vocabulary | None) -> None:
-        """Make each parameter from its array in ``arrays``. A missing,
-        misshapen or extra array is an error, so a checkpoint whose config
-        was edited cannot drop parameters."""
+              arrays: dict[str, np.ndarray] | None, vocab: Vocabulary | None) -> None:
+        """Make the parameters from ``arrays``, or when it is None from
+        ``fresh_arrays`` one draw at a time, each cast straight into its
+        slice of one parameter vector in checkpoint order."""
         if table.dim != config.embed_dim:
             raise InputError(f"frozen table {table.matrix.shape} does not match "
                              f"embed_dim {config.embed_dim}")
         self.config, self.table, self.vocab = config, table, vocab
-        arrays, self._params = dict(arrays), []
+        shapes: dict[str, tuple[int, ...]] = {}
+        self._attach(lambda name, *shape: shapes.setdefault(name, shape))
+        self._params = ParamVector(sum(math.prod(shape) for shape in shapes.values()))
+        for name, arr in (fresh_arrays(config, table.matrix) if arrays is None
+                          else _in_checkpoint_order(shapes, arrays)):
+            self._params.add(name, arr)
+        by_name = dict(self._params)
+        self._attach(lambda name, *shape: by_name[name])
 
-        def take(name: str, *shape: int) -> Tensor:
-            if name not in arrays:
-                raise FormatError(f"checkpoint missing parameter {name!r}")
-            arr = np.asarray(arrays.pop(name), dtype=np.float64)
-            if arr.shape != shape:
-                raise FormatError(
-                    f"checkpoint parameter {name!r}: shape {arr.shape} vs {shape}")
-            self._params.append((name, tc.parameter(arr)))
-            return self._params[-1][1]
-
+    def _attach(self, take: Callable[..., Parameter]) -> None:
+        """Set each parameter attribute to ``take(name, *shape)``, in
+        checkpoint order: ``_bind`` runs this once to learn the shapes and
+        once to bind the parameters."""
+        config = self.config
         d_in, d_model = config.embed_dim, config.d_model
         self.special_embed = take("special_embed", 2, d_in)
         self.input_proj_w = self.input_proj_b = None
@@ -336,8 +351,6 @@ class HiceModel:
             self.conv_bias[w] = take(f"conv{w}.bias", config.char_filters)
         self.fuse_w = take("fuse.w", d_model + config.c_morph, d_in)
         self.fuse_b = take("fuse.b", d_in)
-        if arrays:
-            raise FormatError(f"checkpoint has unexpected array {next(iter(arrays))!r}")
 
     @classmethod
     def from_table(cls, config: HiceConfig, table: EmbeddingTable,
@@ -356,14 +369,13 @@ class HiceModel:
     def bind_vocab(self, vocab: Vocabulary) -> None:
         self.vocab = vocab
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """Every parameter by name, in the order ``_bind`` takes them, which
-        is the checkpoint's."""
-        return list(self._params)
+    def parameters(self) -> ParamVector:
+        """The parameter vector: iterating gives every parameter by name, in
+        the order ``_bind`` takes them, which is the checkpoint's."""
+        return self._params
 
     def zero_grads(self) -> None:
-        for _, p in self.parameters():
-            p.zero_grad()
+        self._params.zero_grads()
 
     # ------------------------------------------------------------------
     # forward pieces

@@ -2,11 +2,12 @@
 
 The design is a tape: ops executed inside a ``with Graph():`` block append
 nodes to the active graph in execution order, and ``backward(loss)`` walks
-the tape in reverse, accumulating gradients into leaf tensors that were
-created with ``requires_grad=True``. A backward rule returns a gradient for
-every input; ``backward`` keeps only those of recorded nodes and
-``requires_grad`` leaves. Ops executed with no active graph are plain numpy
-computations (cheap inference path).
+the tape in reverse, accumulating gradients into the parameters it reaches.
+A parameter is an entry of a ``ParamVector``: its value and its gradient
+are views of the vector's one value array and one gradient array. A
+backward rule returns a gradient for every input; ``backward`` keeps only
+those of recorded nodes and parameters. Ops executed with no active graph
+are plain numpy computations (cheap inference path).
 
 The ops work on whole batches: multi-head attention within padded
 sequences that masks the padded keys, row gathers that pad with zeros, a
@@ -53,13 +54,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "node", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         _require_finite(arr, "tensor")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.node: Node | None = None
-        self.requires_grad = requires_grad
+        self.requires_grad = False
 
     @classmethod
     def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
@@ -78,18 +79,118 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
+    def __repr__(self) -> str:
+        flag = ", requires_grad=True" if self.requires_grad else ""
+        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
+
+
+class Parameter(Tensor):
+    """A leaf that receives gradients: entry ``index`` of a ``ParamVector``.
+    Its ``data`` is a view of the vector's values that nothing rebinds, and
+    its ``grad``, once a backward pass reaches it, a view of the vector's
+    gradients."""
+
+    __slots__ = ("index", "_view", "_grads")
+
+    def __init__(self, grads: "_Grads", index: int, view: np.ndarray):
+        self.index, self._view, self._grads = index, view, grads
+        self.grad = None
+        self.node = None
+        self.requires_grad = True
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._view
+
     def zero_grad(self) -> None:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # the first gradient is copied in, so a -0.0 stays -0.0
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = self._grads.view(self.index)
+            self.grad[...] = g
         else:
             self.grad += g
 
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
+
+class _Grads:
+    """The gradient vector of a ``ParamVector``, allocated by the first
+    backward pass that reaches one of its parameters. The parameters hold
+    this and not the vector, so that no reference cycle keeps a dropped
+    model's values alive until the cyclic garbage collector runs."""
+
+    __slots__ = ("size", "slots", "array", "views")
+
+    def __init__(self, size: int):
+        self.size = size
+        self.slots: list[tuple[int, int, tuple[int, ...]]] = []  # lo, hi, shape
+        self.array: np.ndarray | None = None
+        self.views: list[np.ndarray] = []
+
+    def view(self, index: int) -> np.ndarray:
+        if self.array is None:
+            self.array = np.empty(self.size)
+            self.views = [self.array[lo:hi].reshape(shape) for lo, hi, shape in self.slots]
+        return self.views[index]
+
+
+class ParamVector:
+    """Named parameters stored back to back, in the order they were added,
+    in one float64 vector ``data``; their gradients live the same way in
+    ``grad``, which the first backward pass that reaches one allocates.
+    Iterating gives the (name, parameter) pairs."""
+
+    def __init__(self, size: int):
+        self.data = np.empty(size)
+        self.bounds = [0]  # parameter i holds data[bounds[i]:bounds[i + 1]]
+        self._params: list[tuple[str, Parameter]] = []
+        self._grads = _Grads(size)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._grads.array
+
+    def add(self, name: str, arr) -> Parameter:
+        """Cast ``arr`` straight into the next slice, as a new parameter."""
+        arr = np.asarray(arr)
+        lo, hi = self.bounds[-1], self.bounds[-1] + arr.size
+        view = self.data[lo:hi].reshape(arr.shape)
+        np.copyto(view, arr, casting="unsafe")
+        _require_finite(view, "tensor")
+        self.bounds.append(hi)
+        self._grads.slots.append((lo, hi, arr.shape))
+        p = Parameter(self._grads, len(self._params), view)
+        self._params.append((name, p))
+        return p
+
+    def __iter__(self):
+        return iter(self._params)
+
+    def zero_grads(self) -> None:
+        for _, p in self._params:
+            p.grad = None
+
+    def live_runs(self) -> list[tuple[int, int]]:
+        """The [lo, hi) spans of ``grad`` covered by runs of consecutive
+        parameters that have a gradient."""
+        runs: list[tuple[int, int]] = []
+        for (_, p), lo, hi in zip(self._params, self.bounds, self.bounds[1:]):
+            if p.grad is None:
+                continue
+            if runs and runs[-1][1] == lo:
+                runs[-1] = (runs[-1][0], hi)
+            else:
+                runs.append((lo, hi))
+        return runs
+
+    def grads(self) -> np.ndarray:
+        """``grad``, allocated if need be, with zeros in the slices of
+        parameters that have no gradient."""
+        for i, (_, p) in enumerate(self._params):
+            if p.grad is None:
+                self._grads.view(i)[...] = 0.0
+        return self.grad
 
 
 class Node:
@@ -195,11 +296,13 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
+    return Tensor(data)
 
 
-def parameter(data) -> Tensor:
-    return Tensor(data, requires_grad=True)
+def parameter(data) -> Parameter:
+    """A parameter that is the one entry of its own vector."""
+    arr = np.asarray(data, dtype=np.float64)
+    return ParamVector(arr.size).add("", arr)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -277,7 +380,8 @@ def attention(qp: Tensor, kvp: Tensor, n_heads: int, queries, keys,
     and ``keys`` [S, Lk] the kvp row of each key slot, -1 past its end. No
     row may fill two query slots or two key slots, so the backward pass
     adds each gradient row once. Scores are scaled by 1/sqrt(d) and padded
-    keys get weight exactly 0 and no gradient; every sequence needs a key.
+    keys get weight exactly 0 and no gradient; every sequence needs a key,
+and some sequence a query.
     The result holds the query slots that are not padding in row-major
     order, [*, d]. ``sink`` collects the softmax array [S, heads, Lq, Lk].
     """
@@ -289,11 +393,12 @@ def attention(qp: Tensor, kvp: Tensor, n_heads: int, queries, keys,
     if q_ids.ndim != 2 or k_ids.ndim != 2 or len(q_ids) != len(k_ids) \
             or (q_ids.size and not -1 <= q_ids.min() <= q_ids.max() < n_q) \
             or (k_ids.size and not -1 <= k_ids.min() <= k_ids.max() < n_kv) \
-            or (k_ids < 0).all(axis=1).any() \
+            or (q_ids < 0).all() or (k_ids < 0).all(axis=1).any() \
             or np.bincount(q_ids.ravel() + 1, minlength=2)[1:].max() > 1 \
             or np.bincount(k_ids.ravel() + 1, minlength=2)[1:].max() > 1:
         raise ShapeError(f"attention: slots {q_ids.shape}, {k_ids.shape} for {qp.shape}, "
-                         f"{kvp.shape}: an id out of range or in two slots, or no key")
+                         f"{kvp.shape}: an id out of range or in two slots, no query, "
+                         "or a sequence with no key")
     q_pad, k_pad = q_ids < 0, k_ids < 0
     heads = (n_heads, d // n_heads)
     kv = kvp.data.reshape((n_kv, 2) + heads)

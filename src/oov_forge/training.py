@@ -14,12 +14,12 @@ import numpy as np
 
 from . import tensor as tc
 from .container import read_container, unpack_text, write_container
-from .corpus import EmbeddingTable, SentenceStore, Vocabulary, split_words
-from .episode import Episode, episode_stream, eligible_targets, sample_episode
+from .corpus import EmbeddingTable, SentenceStore, Vocabulary
+from .episode import Episode, episode_stream, sample_episode, split_targets
 from .errors import FormatError, InputError, NumericError, TrainingError
 from .evaluation import cosine_np
 from .model import HiceConfig, HiceModel
-from .tensor import Graph, Tensor, backward
+from .tensor import Graph, ParamVector, Tensor, backward
 
 CHECKPOINT_MAGIC = "HICE1"
 GRAD_CLIP = 5.0  # global gradient-norm bound of a training step
@@ -57,6 +57,8 @@ class TrainReport:
     best_step: int = 0
     best_val: float = float("-inf")
     step_cosines: list[float] = field(default_factory=list)  # batch-mean per step
+    grad_norms: list[float] = field(default_factory=list)    # per step, before clipping
+    clip_factors: list[float] = field(default_factory=list)  # per step, 1.0 if unclipped
 
     def to_csv(self) -> str:
         lines = ["step,train_cos,val_cos"]
@@ -66,43 +68,47 @@ class TrainReport:
 
 
 class Adam:
-    """Adam on a named parameter list, with global-norm gradient clipping."""
+    """Adam on a parameter vector, with global-norm gradient clipping. A
+    parameter that has no gradient in a step is left as it is, moments and
+    all."""
 
-    def __init__(self, params: list[tuple[str, Tensor]], lr: float = 1e-3,
-                 grad_clip: float = 0.0):
+    def __init__(self, params: ParamVector, lr: float = 1e-3, grad_clip: float = 0.0):
         self.params = params
         self.lr = lr
         self.grad_clip = grad_clip
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params}
-        self.v = {name: np.zeros_like(p.data) for name, p in params}
+        self.m = np.zeros_like(params.data)
+        self.v = np.zeros_like(params.data)
+        self.sq = np.empty_like(params.data)  # squared gradients, for the norm
 
-    def step(self) -> None:
-        if self.grad_clip > 0:
-            total = 0.0
-            for _, p in self.params:
-                if p.grad is not None:
-                    total += float((p.grad * p.grad).sum())
-            norm = total ** 0.5
-            if norm > self.grad_clip:
-                factor = self.grad_clip / norm
-                for _, p in self.params:
-                    if p.grad is not None:
-                        p.grad *= factor
+    def step(self) -> tuple[float, float]:
+        """One update from the gradients in ``params.grad``; returns the
+        global gradient norm and the clip factor applied (1.0 if none)."""
+        runs = self.params.live_runs()
+        g, sq, bounds = self.params.grad, self.sq, self.params.bounds
+        for lo, hi in runs:
+            np.multiply(g[lo:hi], g[lo:hi], out=sq[lo:hi])
+        # the norm adds one sum per parameter, in parameter order
+        total = 0.0
+        for (_, p), lo, hi in zip(self.params, bounds, bounds[1:]):
+            if p.grad is not None:
+                total += float(sq[lo:hi].sum())
+        norm, factor = total ** 0.5, 1.0
+        if 0 < self.grad_clip < norm:
+            factor = self.grad_clip / norm
+            for lo, hi in runs:
+                g[lo:hi] *= factor
         self.t += 1
         b1t = 1.0 - ADAM_BETA1 ** self.t
         b2t = 1.0 - ADAM_BETA2 ** self.t
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
+        for lo, hi in runs:
+            gs, m, v = g[lo:hi], self.m[lo:hi], self.v[lo:hi]
             m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
+            m += (1 - ADAM_BETA1) * gs
             v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+            v += (1 - ADAM_BETA2) * gs * gs
+            self.params.data[lo:hi] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        return norm, factor
 
 
 def episode_loss(model: HiceModel, episodes: list[Episode],
@@ -155,12 +161,10 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
     else:
         model.bind_vocab(vocab)
 
-    words = eligible_targets(vocab, store, table)
-    if len(words) < 2:
-        raise TrainingError(
-            f"need at least 2 eligible target words to split, have {len(words)}"
-        )
-    train_words, val_words = split_words(words)
+    train_words, val_words = split_targets(vocab, store, table)
+    if len(train_words) + len(val_words) < 2:
+        raise TrainingError("need at least 2 eligible target words to split, have "
+                            f"{len(train_words) + len(val_words)}")
     if not train_words:
         train_words, val_words = val_words, []
     if not val_words:
@@ -178,7 +182,7 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
                             config.seed, words=train_words)
     opt = Adam(model.parameters(), config.learning_rate, GRAD_CLIP)
 
-    best_state: dict[str, np.ndarray] | None = None
+    best_state: np.ndarray | None = None
     window_cos: list[float] = []
     misses = 0
     for step in range(1, config.steps + 1):
@@ -191,8 +195,10 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
             raise TrainingError(f"divergence at step {step}: {e}") from e
         if not np.isfinite(loss.data):
             raise TrainingError(f"divergence at step {step}: non-finite loss")
-        opt.step()
+        norm, factor = opt.step()
         model.zero_grads()
+        report.grad_norms.append(norm)
+        report.clip_factors.append(factor)
         window_cos.append(mean_cos)
         report.step_cosines.append(mean_cos)
 
@@ -204,7 +210,7 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
             if val_cos > report.best_val:
                 report.best_val = val_cos
                 report.best_step = step
-                best_state = {name: p.data.copy() for name, p in model.parameters()}
+                best_state = model.parameters().data.copy()
                 misses = 0
                 if config.checkpoint_path:
                     save_checkpoint(model, config.checkpoint_path,
@@ -216,9 +222,7 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
                     break
 
     if best_state is not None:
-        for name, p in model.parameters():
-            p.data = best_state[name]
-            p.grad = None
+        model.parameters().data[...] = best_state
     return model, report
 
 

@@ -11,8 +11,6 @@ from oov_forge.training import episode_loss
 def finetune_step(model: HiceModel, batch: list[Episode], lr: float,
                   vocab: Vocabulary | None = None) -> HiceModel:
     """One plain SGD step on target-corpus episodes."""
-    params = [p for _, p in model.parameters()]
-    g = _grads(params, lambda: episode_loss(model, batch, vocab=vocab)[0])
-    for p, gi in zip(params, g):
-        p.data = p.data - lr * gi
+    params = model.parameters()
+    params.data -= lr * _grads(params, lambda: episode_loss(model, batch, vocab=vocab)[0])
     return model

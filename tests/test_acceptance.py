@@ -21,8 +21,7 @@ import synthetic_task
 from fd import central_diff, rel_err
 from finetune import finetune_step
 import oov_forge.tensor as tc
-from oov_forge.adaptation import (AdaptConfig, adapt, maml_step, maml_update,
-                                  pseudo_targets)
+from oov_forge.adaptation import AdaptConfig, adapt, maml_step, maml_update
 from oov_forge.baselines import additive, alacarte_fit, alacarte_infer
 from oov_forge.corpus import (EmbeddingTable, load_embeddings,
                               save_embeddings, split_words)
@@ -33,7 +32,7 @@ from oov_forge.evaluation import (cosine_np, evaluate_method,
                                   load_benchmark_tsv, save_benchmark_tsv,
                                   spearman)
 from oov_forge.model import HiceConfig, HiceModel
-from oov_forge.tensor import Graph, backward, constant, parameter, sum_all
+from oov_forge.tensor import Graph, ParamVector, backward, constant, parameter, sum_all
 from oov_forge.training import (TrainConfig, build_validation_episodes,
                                 evaluate_cosine, load_checkpoint,
                                 save_checkpoint, train)
@@ -250,9 +249,10 @@ def test_criterion_3_update_rule_fidelity():
                                       (-3.0, 1.5, 4.0, 0.3, 0.2),
                                       (5.0, 5.0, 5.0, 0.25, 0.1)]:
         for first_order in (True, False):
-            theta = parameter(np.array(theta0))
+            params = ParamVector(1)
+            theta = params.add("theta", np.array(theta0))
             loss_t, loss_n = quadratic_losses(theta, a, b)
-            maml_update([theta], loss_t, loss_n,
+            maml_update(params, loss_t, loss_n,
                         AdaptConfig(alpha=alpha, beta=beta,
                                     first_order=first_order))
             expected = hand_solution(theta0, a, b, alpha, beta, first_order)
@@ -358,7 +358,7 @@ def test_criterion_6_domain_shift(linear_setup, tmp_path):
     rot = synthetic_task.partial_rotation(16, angle=0.9, seed=1)
     oracle_n = synthetic_task.rotate_table(oracle_n0, rot)
 
-    words_n = pseudo_targets(vocab_n, store_n, oracle_n, min_count=4)
+    words_n = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)
     holdout_words = words_n[::20][:60]
     adapt_words = [w for w in words_n if w not in set(holdout_words)]
     rng = np.random.default_rng(0)

@@ -6,14 +6,14 @@ import pytest
 import synthetic_task
 from finetune import finetune_step
 from oov_forge import adaptation
-from oov_forge.adaptation import (AdaptConfig, adapt, maml_step, maml_update,
-                                  pseudo_targets)
+from oov_forge.adaptation import AdaptConfig, adapt, maml_step, maml_update
 from oov_forge.corpus import EmbeddingTable
-from oov_forge.episode import episode_stream, sample_episode
+from oov_forge.episode import eligible_targets, episode_stream, sample_episode
 from oov_forge.errors import AdaptationError
 from oov_forge.model import HiceConfig, HiceModel
-from oov_forge.tensor import add, constant, mul, parameter, sum_all
+from oov_forge.tensor import ParamVector, add, constant, mul, sum_all
 from oov_forge.training import TrainConfig, evaluate_cosine, train
+from vectors import assert_on_vectors
 
 
 def quadratic_losses(theta, a, b):
@@ -47,11 +47,12 @@ def hand_solution(theta0, a, b, alpha, beta, first_order):
     (1.0, -2.0, 3.0, 0.2, 0.0),    # beta = 0: no update at all
 ])
 def test_maml_matches_hand_derived_quadratic(theta0, a, b, alpha, beta, first_order):
-    theta = parameter(np.array(theta0))
+    params = ParamVector(1)
+    theta = params.add("theta", np.array(theta0))
     loss_t, loss_n = quadratic_losses(theta, a, b)
     cfg = AdaptConfig(alpha=alpha, beta=beta, first_order=first_order,
                       adapt_steps=1)
-    maml_update([theta], loss_t, loss_n, cfg)
+    maml_update(params, loss_t, loss_n, cfg)
     expected = hand_solution(theta0, a, b, alpha, beta, first_order)
     assert abs(float(theta.data) - expected) < 1e-10
 
@@ -59,21 +60,23 @@ def test_maml_matches_hand_derived_quadratic(theta0, a, b, alpha, beta, first_or
 @pytest.mark.parametrize("first_order", [True, False])
 def test_alpha_zero_never_evaluates_the_source_loss(first_order):
     """Plain fine-tuning (alpha = 0) costs one target gradient per update."""
-    theta = parameter(np.array(0.7))
+    params = ParamVector(1)
+    theta = params.add("theta", np.array(0.7))
     _, loss_n = quadratic_losses(theta, 2.0, -1.0)
 
     def loss_source():
         raise AssertionError("the source loss was evaluated at alpha = 0")
 
-    maml_update([theta], loss_source, loss_n,
+    maml_update(params, loss_source, loss_n,
                 AdaptConfig(alpha=0.0, beta=0.05, first_order=first_order))
     assert float(theta.data) == pytest.approx(0.7 - 2 * 0.05 * (0.7 + 1.0), abs=1e-12)
 
 
 def test_beta_zero_leaves_theta_unchanged():
-    theta = parameter(np.array(1.234))
+    params = ParamVector(1)
+    theta = params.add("theta", np.array(1.234))
     loss_t, loss_n = quadratic_losses(theta, 0.3, -0.7)
-    maml_update([theta], loss_t, loss_n, AdaptConfig(alpha=0.2, beta=0.0))
+    maml_update(params, loss_t, loss_n, AdaptConfig(alpha=0.2, beta=0.0))
     assert float(theta.data) == 1.234
 
 
@@ -168,9 +171,25 @@ def test_adapt_takes_no_source_corpus_at_alpha_zero():
         adapt(m2, replace(cfg, alpha=1e-3), None, (vocab_n, store_n, oracle_n))
 
 
+@pytest.mark.parametrize("first_order", [True, False])
+def test_adapt_keeps_every_parameter_on_the_vectors(first_order):
+    vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
+    mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
+    model = HiceModel.from_table(mc, oracle, vocab)
+    before = model.parameters().data.copy()
+    adapt(model, AdaptConfig(alpha=1e-3, beta=1e-2, first_order=first_order,
+                             adapt_steps=2, seed=3),
+          (vocab, store, oracle), (vocab_n, store_n, oracle_n))
+    assert not np.array_equal(model.parameters().data, before)
+    rng = np.random.default_rng(0)
+    probes = [sample_episode(w, 2, rng, store_n, oracle_n)
+              for w in eligible_targets(vocab_n, store_n, oracle_n, min_count=4)[:3]]
+    assert_on_vectors(model, probes, vocab_n)
+
+
 def test_pseudo_targets_threshold():
     vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
-    words = pseudo_targets(vocab_n, store_n, oracle_n, min_count=4)
+    words = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)
     assert words
     for w in words:
         assert vocab_n.counts[vocab_n.id_of(w)] > 4
@@ -185,7 +204,7 @@ def test_adapt_improves_on_shifted_domain_and_keeps_invariances():
     model, _ = train(tc_, vocab, store, oracle, model_config=mc)
     frozen_before = model.frozen.copy()
 
-    holdout_words = pseudo_targets(vocab_n, store_n, oracle_n, min_count=4)[:12]
+    holdout_words = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)[:12]
     rng = np.random.default_rng(0)
     holdout = [sample_episode(w, 3, rng, store_n, oracle_n) for w in holdout_words]
     before = evaluate_cosine(model, holdout, vocab=vocab_n)
@@ -211,7 +230,7 @@ def test_finetune_overfits_tiny_target_set():
                       k_min=2, k_max=4, seed=0, patience=20)
     model, _ = train(tc_, vocab, store, oracle, model_config=mc)
 
-    words = pseudo_targets(vocab_n, store_n, oracle_n, min_count=4)
+    words = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)
     rng = np.random.default_rng(1)
     train_eps = [sample_episode(w, 3, rng, store_n, oracle_n) for w in words[:10]]
     holdout = [sample_episode(w, 3, rng, store_n, oracle_n) for w in words[10:22]]

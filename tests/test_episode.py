@@ -1,12 +1,16 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, tokenize
+from oov_forge.corpus import (EmbeddingTable, SentenceStore, Vocabulary, build_vocab,
+                              split_words, tokenize)
 from oov_forge.episode import (CHAR_BOW, CHAR_EOW, CHAR_IDS, CHAR_UNK, CONTEXT_WINDOW,
                                MASK_ID, MASK_TOKEN, N_CHARS, char_sequence, decode_context,
-                               episode_from_masked, episode_stream,
-                               mask_window, sample_episode, window_on_mask)
+                               eligible_targets, episode_from_masked, episode_stream,
+                               mask_window, sample_episode, split_targets, window_on_mask)
 from oov_forge.errors import EpisodeError
 
 
@@ -254,3 +258,81 @@ def test_mask_window_equals_masking_the_sentence_then_windowing(data):
         with pytest.raises(ValueError):
             window_on_mask(ids)
     assert ids == before
+
+
+# ---------------------------------------------------------------------------
+# target selection
+# ---------------------------------------------------------------------------
+
+def _loop_eligible(vocab, store, table):
+    """The training targets as a loop over the vocabulary selected them."""
+    out = []
+    for w in vocab.eligible_words():
+        if table is not None and w not in table:
+            continue
+        if store.index.get(vocab.id_of(w)):
+            out.append(w)
+    return out
+
+
+def _loop_pseudo(vocab_n, store_n, table, min_count):
+    """The adaptation targets as a loop over the vocabulary selected them."""
+    return [word for wid, word in enumerate(vocab_n.words)
+            if vocab_n.counts[wid] > min_count and word in table and store_n.index.get(wid)]
+
+
+def _target_corpus(seed):
+    """A vocabulary with counts 1..9, a store over only some of its
+    sentences (so some words have none) and a table missing some words."""
+    rng = np.random.default_rng(seed)
+    sentences = [[f"w{int(rng.integers(40)):02d}" for _ in range(int(rng.integers(2, 6)))]
+                 for _ in range(60)]
+    vocab = build_vocab(sentences, min_count=int(rng.integers(1, 4)))
+    store = SentenceStore.from_tokens(sentences[:20], vocab)
+    rows = {w: rng.normal(size=3).astype(np.float32) for w in vocab.words
+            if rng.random() < 0.7}
+    return vocab, store, EmbeddingTable(dim=3, vectors=rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eligible_targets_equals_the_loops_in_order(seed):
+    vocab, store, table = _target_corpus(seed)
+    counts = sorted(set(vocab.counts))
+    assert any(not store.index.get(i) for i in range(len(vocab)))
+    assert any(w not in table for w in vocab.words)
+    for threshold in sorted({c + d for c in counts for d in (-1, 0)} | {0}):
+        # interleaved calls with other arguments must not leak through the kept result
+        assert eligible_targets(vocab, store, table, threshold) == \
+            _loop_pseudo(vocab, store, table, threshold), threshold
+        assert eligible_targets(vocab, store, None) == _loop_eligible(vocab, store, None)
+        at = Vocabulary(vocab.words, vocab.counts, vocab.stop_flags, min_count=threshold)
+        assert eligible_targets(at, store, table) == _loop_eligible(at, store, table)
+        assert eligible_targets(at, store, None) == _loop_eligible(at, store, None)
+        assert split_targets(at, store, table) == split_words(_loop_eligible(at, store, table))
+
+
+def test_eligible_targets_hands_out_copies():
+    vocab, store, table = _target_corpus(0)
+    want = eligible_targets(vocab, store, table)
+    split = split_targets(vocab, store, table)
+    got = eligible_targets(vocab, store, table)
+    got.append("intruder")
+    got.reverse()
+    for part in split_targets(vocab, store, table):
+        part.clear()
+    assert eligible_targets(vocab, store, table) == want == _loop_eligible(vocab, store, table)
+    assert split_targets(vocab, store, table) == split
+
+
+def test_kept_targets_do_not_keep_the_store_alive():
+    # the store holds the vocabulary, so holding the store strongly from the
+    # vocabulary would make a cycle only the cyclic collector frees
+    vocab, store, table = _target_corpus(1)
+    assert split_targets(vocab, store, table)[0]
+    store_ref = weakref.ref(store)
+    gc.disable()
+    try:
+        del vocab, store
+        assert store_ref() is None
+    finally:
+        gc.enable()

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
                              Segments, block_arrays, encoding_block, fresh_arrays,
                              self_attention)
 from oov_forge.tensor import Graph, backward, constant, cosine, parameter, sum_all
+from vectors import assert_on_vectors
 
 DIM = 8
 
@@ -61,7 +64,7 @@ def morph_features(model, *words):
 
 def fresh_block(d_model, n_heads, d_ff, rng):
     """A block of weights drawn as a fresh model draws them."""
-    arrays = block_arrays("b", d_model, n_heads, d_ff, rng)
+    arrays = dict(block_arrays("b", d_model, n_heads, d_ff, rng))
     return AttentionBlockParams(lambda name, *shape: parameter(arrays[name]), "b",
                                 d_model, n_heads, d_ff)
 
@@ -299,14 +302,45 @@ def test_config_rejects_a_repeated_filter_width():
 
 def test_a_model_holds_the_arrays_it_is_given():
     model, table = make_model()
-    arrays = fresh_arrays(model.config, table.matrix)
+    arrays = dict(fresh_arrays(model.config, table.matrix))
     bound = HiceModel.from_arrays(model.config, table, arrays)
-    # float64 arrays become parameters without a copy, in the order given
+    # the arrays are copied into consecutive slices of one vector, in the order given
     assert [name for name, _ in bound.parameters()] == list(arrays)
-    assert all(p.data is arrays[name] for name, p in bound.parameters())
+    assert np.array_equal(bound.parameters().data,
+                          np.concatenate([arr.ravel() for arr in arrays.values()]))
+    assert all(p.data.base is bound.parameters().data and np.array_equal(p.data, arrays[name])
+               for name, p in bound.parameters())
     # the fresh model is the one these arrays make
     assert all(np.array_equal(p.data, arrays[name]) for name, p in model.parameters())
     assert bound.table is table
+
+
+def test_a_fresh_model_keeps_every_parameter_on_the_vectors():
+    vocab, store = make_corpus()
+    table = make_table()
+    model, _ = make_model(table, vocab)
+    assert model.parameters().grad is None
+    model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]])])
+    assert model.parameters().grad is None  # inference allocates no gradient vector
+    words = [w for w in vocab.words if w in table and store.index.get(vocab.id_of(w))]
+    rng = np.random.default_rng(0)
+    assert_on_vectors(model, [sample_episode(w, 2, rng, store, table) for w in words[:3]])
+
+
+def test_a_dropped_model_frees_its_vectors_at_once():
+    # no reference cycle waits for the cyclic collector to free the values
+    vocab, store = make_corpus()
+    model, table = make_model(vocab=vocab)
+    with Graph():
+        backward(sum_all(model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]])])))
+    params = weakref.ref(model.parameters())
+    assert model.parameters().grad is not None
+    gc.disable()
+    try:
+        del model
+        assert params() is None
+    finally:
+        gc.enable()
 
 
 def test_model_shares_the_table_rows():
@@ -470,7 +504,7 @@ def test_embed_tokens_gradient_only_reaches_special_rows(rng):
     # learned rows, and only those learned rows take a gradient
     vocab, _ = make_corpus()
     model, table = make_model(vocab=vocab)
-    model.special_embed.data = rng.normal(size=(2, DIM))
+    model.special_embed.data[...] = rng.normal(size=(2, DIM))
     a, b = vocab.words[:2]
     batch = model.batch([episode_of([[vocab.id_of(a), MASK_ID, UNK_ID,
                                       vocab.id_of(b), MASK_ID]])])

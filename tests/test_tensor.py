@@ -11,7 +11,7 @@ import oov_forge.tensor as tc
 from attention_reference import attention_reference
 from fd import check_grads
 from oov_forge.errors import GraphError, NumericError, ShapeError
-from oov_forge.tensor import (Graph, Tensor, backward, constant, cosine,
+from oov_forge.tensor import (Graph, ParamVector, Tensor, backward, constant, cosine,
                               conv1d_maxpool, layer_norm, matmul, parameter,
                               sum_all)
 
@@ -169,6 +169,37 @@ def test_attention_refuses_a_row_in_two_slots():
                           ([[0], [1]], [[0, 2], [2, 1]])):
         with pytest.raises(ShapeError, match="two slots"):
             tc.attention(qp, kvp, 2, queries, keys)
+
+
+def test_attention_with_no_query_slot_is_a_shape_error():
+    kvp = constant(np.zeros((3, 8)))
+    for n_q, queries in ((0, [[-1, -1]]), (2, [[-1, -1]]), (0, [[-1], [-1]])):
+        with pytest.raises(ShapeError, match="no query"):
+            tc.attention(constant(np.zeros((n_q, 4))), kvp, 2, queries,
+                         [[0, 1, 2]] * len(queries))
+
+
+def test_a_parameter_is_an_entry_of_a_vector():
+    vec = ParamVector(7)
+    a = vec.add("a", np.array([[1.0, -2.0], [3.0, 4.0]]))
+    b = vec.add("b", np.array([0.5, 0.25, -1.0], dtype=np.float32))
+    assert [name for name, _ in vec] == ["a", "b"] and vec.bounds == [0, 4, 7]
+    assert np.array_equal(vec.data, [1.0, -2.0, 3.0, 4.0, 0.5, 0.25, -1.0])
+    assert a.data.base is vec.data and b.data.base is vec.data
+    with pytest.raises(AttributeError):
+        a.data = np.zeros((2, 2))  # no code rebinds a parameter's value
+    with pytest.raises(NumericError):
+        ParamVector(2).add("x", [1.0, np.inf])
+    assert vec.grad is None  # nothing has asked for a gradient yet
+    with Graph():
+        backward(tc.sum_all(tc.scale(b, -0.0)))
+    # the first gradient is copied in, so -0.0 stays -0.0; a has none
+    assert a.grad is None and b.grad.base is vec.grad
+    assert np.signbit(b.grad).all() and vec.live_runs() == [(4, 7)]
+    assert np.array_equal(vec.grads(), [0.0] * 4 + [-0.0] * 3)
+    with Graph():
+        backward(tc.sum_all(tc.add(tc.scale(b, 2.0), b)))
+    assert np.array_equal(b.grad, [3.0] * 3)  # later gradients are added
 
 
 def _padded_slots(rng, lengths, queries):

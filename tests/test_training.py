@@ -13,12 +13,14 @@ import oov_forge.tensor as tc
 from oov_forge.container import pack_text, read_container, write_container
 from oov_forge.episode import (Episode, char_sequence, eligible_targets,
                                sample_episode)
-from oov_forge.errors import FormatError, TrainingError
+from oov_forge import training
+from oov_forge.errors import FormatError, NumericError, TrainingError
 from oov_forge.model import HiceConfig, HiceModel
-from oov_forge.tensor import Graph, backward, constant, mul, parameter, sum_all
+from oov_forge.tensor import Graph, ParamVector, backward, constant, mul, scale, sum_all
 from oov_forge.training import (Adam, TrainConfig, episode_loss,
-                                CHECKPOINT_MAGIC, load_checkpoint,
+                                CHECKPOINT_MAGIC, GRAD_CLIP, load_checkpoint,
                                 save_checkpoint, train)
+from vectors import assert_on_vectors
 
 
 def small_task(**kw):
@@ -93,8 +95,9 @@ def test_loss_requires_oracle():
 # ---------------------------------------------------------------------------
 
 def test_adam_minimizes_quadratic():
-    p = parameter(np.array([5.0, -3.0]))
-    opt = Adam([("p", p)], lr=0.1)
+    params = ParamVector(2)
+    p = params.add("p", np.array([5.0, -3.0]))
+    opt = Adam(params, lr=0.1)
     for _ in range(300):
         with Graph():
             backward(sum_all(mul(p, p)))
@@ -104,9 +107,11 @@ def test_adam_minimizes_quadratic():
 
 
 def test_adam_gradient_clipping():
-    p = parameter(np.zeros(4))
-    opt = Adam([("p", p)], lr=1.0, grad_clip=1.0)
-    p.grad = np.full(4, 100.0)
+    params = ParamVector(4)
+    p = params.add("p", np.zeros(4))
+    opt = Adam(params, lr=1.0, grad_clip=1.0)
+    with Graph():
+        backward(sum_all(scale(p, 100.0)))  # gradient 100 in every entry
     opt.step()
     # clipped global norm is 1, so the first Adam step magnitude stays ~lr
     assert np.abs(p.data).max() <= 1.0 + 1e-9
@@ -511,3 +516,109 @@ def test_checkpointing_during_training_keeps_best(tmp_path):
     assert float(cfgd["best_val"]) == pytest.approx(report.best_val)
     for (_, a), (_, b) in zip(model.parameters(), best.parameters()):
         assert np.array_equal(a.data.astype(np.float32), b.data.astype(np.float32))
+
+
+# ---------------------------------------------------------------------------
+# the parameter vector
+# ---------------------------------------------------------------------------
+
+def _probes(vocab, store, oracle, n=4):
+    rng = np.random.default_rng(0)
+    return [sample_episode(w, 2, rng, store, oracle)
+            for w in eligible_targets(vocab, store, oracle)[:n]]
+
+
+def test_train_and_a_load_keep_every_parameter_on_the_vectors(tmp_path):
+    vocab, store, table, oracle, _ = small_task()
+    path = tmp_path / "best.hice"
+    cfg = TrainConfig(steps=30, batch_episodes=8, validation_every=10,
+                      seed=2, checkpoint_path=str(path), patience=10)
+    model, report = train(cfg, vocab, store, oracle, model_config=small_model_config())
+    assert report.best_step > 0  # the best state was restored
+    assert_on_vectors(model, _probes(vocab, store, oracle))
+    loaded = load_checkpoint(path)
+    loaded.predict(_probes(vocab, store, oracle), vocab)
+    assert loaded.parameters().grad is None  # inference allocates no gradient vector
+    assert_on_vectors(loaded, _probes(vocab, store, oracle), vocab)
+
+
+def test_adam_returns_the_gradient_norm_and_clip_factor():
+    params = ParamVector(4)
+    p = params.add("p", np.zeros(4))
+    opt = Adam(params, lr=1.0, grad_clip=1.0)
+    with Graph():
+        backward(sum_all(scale(p, 100.0)))
+    assert opt.step() == (200.0, 1.0 / 200.0)
+    assert np.array_equal(p.grad, np.full(4, 0.5))  # clipped in place
+    p.zero_grad()
+    state = [arr.copy() for arr in (p.data, opt.m, opt.v)]
+    assert opt.step() == (0.0, 1.0)  # no gradient: no update
+    assert all(np.array_equal(a, b) for a, b in zip(state, (p.data, opt.m, opt.v)))
+
+
+def test_train_records_each_steps_gradient_norm_and_clip_factor(monkeypatch):
+    expected = []
+    step = Adam.step
+
+    def recording(self):
+        total = 0.0
+        for _, p in self.params:
+            if p.grad is not None:
+                total += float((p.grad * p.grad).sum())
+        expected.append(total ** 0.5)
+        return step(self)
+
+    monkeypatch.setattr(Adam, "step", recording)
+    vocab, store, table, oracle, _ = small_task()
+    cfg = TrainConfig(steps=12, batch_episodes=8, validation_every=6, seed=3)
+    _, report = train(cfg, vocab, store, oracle, model_config=small_model_config())
+    assert len(expected) == 12 and report.grad_norms == expected
+    assert report.clip_factors == [GRAD_CLIP / n if n > GRAD_CLIP else 1.0 for n in expected]
+    assert report.to_csv().splitlines()[0] == "step,train_cos,val_cos"
+
+
+def test_without_morphology_its_parameters_and_moments_stay_put(monkeypatch):
+    made = []
+
+    class Recording(Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(training, "Adam", Recording)
+    vocab, store, table, oracle, _ = small_task()
+    config = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3,
+                        use_morph=False, seed=0)
+    model = HiceModel.from_table(config, oracle, vocab)
+    before = {name: p.data.tobytes() for name, p in model.parameters()}
+    cfg = TrainConfig(steps=10, batch_episodes=8, validation_every=5, seed=1)
+    train(cfg, vocab, store, oracle, model=model)
+    (opt,) = made
+    params = model.parameters()
+    moved = []
+    for (name, p), lo, hi in zip(params, params.bounds, params.bounds[1:]):
+        if name == "char_embed" or name.startswith("conv"):
+            assert p.data.tobytes() == before[name], name
+            zeros = np.zeros(hi - lo).tobytes()
+            assert opt.m[lo:hi].tobytes() == zeros and opt.v[lo:hi].tobytes() == zeros, name
+        else:
+            moved.append(p.data.tobytes() != before[name])
+    assert all(moved)
+
+
+def test_a_checkpoint_with_a_nonfinite_payload_is_refused(tmp_path):
+    vocab, store, table, oracle, _ = small_task()
+    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    config = dict(model.config.as_dict(), format="hice-checkpoint")
+    arrays = [(name, np.array(arr, dtype=np.float32)) for name, arr in model.state_arrays()
+              if name != "frozen_words"] + [("frozen_words", model.state_arrays()[-1][1])]
+    dict(arrays)["fuse.b"][1] = np.nan
+    path = tmp_path / "nan.hice"
+    write_container(path, CHECKPOINT_MAGIC, config, arrays)
+    with pytest.raises(FormatError, match="non-finite values in entry 'fuse.b'"):
+        load_checkpoint(path)
+    # handed over directly, the array is refused as a tensor refuses it
+    named = {name: p.data.copy() for name, p in model.parameters()}
+    named["a_pos"][0] = np.inf
+    with pytest.raises(NumericError, match="non-finite"):
+        HiceModel.from_arrays(model.config, model.table, named)
