@@ -219,9 +219,9 @@ class Segments:
     """Variable-length sequences stored back to back as the rows of one
     packed [N, ...] matrix; sequence i holds ``lengths[i]`` rows.
 
-    ``index`` [S, Lmax] gives the packed row of each padded slot (-1 past
-    the end of a sequence); ``positions`` gives each packed row's offset
-    inside its sequence.
+    ``mask`` [S, Lmax] marks the padded slots that hold a row: the packed
+    rows fill them in row-major order. ``positions`` gives each packed
+    row's offset inside its sequence.
     """
 
     def __init__(self, lengths):
@@ -229,10 +229,8 @@ class Segments:
         if self.lengths.ndim != 1 or not self.lengths.size or self.lengths.min() < 1:
             raise InputError(f"sequence lengths must be positive, got {list(lengths)}")
         self.starts = np.cumsum(self.lengths) - self.lengths
-        slot = np.arange(int(self.lengths.max()))
-        valid = slot < self.lengths[:, None]
-        self.index = np.where(valid, self.starts[:, None] + slot, -1)
-        self.positions = np.nonzero(valid)[1]
+        self.mask = np.arange(int(self.lengths.max())) < self.lengths[:, None]
+        self.positions = np.nonzero(self.mask)[1]
 
 
 def self_attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segments,
@@ -241,16 +239,14 @@ def self_attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segment
     x[N, d_model]; scores scaled by 1/sqrt(d_model).
 
     ``rows`` [S, Lq] picks the output rows of each sequence (-1 pads; default
-    ``seqs.index``, every row), ``xq`` holds those rows of x in order, and
-    the result holds them in order, [Nq, d_model]. Keys and values are
-    projected for every row, queries for the picked ones. ``sink`` collects
-    the softmax array of ``tc.attention`` [S, heads, Lq, Lmax], one per call.
+    every row), ``xq`` holds those rows of x in order, and the result holds
+    them in order, [Nq, d_model]. Keys and values are projected for every
+    row, queries for the picked ones. ``sink`` collects the softmax array of
+    ``tc.attention`` [S, heads, Lq, Lmax], one per call.
     """
-    picked = (seqs.index if rows is None else rows) >= 0
-    # slot of each picked row in xq, -1 past the end of a sequence
-    q_slot = np.where(picked, np.cumsum(picked).reshape(picked.shape) - 1, -1)
+    picked = seqs.mask if rows is None else rows >= 0
     out = tc.attention(tc.matmul(xq, p.wq), tc.matmul(x, p.wkv), p.n_heads,
-                       q_slot, seqs.index, sink)
+                       picked, seqs.mask, sink)
     return tc.matmul(out, p.wo)
 
 
@@ -260,11 +256,8 @@ def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
     layer norm, over the packed rows x[N, d_model]; with ``rows``, as in
     ``self_attention``, all but the keys and values run on those rows only."""
     xq = x if rows is None else tc.gather_rows(x, rows[rows >= 0])
-    y1 = tc.layer_norm(tc.add(xq, self_attention(x, xq, p, seqs, rows=rows)),
-                       p.ln1_g, p.ln1_b)
-    h = tc.relu(tc.add_bias(tc.matmul(y1, p.w1), p.b1))
-    ffn = tc.add_bias(tc.matmul(h, p.w2), p.b2)
-    return tc.layer_norm(tc.add(y1, ffn), p.ln2_g, p.ln2_b)
+    return tc.encoder_tail(xq, self_attention(x, xq, p, seqs, rows=rows),
+                           p.ln1_g, p.ln1_b, p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b)
 
 
 @dataclass
@@ -462,13 +455,10 @@ class HiceModel:
     def encode_morphology(self, batch: Batch) -> Tensor:
         """Every target word's characters -> [B, c_morph] morphology
         features."""
-        x = tc.gather_rows(self.char_embed, batch.chars)
-        pooled = [
-            tc.add_bias(tc.conv1d_maxpool(x, self.conv_filters[w], batch.char_lengths),
-                        self.conv_bias[w])
-            for w in self.config.filter_widths
-        ]
-        return tc.relu(tc.concat_cols(pooled))
+        widths = self.config.filter_widths
+        return tc.char_cnn(tc.gather_rows(self.char_embed, batch.chars),
+                           [self.conv_filters[w] for w in widths],
+                           [self.conv_bias[w] for w in widths], batch.char_lengths)
 
     def predict(self, episodes: Sequence[Episode],
                 vocab: Vocabulary | None = None) -> Tensor:

@@ -10,9 +10,10 @@ those of recorded nodes and parameters. Ops executed with no active graph
 are plain numpy computations (cheap inference path).
 
 The ops work on whole batches: multi-head attention within padded
-sequences that masks the padded keys, row gathers that pad with zeros, a
-mean over contiguous segments and a char-CNN max-pool that ignores padded
-time steps, so a model runs one op per layer rather than one per vector.
+sequences that masks the padded keys, an encoding block's residual, norm
+and FFN tail, row gathers that pad with zeros, a mean over contiguous
+segments and a char-CNN whose max-pool ignores padded time steps, so a
+model runs one op per layer rather than one per vector.
 
 Deliberate restrictions, to keep the core auditable:
 
@@ -369,43 +370,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", ad @ bd, (a, b), bwd)
 
 
-def attention(qp: Tensor, kvp: Tensor, n_heads: int, queries, keys,
+def attention(qp: Tensor, kvp: Tensor, n_heads: int, q_mask, k_mask,
               sink: list | None = None) -> Tensor:
     """Multi-head scaled dot-product attention within padded sequences,
     from the query projection qp[Nq, d] and the key/value projection
     kvp[N, 2d] (every head's key columns, then every head's value columns)
     to one output row per query.
 
-    ``queries`` [S, Lq] gives the qp row of each query slot of sequence s
-    and ``keys`` [S, Lk] the kvp row of each key slot, -1 past its end. No
-    row may fill two query slots or two key slots, so the backward pass
-    adds each gradient row once. Scores are scaled by 1/sqrt(d) and padded
-    keys get weight exactly 0 and no gradient; every sequence needs a key,
-and some sequence a query.
-    The result holds the query slots that are not padding in row-major
-    order, [*, d]. ``sink`` collects the softmax array [S, heads, Lq, Lk].
+    The boolean slot masks ``q_mask`` [S, Lq] and ``k_mask`` [S, Lk] mark
+    the query and key slots of sequence s that are not padding; the rows of
+    qp fill the query slots in row-major order and the rows of kvp the key
+    slots, so each mask holds as many slots as its projection has rows.
+    Scores are scaled by 1/sqrt(d) and padded keys get weight exactly 0 and
+    no gradient; every sequence needs a key, and some sequence a query.
+    The result holds the query rows in qp's order, [Nq, d]. ``sink``
+    collects the softmax array [S, heads, Lq, Lk].
     """
     if qp.data.ndim != 2 or kvp.data.ndim != 2 or kvp.shape[1] != 2 * qp.shape[1] \
             or n_heads < 1 or qp.shape[1] % n_heads:
         raise ShapeError(f"attention: {qp.shape}, {kvp.shape} with {n_heads} heads")
     (n_q, d), n_kv = qp.shape, kvp.shape[0]
-    q_ids, k_ids = (np.asarray(ids, dtype=np.intp) for ids in (queries, keys))
-    if q_ids.ndim != 2 or k_ids.ndim != 2 or len(q_ids) != len(k_ids) \
-            or (q_ids.size and not -1 <= q_ids.min() <= q_ids.max() < n_q) \
-            or (k_ids.size and not -1 <= k_ids.min() <= k_ids.max() < n_kv) \
-            or (q_ids < 0).all() or (k_ids < 0).all(axis=1).any() \
-            or np.bincount(q_ids.ravel() + 1, minlength=2)[1:].max() > 1 \
-            or np.bincount(k_ids.ravel() + 1, minlength=2)[1:].max() > 1:
-        raise ShapeError(f"attention: slots {q_ids.shape}, {k_ids.shape} for {qp.shape}, "
-                         f"{kvp.shape}: an id out of range or in two slots, no query, "
-                         "or a sequence with no key")
-    q_pad, k_pad = q_ids < 0, k_ids < 0
-    heads = (n_heads, d // n_heads)
-    kv = kvp.data.reshape((n_kv, 2) + heads)
-    q = qp.data.reshape((n_q,) + heads)[np.where(q_pad, 0, q_ids)]
-    k, v = (kv[np.where(k_pad, 0, k_ids), j] for j in range(2))
-    q[q_pad] = k[k_pad] = v[k_pad] = 0.0
-    n_seq = len(q_ids)
+    q_mask, k_mask = np.asarray(q_mask), np.asarray(k_mask)
+    if q_mask.dtype != bool or k_mask.dtype != bool or q_mask.ndim != 2 \
+            or k_mask.ndim != 2 or len(q_mask) != len(k_mask):
+        raise ShapeError(f"attention: slot masks {q_mask.shape} {q_mask.dtype} and "
+                         f"{k_mask.shape} {k_mask.dtype} are not two boolean [S, L] arrays")
+    n_slots = (np.count_nonzero(q_mask), np.count_nonzero(k_mask))
+    if n_slots != (n_q, n_kv):
+        raise ShapeError(f"attention: {n_slots[0]} query and {n_slots[1]} key slots "
+                         f"for {qp.shape} and {kvp.shape}")
+    if not n_q or not k_mask.any(axis=1).all():
+        raise ShapeError("attention: no query, or a sequence with no key")
+    n_seq, heads = len(q_mask), (n_heads, d // n_heads)
+    q = np.zeros(q_mask.shape + heads)
+    q[q_mask] = qp.data.reshape((n_q,) + heads)
+    kv, k_at = kvp.data.reshape((n_kv, 2) + heads), np.flatnonzero(k_mask)
+    k, v = np.zeros(k_mask.shape + heads), np.zeros(k_mask.shape + heads)
+    k.reshape((-1,) + heads)[k_at] = kv[:, 0]
+    v.reshape((-1,) + heads)[k_at] = kv[:, 1]
 
     # products over (sequence, head) pairs, laid out as numpy's batched-matmul
     # einsum plans lay them out, so the reductions after them add in the
@@ -420,7 +422,7 @@ and some sequence a query.
     s = 1.0 / math.sqrt(d)
     q_shel = fold(q, (0, 2, 3, 1))
     scores = unfold(fold(k, (0, 2, 1, 3)) @ q_shel, (0, 1, 3, 2)) * s
-    scores = np.where(k_pad[:, None, None, :], -np.inf, scores)
+    scores = np.where(~k_mask[:, None, None, :], -np.inf, scores)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     if sink is not None:
@@ -428,31 +430,23 @@ and some sequence a query.
     attn_shml = fold(attn, (0, 1, 3, 2))
     out = unfold(fold(v, (0, 2, 3, 1)) @ attn_shml, (0, 3, 1, 2))
 
+    # the gradients read from the slots add 0.0, as the scatters into zeros
+    # they replace did, so a -0.0 comes out +0.0
     def bwd(g):
         g_out = np.zeros(out.shape)
-        g_out[~q_pad] += g.reshape((-1,) + heads)
+        g_out[q_mask] = g.reshape((-1,) + heads)
         g_attn = unfold(fold(v, (0, 2, 1, 3)) @ fold(g_out, (0, 2, 3, 1)), (0, 1, 3, 2))
         g_v = unfold(attn_shml @ fold(g_out, (0, 2, 1, 3)), (0, 2, 1, 3))
         dot = (g_attn * attn).sum(axis=-1, keepdims=True)
         g_scores = attn * (g_attn - dot) * s
         g_q = unfold(fold(k, (0, 2, 3, 1)) @ fold(g_scores, (0, 1, 3, 2)), (0, 3, 1, 2))
         g_k = unfold(q_shel @ fold(g_scores, (0, 1, 2, 3)), (0, 3, 1, 2))
-        g_qp = np.zeros((n_q,) + heads)
-        g_qp[q_ids[~q_pad]] += g_q[~q_pad]
-        g_kv = np.zeros(kv.shape)
-        g_kv[k_ids[~k_pad]] += np.stack((g_k, g_v), axis=2)[~k_pad]
-        return (g_qp.reshape(n_q, d), g_kv.reshape(n_kv, 2 * d))
+        g_kv = np.empty((n_kv, 2) + heads)
+        g_kv[:, 0], g_kv[:, 1] = g_k[k_mask], g_v[k_mask]
+        g_kv += 0.0
+        return ((g_q[q_mask] + 0.0).reshape(n_q, d), g_kv.reshape(n_kv, 2 * d))
 
-    return _record("attention", out[~q_pad].reshape(-1, d), (qp, kvp), bwd)
-
-
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _record("relu", np.where(mask, x.data, 0.0), (x,), bwd)
+    return _record("attention", out[q_mask].reshape(-1, d), (qp, kvp), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -498,81 +492,152 @@ def concat_cols(xs: Sequence[Tensor]) -> Tensor:
                    tuple(xs), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    n = x.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
-        raise ShapeError(
-            f"layer_norm: gain {gain.shape} / bias {bias.shape} vs last dim {n}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x - mean) / sqrt(var + eps) over the last axis, and 1 / sqrt(var +
+    eps): the variance is the mean of the same x - mean squared, as
+    ``x.var`` computes it."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
-    axes = tuple(range(x.data.ndim - 1))
+    return centered * inv, inv
+
+
+def _normalize_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                    inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gradients of x, gain and bias of ``xhat * gain + bias`` over the
+    rows of a 2-D x, for the upstream gradient g."""
+    dxhat = g * gain
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=(0,)), g.sum(axis=(0,))
+
+
+def encoder_tail(x: Tensor, a: Tensor, g1: Tensor, c1: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, g2: Tensor, c2: Tensor) -> Tensor:
+    """The residual, layer-norm and FFN tail of an encoding block, from its
+    input rows x[N, d] and their attention output a[N, d] to the block's
+    output [N, d]:
+
+        y = LN(x + a; g1, c1)
+        out = LN(y + relu(y @ w1 + b1) @ w2 + b2; g2, c2)
+
+    where LN(z; g, c) normalizes each row of z to zero mean and unit
+    variance (eps ``LAYER_NORM_EPS``) and then applies ``* g + c``.
+
+    One node for the chain add, layer_norm, matmul, add_bias, relu, matmul,
+    add_bias, add, layer_norm: it makes the chain's numpy calls in the same
+    order and applies their backward rules in reverse, so y's gradient is
+    the residual term plus the FFN term, as the tape adds them.
+    """
+    d = x.shape[1] if x.data.ndim == 2 else -1
+    f = w1.shape[-1] if w1.shape else -1
+    if x.data.ndim != 2 or a.shape != x.shape or w1.shape != (d, f) \
+            or w2.shape != (f, d) or b1.shape != (f,) \
+            or any(t.shape != (d,) for t in (g1, c1, b2, g2, c2)):
+        raise ShapeError(f"encoder_tail: rows {x.shape}, attention {a.shape}, "
+                         f"ffn {w1.shape} {b1.shape} {w2.shape} {b2.shape}, norms "
+                         f"{g1.shape} {c1.shape} {g2.shape} {c2.shape}")
+    w1d, w2d, g1d, g2d = w1.data, w2.data, g1.data, g2.data
+    xhat1, inv1 = _normalize(x.data + a.data)
+    y1 = xhat1 * g1d + c1.data
+    z1 = y1 @ w1d + b1.data
+    # a non-finite value anywhere in the chain makes z1 or the output, which
+    # _record checks, non-finite; relu would hide a -inf or NaN of z1
+    _require_finite(z1, "encoder_tail")
+    active = z1 > 0
+    h = np.where(active, z1, 0.0)
+    xhat2, inv2 = _normalize(y1 + (h @ w2d + b2.data))
 
     def bwd(g):
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=axes),
-                g.sum(axis=axes))
+        g_s2, g_g2, g_c2 = _normalize_grad(g, g2d, xhat2, inv2)
+        g_z1 = (g_s2 @ w2d.T) * active
+        g_s1, g_g1, g_c1 = _normalize_grad(g_s2 + g_z1 @ w1d.T, g1d, xhat1, inv1)
+        return (g_s1, g_s1, g_g1, g_c1, y1.T @ g_z1, g_z1.sum(axis=(0,)),
+                h.T @ g_s2, g_s2.sum(axis=(0,)), g_g2, g_c2)
 
-    return _record("layer_norm", xhat * gain.data + bias.data, (x, gain, bias), bwd)
+    return _record("encoder_tail", xhat2 * g2d + c2.data,
+                   (x, a, g1, c1, w1, b1, w2, b2, g2, c2), bwd)
 
 
-def conv1d_maxpool(seq: Tensor, filters: Tensor,
-                   lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
-    """Valid cross-correlation of seq[..., W, c_in] with filters[w,c_in,c_out],
-    max-pooled over time -> [..., c_out].
+def char_cnn(seq: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor],
+             lengths: Sequence[int] | np.ndarray | None = None) -> Tensor:
+    """Character CNN: for each filter bank filters[j] [w_j, c_in, c_j], the
+    valid cross-correlation of seq[..., W, c_in] max-pooled over time plus
+    biases[j]; the banks' results side by side, then relu -> [..., sum c_j].
 
     ``lengths`` (shape ``seq.shape[:-2]``, each 1..W; default W) marks how
     many time steps of each sequence are real: the rest are treated as
-    zeros and never pooled. A sequence shorter than the filter width is
-    zero-padded on the right to one window. Pooling ties break toward the
-    lowest time index, so the backward pass is deterministic: gradient flows
-    only to the argmax position.
+    zeros and never pooled. A sequence shorter than a filter is zero-padded
+    on the right to one window. Pooling ties break toward the lowest time
+    index, so the backward pass is deterministic: gradient flows only to the
+    argmax position.
+
+    One node for the chain of one conv1d_maxpool and one add_bias per bank,
+    then concat_cols and relu: it makes the chain's numpy calls in the same
+    order, except that the zero-padded, masked input is built once, as long
+    as the widest bank needs, and bank j reads its prefix of max(W, w_j)
+    steps. The backward pass applies the chain's rules in reverse, adding
+    the banks' gradients of seq from the last bank to the first.
     """
-    if seq.data.ndim < 2 or filters.data.ndim != 3:
-        raise ShapeError(f"conv1d_maxpool: {seq.shape} with {filters.shape}")
+    if seq.data.ndim < 2 or not filters or len(biases) != len(filters) \
+            or any(f.data.ndim != 3 for f in filters):
+        raise ShapeError(f"char_cnn: {seq.shape} with filters "
+                         f"{[f.shape for f in filters]} and {len(biases)} biases")
     lead, (W, c_in) = seq.shape[:-2], seq.shape[-2:]
-    w, f_cin, c_out = filters.shape
     if W < 1:
-        raise ShapeError("conv1d_maxpool: empty sequence")
-    if f_cin != c_in:
-        raise ShapeError(f"conv1d_maxpool: channel mismatch {seq.shape} vs {filters.shape}")
+        raise ShapeError("char_cnn: empty sequence")
+    for f, b in zip(filters, biases):
+        if f.shape[1] != c_in or b.shape != f.shape[2:]:
+            raise ShapeError(f"char_cnn: filters {f.shape} and bias {b.shape} "
+                             f"for {seq.shape}")
     lens = np.full(lead, W, dtype=np.intp) if lengths is None \
         else np.asarray(lengths, dtype=np.intp)
     if lens.shape != lead or (lens.size and (lens.min() < 1 or lens.max() > W)):
-        raise ShapeError(f"conv1d_maxpool: lengths {lens.shape} out of range for {seq.shape}")
-    span = max(W, w)
+        raise ShapeError(f"char_cnn: lengths {lens.shape} out of range for {seq.shape}")
+    span = max(W, *(f.shape[0] for f in filters))
     real = (np.arange(span) < lens[..., None])[..., None]       # [..., span, 1]
     padded = np.zeros(lead + (span, c_in))
     padded[..., :W, :] = seq.data
     padded *= real
-    positions = span - w + 1
-    fd = filters.data
-    conv = padded[..., 0:positions, :] @ fd[0]
-    for i in range(1, w):
-        conv += padded[..., i:i + positions, :] @ fd[i]
-    # a window must start at a real step and, when the sequence is long
-    # enough, end at one: positions 0 .. max(len, w) - w
-    valid = np.arange(positions) <= (np.maximum(lens, w) - w)[..., None]
-    best = np.where(valid[..., None], conv, -np.inf).argmax(axis=-2)[..., None, :]
-    out = np.take_along_axis(conv, best, axis=-2)[..., 0, :]
+    banks, pooled = [], []
+    for f, b in zip(filters, biases):
+        fd, (w, _, c_out) = f.data, f.shape
+        positions = max(W, w) - w + 1
+        conv = padded[..., 0:positions, :] @ fd[0]
+        for i in range(1, w):
+            conv += padded[..., i:i + positions, :] @ fd[i]
+        # a window must start at a real step and, when the sequence is long
+        # enough, end at one: positions 0 .. max(len, w) - w
+        valid = np.arange(positions) <= (np.maximum(lens, w) - w)[..., None]
+        best = np.where(valid[..., None], conv, -np.inf).argmax(axis=-2)[..., None, :]
+        pooled.append(np.take_along_axis(conv, best, axis=-2)[..., 0, :] + b.data)
+        banks.append((fd, w, positions, conv.shape, best))
+    pre = np.concatenate(pooled, axis=-1)
+    _require_finite(pre, "char_cnn")  # relu would hide -inf and NaN
+    active = pre > 0
+    offsets = np.cumsum([0] + [f.shape[2] for f in filters])
+    axes = tuple(range(pre.ndim - 1))
 
     def bwd(g):
-        dconv = np.zeros_like(conv)
-        np.put_along_axis(dconv, best, g[..., None, :], axis=-2)
-        g_pad = np.zeros_like(padded)
-        for i in range(w):
-            g_pad[..., i:i + positions, :] += dconv @ fd[i].T
-        flat_d = dconv.reshape(-1, c_out)
-        g_fil = np.stack([padded[..., i:i + positions, :].reshape(-1, c_in).T @ flat_d
-                          for i in range(w)])
-        return ((g_pad * real)[..., :W, :], g_fil)
+        g_pre = g * active
+        g_seq, g_filters, g_biases = None, [], []
+        for j in reversed(range(len(banks))):
+            fd, w, positions, conv_shape, best = banks[j]
+            g_pool = g_pre[..., offsets[j]:offsets[j + 1]]
+            dconv = np.zeros(conv_shape)
+            np.put_along_axis(dconv, best, g_pool[..., None, :], axis=-2)
+            g_pad = np.zeros(lead + (max(W, w), c_in))
+            for i in range(w):
+                g_pad[..., i:i + positions, :] += dconv @ fd[i].T
+            flat_d = dconv.reshape(-1, conv_shape[-1])
+            g_filters.append(np.stack([padded[..., i:i + positions, :].reshape(-1, c_in).T
+                                       @ flat_d for i in range(w)]))
+            g_biases.append(g_pool.sum(axis=axes))
+            g_bank = (g_pad * real[..., :max(W, w), :])[..., :W, :]
+            g_seq = g_bank if g_seq is None else g_seq + g_bank
+        return (g_seq, *reversed(g_filters), *reversed(g_biases))
 
-    return _record("conv1d_maxpool", out, (seq, filters), bwd)
+    return _record("char_cnn", np.where(active, pre, 0.0), (seq, *filters, *biases), bwd)
 
 
 def cosine(u: Tensor, v: Tensor) -> Tensor:
@@ -620,10 +685,12 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     out = table.data[np.where(pad, 0, idx)]
     out[pad] = 0.0
 
+    # one bincount adds each row's gradients in index order from 0.0
     def bwd(g):
-        gt = np.zeros(table.shape)
-        np.add.at(gt, idx[~pad], g[~pad])
-        return (gt,)
+        width = math.prod(table.shape[1:])
+        cells = (idx[~pad][:, None] * width + np.arange(width)).ravel()
+        return (np.bincount(cells, weights=g[~pad].ravel(),
+                            minlength=table.data.size).reshape(table.shape),)
 
     return _record("gather_rows", out, (table,), bwd)
 

@@ -49,6 +49,13 @@ class TrainConfig:
             raise TrainingError(f"batch_episodes must be >= 1, got {self.batch_episodes}")
         if self.patience < 1:
             raise TrainingError(f"patience must be >= 1, got {self.patience}")
+        if self.steps < 0:
+            raise TrainingError(f"steps must be >= 0, got {self.steps}")
+        if self.validation_every < 1:
+            raise TrainingError(f"validation_every must be >= 1, got {self.validation_every}")
+        if not 1 <= self.k_min <= self.k_max:
+            raise TrainingError(f"need 1 <= k_min <= k_max, got k_min={self.k_min}, "
+                                f"k_max={self.k_max}")
 
 
 @dataclass

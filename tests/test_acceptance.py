@@ -91,13 +91,16 @@ def _op_cases(rng):
 
     x, y = p(4, 3), p(4, 3)
     b, s = p(3), p(4)
-    seqs, filt = p(3, 5, 3), p(3, 3, 4)
+    seqs, filt2, filt3, cb2, cb3 = p(3, 5, 3), p(2, 3, 4), p(3, 3, 2), p(4), p(2)
+    x6, a6, w65, w56 = p(4, 6), p(4, 6), p(6, 5), p(5, 6)
+    ln_g, ln_b, ffn_b1, ffn_b2 = p(6), p(6), p(5), p(6)
     mat = p(5, 3)
     u1, u2 = p(3, 5), p(3, 5)
     # two sequences of 2 and 4 rows, queries at a subset of their rows
     qp, kvp = p(3, 4), p(6, 8)
-    queries, keys = [[0, -1], [1, 2]], [[0, 1, -1, -1], [2, 3, 4, 5]]
-    w43, w3, w34, w23, w46 = c(4, 3), c(3), c(3, 4), c(2, 3), c(4, 6)
+    q_mask = np.array([[True, False], [True, True]])
+    k_mask = np.array([[True, True, False, False], [True, True, True, True]])
+    w43, w3, w34, w23, w46, w36 = c(4, 3), c(3), c(3, 4), c(2, 3), c(4, 6), c(3, 6)
     w233 = c(2, 3, 3)
     m45, m53 = p(4, 5), p(5, 3)
     w45out = c(4, 3)
@@ -108,17 +111,21 @@ def _op_cases(rng):
     return [
         ("matmul", lambda: wrap(tc.matmul(m45, m53), w45out), [m45, m53]),
         ("attention",
-         lambda: wrap(tc.attention(qp, kvp, 2, queries, keys), w34), [qp, kvp]),
-        ("layer_norm", lambda: wrap(tc.layer_norm(x, b, tc.scale(b, 0.5)), w43), [x, b]),
-        ("conv1d_maxpool",
-         lambda: wrap(tc.conv1d_maxpool(seqs, filt, [5, 2, 1]), w34), [seqs, filt]),
+         lambda: wrap(tc.attention(qp, kvp, 2, q_mask, k_mask), w34), [qp, kvp]),
+        # one gain and bias for both norms, so each gets two gradient terms
+        ("encoder_tail",
+         lambda: wrap(tc.encoder_tail(x6, a6, ln_g, ln_b, w65, ffn_b1, w56, ffn_b2,
+                                      ln_g, ln_b), w46),
+         [x6, a6, ln_g, ln_b, w65, ffn_b1, w56, ffn_b2]),
+        ("char_cnn",
+         lambda: wrap(tc.char_cnn(seqs, [filt2, filt3], [cb2, cb3], [5, 2, 1]), w36),
+         [seqs, filt2, filt3, cb2, cb3]),
         ("cosine", lambda: wrap(tc.cosine(u1, u2), w3), [u1, u2]),
         ("add", lambda: wrap(tc.add(x, y), w43), [x, y]),
         ("mul", lambda: wrap(tc.mul(x, y), w43), [x, y]),
         ("scale", lambda: wrap(tc.scale(x, -1.7), w43), [x]),
         ("add_bias", lambda: wrap(tc.add_bias(x, b), w43), [x, b]),
         ("scale_rows", lambda: wrap(tc.scale_rows(x, s), w43), [x, s]),
-        ("relu", lambda: wrap(tc.relu(x), w43), [x]),
         ("sum_all", lambda: tc.sum_all(tc.mul(x, y)), [x, y]),
         ("segment_mean", lambda: wrap(tc.segment_mean(x, [1, 3]), w23), [x]),
         ("concat_cols", lambda: wrap(tc.concat_cols([x, y]), w46), [x, y]),

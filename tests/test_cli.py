@@ -96,6 +96,25 @@ def test_train_zero_steps_makes_valid_checkpoint(prepared, tmp_path, capsys):
     assert "best validation cosine" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--val-every", "0"], "validation_every"),
+    (["--val-every", "-2"], "validation_every"),
+    (["--k-max", "1"], "k_max"),     # below the default k_min of 2
+    (["--k-max", "0"], "k_max"),
+    (["--steps", "-1"], "steps"),
+    (["--batch", "0"], "batch_episodes"),
+], ids=["val-every-0", "val-every-negative", "k-max-below-k-min", "k-max-0",
+        "steps-negative", "batch-0"])
+def test_train_refuses_a_setting_that_cannot_train(prepared, tmp_path, capsys, flags, message):
+    out = tmp_path / "m.hice"
+    code = main(["train", str(prepared), "--steps", "3", "--batch", "4", *flags,
+                 "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_train_replay_identical_reports(prepared, tmp_path):
     outs = []
     for tag in ("a", "b"):

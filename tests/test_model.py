@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oov_forge.tensor as tc
+from chain_reference import encoder_tail_reference, layer_norm
 from fd import rel_err
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
 from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, MASK_TOKEN, UNK_ID,
@@ -159,8 +160,8 @@ def test_encoding_block_residual_path_only(rng):
     block.b2.data[:] = 0.0
     x = constant(rng.normal(size=(3, 6)))
     got = encoding_block(x, block, Segments([2, 1])).data
-    ln1 = tc.layer_norm(x, block.ln1_g, block.ln1_b).data
-    expected = tc.layer_norm(constant(ln1), block.ln2_g, block.ln2_b).data
+    ln1 = layer_norm(x.data, block.ln1_g.data, block.ln1_b.data)[0]
+    expected = layer_norm(ln1, block.ln2_g.data, block.ln2_b.data)[0]
     assert np.abs(got - expected).max() < 1e-12
 
 
@@ -174,6 +175,56 @@ def test_encoding_block_is_position_wise(rng):
     direct = encoding_block(constant(x[perm]), block, Segments([4])).data
     swapped = encoding_block(constant(x), block, Segments([4])).data[perm]
     assert np.abs(direct - swapped).max() < 1e-12
+
+
+def _block_and_chain(rng, d_model, n_heads, lengths, pool):
+    """The gradients of x and of every weight of ``encoding_block``, once as
+    the model runs it and once with its tail replaced by the op chain the
+    tail node folds (``chain_reference``), whose input gradients enter the
+    tape where the tail node stood; with ``pool``, one query row per
+    sequence, as the last context block reads them."""
+    block = fresh_block(d_model, n_heads, 4 * d_model, rng)
+    seqs = Segments(lengths)
+    rows = (seqs.starts + rng.integers(0, seqs.lengths))[:, None] if pool else None
+    x_arr = rng.normal(size=(int(seqs.lengths.sum()), d_model))
+    g = rng.normal(size=(len(lengths) if pool else len(x_arr), d_model))
+    tail_weights = [block.ln1_g, block.ln1_b, block.w1, block.b1, block.w2, block.b2,
+                    block.ln2_g, block.ln2_b]
+    weights = [block.wq, block.wkv, block.wo] + tail_weights
+    runs = []
+    for fused in (True, False):
+        x = parameter(x_arr)
+        for p in weights:
+            p.zero_grad()
+        with Graph():
+            if fused:
+                y = encoding_block(x, block, seqs, rows)
+                backward(sum_all(tc.mul(y, constant(g))))
+                out, tail_grads = y.data, [p.grad for p in tail_weights]
+            else:
+                xq = x if rows is None else tc.gather_rows(x, rows[rows >= 0])
+                a = self_attention(x, xq, block, seqs, rows=rows)
+                out, grads = encoder_tail_reference(
+                    xq.data, a.data, *(p.data for p in tail_weights), g)
+                backward(tc.add(sum_all(tc.mul(xq, constant(grads[0]))),
+                                sum_all(tc.mul(a, constant(grads[1])))))
+                tail_grads = grads[2:]
+        runs.append([out, x.grad] + [p.grad for p in weights[:3]] + list(tail_grads))
+    return runs
+
+
+@pytest.mark.parametrize("d_model, n_heads, pool", [
+    (16, 4, True),    # the d=16 context block, one pool row per context
+    (16, 4, False),   # the d=16 aggregator block, every row
+    (300, 4, True),   # a d=300 context block
+    (16, 1, False),   # one head
+])
+def test_encoding_block_equals_the_chain_it_folds(rng, d_model, n_heads, pool):
+    for lengths in ([1], [3, 1, 5], rng.integers(1, 13 if pool else 7, size=24 if pool else 8)):
+        fused, chain = _block_and_chain(rng, d_model, n_heads, lengths, pool)
+        for a, b in zip(fused, chain):
+            assert a.shape == b.shape and np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_encoding_block_gradients(rng):

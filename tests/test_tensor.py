@@ -1,3 +1,4 @@
+import collections
 import gc
 import math
 import sys
@@ -9,11 +10,11 @@ import pytest
 
 import oov_forge.tensor as tc
 from attention_reference import attention_reference
+from chain_reference import char_cnn_reference, encoder_tail_reference
 from fd import check_grads
 from oov_forge.errors import GraphError, NumericError, ShapeError
 from oov_forge.tensor import (Graph, ParamVector, Tensor, backward, constant, cosine,
-                              conv1d_maxpool, layer_norm, matmul, parameter,
-                              sum_all)
+                              matmul, parameter, sum_all)
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +51,28 @@ def test_matmul_gradients_match_finite_differences(rng):
 # attention: the softmax of its scores
 # ---------------------------------------------------------------------------
 
+def _slots(ids):
+    """The slot mask of an [S, L] array of row ids (-1 pads), which must
+    number the rows in row-major order."""
+    ids = np.asarray(ids)
+    mask = ids >= 0
+    assert np.array_equal(ids[mask], np.arange(mask.sum())), ids
+    return mask
+
+
+def _ids(mask):
+    """The row ids of a slot mask, -1 past the end: the layout tc.attention
+    reads, as attention_reference takes it."""
+    return np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, -1)
+
+
+def _attention(qp, kvp, n_heads, queries, keys, sink=None):
+    return tc.attention(qp, kvp, n_heads, _slots(queries), _slots(keys), sink)
+
+
 def _attention_weights(qp, kvp, n_heads, queries, keys):
     sink = []
-    out = tc.attention(constant(qp), constant(kvp), n_heads, queries, keys, sink)
+    out = _attention(constant(qp), constant(kvp), n_heads, queries, keys, sink)
     return out.data, sink[0]
 
 
@@ -99,14 +119,14 @@ def test_softmax_jacobian_matches_finite_differences(rng):
         qp = parameter(rng.normal(size=(n_q, 4)))
         w = constant(rng.normal(size=(n_q, 4)))
         err = check_grads(
-            lambda: sum_all(tc.mul(tc.attention(qp, kvp, 2, queries, keys), w)), [qp, kvp])
+            lambda: sum_all(tc.mul(_attention(qp, kvp, 2, queries, keys), w)), [qp, kvp])
         assert err < 1e-6
 
 
 def test_softmax_key_mask_zeroes_masked_entries(rng):
-    # sequence 0 has keys 0-2, sequence 1 keys 3-4; kvp row 5 is no key
+    # sequence 0 has keys 0-2, sequence 1 keys 3-4 and a padded slot
     queries, keys = [[0, 1, 2], [3, 4, -1]], [[0, 1, 2], [3, 4, -1]]
-    qp, kvp = rng.normal(size=(5, 4)), rng.normal(size=(6, 8))
+    qp, kvp = rng.normal(size=(5, 4)), rng.normal(size=(5, 8))
     out, y = _attention_weights(qp, kvp, 2, queries, keys)
     assert np.array_equal(y[1, :, :, 2], np.zeros((2, 3)))
     alone, y_alone = _attention_weights(qp[3:], kvp[3:5], 2, [[0, 1]], [[0, 1]])
@@ -120,14 +140,14 @@ def test_softmax_key_mask_zeroes_masked_entries(rng):
     assert np.array_equal(_attention_weights(edited_q, edited_kv, 2, queries, keys)[0][3:],
                           out[3:])
 
-    # a loss on sequence 1 alone: its padded key slot passes nothing back
+    # a loss on sequence 1 alone sends nothing to sequence 0's rows
     q_t, kv_t = parameter(qp), parameter(kvp)
     w = rng.normal(size=(5, 4))
     w[:3] = 0.0
     with Graph():
-        backward(sum_all(tc.mul(tc.attention(q_t, kv_t, 2, queries, keys), constant(w))))
+        backward(sum_all(tc.mul(_attention(q_t, kv_t, 2, queries, keys), constant(w))))
     assert np.array_equal(q_t.grad[:3], np.zeros((3, 4)))
-    assert np.array_equal(kv_t.grad[[0, 1, 2, 5]], np.zeros((4, 8)))
+    assert np.array_equal(kv_t.grad[:3], np.zeros((3, 8)))
     assert (kv_t.grad[3:5] != 0).all()
 
 
@@ -151,32 +171,45 @@ def test_attention_matches_a_loop_over_sequences_and_heads(rng):
 
 def test_attention_rejects_bad_shapes_and_slots():
     qp, kvp = constant(np.zeros((2, 4))), constant(np.zeros((3, 8)))
-    ok = ([[0, 1]], [[0, 1, 2]])
+    ok = (np.ones((1, 2), bool), np.ones((1, 3), bool))
     for bad_qp, bad_kvp, heads in ((np.zeros(4), kvp.data, 2), (qp.data, np.zeros((3, 6)), 2),
                                    (qp.data, kvp.data, 3), (qp.data, kvp.data, 0)):
         with pytest.raises(ShapeError):
             tc.attention(constant(bad_qp), constant(bad_kvp), heads, *ok)
-    for queries, keys in (([[0, 2]], ok[1]), ([[-2, 0]], ok[1]), (ok[0], [[0, 1, 3]]),
-                          ([0, 1], ok[1]), ([[0], [1]], ok[1]), (ok[0], [[-1, -1, -1]])):
-        with pytest.raises(ShapeError):
-            tc.attention(qp, kvp, 2, queries, keys)
+    # row ids are not masks, and the masks must be [S, L] with one S
+    for q_mask, k_mask in (([[0, 1]], ok[1]), (ok[0], [[0, 1, 2]]), (ok[0], [[1, 1, 1]]),
+                           (np.ones(2, bool), ok[1]), (ok[0], np.ones((1, 1, 3), bool)),
+                           (np.ones((2, 1), bool), ok[1])):
+        with pytest.raises(ShapeError, match="boolean"):
+            tc.attention(qp, kvp, 2, q_mask, k_mask)
+    with pytest.raises(ShapeError, match="no key"):
+        tc.attention(qp, constant(np.zeros((2, 8))), 2, [[True], [True]],
+                     [[True, True], [False, False]])
 
 
-def test_attention_refuses_a_row_in_two_slots():
+def test_attention_refuses_masks_whose_slot_counts_are_not_the_row_counts():
+    # a mask cannot place a row twice: it holds one slot per row, no more, no less
     qp, kvp = constant(np.zeros((2, 4))), constant(np.zeros((3, 8)))
-    for queries, keys in (([[0, 0]], [[0, 1, 2]]), ([[0, 1]], [[0, 1, 1]]),
-                          ([[0, -1], [1, 0]], [[0, -1], [1, 2]]),
-                          ([[0], [1]], [[0, 2], [2, 1]])):
-        with pytest.raises(ShapeError, match="two slots"):
-            tc.attention(qp, kvp, 2, queries, keys)
+    for q_mask, k_mask in (([[True, False]], [[True, True, True]]),
+                           ([[True, True, True]], [[True, True, True]]),
+                           ([[True, True]], [[True, True, False]]),
+                           ([[True, True]], [[True, True, True, True]]),
+                           ([[True], [True]], [[True, False], [True, False]]),
+                           ([[True], [True]], [[True, True], [True, True]])):
+        with pytest.raises(ShapeError, match="slots for"):
+            tc.attention(qp, kvp, 2, np.array(q_mask), np.array(k_mask))
 
 
 def test_attention_with_no_query_slot_is_a_shape_error():
     kvp = constant(np.zeros((3, 8)))
-    for n_q, queries in ((0, [[-1, -1]]), (2, [[-1, -1]]), (0, [[-1], [-1]])):
+    for q_mask, k_mask in (([[False, False]], [[True, True, True]]),
+                           ([[False], [False]], [[True, True], [True, False]])):
         with pytest.raises(ShapeError, match="no query"):
-            tc.attention(constant(np.zeros((n_q, 4))), kvp, 2, queries,
-                         [[0, 1, 2]] * len(queries))
+            tc.attention(constant(np.zeros((0, 4))), kvp, 2, np.array(q_mask),
+                         np.array(k_mask))
+    with pytest.raises(ShapeError, match="slots for"):
+        tc.attention(constant(np.zeros((2, 4))), kvp, 2, np.zeros((1, 2), bool),
+                     np.ones((1, 3), bool))
 
 
 def test_a_parameter_is_an_entry_of_a_vector():
@@ -203,36 +236,35 @@ def test_a_parameter_is_an_entry_of_a_vector():
 
 
 def _padded_slots(rng, lengths, queries):
-    """The key slots of packed sequences of ``lengths``, and query slots
-    numbered in row-major order: every row ("all"), one per sequence as the
-    mask pool reads them ("pool") or a random subset ("subset")."""
+    """The query and key slot masks of packed sequences of ``lengths``: every
+    row is a key, and the queries are every row ("all"), one per sequence as
+    the mask pool reads them ("pool") or a random subset ("subset")."""
     lengths = np.asarray(lengths)
-    slot = np.arange(lengths.max())
-    valid = slot < lengths[:, None]
-    keys = np.where(valid, (np.cumsum(lengths) - lengths)[:, None] + slot, -1)
+    keys = np.arange(lengths.max()) < lengths[:, None]
     if queries == "all":
-        picked = valid
+        picked = keys
     elif queries == "pool":
         picked = np.ones((len(lengths), 1), dtype=bool)
     else:
-        picked = valid & (rng.random(valid.shape) < 0.5)
+        picked = keys & (rng.random(keys.shape) < 0.5)
         picked[0, 0] = True
-    return np.where(picked, np.cumsum(picked).reshape(picked.shape) - 1, -1), keys
+    return picked, keys
 
 
 def _attention_against_reference(rng, lengths, queries, n_heads, width):
-    """(tc.attention's output, softmax and both gradients; the reference's)
-    on random inputs and a random upstream gradient."""
-    q_ids, k_ids = _padded_slots(rng, lengths, queries)
-    n_q, d = int((q_ids >= 0).sum()), n_heads * width
+    """(tc.attention's output, softmax and both gradients; the reference's,
+    which reads the row ids of the same slots) on random inputs and a random
+    upstream gradient."""
+    q_mask, k_mask = _padded_slots(rng, lengths, queries)
+    n_q, d = int(q_mask.sum()), n_heads * width
     qp, kvp = rng.normal(size=(n_q, d)) * 2, rng.normal(size=(int(np.sum(lengths)), 2 * d)) * 2
     g = rng.normal(size=(n_q, d))
     q_t, kv_t, sink = parameter(qp), parameter(kvp), []
     with Graph():
-        out = tc.attention(q_t, kv_t, n_heads, q_ids, k_ids, sink)
+        out = tc.attention(q_t, kv_t, n_heads, q_mask, k_mask, sink)
         backward(sum_all(tc.mul(out, constant(g))))
     return ((out.data, sink[0], q_t.grad, kv_t.grad),
-            attention_reference(qp, kvp, n_heads, q_ids, k_ids, g))
+            attention_reference(qp, kvp, n_heads, _ids(q_mask), _ids(k_mask), g))
 
 
 _REFERENCE_LENGTHS = ([1], [1, 1, 1], [3, 1, 5], [12, 25, 7, 1, 25, 16])
@@ -261,78 +293,174 @@ def test_attention_of_width_one_heads_is_within_rounding_of_the_reference(rng, q
 
 
 # ---------------------------------------------------------------------------
-# layer_norm
+# encoder_tail: an encoding block's residuals, layer norms and FFN
 # ---------------------------------------------------------------------------
 
-def _ln_args(n):
-    return parameter(np.ones(n)), parameter(np.zeros(n))
+def _same(a, b):
+    """Equal arrays of one shape, down to the sign of each zero."""
+    return a.shape == b.shape and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _tail_params(rng, d, f):
+    """Random g1, c1, w1, b1, w2, b2, g2, c2 for rows of width d and an FFN
+    of width f."""
+    n = rng.normal
+    return [n(size=d), n(size=d), n(size=(d, f)), n(size=f), n(size=(f, d)), n(size=d),
+            n(size=d), n(size=d)]
+
+
+def _plain_tail(d, f):
+    """Norms with gain 1 and bias 0 and an FFN of zeros: the tail maps x, a
+    to LN(LN(x + a))."""
+    return [constant(a) for a in (np.ones(d), np.zeros(d), np.zeros((d, f)), np.zeros(f),
+                                  np.zeros((f, d)), np.zeros(d), np.ones(d), np.zeros(d))]
 
 
 def test_layer_norm_constant_row_is_absorbed_by_eps():
-    gain, bias = _ln_args(4)
-    y = layer_norm(constant([5.0, 5.0, 5.0, 5.0]), gain, bias)
-    assert np.allclose(y.data, np.zeros(4), atol=1e-12)
+    y = tc.encoder_tail(constant([[5.0, 5.0, 5.0, 5.0]]), constant(np.zeros((1, 4))),
+                        *_plain_tail(4, 3))
+    assert np.allclose(y.data, np.zeros((1, 4)), atol=1e-12)
 
 
 def test_layer_norm_fixed_point():
-    # variance chosen so that var + eps == 1: the affine-free map is identity
+    # variance chosen so that var + eps == 1: the affine-free norm is identity
     rng = np.random.default_rng(3)
     row = rng.normal(size=8)
     row = row - row.mean()
     row = row * math.sqrt((1.0 - tc.LAYER_NORM_EPS) / row.var())
-    gain, bias = _ln_args(8)
-    y = layer_norm(constant(row), gain, bias)
-    assert np.abs(y.data - row).max() < 1e-6
-    # a plain unit-variance row moves only by the eps contraction
+    zero = constant(np.zeros((1, 8)))
+    y = tc.encoder_tail(constant(row[None]), zero, *_plain_tail(8, 5))
+    assert np.abs(y.data[0] - row).max() < 1e-6
+    # a plain unit-variance row moves only by the eps contraction of each norm
     row2 = row / math.sqrt(row.var())
-    y2 = layer_norm(constant(row2), gain, bias)
-    assert np.abs(y2.data - row2).max() < 2e-5
+    y2 = tc.encoder_tail(constant(row2[None]), zero, *_plain_tail(8, 5))
+    once = row2 / math.sqrt(1.0 + tc.LAYER_NORM_EPS)
+    assert np.abs(y2.data[0] - once / math.sqrt(once.var() + tc.LAYER_NORM_EPS)).max() < 1e-12
+    assert np.abs(y2.data[0] - row2).max() < 2e-5
 
 
 def test_layer_norm_gradients(rng):
-    x = parameter(rng.normal(size=(3, 6)))
-    gain = parameter(rng.normal(size=6))
-    bias = parameter(rng.normal(size=6))
+    # every input of the tail: the rows, their attention output, both norms
+    # and the FFN
+    params = [parameter(rng.normal(size=(3, 6))), parameter(rng.normal(size=(3, 6)))] \
+        + [parameter(a) for a in _tail_params(rng, 6, 5)]
     w = constant(rng.normal(size=(3, 6)))
-    err = check_grads(lambda: sum_all(tc.mul(layer_norm(x, gain, bias), w)),
-                      [x, gain, bias])
-    assert err < 1e-5
+    assert check_grads(lambda: sum_all(tc.mul(tc.encoder_tail(*params), w)), params) < 1e-5
+
+
+def test_encoder_tail_rejects_bad_shapes(rng):
+    x, a = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    good = _tail_params(rng, 4, 5)
+    tc.encoder_tail(*map(constant, [x, a] + good))
+    bad_cases = [[x[0], a[0]] + good, [x, a[:2]] + good]
+    for i, arr in enumerate(good):
+        bad_cases.append([x, a] + good[:i] + [arr[..., :-1]] + good[i + 1:])
+    for arrays in bad_cases:
+        with pytest.raises(ShapeError, match="encoder_tail"):
+            tc.encoder_tail(*map(constant, arrays))
+
+
+def test_encoder_tail_equals_the_chain_on_rows_of_every_scale(rng):
+    for n, d, f in ((1, 1, 4), (5, 3, 12), (40, 16, 64), (7, 300, 1200)):
+        for scale in (1e-3, 1.0, 30.0):
+            arrays = [rng.normal(size=(n, d)) * scale, rng.normal(size=(n, d))] \
+                + _tail_params(rng, d, f)
+            g = rng.normal(size=(n, d))
+            ts = [parameter(arr) for arr in arrays]
+            with Graph():
+                out = tc.encoder_tail(*ts)
+                backward(sum_all(tc.mul(out, constant(g))))
+            want, want_grads = encoder_tail_reference(*arrays, g)
+            assert _same(out.data, want)
+            for t, w in zip(ts, want_grads):
+                assert _same(t.grad, w)
+
+
+def test_encoder_tail_raises_where_the_chain_raised(rng):
+    # overflowing inputs drive the chain's values to +-inf or NaN at
+    # different ops; the tail raises exactly when one of the chain's ops did
+    raised_at = collections.Counter()
+    for _ in range(400):
+        n, d, f = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 6)
+        arrays = [rng.normal(size=(n, d)), rng.normal(size=(n, d))] + _tail_params(rng, d, f)
+        g = rng.normal(size=(n, d))
+        with np.errstate(all="ignore"):
+            for i in rng.choice(10, size=rng.integers(1, 5), replace=False):
+                big = arrays[i] * rng.choice([1e100, 1e160, 1e300, 1e308])
+                arrays[i] = np.clip(big, -1.7e308, 1.7e308)
+            try:
+                want = encoder_tail_reference(*arrays, g)[0]
+            except NumericError as e:
+                want = None
+                raised_at[str(e).split(":")[0]] += 1
+            try:
+                out = tc.encoder_tail(*map(constant, arrays))
+            except NumericError:
+                assert want is None
+            else:
+                assert want is not None and _same(out.data, want)
+    assert raised_at.keys() >= {"add", "layer_norm", "matmul"}, raised_at
+    assert 30 < sum(raised_at.values()) < 370, raised_at
+
+
+def test_encoder_tail_raises_on_a_value_its_relu_would_hide():
+    # gains of 0 make every normed row c1 = 1; the FFN's first column sums
+    # four -1e308 products to -inf, which relu would turn into 0
+    d, f = 4, 3
+    w1 = np.zeros((d, f))
+    w1[:, 0] = -1e308
+    arrays = [np.ones((2, d)), np.zeros((2, d)), np.zeros(d), np.ones(d), w1, np.zeros(f),
+              np.ones((f, d)), np.zeros(d), np.ones(d), np.zeros(d)]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="matmul"):
+            encoder_tail_reference(*arrays, np.ones((2, d)))
+        with pytest.raises(NumericError, match="encoder_tail"):
+            tc.encoder_tail(*map(constant, arrays))
+    arrays[4] = np.zeros((d, f))  # the same inputs without the overflow pass
+    tc.encoder_tail(*map(constant, arrays))
 
 
 # ---------------------------------------------------------------------------
-# conv1d_maxpool
+# char_cnn: conv + max-pool per filter bank, concat, relu
 # ---------------------------------------------------------------------------
+
+def _cnn(seq, filt, lengths=None):
+    """char_cnn with one filter bank and a zero bias."""
+    return tc.char_cnn(seq, [filt], [constant(np.zeros(filt.shape[2]))], lengths)
+
 
 def test_conv_zero_sequence_gives_zero_vector(rng):
     seq = constant(np.zeros((5, 3)))
     filt = constant(rng.normal(size=(3, 3, 4)))
-    assert np.array_equal(conv1d_maxpool(seq, filt).data, np.zeros(4))
+    assert np.array_equal(_cnn(seq, filt).data, np.zeros(4))
 
 
 def test_conv_single_position_pool_equals_conv(rng):
     seq = constant(rng.normal(size=(1, 3)))
     filt = constant(rng.normal(size=(1, 3, 4)))
-    out = conv1d_maxpool(seq, filt)
-    assert np.allclose(out.data, seq.data[0] @ filt.data[0], atol=1e-12)
+    out = _cnn(seq, filt)
+    assert np.allclose(out.data, np.maximum(seq.data[0] @ filt.data[0], 0.0), atol=1e-12)
 
 
 def test_conv_pads_short_sequences(rng):
     seq = rng.normal(size=(2, 3))
     filt = rng.normal(size=(4, 3, 2))
-    out = conv1d_maxpool(constant(seq), constant(filt))
+    out = _cnn(constant(seq), constant(filt))
     padded = np.zeros((4, 3))
     padded[:2] = seq
     expected = sum(padded[i] @ filt[i] for i in range(4))
-    assert np.allclose(out.data, expected, atol=1e-12)
+    assert np.allclose(out.data, np.maximum(expected, 0.0), atol=1e-12)
 
 
 def test_conv_gradients(rng):
-    for width in (2, 3, 4):
+    for widths in ((2,), (3,), (4,), (2, 3, 4)):
         seq = parameter(rng.normal(size=(9, 4)))
-        filt = parameter(rng.normal(size=(width, 4, 5)))
-        w = constant(rng.normal(size=5))
-        err = check_grads(
-            lambda: sum_all(tc.mul(conv1d_maxpool(seq, filt), w)), [seq, filt])
+        filts = [parameter(rng.normal(size=(w, 4, 5))) for w in widths]
+        biases = [parameter(rng.normal(size=5)) for _ in widths]
+        w = constant(rng.normal(size=5 * len(widths)))
+        err = check_grads(lambda: sum_all(tc.mul(tc.char_cnn(seq, filts, biases), w)),
+                          [seq, *filts, *biases])
         assert err < 1e-5
 
 
@@ -341,13 +469,81 @@ def test_conv_tie_gradient_goes_to_lowest_time_index():
     seq = parameter(np.array([[1.0], [1.0], [0.0]]))
     filt = parameter(np.array([[[1.0]]]))
     with Graph():
-        backward(sum_all(conv1d_maxpool(seq, filt)))
+        backward(sum_all(_cnn(seq, filt)))
     assert np.array_equal(seq.grad, [[1.0], [0.0], [0.0]])
 
 
 def test_conv_rejects_empty_sequence(rng):
     with pytest.raises(ShapeError):
-        conv1d_maxpool(constant(np.zeros((0, 3))), constant(rng.normal(size=(2, 3, 1))))
+        _cnn(constant(np.zeros((0, 3))), constant(rng.normal(size=(2, 3, 1))))
+
+
+def test_char_cnn_rejects_bad_banks(rng):
+    seq = constant(rng.normal(size=(2, 5, 3)))
+    f, b = constant(rng.normal(size=(2, 3, 4))), constant(np.zeros(4))
+    for filters, biases in (([], []), ([f], []), ([f], [b, b]),
+                            ([constant(rng.normal(size=(2, 2, 4)))], [b]),
+                            ([constant(rng.normal(size=(3, 4)))], [b]),
+                            ([f], [constant(np.zeros(3))]), ([f], [constant(np.zeros((1, 4)))])):
+        with pytest.raises(ShapeError, match="char_cnn"):
+            tc.char_cnn(seq, filters, biases)
+
+
+def _cnn_against_reference(rng, seq, widths, lengths, c_out=5, draw=None):
+    """Assert char_cnn's output and every gradient equal the chain's."""
+    draw = draw or (lambda size: rng.normal(size=size))
+    c_in = seq.shape[-1]
+    filters = [draw((w, c_in, c_out)) for w in widths]
+    biases = [draw((c_out,)) for _ in widths]
+    g = draw(seq.shape[:-2] + (c_out * len(widths),))
+    ts = [parameter(seq)] + [parameter(a) for a in filters + biases]
+    with Graph():
+        out = tc.char_cnn(ts[0], ts[1:1 + len(widths)], ts[1 + len(widths):], lengths)
+        backward(sum_all(tc.mul(out, constant(g))))
+    want, g_seq, g_filters, g_biases = char_cnn_reference(seq, filters, biases, lengths, g)
+    assert _same(out.data, want)
+    for t, w in zip(ts, [g_seq] + g_filters + g_biases):
+        assert _same(t.grad, w)
+
+
+@pytest.mark.parametrize("case", ["model", "longest-word-shorter-than-a-filter",
+                                  "one-letter-words", "ties", "no-lengths"])
+def test_char_cnn_equals_the_chain(rng, case):
+    for _ in range(20):
+        if case == "model":  # a 32-word batch of the default model
+            lengths = rng.integers(1, 13, size=32)
+            _cnn_against_reference(rng, rng.normal(size=(32, lengths.max(), 16)),
+                                   (2, 3, 4), lengths, 32)
+        elif case == "longest-word-shorter-than-a-filter":
+            lengths = rng.integers(1, 4, size=6)
+            _cnn_against_reference(rng, rng.normal(size=(6, 3, 4)), (2, 3, 4), lengths)
+        elif case == "one-letter-words":
+            _cnn_against_reference(rng, rng.normal(size=(5, 1, 4)), (4, 2, 1, 3),
+                                   np.ones(5, dtype=int))
+        elif case == "ties":  # small integers: equal windows and zero sums
+            lengths = rng.integers(1, 7, size=(3, 4))
+            ints = lambda size: rng.integers(-1, 2, size=size).astype(float)  # noqa: E731
+            _cnn_against_reference(rng, ints((3, 4, 6, 2)), (1, 2, 4), lengths, 3, ints)
+        else:
+            _cnn_against_reference(rng, rng.normal(size=(7, 3)), (3, 2), None)
+
+
+@pytest.mark.parametrize("hidden", ["-inf", "nan"])
+def test_char_cnn_raises_on_a_pooled_value_its_relu_would_hide(hidden):
+    # every window of bank 0 sums two -1e308 products to -inf; for NaN, its
+    # first tap gives +inf and its second -inf. The other bank stays finite.
+    seq = np.ones((2, 3, 2))
+    first = np.full((2, 2, 1), -1e308)
+    if hidden == "nan":
+        first[0] = 1e308
+    filters, biases = [first, np.ones((2, 2, 1))], [np.zeros(1), np.zeros(1)]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="conv1d_maxpool"):
+            char_cnn_reference(seq, filters, biases, None, np.ones((2, 2)))
+        with pytest.raises(NumericError, match="char_cnn"):
+            tc.char_cnn(constant(seq), list(map(constant, filters)), list(map(constant, biases)))
+    filters[0] = np.ones((2, 2, 1))
+    tc.char_cnn(constant(seq), list(map(constant, filters)), list(map(constant, biases)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +611,7 @@ def test_backward_of_sum_is_ones(rng):
 def test_backward_requires_scalar(rng):
     p = parameter(rng.normal(size=3))
     with Graph():
-        y = tc.relu(p)
+        y = tc.scale(p, 2.0)
         with pytest.raises(GraphError):
             backward(y)
 
@@ -443,11 +639,13 @@ MULTI_OPERAND_OPS = {
     "add_bias": (tc.add_bias, [(4, 3), (3,)]),
     "scale_rows": (tc.scale_rows, [(4, 3), (4,)]),
     "matmul": (matmul, [(4, 5), (5, 3)]),
-    "attention": (lambda q, kv: tc.attention(q, kv, 2, [[0, -1], [1, 2]],
-                                             [[0, 1, -1, -1], [2, 3, 4, 5]]),
+    "attention": (lambda q, kv: _attention(q, kv, 2, [[0, -1], [1, 2]],
+                                           [[0, 1, -1, -1], [2, 3, 4, 5]]),
                   [(3, 4), (6, 8)]),
-    "layer_norm": (layer_norm, [(4, 3), (3,), (3,)]),
-    "conv1d_maxpool": (lambda s, f: conv1d_maxpool(s, f, [5, 2, 1]), [(3, 5, 3), (3, 3, 4)]),
+    "encoder_tail": (tc.encoder_tail, [(4, 3), (4, 3), (3,), (3,), (3, 5), (5,), (5, 3),
+                                       (3,), (3,), (3,)]),
+    "char_cnn": (lambda s, f2, f3, b2, b3: tc.char_cnn(s, [f2, f3], [b2, b3], [5, 2, 1]),
+                 [(3, 5, 3), (2, 3, 4), (3, 3, 2), (4,), (2,)]),
     "cosine": (cosine, [(3, 5), (3, 5)]),
     "concat_cols": (lambda *xs: tc.concat_cols(xs), [(4, 3), (4, 2), (4, 1)]),
 }
@@ -482,7 +680,8 @@ def test_composite_two_layer_net_gradients(rng):
     t = constant(rng.normal(size=(1, 3)))
 
     def build():
-        h = tc.relu(tc.add_bias(matmul(x, w1), b1))
+        pre = tc.add_bias(matmul(x, w1), b1)
+        h = tc.mul(pre, pre)  # a squaring hidden layer
         return sum_all(cosine(tc.segment_mean(matmul(h, w2), [2]), t))
 
     err = check_grads(build, [w1, b1, w2])
@@ -515,8 +714,8 @@ def test_backward_is_deterministic(rng):
         w = parameter(r.normal(size=(6, 6)))
         x = constant(r.normal(size=(4, 6)))
         with Graph():
-            y = tc.relu(matmul(x, w))
-            backward(sum_all(y))
+            y = matmul(x, w)
+            backward(sum_all(tc.mul(y, y)))
         return w.grad.copy()
 
     g1, g2 = run(), run()
@@ -555,7 +754,6 @@ def test_elementwise_and_shaping_op_gradients(rng):
         (lambda: sum_all(tc.mul(tc.scale(x, 2.5), w43)), [x]),
         (lambda: sum_all(tc.mul(tc.add_bias(x, b), w43)), [x, b]),
         (lambda: sum_all(tc.mul(tc.scale_rows(x, s), w43)), [x, s]),
-        (lambda: sum_all(tc.mul(tc.relu(x), w43)), [x]),
         (lambda: sum_all(tc.mul(tc.segment_mean(x, [3, 1]), w23)), [x]),
         (lambda: sum_all(tc.mul(tc.scale_rows(m43, v), w43)), [v]),
         (lambda: sum_all(tc.mul(tc.concat_cols([x, y]), w46)), [x, y]),
@@ -597,6 +795,43 @@ def test_gather_rows_pads_id_minus_one_with_zeros(rng):
             tc.gather_rows(table, bad)
 
 
+def test_gather_rows_gradient_equals_add_at_into_zeros(rng):
+    # np.add.at on zeros adds each row's gradients in id order from 0.0, so
+    # a -0.0 comes out +0.0; the one bincount of the backward pass must too
+    for table_shape, ids_shape in (((7,), (30,)), ((5, 3), (4, 6)), ((4, 2, 3), (9,))):
+        ids = rng.integers(-1, table_shape[0], size=ids_shape)
+        g = rng.normal(size=ids_shape + table_shape[1:])
+        g *= 10.0 ** rng.integers(-20, 20, size=g.shape)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        table = parameter(rng.normal(size=table_shape))
+        with Graph():
+            backward(sum_all(tc.mul(tc.gather_rows(table, ids), constant(g))))
+        want = np.zeros(table_shape)
+        np.add.at(want, ids[ids >= 0], g[ids >= 0])
+        assert _same(table.grad, want)
+    table = parameter(np.ones((3, 2)))
+    with Graph():
+        backward(sum_all(tc.mul(tc.gather_rows(table, [[-1, 2], [2, -1]]),
+                                constant(np.full((2, 2, 2), -0.0)))))
+    assert _same(table.grad, np.zeros((3, 2)))
+
+
+def test_attention_gradient_of_minus_zero_comes_out_plus_zero(rng):
+    # the reference scatters into zeros; the masked reads add 0.0
+    q_mask, k_mask = _padded_slots(rng, [3, 1, 4], "subset")
+    # every value negative, so the products of the upstream -0.0 leave the
+    # query, key and value gradients -0.0 before they are read from the slots
+    qp = -np.abs(rng.normal(size=(int(q_mask.sum()), 4)))
+    kvp = -np.abs(rng.normal(size=(8, 8)))
+    g = np.full(qp.shape, -0.0)
+    q_t, kv_t = parameter(qp), parameter(kvp)
+    with Graph():
+        backward(sum_all(tc.mul(tc.attention(q_t, kv_t, 2, q_mask, k_mask), constant(g))))
+    _, _, g_qp, g_kvp = attention_reference(qp, kvp, 2, _ids(q_mask), _ids(k_mask), g)
+    assert _same(q_t.grad, g_qp) and _same(kv_t.grad, g_kvp)
+    assert not np.signbit(q_t.grad).any() and not np.signbit(kv_t.grad).any()
+
+
 def test_segment_mean_of_consecutive_runs(rng):
     x = rng.normal(size=(6, 2))
     out = tc.segment_mean(constant(x), [1, 3, 2]).data
@@ -611,23 +846,23 @@ def test_conv_batch_with_lengths_matches_each_sequence(rng):
     filt = rng.normal(size=(3, 2, 4))
     lengths = [5, 1, 3, 2]
     seqs = rng.normal(size=(4, 5, 2))  # steps past each length are garbage
-    out = conv1d_maxpool(constant(seqs), constant(filt), lengths).data
+    out = _cnn(constant(seqs), constant(filt), lengths).data
     for i, n in enumerate(lengths):
-        alone = conv1d_maxpool(constant(seqs[i, :n]), constant(filt)).data
+        alone = _cnn(constant(seqs[i, :n]), constant(filt)).data
         assert np.abs(out[i] - alone).max() < 1e-12
 
     seq = parameter(seqs)
     fil = parameter(filt)
     w = constant(rng.normal(size=(4, 4)))
-    err = check_grads(lambda: sum_all(tc.mul(conv1d_maxpool(seq, fil, lengths), w)),
+    err = check_grads(lambda: sum_all(tc.mul(_cnn(seq, fil, lengths), w)),
                       [seq, fil])
     assert err < 1e-5
     with Graph():
-        backward(sum_all(tc.mul(conv1d_maxpool(seq, fil, lengths), w)))
+        backward(sum_all(tc.mul(_cnn(seq, fil, lengths), w)))
     assert np.array_equal(seq.grad[1, 1:], np.zeros((4, 2)))
     for bad in ([0, 1, 1, 1], [6, 1, 1, 1], [1, 1]):
         with pytest.raises(ShapeError):
-            conv1d_maxpool(constant(seqs), constant(filt), bad)
+            _cnn(constant(seqs), constant(filt), bad)
 
 
 def test_cosine_is_row_wise(rng):
@@ -659,7 +894,7 @@ def test_graphs_of_concurrent_threads_stay_separate():
     def grad_of(w, x):
         w.zero_grad()
         with Graph() as g:
-            backward(sum_all(tc.relu(matmul(x, w))))
+            backward(sum_all(tc.scale(matmul(x, w), -0.5)))
         return g, w.grad.copy()
 
     expected = {seed: grad_of(*reference(seed))[1] for seed in range(4)}
@@ -671,7 +906,7 @@ def test_graphs_of_concurrent_threads_stay_separate():
             barrier.wait()
             for _ in range(300):
                 g, grad = grad_of(w, x)
-                assert [n.op for n in g.nodes] == ["matmul", "relu", "sum_all"]
+                assert [n.op for n in g.nodes] == ["matmul", "scale", "sum_all"]
                 assert np.array_equal(grad, expected[seed])
         except BaseException as e:  # reported by the main thread
             errors.append(e)
@@ -706,7 +941,7 @@ def test_a_dropped_tape_is_freed_without_the_garbage_collector(rng):
     gc.disable()
     try:
         with Graph() as g:
-            loss = sum_all(tc.relu(matmul(p, p)))
+            loss = sum_all(tc.scale(matmul(p, p), 2.0))
             backward(loss)
         refs = [weakref.ref(g), weakref.ref(loss.node.inputs[0].data)]
         del g, loss
