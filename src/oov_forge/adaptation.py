@@ -52,6 +52,8 @@ class AdaptConfig:
             raise AdaptationError("learning rates must be non-negative")
         if self.adapt_steps < 0:
             raise AdaptationError("adapt_steps must be >= 0")
+        if self.batch_episodes < 1:
+            raise AdaptationError(f"batch_episodes must be >= 1, got {self.batch_episodes}")
 
 
 def _grads(params: ParamVector, loss_fn) -> np.ndarray:

@@ -233,31 +233,11 @@ class Segments:
         self.positions = np.nonzero(self.mask)[1]
 
 
-def self_attention(x: Tensor, xq: Tensor, p: AttentionBlockParams, seqs: Segments,
-                   sink: list | None = None, rows: np.ndarray | None = None) -> Tensor:
-    """Multi-head self-attention within each sequence of the packed rows
-    x[N, d_model]; scores scaled by 1/sqrt(d_model).
-
-    ``rows`` [S, Lq] picks the output rows of each sequence (-1 pads; default
-    every row), ``xq`` holds those rows of x in order, and the result holds
-    them in order, [Nq, d_model]. Keys and values are projected for every
-    row, queries for the picked ones. ``sink`` collects the softmax array of
-    ``tc.attention`` [S, heads, Lq, Lmax], one per call.
-    """
-    picked = seqs.mask if rows is None else rows >= 0
-    out = tc.attention(tc.matmul(xq, p.wq), tc.matmul(x, p.wkv), p.n_heads,
-                       picked, seqs.mask, sink)
-    return tc.matmul(out, p.wo)
-
-
 def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
-                   rows: np.ndarray | None = None) -> Tensor:
-    """Self-attention and a position-wise FFN, each wrapped in residual +
-    layer norm, over the packed rows x[N, d_model]; with ``rows``, as in
-    ``self_attention``, all but the keys and values run on those rows only."""
-    xq = x if rows is None else tc.gather_rows(x, rows[rows >= 0])
-    return tc.encoder_tail(xq, self_attention(x, xq, p, seqs, rows=rows),
-                           p.ln1_g, p.ln1_b, p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b)
+                   rows: np.ndarray | None = None, sink: list | None = None) -> Tensor:
+    """``tc.encoding_block`` with ``p``'s weights over the rows x of ``seqs``."""
+    return tc.encoding_block(x, p.n_heads, seqs.mask, p.wq, p.wkv, p.wo, p.ln1_g, p.ln1_b,
+                             p.w1, p.b1, p.w2, p.b2, p.ln2_g, p.ln2_b, rows, sink)
 
 
 @dataclass
@@ -294,10 +274,11 @@ class HiceModel:
 
     @classmethod
     def from_arrays(cls, config: HiceConfig, table: EmbeddingTable,
-                    arrays: dict[str, np.ndarray],
+                    arrays: dict[str, np.ndarray] | None,
                     vocab: Vocabulary | None = None) -> "HiceModel":
-        """A model over ``table`` holding ``arrays``, one per parameter name,
-        as a checkpoint stores them."""
+        """A model over ``table``, bound as ``model.table``, holding
+        ``arrays``, one per parameter name, as a checkpoint stores them, or
+        when it is None a fresh model's."""
         model = cls.__new__(cls)
         model._bind(config, table, arrays, vocab)
         return model
@@ -348,7 +329,7 @@ class HiceModel:
     @classmethod
     def from_table(cls, config: HiceConfig, table: EmbeddingTable,
                    vocab: Vocabulary | None = None) -> "HiceModel":
-        return cls(config, table.matrix, table.words(), vocab)
+        return cls.from_arrays(config, table, None, vocab)
 
     @property
     def frozen(self) -> np.ndarray:

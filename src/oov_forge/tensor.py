@@ -9,11 +9,11 @@ backward rule returns a gradient for every input; ``backward`` keeps only
 those of recorded nodes and parameters. Ops executed with no active graph
 are plain numpy computations (cheap inference path).
 
-The ops work on whole batches: multi-head attention within padded
-sequences that masks the padded keys, an encoding block's residual, norm
-and FFN tail, row gathers that pad with zeros, a mean over contiguous
-segments and a char-CNN whose max-pool ignores padded time steps, so a
-model runs one op per layer rather than one per vector.
+The ops work on whole batches: a self-attention encoding block over
+padded sequences that masks the padded keys, row gathers that pad with
+zeros, a mean over contiguous segments and a char-CNN whose max-pool
+ignores padded time steps, so a model runs one op per layer rather than
+one per vector.
 
 Deliberate restrictions, to keep the core auditable:
 
@@ -53,24 +53,19 @@ def _require_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """An n-dimensional float array, optionally attached to a graph node."""
 
-    __slots__ = ("data", "grad", "node", "requires_grad")
+    __slots__ = ("data", "node")
 
     def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         _require_finite(arr, "tensor")
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.node: Node | None = None
-        self.requires_grad = False
 
     @classmethod
-    def _wrap(cls, arr: np.ndarray, requires_grad: bool) -> "Tensor":
+    def _wrap(cls, arr: np.ndarray) -> "Tensor":
         # Internal fast path for op outputs: finiteness already checked.
         t = cls.__new__(cls)
-        t.data = arr
-        t.grad = None
-        t.node = None
-        t.requires_grad = requires_grad
+        t.data, t.node = arr, None
         return t
 
     @property
@@ -81,8 +76,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flag})"
+        return f"{type(self).__name__}(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 class Parameter(Tensor):
@@ -91,13 +85,12 @@ class Parameter(Tensor):
     its ``grad``, once a backward pass reaches it, a view of the vector's
     gradients."""
 
-    __slots__ = ("index", "_view", "_grads")
+    __slots__ = ("grad", "index", "_view", "_grads")
 
     def __init__(self, grads: "_Grads", index: int, view: np.ndarray):
         self.index, self._view, self._grads = index, view, grads
-        self.grad = None
+        self.grad: np.ndarray | None = None
         self.node = None
-        self.requires_grad = True
 
     @property
     def data(self) -> np.ndarray:
@@ -252,9 +245,9 @@ def _record(op: str, out_arr: np.ndarray, inputs: tuple,
             backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     _require_finite(out_arr, op)
     graph = _active_graph()
-    tracked = graph is not None and any(t.requires_grad or t.node is not None
+    tracked = graph is not None and any(t.node is not None or isinstance(t, Parameter)
                                         for t in inputs)
-    out = Tensor._wrap(out_arr, tracked)
+    out = Tensor._wrap(out_arr)
     if tracked:
         node = Node(op, inputs, backward_fn, graph)
         out.node = node
@@ -263,7 +256,7 @@ def _record(op: str, out_arr: np.ndarray, inputs: tuple,
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad leaf reachable from ``loss``.
+    """Populate .grad for every parameter reachable from ``loss``.
 
     Repeated calls without zeroing accumulate. Intermediate (non-leaf)
     tensors do not retain gradients.
@@ -288,7 +281,7 @@ def backward(loss: Tensor) -> None:
                 # never in place: a backward rule may hand one array to
                 # several inputs, or a view of its own incoming gradient
                 adjoint[key] = adjoint[key] + g if key in adjoint else g
-            elif inp.requires_grad:
+            elif isinstance(inp, Parameter):
                 inp._accumulate(g)
 
 
@@ -370,85 +363,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record("matmul", ad @ bd, (a, b), bwd)
 
 
-def attention(qp: Tensor, kvp: Tensor, n_heads: int, q_mask, k_mask,
-              sink: list | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention within padded sequences,
-    from the query projection qp[Nq, d] and the key/value projection
-    kvp[N, 2d] (every head's key columns, then every head's value columns)
-    to one output row per query.
-
-    The boolean slot masks ``q_mask`` [S, Lq] and ``k_mask`` [S, Lk] mark
-    the query and key slots of sequence s that are not padding; the rows of
-    qp fill the query slots in row-major order and the rows of kvp the key
-    slots, so each mask holds as many slots as its projection has rows.
-    Scores are scaled by 1/sqrt(d) and padded keys get weight exactly 0 and
-    no gradient; every sequence needs a key, and some sequence a query.
-    The result holds the query rows in qp's order, [Nq, d]. ``sink``
-    collects the softmax array [S, heads, Lq, Lk].
-    """
-    if qp.data.ndim != 2 or kvp.data.ndim != 2 or kvp.shape[1] != 2 * qp.shape[1] \
-            or n_heads < 1 or qp.shape[1] % n_heads:
-        raise ShapeError(f"attention: {qp.shape}, {kvp.shape} with {n_heads} heads")
-    (n_q, d), n_kv = qp.shape, kvp.shape[0]
-    q_mask, k_mask = np.asarray(q_mask), np.asarray(k_mask)
-    if q_mask.dtype != bool or k_mask.dtype != bool or q_mask.ndim != 2 \
-            or k_mask.ndim != 2 or len(q_mask) != len(k_mask):
-        raise ShapeError(f"attention: slot masks {q_mask.shape} {q_mask.dtype} and "
-                         f"{k_mask.shape} {k_mask.dtype} are not two boolean [S, L] arrays")
-    n_slots = (np.count_nonzero(q_mask), np.count_nonzero(k_mask))
-    if n_slots != (n_q, n_kv):
-        raise ShapeError(f"attention: {n_slots[0]} query and {n_slots[1]} key slots "
-                         f"for {qp.shape} and {kvp.shape}")
-    if not n_q or not k_mask.any(axis=1).all():
-        raise ShapeError("attention: no query, or a sequence with no key")
-    n_seq, heads = len(q_mask), (n_heads, d // n_heads)
-    q = np.zeros(q_mask.shape + heads)
-    q[q_mask] = qp.data.reshape((n_q,) + heads)
-    kv, k_at = kvp.data.reshape((n_kv, 2) + heads), np.flatnonzero(k_mask)
-    k, v = np.zeros(k_mask.shape + heads), np.zeros(k_mask.shape + heads)
-    k.reshape((-1,) + heads)[k_at] = kv[:, 0]
-    v.reshape((-1,) + heads)[k_at] = kv[:, 1]
-
-    # products over (sequence, head) pairs, laid out as numpy's batched-matmul
-    # einsum plans lay them out, so the reductions after them add in the
-    # same order: fold permutes by ``axes`` and merges the first two axes
-    def fold(x, axes):
-        x = x.transpose(axes)
-        return x.reshape((n_seq * n_heads,) + x.shape[2:])
-
-    def unfold(x, axes):
-        return x.reshape((n_seq, n_heads) + x.shape[1:]).transpose(axes)
-
-    s = 1.0 / math.sqrt(d)
-    q_shel = fold(q, (0, 2, 3, 1))
-    scores = unfold(fold(k, (0, 2, 1, 3)) @ q_shel, (0, 1, 3, 2)) * s
-    scores = np.where(~k_mask[:, None, None, :], -np.inf, scores)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    if sink is not None:
-        sink.append(attn)
-    attn_shml = fold(attn, (0, 1, 3, 2))
-    out = unfold(fold(v, (0, 2, 3, 1)) @ attn_shml, (0, 3, 1, 2))
-
-    # the gradients read from the slots add 0.0, as the scatters into zeros
-    # they replace did, so a -0.0 comes out +0.0
-    def bwd(g):
-        g_out = np.zeros(out.shape)
-        g_out[q_mask] = g.reshape((-1,) + heads)
-        g_attn = unfold(fold(v, (0, 2, 1, 3)) @ fold(g_out, (0, 2, 3, 1)), (0, 1, 3, 2))
-        g_v = unfold(attn_shml @ fold(g_out, (0, 2, 1, 3)), (0, 2, 1, 3))
-        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
-        g_scores = attn * (g_attn - dot) * s
-        g_q = unfold(fold(k, (0, 2, 3, 1)) @ fold(g_scores, (0, 1, 3, 2)), (0, 3, 1, 2))
-        g_k = unfold(q_shel @ fold(g_scores, (0, 1, 2, 3)), (0, 3, 1, 2))
-        g_kv = np.empty((n_kv, 2) + heads)
-        g_kv[:, 0], g_kv[:, 1] = g_k[k_mask], g_v[k_mask]
-        g_kv += 0.0
-        return ((g_q[q_mask] + 0.0).reshape(n_q, d), g_kv.reshape(n_kv, 2 * d))
-
-    return _record("attention", out[q_mask].reshape(-1, d), (qp, kvp), bwd)
-
-
 def sum_all(x: Tensor) -> Tensor:
     def bwd(g):
         return (np.full(x.shape, g),)
@@ -512,38 +426,116 @@ def _normalize_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     return inv * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=(0,)), g.sum(axis=(0,))
 
 
-def encoder_tail(x: Tensor, a: Tensor, g1: Tensor, c1: Tensor, w1: Tensor, b1: Tensor,
-                 w2: Tensor, b2: Tensor, g2: Tensor, c2: Tensor) -> Tensor:
-    """The residual, layer-norm and FFN tail of an encoding block, from its
-    input rows x[N, d] and their attention output a[N, d] to the block's
-    output [N, d]:
+def _attend(qp: np.ndarray, kvp: np.ndarray, n_heads: int, q_mask: np.ndarray,
+            k_mask: np.ndarray, sink: list | None):
+    """``encoding_block``'s attention of the query rows qp[Nq, d] over the key
+    and value rows kvp[N, 2d] -> (output [Nq, d], g -> (g_qp, g_kvp))."""
+    (n_q, d), n_kv = qp.shape, kvp.shape[0]
+    n_seq, heads = len(q_mask), (n_heads, d // n_heads)
+    q = np.zeros(q_mask.shape + heads)
+    q[q_mask] = qp.reshape((n_q,) + heads)
+    kv, k_at = kvp.reshape((n_kv, 2) + heads), np.flatnonzero(k_mask)
+    k, v = np.zeros(k_mask.shape + heads), np.zeros(k_mask.shape + heads)
+    k.reshape((-1,) + heads)[k_at] = kv[:, 0]
+    v.reshape((-1,) + heads)[k_at] = kv[:, 1]
 
-        y = LN(x + a; g1, c1)
+    # products over (sequence, head) pairs, laid out as numpy's batched-matmul
+    # einsum plans lay them out, so the reductions after them add in the
+    # same order: fold permutes by ``axes`` and merges the first two axes
+    def fold(x, axes):
+        x = x.transpose(axes)
+        return x.reshape((n_seq * n_heads,) + x.shape[2:])
+
+    def unfold(x, axes):
+        return x.reshape((n_seq, n_heads) + x.shape[1:]).transpose(axes)
+
+    s = 1.0 / math.sqrt(d)
+    q_shel = fold(q, (0, 2, 3, 1))
+    scores = unfold(fold(k, (0, 2, 1, 3)) @ q_shel, (0, 1, 3, 2)) * s
+    scores = np.where(~k_mask[:, None, None, :], -np.inf, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    if sink is not None:
+        sink.append(attn)
+    attn_shml = fold(attn, (0, 1, 3, 2))
+    out = unfold(fold(v, (0, 2, 3, 1)) @ attn_shml, (0, 3, 1, 2))
+
+    # the gradients read from the slots add 0.0, as the scatters into zeros
+    # they replace did, so a -0.0 comes out +0.0
+    def bwd(g):
+        g_out = np.zeros(q_mask.shape + heads)
+        g_out[q_mask] = g.reshape((-1,) + heads)
+        g_attn = unfold(fold(v, (0, 2, 1, 3)) @ fold(g_out, (0, 2, 3, 1)), (0, 1, 3, 2))
+        g_v = unfold(attn_shml @ fold(g_out, (0, 2, 1, 3)), (0, 2, 1, 3))
+        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - dot) * s
+        g_q = unfold(fold(k, (0, 2, 3, 1)) @ fold(g_scores, (0, 1, 3, 2)), (0, 3, 1, 2))
+        g_k = unfold(q_shel @ fold(g_scores, (0, 1, 2, 3)), (0, 3, 1, 2))
+        g_kv = np.empty((n_kv, 2) + heads)
+        g_kv[:, 0], g_kv[:, 1] = g_k[k_mask], g_v[k_mask]
+        g_kv += 0.0
+        return (g_q[q_mask] + 0.0).reshape(n_q, d), g_kv.reshape(n_kv, 2 * d)
+
+    return out[q_mask].reshape(-1, d), bwd
+
+
+def encoding_block(x: Tensor, n_heads: int, k_mask, wq: Tensor, wkv: Tensor, wo: Tensor,
+                   g1: Tensor, c1: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                   g2: Tensor, c2: Tensor, rows=None, sink: list | None = None) -> Tensor:
+    """A self-attention encoding block over the packed rows x[N, d] of
+    sequences -> one output row per query [Nq, d]:
+
+        y = LN(xq + attention(xq @ wq, x @ wkv) @ wo; g1, c1)
         out = LN(y + relu(y @ w1 + b1) @ w2 + b2; g2, c2)
 
-    where LN(z; g, c) normalizes each row of z to zero mean and unit
-    variance (eps ``LAYER_NORM_EPS``) and then applies ``* g + c``.
+    The rows of x fill the slots of the boolean mask ``k_mask`` [S, L] in
+    row-major order. ``rows`` [S, Lq] holds the row at each query slot (-1
+    pads; default every row at its own slot), and xq those rows in order.
+    Head h owns column block h of wq and of wkv's key and value halves;
+    scores are scaled by 1/sqrt(d), and padded keys get weight 0. LN
+    normalizes each row (eps ``LAYER_NORM_EPS``), then applies ``* g + c``.
+    ``sink`` collects the softmax [S, n_heads, Lq, L].
 
-    One node for the chain add, layer_norm, matmul, add_bias, relu, matmul,
-    add_bias, add, layer_norm: it makes the chain's numpy calls in the same
-    order and applies their backward rules in reverse, so y's gradient is
-    the residual term plus the FFN term, as the tape adds them.
+    One node for the chain gather_rows (with ``rows``), matmul, matmul,
+    attention, matmul, add, layer_norm, matmul, add_bias, relu, matmul,
+    add_bias, add, layer_norm: it makes the chain's numpy calls in order and
+    applies their backward rules in reverse, adding x's gradient terms as
+    the tape did: (tail + keys/values) + queries, or with ``rows``,
+    keys/values + the scatter of (tail + queries).
     """
-    d = x.shape[1] if x.data.ndim == 2 else -1
-    f = w1.shape[-1] if w1.shape else -1
-    if x.data.ndim != 2 or a.shape != x.shape or w1.shape != (d, f) \
-            or w2.shape != (f, d) or b1.shape != (f,) \
-            or any(t.shape != (d,) for t in (g1, c1, b2, g2, c2)):
-        raise ShapeError(f"encoder_tail: rows {x.shape}, attention {a.shape}, "
-                         f"ffn {w1.shape} {b1.shape} {w2.shape} {b2.shape}, norms "
-                         f"{g1.shape} {c1.shape} {g2.shape} {c2.shape}")
-    w1d, w2d, g1d, g2d = w1.data, w2.data, g1.data, g2.data
-    xhat1, inv1 = _normalize(x.data + a.data)
+    d, f = (t.shape[-1] if t.shape else -1 for t in (x, w1))
+    weights = (wq, wkv, wo, g1, c1, w1, b1, w2, b2, g2, c2)
+    shapes = [(d, d), (d, 2 * d), (d, d), (d,), (d,), (d, f), (f,), (f, d), (d,), (d,), (d,)]
+    if x.data.ndim != 2 or not 0 < n_heads <= d or d % n_heads \
+            or [t.shape for t in weights] != shapes:
+        raise ShapeError(f"encoding_block: rows {x.shape} with {n_heads} heads and weights "
+                         f"{[t.shape for t in weights]}")
+    xd, n, k_mask = x.data, x.shape[0], np.asarray(k_mask)
+    if k_mask.dtype != bool or k_mask.ndim != 2 or np.count_nonzero(k_mask) != n:
+        raise ShapeError(f"encoding_block: key mask {k_mask.shape} {k_mask.dtype} is not a "
+                         f"boolean [S, L] array with a slot for each of {n} rows")
+    rows = None if rows is None else np.asarray(rows)
+    if rows is not None and (rows.dtype.kind not in "iu" or rows.shape[:1] != k_mask.shape[:1]
+                             or rows.ndim != 2 or not -1 <= rows.min(initial=-1)
+                             or rows.max(initial=-1) >= n):
+        raise ShapeError(f"encoding_block: query rows {rows.shape} {rows.dtype} are not ids "
+                         f"of {n} rows for {len(k_mask)} sequences")
+    q_mask = k_mask if rows is None else rows >= 0
+    if not q_mask.any() or not k_mask.any(axis=1).all():
+        raise ShapeError("encoding_block: no query, or a sequence with no key")
+    picked = None if rows is None else rows[q_mask]
+    xq = xd if picked is None else xd[picked]
+    wqd, wkvd, wod, g1d, w1d, w2d, g2d = (t.data for t in (wq, wkv, wo, g1, w1, w2, g2))
+    qp, kvp = xq @ wqd, xd @ wkvd
+    for arr in (qp, kvp):
+        _require_finite(arr, "encoding_block")
+    att, att_bwd = _attend(qp, kvp, n_heads, q_mask, k_mask, sink)
+    xhat1, inv1 = _normalize(xq + att @ wod)
     y1 = xhat1 * g1d + c1.data
     z1 = y1 @ w1d + b1.data
-    # a non-finite value anywhere in the chain makes z1 or the output, which
-    # _record checks, non-finite; relu would hide a -inf or NaN of z1
-    _require_finite(z1, "encoder_tail")
+    # a non-finite value anywhere in the block makes qp, kvp, z1 or the
+    # output, which are checked, non-finite; relu would hide a -inf or NaN
+    _require_finite(z1, "encoding_block")
     active = z1 > 0
     h = np.where(active, z1, 0.0)
     xhat2, inv2 = _normalize(y1 + (h @ w2d + b2.data))
@@ -552,11 +544,18 @@ def encoder_tail(x: Tensor, a: Tensor, g1: Tensor, c1: Tensor, w1: Tensor, b1: T
         g_s2, g_g2, g_c2 = _normalize_grad(g, g2d, xhat2, inv2)
         g_z1 = (g_s2 @ w2d.T) * active
         g_s1, g_g1, g_c1 = _normalize_grad(g_s2 + g_z1 @ w1d.T, g1d, xhat1, inv1)
-        return (g_s1, g_s1, g_g1, g_c1, y1.T @ g_z1, g_z1.sum(axis=(0,)),
-                h.T @ g_s2, g_s2.sum(axis=(0,)), g_g2, g_c2)
+        g_qp, g_kvp = att_bwd(g_s1 @ wod.T)
+        g_x, g_xq = g_kvp @ wkvd.T, g_qp @ wqd.T
+        if picked is None:
+            g_x = (g_s1 + g_x) + g_xq
+        else:  # one bincount adds each row's gradients in index order from 0.0
+            cells = (picked[:, None] * d + np.arange(d)).ravel()
+            g_x = g_x + np.bincount(cells, weights=(g_s1 + g_xq).ravel(),
+                                    minlength=xd.size).reshape(xd.shape)
+        return (g_x, xq.T @ g_qp, xd.T @ g_kvp, att.T @ g_s1, g_g1, g_c1, y1.T @ g_z1,
+                g_z1.sum(axis=(0,)), h.T @ g_s2, g_s2.sum(axis=(0,)), g_g2, g_c2)
 
-    return _record("encoder_tail", xhat2 * g2d + c2.data,
-                   (x, a, g1, c1, w1, b1, w2, b2, g2, c2), bwd)
+    return _record("encoding_block", xhat2 * g2d + c2.data, (x, *weights), bwd)
 
 
 def char_cnn(seq: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor],

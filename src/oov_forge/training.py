@@ -45,14 +45,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise TrainingError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_episodes < 1:
-            raise TrainingError(f"batch_episodes must be >= 1, got {self.batch_episodes}")
-        if self.patience < 1:
-            raise TrainingError(f"patience must be >= 1, got {self.patience}")
+        for name in ("batch_episodes", "patience", "validation_every", "val_episodes"):
+            if getattr(self, name) < 1:
+                raise TrainingError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.steps < 0:
             raise TrainingError(f"steps must be >= 0, got {self.steps}")
-        if self.validation_every < 1:
-            raise TrainingError(f"validation_every must be >= 1, got {self.validation_every}")
         if not 1 <= self.k_min <= self.k_max:
             raise TrainingError(f"need 1 <= k_min <= k_max, got k_min={self.k_min}, "
                                 f"k_max={self.k_max}")
@@ -130,8 +127,9 @@ def episode_loss(model: HiceModel, episodes: list[Episode],
             raise TrainingError(f"zero-norm oracle for word {ep.target_word!r}")
     pred = model.predict(episodes, vocab)
     oracle = tc.constant(np.stack([ep.oracle for ep in episodes]).astype(np.float64))
-    mean = tc.scale(tc.sum_all(tc.cosine(pred, oracle)), 1.0 / len(episodes))
-    return tc.scale(mean, -1.0), float(mean.data)
+    # -1.0 / n is -(1.0 / n) exactly, so this is the negated mean to the bit
+    loss = tc.scale(tc.sum_all(tc.cosine(pred, oracle)), -1.0 / len(episodes))
+    return loss, -float(loss.data)
 
 
 def evaluate_cosine(model: HiceModel, episodes: list[Episode],

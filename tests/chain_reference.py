@@ -1,13 +1,15 @@
-"""The op chains that ``tensor.encoder_tail`` and ``tensor.char_cnn`` fold
-into one tape node, as plain numpy: each op of the chain is the tape op it
-was (``add``, ``layer_norm``, ``matmul``, ``add_bias``, ``relu``,
-``conv1d_maxpool``, ``concat_cols``), with its output checked for finite
-values, and the backward pass applies each op's rule in reverse, adding the
-gradients of a shared input in the order the tape added them. The fused
-ops are checked against these with ``np.array_equal``."""
+"""The op chains that ``tensor.encoding_block`` and ``tensor.char_cnn``
+fold into one tape node, as plain numpy: each op of the chain is the tape
+op it was (``gather_rows``, ``matmul``, ``attention``, ``add``,
+``layer_norm``, ``add_bias``, ``relu``, ``conv1d_maxpool``,
+``concat_cols``), with its output checked for finite values, and the
+backward pass applies each op's rule in reverse, adding the gradients of a
+shared input in the order the tape added them. The fused ops are checked
+against these with ``np.array_equal``."""
 
 import numpy as np
 
+from attention_reference import attention_reference
 from oov_forge.errors import NumericError, ShapeError
 from oov_forge.tensor import LAYER_NORM_EPS
 
@@ -63,6 +65,42 @@ def encoder_tail_reference(x, a, g1, c1, w1, b1, w2, b2, g2, c2, g):
     g_y1 = g_s2 + g_y1_ffn  # the add node comes after the matmul on the tape
     g_s1, g_g1, g_c1 = ln1_bwd(g_y1)
     return out, (g_s1, g_s1, g_g1, g_c1, g_w1, g_b1, g_w2, g_b2, g_g2, g_c2)
+
+
+def slot_ids(mask):
+    """The row ids of a boolean slot mask, -1 past the end: row i fills the
+    i-th slot in row-major order."""
+    return np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, -1)
+
+
+def encoding_block_reference(x, n_heads, k_mask, rows, wq, wkv, wo, g1, c1, w1, b1, w2,
+                             b2, g2, c2, g):
+    """(output, softmax, gradients of x, wq, wkv, wo, g1, c1, w1, b1, w2, b2,
+    g2, c2) of the chain gather_rows (with ``rows``), matmul (queries),
+    matmul (keys and values), attention (``attention_reference``), matmul
+    (wo) and the tail (``encoder_tail_reference``), for the upstream
+    gradient g of the output. x's gradient adds its terms in the order the
+    tape met them: the tail's, then the keys and values', then the
+    queries', which with ``rows`` reach x through the gather's scatter."""
+    q_mask = k_mask if rows is None else rows >= 0
+    xq = x if rows is None else x[rows[q_mask]]
+    qp, kvp = _finite(xq @ wq, "matmul"), _finite(x @ wkv, "matmul")
+    att, attn, att_bwd = attention_reference(qp, kvp, n_heads, slot_ids(q_mask),
+                                             slot_ids(k_mask))
+    a = _finite(_finite(att, "attention") @ wo, "matmul")
+    out, (g_xq, g_a, *g_tail) = encoder_tail_reference(xq, a, g1, c1, w1, b1, w2, b2,
+                                                       g2, c2, g)
+    g_att, g_wo = g_a @ wo.T, att.T @ g_a
+    g_qp, g_kvp = att_bwd(g_att)
+    g_x, g_wkv = g_kvp @ wkv.T, x.T @ g_kvp
+    g_xq_q, g_wq = g_qp @ wq.T, xq.T @ g_qp
+    if rows is None:
+        g_x = (g_xq + g_x) + g_xq_q
+    else:
+        scattered = np.zeros(x.shape)
+        np.add.at(scattered, rows[q_mask], g_xq + g_xq_q)
+        g_x = g_x + scattered
+    return out, attn, (g_x, g_wq, g_wkv, g_wo, *g_tail)
 
 
 def conv1d_maxpool(seq, filters, lengths=None):

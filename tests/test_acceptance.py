@@ -92,16 +92,18 @@ def _op_cases(rng):
     x, y = p(4, 3), p(4, 3)
     b, s = p(3), p(4)
     seqs, filt2, filt3, cb2, cb3 = p(3, 5, 3), p(2, 3, 4), p(3, 3, 2), p(4), p(2)
-    x6, a6, w65, w56 = p(4, 6), p(4, 6), p(6, 5), p(5, 6)
-    ln_g, ln_b, ffn_b1, ffn_b2 = p(6), p(6), p(5), p(6)
+    # an encoding block over two sequences of 2 and 4 rows, 2 heads; every
+    # row is a query, or the rows of ``rows``, one of them asked twice. One
+    # gain and bias serve both norms, so each gets two gradient terms.
+    x6, wq, wkv, wo = p(6, 6), p(6, 6), p(6, 12), p(6, 6)
+    ln_g, ln_b, w65, ffn_b1, w56, ffn_b2 = p(6), p(6), p(6, 5), p(5), p(5, 6), p(6)
+    block = [wq, wkv, wo, ln_g, ln_b, w65, ffn_b1, w56, ffn_b2, ln_g, ln_b]
+    k_mask = np.array([[True, True, False, False], [True, True, True, True]])
+    rows = np.array([[1, -1, -1], [3, 5, 3]])
     mat = p(5, 3)
     u1, u2 = p(3, 5), p(3, 5)
-    # two sequences of 2 and 4 rows, queries at a subset of their rows
-    qp, kvp = p(3, 4), p(6, 8)
-    q_mask = np.array([[True, False], [True, True]])
-    k_mask = np.array([[True, True, False, False], [True, True, True, True]])
-    w43, w3, w34, w23, w46, w36 = c(4, 3), c(3), c(3, 4), c(2, 3), c(4, 6), c(3, 6)
-    w233 = c(2, 3, 3)
+    w43, w3, w23, w46, w36 = c(4, 3), c(3), c(2, 3), c(4, 6), c(3, 6)
+    w233, w66 = c(2, 3, 3), c(6, 6)
     m45, m53 = p(4, 5), p(5, 3)
     w45out = c(4, 3)
 
@@ -110,13 +112,11 @@ def _op_cases(rng):
 
     return [
         ("matmul", lambda: wrap(tc.matmul(m45, m53), w45out), [m45, m53]),
-        ("attention",
-         lambda: wrap(tc.attention(qp, kvp, 2, q_mask, k_mask), w34), [qp, kvp]),
-        # one gain and bias for both norms, so each gets two gradient terms
-        ("encoder_tail",
-         lambda: wrap(tc.encoder_tail(x6, a6, ln_g, ln_b, w65, ffn_b1, w56, ffn_b2,
-                                      ln_g, ln_b), w46),
-         [x6, a6, ln_g, ln_b, w65, ffn_b1, w56, ffn_b2]),
+        ("encoding_block",
+         lambda: wrap(tc.encoding_block(x6, 2, k_mask, *block), w66), [x6] + block[:9]),
+        ("encoding_block:rows",
+         lambda: wrap(tc.encoding_block(x6, 2, k_mask, *block, rows=rows), w46),
+         [x6] + block[:9]),
         ("char_cnn",
          lambda: wrap(tc.char_cnn(seqs, [filt2, filt3], [cb2, cb3], [5, 2, 1]), w36),
          [seqs, filt2, filt3, cb2, cb3]),
@@ -140,7 +140,7 @@ def test_criterion_1_covers_every_tensor_op():
            if inspect.isfunction(fn) and fn.__module__ == tc.__name__
            and not name.startswith("_") and "_record" in fn.__code__.co_names}
     cases = {name.split(":")[0] for name, _, _ in _op_cases(np.random.default_rng(0))}
-    assert "attention" in ops and "matmul" in ops
+    assert "encoding_block" in ops and "matmul" in ops
     assert ops - cases == set(), f"ops without a gradient case: {sorted(ops - cases)}"
     assert cases - ops == set(), f"cases for missing ops: {sorted(cases - ops)}"
 

@@ -107,6 +107,33 @@ def test_maml_step_rejects_empty_batches():
         maml_step(model, [], [], AdaptConfig())
 
 
+def test_adapt_config_refuses_batches_below_one():
+    for n in (0, -1):
+        with pytest.raises(AdaptationError, match="batch_episodes"):
+            AdaptConfig(batch_episodes=n)
+    assert AdaptConfig(batch_episodes=1).batch_episodes == 1
+
+
+def test_a_second_order_update_records_60_nodes(monkeypatch):
+    # four gradient evaluations: the source and target losses and the two
+    # source gradients of the Hessian-vector product, 15 nodes each
+    vocab, store, table, oracle, _ = synthetic_task.planted_task(
+        n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)
+    mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
+    stream = episode_stream(vocab, store, oracle, (2, 6), seed=9)
+    batch_t, batch_n = ([next(stream) for _ in range(8)] for _ in range(2))
+    nodes, real = [], adaptation.backward
+
+    def counting(loss):
+        nodes.append(len(loss.node.graph.nodes))
+        return real(loss)
+
+    monkeypatch.setattr(adaptation, "backward", counting)
+    maml_step(HiceModel.from_table(mc, oracle, vocab), batch_t, batch_n,
+              AdaptConfig(alpha=1e-3, first_order=False))
+    assert nodes == [15] * 4
+
+
 def test_maml_step_reads_no_source_batch_at_alpha_zero():
     vocab, store, table, oracle, _ = synthetic_task.planted_task(
         n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oov_forge.tensor as tc
-from chain_reference import encoder_tail_reference, layer_norm
+from chain_reference import encoder_tail_reference, encoding_block_reference, layer_norm
 from fd import rel_err
 from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
 from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, MASK_TOKEN, UNK_ID,
@@ -15,8 +15,7 @@ from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, MASK_TOKEN, UNK_I
                                sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
-                             Segments, block_arrays, encoding_block, fresh_arrays,
-                             self_attention)
+                             Segments, block_arrays, encoding_block, fresh_arrays)
 from oov_forge.tensor import Graph, backward, constant, cosine, parameter, sum_all
 from vectors import assert_on_vectors
 
@@ -79,15 +78,24 @@ def head_blocks(block):
     return [(wq[:, c], wkv[:, :d_model][:, c], wkv[:, d_model:][:, c]) for c in cols]
 
 
+def block_tail(x, att, block):
+    """The block's output for the rows x whose attention output, before wo,
+    is att: the chain's tail."""
+    tail = (block.ln1_g, block.ln1_b, block.w1, block.b1, block.w2, block.b2, block.ln2_g,
+            block.ln2_b)
+    return encoder_tail_reference(x, att @ block.wo.data, *(p.data for p in tail),
+                                  np.zeros(x.shape))[0]
+
+
 def test_self_attention_single_position(rng):
     block = fresh_block(6, 2, 12, rng)
     x = constant(rng.normal(size=(1, 6)))
     sink = []
-    out = self_attention(x, x, block, Segments([1]), sink)
+    out = encoding_block(x, block, Segments([1]), sink=sink)
     assert sink[0].shape == (1, 2, 1, 1)
     assert np.allclose(sink[0], 1.0, atol=1e-12)
     values = np.concatenate([x.data @ wv for _, _, wv in head_blocks(block)], axis=1)
-    assert np.allclose(out.data, values @ block.wo.data, atol=1e-12)
+    assert np.allclose(out.data, block_tail(x.data, values, block), atol=1e-12)
 
 
 def test_attention_weights_are_the_per_head_draws_joined(rng):
@@ -113,13 +121,13 @@ def test_self_attention_identical_rows_attend_uniformly(rng):
     row = rng.normal(size=6)
     x = constant(np.stack([row, row]))
     sink = []
-    self_attention(x, x, block, Segments([2]), sink)
+    encoding_block(x, block, Segments([2]), sink=sink)
     assert sink[0].shape == (1, 2, 2, 2)
     assert np.abs(sink[0] - 0.5).max() < 1e-9
 
 
 def _naive_self_attention(x, block):
-    """Straight-loop reimplementation of the attention formula."""
+    """Straight-loop reimplementation of the attention formula, before wo."""
     d_model = block.d_model
     outs = []
     for wq, wk, wv in head_blocks(block):
@@ -134,7 +142,7 @@ def _naive_self_attention(x, block):
             e = np.exp(scores - scores.max())
             att[i] = e / e.sum()
         outs.append(att @ v)
-    return np.concatenate(outs, axis=1) @ block.wo.data
+    return np.concatenate(outs, axis=1)
 
 
 def test_self_attention_matches_naive_loop(rng):
@@ -143,10 +151,11 @@ def test_self_attention_matches_naive_loop(rng):
     lengths = [5, 1, 3]
     x = rng.normal(size=(sum(lengths), 8))
     seqs = Segments(lengths)
-    got = self_attention(constant(x), constant(x), block, seqs).data
+    got = encoding_block(constant(x), block, seqs).data
     for start, n in zip(seqs.starts, lengths):
         rows = slice(start, start + n)
-        assert np.abs(got[rows] - _naive_self_attention(x[rows], block)).max() < 1e-10
+        want = block_tail(x[rows], _naive_self_attention(x[rows], block), block)
+        assert np.abs(got[rows] - want).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -178,39 +187,24 @@ def test_encoding_block_is_position_wise(rng):
 
 
 def _block_and_chain(rng, d_model, n_heads, lengths, pool):
-    """The gradients of x and of every weight of ``encoding_block``, once as
-    the model runs it and once with its tail replaced by the op chain the
-    tail node folds (``chain_reference``), whose input gradients enter the
-    tape where the tail node stood; with ``pool``, one query row per
+    """The output and the gradients of x and of every weight of
+    ``encoding_block``, once as the model runs it and once as the op chain
+    it folds (``chain_reference``); with ``pool``, one query row per
     sequence, as the last context block reads them."""
     block = fresh_block(d_model, n_heads, 4 * d_model, rng)
     seqs = Segments(lengths)
     rows = (seqs.starts + rng.integers(0, seqs.lengths))[:, None] if pool else None
     x_arr = rng.normal(size=(int(seqs.lengths.sum()), d_model))
     g = rng.normal(size=(len(lengths) if pool else len(x_arr), d_model))
-    tail_weights = [block.ln1_g, block.ln1_b, block.w1, block.b1, block.w2, block.b2,
-                    block.ln2_g, block.ln2_b]
-    weights = [block.wq, block.wkv, block.wo] + tail_weights
-    runs = []
-    for fused in (True, False):
-        x = parameter(x_arr)
-        for p in weights:
-            p.zero_grad()
-        with Graph():
-            if fused:
-                y = encoding_block(x, block, seqs, rows)
-                backward(sum_all(tc.mul(y, constant(g))))
-                out, tail_grads = y.data, [p.grad for p in tail_weights]
-            else:
-                xq = x if rows is None else tc.gather_rows(x, rows[rows >= 0])
-                a = self_attention(x, xq, block, seqs, rows=rows)
-                out, grads = encoder_tail_reference(
-                    xq.data, a.data, *(p.data for p in tail_weights), g)
-                backward(tc.add(sum_all(tc.mul(xq, constant(grads[0]))),
-                                sum_all(tc.mul(a, constant(grads[1])))))
-                tail_grads = grads[2:]
-        runs.append([out, x.grad] + [p.grad for p in weights[:3]] + list(tail_grads))
-    return runs
+    weights = [block.wq, block.wkv, block.wo, block.ln1_g, block.ln1_b, block.w1, block.b1,
+               block.w2, block.b2, block.ln2_g, block.ln2_b]
+    x = parameter(x_arr)
+    with Graph():
+        y = encoding_block(x, block, seqs, rows)
+        backward(sum_all(tc.mul(y, constant(g))))
+    want, _, grads = encoding_block_reference(x_arr, n_heads, seqs.mask, rows,
+                                              *(p.data for p in weights), g)
+    return [y.data, x.grad] + [p.grad for p in weights], [want, *grads]
 
 
 @pytest.mark.parametrize("d_model, n_heads, pool", [
@@ -392,6 +386,17 @@ def test_a_dropped_model_frees_its_vectors_at_once():
         assert params() is None
     finally:
         gc.enable()
+
+
+def test_from_table_binds_the_table_it_is_given():
+    # one table object, so the model's batches reuse the row map that the
+    # vocabulary keeps for the table
+    model, table = make_model()
+    assert model.table is table
+    vocab, _ = make_corpus()
+    rows = vocab.rows_in(table)
+    model.batch([episode_of([[MASK_ID, 1, 2]])], vocab)
+    assert vocab.rows_in(table) is rows
 
 
 def test_model_shares_the_table_rows():

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import oov_forge.tensor as tc
-from attention_reference import attention_reference
-from chain_reference import char_cnn_reference, encoder_tail_reference
+from chain_reference import (char_cnn_reference, encoder_tail_reference,
+                             encoding_block_reference, slot_ids)
 from fd import check_grads
 from oov_forge.errors import GraphError, NumericError, ShapeError
 from oov_forge.tensor import (Graph, ParamVector, Tensor, backward, constant, cosine,
@@ -47,171 +47,6 @@ def test_matmul_gradients_match_finite_differences(rng):
     assert err < 1e-6
 
 
-# ---------------------------------------------------------------------------
-# attention: the softmax of its scores
-# ---------------------------------------------------------------------------
-
-def _slots(ids):
-    """The slot mask of an [S, L] array of row ids (-1 pads), which must
-    number the rows in row-major order."""
-    ids = np.asarray(ids)
-    mask = ids >= 0
-    assert np.array_equal(ids[mask], np.arange(mask.sum())), ids
-    return mask
-
-
-def _ids(mask):
-    """The row ids of a slot mask, -1 past the end: the layout tc.attention
-    reads, as attention_reference takes it."""
-    return np.where(mask, np.cumsum(mask).reshape(mask.shape) - 1, -1)
-
-
-def _attention(qp, kvp, n_heads, queries, keys, sink=None):
-    return tc.attention(qp, kvp, n_heads, _slots(queries), _slots(keys), sink)
-
-
-def _attention_weights(qp, kvp, n_heads, queries, keys):
-    sink = []
-    out = _attention(constant(qp), constant(kvp), n_heads, queries, keys, sink)
-    return out.data, sink[0]
-
-
-def test_softmax_uniform_on_equal_inputs(rng):
-    # three keys equal in every head: each query spreads its weight evenly
-    kvp = rng.normal(size=(3, 8))
-    kvp[:, :4] = kvp[0, :4]
-    out, weights = _attention_weights(rng.normal(size=(2, 4)), kvp, 2, [[0, 1]], [[0, 1, 2]])
-    assert weights.shape == (1, 2, 2, 3)
-    assert np.allclose(weights, 1 / 3, atol=1e-12)
-    assert np.allclose(out, np.tile(kvp[:, 4:].mean(axis=0), (2, 1)), atol=1e-12)
-
-
-def test_softmax_shift_invariance_hand_case():
-    # one head of width 1: the query 1 scores the keys c and c + log 2
-    for c in (-50.0, 0.0, 3.25, 700.0):
-        out, weights = _attention_weights([[1.0]], [[c, 3.0], [c + math.log(2.0), 6.0]],
-                                          1, [[0]], [[0, 1]])
-        assert np.allclose(weights[0, 0, 0], [1 / 3, 2 / 3], atol=1e-12)
-        assert np.allclose(out, [[5.0]], atol=1e-12)
-
-
-def test_softmax_rows_sum_to_one_and_shift_invariant(rng):
-    # a vector added to every key shifts each query's scores by one constant
-    queries, keys = [[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]], [[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]]
-    for _ in range(50):
-        qp, kvp = rng.normal(size=(8, 6)) * 3, rng.normal(size=(8, 12)) * 3
-        out, y = _attention_weights(qp, kvp, 3, queries, keys)
-        assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-9
-        assert (y[1] > 0).all() and (y[0, :, :, :3] > 0).all()
-        shifted = kvp.copy()
-        shifted[:, :6] += rng.normal(size=6) * 3
-        out_shift, y_shift = _attention_weights(qp, shifted, 3, queries, keys)
-        assert np.abs(y - y_shift).max() < 1e-9
-        assert np.abs(out - out_shift).max() < 1e-9
-
-
-def test_softmax_jacobian_matches_finite_differences(rng):
-    # two sequences of 3 and 2 rows, with and without a subset of query rows
-    keys = [[0, 1, 2], [3, 4, -1]]
-    kvp = parameter(rng.normal(size=(5, 8)))
-    for queries in ([[0, 1, 2], [3, 4, -1]], [[-1, 0, -1], [1, -1, -1]]):
-        n_q = int((np.asarray(queries) >= 0).sum())
-        qp = parameter(rng.normal(size=(n_q, 4)))
-        w = constant(rng.normal(size=(n_q, 4)))
-        err = check_grads(
-            lambda: sum_all(tc.mul(_attention(qp, kvp, 2, queries, keys), w)), [qp, kvp])
-        assert err < 1e-6
-
-
-def test_softmax_key_mask_zeroes_masked_entries(rng):
-    # sequence 0 has keys 0-2, sequence 1 keys 3-4 and a padded slot
-    queries, keys = [[0, 1, 2], [3, 4, -1]], [[0, 1, 2], [3, 4, -1]]
-    qp, kvp = rng.normal(size=(5, 4)), rng.normal(size=(5, 8))
-    out, y = _attention_weights(qp, kvp, 2, queries, keys)
-    assert np.array_equal(y[1, :, :, 2], np.zeros((2, 3)))
-    alone, y_alone = _attention_weights(qp[3:], kvp[3:5], 2, [[0, 1]], [[0, 1]])
-    assert np.abs(y[1, :, :2, :2] - y_alone[0]).max() < 1e-15
-    assert np.abs(out[3:] - alone).max() < 1e-15
-
-    # another sequence's rows never reach a sequence's output
-    edited_q, edited_kv = qp.copy(), kvp.copy()
-    edited_q[:3] = rng.normal(size=(3, 4))
-    edited_kv[:3] = rng.normal(size=(3, 8))
-    assert np.array_equal(_attention_weights(edited_q, edited_kv, 2, queries, keys)[0][3:],
-                          out[3:])
-
-    # a loss on sequence 1 alone sends nothing to sequence 0's rows
-    q_t, kv_t = parameter(qp), parameter(kvp)
-    w = rng.normal(size=(5, 4))
-    w[:3] = 0.0
-    with Graph():
-        backward(sum_all(tc.mul(_attention(q_t, kv_t, 2, queries, keys), constant(w))))
-    assert np.array_equal(q_t.grad[:3], np.zeros((3, 4)))
-    assert np.array_equal(kv_t.grad[:3], np.zeros((3, 8)))
-    assert (kv_t.grad[3:5] != 0).all()
-
-
-def test_attention_matches_a_loop_over_sequences_and_heads(rng):
-    queries, keys = [[-1, 0, 1], [2, -1, -1]], [[0, 1, 2], [3, 4, -1]]
-    qp, kvp = rng.normal(size=(3, 6)), rng.normal(size=(5, 12))
-    out, _ = _attention_weights(qp, kvp, 3, queries, keys)
-    expected = []
-    for q_rows, k_rows in zip(queries, keys):
-        k_rows = [r for r in k_rows if r >= 0]
-        for r in (r for r in q_rows if r >= 0):
-            heads = []
-            for h in range(3):
-                cols = slice(2 * h, 2 * h + 2)
-                scores = np.array([qp[r, cols] @ kvp[m, :6][cols] for m in k_rows])
-                e = np.exp(scores / math.sqrt(6) - (scores / math.sqrt(6)).max())
-                heads.append(sum(wt * kvp[m, 6:][cols] for wt, m in zip(e / e.sum(), k_rows)))
-            expected.append(np.concatenate(heads))
-    assert np.abs(out - np.array(expected)).max() < 1e-12
-
-
-def test_attention_rejects_bad_shapes_and_slots():
-    qp, kvp = constant(np.zeros((2, 4))), constant(np.zeros((3, 8)))
-    ok = (np.ones((1, 2), bool), np.ones((1, 3), bool))
-    for bad_qp, bad_kvp, heads in ((np.zeros(4), kvp.data, 2), (qp.data, np.zeros((3, 6)), 2),
-                                   (qp.data, kvp.data, 3), (qp.data, kvp.data, 0)):
-        with pytest.raises(ShapeError):
-            tc.attention(constant(bad_qp), constant(bad_kvp), heads, *ok)
-    # row ids are not masks, and the masks must be [S, L] with one S
-    for q_mask, k_mask in (([[0, 1]], ok[1]), (ok[0], [[0, 1, 2]]), (ok[0], [[1, 1, 1]]),
-                           (np.ones(2, bool), ok[1]), (ok[0], np.ones((1, 1, 3), bool)),
-                           (np.ones((2, 1), bool), ok[1])):
-        with pytest.raises(ShapeError, match="boolean"):
-            tc.attention(qp, kvp, 2, q_mask, k_mask)
-    with pytest.raises(ShapeError, match="no key"):
-        tc.attention(qp, constant(np.zeros((2, 8))), 2, [[True], [True]],
-                     [[True, True], [False, False]])
-
-
-def test_attention_refuses_masks_whose_slot_counts_are_not_the_row_counts():
-    # a mask cannot place a row twice: it holds one slot per row, no more, no less
-    qp, kvp = constant(np.zeros((2, 4))), constant(np.zeros((3, 8)))
-    for q_mask, k_mask in (([[True, False]], [[True, True, True]]),
-                           ([[True, True, True]], [[True, True, True]]),
-                           ([[True, True]], [[True, True, False]]),
-                           ([[True, True]], [[True, True, True, True]]),
-                           ([[True], [True]], [[True, False], [True, False]]),
-                           ([[True], [True]], [[True, True], [True, True]])):
-        with pytest.raises(ShapeError, match="slots for"):
-            tc.attention(qp, kvp, 2, np.array(q_mask), np.array(k_mask))
-
-
-def test_attention_with_no_query_slot_is_a_shape_error():
-    kvp = constant(np.zeros((3, 8)))
-    for q_mask, k_mask in (([[False, False]], [[True, True, True]]),
-                           ([[False], [False]], [[True, True], [True, False]])):
-        with pytest.raises(ShapeError, match="no query"):
-            tc.attention(constant(np.zeros((0, 4))), kvp, 2, np.array(q_mask),
-                         np.array(k_mask))
-    with pytest.raises(ShapeError, match="slots for"):
-        tc.attention(constant(np.zeros((2, 4))), kvp, 2, np.zeros((1, 2), bool),
-                     np.ones((1, 3), bool))
-
-
 def test_a_parameter_is_an_entry_of_a_vector():
     vec = ParamVector(7)
     a = vec.add("a", np.array([[1.0, -2.0], [3.0, 4.0]]))
@@ -235,36 +70,243 @@ def test_a_parameter_is_an_entry_of_a_vector():
     assert np.array_equal(b.grad, [3.0] * 3)  # later gradients are added
 
 
-def _padded_slots(rng, lengths, queries):
-    """The query and key slot masks of packed sequences of ``lengths``: every
-    row is a key, and the queries are every row ("all"), one per sequence as
-    the mask pool reads them ("pool") or a random subset ("subset")."""
+# ---------------------------------------------------------------------------
+# encoding_block: attention, residuals, layer norms and FFN in one node; the
+# tests named for attention, softmax, layer_norm and encoder_tail check that
+# part of the block, an op that the block folds
+# ---------------------------------------------------------------------------
+
+def _same(a, b):
+    """Equal arrays of one shape, down to the sign of each zero."""
+    return a.shape == b.shape and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _slots(lengths):
+    """The key slot mask of packed sequences of ``lengths``."""
     lengths = np.asarray(lengths)
-    keys = np.arange(lengths.max()) < lengths[:, None]
-    if queries == "all":
-        picked = keys
-    elif queries == "pool":
-        picked = np.ones((len(lengths), 1), dtype=bool)
-    else:
-        picked = keys & (rng.random(keys.shape) < 0.5)
-        picked[0, 0] = True
-    return picked, keys
+    return np.arange(lengths.max()) < lengths[:, None]
 
 
-def _attention_against_reference(rng, lengths, queries, n_heads, width):
-    """(tc.attention's output, softmax and both gradients; the reference's,
-    which reads the row ids of the same slots) on random inputs and a random
-    upstream gradient."""
-    q_mask, k_mask = _padded_slots(rng, lengths, queries)
-    n_q, d = int(q_mask.sum()), n_heads * width
-    qp, kvp = rng.normal(size=(n_q, d)) * 2, rng.normal(size=(int(np.sum(lengths)), 2 * d)) * 2
-    g = rng.normal(size=(n_q, d))
-    q_t, kv_t, sink = parameter(qp), parameter(kvp), []
+def _weights(rng, d, f):
+    """Random wq, wkv, wo, g1, c1, w1, b1, w2, b2, g2, c2 for rows of width d
+    and an FFN of width f, each matrix scaled by 1/sqrt(its rows)."""
+    n = rng.normal
+    return [n(size=(d, d)) / math.sqrt(d), n(size=(d, 2 * d)) / math.sqrt(d),
+            n(size=(d, d)) / math.sqrt(d), n(size=d), n(size=d), n(size=(d, f)) / math.sqrt(d),
+            n(size=f), n(size=(f, d)) / math.sqrt(f), n(size=d), n(size=d), n(size=d)]
+
+
+def _plain(d, f):
+    """Zero projections and FFN, and norms with gain 1 and bias 0: the block
+    maps its query rows xq to LN(LN(xq))."""
+    return [np.zeros((d, d)), np.zeros((d, 2 * d)), np.zeros((d, d)), np.ones(d), np.zeros(d),
+            np.zeros((d, f)), np.zeros(f), np.zeros((f, d)), np.zeros(d), np.ones(d), np.zeros(d)]
+
+
+def _block(x, n_heads, k_mask, weights, rows=None, sink=None):
+    """tc.encoding_block of arrays (as constants) or tensors."""
+    def tensor(a):
+        return a if isinstance(a, Tensor) else constant(a)
+    return tc.encoding_block(tensor(x), n_heads, k_mask, *map(tensor, weights), rows=rows,
+                             sink=sink)
+
+
+def _tail_of(xq, att, weights):
+    """The block's output for the query rows xq whose attention output,
+    before wo, is att: the chain's tail."""
+    _, _, wo, *tail = weights
+    return encoder_tail_reference(xq, att @ wo, *tail, np.zeros(xq.shape))[0]
+
+
+def test_softmax_uniform_on_equal_inputs(rng):
+    # zero key weights give every key the same score: each query spreads its
+    # weight evenly, and its attention output is the mean value
+    x, weights = rng.normal(size=(3, 8)), _weights(rng, 8, 5)
+    weights[1][:, :8] = 0.0
+    sink = []
+    out = _block(x, 2, _slots([3]), weights, sink=sink).data
+    assert sink[0].shape == (1, 2, 3, 3)
+    assert np.allclose(sink[0], 1 / 3, atol=1e-12)
+    mean_value = np.tile((x @ weights[1][:, 8:]).mean(axis=0), (3, 1))
+    assert np.allclose(out, _tail_of(x, mean_value, weights), atol=1e-12)
+
+
+def test_softmax_shift_invariance_hand_case():
+    # one head of width 3: row 0's query scores the keys c and c + log 2,
+    # whose values are 3 and 6 in the first column
+    for c in (-50.0, 0.0, 3.25, 700.0):
+        x = np.array([[1.0, 0.0, c], [0.0, 1.0, c + math.log(2.0)]])
+        weights = _plain(3, 2)
+        weights[0][:2, 0] = math.sqrt(3.0)          # each query is (sqrt 3, 0, 0)
+        weights[1][2, 0] = 1.0                      # row i's key is (x[i, 2], 0, 0)
+        weights[1][:2, 3] = [3.0, 6.0]              # row i's value is (3 or 6, 0, 0)
+        weights[2] = np.eye(3)
+        sink = []
+        out = _block(x, 1, _slots([2]), weights, np.array([[0]]), sink).data
+        assert np.allclose(sink[0][0, 0, 0], [1 / 3, 2 / 3], atol=1e-12)
+        assert np.allclose(out, _tail_of(x[:1], np.array([[5.0, 0.0, 0.0]]), weights),
+                           atol=1e-12)
+
+
+def test_softmax_rows_sum_to_one_and_shift_invariant(rng):
+    # x's last column is 1, so adding a vector to wkv's last key row adds it
+    # to every key: each query's scores shift by one constant
+    k_mask, rows = _slots([3, 5]), np.array([[0, 1, 2, -1, -1], [3, 4, 5, 6, 7]])
+    for _ in range(50):
+        x = rng.normal(size=(8, 6)) * 3
+        x[:, -1] = 1.0
+        weights = _weights(rng, 6, 4)
+        sink = []
+        out = _block(x, 3, k_mask, weights, rows, sink).data
+        y = sink[0]
+        assert np.abs(y.sum(axis=-1) - 1.0).max() < 1e-9
+        assert (y[1] > 0).all() and (y[0, :, :, :3] > 0).all()
+        weights[1] = weights[1].copy()
+        weights[1][-1, :6] += rng.normal(size=6) * 3
+        shifted_sink = []
+        shifted = _block(x, 3, k_mask, weights, rows, shifted_sink).data
+        assert np.abs(y - shifted_sink[0]).max() < 1e-9
+        assert np.abs(out - shifted).max() < 1e-9
+
+
+def test_softmax_jacobian_matches_finite_differences(rng):
+    # every input is a parameter: two sequences of 3 and 2 rows, with every
+    # row, a subset of the rows and a row asked twice as the queries
+    k_mask = _slots([3, 2])
+    for rows in (None, np.array([[-1, 0, -1], [4, -1, -1]]), np.array([[2, 2], [3, -1]])):
+        ts = [parameter(a) for a in [rng.normal(size=(5, 4))] + _weights(rng, 4, 6)]
+        w = constant(rng.normal(size=(5 if rows is None else int((rows >= 0).sum()), 4)))
+        err = check_grads(lambda: sum_all(tc.mul(_block(ts[0], 2, k_mask, ts[1:], rows), w)),
+                          ts)
+        assert err < 1e-5
+
+
+def test_softmax_key_mask_zeroes_masked_entries(rng):
+    # sequence 0 has rows 0-2, sequence 1 rows 3-4 and a padded slot
+    k_mask, x, weights = _slots([3, 2]), rng.normal(size=(5, 4)), _weights(rng, 4, 6)
+    sink, alone_sink = [], []
+    out = _block(x, 2, k_mask, weights, sink=sink).data
+    assert np.array_equal(sink[0][1, :, :, 2], np.zeros((2, 3)))
+    alone = _block(x[3:], 2, _slots([2]), weights, sink=alone_sink).data
+    assert np.abs(sink[0][1, :, :2, :2] - alone_sink[0][0]).max() < 1e-15
+    assert np.abs(out[3:] - alone).max() < 1e-15
+
+    # another sequence's rows never reach a sequence's output
+    edited = x.copy()
+    edited[:3] = rng.normal(size=(3, 4))
+    assert np.array_equal(_block(edited, 2, k_mask, weights).data[3:], out[3:])
+
+    # a loss on sequence 1 alone sends nothing to sequence 0's rows
+    ts = [parameter(a) for a in [x] + weights]
+    w = rng.normal(size=(5, 4))
+    w[:3] = 0.0
     with Graph():
-        out = tc.attention(q_t, kv_t, n_heads, q_mask, k_mask, sink)
+        backward(sum_all(tc.mul(_block(ts[0], 2, k_mask, ts[1:]), constant(w))))
+    assert np.array_equal(ts[0].grad[:3], np.zeros((3, 4)))
+    assert (ts[0].grad[3:] != 0).all()
+
+
+def test_attention_matches_a_loop_over_sequences_and_heads(rng):
+    k_mask, rows = _slots([3, 2]), np.array([[-1, 1, 2], [3, -1, -1]])
+    x, weights = rng.normal(size=(5, 6)), _weights(rng, 6, 4)
+    out = _block(x, 3, k_mask, weights, rows).data
+    qp, kvp = x @ weights[0], x @ weights[1]
+    expected = []
+    for q_rows, k_rows in zip(rows, ([0, 1, 2], [3, 4])):
+        for r in (r for r in q_rows if r >= 0):
+            heads = []
+            for h in range(3):
+                cols = slice(2 * h, 2 * h + 2)
+                scores = np.array([qp[r, cols] @ kvp[m, :6][cols] for m in k_rows])
+                e = np.exp(scores / math.sqrt(6) - (scores / math.sqrt(6)).max())
+                heads.append(sum(wt * kvp[m, 6:][cols] for wt, m in zip(e / e.sum(), k_rows)))
+            expected.append(np.concatenate(heads))
+    assert np.abs(out - _tail_of(x[[1, 2, 3]], np.array(expected), weights)).max() < 1e-12
+
+
+def test_attention_rejects_bad_shapes_and_slots(rng):
+    x, k_mask, good = rng.normal(size=(3, 4)), _slots([2, 1]), _weights(rng, 4, 5)
+    _block(x, 2, k_mask, good)
+    bad_cases = [(x[0], 2, good), (x, 3, good), (x, 0, good), (x, 8, good)]
+    for i in range(3):  # wq, wkv and wo
+        bad_cases.append((x, 2, good[:i] + [good[i][..., :-1]] + good[i + 1:]))
+    for rows_in, heads, weights in bad_cases:
+        with pytest.raises(ShapeError, match="encoding_block: rows"):
+            _block(rows_in, heads, k_mask, weights)
+    # a key mask is boolean [S, L], and query rows are integer [S, Lq]
+    for bad_mask in ([[0, 1], [2, -1]], k_mask.astype(int), k_mask[0], k_mask[None]):
+        with pytest.raises(ShapeError, match="boolean"):
+            _block(x, 2, bad_mask, good)
+    for rows in ([[0.0], [2.0]], [[True], [False]], [0, 2], [[0]], [[0], [2], [1]]):
+        with pytest.raises(ShapeError, match="query rows"):
+            _block(x, 2, k_mask, good, np.array(rows))
+    with pytest.raises(ShapeError, match="no key"):
+        _block(x[:2], 2, [[True, True], [False, False]], good)
+
+
+def test_attention_refuses_masks_whose_slot_counts_are_not_the_row_counts(rng):
+    # a key mask holds one slot for each row, no more and no fewer, so no
+    # row fills two slots; a query row is an id of a row, or -1
+    x, weights, ok = rng.normal(size=(3, 4)), _weights(rng, 4, 5), _slots([2, 1])
+    for k_mask in (_slots([2, 2]), _slots([1, 1]), _slots([4]), _slots([1, 1, 1, 1])):
+        with pytest.raises(ShapeError, match="a slot for each of 3 rows"):
+            _block(x, 2, k_mask, weights)
+    for rows in ([[0], [3]], [[0], [-2]], [[5, -1], [1, 2]]):
+        with pytest.raises(ShapeError, match="query rows"):
+            _block(x, 2, ok, weights, np.array(rows))
+    _block(x, 2, ok, weights, np.array([[2, -1], [-1, -1]]))  # a query from another sequence
+
+
+def test_attention_with_no_query_slot_is_a_shape_error(rng):
+    x, weights, ok = rng.normal(size=(3, 4)), _weights(rng, 4, 5), _slots([2, 1])
+    for rows in (np.full((2, 1), -1), np.zeros((2, 0), dtype=int)):
+        with pytest.raises(ShapeError, match="no query"):
+            _block(x, 2, ok, weights, rows)
+    with pytest.raises(ShapeError, match="no query"):
+        _block(np.zeros((0, 4)), 2, np.zeros((1, 2), bool), weights)
+
+
+def test_encoder_tail_rejects_bad_shapes(rng):
+    x, k_mask, good = rng.normal(size=(3, 4)), _slots([2, 1]), _weights(rng, 4, 5)
+    for i in range(3, len(good)):  # the norms and the FFN
+        with pytest.raises(ShapeError, match="encoding_block: rows"):
+            _block(x, 2, k_mask, good[:i] + [good[i][..., :-1]] + good[i + 1:])
+    for i, shape in ((5, (5, 4)), (7, (4, 5))):  # w1 and w2 transposed
+        with pytest.raises(ShapeError, match="encoding_block: rows"):
+            _block(x, 2, k_mask, good[:i] + [np.zeros(shape)] + good[i + 1:])
+
+
+def _query_rows(rng, lengths, queries):
+    """``rows`` for packed sequences of ``lengths``: None for every row
+    ("all"), one row of each sequence as the mask pool reads them ("pool"),
+    or a random subset of each sequence's rows in order ("subset")."""
+    lengths = np.asarray(lengths)
+    if queries == "all":
+        return None
+    if queries == "pool":
+        return (np.cumsum(lengths) - lengths + rng.integers(0, lengths))[:, None]
+    keys = _slots(lengths)
+    picked = keys & (rng.random(keys.shape) < 0.5)
+    picked[0, 0] = True
+    return np.where(picked, slot_ids(keys), -1)
+
+
+def _block_against_reference(rng, lengths, queries, n_heads, width, f=None, scale=2.0,
+                             g=None):
+    """(tc.encoding_block's output, softmax and every gradient; the chain's)
+    on random inputs and a random upstream gradient, or ``g``."""
+    k_mask, rows, d = _slots(lengths), _query_rows(rng, lengths, queries), n_heads * width
+    x = rng.normal(size=(int(np.sum(lengths)), d)) * scale
+    weights = _weights(rng, d, f or 2 * d)
+    if g is None:
+        g = rng.normal(size=(len(x) if rows is None else int((rows >= 0).sum()), d))
+    ts, sink = [parameter(a) for a in [x] + weights], []
+    with Graph():
+        out = _block(ts[0], n_heads, k_mask, ts[1:], rows, sink)
         backward(sum_all(tc.mul(out, constant(g))))
-    return ((out.data, sink[0], q_t.grad, kv_t.grad),
-            attention_reference(qp, kvp, n_heads, _ids(q_mask), _ids(k_mask), g))
+    want, attn, grads = encoding_block_reference(x, n_heads, k_mask, rows, *weights, g)
+    return [out.data, sink[0]] + [t.grad for t in ts], [want, attn, *grads]
 
 
 _REFERENCE_LENGTHS = ([1], [1, 1, 1], [3, 1, 5], [12, 25, 7, 1, 25, 16])
@@ -275,51 +317,56 @@ _REFERENCE_LENGTHS = ([1], [1, 1, 1], [3, 1, 5], [12, 25, 7, 1, 25, 16])
 def test_attention_equals_the_einsum_reference(rng, width, queries):
     for n_heads in (1, 2, 4):
         for lengths in _REFERENCE_LENGTHS + (rng.integers(1, 26, size=5),):
-            got, want = _attention_against_reference(rng, lengths, queries, n_heads, width)
+            got, want = _block_against_reference(rng, lengths, queries, n_heads, width)
             for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+                assert _same(a, b)
 
 
 @pytest.mark.parametrize("queries", ["all", "pool", "subset"])
 def test_attention_of_width_one_heads_is_within_rounding_of_the_reference(rng, queries):
     # numpy's einsum multiplies width-1 heads by broadcasting, so its scores
     # are laid out with the keys contiguous and the softmax and gradient
-    # sums over them add in another order
-    for n_heads in (1, 2, 4):
+    # sums over them add in another order. Two heads are left out: layer
+    # norm maps a row of width 2 to +-1 whatever the row, so the gradients
+    # through it are the rounding left by a cancellation, ~1e-11 of the
+    # terms, and no relative bound between two summation orders holds.
+    for n_heads in (1, 3, 4):
         for lengths in _REFERENCE_LENGTHS + (rng.integers(1, 41, size=5),):
-            got, want = _attention_against_reference(rng, lengths, queries, n_heads, 1)
+            got, want = _block_against_reference(rng, lengths, queries, n_heads, 1)
             for a, b in zip(got, want):
                 assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
-# ---------------------------------------------------------------------------
-# encoder_tail: an encoding block's residuals, layer norms and FFN
-# ---------------------------------------------------------------------------
-
-def _same(a, b):
-    """Equal arrays of one shape, down to the sign of each zero."""
-    return a.shape == b.shape and np.array_equal(a, b) \
-        and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def _tail_params(rng, d, f):
-    """Random g1, c1, w1, b1, w2, b2, g2, c2 for rows of width d and an FFN
-    of width f."""
-    n = rng.normal
-    return [n(size=d), n(size=d), n(size=(d, f)), n(size=f), n(size=(f, d)), n(size=d),
-            n(size=d), n(size=d)]
+def test_encoder_tail_equals_the_chain_on_rows_of_every_scale(rng):
+    for lengths, n_heads, width, f in (([1], 1, 1, 4), ([2, 3], 1, 3, 12),
+                                       ([9, 16, 15], 4, 4, 64), ([3, 4], 4, 75, 1200)):
+        for scale in (1e-3, 1.0, 30.0):
+            for queries in ("all", "pool"):
+                got, want = _block_against_reference(rng, lengths, queries, n_heads, width,
+                                                      f, scale)
+                for a, b in zip(got, want):
+                    assert _same(a, b)
 
 
-def _plain_tail(d, f):
-    """Norms with gain 1 and bias 0 and an FFN of zeros: the tail maps x, a
-    to LN(LN(x + a))."""
-    return [constant(a) for a in (np.ones(d), np.zeros(d), np.zeros((d, f)), np.zeros(f),
-                                  np.zeros((f, d)), np.zeros(d), np.ones(d), np.zeros(d))]
+def test_attention_gradient_of_minus_zero_comes_out_plus_zero(rng):
+    # an upstream -0.0 and inputs of one sign leave many products -0.0 before
+    # the sums and the scatters into zeros of the chain; the block gives the
+    # chain's zeros, signs and all
+    for queries in ("all", "pool", "subset"):
+        lengths = [3, 1, 4]
+        k_mask, rows = _slots(lengths), _query_rows(rng, lengths, queries)
+        arrays = [-np.abs(a) for a in [rng.normal(size=(8, 4))] + _weights(rng, 4, 8)]
+        g = np.full((8 if rows is None else int((rows >= 0).sum()), 4), -0.0)
+        ts = [parameter(a) for a in arrays]
+        with Graph():
+            backward(sum_all(tc.mul(_block(ts[0], 2, k_mask, ts[1:], rows), constant(g))))
+        grads = encoding_block_reference(arrays[0], 2, k_mask, rows, *arrays[1:], g)[2]
+        for t, want in zip(ts, grads):
+            assert _same(t.grad, want) and not np.signbit(t.grad).any()
 
 
 def test_layer_norm_constant_row_is_absorbed_by_eps():
-    y = tc.encoder_tail(constant([[5.0, 5.0, 5.0, 5.0]]), constant(np.zeros((1, 4))),
-                        *_plain_tail(4, 3))
+    y = _block(np.full((1, 4), 5.0), 1, _slots([1]), _plain(4, 3))
     assert np.allclose(y.data, np.zeros((1, 4)), atol=1e-12)
 
 
@@ -329,73 +376,50 @@ def test_layer_norm_fixed_point():
     row = rng.normal(size=8)
     row = row - row.mean()
     row = row * math.sqrt((1.0 - tc.LAYER_NORM_EPS) / row.var())
-    zero = constant(np.zeros((1, 8)))
-    y = tc.encoder_tail(constant(row[None]), zero, *_plain_tail(8, 5))
+    y = _block(row[None], 1, _slots([1]), _plain(8, 5))
     assert np.abs(y.data[0] - row).max() < 1e-6
     # a plain unit-variance row moves only by the eps contraction of each norm
     row2 = row / math.sqrt(row.var())
-    y2 = tc.encoder_tail(constant(row2[None]), zero, *_plain_tail(8, 5))
+    y2 = _block(row2[None], 1, _slots([1]), _plain(8, 5))
     once = row2 / math.sqrt(1.0 + tc.LAYER_NORM_EPS)
     assert np.abs(y2.data[0] - once / math.sqrt(once.var() + tc.LAYER_NORM_EPS)).max() < 1e-12
     assert np.abs(y2.data[0] - row2).max() < 2e-5
 
 
 def test_layer_norm_gradients(rng):
-    # every input of the tail: the rows, their attention output, both norms
-    # and the FFN
-    params = [parameter(rng.normal(size=(3, 6))), parameter(rng.normal(size=(3, 6)))] \
-        + [parameter(a) for a in _tail_params(rng, 6, 5)]
-    w = constant(rng.normal(size=(3, 6)))
-    assert check_grads(lambda: sum_all(tc.mul(tc.encoder_tail(*params), w)), params) < 1e-5
-
-
-def test_encoder_tail_rejects_bad_shapes(rng):
-    x, a = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    good = _tail_params(rng, 4, 5)
-    tc.encoder_tail(*map(constant, [x, a] + good))
-    bad_cases = [[x[0], a[0]] + good, [x, a[:2]] + good]
-    for i, arr in enumerate(good):
-        bad_cases.append([x, a] + good[:i] + [arr[..., :-1]] + good[i + 1:])
-    for arrays in bad_cases:
-        with pytest.raises(ShapeError, match="encoder_tail"):
-            tc.encoder_tail(*map(constant, arrays))
-
-
-def test_encoder_tail_equals_the_chain_on_rows_of_every_scale(rng):
-    for n, d, f in ((1, 1, 4), (5, 3, 12), (40, 16, 64), (7, 300, 1200)):
-        for scale in (1e-3, 1.0, 30.0):
-            arrays = [rng.normal(size=(n, d)) * scale, rng.normal(size=(n, d))] \
-                + _tail_params(rng, d, f)
-            g = rng.normal(size=(n, d))
-            ts = [parameter(arr) for arr in arrays]
-            with Graph():
-                out = tc.encoder_tail(*ts)
-                backward(sum_all(tc.mul(out, constant(g))))
-            want, want_grads = encoder_tail_reference(*arrays, g)
-            assert _same(out.data, want)
-            for t, w in zip(ts, want_grads):
-                assert _same(t.grad, w)
+    # every input of the block, with one gain and bias for both norms, so
+    # each gets two gradient terms
+    x, (wq, wkv, wo, g, c, w1, b1, w2, b2, _, _) = rng.normal(size=(4, 6)), _weights(rng, 6, 5)
+    ts = [parameter(a) for a in (x, wq, wkv, wo, g, c, w1, b1, w2, b2)]
+    w = constant(rng.normal(size=(4, 6)))
+    err = check_grads(lambda: sum_all(tc.mul(_block(ts[0], 2, _slots([1, 3]), ts[1:] + ts[4:6]),
+                                             w)), ts)
+    assert err < 1e-5
 
 
 def test_encoder_tail_raises_where_the_chain_raised(rng):
     # overflowing inputs drive the chain's values to +-inf or NaN at
-    # different ops; the tail raises exactly when one of the chain's ops did
+    # different ops; the block raises exactly when one of the chain's ops did
     raised_at = collections.Counter()
     for _ in range(400):
-        n, d, f = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 6)
-        arrays = [rng.normal(size=(n, d)), rng.normal(size=(n, d))] + _tail_params(rng, d, f)
-        g = rng.normal(size=(n, d))
+        lengths = rng.integers(1, 4, size=rng.integers(1, 3))
+        n_heads, f = rng.integers(1, 3), rng.integers(1, 6)
+        d, k_mask = n_heads * rng.choice([2, 4]), _slots(lengths)
+        rows = _query_rows(rng, lengths, rng.choice(["all", "pool"]))
+        arrays = [rng.normal(size=(int(lengths.sum()), d))] + _weights(rng, d, f)
+        g = rng.normal(size=(int(lengths.sum()) if rows is None else len(rows), d))
         with np.errstate(all="ignore"):
-            for i in rng.choice(10, size=rng.integers(1, 5), replace=False):
+            for i in rng.choice(len(arrays), size=rng.integers(1, 5), replace=False):
                 big = arrays[i] * rng.choice([1e100, 1e160, 1e300, 1e308])
                 arrays[i] = np.clip(big, -1.7e308, 1.7e308)
             try:
-                want = encoder_tail_reference(*arrays, g)[0]
+                want = encoding_block_reference(arrays[0], n_heads, k_mask, rows,
+                                                *arrays[1:], g)[0]
             except NumericError as e:
                 want = None
                 raised_at[str(e).split(":")[0]] += 1
             try:
-                out = tc.encoder_tail(*map(constant, arrays))
+                out = _block(arrays[0], n_heads, k_mask, arrays[1:], rows)
             except NumericError:
                 assert want is None
             else:
@@ -404,21 +428,39 @@ def test_encoder_tail_raises_where_the_chain_raised(rng):
     assert 30 < sum(raised_at.values()) < 370, raised_at
 
 
-def test_encoder_tail_raises_on_a_value_its_relu_would_hide():
-    # gains of 0 make every normed row c1 = 1; the FFN's first column sums
-    # four -1e308 products to -inf, which relu would turn into 0
-    d, f = 4, 3
-    w1 = np.zeros((d, f))
-    w1[:, 0] = -1e308
-    arrays = [np.ones((2, d)), np.zeros((2, d)), np.zeros(d), np.ones(d), w1, np.zeros(f),
-              np.ones((f, d)), np.zeros(d), np.ones(d), np.zeros(d)]
+def _raises_where_the_chain_raised(x, weights, at):
+    """The block and the chain raise for ``weights`` with the array
+    ``weights[at[0]]`` overflowing at ``at[1]``, and pass without it."""
+    d = x.shape[1]
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="matmul"):
-            encoder_tail_reference(*arrays, np.ones((2, d)))
-        with pytest.raises(NumericError, match="encoder_tail"):
-            tc.encoder_tail(*map(constant, arrays))
-    arrays[4] = np.zeros((d, f))  # the same inputs without the overflow pass
-    tc.encoder_tail(*map(constant, arrays))
+            encoding_block_reference(x, 1, _slots([2]), None, *weights, np.ones((2, d)))
+        with pytest.raises(NumericError, match="encoding_block"):
+            _block(x, 1, _slots([2]), weights)
+    weights[at[0]][at[1]] = 0.0  # the same inputs without the overflow pass
+    _block(x, 1, _slots([2]), weights)
+
+
+def test_encoder_tail_raises_on_a_value_its_relu_would_hide():
+    # zero projections make the attention output 0 and gains of 0 every
+    # normed row c1 = 1; the FFN's first column sums four -1e308 products to
+    # -inf, which relu would turn into 0
+    d, f = 4, 3
+    weights = _plain(d, f)
+    weights[3], weights[4], weights[7] = np.zeros(d), np.ones(d), np.ones((f, d))
+    weights[5][:, 0] = -1e308
+    _raises_where_the_chain_raised(np.ones((2, d)), weights, (5, (slice(None), 0)))
+
+
+def test_attention_raises_on_a_key_its_softmax_would_hide():
+    # row 1's key sums two -1e308 products to -inf; each query's positive
+    # first entry gives it the score -inf, which the softmax turns into
+    # weight 0
+    d, f = 4, 3
+    x, weights = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]]), _plain(d, f)
+    weights[0][:, 0] = 1.0
+    weights[1][1:3, 0] = -1e308
+    _raises_where_the_chain_raised(x, weights, (1, (slice(1, 3), 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +681,9 @@ MULTI_OPERAND_OPS = {
     "add_bias": (tc.add_bias, [(4, 3), (3,)]),
     "scale_rows": (tc.scale_rows, [(4, 3), (4,)]),
     "matmul": (matmul, [(4, 5), (5, 3)]),
-    "attention": (lambda q, kv: _attention(q, kv, 2, [[0, -1], [1, 2]],
-                                           [[0, 1, -1, -1], [2, 3, 4, 5]]),
-                  [(3, 4), (6, 8)]),
-    "encoder_tail": (tc.encoder_tail, [(4, 3), (4, 3), (3,), (3,), (3, 5), (5,), (5, 3),
-                                       (3,), (3,), (3,)]),
+    "encoding_block": (lambda x, *w: _block(x, 2, _slots([2, 4]), w, np.array([[0, -1], [1, 5]])),
+                       [(6, 4), (4, 4), (4, 8), (4, 4), (4,), (4,), (4, 5), (5,), (5, 4),
+                        (4,), (4,), (4,)]),
     "char_cnn": (lambda s, f2, f3, b2, b3: tc.char_cnn(s, [f2, f3], [b2, b3], [5, 2, 1]),
                  [(3, 5, 3), (2, 3, 4), (3, 3, 2), (4,), (2,)]),
     "cosine": (cosine, [(3, 5), (3, 5)]),
@@ -666,7 +706,7 @@ def test_a_constant_operand_leaves_the_other_gradients_unchanged(rng, name):
     reference = operands(None)
     for i in range(len(arrays)):
         ts = operands(i)
-        assert ts[i].grad is None
+        assert not hasattr(ts[i], "grad")  # only a parameter has a gradient
         for j, t in enumerate(ts):
             if j != i:
                 assert np.array_equal(t.grad, reference[j].grad), (name, i, j)
@@ -705,7 +745,7 @@ def test_graph_append_order_and_input_precedence(rng):
 def test_ops_outside_graph_do_not_record(rng):
     a = parameter(rng.normal(size=(2, 2)))
     out = matmul(a, a)
-    assert out.node is None and not out.requires_grad
+    assert out.node is None and type(out) is Tensor
 
 
 def test_backward_is_deterministic(rng):
@@ -814,22 +854,6 @@ def test_gather_rows_gradient_equals_add_at_into_zeros(rng):
         backward(sum_all(tc.mul(tc.gather_rows(table, [[-1, 2], [2, -1]]),
                                 constant(np.full((2, 2, 2), -0.0)))))
     assert _same(table.grad, np.zeros((3, 2)))
-
-
-def test_attention_gradient_of_minus_zero_comes_out_plus_zero(rng):
-    # the reference scatters into zeros; the masked reads add 0.0
-    q_mask, k_mask = _padded_slots(rng, [3, 1, 4], "subset")
-    # every value negative, so the products of the upstream -0.0 leave the
-    # query, key and value gradients -0.0 before they are read from the slots
-    qp = -np.abs(rng.normal(size=(int(q_mask.sum()), 4)))
-    kvp = -np.abs(rng.normal(size=(8, 8)))
-    g = np.full(qp.shape, -0.0)
-    q_t, kv_t = parameter(qp), parameter(kvp)
-    with Graph():
-        backward(sum_all(tc.mul(tc.attention(q_t, kv_t, 2, q_mask, k_mask), constant(g))))
-    _, _, g_qp, g_kvp = attention_reference(qp, kvp, 2, _ids(q_mask), _ids(k_mask), g)
-    assert _same(q_t.grad, g_qp) and _same(kv_t.grad, g_kvp)
-    assert not np.signbit(q_t.grad).any() and not np.signbit(kv_t.grad).any()
 
 
 def test_segment_mean_of_consecutive_runs(rng):

@@ -94,9 +94,10 @@ def test_loss_requires_oracle():
     ({"validation_every": 0}, "validation_every"), ({"validation_every": -2}, "validation_every"),
     ({"k_min": 0}, "k_min"), ({"k_min": 0, "k_max": 0}, "k_min"),
     ({"k_max": 1}, "k_max"), ({"k_min": 5, "k_max": 4}, "k_max"),
-    ({"steps": -1}, "steps"),
+    ({"steps": -1}, "steps"), ({"val_episodes": 0}, "val_episodes"),
 ], ids=["val-every-0", "val-every-negative", "k-min-0", "k-min-and-k-max-0",
-        "k-max-below-default-k-min", "k-max-below-k-min", "steps-negative"])
+        "k-max-below-default-k-min", "k-max-below-k-min", "steps-negative",
+        "no-validation-episodes"])
 def test_train_config_refuses_settings_that_cannot_train(fields, name):
     with pytest.raises(TrainingError, match=name):
         TrainConfig(**fields)
@@ -197,12 +198,11 @@ def test_validation_words_never_targeted_in_training():
 
 # the ops the tape records: every public function of oov_forge.tensor that
 # calls _record (criterion 1 gives each a gradient case)
-TAPE_OPS = {"add", "mul", "scale", "add_bias", "scale_rows", "matmul", "attention",
-            "encoder_tail", "char_cnn", "sum_all", "segment_mean", "concat_cols",
-            "cosine", "gather_rows"}
+TAPE_OPS = {"add", "mul", "scale", "add_bias", "scale_rows", "matmul", "encoding_block",
+            "char_cnn", "sum_all", "segment_mean", "concat_cols", "cosine", "gather_rows"}
 
 
-def test_a_training_step_records_25_nodes_of_the_14_tape_ops():
+def test_a_training_step_records_15_nodes_of_the_13_tape_ops():
     assert TAPE_OPS == {name for name, fn in vars(tc).items()
                         if inspect.isfunction(fn) and fn.__module__ == tc.__name__
                         and not name.startswith("_") and "_record" in fn.__code__.co_names}
@@ -214,15 +214,14 @@ def test_a_training_step_records_25_nodes_of_the_14_tape_ops():
     with Graph() as g:
         episode_loss(model, batch)
     ops = [node.op for node in g.nodes]
-    # 2 nodes of embedding, 2 of positional weights, 6 of the last context
-    # block (its query-row gather included), 5 of the aggregator block and 1
-    # of its mean pool, 2 of the char-CNN (the character gather and one
-    # char_cnn node), 3 of fusion and 4 of loss; each block is 2 projections,
-    # one attention node, wo and one encoder_tail node
-    assert len(ops) == 25, ops
+    # 2 nodes of embedding, 2 of positional weights, 1 for the last context
+    # block (its query-row gather included), 1 for the aggregator block and 1
+    # for its mean pool, 2 of the char-CNN (the character gather and one
+    # char_cnn node), 3 of fusion and 3 of loss (cosine, sum_all, scale)
+    assert len(ops) == 15, ops
     assert set(ops) <= TAPE_OPS
-    assert ops.count("attention") == ops.count("encoder_tail") == 2
-    assert ops.count("char_cnn") == 1 and ops.count("matmul") == 7
+    assert ops.count("encoding_block") == 2 and ops.count("char_cnn") == 1
+    assert ops.count("matmul") == 1 and ops[-3:] == ["cosine", "sum_all", "scale"]
 
 
 def test_divergence_aborts_with_step_number(monkeypatch):
