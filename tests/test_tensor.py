@@ -675,15 +675,29 @@ def test_repeated_backward_accumulates(rng):
 
 # each op of criterion 1's case list that takes two or more tensors: the op
 # and the shapes of its operands
+_BLOCK_SHAPES = [(6, 4), (4, 4), (4, 8), (4, 4), (4,), (4,), (4, 5), (5,), (5, 4), (4,), (4,), (4,)]
+_BLOCK_FIXED = [np.random.default_rng(11).normal(size=shape) for shape in _BLOCK_SHAPES]
+
+
+def _block_case(first, count):
+    """An operand-table case of tc.encoding_block whose operands are the
+    block's operands first..first+count-1, the rest fixed constants: the
+    attention's x, wq and wkv, or the tail's wo, norms and FFN."""
+    def op(*ts):
+        ops = _BLOCK_FIXED[:first] + list(ts) + _BLOCK_FIXED[first + count:]
+        return _block(ops[0], 2, _slots([2, 4]), ops[1:], np.array([[0, -1], [1, 5]]))
+    return op, _BLOCK_SHAPES[first:first + count]
+
+
 MULTI_OPERAND_OPS = {
     "add": (tc.add, [(4, 3), (4, 3)]),
     "mul": (tc.mul, [(4, 3), (4, 3)]),
     "add_bias": (tc.add_bias, [(4, 3), (3,)]),
     "scale_rows": (tc.scale_rows, [(4, 3), (4,)]),
     "matmul": (matmul, [(4, 5), (5, 3)]),
-    "encoding_block": (lambda x, *w: _block(x, 2, _slots([2, 4]), w, np.array([[0, -1], [1, 5]])),
-                       [(6, 4), (4, 4), (4, 8), (4, 4), (4,), (4,), (4, 5), (5,), (5, 4),
-                        (4,), (4,), (4,)]),
+    "encoding_block": _block_case(0, 12),
+    "attention": _block_case(0, 3),
+    "encoder_tail": _block_case(3, 9),
     "char_cnn": (lambda s, f2, f3, b2, b3: tc.char_cnn(s, [f2, f3], [b2, b3], [5, 2, 1]),
                  [(3, 5, 3), (2, 3, 4), (3, 3, 2), (4,), (2,)]),
     "cosine": (cosine, [(3, 5), (3, 5)]),
