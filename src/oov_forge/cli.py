@@ -34,9 +34,9 @@ from .container import atomic_open, config_value
 from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
                      SentenceStore, Vocabulary, contexts_of, format_vector,
                      load_embeddings, prepare_corpus, read_sentences,
-                     read_text, split_words)
+                     read_text)
 from .episode import (MASK_TOKEN, decode_context, eligible_targets,
-                      episode_from_masked, sample_episode)
+                      episode_from_masked, sample_episode, split_targets)
 from .errors import (AdaptationError, EvaluationError, FormatError,
                      InferenceError, IngestionError, OovForgeError)
 from .evaluation import (evaluate_method, load_benchmark_tsv,
@@ -155,19 +155,21 @@ SPLIT_FILE = "split.txt"
 RUN_CONFIG_FILE = "run_config.txt"
 
 
-def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore,
+def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable,
                    run_cfg: dict[str, str]) -> tuple[list[str], list[str]]:
-    """Write the four files of a prepared directory; no file is replaced
-    until every write has succeeded."""
+    """Write the four files of a prepared directory, with the training
+    targets and split of ``split_targets``; no file is replaced until every
+    write has succeeded."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_words, val_words = split_words(vocab.eligible_words())
+    train_words, val_words = split_targets(vocab, store, table)
+    eligible = set(train_words + val_words)
     with ExitStack() as stack:
         vocab_fh, sent_fh, split_fh = (
             stack.enter_context(atomic_open(out_dir / name, "w", encoding="utf-8"))
             for name in (VOCAB_FILE, SENTENCES_FILE, SPLIT_FILE))
         for i, word in enumerate(vocab.words):
             vocab_fh.write(f"{word}\t{vocab.counts[i]}\t{int(vocab.stop_flags[i])}\t"
-                           f"{int(vocab.counts[i] > vocab.min_count)}\n")
+                           f"{int(word in eligible)}\n")
         for sent in store.sentences:
             sent_fh.write(" ".join(str(t) for t in sent) + "\n")
         for w in sorted(train_words):
@@ -220,7 +222,7 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
 def cmd_prepare(args) -> int:
     min_count = effective(args, "min_count", DEFAULT_MIN_COUNT)
     vocab, store = prepare_corpus(args.corpus, min_count=min_count)
-    load_embeddings(args.embeddings)  # validate now, record the path
+    table = load_embeddings(args.embeddings)
     run_cfg = run_config_dict("prepare", {
         "corpus": args.corpus,
         "embeddings": args.embeddings,
@@ -228,10 +230,11 @@ def cmd_prepare(args) -> int:
         "tokenizer.lowercase": "true",
         "tokenizer.strip_chars": STRIP_CHARS,
     })
-    train_words, val_words = write_prepared(Path(args.out_dir), vocab, store, run_cfg)
+    train_words, val_words = write_prepared(Path(args.out_dir), vocab, store, table, run_cfg)
     print(f"vocabulary: {len(vocab)} words")
     print(f"sentences: {len(store)}")
-    print(f"target-eligible (count > {min_count}): {len(vocab.eligible_words())}")
+    print(f"target-eligible (count > {min_count}, nonzero table row): "
+          f"{len(train_words) + len(val_words)}")
     print(f"split: {len(train_words)} train / {len(val_words)} val")
     return 0
 

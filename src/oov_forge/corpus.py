@@ -69,8 +69,9 @@ def load_stopwords() -> frozenset[str]:
 class Vocabulary:
     """Dense word ids with occurrence counts and stopword flags.
 
-    All corpus words are retained (context lookup needs them); only words
-    with count strictly greater than min_count are target-eligible.
+    All corpus words are retained (context lookup needs them); min_count is
+    the default count that a training target must exceed
+    (``episode.eligible_targets``).
     """
 
     def __init__(self, words: list[str], counts: list[int],
@@ -81,8 +82,6 @@ class Vocabulary:
         self.min_count = min_count
         self.ids = {w: i for i, w in enumerate(words)}
         self._rows: tuple[EmbeddingTable, np.ndarray] | None = None
-        # the last [store, table, threshold, targets, split] of episode.eligible_targets
-        self._targets: list | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -95,9 +94,6 @@ class Vocabulary:
 
     def word_of(self, wid: int) -> str:
         return self.words[wid]
-
-    def eligible_words(self) -> list[str]:
-        return [w for i, w in enumerate(self.words) if self.counts[i] > self.min_count]
 
     def rows_in(self, table: EmbeddingTable) -> np.ndarray:
         """intp [V]: the row of each word in ``table``, -1 where it has none.
@@ -138,12 +134,16 @@ class SentenceStore:
     """Sentences as vocab-id sequences plus an inverted index: word id ->
     ids of the sentences containing it, ascending.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction, apart from the training targets and
+    their split that ``episode.eligible_targets`` keeps here; safe to share
+    across threads.
     """
 
     def __init__(self, sentences: list[list[int]], vocab: Vocabulary):
         self.sentences = sentences
         self.vocab = vocab
+        # the last [vocab, table, threshold, targets, split] of episode.eligible_targets
+        self._targets: list | None = None
         self.index: dict[int, list[int]] = {}
         for sid, sent in enumerate(sentences):
             for wid in dict.fromkeys(sent):
@@ -352,7 +352,6 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             fh.write(f"{word} {format_vector(vec)}\n")
 
 
-@cache
 def _word_bucket(word: str) -> int:
     digest = hashlib.sha1(word.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % 100

@@ -9,7 +9,6 @@ marks tokens that have no vocabulary entry (ad-hoc inference sentences).
 from __future__ import annotations
 
 import string
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,21 +56,12 @@ class Episode:
         return len(self.contexts)
 
 
-def window_on_mask(ids: list[int], window: int = CONTEXT_WINDOW) -> list[int]:
-    """Keep ``window`` tokens on each side of the first MASK_ID."""
-    first = ids.index(MASK_ID)
-    lo = max(0, first - window)
-    hi = min(len(ids), first + window + 1)
-    return ids[lo:hi]
-
-
-def mask_window(ids: list[int], target_id: int) -> list[int]:
-    """Keep CONTEXT_WINDOW tokens each side of the first target occurrence
-    and mask every occurrence in that window. ``ids`` are vocabulary ids,
-    so none is a sentinel; an absent target is a ValueError."""
+def mask_window(ids: list[int], target_id: int, window: int = CONTEXT_WINDOW) -> list[int]:
+    """Keep ``window`` tokens each side of the first target occurrence and
+    mask every occurrence in that window; an absent target is a ValueError."""
     first = ids.index(target_id)
-    window = ids[max(0, first - CONTEXT_WINDOW):first + CONTEXT_WINDOW + 1]
-    return [MASK_ID if t == target_id else t for t in window]
+    return [MASK_ID if t == target_id else t
+            for t in ids[max(0, first - window):first + window + 1]]
 
 
 def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
@@ -122,17 +112,6 @@ def sample_episode(word: str, k: int, rng: np.random.Generator,
     )
 
 
-def _transient_vocab(token_sentences: list[list[str]]) -> Vocabulary:
-    words: list[str] = []
-    seen = set()
-    for sent in token_sentences:
-        for tok in sent:
-            if tok != MASK_TOKEN and tok not in seen:
-                seen.add(tok)
-                words.append(tok)
-    return Vocabulary(words, [1] * len(words), [False] * len(words), min_count=1)
-
-
 def episode_from_masked(word: str, masked_sentences: list[list[str]],
                         max_word_len: int = MAX_WORD_LEN,
                         max_len: int = MAX_LEN):
@@ -147,49 +126,57 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
     for sent in masked_sentences:
         if MASK_TOKEN not in sent:
             raise EpisodeError(f"context has no {MASK_TOKEN} marker: {sent}")
-    vocab = _transient_vocab(masked_sentences)
-    window = (max_len - 1) // 2
-    contexts = [window_on_mask([MASK_ID if t == MASK_TOKEN else vocab.ids[t] for t in sent],
-                               window)
+    words = dict.fromkeys(t for sent in masked_sentences for t in sent)
+    words.pop(MASK_TOKEN)
+    vocab = Vocabulary(list(words), [1] * len(words), [False] * len(words), min_count=1)
+    contexts = [mask_window([MASK_ID if t == MASK_TOKEN else vocab.ids[t] for t in sent],
+                            MASK_ID, (max_len - 1) // 2)
                 for sent in masked_sentences]
     return Episode(word, contexts, char_sequence(word, max_word_len=max_word_len)), vocab
 
 
 def _targets(vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable | None,
              min_count: int | None) -> list:
-    """The [store, table, threshold, targets, split] kept on ``vocab``,
-    made anew when one of the arguments differs; the split is filled in
-    when first asked for. The store is held weakly: it holds the
-    vocabulary, and a cycle would keep both alive until the cyclic garbage
-    collector runs."""
+    """The [vocab, table, threshold, targets, split] kept on ``store``, made
+    anew when one of the arguments differs; the split is filled in when
+    first asked for."""
     threshold = vocab.min_count if min_count is None else min_count
-    kept = vocab._targets
-    if kept is None or kept[0]() is not store or kept[1] is not table or kept[2] != threshold:
+    kept = store._targets
+    if kept is None or kept[0] is not vocab or kept[1] is not table or kept[2] != threshold:
         keep = np.asarray(vocab.counts) > threshold
         if table is not None:
-            keep &= vocab.rows_in(table) >= 0
+            rows = vocab.rows_in(table)
+            keep &= rows >= 0
+            keep[keep] = table.row_norms[rows[keep]] > 0
         seen = np.zeros(len(vocab), dtype=bool)
         seen[np.fromiter(store.index, dtype=np.intp, count=len(store.index))] = True
         words = tuple(vocab.words[i] for i in np.flatnonzero(keep & seen))
-        kept = vocab._targets = [weakref.ref(store), table, threshold, words, None]
+        kept = store._targets = [vocab, table, threshold, words, None]
     return kept
 
 
 def eligible_targets(vocab: Vocabulary, store: SentenceStore,
                      table: EmbeddingTable | None, min_count: int | None = None) -> list[str]:
-    """Words usable as episode targets, in vocabulary order: count above
-    ``min_count`` (default ``vocab.min_count``), present in the oracle
-    table, and occurring in at least one sentence. The last result is kept
-    on the vocabulary, since a store and a table are read-only."""
+    """The training targets, in vocabulary order: words counted more than
+    ``min_count`` times (default ``vocab.min_count``), with a nonzero row
+    in the oracle table (cosine needs one), and in at least one sentence.
+    The last result is kept on the store, since a store's sentences and a
+    table are read-only."""
     return list(_targets(vocab, store, table, min_count)[3])
 
 
 def split_targets(vocab: Vocabulary, store: SentenceStore,
                   table: EmbeddingTable | None) -> tuple[list[str], list[str]]:
-    """``split_words`` of ``eligible_targets(vocab, store, table)``, kept with it."""
+    """``split_words`` of ``eligible_targets(vocab, store, table)``, kept with
+    it. A tiny corpus can hash every target into one part: then, given two
+    or more targets, the last one is held out for validation."""
     kept = _targets(vocab, store, table, None)
     if kept[4] is None:
-        kept[4] = tuple(map(tuple, split_words(kept[3])))
+        words = kept[3]
+        train, val = split_words(words)
+        if len(words) >= 2 and not (train and val):
+            train, val = words[:-1], words[-1:]
+        kept[4] = (tuple(train), tuple(val))
     train, val = kept[4]
     return list(train), list(val)
 

@@ -608,9 +608,10 @@ def char_cnn(seq: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor],
         # a window must start at a real step and, when the sequence is long
         # enough, end at one: positions 0 .. max(len, w) - w
         valid = np.arange(positions) <= (np.maximum(lens, w) - w)[..., None]
-        best = np.where(valid[..., None], conv, -np.inf).argmax(axis=-2)[..., None, :]
-        pooled.append(np.take_along_axis(conv, best, axis=-2)[..., 0, :] + b.data)
-        banks.append((fd, w, positions, conv.shape, best))
+        best = np.where(valid[..., None], conv, -np.inf).argmax(axis=-2)
+        at = (np.arange(lens.size)[:, None], best.reshape(-1, c_out), np.arange(c_out))
+        pooled.append(conv.reshape(-1, positions, c_out)[at].reshape(best.shape) + b.data)
+        banks.append((fd, w, positions, conv.shape, at))
     pre = np.concatenate(pooled, axis=-1)
     _require_finite(pre, "char_cnn")  # relu would hide -inf and NaN
     active = pre > 0
@@ -621,10 +622,10 @@ def char_cnn(seq: Tensor, filters: Sequence[Tensor], biases: Sequence[Tensor],
         g_pre = g * active
         g_seq, g_filters, g_biases = None, [], []
         for j in reversed(range(len(banks))):
-            fd, w, positions, conv_shape, best = banks[j]
+            fd, w, positions, conv_shape, at = banks[j]
             g_pool = g_pre[..., offsets[j]:offsets[j + 1]]
             dconv = np.zeros(conv_shape)
-            np.put_along_axis(dconv, best, g_pool[..., None, :], axis=-2)
+            dconv.reshape(-1, positions, conv_shape[-1])[at] = g_pool.reshape(-1, conv_shape[-1])
             g_pad = np.zeros(lead + (max(W, w), c_in))
             for i in range(w):
                 g_pad[..., i:i + positions, :] += dconv @ fd[i].T

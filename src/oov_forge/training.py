@@ -167,16 +167,9 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
         model.bind_vocab(vocab)
 
     train_words, val_words = split_targets(vocab, store, table)
-    if len(train_words) + len(val_words) < 2:
+    if not (train_words and val_words):
         raise TrainingError("need at least 2 eligible target words to split, have "
                             f"{len(train_words) + len(val_words)}")
-    if not train_words:
-        train_words, val_words = val_words, []
-    if not val_words:
-        # tiny corpora can hash everything into one bucket; hold out one word
-        val_words = [train_words[-1]]
-        train_words = train_words[:-1]
-    assert not set(train_words) & set(val_words)
 
     report = TrainReport()
     if config.steps == 0:

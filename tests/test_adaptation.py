@@ -180,7 +180,10 @@ def test_adapt_requires_eligible_words():
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     model = HiceModel.from_table(mc, oracle, vocab)
     empty = EmbeddingTable(dim=8)
-    with pytest.raises(AdaptationError):
+    # an empty table has no row to read a norm from, so it gives no targets
+    assert eligible_targets(vocab_n, store_n, empty, min_count=4) == []
+    assert eligible_targets(vocab_n, store_n, empty) == []
+    with pytest.raises(AdaptationError, match="no eligible adaptation words"):
         adapt(model, AdaptConfig(adapt_steps=1), (vocab, store, oracle),
               (vocab_n, store_n, empty))
 

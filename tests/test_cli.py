@@ -12,6 +12,7 @@ from oov_forge.baselines import (ALACARTE_MAGIC, NGRAM_MAGIC, AlaCarteModel,
 from oov_forge.cli import main
 from oov_forge.container import read_container, write_container
 from oov_forge.corpus import EmbeddingTable, load_embeddings, save_embeddings
+from oov_forge.episode import eligible_targets, split_targets
 from oov_forge.errors import EpisodeError, FormatError, OovForgeError
 from oov_forge.evaluation import EvalItem, cosine_np, save_benchmark_tsv
 from oov_forge.training import CHECKPOINT_MAGIC, load_checkpoint
@@ -81,6 +82,66 @@ def test_prepare_unreadable_embeddings_exits_2(workdir, tmp_path):
     code = main(["prepare", str(workdir / "corpus.txt"),
                  str(tmp_path / "missing.txt"), str(tmp_path / "out")])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# training targets: prepare, train and adapt share one rule
+# ---------------------------------------------------------------------------
+
+def _sixty_word_task(root, table_words, zero_word=None):
+    """A corpus of 60 words, each counted more than 4 times, and a d=8
+    table of ``table_words``, the row of ``zero_word`` all zeros."""
+    rng = np.random.default_rng(21)
+    words = [f"w{i}" for i in range(60)]
+    (root / "corpus.txt").write_text("".join(
+        " ".join(words[int(i)] for i in rng.integers(0, 60, size=8)) + "\n"
+        for _ in range(400)))
+    rows = {w: rng.normal(size=8).astype(np.float32) for w in table_words}
+    if zero_word is not None:
+        rows[zero_word] = np.zeros(8, dtype=np.float32)
+    save_embeddings(EmbeddingTable(dim=8, vectors=rows), root / "table.txt")
+    return words
+
+
+def _prepared_targets(prep, table_path):
+    """The targets and split that train reads from a prepared directory."""
+    vocab, store, _ = cli.load_prepared(prep)
+    table = load_embeddings(table_path)
+    return eligible_targets(vocab, store, table), split_targets(vocab, store, table)
+
+
+def test_a_zero_table_row_is_no_target_of_train_or_adapt(tmp_path):
+    words = _sixty_word_task(tmp_path, [f"w{i}" for i in range(60)], zero_word="w7")
+    prep, model = tmp_path / "prep", tmp_path / "m.hice"
+    assert main(["prepare", str(tmp_path / "corpus.txt"), str(tmp_path / "table.txt"),
+                 str(prep), "--min-count", "4"]) == 0
+    targets, _ = _prepared_targets(prep, tmp_path / "table.txt")
+    assert sorted(targets) == sorted(w for w in words if w != "w7")
+    assert "w7\t" not in (prep / cli.SPLIT_FILE).read_text()
+    assert main(["train", str(prep), "--steps", "30", "--batch", "8", "--val-every", "10",
+                 "--heads", "2", "--out", str(model)]) == 0
+    assert main(["adapt", str(model), str(tmp_path / "corpus.txt"), "--finetune",
+                 "--embeddings", str(tmp_path / "table.txt"), "--steps", "30",
+                 "--min-count", "4", "--out", str(tmp_path / "a.hice")]) == 0
+
+
+def test_prepare_writes_the_targets_and_split_that_train_uses(tmp_path, capsys):
+    # 20 of the 60 frequent words have no row in the table
+    words = _sixty_word_task(tmp_path, [f"w{i}" for i in range(20, 60)])
+    prep = tmp_path / "prep"
+    assert main(["prepare", str(tmp_path / "corpus.txt"), str(tmp_path / "table.txt"),
+                 str(prep), "--min-count", "4"]) == 0
+    out = capsys.readouterr().out
+    targets, (train_words, val_words) = _prepared_targets(prep, tmp_path / "table.txt")
+    assert sorted(targets) == sorted(words[20:])
+    assert f"(count > 4, nonzero table row): {len(targets)}\n" in out
+    assert f"split: {len(train_words)} train / {len(val_words)} val\n" in out
+    split = [line.split("\t") for line in (prep / cli.SPLIT_FILE).read_text().splitlines()]
+    assert split == [[w, "train"] for w in sorted(train_words)] + \
+        [[w, "val"] for w in sorted(val_words)]
+    eligible = [line.split("\t")[0] for line in (prep / cli.VOCAB_FILE).read_text().splitlines()
+                if line.endswith("\t1")]
+    assert eligible == targets
 
 
 # ---------------------------------------------------------------------------

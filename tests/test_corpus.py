@@ -12,6 +12,7 @@ from oov_forge.corpus import (BLOCK_LINES, VAL_FRACTION, EmbeddingTable, Sentenc
                               load_stopwords, parse_plain_block, parse_rows,
                               read_sentences, save_embeddings, split_words,
                               tokenize)
+from oov_forge.episode import eligible_targets
 from oov_forge.errors import FormatError, IngestionError, InputError
 
 
@@ -32,11 +33,15 @@ def test_tokenize_strips_edges_keeps_inner_punctuation():
         ["don't", "quote", "state-of-the-art"]
 
 
+def _targets_of(sentences, vocab):
+    return eligible_targets(vocab, SentenceStore.from_tokens(sentences, vocab), None)
+
+
 def test_build_vocab_eligibility_threshold_is_strict():
     vocab = build_vocab([["a", "a"]], min_count=1)
-    assert vocab.eligible_words() == ["a"]   # count 2 > 1
+    assert _targets_of([["a", "a"]], vocab) == ["a"]   # count 2 > 1
     vocab2 = build_vocab([["a", "a"]], min_count=2)
-    assert vocab2.eligible_words() == []     # count 2 is not > 2
+    assert _targets_of([["a", "a"]], vocab2) == []     # count 2 is not > 2
 
 
 def test_build_vocab_empty_corpus():
@@ -52,7 +57,7 @@ def test_build_vocab_matches_bruteforce_recount(rng):
     ]
     vocab = build_vocab(sentences, min_count=5)
     oracle = Counter(tok for sent in sentences for tok in sent)
-    eligible = set(vocab.eligible_words())
+    eligible = set(_targets_of(sentences, vocab))
     for w, n in oracle.items():
         assert vocab.counts[vocab.id_of(w)] == n
         assert (w in eligible) == (n > 5)

@@ -10,7 +10,7 @@ from oov_forge.corpus import (EmbeddingTable, SentenceStore, Vocabulary, build_v
 from oov_forge.episode import (CHAR_BOW, CHAR_EOW, CHAR_IDS, CHAR_UNK, CONTEXT_WINDOW,
                                MASK_ID, MASK_TOKEN, N_CHARS, char_sequence, decode_context,
                                eligible_targets, episode_from_masked, episode_stream,
-                               mask_window, sample_episode, split_targets, window_on_mask)
+                               mask_window, sample_episode, split_targets)
 from oov_forge.errors import EpisodeError
 
 
@@ -250,13 +250,19 @@ def test_mask_window_equals_masking_the_sentence_then_windowing(data):
     for at in data.draw(st.lists(spots, max_size=3, unique=True)):
         ids[at] = 7
     before = list(ids)
+    window = data.draw(st.sampled_from([0, 1, 5, CONTEXT_WINDOW, 40]))
     if 7 in ids:
-        assert mask_window(ids, 7) == window_on_mask([MASK_ID if t == 7 else t for t in ids])
+        masked = [MASK_ID if t == 7 else t for t in ids]
+        first = masked.index(MASK_ID)
+        # the window as a loop over positions
+        want = [masked[i] for i in range(len(masked)) if abs(i - first) <= window]
+        assert mask_window(ids, 7, window) == want
+        if window == CONTEXT_WINDOW:
+            assert mask_window(ids, 7) == want
+        assert mask_window(masked, MASK_ID, window) == want
     else:
         with pytest.raises(ValueError):
-            mask_window(ids, 7)
-        with pytest.raises(ValueError):
-            window_on_mask(ids)
+            mask_window(ids, 7, window)
     assert ids == before
 
 
@@ -267,30 +273,45 @@ def test_mask_window_equals_masking_the_sentence_then_windowing(data):
 def _loop_eligible(vocab, store, table):
     """The training targets as a loop over the vocabulary selected them."""
     out = []
-    for w in vocab.eligible_words():
-        if table is not None and w not in table:
+    for wid, w in enumerate(vocab.words):
+        if vocab.counts[wid] <= vocab.min_count:
             continue
-        if store.index.get(vocab.id_of(w)):
+        if table is not None and (w not in table or not np.any(table[w])):
+            continue
+        if store.index.get(wid):
             out.append(w)
     return out
+
+
+def _loop_split(words):
+    """The split as train made it: hash buckets, then, with two or more
+    words, the last word held out when one part is empty."""
+    train, val = split_words(words)
+    if len(words) >= 2 and not train:
+        train, val = val, []
+    if len(words) >= 2 and not val:
+        train, val = train[:-1], [train[-1]]
+    return train, val
 
 
 def _loop_pseudo(vocab_n, store_n, table, min_count):
     """The adaptation targets as a loop over the vocabulary selected them."""
     return [word for wid, word in enumerate(vocab_n.words)
-            if vocab_n.counts[wid] > min_count and word in table and store_n.index.get(wid)]
+            if vocab_n.counts[wid] > min_count and word in table and np.any(table[word])
+            and store_n.index.get(wid)]
 
 
 def _target_corpus(seed):
     """A vocabulary with counts 1..9, a store over only some of its
-    sentences (so some words have none) and a table missing some words."""
+    sentences (so some words have none) and a table missing some words,
+    with a zero row for some others."""
     rng = np.random.default_rng(seed)
     sentences = [[f"w{int(rng.integers(40)):02d}" for _ in range(int(rng.integers(2, 6)))]
                  for _ in range(60)]
     vocab = build_vocab(sentences, min_count=int(rng.integers(1, 4)))
     store = SentenceStore.from_tokens(sentences[:20], vocab)
-    rows = {w: rng.normal(size=3).astype(np.float32) for w in vocab.words
-            if rng.random() < 0.7}
+    rows = {w: rng.normal(size=3).astype(np.float32) * (rng.random() < 0.85)
+            for w in vocab.words if rng.random() < 0.7}
     return vocab, store, EmbeddingTable(dim=3, vectors=rows)
 
 
@@ -300,6 +321,7 @@ def test_eligible_targets_equals_the_loops_in_order(seed):
     counts = sorted(set(vocab.counts))
     assert any(not store.index.get(i) for i in range(len(vocab)))
     assert any(w not in table for w in vocab.words)
+    assert any(not np.any(table[w]) for w in table)
     for threshold in sorted({c + d for c in counts for d in (-1, 0)} | {0}):
         # interleaved calls with other arguments must not leak through the kept result
         assert eligible_targets(vocab, store, table, threshold) == \
@@ -308,7 +330,7 @@ def test_eligible_targets_equals_the_loops_in_order(seed):
         at = Vocabulary(vocab.words, vocab.counts, vocab.stop_flags, min_count=threshold)
         assert eligible_targets(at, store, table) == _loop_eligible(at, store, table)
         assert eligible_targets(at, store, None) == _loop_eligible(at, store, None)
-        assert split_targets(at, store, table) == split_words(_loop_eligible(at, store, table))
+        assert split_targets(at, store, table) == _loop_split(_loop_eligible(at, store, table))
 
 
 def test_eligible_targets_hands_out_copies():
@@ -324,9 +346,25 @@ def test_eligible_targets_hands_out_copies():
     assert split_targets(vocab, store, table) == split
 
 
+def test_kept_targets_live_on_the_store():
+    vocab, store, table = _target_corpus(2)
+    want = eligible_targets(vocab, store, table)
+    split = split_targets(vocab, store, table)
+    kept_vocab, kept_table, threshold, words, kept_split = store._targets
+    assert kept_vocab is vocab and kept_table is table and threshold == vocab.min_count
+    assert words == tuple(want) and kept_split == tuple(map(tuple, split))
+    assert not hasattr(vocab, "_targets")
+    # a second store over the same vocabulary keeps its own targets
+    other = SentenceStore(store.sentences[:4], vocab)
+    assert eligible_targets(vocab, other, table) == _loop_eligible(vocab, other, table) != want
+    assert split_targets(vocab, other, table) == _loop_split(_loop_eligible(vocab, other, table))
+    assert eligible_targets(vocab, store, table) == want
+    assert split_targets(vocab, store, table) == split
+
+
 def test_kept_targets_do_not_keep_the_store_alive():
-    # the store holds the vocabulary, so holding the store strongly from the
-    # vocabulary would make a cycle only the cyclic collector frees
+    # the store holds the vocabulary and keeps the targets, and nothing
+    # they hold refers back to it, so no cycle waits for the cyclic collector
     vocab, store, table = _target_corpus(1)
     assert split_targets(vocab, store, table)[0]
     store_ref = weakref.ref(store)

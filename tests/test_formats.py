@@ -265,7 +265,8 @@ def test_text_readers_leave_no_file_open(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE,
                                   cli.RUN_CONFIG_FILE])
-def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, name):
+def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, name,
+                                                            tiny_table):
     # a failed write to any file of a prepared directory replaces none of them
     sentences = [s.split() for s in (
         "the car has a wheel and an engine", "we like the car on the road",
@@ -276,8 +277,9 @@ def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypat
     def prepare(token_lists, note):
         vocab = build_vocab(token_lists, min_count=1)
         store = SentenceStore.from_tokens(token_lists, vocab)
-        cli.write_prepared(out, vocab, store, {"command": "prepare", "note": note,
-                                               "tokenizer.strip_chars": cli.STRIP_CHARS})
+        cli.write_prepared(out, vocab, store, tiny_table,
+                           {"command": "prepare", "note": note,
+                            "tokenizer.strip_chars": cli.STRIP_CHARS})
 
     files = [cli.VOCAB_FILE, cli.SENTENCES_FILE, cli.SPLIT_FILE, cli.RUN_CONFIG_FILE]
     prepare(sentences, "first")
@@ -301,7 +303,8 @@ def test_a_corrupted_prepared_directory_loads_or_is_a_typed_error(tmp_path_facto
     sentences = [s.split() for s in ("the car has a wheel", "we like the car on the road",
                                      "the bike is on the road", "a band plays a song")]
     vocab = build_vocab(sentences, min_count=1)
-    cli.write_prepared(out, vocab, SentenceStore.from_tokens(sentences, vocab),
+    table = EmbeddingTable(dim=2, vectors={w: np.ones(2) for w in vocab.words})
+    cli.write_prepared(out, vocab, SentenceStore.from_tokens(sentences, vocab), table,
                        {"command": "prepare", "min_count": "1"})
     blob = (out / name).read_bytes()
     at %= len(blob)
