@@ -41,7 +41,7 @@ from .errors import (AdaptationError, EvaluationError, FormatError,
                      InferenceError, IngestionError, OovForgeError)
 from .evaluation import (evaluate_method, load_benchmark_tsv,
                          nearest_neighbors)
-from .model import HiceConfig
+from .model import HiceConfig, HiceModel
 from .training import (TrainConfig, load_checkpoint, save_checkpoint,
                        train)
 
@@ -254,7 +254,7 @@ def cmd_train(args) -> int:
     tc = TrainConfig(**config_fields(TrainConfig, TRAIN_SETTINGS, settings))
     mc = HiceConfig(embed_dim=table.dim, use_morph=not args.no_morph, seed=tc.seed,
                     **config_fields(HiceConfig, TRAIN_SETTINGS, settings))
-    model, report = train(tc, vocab, store, table, model_config=mc)
+    model, report = train(tc, vocab, store, table, model=HiceModel.from_table(mc, table))
     out = Path(args.out or (Path(args.prepared_dir) / "model.hice"))
     extra = run_config_dict("train", {
         "prepared_dir": args.prepared_dir,

@@ -33,7 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Callable, ClassVar, Iterator, Sequence
+from operator import mul, truediv
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -123,94 +124,66 @@ class HiceConfig:
             )
         except InputError as e:
             raise FormatError(f"config: {e}") from None
-        # as_dict records these derived values; an older config could set them
-        for key in ("d_model", "d_ff", "max_len", "max_word_len", "context_pool"):
-            derived = getattr(config, key)
-            if config_value(d, key, type(derived)) != derived:
-                raise FormatError(f"config: {key}={d[key]} differs from the "
-                                  f"derived value {derived}")
+        # every stored value, derived ones included, must be the text this
+        # config writes: "use_morph=True" or "n_heads= 4" parses, but as
+        # another value or in another form
+        for key, text in config.as_dict().items():
+            stored = config_value(d, key, default="0" if key == "seed" else None)
+            if stored != text:
+                raise FormatError(f"config: {key}={stored} is not the text this config "
+                                  f"writes; it reads as {key}={text}")
         return config
 
 
-def block_arrays(prefix: str, d_model: int, n_heads: int, d_ff: int,
-                 rng: np.random.Generator) -> Iterator[tuple[str, np.ndarray]]:
-    """A fresh attention block's (name, array) pairs, named ``prefix.*``,
-    each drawn as it is yielded."""
-    s_in = 1.0 / math.sqrt(d_model)
-    # [head, (q, k, v)] blocks of d_head columns; wq holds every head's
-    # query block, wkv every head's key block, then every value block
-    w = rng.normal(size=(n_heads, 3, d_model, d_model // n_heads)) * s_in
-    yield f"{prefix}.wq", w[:, 0].transpose(1, 0, 2).reshape(d_model, -1)
-    yield f"{prefix}.wkv", w[:, 1:].transpose(2, 1, 0, 3).reshape(d_model, -1)
-    yield f"{prefix}.wo", rng.normal(size=(d_model, d_model)) * s_in
-    yield f"{prefix}.ffn.w1", rng.normal(size=(d_model, d_ff)) * s_in
-    yield f"{prefix}.ffn.b1", np.zeros(d_ff)
-    yield f"{prefix}.ffn.w2", rng.normal(size=(d_ff, d_model)) / math.sqrt(d_ff)
-    yield f"{prefix}.ffn.b2", np.zeros(d_model)
-    for name in ("ln1", "ln2"):
-        yield f"{prefix}.{name}.g", np.ones(d_model)
-        yield f"{prefix}.{name}.b", np.zeros(d_model)
+Init = Callable[[np.random.Generator, tuple[int, ...]], np.ndarray]
 
 
-def fresh_arrays(config: HiceConfig, frozen: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
-    """A fresh model's (name, array) pairs, in ``parameters()`` order, each
-    drawn from ``config.seed`` as it is yielded; the MASK and UNK rows start
-    as the mean of the frozen rows."""
-    d_in, d_model = config.embed_dim, config.d_model
-    rng = np.random.default_rng(config.seed)
-    mean_row = frozen.mean(axis=0, dtype=np.float64) if len(frozen) else np.zeros(d_in)
-    yield "special_embed", np.stack([mean_row, mean_row])
-    if d_model != d_in:
-        yield "input_proj.w", rng.normal(size=(d_in, d_model)) / math.sqrt(d_in)
-        yield "input_proj.b", np.zeros(d_model)
-    yield "a_pos", np.ones(config.max_len)
-    for kind, n in (("ctx", config.n_context_blocks), ("agg", config.n_agg_blocks)):
-        for i in range(n):
-            yield from block_arrays(f"{kind}{i}", d_model, config.n_heads, config.d_ff, rng)
-    ce = config.char_emb_dim
-    yield "char_embed", rng.normal(size=(N_CHARS, ce)) * 0.1
-    for w in config.filter_widths:
-        yield f"conv{w}.filters", rng.normal(size=(w, ce, config.char_filters)) / math.sqrt(w * ce)
-        yield f"conv{w}.bias", np.zeros(config.char_filters)
-    fuse_in = d_model + config.c_morph
-    yield "fuse.w", rng.normal(size=(fuse_in, d_in)) / math.sqrt(fuse_in)
-    yield "fuse.b", np.zeros(d_in)
+def zeros(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return np.zeros(shape)
 
 
-def _in_checkpoint_order(shapes: dict[str, tuple[int, ...]],
-                         arrays: dict[str, np.ndarray]) -> Iterator[tuple[str, np.ndarray]]:
-    """The (name, array) pairs of ``arrays`` in the order of ``shapes``. A
-    missing, misshapen or extra array is an error, so a checkpoint whose
-    config was edited cannot drop parameters."""
-    arrays = dict(arrays)
-    for name, shape in shapes.items():
-        if name not in arrays:
-            raise FormatError(f"checkpoint missing parameter {name!r}")
-        arr = arrays.pop(name)
-        if np.shape(arr) != shape:
-            raise FormatError(f"checkpoint parameter {name!r}: shape {np.shape(arr)} vs {shape}")
-        yield name, arr
-    if arrays:
-        raise FormatError(f"checkpoint has unexpected array {next(iter(arrays))!r}")
+def ones(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return np.ones(shape)
+
+
+def normal(op: Callable, factor: float) -> Init:
+    """An initialiser: standard normal draws combined with ``factor`` by
+    ``op``, the multiply or the divide each parameter has always been drawn
+    with, so a seed gives the same values bit for bit."""
+    return lambda rng, shape: op(rng.normal(size=shape), factor)
 
 
 class AttentionBlockParams:
-    """Weights of one self-attention encoding block; ``take(name, *shape)``
-    gives the parameter of each array named ``prefix.*`` (see
-    ``block_arrays``)."""
+    """Weights of one self-attention encoding block; ``take(name, init,
+    *shape)`` gives the parameter of each array named ``prefix.*``, where
+    ``init(rng, shape)`` draws a fresh block's value."""
 
     def __init__(self, take: Callable[..., Parameter], prefix: str, d_model: int,
                  n_heads: int, d_ff: int):
-        self.wq = take(f"{prefix}.wq", d_model, d_model)
-        self.wkv = take(f"{prefix}.wkv", d_model, 2 * d_model)
-        self.wo = take(f"{prefix}.wo", d_model, d_model)
-        self.w1 = take(f"{prefix}.ffn.w1", d_model, d_ff)
-        self.b1 = take(f"{prefix}.ffn.b1", d_ff)
-        self.w2 = take(f"{prefix}.ffn.w2", d_ff, d_model)
-        self.b2 = take(f"{prefix}.ffn.b2", d_model)
-        self.ln1_g, self.ln1_b, self.ln2_g, self.ln2_b = (
-            take(f"{prefix}.{name}", d_model)
-            for name in ("ln1.g", "ln1.b", "ln2.g", "ln2.b"))
+        s_in = 1.0 / math.sqrt(d_model)
+        drawn = []
+
+        def draw_qkv(rng, shape):
+            # [head, (q, k, v)] blocks of d_head columns, drawn at once; wq
+            # holds every head's query block, wkv every head's key block,
+            # then every value block
+            drawn.append(rng.normal(size=(n_heads, 3, d_model, d_model // n_heads)) * s_in)
+            return drawn[-1][:, 0].transpose(1, 0, 2).reshape(shape)
+
+        def draw_kv(rng, shape):
+            return drawn.pop()[:, 1:].transpose(2, 1, 0, 3).reshape(shape)
+
+        self.wq = take(f"{prefix}.wq", draw_qkv, d_model, d_model)
+        self.wkv = take(f"{prefix}.wkv", draw_kv, d_model, 2 * d_model)
+        self.wo = take(f"{prefix}.wo", normal(mul, s_in), d_model, d_model)
+        self.w1 = take(f"{prefix}.ffn.w1", normal(mul, s_in), d_model, d_ff)
+        self.b1 = take(f"{prefix}.ffn.b1", zeros, d_ff)
+        self.w2 = take(f"{prefix}.ffn.w2", normal(truediv, math.sqrt(d_ff)), d_ff, d_model)
+        self.b2 = take(f"{prefix}.ffn.b2", zeros, d_model)
+        self.ln1_g = take(f"{prefix}.ln1.g", ones, d_model)
+        self.ln1_b = take(f"{prefix}.ln1.b", zeros, d_model)
+        self.ln2_g = take(f"{prefix}.ln2.g", ones, d_model)
+        self.ln2_b = take(f"{prefix}.ln2.b", zeros, d_model)
         self.d_model = d_model
         self.n_heads = n_heads
 
@@ -269,7 +242,7 @@ class HiceModel:
     def __init__(self, config: HiceConfig, frozen: np.ndarray,
                  frozen_words: list[str], vocab: Vocabulary | None = None):
         """A fresh model over the rows ``frozen`` of ``frozen_words`` (shared
-        when float32), its parameters drawn by ``fresh_arrays``."""
+        when float32), its parameters drawn from ``config.seed``."""
         self._bind(config, EmbeddingTable.from_rows(frozen_words, frozen), None, vocab)
 
     @classmethod
@@ -285,46 +258,72 @@ class HiceModel:
 
     def _bind(self, config: HiceConfig, table: EmbeddingTable,
               arrays: dict[str, np.ndarray] | None, vocab: Vocabulary | None) -> None:
-        """Make the parameters from ``arrays``, or when it is None from
-        ``fresh_arrays`` one draw at a time, each cast straight into its
-        slice of one parameter vector in checkpoint order."""
+        """Make the parameters, each cast straight into its slice of one
+        parameter vector in checkpoint order: from ``arrays``, or when it is
+        None from each declaration's initialiser, drawn in turn from one
+        generator seeded with ``config.seed``. A missing, misshapen or extra
+        array is an error, so a checkpoint whose config was edited cannot
+        drop parameters."""
         if table.dim != config.embed_dim:
             raise InputError(f"frozen table {table.matrix.shape} does not match "
                              f"embed_dim {config.embed_dim}")
         self.config, self.table, self.vocab = config, table, vocab
-        shapes: dict[str, tuple[int, ...]] = {}
-        self._attach(lambda name, *shape: shapes.setdefault(name, shape))
-        self._params = ParamVector(sum(math.prod(shape) for shape in shapes.values()))
-        for name, arr in (fresh_arrays(config, table.matrix) if arrays is None
-                          else _in_checkpoint_order(shapes, arrays)):
-            self._params.add(name, arr)
-        by_name = dict(self._params)
-        self._attach(lambda name, *shape: by_name[name])
+        sizes: list[int] = []
+        self._attach(lambda name, init, *shape: sizes.append(math.prod(shape)))
+        params = self._params = ParamVector(sum(sizes))
+        if arrays is None:
+            rng = np.random.default_rng(config.seed)
+            self._attach(lambda name, init, *shape: params.add(name, init(rng, shape)))
+            return
+        arrays = dict(arrays)
+
+        def take(name: str, init: Init, *shape: int) -> Parameter:
+            if name not in arrays:
+                raise FormatError(f"checkpoint missing parameter {name!r}")
+            arr = arrays.pop(name)
+            if np.shape(arr) != shape:
+                raise FormatError(f"checkpoint parameter {name!r}: shape {np.shape(arr)} "
+                                  f"vs {shape}")
+            return params.add(name, arr)
+
+        self._attach(take)
+        if arrays:
+            raise FormatError(f"checkpoint has unexpected array {next(iter(arrays))!r}")
 
     def _attach(self, take: Callable[..., Parameter]) -> None:
-        """Set each parameter attribute to ``take(name, *shape)``, in
-        checkpoint order: ``_bind`` runs this once to learn the shapes and
-        once to bind the parameters."""
+        """Set each parameter attribute to ``take(name, init, *shape)``, in
+        checkpoint order, where ``init(rng, shape)`` draws a fresh model's
+        value: ``_bind`` runs this once to learn the sizes and once to bind
+        the parameters."""
         config = self.config
         d_in, d_model = config.embed_dim, config.d_model
-        self.special_embed = take("special_embed", 2, d_in)
+        self.special_embed = take("special_embed", self._mean_rows, 2, d_in)
         self.input_proj_w = self.input_proj_b = None
         if d_model != d_in:
-            self.input_proj_w = take("input_proj.w", d_in, d_model)
-            self.input_proj_b = take("input_proj.b", d_model)
-        self.a_pos = take("a_pos", config.max_len)
+            self.input_proj_w = take("input_proj.w", normal(truediv, math.sqrt(d_in)),
+                                     d_in, d_model)
+            self.input_proj_b = take("input_proj.b", zeros, d_model)
+        self.a_pos = take("a_pos", ones, config.max_len)
         block = partial(AttentionBlockParams, take, d_model=d_model,
                         n_heads=config.n_heads, d_ff=config.d_ff)
         self.ctx_blocks = [block(f"ctx{i}") for i in range(config.n_context_blocks)]
         self.agg_blocks = [block(f"agg{i}") for i in range(config.n_agg_blocks)]
         ce = config.char_emb_dim
-        self.char_embed = take("char_embed", N_CHARS, ce)
+        self.char_embed = take("char_embed", normal(mul, 0.1), N_CHARS, ce)
         self.conv_filters, self.conv_bias = {}, {}
         for w in config.filter_widths:
-            self.conv_filters[w] = take(f"conv{w}.filters", w, ce, config.char_filters)
-            self.conv_bias[w] = take(f"conv{w}.bias", config.char_filters)
-        self.fuse_w = take("fuse.w", d_model + config.c_morph, d_in)
-        self.fuse_b = take("fuse.b", d_in)
+            self.conv_filters[w] = take(f"conv{w}.filters", normal(truediv, math.sqrt(w * ce)),
+                                        w, ce, config.char_filters)
+            self.conv_bias[w] = take(f"conv{w}.bias", zeros, config.char_filters)
+        fuse_in = d_model + config.c_morph
+        self.fuse_w = take("fuse.w", normal(truediv, math.sqrt(fuse_in)), fuse_in, d_in)
+        self.fuse_b = take("fuse.b", zeros, d_in)
+
+    def _mean_rows(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+        """The MASK and UNK rows of a fresh model: the mean of the frozen rows."""
+        frozen = self.frozen
+        mean_row = frozen.mean(axis=0, dtype=np.float64) if len(frozen) else np.zeros(shape[1])
+        return np.broadcast_to(mean_row, shape)
 
     @classmethod
     def from_table(cls, config: HiceConfig, table: EmbeddingTable,

@@ -157,14 +157,14 @@ def build_validation_episodes(words: list[str], store: SentenceStore,
 
 
 def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
-          table: EmbeddingTable, model: HiceModel | None = None,
-          model_config: HiceConfig | None = None) -> tuple[HiceModel, TrainReport]:
-    """Run episodic training; returns the best-validation model and report."""
+          table: EmbeddingTable, model: HiceModel | None = None
+          ) -> tuple[HiceModel, TrainReport]:
+    """Run episodic training of ``model``, by default a fresh model of the
+    default config seeded with ``config.seed``; returns the best-validation
+    model and report."""
     if model is None:
-        mc = model_config or HiceConfig(embed_dim=table.dim, seed=config.seed)
-        model = HiceModel.from_table(mc, table, vocab)
-    else:
-        model.bind_vocab(vocab)
+        model = HiceModel.from_table(HiceConfig(embed_dim=table.dim, seed=config.seed), table)
+    model.bind_vocab(vocab)
 
     train_words, val_words = split_targets(vocab, store, table)
     if not (train_words and val_words):

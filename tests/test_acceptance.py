@@ -60,7 +60,7 @@ def linear_setup():
     vocab, store, table, oracle, _ = synthetic_task.planted_task(**LINEAR_TASK)
     start = time.monotonic()
     model, report = train(TrainConfig(**TRAIN_CFG), vocab, store, oracle,
-                          model_config=HiceConfig(embed_dim=16, seed=0))
+                          model=HiceModel.from_table(HiceConfig(embed_dim=16, seed=0), oracle))
     elapsed = time.monotonic() - start
     return vocab, store, table, oracle, model, report, elapsed
 
@@ -338,7 +338,7 @@ def test_criterion_5_synthetic_learning(linear_setup):
     vocab2, store2, table2, oracle2, _ = synthetic_task.planted_task(
         **LINEAR_TASK, nonlinear=True)
     model2, report2 = train(TrainConfig(**TRAIN_CFG), vocab2, store2, oracle2,
-                            model_config=HiceConfig(embed_dim=16, seed=0))
+                            model=HiceModel.from_table(HiceConfig(embed_dim=16, seed=0), oracle2))
     words2 = eligible_targets(vocab2, store2, oracle2)
     _, val_words2 = split_words(words2)
     probes2 = build_validation_episodes(val_words2, store2, oracle2,

@@ -231,7 +231,7 @@ def test_adapt_improves_on_shifted_domain_and_keeps_invariances():
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     tc_ = TrainConfig(steps=150, batch_episodes=8, validation_every=50,
                       k_min=2, k_max=4, seed=0, patience=20)
-    model, _ = train(tc_, vocab, store, oracle, model_config=mc)
+    model, _ = train(tc_, vocab, store, oracle, model=HiceModel.from_table(mc, oracle))
     frozen_before = model.frozen.copy()
 
     holdout_words = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)[:12]
@@ -258,7 +258,7 @@ def test_finetune_overfits_tiny_target_set():
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     tc_ = TrainConfig(steps=120, batch_episodes=8, validation_every=40,
                       k_min=2, k_max=4, seed=0, patience=20)
-    model, _ = train(tc_, vocab, store, oracle, model_config=mc)
+    model, _ = train(tc_, vocab, store, oracle, model=HiceModel.from_table(mc, oracle))
 
     words = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)
     rng = np.random.default_rng(1)

@@ -265,8 +265,9 @@ def test_infer_output_parses_as_embedding_row(workdir, checkpoint, tmp_path, cap
 @pytest.mark.parametrize("edit", [
     {"n_heads": None}, {"n_heads": "two"}, {"n_heads": "0"}, {"d_model": "64"},
     {"d_ff": "7"}, {"max_len": "11"}, {"max_word_len": "5"}, {"context_pool": "mean"},
+    {"use_morph": "True"},
 ], ids=["missing-n_heads", "n_heads-two", "n_heads-0", "d_model-64", "d_ff-7",
-        "max_len-11", "max_word_len-5", "context_pool-mean"])
+        "max_len-11", "max_word_len-5", "context_pool-mean", "use_morph-True"])
 def test_infer_checkpoint_with_a_bad_config_exits_2(workdir, checkpoint, tmp_path,
                                                     capsys, edit):
     config, arrays = read_container(checkpoint, CHECKPOINT_MAGIC)

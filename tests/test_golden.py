@@ -1,6 +1,7 @@
 """Today's results, pinned: every value ``tests/golden/make.py`` computes
-must equal its stored reference exactly (arrays under ``np.array_equal``,
-files and stdout byte for byte)."""
+must equal its stored reference exactly (arrays in dtype, shape and bytes,
+so -0.0 is not 0.0 and one NaN payload is not another; files and stdout
+byte for byte)."""
 
 import json
 
@@ -17,11 +18,16 @@ def computed(tmp_path_factory):
     return make.outputs(tmp_path_factory.mktemp("golden"))
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_arrays_match_the_reference(computed):
     arrays, _ = computed
     with np.load(make.ARRAYS) as ref:
         assert sorted(arrays) == sorted(ref.files)
-        differ = [name for name in ref.files if not np.array_equal(arrays[name], ref[name])]
+        differ = [name for name in ref.files if not _same_bits(arrays[name], ref[name])]
     assert not differ, f"arrays differ from the reference: {differ}"
 
 

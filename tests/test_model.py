@@ -15,7 +15,7 @@ from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, MASK_TOKEN, UNK_I
                                sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
-                             Segments, block_arrays, encoding_block, fresh_arrays)
+                             Segments, encoding_block)
 from oov_forge.tensor import Graph, backward, constant, cosine, parameter, sum_all
 from vectors import assert_on_vectors
 
@@ -64,8 +64,7 @@ def morph_features(model, *words):
 
 def fresh_block(d_model, n_heads, d_ff, rng):
     """A block of weights drawn as a fresh model draws them."""
-    arrays = dict(block_arrays("b", d_model, n_heads, d_ff, rng))
-    return AttentionBlockParams(lambda name, *shape: parameter(arrays[name]), "b",
+    return AttentionBlockParams(lambda name, init, *shape: parameter(init(rng, shape)), "b",
                                 d_model, n_heads, d_ff)
 
 
@@ -347,7 +346,7 @@ def test_config_rejects_a_repeated_filter_width():
 
 def test_a_model_holds_the_arrays_it_is_given():
     model, table = make_model()
-    arrays = dict(fresh_arrays(model.config, table.matrix))
+    arrays = {name: p.data.copy() for name, p in model.parameters()}
     bound = HiceModel.from_arrays(model.config, table, arrays)
     # the arrays are copied into consecutive slices of one vector, in the order given
     assert [name for name, _ in bound.parameters()] == list(arrays)
@@ -355,8 +354,8 @@ def test_a_model_holds_the_arrays_it_is_given():
                           np.concatenate([arr.ravel() for arr in arrays.values()]))
     assert all(p.data.base is bound.parameters().data and np.array_equal(p.data, arrays[name])
                for name, p in bound.parameters())
-    # the fresh model is the one these arrays make
-    assert all(np.array_equal(p.data, arrays[name]) for name, p in model.parameters())
+    # the bound model owns its vector: it shares no memory with the arrays' source
+    assert not np.shares_memory(bound.parameters().data, model.parameters().data)
     assert bound.table is table
 
 

@@ -144,7 +144,7 @@ def test_train_zero_steps_returns_initial_params():
     vocab, store, table, oracle, _ = small_task()
     cfg = TrainConfig(steps=0, seed=1)
     model, report = train(cfg, vocab, store, oracle,
-                          model_config=small_model_config())
+                          model=HiceModel.from_table(small_model_config(), oracle))
     fresh = HiceModel.from_table(small_model_config(), oracle)
     for (_, a), (_, b) in zip(model.parameters(), fresh.parameters()):
         assert np.array_equal(a.data, b.data)
@@ -159,7 +159,7 @@ def test_train_learns_synthetic_task_and_is_deterministic():
 
     def run():
         model, report = train(cfg, vocab, store, oracle,
-                              model_config=small_model_config())
+                              model=HiceModel.from_table(small_model_config(), oracle))
         return model, report
 
     model1, report1 = run()
@@ -178,7 +178,7 @@ def test_training_cosine_windows_non_decreasing():
     cfg = TrainConfig(steps=75, batch_episodes=8, validation_every=25,
                       k_min=2, k_max=4, seed=0, patience=10)
     _, report = train(cfg, vocab, store, oracle,
-                      model_config=small_model_config())
+                      model=HiceModel.from_table(small_model_config(), oracle))
     # 200-episode windows = 25 steps of 8 episodes
     w = [np.mean(report.step_cosines[i * 25:(i + 1) * 25]) for i in range(3)]
     assert w[0] <= w[1] <= w[2]
@@ -241,13 +241,14 @@ def test_divergence_aborts_with_step_number(monkeypatch):
     monkeypatch.setattr(training_mod, "episode_loss", exploding)
     cfg = TrainConfig(steps=5, batch_episodes=2, validation_every=5, seed=0)
     with pytest.raises(TrainingError, match="step 3"):
-        train(cfg, vocab, store, oracle, model_config=small_model_config())
+        train(cfg, vocab, store, oracle, model=HiceModel.from_table(small_model_config(), oracle))
 
 
 def test_train_report_csv_shape():
     vocab, store, table, oracle, _ = small_task()
     cfg = TrainConfig(steps=20, batch_episodes=4, validation_every=10, seed=0)
-    _, report = train(cfg, vocab, store, oracle, model_config=small_model_config())
+    _, report = train(cfg, vocab, store, oracle,
+                      model=HiceModel.from_table(small_model_config(), oracle))
     csv = report.to_csv()
     lines = csv.strip().splitlines()
     assert lines[0] == "step,train_cos,val_cos"
@@ -467,10 +468,13 @@ def test_per_head_checkpoint_is_a_format_error(tmp_path):
     {"n_heads": "0"}, {"n_heads": "-2"}, {"char_filters": "-1"}, {"char_emb_dim": "-1"},
     {"filter_widths": "-2,3,4"}, {"seed": "-1"},
     {"d_model": "12"}, {"d_ff": "16"}, {"max_len": "11"}, {"max_word_len": "5"},
+    {"use_morph": "True"}, {"use_morph": "yes"}, {"n_heads": " 4"},
+    {"filter_widths": "2, 3,4"},
 ], ids=["missing-n_heads", "missing-embed_dim", "n_heads-two", "filter_widths-2,x",
         "max_len-2.5", "empty-seed", "n_heads-0", "n_heads--2", "char_filters--1",
         "char_emb_dim--1", "filter_widths--2,3,4", "seed--1", "d_model-12", "d_ff-16",
-        "max_len-11", "max_word_len-5"])
+        "max_len-11", "max_word_len-5", "use_morph-True", "use_morph-yes", "n_heads- 4",
+        "filter_widths-2, 3,4"])
 def test_checkpoint_with_a_bad_config_value_is_a_format_error(tmp_path, edit):
     vocab, store, table, oracle, _ = small_task()
     path = tmp_path / "model.hice"
@@ -528,7 +532,7 @@ def test_checkpointing_during_training_keeps_best(tmp_path):
     cfg = TrainConfig(steps=40, batch_episodes=8, validation_every=10,
                       seed=2, checkpoint_path=str(path), patience=10)
     model, report = train(cfg, vocab, store, oracle,
-                          model_config=small_model_config())
+                          model=HiceModel.from_table(small_model_config(), oracle))
     assert path.exists()
     best = load_checkpoint(path)
     cfgd, _ = read_container(path, CHECKPOINT_MAGIC)
@@ -552,7 +556,8 @@ def test_train_and_a_load_keep_every_parameter_on_the_vectors(tmp_path):
     path = tmp_path / "best.hice"
     cfg = TrainConfig(steps=30, batch_episodes=8, validation_every=10,
                       seed=2, checkpoint_path=str(path), patience=10)
-    model, report = train(cfg, vocab, store, oracle, model_config=small_model_config())
+    model, report = train(cfg, vocab, store, oracle,
+                          model=HiceModel.from_table(small_model_config(), oracle))
     assert report.best_step > 0  # the best state was restored
     assert_on_vectors(model, _probes(vocab, store, oracle))
     loaded = load_checkpoint(path)
@@ -590,7 +595,8 @@ def test_train_records_each_steps_gradient_norm_and_clip_factor(monkeypatch):
     monkeypatch.setattr(Adam, "step", recording)
     vocab, store, table, oracle, _ = small_task()
     cfg = TrainConfig(steps=12, batch_episodes=8, validation_every=6, seed=3)
-    _, report = train(cfg, vocab, store, oracle, model_config=small_model_config())
+    _, report = train(cfg, vocab, store, oracle,
+                      model=HiceModel.from_table(small_model_config(), oracle))
     assert len(expected) == 12 and report.grad_norms == expected
     assert report.clip_factors == [GRAD_CLIP / n if n > GRAD_CLIP else 1.0 for n in expected]
     assert report.to_csv().splitlines()[0] == "step,train_cos,val_cos"
