@@ -31,7 +31,7 @@ from .episode import Episode, eligible_targets, episode_stream
 from .errors import AdaptationError
 from .model import HiceModel
 from .tensor import Graph, ParamVector, backward
-from .training import episode_loss
+from .training import episode_loss, layout
 
 ADAPT_K_RANGE = (2, 6)
 HVP_EPS = 1e-4  # finite-difference step of the Hessian-vector product, over max |v|
@@ -97,13 +97,16 @@ def maml_step(model: HiceModel, batch_source: list[Episode],
               batch_target: list[Episode], cfg: AdaptConfig,
               vocab_source: Vocabulary | None = None,
               vocab_target: Vocabulary | None = None) -> HiceModel:
-    """One meta-update from one batch per corpus (at alpha = 0, the source batch may be empty)."""
+    """One meta-update from one batch per corpus (at alpha = 0, the source batch
+    may be empty), each laid out once for all its loss evaluations."""
     if not batch_target or (cfg.alpha and not batch_source):
         raise AdaptationError("maml_step needs a target batch, and a source batch at alpha > 0")
+    source = layout(model, batch_source, vocab_source) if cfg.alpha else None
+    target = layout(model, batch_target, vocab_target)
     maml_update(
         model.parameters(),
-        lambda: episode_loss(model, batch_source, vocab=vocab_source)[0],
-        lambda: episode_loss(model, batch_target, vocab=vocab_target)[0],
+        lambda: episode_loss(model, source)[0],
+        lambda: episode_loss(model, target)[0],
         cfg,
     )
     return model
@@ -126,10 +129,11 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
         )
     if cfg.adapt_steps == 0:
         return model
-    stream_t = (episode_stream(vocab_t, store_t, table_t, ADAPT_K_RANGE, cfg.seed)
+    stream_t = (episode_stream(vocab_t, store_t, table_t, ADAPT_K_RANGE, cfg.seed,
+                               batch=cfg.batch_episodes)
                 if cfg.alpha else iter(()))
     stream_n = episode_stream(vocab_n, store_n, table_n, ADAPT_K_RANGE,
-                              cfg.seed + 1, words=words_n)
+                              cfg.seed + 1, words=words_n, batch=cfg.batch_episodes)
     for _ in range(cfg.adapt_steps):
         batch_n = [next(stream_n) for _ in range(cfg.batch_episodes)]
         batch_t = list(islice(stream_t, cfg.batch_episodes))

@@ -24,6 +24,7 @@ import csv
 import os
 import sys
 from contextlib import ExitStack
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +171,9 @@ def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore, table
         for i, word in enumerate(vocab.words):
             vocab_fh.write(f"{word}\t{vocab.counts[i]}\t{int(vocab.stop_flags[i])}\t"
                            f"{int(word in eligible)}\n")
-        for sent in store.sentences:
-            sent_fh.write(" ".join(str(t) for t in sent) + "\n")
+        tokens, offsets = store.tokens.tolist(), store.offsets.tolist()
+        for lo, hi in zip(offsets, offsets[1:]):
+            sent_fh.write(" ".join(map(str, tokens[lo:hi])) + "\n")
         for w in sorted(train_words):
             split_fh.write(f"{w}\ttrain\n")
         for w in sorted(val_words):
@@ -202,17 +204,33 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
         words.append(parts[0])
         stops.append(parts[2] == "1")
     vocab = Vocabulary(words, counts, stops, min_count)
-    sentences = []
-    sentence_lines = read_text(prepared_dir / SENTENCES_FILE, "prepared").splitlines()
-    for lineno, line in enumerate(sentence_lines, start=1):
-        try:
-            sentences.append([int(t) for t in line.split()])
-        except ValueError:
-            raise FormatError(f"{SENTENCES_FILE}: line {lineno}: non-integer token") from None
-        if sentences[-1] and (min(sentences[-1]) < 0 or max(sentences[-1]) >= len(words)):
-            raise FormatError(f"{SENTENCES_FILE}: line {lineno}: token id out of range "
-                              f"[0, {len(words)})")
-    return vocab, SentenceStore(sentences, vocab), run_cfg
+    lines = [line.split() for line in
+             read_text(prepared_dir / SENTENCES_FILE, "prepared").splitlines()]
+    offsets = np.zeros(len(lines) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)), out=offsets[1:])
+
+    def out_of_range(lineno: int) -> FormatError:
+        return FormatError(f"{SENTENCES_FILE}: line {lineno}: token id out of range "
+                           f"[0, {len(words)})")
+
+    try:
+        tokens = np.fromiter(map(int, chain.from_iterable(lines)), dtype=np.int64,
+                             count=int(offsets[-1]))
+    except (ValueError, OverflowError):  # the first line that is not ids in range
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                ids = [int(t) for t in line]
+            except ValueError:
+                raise FormatError(f"{SENTENCES_FILE}: line {lineno}: "
+                                  "non-integer token") from None
+            if ids and (min(ids) < 0 or max(ids) >= len(words)):
+                raise out_of_range(lineno) from None
+        raise
+    del lines  # the token strings are freed before the index is built
+    bad = np.flatnonzero((tokens < 0) | (tokens >= len(words)))
+    if bad.size:
+        raise out_of_range(int(np.searchsorted(offsets, bad[0], side="right")))
+    return vocab, SentenceStore(tokens, offsets, vocab), run_cfg
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,21 @@ features for one target word.
 Context token ids live in the owning corpus vocabulary's id space, with two
 reserved sentinels: MASK_ID marks masked-out target occurrences and UNK_ID
 marks tokens that have no vocabulary entry (ad-hoc inference sentences).
+An episode keeps its contexts packed back to back in one id array. Episodes
+are drawn one at a time, with the RNG calls in a fixed order, and the
+windows of a whole batch are then cut from the store's token array by one
+gather (``mask_windows``).
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .corpus import EmbeddingTable, SentenceStore, Vocabulary, contexts_of, split_words
+from .corpus import EmbeddingTable, SentenceStore, Vocabulary, split_words
 from .errors import EpisodeError, InputError
 
 MASK_ID = -1
@@ -44,24 +49,43 @@ def char_sequence(word: str, max_word_len: int = MAX_WORD_LEN) -> list[int]:
 
 @dataclass
 class Episode:
-    """One K-shot task: masked contexts, character features, oracle target."""
+    """One K-shot task: K masked contexts packed back to back, character
+    features and the oracle target. Context i is the next ``lengths[i]``
+    ids of ``tokens``, and ``pools[i]`` is the offset in it of the token
+    that summarizes it: the first masked target."""
 
     target_word: str
-    contexts: list[list[int]]
+    tokens: np.ndarray        # int32: vocabulary ids, MASK_ID and UNK_ID
+    lengths: np.ndarray       # [K] tokens of each context
+    pools: np.ndarray         # [K] pool offset of each context
     char_seq: list[int]
     oracle: np.ndarray | None = None
 
     @property
     def k(self) -> int:
-        return len(self.contexts)
+        return len(self.lengths)
+
+    @property
+    def contexts(self) -> list[list[int]]:
+        """The contexts as lists of ids, for ``decode_context``."""
+        tokens, ends = self.tokens.tolist(), np.cumsum(self.lengths).tolist()
+        return [tokens[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def mask_window(ids: list[int], target_id: int, window: int = CONTEXT_WINDOW) -> list[int]:
-    """Keep ``window`` tokens each side of the first target occurrence and
-    mask every occurrence in that window; an absent target is a ValueError."""
-    first = ids.index(target_id)
-    return [MASK_ID if t == target_id else t
-            for t in ids[max(0, first - window):first + window + 1]]
+def mask_windows(tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                 firsts: np.ndarray, targets: np.ndarray, window: int = CONTEXT_WINDOW
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut one context from each sentence ``tokens[starts[i]:starts[i] +
+    lengths[i]]``: ``window`` tokens each side of position ``firsts[i]``,
+    with every ``targets[i]`` in it masked. Returns the contexts packed
+    back to back, their lengths and their pool offsets, ``firsts`` in the
+    window."""
+    lo = np.maximum(firsts - window, 0)
+    sizes = np.minimum(firsts + window + 1, lengths) - lo
+    ends = np.cumsum(sizes)
+    out = tokens[np.arange(ends[-1]) + np.repeat(starts + lo - ends + sizes, sizes)]
+    out[out == np.repeat(targets, sizes)] = MASK_ID
+    return out, sizes, firsts - lo
 
 
 def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
@@ -77,6 +101,58 @@ def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
     return out
 
 
+def _draw(word: str, k: int, rng: np.random.Generator, store: SentenceStore,
+          table: EmbeddingTable | None) -> tuple:
+    """The RNG calls of one episode: ``k`` of the word's slots in the
+    store's index, uniform without replacement while enough sentences exist,
+    with replacement otherwise. Returns (word, id, slots, oracle)."""
+    if k < 1:
+        raise EpisodeError(f"k must be >= 1, got {k}")
+    slots = store.slots_of(word)
+    n = slots.stop - slots.start
+    if not n:
+        raise EpisodeError(f"no contexts for {word!r}")
+    if n >= k:
+        chosen = rng.choice(n, size=k, replace=False)
+    else:
+        chosen = rng.integers(0, n, size=k)
+    oracle = None
+    if table is not None:
+        oracle = table.get(word)
+        if oracle is None:
+            raise EpisodeError(f"no oracle embedding for {word!r}")
+    return word, store.vocab.ids[word], chosen + slots.start, oracle
+
+
+def _gather(draws: list[tuple], store: SentenceStore) -> list[Episode]:
+    """The episodes of ``_draw`` results, every window cut by one gather."""
+    if not draws:
+        return []
+    slots = np.concatenate([d[2] for d in draws])
+    shots = [len(d[2]) for d in draws]
+    sids = store.index_sentences[slots]
+    starts = store.offsets[sids]
+    tokens, lengths, pools = mask_windows(
+        store.tokens, starts, store.offsets[sids + 1] - starts, store.index_first[slots],
+        np.repeat([d[1] for d in draws], shots))
+    ctx_ends = np.cumsum(shots)
+    tok_ends = np.cumsum(lengths)[ctx_ends - 1].tolist()
+    episodes, c0, t0 = [], 0, 0
+    for (word, _, _, oracle), c1, t1 in zip(draws, ctx_ends.tolist(), tok_ends):
+        episodes.append(Episode(word, tokens[t0:t1], lengths[c0:c1], pools[c0:c1],
+                                char_sequence(word), oracle))
+        c0, t0 = c1, t1
+    return episodes
+
+
+def sample_episodes(requests: list[tuple[str, int]], rng: np.random.Generator,
+                    store: SentenceStore, table: EmbeddingTable | None = None
+                    ) -> list[Episode]:
+    """``sample_episode`` of each (word, k) request in turn, with their
+    windows cut by one gather."""
+    return _gather([_draw(word, k, rng, store, table) for word, k in requests], store)
+
+
 def sample_episode(word: str, k: int, rng: np.random.Generator,
                    store: SentenceStore, table: EmbeddingTable | None = None) -> Episode:
     """Draw K masked contexts for ``word``.
@@ -85,31 +161,7 @@ def sample_episode(word: str, k: int, rng: np.random.Generator,
     with replacement otherwise (keeps the episode shape fixed for rare
     words). The oracle vector is attached from ``table`` when given.
     """
-    if k < 1:
-        raise EpisodeError(f"k must be >= 1, got {k}")
-    sids = contexts_of(word, store)
-    if not sids:
-        raise EpisodeError(f"no contexts for {word!r}")
-    target_id = store.vocab.id_of(word)
-    if len(sids) >= k:
-        chosen = rng.choice(len(sids), size=k, replace=False)
-    else:
-        chosen = rng.integers(0, len(sids), size=k)
-    contexts = [
-        mask_window(store.sentences[sids[int(i)]], target_id)
-        for i in chosen
-    ]
-    oracle = None
-    if table is not None:
-        oracle = table.get(word)
-        if oracle is None:
-            raise EpisodeError(f"no oracle embedding for {word!r}")
-    return Episode(
-        target_word=word,
-        contexts=contexts,
-        char_seq=char_sequence(word),
-        oracle=oracle,
-    )
+    return sample_episodes([(word, k)], rng, store, table)[0]
 
 
 def episode_from_masked(word: str, masked_sentences: list[list[str]],
@@ -123,16 +175,23 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
     """
     if not masked_sentences:
         raise EpisodeError("episode needs at least one context sentence")
+    firsts = []
     for sent in masked_sentences:
         if MASK_TOKEN not in sent:
             raise EpisodeError(f"context has no {MASK_TOKEN} marker: {sent}")
-    words = dict.fromkeys(t for sent in masked_sentences for t in sent)
+        firsts.append(sent.index(MASK_TOKEN))
+    words = dict.fromkeys(chain.from_iterable(masked_sentences))
     words.pop(MASK_TOKEN)
     vocab = Vocabulary(list(words), [1] * len(words), [False] * len(words), min_count=1)
-    contexts = [mask_window([MASK_ID if t == MASK_TOKEN else vocab.ids[t] for t in sent],
-                            MASK_ID, (max_len - 1) // 2)
-                for sent in masked_sentences]
-    return Episode(word, contexts, char_sequence(word, max_word_len=max_word_len)), vocab
+    ids = {MASK_TOKEN: MASK_ID, **vocab.ids}
+    lengths = np.fromiter(map(len, masked_sentences), dtype=np.intp,
+                          count=len(masked_sentences))
+    tokens = np.fromiter(map(ids.__getitem__, chain.from_iterable(masked_sentences)),
+                         dtype=np.int32, count=int(lengths.sum()))
+    contexts = mask_windows(tokens, np.cumsum(lengths) - lengths, lengths,
+                            np.asarray(firsts), np.full(len(firsts), MASK_ID),
+                            (max_len - 1) // 2)
+    return Episode(word, *contexts, char_sequence(word, max_word_len=max_word_len)), vocab
 
 
 def _targets(vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable | None,
@@ -148,8 +207,7 @@ def _targets(vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable | No
             rows = vocab.rows_in(table)
             keep &= rows >= 0
             keep[keep] = table.row_norms[rows[keep]] > 0
-        seen = np.zeros(len(vocab), dtype=bool)
-        seen[np.fromiter(store.index, dtype=np.intp, count=len(store.index))] = True
+        seen = np.diff(store.index_ptr) > 0
         words = tuple(vocab.words[i] for i in np.flatnonzero(keep & seen))
         kept = store._targets = [vocab, table, threshold, words, None]
     return kept
@@ -183,12 +241,13 @@ def split_targets(vocab: Vocabulary, store: SentenceStore,
 
 def episode_stream(vocab: Vocabulary, store: SentenceStore,
                    table: EmbeddingTable | None, k: tuple[int, int], seed: int,
-                   words: list[str] | None = None):
+                   words: list[str] | None = None, batch: int = 1):
     """Infinite deterministic-for-seed episode generator.
 
     Each episode's shot count is drawn from the inclusive range ``k`` =
     (lo, hi); targets are drawn uniformly from ``words`` (default: all
-    eligible targets).
+    eligible targets). Episodes are drawn ``batch`` at a time and their
+    windows cut by one gather; the episodes do not depend on ``batch``.
     """
     if words is None:
         words = eligible_targets(vocab, store, table)
@@ -199,7 +258,10 @@ def episode_stream(vocab: Vocabulary, store: SentenceStore,
     def generate():
         rng = np.random.default_rng(seed)
         while True:
-            word = words[int(rng.integers(0, len(words)))]
-            yield sample_episode(word, int(rng.integers(lo, hi + 1)), rng, store, table)
+            draws = []
+            for _ in range(batch):
+                word = words[int(rng.integers(0, len(words)))]
+                draws.append(_draw(word, int(rng.integers(lo, hi + 1)), rng, store, table))
+            yield from _gather(draws, store)
 
     return generate()

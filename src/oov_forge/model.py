@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from operator import mul, truediv
 from typing import Callable, ClassVar, Sequence
 
@@ -215,9 +214,10 @@ def encoding_block(x: Tensor, p: AttentionBlockParams, seqs: Segments,
 
 @dataclass
 class Batch:
-    """The layout of a batch of episodes, built once per forward pass by
-    ``HiceModel.batch``: contexts are packed in episode order, tokens in
-    context order."""
+    """The layout of a batch of episodes, built by ``HiceModel.batch``:
+    contexts are packed in episode order, tokens in context order. It
+    depends on the frozen table, not on the parameters, so one layout
+    serves every forward pass over the same episodes."""
 
     contexts: Segments        # the tokens of every context
     shots: Segments           # the contexts of every episode
@@ -226,6 +226,7 @@ class Batch:
     pool_rows: np.ndarray     # [C] packed token a context is summarized by
     chars: np.ndarray         # [B, W] character ids, -1 past the end of a word
     char_lengths: np.ndarray  # [B]
+    oracles: np.ndarray | None  # [B, d_in] the episodes' oracles; None if one has none
 
 
 class HiceModel:
@@ -362,42 +363,42 @@ class HiceModel:
 
     def batch(self, episodes: Sequence[Episode],
               vocab: Vocabulary | None = None) -> Batch:
-        """Validate the episodes and lay them out for one forward pass."""
+        """Validate the episodes and lay out their packed contexts for
+        forward passes."""
         if not episodes:
             raise InputError("empty batch of episodes")
-        contexts = [ids for ep in episodes for ids in ep.contexts]
         for ep in episodes:
-            if not ep.contexts:
+            if not ep.k:
                 raise InputError(f"episode for {ep.target_word!r} has no contexts")
             if not ep.char_seq:
                 raise InputError("encode_morphology: empty character sequence")
-        for ids in contexts:
-            if not ids:
-                raise InputError("encode_context: empty context")
-            if len(ids) > self.config.max_len:
-                raise InputError(f"encode_context: length {len(ids)} exceeds "
-                                 f"max_len {self.config.max_len}")
-        tokens = np.fromiter(chain.from_iterable(contexts), dtype=np.intp)
+        lengths = np.concatenate([ep.lengths for ep in episodes])
+        if lengths.min() < 1:
+            raise InputError("encode_context: empty context")
+        if lengths.max() > self.config.max_len:
+            raise InputError(f"encode_context: length {lengths.max()} exceeds "
+                             f"max_len {self.config.max_len}")
+        tokens = np.concatenate([ep.tokens for ep in episodes])
         frozen_rows = np.full(len(tokens), -1, dtype=np.intp)
         real = np.flatnonzero(tokens >= 0)
         if real.size:  # a context of MASK/UNK sentinels needs no vocabulary
             frozen_rows[real] = self._resolve_vocab(vocab).rows_in(self.table)[tokens[real]]
-        segs = Segments([len(ids) for ids in contexts])
-        # an unmasked ad-hoc context is summarized by its first position
-        pool_at = [ids.index(MASK_ID) if MASK_ID in ids else 0 for ids in contexts]
+        segs = Segments(lengths)
         widths = [len(ep.char_seq) for ep in episodes]
         chars = np.full((len(episodes), max(widths)), -1, dtype=np.intp)
         for i, ep in enumerate(episodes):
             chars[i, :widths[i]] = ep.char_seq
+        oracles = [ep.oracle for ep in episodes]
         return Batch(
             contexts=segs,
             shots=Segments([ep.k for ep in episodes]),
             frozen_rows=frozen_rows,
             special_rows=np.where(frozen_rows >= 0, -1,
                                   np.where(tokens == MASK_ID, self.MASK_ROW, self.UNK_ROW)),
-            pool_rows=segs.starts + np.asarray(pool_at, dtype=np.intp),
+            pool_rows=segs.starts + np.concatenate([ep.pools for ep in episodes]),
             chars=chars,
             char_lengths=np.asarray(widths, dtype=np.intp),
+            oracles=None if any(o is None for o in oracles) else np.stack(oracles),
         )
 
     def embed_tokens(self, batch: Batch) -> Tensor:
@@ -440,20 +441,20 @@ class HiceModel:
                            [self.conv_filters[w] for w in widths],
                            [self.conv_bias[w] for w in widths], batch.char_lengths)
 
-    def predict(self, episodes: Sequence[Episode],
+    def predict(self, episodes: Sequence[Episode] | Batch,
                 vocab: Vocabulary | None = None) -> Tensor:
         """Predicted embeddings [B, d_in] for the episodes' target words, in
-        one padded forward pass.
+        one padded forward pass over their layout, built here unless given.
 
         With morphology off, the morphology slot of the fusion input is a
         zero vector of the same width (ablation arm).
         """
-        batch = self.batch(episodes, vocab)
+        batch = episodes if isinstance(episodes, Batch) else self.batch(episodes, vocab)
         agg = self.aggregate(self.encode_context(batch), batch.shots)
         if self.config.use_morph:
             morph = self.encode_morphology(batch)
         else:
-            morph = tc.constant(np.zeros((len(episodes), self.config.c_morph)))
+            morph = tc.constant(np.zeros((len(batch.char_lengths), self.config.c_morph)))
         fused = tc.concat_cols([agg, morph])
         return tc.add_bias(tc.matmul(fused, self.fuse_w), self.fuse_b)
 

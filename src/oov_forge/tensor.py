@@ -96,9 +96,6 @@ class Parameter(Tensor):
     def data(self) -> np.ndarray:
         return self._view
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         # the first gradient is copied in, so a -0.0 stays -0.0
         if self.grad is None:
@@ -307,18 +304,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (g, g)
 
     return _record("add", a.data + b.data, (a, b), bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-
-    def bwd(g):
-        return (g * bd, g * ad)
-
-    return _record("mul", ad * bd, (a, b), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:

@@ -15,10 +15,11 @@ import numpy as np
 from . import tensor as tc
 from .container import read_container, unpack_text, write_container
 from .corpus import EmbeddingTable, SentenceStore, Vocabulary
-from .episode import Episode, episode_stream, sample_episode, split_targets
-from .errors import FormatError, InputError, NumericError, TrainingError
+from .episode import Episode, episode_stream, sample_episodes, split_targets
+from .episode import sample_episode  # noqa: F401  (bench/spans.py wraps it here)
+from .errors import EvaluationError, FormatError, InputError, NumericError, TrainingError
 from .evaluation import cosine_np
-from .model import HiceConfig, HiceModel
+from .model import Batch, HiceConfig, HiceModel
 from .tensor import Graph, ParamVector, Tensor, backward
 
 CHECKPOINT_MAGIC = "HICE1"
@@ -115,9 +116,10 @@ class Adam:
         return norm, factor
 
 
-def episode_loss(model: HiceModel, episodes: list[Episode],
-                 vocab: Vocabulary | None = None) -> tuple[Tensor, float]:
-    """Negative mean cosine over the batch -> (loss tensor, mean cosine)."""
+def layout(model: HiceModel, episodes: list[Episode],
+           vocab: Vocabulary | None = None) -> Batch:
+    """``model.batch`` of training episodes, each of which must carry an
+    oracle with a nonzero norm; ``episode_loss`` takes it in their place."""
     if not episodes:
         raise TrainingError("episode_loss: empty batch")
     for ep in episodes:
@@ -125,20 +127,32 @@ def episode_loss(model: HiceModel, episodes: list[Episode],
             raise TrainingError(f"episode for {ep.target_word!r} has no oracle")
         if not float(np.linalg.norm(ep.oracle)) > 0.0:
             raise TrainingError(f"zero-norm oracle for word {ep.target_word!r}")
-    pred = model.predict(episodes, vocab)
-    oracle = tc.constant(np.stack([ep.oracle for ep in episodes]).astype(np.float64))
+    return model.batch(episodes, vocab)
+
+
+def episode_loss(model: HiceModel, episodes: list[Episode] | Batch,
+                 vocab: Vocabulary | None = None) -> tuple[Tensor, float]:
+    """Negative mean cosine over the batch -> (loss tensor, mean cosine).
+    ``episodes`` may be their ``layout``."""
+    batch = episodes if isinstance(episodes, Batch) else layout(model, episodes, vocab)
+    pred = model.predict(batch)
+    oracle = tc.constant(batch.oracles.astype(np.float64))
     # -1.0 / n is -(1.0 / n) exactly, so this is the negated mean to the bit
-    loss = tc.scale(tc.sum_all(tc.cosine(pred, oracle)), -1.0 / len(episodes))
+    loss = tc.scale(tc.sum_all(tc.cosine(pred, oracle)), -1.0 / len(batch.oracles))
     return loss, -float(loss.data)
 
 
-def evaluate_cosine(model: HiceModel, episodes: list[Episode],
+def evaluate_cosine(model: HiceModel, episodes: list[Episode] | Batch,
                     vocab: Vocabulary | None = None) -> float:
-    """Mean cosine(predict, oracle) with no graph recording; a zero vector
-    raises EvaluationError, as the tape's cosine raises NumericError."""
-    preds = model.predict(episodes, vocab).data
-    total = sum(cosine_np(pred, ep.oracle) for pred, ep in zip(preds, episodes))
-    return total / len(episodes)
+    """Mean cosine(predict, oracle) with no graph recording, over episodes or
+    their ``model.batch`` layout; a zero vector raises EvaluationError, as
+    the tape's cosine raises NumericError."""
+    batch = episodes if isinstance(episodes, Batch) else model.batch(episodes, vocab)
+    if batch.oracles is None:
+        raise EvaluationError("evaluate_cosine: an episode has no oracle")
+    preds = model.predict(batch).data
+    total = sum(cosine_np(pred, oracle) for pred, oracle in zip(preds, batch.oracles))
+    return total / len(preds)
 
 
 def build_validation_episodes(words: list[str], store: SentenceStore,
@@ -146,14 +160,10 @@ def build_validation_episodes(words: list[str], store: SentenceStore,
     """A fixed probe set: episodes cycle through the held-out words with
     shot counts cycling k_min..k_max."""
     rng = np.random.default_rng(config.seed + 1)
-    episodes = []
-    n = min(config.val_episodes, max(len(words), 0) * 4)
+    n = min(config.val_episodes, len(words) * 4)
     k_span = config.k_max - config.k_min + 1
-    for i in range(n):
-        word = words[i % len(words)]
-        k = config.k_min + (i % k_span)
-        episodes.append(sample_episode(word, k, rng, store, table))
-    return episodes
+    return sample_episodes([(words[i % len(words)], config.k_min + (i % k_span))
+                            for i in range(n)], rng, store, table)
 
 
 def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
@@ -175,9 +185,9 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
     if config.steps == 0:
         return model, report
 
-    val_probes = build_validation_episodes(val_words, store, table, config)
+    val_probes = model.batch(build_validation_episodes(val_words, store, table, config))
     stream = episode_stream(vocab, store, table, (config.k_min, config.k_max),
-                            config.seed, words=train_words)
+                            config.seed, words=train_words, batch=config.batch_episodes)
     opt = Adam(model.parameters(), config.learning_rate, GRAD_CLIP)
 
     best_state: np.ndarray | None = None

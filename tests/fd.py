@@ -2,11 +2,14 @@
 
 ``central_diff`` perturbs raw arrays in place and re-runs a forward-only
 closure; it never touches .grad or the graph machinery it is checking.
+``mul`` is the tape op the tests weight an output with to get a scalar
+loss; the model has no use for it.
 """
 
 import numpy as np
 
-from oov_forge.tensor import Graph, backward
+from oov_forge.errors import ShapeError
+from oov_forge.tensor import Graph, Tensor, _record, backward
 
 H = 1e-5
 
@@ -28,6 +31,14 @@ def central_diff(f, arrays, h=H):
     return grads
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of same-shape tensors, recorded on the tape."""
+    if a.shape != b.shape:
+        raise ShapeError(f"mul: {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
+    return _record("mul", ad * bd, (a, b), lambda g: (g * bd, g * ad))
+
+
 def rel_err(analytic, numeric):
     scale = max(float(np.abs(numeric).max()), 1e-12)
     return float(np.abs(analytic - numeric).max()) / scale
@@ -38,13 +49,13 @@ def check_grads(build, params, h=H):
     differences, over every parameter. build() must return a scalar Tensor
     computed from the params' current .data."""
     for p in params:
-        p.zero_grad()
+        p.grad = None
     with Graph():
         backward(build())
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for p in params]
     for p in params:
-        p.zero_grad()
+        p.grad = None
 
     def f():
         return float(build().data)

@@ -90,8 +90,14 @@ def rotate_table(table: EmbeddingTable, rot) -> EmbeddingTable:
                  for w, v in table.items()})
 
 
+def sentences_of(store: SentenceStore) -> list[list[int]]:
+    """The store's sentences as lists of vocabulary ids."""
+    tokens, offsets = store.tokens.tolist(), store.offsets.tolist()
+    return [tokens[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+
+
 def corpus_text(store: SentenceStore) -> str:
     """Render a store back to one-sentence-per-line text (CLI fixtures)."""
     vocab = store.vocab
-    lines = [" ".join(vocab.word_of(t) for t in sent) for sent in store.sentences]
+    lines = [" ".join(vocab.word_of(t) for t in sent) for sent in sentences_of(store)]
     return "\n".join(lines) + "\n"

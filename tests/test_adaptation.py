@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import synthetic_task
+from episode_reference import reordered
+from fd import mul
 from finetune import finetune_step
 from oov_forge import adaptation
 from oov_forge.adaptation import AdaptConfig, adapt, maml_step, maml_update
@@ -11,7 +13,7 @@ from oov_forge.corpus import EmbeddingTable
 from oov_forge.episode import eligible_targets, episode_stream, sample_episode
 from oov_forge.errors import AdaptationError
 from oov_forge.model import HiceConfig, HiceModel
-from oov_forge.tensor import ParamVector, add, constant, mul, sum_all
+from oov_forge.tensor import ParamVector, add, constant, sum_all
 from oov_forge.training import TrainConfig, evaluate_cosine, train
 from vectors import assert_on_vectors
 
@@ -249,7 +251,7 @@ def test_adapt_improves_on_shifted_domain_and_keeps_invariances():
     # architecture unchanged: permutation invariance survives adaptation
     ep = holdout[0]
     base = model.predict_vector(ep, vocab_n)
-    ep.contexts = ep.contexts[::-1]
+    ep = reordered(ep, range(ep.k)[::-1])
     assert np.abs(model.predict_vector(ep, vocab_n) - base).max() < 1e-6
 
 
@@ -303,8 +305,8 @@ def test_adapt_at_alpha_zero_draws_no_source_episode(monkeypatch):
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     drawn_from = []
 
-    def counted_stream(vocab, store, table, k, seed, words=None):
-        for ep in episode_stream(vocab, store, table, k, seed, words=words):
+    def counted_stream(vocab, store, table, k, seed, words=None, batch=1):
+        for ep in episode_stream(vocab, store, table, k, seed, words=words, batch=batch):
             drawn_from.append(store)
             yield ep
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import shutil
 
 import numpy as np
@@ -11,7 +12,7 @@ from oov_forge.baselines import (ALACARTE_MAGIC, NGRAM_MAGIC, AlaCarteModel,
                                  ngram_fit)
 from oov_forge.cli import main
 from oov_forge.container import read_container, write_container
-from oov_forge.corpus import EmbeddingTable, load_embeddings, save_embeddings
+from oov_forge.corpus import EmbeddingTable, load_embeddings, prepare_corpus, save_embeddings
 from oov_forge.episode import eligible_targets, split_targets
 from oov_forge.errors import EpisodeError, FormatError, OovForgeError
 from oov_forge.evaluation import EvalItem, cosine_np, save_benchmark_tsv
@@ -68,6 +69,27 @@ def test_prepare_is_byte_identical_on_rerun(workdir, prepared, capsys):
     assert first == second
     out = capsys.readouterr().out
     assert "vocabulary:" in out and "split:" in out
+
+
+# sha256 of the files prepare writes for the workdir corpus, computed with the
+# list-based sentence store that the packed one replaced
+PREPARED_SHA256 = {
+    "vocab.tsv": "518811f10355080e413f9cf74b354e6a8ffb0bb804d341dd47b7c1477ab6dad9",
+    "sentences.txt": "844b705bc2a903fd0fe88dd887e98bf8c71b7addf84801e8be2f08fc812592d2",
+    "split.txt": "442440c9aa43f91bf05abc50cd896d6e8c709969c44cdc317f4b10b60537bb2e",
+}
+
+
+def test_prepare_writes_the_pinned_bytes_and_loads_back_its_store(workdir, prepared):
+    for name, digest in PREPARED_SHA256.items():
+        assert hashlib.sha256((prepared / name).read_bytes()).hexdigest() == digest, name
+    vocab, store = prepare_corpus(workdir / "corpus.txt", min_count=4)
+    loaded_vocab, loaded, _ = cli.load_prepared(prepared)
+    assert (loaded_vocab.words, loaded_vocab.counts, loaded_vocab.stop_flags) == \
+        (vocab.words, vocab.counts, vocab.stop_flags)
+    for name in ("tokens", "offsets", "index_ptr", "index_sentences", "index_first"):
+        want, got = getattr(store, name), getattr(loaded, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_prepare_empty_corpus_exits_2(workdir, tmp_path):

@@ -87,7 +87,7 @@ def test_contexts_of_order_and_dedup():
     sentences = [["x"], ["y"], ["z"], ["w", "w"], ["q"], ["w"]]
     vocab = build_vocab(sentences, min_count=1)
     store = SentenceStore.from_tokens(sentences, vocab)
-    assert contexts_of("w", store) == [3, 5]
+    assert contexts_of("w", store).tolist() == [3, 5]
     with pytest.raises(IngestionError):
         contexts_of("missing", store)
 
@@ -103,7 +103,7 @@ def test_contexts_of_matches_linear_scan(rng):
     for w in words:
         expected = [i for i, sent in enumerate(sentences) if w in sent]
         if expected:
-            got = contexts_of(w, store)
+            got = contexts_of(w, store).tolist()
             assert got == expected
             for sid in got:
                 assert w in sentences[sid]

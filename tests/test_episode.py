@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import episode_reference as ref
+from episode_reference import mask_window
 from oov_forge.corpus import (EmbeddingTable, SentenceStore, Vocabulary, build_vocab,
-                              split_words, tokenize)
+                              contexts_of, split_words, tokenize)
 from oov_forge.episode import (CHAR_BOW, CHAR_EOW, CHAR_IDS, CHAR_UNK, CONTEXT_WINDOW,
-                               MASK_ID, MASK_TOKEN, N_CHARS, char_sequence, decode_context,
-                               eligible_targets, episode_from_masked, episode_stream,
-                               mask_window, sample_episode, split_targets)
+                               MASK_ID, MASK_TOKEN, MAX_LEN, N_CHARS, char_sequence,
+                               decode_context, eligible_targets, episode_from_masked,
+                               episode_stream, mask_windows, sample_episode, split_targets)
 from oov_forge.errors import EpisodeError
+from oov_forge.training import TrainConfig, build_validation_episodes
+from synthetic_task import sentences_of
 
 
 def _mini_store(sentences):
@@ -149,6 +153,100 @@ def test_sampling_uniformity_over_four_contexts():
 
 
 # ---------------------------------------------------------------------------
+# packed sampling against the list sampler it replaced
+# ---------------------------------------------------------------------------
+
+def _differential_corpus(seed):
+    """Random sentences of 1-60 tokens over 12 words, so targets repeat
+    inside their windows and many sentences are shorter than a window, plus
+    sentences whose first or last token is the only "edge"."""
+    rng = np.random.default_rng(seed)
+    sentences = [[f"w{int(rng.integers(12))}" for _ in range(int(rng.integers(1, 61)))]
+                 for _ in range(50)]
+    sentences += [["edge"] + ["w0"] * 30, ["w1"] * 30 + ["edge"], ["edge"],
+                  ["rare", "w2"]]
+    vocab, store = _mini_store(sentences)
+    return vocab, store, _table_for(vocab), ref.ListStore(sentences_of(store), vocab)
+
+
+def _assert_same(ep, word, contexts, oracle, coverage):
+    assert ep.target_word == word and ep.contexts == contexts
+    assert ep.lengths.tolist() == [len(c) for c in contexts]
+    assert ep.pools.tolist() == [c.index(MASK_ID) for c in contexts]
+    assert ep.oracle is oracle or np.array_equal(ep.oracle, oracle)
+    assert ep.char_seq == char_sequence(word)
+    for c, pool in zip(contexts, ep.pools.tolist()):
+        coverage["first token"] += pool == 0
+        coverage["last token"] += pool == len(c) - 1
+        coverage["short sentence"] += len(c) < 2 * CONTEXT_WINDOW + 1
+        coverage["repeated target"] += c.count(MASK_ID) > 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_store_index_equals_the_list_index(seed):
+    vocab, store, _, listed = _differential_corpus(seed)
+    assert sentences_of(store) == listed.sentences
+    for wid, word in enumerate(vocab.words):
+        slots = store.slots_of(word)
+        assert store.index_sentences[slots].tolist() == listed.contexts_of(word)
+        assert store.index_first[slots].tolist() == [listed.sentences[sid].index(wid)
+                                                     for sid in listed.contexts_of(word)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_sampling_equals_the_list_sampler(seed):
+    vocab, store, table, listed = _differential_corpus(seed)
+    pick = np.random.default_rng(100 + seed)
+    packed_rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    coverage = dict.fromkeys(["first token", "last token", "short sentence",
+                              "repeated target"], 0)
+    shots = {"below": 0, "above": 0}
+    for _ in range(400):
+        word = vocab.words[int(pick.integers(len(vocab)))]
+        n = len(listed.contexts_of(word))
+        k = int(pick.integers(1, 2 * n + 2))  # with replacement when k > n
+        shots["below" if k <= n else "above"] += 1
+        ep = sample_episode(word, k, packed_rng, store, table)
+        _assert_same(ep, word, *ref.sample_episode(word, k, list_rng, listed, table), coverage)
+    assert packed_rng.bit_generator.state == list_rng.bit_generator.state
+    assert min(coverage.values()) > 0 and min(shots.values()) > 0, (coverage, shots)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+def test_packed_stream_and_probes_equal_the_list_sampler(batch):
+    vocab, store, table, listed = _differential_corpus(7)
+    words = eligible_targets(vocab, store, table, 0)
+    coverage = dict.fromkeys(["first token", "last token", "short sentence",
+                              "repeated target"], 0)
+    stream = episode_stream(vocab, store, table, (1, 6), seed=4, words=words, batch=batch)
+    reference = ref.episode_stream(words, listed, table, (1, 6), seed=4)
+    for _ in range(100):
+        _assert_same(next(stream), *next(reference), coverage)
+    config = TrainConfig(k_min=1, k_max=6, seed=batch, val_episodes=40)
+    probes = build_validation_episodes(words, store, table, config)
+    rng = np.random.default_rng(config.seed + 1)
+    for i, ep in enumerate(probes):
+        word, k = words[i % len(words)], 1 + i % 6
+        _assert_same(ep, word, *ref.sample_episode(word, k, rng, listed, table), coverage)
+    assert len(probes) == 40 and min(coverage.values()) > 0, coverage
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sentences=st.lists(st.lists(st.sampled_from(["a", "b", "c", MASK_TOKEN]), min_size=1,
+                                   max_size=40).filter(lambda s: MASK_TOKEN in s),
+                          min_size=1, max_size=5),
+       max_len=st.sampled_from([1, 3, 9, MAX_LEN, 81]))
+def test_episode_from_masked_equals_the_list_windows(sentences, max_len):
+    # several markers per sentence: the window is cut around the first
+    ep, vocab = episode_from_masked("w", sentences, max_len=max_len)
+    ids = {MASK_TOKEN: MASK_ID, **vocab.ids}
+    want = [mask_window([ids[t] for t in sent], MASK_ID, (max_len - 1) // 2)
+            for sent in sentences]
+    assert ep.contexts == want
+    assert ep.pools.tolist() == [c.index(MASK_ID) for c in want]
+
+
+# ---------------------------------------------------------------------------
 # streams
 # ---------------------------------------------------------------------------
 
@@ -231,10 +329,20 @@ def test_episode_from_masked_returns_usable_vocab():
         episode_from_masked("word", [["no", "marker"]])
 
 
+def _packed_window(ids, target, window=CONTEXT_WINDOW):
+    """``mask_windows`` of the one sentence ``ids``, as a list."""
+    out, lengths, pools = mask_windows(np.array(ids), np.array([0]), np.array([len(ids)]),
+                                       np.array([ids.index(target)]), np.array([target]),
+                                       window)
+    assert lengths.tolist() == [len(out)] and out[pools[0]] == MASK_ID
+    return out.tolist()
+
+
 def test_mask_window_helper():
     ids = [5] * 20 + [9, 1, 9] + [2] * 20
     out = mask_window(ids, 9)  # CONTEXT_WINDOW around the first occurrence
     assert out == [5] * 12 + [MASK_ID, 1, MASK_ID] + [2] * 10
+    assert _packed_window(ids, 9) == out
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -257,9 +365,12 @@ def test_mask_window_equals_masking_the_sentence_then_windowing(data):
         # the window as a loop over positions
         want = [masked[i] for i in range(len(masked)) if abs(i - first) <= window]
         assert mask_window(ids, 7, window) == want
+        assert _packed_window(ids, 7, window) == want
         if window == CONTEXT_WINDOW:
             assert mask_window(ids, 7) == want
+            assert _packed_window(ids, 7) == want
         assert mask_window(masked, MASK_ID, window) == want
+        assert _packed_window(masked, MASK_ID, window) == want
     else:
         with pytest.raises(ValueError):
             mask_window(ids, 7, window)
@@ -278,7 +389,7 @@ def _loop_eligible(vocab, store, table):
             continue
         if table is not None and (w not in table or not np.any(table[w])):
             continue
-        if store.index.get(wid):
+        if len(contexts_of(w, store)):
             out.append(w)
     return out
 
@@ -298,7 +409,7 @@ def _loop_pseudo(vocab_n, store_n, table, min_count):
     """The adaptation targets as a loop over the vocabulary selected them."""
     return [word for wid, word in enumerate(vocab_n.words)
             if vocab_n.counts[wid] > min_count and word in table and np.any(table[word])
-            and store_n.index.get(wid)]
+            and len(contexts_of(word, store_n))]
 
 
 def _target_corpus(seed):
@@ -319,7 +430,7 @@ def _target_corpus(seed):
 def test_eligible_targets_equals_the_loops_in_order(seed):
     vocab, store, table = _target_corpus(seed)
     counts = sorted(set(vocab.counts))
-    assert any(not store.index.get(i) for i in range(len(vocab)))
+    assert any(not len(contexts_of(w, store)) for w in vocab.words)
     assert any(w not in table for w in vocab.words)
     assert any(not np.any(table[w]) for w in table)
     for threshold in sorted({c + d for c in counts for d in (-1, 0)} | {0}):
@@ -355,7 +466,7 @@ def test_kept_targets_live_on_the_store():
     assert words == tuple(want) and kept_split == tuple(map(tuple, split))
     assert not hasattr(vocab, "_targets")
     # a second store over the same vocabulary keeps its own targets
-    other = SentenceStore(store.sentences[:4], vocab)
+    other = SentenceStore(store.tokens[:store.offsets[4]], store.offsets[:5], vocab)
     assert eligible_targets(vocab, other, table) == _loop_eligible(vocab, other, table) != want
     assert split_targets(vocab, other, table) == _loop_split(_loop_eligible(vocab, other, table))
     assert eligible_targets(vocab, store, table) == want

@@ -21,6 +21,7 @@ from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab, prepar
                               save_embeddings)
 from oov_forge.errors import FormatError, OovForgeError
 from oov_forge.evaluation import EvalItem, load_benchmark_tsv, save_benchmark_tsv
+from synthetic_task import sentences_of
 
 
 def test_container_roundtrip(tmp_path, rng):
@@ -315,7 +316,7 @@ def test_a_corrupted_prepared_directory_loads_or_is_a_typed_error(tmp_path_facto
     except OovForgeError:
         return
     assert len(set(vocab.words)) == len(vocab.words)
-    assert all(0 <= t < len(vocab) for sent in store.sentences for t in sent)
+    assert all(0 <= t < len(vocab) for t in store.tokens.tolist())
 
 
 @pytest.mark.parametrize("report", ["eval_summary.csv", "eval_items.csv", "chart.svg",
@@ -329,7 +330,7 @@ def test_cli_report_failed_write_keeps_the_previous_file(tmp_path, tiny_table, t
         vocab, store = tiny_corpus
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("".join(" ".join(vocab.words[t] for t in s) + "\n"
-                                  for s in store.sentences))
+                                  for s in sentences_of(store)))
         prep = tmp_path / "prep"
         assert cli.main(["prepare", str(corpus), str(emb), str(prep),
                          "--min-count", "1"]) == 0

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import episode_reference
 import oov_forge.tensor as tc
 from chain_reference import encoder_tail_reference, encoding_block_reference, layer_norm
-from fd import rel_err
-from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
+from fd import mul, rel_err
+from episode_reference import reordered
+from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, contexts_of
 from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, MASK_TOKEN, UNK_ID,
-                               Episode, char_sequence, episode_from_masked,
-                               sample_episode)
+                               char_sequence, episode_from_masked, sample_episode)
 from oov_forge.errors import InputError
 from oov_forge.model import (AttentionBlockParams, HiceConfig, HiceModel,
                              Segments, encoding_block)
@@ -50,7 +51,7 @@ def make_model(table=None, vocab=None, **overrides):
 
 def episode_of(contexts, word="w03"):
     """An oracle-free episode with the given context token ids."""
-    return Episode(word, contexts, char_sequence(word))
+    return episode_reference.episode_of(word, contexts)
 
 
 def morph_features(model, *words):
@@ -200,7 +201,7 @@ def _block_and_chain(rng, d_model, n_heads, lengths, pool):
     x = parameter(x_arr)
     with Graph():
         y = encoding_block(x, block, seqs, rows)
-        backward(sum_all(tc.mul(y, constant(g))))
+        backward(sum_all(mul(y, constant(g))))
     want, _, grads = encoding_block_reference(x_arr, n_heads, seqs.mask, rows,
                                               *(p.data for p in weights), g)
     return [y.data, x.grad] + [p.grad for p in weights], [want, *grads]
@@ -227,7 +228,7 @@ def test_encoding_block_gradients(rng):
     w = constant(rng.normal(size=(3, 4)))
     params = [x] + [p for p in vars(block).values() if isinstance(p, tc.Tensor)]
     seqs = Segments([2, 1])
-    err = check_grads(lambda: sum_all(tc.mul(encoding_block(x, block, seqs), w)), params)
+    err = check_grads(lambda: sum_all(mul(encoding_block(x, block, seqs), w)), params)
     assert err < 1e-4
 
 
@@ -366,7 +367,7 @@ def test_a_fresh_model_keeps_every_parameter_on_the_vectors():
     assert model.parameters().grad is None
     model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]])])
     assert model.parameters().grad is None  # inference allocates no gradient vector
-    words = [w for w in vocab.words if w in table and store.index.get(vocab.id_of(w))]
+    words = [w for w in vocab.words if w in table and len(contexts_of(w, store))]
     rng = np.random.default_rng(0)
     assert_on_vectors(model, [sample_episode(w, 2, rng, store, table) for w in words[:3]])
 
@@ -478,7 +479,7 @@ def test_morphology_gradients(rng):
     w = constant(rng.normal(size=(2, model.config.c_morph)))
     params = [model.char_embed] + [model.conv_filters[i] for i in (2, 3, 4)] \
         + [model.conv_bias[i] for i in (2, 3, 4)]
-    err = check_grads(lambda: sum_all(tc.mul(morph_features(model, "word", "a"), w)),
+    err = check_grads(lambda: sum_all(mul(morph_features(model, "word", "a"), w)),
                       params)
     assert err < 1e-4
 
@@ -526,7 +527,7 @@ def test_predict_permutation_invariance():
     model, table, vocab, store, ep = _training_episode(k=4)
     base = model.predict_vector(ep)
     for perm in ([3, 2, 1, 0], [1, 3, 0, 2]):
-        ep.contexts = [ep.contexts[i] for i in perm]
+        ep = reordered(ep, perm)
         assert np.abs(model.predict_vector(ep) - base).max() < 1e-6
 
 
@@ -566,7 +567,7 @@ def test_embed_tokens_gradient_only_reaches_special_rows(rng):
     w = constant(rng.normal(size=(5, DIM)))
     with Graph():
         out = model.embed_tokens(batch)
-        backward(sum_all(tc.mul(out, w)))
+        backward(sum_all(mul(out, w)))
     special = model.special_embed.data
     assert np.array_equal(out.data[[0, 3]], np.stack([table[a], table[b]]).astype(np.float64))
     assert np.array_equal(out.data[[1, 4]], special[[model.MASK_ROW] * 2])
@@ -684,7 +685,9 @@ def test_padded_batch_matches_episodes_one_at_a_time():
     words = [w for w in vocab.words if w in table]
     episodes = [sample_episode(words[i % len(words)], 2 + i % 5, rng, store, table)
                 for i in range(32)]
-    episodes[3].contexts[1] = [MASK_ID]                   # a single-token context
+    three = episodes[3]                                   # a single-token context:
+    episodes[3] = episode_reference.episode_of(
+        three.target_word, [three.contexts[0], [MASK_ID]] + three.contexts[2:], three.oracle)
     episodes[7].char_seq = char_sequence("a")             # shorter than every filter
     episodes[8].char_seq = char_sequence("a-much-longer-word")
     assert len({len(ids) for ep in episodes for ids in ep.contexts}) > 3

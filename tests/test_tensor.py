@@ -11,7 +11,7 @@ import pytest
 import oov_forge.tensor as tc
 from chain_reference import (char_cnn_reference, encoder_tail_reference,
                              encoding_block_reference, slot_ids)
-from fd import check_grads
+from fd import check_grads, mul
 from oov_forge.errors import GraphError, NumericError, ShapeError
 from oov_forge.tensor import (Graph, ParamVector, Tensor, backward, constant, cosine,
                               matmul, parameter, sum_all)
@@ -43,7 +43,7 @@ def test_matmul_gradients_match_finite_differences(rng):
     a = parameter(rng.normal(size=(4, 5)))
     b = parameter(rng.normal(size=(5, 3)))
     w = constant(rng.normal(size=(4, 3)))
-    err = check_grads(lambda: sum_all(tc.mul(matmul(a, b), w)), [a, b])
+    err = check_grads(lambda: sum_all(mul(matmul(a, b), w)), [a, b])
     assert err < 1e-6
 
 
@@ -177,7 +177,7 @@ def test_softmax_jacobian_matches_finite_differences(rng):
     for rows in (None, np.array([[-1, 0, -1], [4, -1, -1]]), np.array([[2, 2], [3, -1]])):
         ts = [parameter(a) for a in [rng.normal(size=(5, 4))] + _weights(rng, 4, 6)]
         w = constant(rng.normal(size=(5 if rows is None else int((rows >= 0).sum()), 4)))
-        err = check_grads(lambda: sum_all(tc.mul(_block(ts[0], 2, k_mask, ts[1:], rows), w)),
+        err = check_grads(lambda: sum_all(mul(_block(ts[0], 2, k_mask, ts[1:], rows), w)),
                           ts)
         assert err < 1e-5
 
@@ -202,7 +202,7 @@ def test_softmax_key_mask_zeroes_masked_entries(rng):
     w = rng.normal(size=(5, 4))
     w[:3] = 0.0
     with Graph():
-        backward(sum_all(tc.mul(_block(ts[0], 2, k_mask, ts[1:]), constant(w))))
+        backward(sum_all(mul(_block(ts[0], 2, k_mask, ts[1:]), constant(w))))
     assert np.array_equal(ts[0].grad[:3], np.zeros((3, 4)))
     assert (ts[0].grad[3:] != 0).all()
 
@@ -304,7 +304,7 @@ def _block_against_reference(rng, lengths, queries, n_heads, width, f=None, scal
     ts, sink = [parameter(a) for a in [x] + weights], []
     with Graph():
         out = _block(ts[0], n_heads, k_mask, ts[1:], rows, sink)
-        backward(sum_all(tc.mul(out, constant(g))))
+        backward(sum_all(mul(out, constant(g))))
     want, attn, grads = encoding_block_reference(x, n_heads, k_mask, rows, *weights, g)
     return [out.data, sink[0]] + [t.grad for t in ts], [want, attn, *grads]
 
@@ -359,7 +359,7 @@ def test_attention_gradient_of_minus_zero_comes_out_plus_zero(rng):
         g = np.full((8 if rows is None else int((rows >= 0).sum()), 4), -0.0)
         ts = [parameter(a) for a in arrays]
         with Graph():
-            backward(sum_all(tc.mul(_block(ts[0], 2, k_mask, ts[1:], rows), constant(g))))
+            backward(sum_all(mul(_block(ts[0], 2, k_mask, ts[1:], rows), constant(g))))
         grads = encoding_block_reference(arrays[0], 2, k_mask, rows, *arrays[1:], g)[2]
         for t, want in zip(ts, grads):
             assert _same(t.grad, want) and not np.signbit(t.grad).any()
@@ -392,7 +392,7 @@ def test_layer_norm_gradients(rng):
     x, (wq, wkv, wo, g, c, w1, b1, w2, b2, _, _) = rng.normal(size=(4, 6)), _weights(rng, 6, 5)
     ts = [parameter(a) for a in (x, wq, wkv, wo, g, c, w1, b1, w2, b2)]
     w = constant(rng.normal(size=(4, 6)))
-    err = check_grads(lambda: sum_all(tc.mul(_block(ts[0], 2, _slots([1, 3]), ts[1:] + ts[4:6]),
+    err = check_grads(lambda: sum_all(mul(_block(ts[0], 2, _slots([1, 3]), ts[1:] + ts[4:6]),
                                              w)), ts)
     assert err < 1e-5
 
@@ -501,7 +501,7 @@ def test_conv_gradients(rng):
         filts = [parameter(rng.normal(size=(w, 4, 5))) for w in widths]
         biases = [parameter(rng.normal(size=5)) for _ in widths]
         w = constant(rng.normal(size=5 * len(widths)))
-        err = check_grads(lambda: sum_all(tc.mul(tc.char_cnn(seq, filts, biases), w)),
+        err = check_grads(lambda: sum_all(mul(tc.char_cnn(seq, filts, biases), w)),
                           [seq, *filts, *biases])
         assert err < 1e-5
 
@@ -541,7 +541,7 @@ def _cnn_against_reference(rng, seq, widths, lengths, c_out=5, draw=None):
     ts = [parameter(seq)] + [parameter(a) for a in filters + biases]
     with Graph():
         out = tc.char_cnn(ts[0], ts[1:1 + len(widths)], ts[1 + len(widths):], lengths)
-        backward(sum_all(tc.mul(out, constant(g))))
+        backward(sum_all(mul(out, constant(g))))
     want, g_seq, g_filters, g_biases = char_cnn_reference(seq, filters, biases, lengths, g)
     assert _same(out.data, want)
     for t, w in zip(ts, [g_seq] + g_filters + g_biases):
@@ -691,7 +691,7 @@ def _block_case(first, count):
 
 MULTI_OPERAND_OPS = {
     "add": (tc.add, [(4, 3), (4, 3)]),
-    "mul": (tc.mul, [(4, 3), (4, 3)]),
+    "mul": (mul, [(4, 3), (4, 3)]),
     "add_bias": (tc.add_bias, [(4, 3), (3,)]),
     "scale_rows": (tc.scale_rows, [(4, 3), (4,)]),
     "matmul": (matmul, [(4, 5), (5, 3)]),
@@ -714,7 +714,7 @@ def test_a_constant_operand_leaves_the_other_gradients_unchanged(rng, name):
     def operands(const_at):
         ts = [constant(a) if j == const_at else parameter(a) for j, a in enumerate(arrays)]
         with Graph():
-            backward(sum_all(tc.mul(op(*ts), weight)))
+            backward(sum_all(mul(op(*ts), weight)))
         return ts
 
     reference = operands(None)
@@ -735,7 +735,7 @@ def test_composite_two_layer_net_gradients(rng):
 
     def build():
         pre = tc.add_bias(matmul(x, w1), b1)
-        h = tc.mul(pre, pre)  # a squaring hidden layer
+        h = mul(pre, pre)  # a squaring hidden layer
         return sum_all(cosine(tc.segment_mean(matmul(h, w2), [2]), t))
 
     err = check_grads(build, [w1, b1, w2])
@@ -769,7 +769,7 @@ def test_backward_is_deterministic(rng):
         x = constant(r.normal(size=(4, 6)))
         with Graph():
             y = matmul(x, w)
-            backward(sum_all(tc.mul(y, y)))
+            backward(sum_all(mul(y, y)))
         return w.grad.copy()
 
     g1, g2 = run(), run()
@@ -779,7 +779,7 @@ def test_backward_is_deterministic(rng):
 def test_nonfinite_result_raises():
     big = constant(np.full(3, 1e308))
     with np.errstate(over="ignore"), pytest.raises(NumericError):
-        tc.mul(big, big)
+        mul(big, big)
     with pytest.raises(NumericError):
         Tensor([np.inf, 1.0])
 
@@ -803,15 +803,15 @@ def test_elementwise_and_shaping_op_gradients(rng):
     m43 = constant(rng.normal(size=(4, 3)))
 
     cases = [
-        (lambda: sum_all(tc.mul(tc.add(x, y), w43)), [x, y]),
-        (lambda: sum_all(tc.mul(tc.mul(x, y), w43)), [x, y]),
-        (lambda: sum_all(tc.mul(tc.scale(x, 2.5), w43)), [x]),
-        (lambda: sum_all(tc.mul(tc.add_bias(x, b), w43)), [x, b]),
-        (lambda: sum_all(tc.mul(tc.scale_rows(x, s), w43)), [x, s]),
-        (lambda: sum_all(tc.mul(tc.segment_mean(x, [3, 1]), w23)), [x]),
-        (lambda: sum_all(tc.mul(tc.scale_rows(m43, v), w43)), [v]),
-        (lambda: sum_all(tc.mul(tc.concat_cols([x, y]), w46)), [x, y]),
-        (lambda: sum_all(tc.mul(tc.concat_cols([x3, y3]), w226)), [x3, y3]),
+        (lambda: sum_all(mul(tc.add(x, y), w43)), [x, y]),
+        (lambda: sum_all(mul(mul(x, y), w43)), [x, y]),
+        (lambda: sum_all(mul(tc.scale(x, 2.5), w43)), [x]),
+        (lambda: sum_all(mul(tc.add_bias(x, b), w43)), [x, b]),
+        (lambda: sum_all(mul(tc.scale_rows(x, s), w43)), [x, s]),
+        (lambda: sum_all(mul(tc.segment_mean(x, [3, 1]), w23)), [x]),
+        (lambda: sum_all(mul(tc.scale_rows(m43, v), w43)), [v]),
+        (lambda: sum_all(mul(tc.concat_cols([x, y]), w46)), [x, y]),
+        (lambda: sum_all(mul(tc.concat_cols([x3, y3]), w226)), [x3, y3]),
     ]
     for build, params in cases:
         assert check_grads(build, params) < 1e-5
@@ -821,12 +821,12 @@ def test_gather_ops_scatter_add_duplicates(rng):
     table = parameter(rng.normal(size=(5, 3)))
     ids = [1, 3, 1, 1]
     w = constant(rng.normal(size=(4, 3)))
-    err = check_grads(lambda: sum_all(tc.mul(tc.gather_rows(table, ids), w)), [table])
+    err = check_grads(lambda: sum_all(mul(tc.gather_rows(table, ids), w)), [table])
     assert err < 1e-6
 
     vec = parameter(rng.normal(size=6))
     wv = constant(rng.normal(size=3))
-    err = check_grads(lambda: sum_all(tc.mul(tc.gather_rows(vec, [2, 2, 5]), wv)), [vec])
+    err = check_grads(lambda: sum_all(mul(tc.gather_rows(vec, [2, 2, 5]), wv)), [vec])
     assert err < 1e-6
 
 
@@ -859,13 +859,13 @@ def test_gather_rows_gradient_equals_add_at_into_zeros(rng):
         g[rng.random(g.shape) < 0.2] = -0.0
         table = parameter(rng.normal(size=table_shape))
         with Graph():
-            backward(sum_all(tc.mul(tc.gather_rows(table, ids), constant(g))))
+            backward(sum_all(mul(tc.gather_rows(table, ids), constant(g))))
         want = np.zeros(table_shape)
         np.add.at(want, ids[ids >= 0], g[ids >= 0])
         assert _same(table.grad, want)
     table = parameter(np.ones((3, 2)))
     with Graph():
-        backward(sum_all(tc.mul(tc.gather_rows(table, [[-1, 2], [2, -1]]),
+        backward(sum_all(mul(tc.gather_rows(table, [[-1, 2], [2, -1]]),
                                 constant(np.full((2, 2, 2), -0.0)))))
     assert _same(table.grad, np.zeros((3, 2)))
 
@@ -892,11 +892,11 @@ def test_conv_batch_with_lengths_matches_each_sequence(rng):
     seq = parameter(seqs)
     fil = parameter(filt)
     w = constant(rng.normal(size=(4, 4)))
-    err = check_grads(lambda: sum_all(tc.mul(_cnn(seq, fil, lengths), w)),
+    err = check_grads(lambda: sum_all(mul(_cnn(seq, fil, lengths), w)),
                       [seq, fil])
     assert err < 1e-5
     with Graph():
-        backward(sum_all(tc.mul(_cnn(seq, fil, lengths), w)))
+        backward(sum_all(mul(_cnn(seq, fil, lengths), w)))
     assert np.array_equal(seq.grad[1, 1:], np.zeros((4, 2)))
     for bad in ([0, 1, 1, 1], [6, 1, 1, 1], [1, 1]):
         with pytest.raises(ShapeError):
@@ -914,7 +914,7 @@ def test_cosine_is_row_wise(rng):
                                                      constant(v[i, j])).item(), abs=1e-15)
     pu, pv = parameter(u), parameter(v)
     w = constant(rng.normal(size=(3, 2)))
-    assert check_grads(lambda: sum_all(tc.mul(cosine(pu, pv), w)), [pu, pv]) < 1e-6
+    assert check_grads(lambda: sum_all(mul(cosine(pu, pv), w)), [pu, pv]) < 1e-6
     v[1, 0] = 0.0
     with pytest.raises(NumericError, match="v"):
         cosine(constant(u), constant(v))
@@ -930,7 +930,7 @@ def test_graphs_of_concurrent_threads_stay_separate():
         return w, x
 
     def grad_of(w, x):
-        w.zero_grad()
+        w.grad = None
         with Graph() as g:
             backward(sum_all(tc.scale(matmul(x, w), -0.5)))
         return g, w.grad.copy()
