@@ -22,7 +22,6 @@ regression targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -130,13 +129,12 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
     if cfg.adapt_steps == 0:
         return model
     stream_t = (episode_stream(vocab_t, store_t, table_t, ADAPT_K_RANGE, cfg.seed,
-                               batch=cfg.batch_episodes)
-                if cfg.alpha else iter(()))
+                               batch=cfg.batch_episodes) if cfg.alpha else None)
     stream_n = episode_stream(vocab_n, store_n, table_n, ADAPT_K_RANGE,
-                              cfg.seed + 1, words=words_n, batch=cfg.batch_episodes)
+                              cfg.seed + 1, batch=cfg.batch_episodes, words=words_n)
     for _ in range(cfg.adapt_steps):
-        batch_n = [next(stream_n) for _ in range(cfg.batch_episodes)]
-        batch_t = list(islice(stream_t, cfg.batch_episodes))
+        batch_n = next(stream_n)
+        batch_t = next(stream_t) if cfg.alpha else []
         maml_step(model, batch_t, batch_n, cfg,
                   vocab_source=vocab_t, vocab_target=vocab_n)
     return model

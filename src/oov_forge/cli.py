@@ -34,13 +34,12 @@ from .adaptation import AdaptConfig, adapt
 from .container import atomic_open, config_value
 from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
                      SentenceStore, Vocabulary, contexts_of, format_vector,
-                     load_embeddings, prepare_corpus, read_sentences,
-                     read_text)
+                     load_embeddings, prepare_corpus, read_text)
 from .episode import (MASK_TOKEN, decode_context, eligible_targets,
-                      episode_from_masked, sample_episode, split_targets)
+                      episode_from_masked, sample_episodes, split_targets)
 from .errors import (AdaptationError, EvaluationError, FormatError,
                      InferenceError, IngestionError, OovForgeError)
-from .evaluation import (evaluate_method, load_benchmark_tsv,
+from .evaluation import (evaluate_method, load_benchmark_tsv, mask_contexts,
                          nearest_neighbors)
 from .model import HiceConfig, HiceModel
 from .training import (TrainConfig, load_checkpoint, save_checkpoint,
@@ -198,6 +197,11 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
             counts.append(int(parts[1]))
         except ValueError:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: non-integer count") from None
+        if counts[-1] < 1:
+            raise FormatError(f"{VOCAB_FILE}: line {lineno}: count below 1")
+        if not {parts[2], parts[3]} <= {"0", "1"}:
+            raise FormatError(f"{VOCAB_FILE}: line {lineno}: stop and eligible flags "
+                              "must be 0 or 1")
         if parts[0] in seen:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: repeated word {parts[0]!r}")
         seen.add(parts[0])
@@ -324,13 +328,13 @@ def cmd_adapt(args) -> int:
 
 
 def _load_contexts(args, word: str) -> list[list[str]]:
-    sentences = read_sentences(args.contexts_file)
-    containing = [s for s in sentences if word in s]
-    if not containing:
+    lines = read_text(args.contexts_file, "corpus").splitlines()
+    masked = [s for s in mask_contexts(word, lines) if MASK_TOKEN in s]
+    if not masked:
         raise InferenceError(
             f"{word!r} does not occur in any sentence of {args.contexts_file}"
         )
-    return [[MASK_TOKEN if t == word else t for t in s] for s in containing]
+    return masked
 
 
 # what ``infer --method M`` needs besides the contexts
@@ -402,12 +406,12 @@ def _load_or_fit(methods: list[str], args, table: EmbeddingTable):
     if "alacarte" in need_fit:
         rng = np.random.default_rng(effective(args, "seed", 0))
         pairs = []
-        for w in words:
-            ep = sample_episode(w, min(6, len(contexts_of(w, store))), rng, store, table)
+        for ep in sample_episodes([(w, min(6, len(contexts_of(w, store)))) for w in words],
+                                  rng, store, table):
             ctxs = [decode_context(ids, vocab) for ids in ep.contexts]
             base = baselines.additive(ctxs, table)
             if not base.empty:
-                pairs.append((base.vector, table[w].astype(np.float64)))
+                pairs.append((base.vector, table[ep.target_word].astype(np.float64)))
         fitted["alacarte"] = baselines.alacarte_fit(pairs)
     if "ngram" in need_fit:
         fitted["ngram"] = baselines.ngram_fit(words, table)

@@ -4,15 +4,17 @@ features for one target word.
 Context token ids live in the owning corpus vocabulary's id space, with two
 reserved sentinels: MASK_ID marks masked-out target occurrences and UNK_ID
 marks tokens that have no vocabulary entry (ad-hoc inference sentences).
-An episode keeps its contexts packed back to back in one id array. Episodes
-are drawn one at a time, with the RNG calls in a fixed order, and the
-windows of a whole batch are then cut from the store's token array by one
-gather (``mask_windows``).
+An episode keeps its contexts packed back to back in one id array.
+``sample_episodes`` is the one draw entry: it draws a batch's episodes one
+at a time, with the RNG calls in a fixed order, then cuts the windows of the
+whole batch from the store's token array by one gather (``mask_windows``).
+``episode_stream`` yields such batches, ``batch`` episodes per ``next``.
 """
 
 from __future__ import annotations
 
 import string
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -101,66 +103,54 @@ def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
     return out
 
 
-def _draw(word: str, k: int, rng: np.random.Generator, store: SentenceStore,
-          table: EmbeddingTable | None) -> tuple:
-    """The RNG calls of one episode: ``k`` of the word's slots in the
-    store's index, uniform without replacement while enough sentences exist,
-    with replacement otherwise. Returns (word, id, slots, oracle)."""
-    if k < 1:
-        raise EpisodeError(f"k must be >= 1, got {k}")
-    slots = store.slots_of(word)
-    n = slots.stop - slots.start
-    if not n:
-        raise EpisodeError(f"no contexts for {word!r}")
-    if n >= k:
-        chosen = rng.choice(n, size=k, replace=False)
-    else:
-        chosen = rng.integers(0, n, size=k)
-    oracle = None
-    if table is not None:
-        oracle = table.get(word)
-        if oracle is None:
+def sample_episodes(requests: Iterable[tuple[str, int]], rng: np.random.Generator,
+                    store: SentenceStore, table: EmbeddingTable | None = None
+                    ) -> list[Episode]:
+    """Draw K masked contexts for each (word, K) request in turn, then cut
+    the windows of all of them by one gather.
+
+    Sampling is uniform without replacement while enough sentences exist,
+    with replacement otherwise (keeps the episode shape fixed for rare
+    words). The oracle vector is attached from ``table`` when given. Each
+    request is read just before its draws, so a lazy ``requests`` may draw
+    from ``rng`` too.
+    """
+    words, shots, chosen, oracles = [], [], [], []
+    for word, k in requests:
+        if k < 1:
+            raise EpisodeError(f"k must be >= 1, got {k}")
+        slots = store.slots_of(word)
+        n = slots.stop - slots.start
+        if not n:
+            raise EpisodeError(f"no contexts for {word!r}")
+        chosen.append(slots.start + (rng.choice(n, size=k, replace=False) if n >= k
+                                     else rng.integers(0, n, size=k)))
+        oracles.append(None if table is None else table.get(word))
+        if table is not None and oracles[-1] is None:
             raise EpisodeError(f"no oracle embedding for {word!r}")
-    return word, store.vocab.ids[word], chosen + slots.start, oracle
-
-
-def _gather(draws: list[tuple], store: SentenceStore) -> list[Episode]:
-    """The episodes of ``_draw`` results, every window cut by one gather."""
-    if not draws:
+        words.append(word)
+        shots.append(k)
+    if not words:
         return []
-    slots = np.concatenate([d[2] for d in draws])
-    shots = [len(d[2]) for d in draws]
+    slots = np.concatenate(chosen)
     sids = store.index_sentences[slots]
     starts = store.offsets[sids]
     tokens, lengths, pools = mask_windows(
         store.tokens, starts, store.offsets[sids + 1] - starts, store.index_first[slots],
-        np.repeat([d[1] for d in draws], shots))
+        np.repeat([store.vocab.ids[w] for w in words], shots))
     ctx_ends = np.cumsum(shots)
     tok_ends = np.cumsum(lengths)[ctx_ends - 1].tolist()
     episodes, c0, t0 = [], 0, 0
-    for (word, _, _, oracle), c1, t1 in zip(draws, ctx_ends.tolist(), tok_ends):
+    for word, oracle, c1, t1 in zip(words, oracles, ctx_ends.tolist(), tok_ends):
         episodes.append(Episode(word, tokens[t0:t1], lengths[c0:c1], pools[c0:c1],
                                 char_sequence(word), oracle))
         c0, t0 = c1, t1
     return episodes
 
 
-def sample_episodes(requests: list[tuple[str, int]], rng: np.random.Generator,
-                    store: SentenceStore, table: EmbeddingTable | None = None
-                    ) -> list[Episode]:
-    """``sample_episode`` of each (word, k) request in turn, with their
-    windows cut by one gather."""
-    return _gather([_draw(word, k, rng, store, table) for word, k in requests], store)
-
-
 def sample_episode(word: str, k: int, rng: np.random.Generator,
                    store: SentenceStore, table: EmbeddingTable | None = None) -> Episode:
-    """Draw K masked contexts for ``word``.
-
-    Sampling is uniform without replacement while enough sentences exist,
-    with replacement otherwise (keeps the episode shape fixed for rare
-    words). The oracle vector is attached from ``table`` when given.
-    """
+    """The one episode of ``sample_episodes([(word, k)], ...)``."""
     return sample_episodes([(word, k)], rng, store, table)[0]
 
 
@@ -241,13 +231,14 @@ def split_targets(vocab: Vocabulary, store: SentenceStore,
 
 def episode_stream(vocab: Vocabulary, store: SentenceStore,
                    table: EmbeddingTable | None, k: tuple[int, int], seed: int,
-                   words: list[str] | None = None, batch: int = 1):
-    """Infinite deterministic-for-seed episode generator.
+                   batch: int, words: list[str] | None = None) -> Iterator[list[Episode]]:
+    """Infinite deterministic-for-seed stream of episode batches: each
+    ``next`` is one ``sample_episodes`` list of ``batch`` episodes.
 
-    Each episode's shot count is drawn from the inclusive range ``k`` =
-    (lo, hi); targets are drawn uniformly from ``words`` (default: all
-    eligible targets). Episodes are drawn ``batch`` at a time and their
-    windows cut by one gather; the episodes do not depend on ``batch``.
+    Each episode's target is drawn uniformly from ``words`` (default: all
+    eligible targets), then its shot count from the inclusive range ``k`` =
+    (lo, hi), then its contexts, all from one generator; so the episodes,
+    taken in order, do not depend on ``batch``.
     """
     if words is None:
         words = eligible_targets(vocab, store, table)
@@ -258,10 +249,8 @@ def episode_stream(vocab: Vocabulary, store: SentenceStore,
     def generate():
         rng = np.random.default_rng(seed)
         while True:
-            draws = []
-            for _ in range(batch):
-                word = words[int(rng.integers(0, len(words)))]
-                draws.append(_draw(word, int(rng.integers(lo, hi + 1)), rng, store, table))
-            yield from _gather(draws, store)
+            yield sample_episodes(((words[int(rng.integers(0, len(words)))],
+                                    int(rng.integers(lo, hi + 1))) for _ in range(batch)),
+                                  rng, store, table)
 
     return generate()

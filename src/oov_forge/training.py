@@ -187,14 +187,14 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
 
     val_probes = model.batch(build_validation_episodes(val_words, store, table, config))
     stream = episode_stream(vocab, store, table, (config.k_min, config.k_max),
-                            config.seed, words=train_words, batch=config.batch_episodes)
+                            config.seed, batch=config.batch_episodes, words=train_words)
     opt = Adam(model.parameters(), config.learning_rate, GRAD_CLIP)
 
     best_state: np.ndarray | None = None
     window_cos: list[float] = []
     misses = 0
     for step in range(1, config.steps + 1):
-        batch = [next(stream) for _ in range(config.batch_episodes)]
+        batch = next(stream)
         try:
             with Graph():
                 loss, mean_cos = episode_loss(model, batch)

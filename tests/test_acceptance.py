@@ -231,11 +231,10 @@ def test_criterion_2_permutation_invariance():
         n_topics=10, words_per_topic=12, n_sentences=3000, dim=16, seed=4,
         min_count=4)
     model = HiceModel.from_table(HiceConfig(embed_dim=16, seed=2), oracle, vocab)
-    stream = episode_stream(vocab, store, oracle, (2, 6), seed=8)
+    stream = episode_stream(vocab, store, oracle, (2, 6), seed=8, batch=200)
     rng = np.random.default_rng(9)
     worst = 0.0
-    for _ in range(200):
-        ep = next(stream)
+    for ep in next(stream):
         base = model.predict_vector(ep)
         ep = reordered(ep, rng.permutation(ep.k))
         worst = max(worst, float(np.abs(model.predict_vector(ep) - base).max()))
@@ -270,9 +269,9 @@ def test_criterion_3_update_rule_fidelity():
         n_topics=5, words_per_topic=6, n_sentences=400, dim=8, seed=1,
         min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    stream = episode_stream(vocab, store, oracle, (2, 3), seed=6)
-    batch_t = [next(stream) for _ in range(3)]
-    batch_n = [next(stream) for _ in range(3)]
+    stream = episode_stream(vocab, store, oracle, (2, 3), seed=6, batch=3)
+    batch_t = next(stream)
+    batch_n = next(stream)
     m1 = HiceModel.from_table(mc, oracle, vocab)
     m2 = HiceModel.from_table(mc, oracle, vocab)
     maml_step(m1, batch_t, batch_n, AdaptConfig(alpha=0.0, beta=2e-3))

@@ -87,9 +87,9 @@ def test_alpha_zero_equals_finetune_step_exactly():
         n_topics=5, words_per_topic=6, n_sentences=400, dim=8, seed=1, min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     beta = 3e-3
-    stream = episode_stream(vocab, store, oracle, (2, 3), seed=9)
-    batch_t = [next(stream) for _ in range(3)]
-    batch_n = [next(stream) for _ in range(3)]
+    stream = episode_stream(vocab, store, oracle, (2, 3), seed=9, batch=3)
+    batch_t = next(stream)
+    batch_n = next(stream)
 
     m1 = HiceModel.from_table(mc, oracle, vocab)
     maml_step(m1, batch_t, batch_n, AdaptConfig(alpha=0.0, beta=beta))
@@ -122,8 +122,8 @@ def test_a_second_order_update_records_60_nodes(monkeypatch):
     vocab, store, table, oracle, _ = synthetic_task.planted_task(
         n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    stream = episode_stream(vocab, store, oracle, (2, 6), seed=9)
-    batch_t, batch_n = ([next(stream) for _ in range(8)] for _ in range(2))
+    stream = episode_stream(vocab, store, oracle, (2, 6), seed=9, batch=8)
+    batch_t, batch_n = next(stream), next(stream)
     nodes, real = [], adaptation.backward
 
     def counting(loss):
@@ -140,9 +140,9 @@ def test_maml_step_reads_no_source_batch_at_alpha_zero():
     vocab, store, table, oracle, _ = synthetic_task.planted_task(
         n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    stream = episode_stream(vocab, store, oracle, (2, 3), seed=9)
-    batch_t = [next(stream) for _ in range(3)]
-    batch_n = [next(stream) for _ in range(3)]
+    stream = episode_stream(vocab, store, oracle, (2, 3), seed=9, batch=3)
+    batch_t = next(stream)
+    batch_n = next(stream)
     m1 = HiceModel.from_table(mc, oracle, vocab)
     maml_step(m1, batch_t, batch_n, AdaptConfig(alpha=0.0, first_order=False))
     m2 = HiceModel.from_table(mc, oracle, vocab)
@@ -305,10 +305,10 @@ def test_adapt_at_alpha_zero_draws_no_source_episode(monkeypatch):
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     drawn_from = []
 
-    def counted_stream(vocab, store, table, k, seed, words=None, batch=1):
-        for ep in episode_stream(vocab, store, table, k, seed, words=words, batch=batch):
-            drawn_from.append(store)
-            yield ep
+    def counted_stream(vocab, store, table, k, seed, batch, words=None):
+        for episodes in episode_stream(vocab, store, table, k, seed, batch, words=words):
+            drawn_from.extend([store] * len(episodes))
+            yield episodes
 
     monkeypatch.setattr(adaptation, "episode_stream", counted_stream)
     cfg = AdaptConfig(alpha=0.0, beta=1e-3, adapt_steps=3, batch_episodes=4, seed=5)

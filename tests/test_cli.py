@@ -251,6 +251,25 @@ def test_load_prepared_names_the_line_of_an_id_or_word_it_cannot_map(prepared, t
         cli.load_prepared(bad)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("newword\t-5\t0\t1", "count below 1"),
+    ("newword\t0\t0\t1", "count below 1"),
+    ("newword\t5\tx\t1", "stop and eligible flags must be 0 or 1"),
+    ("newword\t5\t0\tbanana", "stop and eligible flags must be 0 or 1"),
+], ids=["negative-count", "zero-count", "stop-flag", "eligible-flag"])
+def test_load_prepared_refuses_a_vocab_row_prepare_never_writes(prepared, tmp_path, capsys,
+                                                                row, message):
+    bad = tmp_path / "prep"
+    shutil.copytree(prepared, bad)
+    lineno = len((bad / "vocab.tsv").read_text(encoding="utf-8").splitlines()) + 1
+    with open(bad / "vocab.tsv", "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(FormatError, match=f"^vocab.tsv: line {lineno}: {message}$"):
+        cli.load_prepared(bad)
+    assert main(["train", str(bad), "--steps", "0", "--out", str(tmp_path / "m.hice")]) == 2
+    assert f"vocab.tsv: line {lineno}: {message}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------

@@ -218,10 +218,13 @@ def test_packed_stream_and_probes_equal_the_list_sampler(batch):
     words = eligible_targets(vocab, store, table, 0)
     coverage = dict.fromkeys(["first token", "last token", "short sentence",
                               "repeated target"], 0)
-    stream = episode_stream(vocab, store, table, (1, 6), seed=4, words=words, batch=batch)
+    stream = episode_stream(vocab, store, table, (1, 6), seed=4, batch=batch, words=words)
     reference = ref.episode_stream(words, listed, table, (1, 6), seed=4)
-    for _ in range(100):
-        _assert_same(next(stream), *next(reference), coverage)
+    for _ in range(100 // batch + 1):
+        episodes = next(stream)
+        assert len(episodes) == batch
+        for ep in episodes:
+            _assert_same(ep, *next(reference), coverage)
     config = TrainConfig(k_min=1, k_max=6, seed=batch, val_episodes=40)
     probes = build_validation_episodes(words, store, table, config)
     rng = np.random.default_rng(config.seed + 1)
@@ -254,9 +257,9 @@ def test_stream_single_eligible_word_always_targets_it():
     sentences = [["solo", "x", "solo"], ["solo", "y"]]
     vocab, store = _mini_store(sentences)
     table = _table_for(vocab)
-    stream = episode_stream(vocab, store, table, (2, 2), seed=0, words=["solo"])
-    for _ in range(10):
-        assert next(stream).target_word == "solo"
+    stream = episode_stream(vocab, store, table, (2, 2), seed=0, batch=10, words=["solo"])
+    for ep in next(stream):
+        assert ep.target_word == "solo"
 
 
 def test_stream_replay_first_100_identical():
@@ -265,9 +268,8 @@ def test_stream_replay_first_100_identical():
     table = _table_for(vocab)
 
     def first100(seed):
-        stream = episode_stream(vocab, store, table, (2, 6), seed=seed)
-        return [(e.target_word, tuple(map(tuple, e.contexts))) for e in
-                (next(stream) for _ in range(100))]
+        stream = episode_stream(vocab, store, table, (2, 6), seed=seed, batch=100)
+        return [(e.target_word, tuple(map(tuple, e.contexts))) for e in next(stream)]
 
     assert first100(5) == first100(5)
     assert first100(5) != first100(6)
@@ -276,8 +278,8 @@ def test_stream_replay_first_100_identical():
 def test_stream_supports_six_shot():
     sentences = [["t", f"w{i}"] for i in range(8)]
     vocab, store = _mini_store(sentences)
-    stream = episode_stream(vocab, store, None, (6, 6), seed=0, words=["t"])
-    ep = next(stream)
+    stream = episode_stream(vocab, store, None, (6, 6), seed=0, batch=1, words=["t"])
+    ep, = next(stream)
     assert ep.k == 6
 
 
@@ -285,16 +287,15 @@ def test_stream_no_targets_raises():
     sentences = [["a", "b"]]
     vocab, store = _mini_store(sentences)
     with pytest.raises(EpisodeError):
-        episode_stream(vocab, store, None, (2, 2), seed=0, words=[])
+        episode_stream(vocab, store, None, (2, 2), seed=0, batch=1, words=[])
 
 
 def test_no_episode_leaks_target_id():
     sentences = [[f"w{i % 7}", "t", f"w{(i + 1) % 7}", "t"] for i in range(30)]
     vocab, store = _mini_store(sentences)
     table = _table_for(vocab)
-    stream = episode_stream(vocab, store, table, (2, 6), seed=3)
-    for _ in range(200):
-        ep = next(stream)
+    stream = episode_stream(vocab, store, table, (2, 6), seed=3, batch=200)
+    for ep in next(stream):
         for ctx in ep.contexts:
             assert vocab.id_of(ep.target_word) not in ctx
             assert MASK_ID in ctx

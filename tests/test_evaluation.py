@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oov_forge.cli import main
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.errors import (EvaluationError, FormatError, InferenceError,
                               IngestionError, OovForgeError)
@@ -407,6 +408,34 @@ def test_import_chimera_normalizes(tmp_path):
     path.write_bytes(raw.encode() + b"\xff\n")
     with pytest.raises(IngestionError, match="UTF-8"):
         import_chimera(path, shot=2)
+
+
+def test_chimera_files_import_save_load_and_evaluate(tmp_path):
+    # the documented route to the paper's benchmark: import_chimera on the
+    # L2, L4 and L6 files, save_benchmark_tsv, then `oov-forge eval`
+    items = []
+    for shot in (2, 4, 6):
+        raw = tmp_path / f"L{shot}.txt"
+        raw.write_text("".join(
+            f"Word{shot}_{i}\t" + " @@ ".join(f"The ___ saw {i} car{n}." for n in range(shot))
+            + f"\tcar, bus, tree\t{i + 1}.0,2.5,0.5\n" for i in range(2)))
+        items.extend(import_chimera(raw, shot=shot))
+    assert [(item.pseudo_word, item.shot, len(item.contexts)) for item in items] == [
+        (f"word{shot}_{i}", shot, shot) for shot in (2, 4, 6) for i in range(2)]
+    tsv = tmp_path / "chimera.tsv"
+    save_benchmark_tsv(items, tsv)
+    assert load_benchmark_tsv(tsv) == items
+    words = ["the", "saw", "car", "bus", "tree"] + [f"car{n}" for n in range(6)]
+    vectors = np.random.default_rng(0).standard_normal((len(words), 4))
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"{len(words)} 4\n" + "".join(
+        f"{w} {' '.join(map(repr, v.tolist()))}\n" for w, v in zip(words, vectors)))
+    assert main(["eval", str(tsv), "--embeddings", str(emb), "--methods", "additive",
+                 "--out-dir", str(tmp_path / "rep")]) == 0
+    rows = [line.split(",") for line in (tmp_path / "rep" / "eval_summary.csv")
+            .read_text().splitlines() if line and not line.startswith("#")][1:]
+    assert [(row[1], row[4], row[5]) for row in rows] == [
+        ("2", "2", "0"), ("4", "2", "0"), ("6", "2", "0")]
 
 
 @st.composite

@@ -196,8 +196,8 @@ def test_validation_words_never_targeted_in_training():
     words = eligible_targets(vocab, store, oracle)
     train_words, val_words = split_words(words)
     assert not set(train_words) & set(val_words)
-    stream = episode_stream(vocab, store, oracle, (2, 4), seed=0, words=train_words)
-    targets = {next(stream).target_word for _ in range(300)}
+    stream = episode_stream(vocab, store, oracle, (2, 4), seed=0, batch=300, words=train_words)
+    targets = {ep.target_word for ep in next(stream)}
     assert not targets & set(val_words)
 
 
