@@ -8,6 +8,16 @@
   sparse least squares so their sums approximate known-word embeddings (a
   linear surrogate for full subword-embedding training; the composition
   mechanism under test is the same)
+
+The additive means are exact: each column sum is math.fsum's, correctly
+rounded, so a mean does not depend on the order of its rows. A sum of p-bit
+values runs in an accumulator with a q-bit mantissa: float32 rows (p = 24) in
+float64 (q = 53), float64 context means (p = 53) in WIDE_ACC. A value with
+frexp exponent e is a multiple of 2^(e - p), so with g the least exponent of a
+cell's nonzero values, an absolute sum below 2^(g - p + q) keeps every partial
+sum, in any order, exact; one rounding to float64 then gives fsum's result.
+Every other cell goes through fsum, as do zero sums (numpy may give -0.0), sums
+that overflow or meet inf or nan, and sums the cast to float64 overflows.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse
@@ -55,46 +66,40 @@ def additive(contexts: list[list[str]], table: EmbeddingTable,
     """
     if not contexts:
         raise OovForgeError("additive: at least one context required")
-    if drop_stopwords:
-        stopwords = load_stopwords()
-    context_means = []
-    for ctx in contexts:
-        contribs = []
-        for tok in ctx:
-            if tok == MASK_TOKEN:
-                continue
-            if drop_stopwords and tok in stopwords:
-                continue
-            vec = table.get(tok)
-            if vec is not None:
-                contribs.append(vec)
-        if contribs:
-            context_means.append(_exact_mean(contribs))
-    if not context_means:
+    skip = load_stopwords() if drop_stopwords else frozenset()
+    index = table.index
+    ctx_rows = [rows for rows in ([index[t] for t in ctx
+                                   if t in index and t != MASK_TOKEN and t not in skip]
+                                  for ctx in contexts) if rows]
+    if not ctx_rows:
         return ContextAverage(np.zeros(table.dim), empty=True)
-    return ContextAverage(_exact_mean(context_means))
+    # one gather of every contributing row, zero-padded to [context, slot, dim]
+    counts = np.array([len(rows) for rows in ctx_rows])
+    x = np.zeros((len(counts), counts.max(), table.dim), dtype=table.matrix.dtype)
+    x[np.arange(x.shape[1]) < counts[:, None]] = table.matrix[list(chain.from_iterable(ctx_rows))]
+    means = _exact_means(x, counts)
+    return ContextAverage(_exact_means(means[None], np.array([len(means)]), WIDE_ACC)[0])
 
 
-def _exact_mean(rows: list[np.ndarray]) -> np.ndarray:
-    # Each column sum is fsum's correctly rounded one, so the mean is
-    # permutation invariant bit for bit. A value with frexp exponent e and a
-    # p-bit mantissa is a multiple of 2^(e - p); with g the least exponent of a
-    # column's nonzero values, an absolute sum below 2^(g - p + 53) keeps every
-    # partial sum, in any order, exact in float64, so numpy's sum is fsum's.
-    # Other columns go through fsum, as does a zero sum (numpy may give -0.0)
-    # and a sum that overflows or meets inf or nan, so numpy need not warn.
-    x = np.stack(rows)
-    p = np.finfo(x.dtype).nmant + 1
+# The mean of context means sums in the long double where it is IEEE (x87
+# extended, nmant 63; binary128, nmant 112), else in float64 (falls back to fsum).
+WIDE_ACC = np.longdouble if np.finfo(np.longdouble).nmant in (63, 112) else np.float64
+
+
+def _exact_means(x: np.ndarray, counts: np.ndarray, acc=np.float64) -> np.ndarray:
+    """float64 [S, d] exact column means of the segments ``x[s, :counts[s]]`` of a
+    zero-padded block ``x`` [S, L, d], summed in ``acc`` as the module docstring says."""
+    p, q = np.finfo(x.dtype).nmant + 1, np.finfo(acc).nmant + 1
+    mags = np.abs(x)
     with np.errstate(all="ignore"):
-        sums = x.sum(axis=0, dtype=np.float64)
-        abs_sums = np.abs(x).sum(axis=0, dtype=np.float64)
-    g = np.min(np.frexp(x)[1], axis=0, where=x != 0, initial=1 << 12)
-    exact = ((np.frexp(abs_sums)[1] <= g - p + 53) & np.isfinite(abs_sums)
-             & (sums != 0))
-    rest = np.flatnonzero(~exact)
-    if rest.size:
-        sums[rest] = [math.fsum(col) for col in x[:, rest].T.tolist()]
-    return sums / len(rows)
+        sums = x.sum(axis=1, dtype=acc).astype(np.float64)
+        abs_sums = mags.sum(axis=1, dtype=acc)
+    np.copyto(mags, np.inf, where=mags == 0)  # zeros, padding too, set no exponent
+    exact = ((np.frexp(abs_sums)[1] <= np.frexp(mags.min(axis=1))[1] - p + q)
+             & np.isfinite(abs_sums) & np.isfinite(sums) & (sums != 0))
+    for s, j in zip(*np.nonzero(~exact)):
+        sums[s, j] = math.fsum(x[s, :counts[s], j].tolist())
+    return sums / counts[:, None]
 
 
 @dataclass

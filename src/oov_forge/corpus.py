@@ -146,7 +146,10 @@ class SentenceStore:
         # first slot of a word in each of its sentences is kept. Each
         # temporary is dropped once used: on the 500k-token train-planted
         # corpus that cuts the peak RSS of three loads from 115 to 99 MiB.
-        order = np.argsort(self.tokens, kind="stable")
+        # An LSD sort by id on 16-bit digits: numpy radix-sorts uint16 stably.
+        order = np.argsort(self.tokens.astype(np.uint16), kind="stable")
+        if len(vocab) > 1 << 16:
+            order = order[np.argsort((self.tokens[order] >> 16).astype(np.uint16), kind="stable")]
         words, sents = self.tokens[order], sentence[order]
         first = np.ones(len(order), dtype=bool)
         np.not_equal(words[1:], words[:-1], out=first[1:])

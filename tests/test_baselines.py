@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from oov_forge import baselines
 from oov_forge.baselines import (AlaCarteModel, NgramTable, additive,
                                  alacarte_fit, alacarte_infer, ngram_fit,
-                                 ngram_sum, word_ngrams, _exact_mean)
-from oov_forge.corpus import EmbeddingTable
+                                 ngram_sum, word_ngrams, WIDE_ACC,
+                                 _exact_means)
+from oov_forge.corpus import EmbeddingTable, load_stopwords
 from oov_forge.episode import MASK_TOKEN
 from oov_forge.errors import FormatError, NumericError, OovForgeError
 
@@ -67,24 +68,53 @@ def _fsum_mean(x: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(col) / len(x) for col in x.T.tolist()])
 
 
+def _padded(segments: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-padded [S, L, d] block of [n_s, d] segments, and the n_s."""
+    counts = np.array([len(seg) for seg in segments])
+    x = np.zeros((len(segments), counts.max(), segments[0].shape[1]),
+                 dtype=segments[0].dtype)
+    for s, seg in enumerate(segments):
+        x[s, :len(seg)] = seg
+    return x, counts
+
+
+ACCUMULATORS = sorted({np.float64, WIDE_ACC}, key=lambda t: np.finfo(t).nmant)
+
+
 @st.composite
-def _blocks(draw):
-    """float32 or float64 [n, d] blocks with signed zeros: each column's values
-    lie within 2^27 above a scale of 2^-149 to 2^100 (so float32 subnormals
-    too), so some columns pass the exactness test and some fail it."""
+def _segments(draw):
+    """1-5 segments of 1-8 float32 or float64 rows, d 1-5, with signed zeros,
+    and an accumulator. Each column's values lie within 2^spread above a
+    scale of 2^-1074 (float64) or 2^-149 (float32) to 2^(127 - spread), so
+    subnormals too; the spread is 27 or one below, at or one above the q - p
+    bound of the certificate, so some cells pass it and some fail it. A
+    segment may be rows followed by their negations: its columns cancel."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 5))
-    scales = draw(st.lists(st.integers(-149, 100), min_size=d, max_size=d))
-    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1))
-    x = [[math.ldexp(draw(value), s + draw(st.integers(0, 27))) for s in scales]
-         for _ in range(n)]
-    return np.array(x).astype(dtype)
+    acc = draw(st.sampled_from(ACCUMULATORS))
+    bound = np.finfo(acc).nmant - np.finfo(dtype).nmant
+    d = draw(st.integers(1, 5))
+    spread = draw(st.sampled_from([27, max(bound - 1, 0), bound, bound + 1]))
+    least = -1074 if dtype is np.float64 else -149
+    scales = draw(st.lists(st.integers(least, 127 - spread), min_size=d, max_size=d))
+    # full mantissas at both ends of the spread put sums at the bound
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1, 1), st.floats(0.5, 1))
+    offset = st.one_of(st.sampled_from([0, spread]), st.integers(0, spread))
+    segments = []
+    for _ in range(draw(st.integers(1, 5))):
+        cancel = draw(st.booleans())
+        n = draw(st.integers(1, 4 if cancel else 8))
+        rows = np.array([[math.ldexp(draw(value), s + draw(offset))
+                          for s in scales] for _ in range(n)]).astype(dtype)
+        segments.append(np.concatenate([rows, -rows[::-1]]) if cancel else rows)
+    return segments, acc
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_blocks())
-def test_exact_mean_is_fsum_bit_for_bit(x):
-    assert _exact_mean(list(x)).tobytes() == _fsum_mean(x).tobytes()
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_segments())
+def test_exact_mean_is_fsum_bit_for_bit(case):
+    segments, acc = case
+    want = np.stack([_fsum_mean(seg) for seg in segments])
+    assert _exact_means(*_padded(segments), acc).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -95,28 +125,104 @@ def test_exact_mean_is_fsum_bit_for_bit(x):
     [2.0 ** 100, 1.0, -2.0 ** 100],  # cancels: only an exact sum keeps the 1
     [0.75, -0.5, -0.25],             # cancels to zero
     [2.0 ** -149, 2.0 ** -149, -2.0 ** -148],
+    # a bit past the certificate's bound (float64, then the long double): a
+    # sum in row order rounds twice, and fsum's sum is 1.5 + 2^-52, 2048 + 2^-41
+    [0.5 + 2.0 ** -53, 0.5, 0.5 + 2.0 ** -53],
+    [2047.0, 0.5 + 2.0 ** -53, 0.5 + 2.0 ** -42],
 ])
 def test_exact_mean_named_columns_are_fsum(dtype, column):
     x = np.array([column, [1.0, 2.0, 3.0]], dtype=dtype).T
-    assert _exact_mean(list(x)).tobytes() == _fsum_mean(x).tobytes()
+    for acc in ACCUMULATORS:
+        # the column's segment comes after a shorter one, so its neighbour is padded
+        got = _exact_means(*_padded([np.ones((2, 2), dtype=dtype), x]), acc)
+        assert got[1].tobytes() == _fsum_mean(x).tobytes()
 
 
 def test_exact_mean_overflow_is_fsum_overflow():
     x = np.array([[1e308, 1.0], [1e308, 2.0]])
     with pytest.raises(OverflowError):
         _fsum_mean(x)
-    with pytest.raises(OverflowError):
-        _exact_mean(list(x))
+    for acc in ACCUMULATORS:  # the long double holds 2e308; its cast to float64 does not
+        with pytest.raises(OverflowError):
+            _exact_means(*_padded([x]), acc)
 
 
 def test_exact_mean_of_float32_table_rows_needs_no_fsum(monkeypatch):
-    rows = list(np.random.default_rng(3).normal(size=(12, 300)).astype(np.float32))
-    want = _fsum_mean(np.stack(rows))
+    rows = np.random.default_rng(3).normal(size=(12, 300)).astype(np.float32)
+    segments = [rows[:5], rows[5:6], rows[6:]]
+    want = np.stack([_fsum_mean(seg) for seg in segments])
+    calls = _count_fsum(monkeypatch)
+    assert _exact_means(*_padded(segments)).tobytes() == want.tobytes()
+    assert calls == []
+
+
+def _count_fsum(monkeypatch) -> list:
     calls = []
     fsum = math.fsum
     monkeypatch.setattr(baselines.math, "fsum", lambda col: calls.append(1) or fsum(col))
-    assert _exact_mean(rows).tobytes() == want.tobytes()
-    assert calls == []
+    return calls
+
+
+def _additive_reference(contexts, table, drop_stopwords):
+    """The fsum mean of each context's contributing rows, then the fsum mean
+    of those means."""
+    skip = load_stopwords() if drop_stopwords else set()
+    means = [_fsum_mean(np.stack([table[t] for t in ctx]))
+             for ctx in ([t for t in c if t != MASK_TOKEN and t not in skip and t in table]
+                         for c in contexts) if ctx]
+    return _fsum_mean(np.stack(means)) if means else None
+
+
+@pytest.mark.parametrize("drop_stopwords", [False, True])
+def test_additive_equals_the_fsum_reference(drop_stopwords):
+    rngl = np.random.default_rng(11)
+    words = ["the", "of", "and"] + [f"w{i}" for i in range(30)]
+    table = table_of({w: rngl.normal(size=7) * 2.0 ** rngl.integers(-30, 30)
+                      for w in words})
+    # missing words, the mask marker and repeats; some contexts have no contributor
+    pool = words + ["zzz", "qqq", MASK_TOKEN]
+    for _ in range(200):
+        contexts = [[pool[i] for i in rngl.integers(0, len(pool), rngl.integers(0, 9))]
+                    for _ in range(rngl.integers(1, 6))]
+        want = _additive_reference(contexts, table, drop_stopwords)
+        got = additive(contexts, table, drop_stopwords=drop_stopwords)
+        if want is None:
+            assert got.empty and np.array_equal(got.vector, np.zeros(7))
+        else:
+            assert not got.empty and got.vector.tobytes() == want.tobytes()
+    empty = additive([[MASK_TOKEN, "zzz"], [], ["the", "of"] if drop_stopwords else []],
+                     table, drop_stopwords=drop_stopwords)
+    assert empty.empty and empty.vector.tobytes() == np.zeros(7).tobytes()
+
+
+def _typical_calls(rngl, words):
+    """25 calls of four contexts of 16 words each."""
+    return [[[words[i] for i in rngl.integers(0, len(words), 16)] for _ in range(4)]
+            for _ in range(25)]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="no IEEE extended or quad long double")
+def test_means_of_context_means_rarely_need_fsum(monkeypatch):
+    rngl = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(2000)]
+    table = EmbeddingTable.from_rows(words, rngl.normal(size=(2000, 300)))
+    calls = _count_fsum(monkeypatch)
+    for contexts in _typical_calls(rngl, words):
+        additive(contexts, table)
+    assert len(calls) <= 0.01 * 25 * 300
+
+
+def test_a_float64_accumulator_still_gives_fsum_bits(monkeypatch):
+    rngl = np.random.default_rng(6)
+    words = [f"w{i}" for i in range(500)]
+    table = EmbeddingTable.from_rows(words, rngl.normal(size=(500, 300)))
+    monkeypatch.setattr(baselines, "WIDE_ACC", np.float64)
+    calls = _count_fsum(monkeypatch)
+    for contexts in _typical_calls(rngl, words)[:5]:
+        got = additive(contexts, table).vector
+        assert got.tobytes() == _additive_reference(contexts, table, False).tobytes()
+    assert calls  # with q = 53 the mean of means mostly falls back to fsum
 
 
 def test_additive_stopword_filter_uses_strict_subset():

@@ -11,7 +11,7 @@ from oov_forge.corpus import (BLOCK_LINES, VAL_FRACTION, EmbeddingTable, Sentenc
                               build_vocab, contexts_of, load_embeddings,
                               load_stopwords, parse_plain_block, parse_rows,
                               read_sentences, save_embeddings, split_words,
-                              tokenize)
+                              tokenize, Vocabulary)
 from oov_forge.episode import eligible_targets
 from oov_forge.errors import FormatError, IngestionError, InputError
 
@@ -107,6 +107,33 @@ def test_contexts_of_matches_linear_scan(rng):
             assert got == expected
             for sid in got:
                 assert w in sentences[sid]
+
+
+@pytest.mark.parametrize("vocab_size", [300, 70_000])
+def test_sentence_index_equals_a_linear_scan(vocab_size):
+    """The index sorts ids in 16-bit digits; ids at and past 65,536 take a
+    second pass. Many ids repeat, within sentences and across them."""
+    rng = np.random.default_rng(vocab_size)
+    pool = np.unique(np.r_[rng.integers(0, vocab_size, 150), 0, vocab_size - 1,
+                           [65_535, 65_536, 65_537] if vocab_size > 65_536 else []])
+    tokens = rng.choice(pool, 4000).astype(np.int32)
+    offsets = np.r_[0, np.cumsum(rng.integers(1, 13, 800))]
+    offsets = offsets[offsets < len(tokens)].tolist() + [len(tokens)]
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size)], [1] * vocab_size,
+                       [False] * vocab_size, 1)
+    store = SentenceStore(tokens, np.array(offsets), vocab)
+    found: dict[int, list[tuple[int, int]]] = {}
+    for s in range(len(offsets) - 1):
+        seen = set()
+        for pos, w in enumerate(tokens[offsets[s]:offsets[s + 1]].tolist()):
+            if w not in seen:
+                seen.add(w)
+                found.setdefault(w, []).append((s, pos))
+    pairs = [pair for w in sorted(found) for pair in found[w]]
+    counts = np.bincount(list(found), [len(found[w]) for w in found], vocab_size)
+    assert store.index_ptr.tolist() == [0] + np.cumsum(counts).astype(int).tolist()
+    assert store.index_sentences.tolist() == [s for s, _ in pairs]
+    assert store.index_first.tolist() == [pos for _, pos in pairs]
 
 
 def test_embeddings_load_basic(tmp_path):
