@@ -93,15 +93,13 @@ def maml_update(params: ParamVector, loss_source_fn, loss_target_fn,
 
 
 def maml_step(model: HiceModel, batch_source: list[Episode],
-              batch_target: list[Episode], cfg: AdaptConfig,
-              vocab_source: Vocabulary | None = None,
-              vocab_target: Vocabulary | None = None) -> HiceModel:
+              batch_target: list[Episode], cfg: AdaptConfig) -> HiceModel:
     """One meta-update from one batch per corpus (at alpha = 0, the source batch
     may be empty), each laid out once for all its loss evaluations."""
     if not batch_target or (cfg.alpha and not batch_source):
         raise AdaptationError("maml_step needs a target batch, and a source batch at alpha > 0")
-    source = layout(model, batch_source, vocab_source) if cfg.alpha else None
-    target = layout(model, batch_target, vocab_target)
+    source = layout(model, batch_source) if cfg.alpha else None
+    target = layout(model, batch_target)
     maml_update(
         model.parameters(),
         lambda: episode_loss(model, source)[0],
@@ -135,6 +133,5 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
     for _ in range(cfg.adapt_steps):
         batch_n = next(stream_n)
         batch_t = next(stream_t) if cfg.alpha else []
-        maml_step(model, batch_t, batch_n, cfg,
-                  vocab_source=vocab_t, vocab_target=vocab_n)
+        maml_step(model, batch_t, batch_n, cfg)
     return model

@@ -431,7 +431,7 @@ def _method_fn(method: str, fitted, table: EmbeddingTable | None):
     AlaCarteModel or NgramTable, unused by the table-only methods. A method
     with nothing to infer from raises InferenceError."""
     if method == "hice":
-        return lambda w, ctxs: fitted.predict_vector(*episode_from_masked(w, ctxs))
+        return lambda w, ctxs: fitted.predict_vector(episode_from_masked(w, ctxs)[0])
     if method in ("additive", "additive-ns"):
         drop = method == "additive-ns"
         return lambda w, ctxs: _found(baselines.additive(ctxs, table, drop_stopwords=drop),

@@ -1,10 +1,12 @@
 """K-shot episode construction: masked context sampling plus character
 features for one target word.
 
-Context token ids live in the owning corpus vocabulary's id space, with two
-reserved sentinels: MASK_ID marks masked-out target occurrences and UNK_ID
-marks tokens that have no vocabulary entry (ad-hoc inference sentences).
-An episode keeps its contexts packed back to back in one id array.
+An episode names the vocabulary its context token ids index: a sampled
+episode the corpus vocabulary, an inference episode the transient
+vocabulary of its sentences. Two reserved sentinels sit outside every id
+space: MASK_ID marks masked-out target occurrences and UNK_ID marks tokens
+that have no vocabulary entry. An episode keeps its contexts packed back to
+back in one id array.
 ``sample_episodes`` is the one draw entry: it draws a batch's episodes one
 at a time, with the RNG calls in a fixed order, then cuts the windows of the
 whole batch from the store's token array by one gather (``mask_windows``).
@@ -57,10 +59,11 @@ class Episode:
     that summarizes it: the first masked target."""
 
     target_word: str
-    tokens: np.ndarray        # int32: vocabulary ids, MASK_ID and UNK_ID
+    tokens: np.ndarray        # int32: ids in ``vocab``, MASK_ID and UNK_ID
     lengths: np.ndarray       # [K] tokens of each context
     pools: np.ndarray         # [K] pool offset of each context
     char_seq: list[int]
+    vocab: Vocabulary
     oracle: np.ndarray | None = None
 
     @property
@@ -143,7 +146,7 @@ def sample_episodes(requests: Iterable[tuple[str, int]], rng: np.random.Generato
     episodes, c0, t0 = [], 0, 0
     for word, oracle, c1, t1 in zip(words, oracles, ctx_ends.tolist(), tok_ends):
         episodes.append(Episode(word, tokens[t0:t1], lengths[c0:c1], pools[c0:c1],
-                                char_sequence(word), oracle))
+                                char_sequence(word), store.vocab, oracle))
         c0, t0 = c1, t1
     return episodes
 
@@ -160,8 +163,8 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
     """The inference episode: sentences already carrying MASK_TOKEN at the
     target slots, windowed to ``max_len`` tokens around the first marker.
 
-    Returns (episode, vocabulary): the ids index a transient vocabulary of
-    the sentences' words, which the model needs to resolve them.
+    Its ids index a transient vocabulary of the sentences' words, which it
+    carries. Returns (episode, that vocabulary): the benchmark unpacks both.
     """
     if not masked_sentences:
         raise EpisodeError("episode needs at least one context sentence")
@@ -181,7 +184,8 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
     contexts = mask_windows(tokens, np.cumsum(lengths) - lengths, lengths,
                             np.asarray(firsts), np.full(len(firsts), MASK_ID),
                             (max_len - 1) // 2)
-    return Episode(word, *contexts, char_sequence(word, max_word_len=max_word_len)), vocab
+    return Episode(word, *contexts, char_sequence(word, max_word_len=max_word_len),
+                   vocab), vocab
 
 
 def _targets(vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable | None,

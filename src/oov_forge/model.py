@@ -240,25 +240,23 @@ class HiceModel:
     MASK_ROW = 0
     UNK_ROW = 1
 
-    def __init__(self, config: HiceConfig, frozen: np.ndarray,
-                 frozen_words: list[str], vocab: Vocabulary | None = None):
+    def __init__(self, config: HiceConfig, frozen: np.ndarray, frozen_words: list[str]):
         """A fresh model over the rows ``frozen`` of ``frozen_words`` (shared
         when float32), its parameters drawn from ``config.seed``."""
-        self._bind(config, EmbeddingTable.from_rows(frozen_words, frozen), None, vocab)
+        self._bind(config, EmbeddingTable.from_rows(frozen_words, frozen), None)
 
     @classmethod
     def from_arrays(cls, config: HiceConfig, table: EmbeddingTable,
-                    arrays: dict[str, np.ndarray] | None,
-                    vocab: Vocabulary | None = None) -> "HiceModel":
+                    arrays: dict[str, np.ndarray] | None) -> "HiceModel":
         """A model over ``table``, bound as ``model.table``, holding
         ``arrays``, one per parameter name, as a checkpoint stores them, or
         when it is None a fresh model's."""
         model = cls.__new__(cls)
-        model._bind(config, table, arrays, vocab)
+        model._bind(config, table, arrays)
         return model
 
     def _bind(self, config: HiceConfig, table: EmbeddingTable,
-              arrays: dict[str, np.ndarray] | None, vocab: Vocabulary | None) -> None:
+              arrays: dict[str, np.ndarray] | None) -> None:
         """Make the parameters, each cast straight into its slice of one
         parameter vector in checkpoint order: from ``arrays``, or when it is
         None from each declaration's initialiser, drawn in turn from one
@@ -268,7 +266,7 @@ class HiceModel:
         if table.dim != config.embed_dim:
             raise InputError(f"frozen table {table.matrix.shape} does not match "
                              f"embed_dim {config.embed_dim}")
-        self.config, self.table, self.vocab = config, table, vocab
+        self.config, self.table = config, table
         sizes: list[int] = []
         self._attach(lambda name, init, *shape: sizes.append(math.prod(shape)))
         params = self._params = ParamVector(sum(sizes))
@@ -329,7 +327,9 @@ class HiceModel:
     @classmethod
     def from_table(cls, config: HiceConfig, table: EmbeddingTable,
                    vocab: Vocabulary | None = None) -> "HiceModel":
-        return cls.from_arrays(config, table, None, vocab)
+        """A fresh model over ``table``. ``vocab`` is unused: the benchmark's
+        pinned call still passes one."""
+        return cls.from_arrays(config, table, None)
 
     @property
     def frozen(self) -> np.ndarray:
@@ -339,9 +339,6 @@ class HiceModel:
     @property
     def frozen_words(self) -> list[str]:
         return self.table.words()
-
-    def bind_vocab(self, vocab: Vocabulary) -> None:
-        self.vocab = vocab
 
     def parameters(self) -> ParamVector:
         """The parameter vector: iterating gives every parameter by name, in
@@ -355,19 +352,17 @@ class HiceModel:
     # forward pieces
     # ------------------------------------------------------------------
 
-    def _resolve_vocab(self, vocab: Vocabulary | None) -> Vocabulary:
-        v = vocab or self.vocab
-        if v is None:
-            raise InputError("no vocabulary bound to the model or passed in")
-        return v
-
-    def batch(self, episodes: Sequence[Episode],
-              vocab: Vocabulary | None = None) -> Batch:
+    def batch(self, episodes: Sequence[Episode]) -> Batch:
         """Validate the episodes and lay out their packed contexts for
-        forward passes."""
+        forward passes. Their ids must index one vocabulary, which maps
+        them to table rows."""
         if not episodes:
             raise InputError("empty batch of episodes")
+        vocab = episodes[0].vocab
         for ep in episodes:
+            if ep.vocab is not vocab:
+                raise InputError(f"episode for {ep.target_word!r} indexes another "
+                                 "vocabulary than the rest of its batch")
             if not ep.k:
                 raise InputError(f"episode for {ep.target_word!r} has no contexts")
             if not ep.char_seq:
@@ -381,8 +376,7 @@ class HiceModel:
         tokens = np.concatenate([ep.tokens for ep in episodes])
         frozen_rows = np.full(len(tokens), -1, dtype=np.intp)
         real = np.flatnonzero(tokens >= 0)
-        if real.size:  # a context of MASK/UNK sentinels needs no vocabulary
-            frozen_rows[real] = self._resolve_vocab(vocab).rows_in(self.table)[tokens[real]]
+        frozen_rows[real] = vocab.rows_in(self.table)[tokens[real]]
         segs = Segments(lengths)
         widths = [len(ep.char_seq) for ep in episodes]
         chars = np.full((len(episodes), max(widths)), -1, dtype=np.intp)
@@ -441,15 +435,14 @@ class HiceModel:
                            [self.conv_filters[w] for w in widths],
                            [self.conv_bias[w] for w in widths], batch.char_lengths)
 
-    def predict(self, episodes: Sequence[Episode] | Batch,
-                vocab: Vocabulary | None = None) -> Tensor:
+    def predict(self, episodes: Sequence[Episode] | Batch) -> Tensor:
         """Predicted embeddings [B, d_in] for the episodes' target words, in
         one padded forward pass over their layout, built here unless given.
 
         With morphology off, the morphology slot of the fusion input is a
         zero vector of the same width (ablation arm).
         """
-        batch = episodes if isinstance(episodes, Batch) else self.batch(episodes, vocab)
+        batch = episodes if isinstance(episodes, Batch) else self.batch(episodes)
         agg = self.aggregate(self.encode_context(batch), batch.shots)
         if self.config.use_morph:
             morph = self.encode_morphology(batch)
@@ -460,8 +453,10 @@ class HiceModel:
 
     def predict_vector(self, episode: Episode,
                        vocab: Vocabulary | None = None) -> np.ndarray:
-        """Inference path: no graph recording, returns a plain array."""
-        return self.predict([episode], vocab).data[0]
+        """Inference path: no graph recording, returns a plain array.
+        ``vocab`` is unused: the benchmark's pinned call still passes the
+        episode's own."""
+        return self.predict([episode]).data[0]
 
     # ------------------------------------------------------------------
     # state

@@ -116,8 +116,7 @@ class Adam:
         return norm, factor
 
 
-def layout(model: HiceModel, episodes: list[Episode],
-           vocab: Vocabulary | None = None) -> Batch:
+def layout(model: HiceModel, episodes: list[Episode]) -> Batch:
     """``model.batch`` of training episodes, each of which must carry an
     oracle with a nonzero norm; ``episode_loss`` takes it in their place."""
     if not episodes:
@@ -127,14 +126,13 @@ def layout(model: HiceModel, episodes: list[Episode],
             raise TrainingError(f"episode for {ep.target_word!r} has no oracle")
         if not float(np.linalg.norm(ep.oracle)) > 0.0:
             raise TrainingError(f"zero-norm oracle for word {ep.target_word!r}")
-    return model.batch(episodes, vocab)
+    return model.batch(episodes)
 
 
-def episode_loss(model: HiceModel, episodes: list[Episode] | Batch,
-                 vocab: Vocabulary | None = None) -> tuple[Tensor, float]:
+def episode_loss(model: HiceModel, episodes: list[Episode] | Batch) -> tuple[Tensor, float]:
     """Negative mean cosine over the batch -> (loss tensor, mean cosine).
     ``episodes`` may be their ``layout``."""
-    batch = episodes if isinstance(episodes, Batch) else layout(model, episodes, vocab)
+    batch = episodes if isinstance(episodes, Batch) else layout(model, episodes)
     pred = model.predict(batch)
     oracle = tc.constant(batch.oracles.astype(np.float64))
     # -1.0 / n is -(1.0 / n) exactly, so this is the negated mean to the bit
@@ -142,12 +140,11 @@ def episode_loss(model: HiceModel, episodes: list[Episode] | Batch,
     return loss, -float(loss.data)
 
 
-def evaluate_cosine(model: HiceModel, episodes: list[Episode] | Batch,
-                    vocab: Vocabulary | None = None) -> float:
+def evaluate_cosine(model: HiceModel, episodes: list[Episode] | Batch) -> float:
     """Mean cosine(predict, oracle) with no graph recording, over episodes or
     their ``model.batch`` layout; a zero vector raises EvaluationError, as
     the tape's cosine raises NumericError."""
-    batch = episodes if isinstance(episodes, Batch) else model.batch(episodes, vocab)
+    batch = episodes if isinstance(episodes, Batch) else model.batch(episodes)
     if batch.oracles is None:
         raise EvaluationError("evaluate_cosine: an episode has no oracle")
     preds = model.predict(batch).data
@@ -174,7 +171,6 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
     model and report."""
     if model is None:
         model = HiceModel.from_table(HiceConfig(embed_dim=table.dim, seed=config.seed), table)
-    model.bind_vocab(vocab)
 
     train_words, val_words = split_targets(vocab, store, table)
     if not (train_words and val_words):

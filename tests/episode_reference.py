@@ -5,8 +5,12 @@ packed episodes from contexts written out as lists."""
 
 import numpy as np
 
+from oov_forge.corpus import Vocabulary
 from oov_forge.episode import CONTEXT_WINDOW, MASK_ID, Episode, char_sequence
 from oov_forge.errors import EpisodeError, IngestionError
+
+# the id space of episodes whose tokens are all MASK_ID and UNK_ID
+NO_WORDS = Vocabulary([], [], [], min_count=1)
 
 
 class ListStore:
@@ -68,18 +72,21 @@ def episode_stream(words: list[str], store: ListStore, table, k: tuple[int, int]
         yield (word, *sample_episode(word, int(rng.integers(lo, hi + 1)), rng, store, table))
 
 
-def episode_of(word: str, contexts: list[list[int]], oracle=None, char_seq=None) -> Episode:
-    """The packed episode of contexts given as lists of ids, each summarized
-    at its first MASK_ID, or at its first token when it has none."""
+def episode_of(word: str, contexts: list[list[int]], oracle=None, char_seq=None,
+               vocab: Vocabulary = NO_WORDS) -> Episode:
+    """The packed episode of contexts given as lists of ids in ``vocab``,
+    each summarized at its first MASK_ID, or at its first token when it has
+    none."""
     return Episode(word,
                    np.array([t for ids in contexts for t in ids], dtype=np.int32),
                    np.array([len(ids) for ids in contexts], dtype=np.intp),
                    np.array([ids.index(MASK_ID) if MASK_ID in ids else 0 for ids in contexts],
                             dtype=np.intp),
-                   char_sequence(word) if char_seq is None else char_seq, oracle)
+                   char_sequence(word) if char_seq is None else char_seq, vocab, oracle)
 
 
 def reordered(ep: Episode, order) -> Episode:
     """``ep`` with its contexts taken in ``order``."""
     contexts = ep.contexts
-    return episode_of(ep.target_word, [contexts[int(i)] for i in order], ep.oracle, ep.char_seq)
+    return episode_of(ep.target_word, [contexts[int(i)] for i in order], ep.oracle, ep.char_seq,
+                      ep.vocab)

@@ -102,14 +102,14 @@ def _model_outputs(workdir: Path, arrays: dict, texts: dict):
     save_checkpoint(model, workdir / "trained.hice")
 
     # a fresh d=16 model on sampled episodes and on a masked inference episode
-    fresh = HiceModel.from_table(HiceConfig(embed_dim=16, seed=1), table, vocab)
+    fresh = HiceModel.from_table(HiceConfig(embed_dim=16, seed=1), table)
     rng = np.random.default_rng(5)
     episodes = [sample_episode(w, 1 + i % 4, rng, store, table)
                 for i, w in enumerate(words[:6])]
-    arrays["fresh16.predict"] = fresh.predict(episodes, vocab).data
+    arrays["fresh16.predict"] = fresh.predict(episodes).data
     masked = [["t00w01", "<mask>", "zzz", "t00w02"], ["<mask>", "t01w03", "<mask>"]]
     arrays["fresh16.predict_vector"] = fresh.predict_vector(
-        *episode_from_masked("blorp", masked))
+        episode_from_masked("blorp", masked)[0])
     save_checkpoint(fresh, workdir / "fresh16.hice")
     texts["sha256.fresh16.hice"] = _sha256(workdir / "fresh16.hice")
 
@@ -117,10 +117,9 @@ def _model_outputs(workdir: Path, arrays: dict, texts: dict):
     batch_source = [sample_episode(w, 3, rng, store, table) for w in words[:8]]
     batch_target = [sample_episode(w, 2, rng, store, table) for w in words[8:16]]
     for order, first in (("first", True), ("second", False)):
-        meta = HiceModel.from_table(HiceConfig(embed_dim=16, seed=4), table, vocab)
+        meta = HiceModel.from_table(HiceConfig(embed_dim=16, seed=4), table)
         maml_step(meta, batch_source, batch_target,
-                  AdaptConfig(alpha=1e-2, beta=1e-2, first_order=first),
-                  vocab_source=vocab, vocab_target=vocab)
+                  AdaptConfig(alpha=1e-2, beta=1e-2, first_order=first))
         arrays.update(_params(f"maml_{order}", meta))
 
     # a fresh d=300 model over a small table
@@ -129,9 +128,9 @@ def _model_outputs(workdir: Path, arrays: dict, texts: dict):
     rows = big_rng.normal(size=(40, 300)).astype(np.float32)
     big = HiceModel(HiceConfig(embed_dim=300, seed=2), rows, big_words)
     arrays["fresh300.predict_vector"] = np.stack([
-        big.predict_vector(*episode_from_masked(
+        big.predict_vector(episode_from_masked(
             word, [[big_words[(i + j) % 40] if j != i % 5 else "<mask>"
-                    for j in range(5 + i)] for i in range(k)]))
+                    for j in range(5 + i)] for i in range(k)])[0])
         for k, word in ((1, "alpha"), (3, "beta-ish"), (5, "gamma's"))])
     save_checkpoint(big, workdir / "fresh300.hice")
     texts["sha256.fresh300.hice"] = _sha256(workdir / "fresh300.hice")

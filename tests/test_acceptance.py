@@ -181,7 +181,7 @@ def test_criterion_1_gradient_integrity():
     store = SentenceStore.from_tokens(sentences, vocab)
     config = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3,
                         seed=1)
-    model = HiceModel.from_table(config, table, vocab)
+    model = HiceModel.from_table(config, table)
     model_worst = 0.0
     for trial in range(2):
         # a padded batch: the episodes differ in K and in word length
@@ -230,7 +230,7 @@ def test_criterion_2_permutation_invariance():
     vocab, store, table, oracle, _ = synthetic_task.planted_task(
         n_topics=10, words_per_topic=12, n_sentences=3000, dim=16, seed=4,
         min_count=4)
-    model = HiceModel.from_table(HiceConfig(embed_dim=16, seed=2), oracle, vocab)
+    model = HiceModel.from_table(HiceConfig(embed_dim=16, seed=2), oracle)
     stream = episode_stream(vocab, store, oracle, (2, 6), seed=8, batch=200)
     rng = np.random.default_rng(9)
     worst = 0.0
@@ -272,8 +272,8 @@ def test_criterion_3_update_rule_fidelity():
     stream = episode_stream(vocab, store, oracle, (2, 3), seed=6, batch=3)
     batch_t = next(stream)
     batch_n = next(stream)
-    m1 = HiceModel.from_table(mc, oracle, vocab)
-    m2 = HiceModel.from_table(mc, oracle, vocab)
+    m1 = HiceModel.from_table(mc, oracle)
+    m2 = HiceModel.from_table(mc, oracle)
     maml_step(m1, batch_t, batch_n, AdaptConfig(alpha=0.0, beta=2e-3))
     finetune_step(m2, batch_n, 2e-3)
     reduction = max(float(np.abs(p1.data - p2.data).max())
@@ -327,7 +327,7 @@ def test_criterion_5_synthetic_learning(linear_setup):
     _, val_words = split_words(words)
     probes = build_validation_episodes(val_words, store, oracle,
                                        TrainConfig(**TRAIN_CFG))
-    hice_cos = evaluate_cosine(model, probes, vocab=vocab)
+    hice_cos = evaluate_cosine(model, probes)
     add_cos = _additive_mean_cos(probes, vocab, table)
     assert hice_cos >= add_cos - 0.03, \
         f"hice {hice_cos:.4f} vs additive {add_cos:.4f}"
@@ -341,7 +341,7 @@ def test_criterion_5_synthetic_learning(linear_setup):
     _, val_words2 = split_words(words2)
     probes2 = build_validation_episodes(val_words2, store2, oracle2,
                                         TrainConfig(**TRAIN_CFG))
-    hice_nl = evaluate_cosine(model2, probes2, vocab=vocab2)
+    hice_nl = evaluate_cosine(model2, probes2)
     add_nl = _additive_mean_cos(probes2, vocab2, table2)
     assert hice_nl > add_nl, f"nonlinear: hice {hice_nl:.4f} vs additive {add_nl:.4f}"
     _report(5, f"linear: hice {hice_cos:.4f} vs additive {add_cos:.4f} "
@@ -372,24 +372,21 @@ def test_criterion_6_domain_shift(linear_setup, tmp_path):
     adapt_probe = [sample_episode(w, 4, rng, store_n, oracle_n)
                    for w in adapt_words[::20][:60]]
 
-    before = evaluate_cosine(model, holdout, vocab=vocab_n)
+    before = evaluate_cosine(model, holdout)
 
     m_maml = load_checkpoint(ckpt)
-    m_maml.bind_vocab(vocab)
     adapt(m_maml, AdaptConfig(alpha=1e-3, beta=1e-2, adapt_steps=150, seed=3,
                               batch_episodes=8),
           (vocab, store, oracle), (vocab_n, store_n, oracle_n))
-    maml_hold = evaluate_cosine(m_maml, holdout, vocab=vocab_n)
-    maml_gap = evaluate_cosine(m_maml, adapt_probe, vocab=vocab_n) - maml_hold
+    maml_hold = evaluate_cosine(m_maml, holdout)
+    maml_gap = evaluate_cosine(m_maml, adapt_probe) - maml_hold
 
     m_ft = load_checkpoint(ckpt)
-    m_ft.bind_vocab(vocab)
     ft_eps = [sample_episode(w, 4, rng, store_n, oracle_n)
               for w in adapt_words[:10]]
     for _ in range(300):
-        finetune_step(m_ft, ft_eps, 1e-2, vocab=vocab_n)
-    ft_gap = (evaluate_cosine(m_ft, ft_eps, vocab=vocab_n)
-              - evaluate_cosine(m_ft, holdout, vocab=vocab_n))
+        finetune_step(m_ft, ft_eps, 1e-2)
+    ft_gap = evaluate_cosine(m_ft, ft_eps) - evaluate_cosine(m_ft, holdout)
 
     assert maml_hold - before >= 0.05, \
         f"adapted {maml_hold:.4f} vs unadapted {before:.4f}"

@@ -91,9 +91,9 @@ def test_alpha_zero_equals_finetune_step_exactly():
     batch_t = next(stream)
     batch_n = next(stream)
 
-    m1 = HiceModel.from_table(mc, oracle, vocab)
+    m1 = HiceModel.from_table(mc, oracle)
     maml_step(m1, batch_t, batch_n, AdaptConfig(alpha=0.0, beta=beta))
-    m2 = HiceModel.from_table(mc, oracle, vocab)
+    m2 = HiceModel.from_table(mc, oracle)
     finetune_step(m2, batch_n, beta)
 
     for (_, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
@@ -104,7 +104,7 @@ def test_maml_step_rejects_empty_batches():
     vocab, store, table, oracle, _ = synthetic_task.planted_task(
         n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    model = HiceModel.from_table(mc, oracle, vocab)
+    model = HiceModel.from_table(mc, oracle)
     with pytest.raises(AdaptationError):
         maml_step(model, [], [], AdaptConfig())
 
@@ -131,7 +131,7 @@ def test_a_second_order_update_records_60_nodes(monkeypatch):
         return real(loss)
 
     monkeypatch.setattr(adaptation, "backward", counting)
-    maml_step(HiceModel.from_table(mc, oracle, vocab), batch_t, batch_n,
+    maml_step(HiceModel.from_table(mc, oracle), batch_t, batch_n,
               AdaptConfig(alpha=1e-3, first_order=False))
     assert nodes == [15] * 4
 
@@ -143,9 +143,9 @@ def test_maml_step_reads_no_source_batch_at_alpha_zero():
     stream = episode_stream(vocab, store, oracle, (2, 3), seed=9, batch=3)
     batch_t = next(stream)
     batch_n = next(stream)
-    m1 = HiceModel.from_table(mc, oracle, vocab)
+    m1 = HiceModel.from_table(mc, oracle)
     maml_step(m1, batch_t, batch_n, AdaptConfig(alpha=0.0, first_order=False))
-    m2 = HiceModel.from_table(mc, oracle, vocab)
+    m2 = HiceModel.from_table(mc, oracle)
     maml_step(m2, [], batch_n, AdaptConfig(alpha=0.0, first_order=False))
     for (_, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
         assert np.array_equal(p1.data, p2.data)
@@ -169,7 +169,7 @@ def _shift_setup(seed=4):
 def test_adapt_zero_steps_is_identity():
     vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    model = HiceModel.from_table(mc, oracle, vocab)
+    model = HiceModel.from_table(mc, oracle)
     before = {n: p.data.copy() for n, p in model.parameters()}
     adapt(model, AdaptConfig(adapt_steps=0), (vocab, store, oracle),
           (vocab_n, store_n, oracle_n))
@@ -180,7 +180,7 @@ def test_adapt_zero_steps_is_identity():
 def test_adapt_requires_eligible_words():
     vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    model = HiceModel.from_table(mc, oracle, vocab)
+    model = HiceModel.from_table(mc, oracle)
     empty = EmbeddingTable(dim=8)
     # an empty table has no row to read a norm from, so it gives no targets
     assert eligible_targets(vocab_n, store_n, empty, min_count=4) == []
@@ -194,7 +194,7 @@ def test_adapt_takes_no_source_corpus_at_alpha_zero():
     vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     cfg = AdaptConfig(alpha=0.0, beta=1e-3, adapt_steps=2, seed=5)
-    m1, m2 = HiceModel.from_table(mc, oracle, vocab), HiceModel.from_table(mc, oracle, vocab)
+    m1, m2 = HiceModel.from_table(mc, oracle), HiceModel.from_table(mc, oracle)
     adapt(m1, cfg, (vocab, store, oracle), (vocab_n, store_n, oracle_n))
     adapt(m2, cfg, None, (vocab_n, store_n, oracle_n))
     for (_, p1), (_, p2) in zip(m1.parameters(), m2.parameters()):
@@ -207,7 +207,7 @@ def test_adapt_takes_no_source_corpus_at_alpha_zero():
 def test_adapt_keeps_every_parameter_on_the_vectors(first_order):
     vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    model = HiceModel.from_table(mc, oracle, vocab)
+    model = HiceModel.from_table(mc, oracle)
     before = model.parameters().data.copy()
     adapt(model, AdaptConfig(alpha=1e-3, beta=1e-2, first_order=first_order,
                              adapt_steps=2, seed=3),
@@ -216,7 +216,7 @@ def test_adapt_keeps_every_parameter_on_the_vectors(first_order):
     rng = np.random.default_rng(0)
     probes = [sample_episode(w, 2, rng, store_n, oracle_n)
               for w in eligible_targets(vocab_n, store_n, oracle_n, min_count=4)[:3]]
-    assert_on_vectors(model, probes, vocab_n)
+    assert_on_vectors(model, probes)
 
 
 def test_pseudo_targets_threshold():
@@ -239,20 +239,20 @@ def test_adapt_improves_on_shifted_domain_and_keeps_invariances():
     holdout_words = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)[:12]
     rng = np.random.default_rng(0)
     holdout = [sample_episode(w, 3, rng, store_n, oracle_n) for w in holdout_words]
-    before = evaluate_cosine(model, holdout, vocab=vocab_n)
+    before = evaluate_cosine(model, holdout)
 
     cfg = AdaptConfig(alpha=1e-3, beta=5e-3, adapt_steps=60, seed=1,
                       batch_episodes=8)
     adapt(model, cfg, (vocab, store, oracle), (vocab_n, store_n, oracle_n))
-    after = evaluate_cosine(model, holdout, vocab=vocab_n)
+    after = evaluate_cosine(model, holdout)
     assert after > before
     assert np.array_equal(model.frozen, frozen_before)
 
     # architecture unchanged: permutation invariance survives adaptation
     ep = holdout[0]
-    base = model.predict_vector(ep, vocab_n)
+    base = model.predict_vector(ep)
     ep = reordered(ep, range(ep.k)[::-1])
-    assert np.abs(model.predict_vector(ep, vocab_n) - base).max() < 1e-6
+    assert np.abs(model.predict_vector(ep) - base).max() < 1e-6
 
 
 def test_finetune_overfits_tiny_target_set():
@@ -268,16 +268,16 @@ def test_finetune_overfits_tiny_target_set():
     holdout = [sample_episode(w, 3, rng, store_n, oracle_n) for w in words[10:22]]
 
     for _ in range(150):
-        finetune_step(model, train_eps, 5e-3, vocab=vocab_n)
-    train_cos = evaluate_cosine(model, train_eps, vocab=vocab_n)
-    holdout_cos = evaluate_cosine(model, holdout, vocab=vocab_n)
+        finetune_step(model, train_eps, 5e-3)
+    train_cos = evaluate_cosine(model, train_eps)
+    holdout_cos = evaluate_cosine(model, holdout)
     assert train_cos >= holdout_cos
 
 
 def test_finetune_lr_zero_is_identity():
     vocab, store, oracle, vocab_n, store_n, oracle_n = _shift_setup()
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    model = HiceModel.from_table(mc, oracle, vocab)
+    model = HiceModel.from_table(mc, oracle)
     before = {n: p.data.copy() for n, p in model.parameters()}
     cfg = AdaptConfig(alpha=0.0, beta=0.0, adapt_steps=5, seed=0)
     adapt(model, cfg, (vocab, store, oracle), (vocab_n, store_n, oracle_n))
@@ -290,7 +290,7 @@ def test_finetune_deterministic_replay():
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
 
     def run():
-        model = HiceModel.from_table(mc, oracle, vocab)
+        model = HiceModel.from_table(mc, oracle)
         adapt(model, AdaptConfig(alpha=0.0, beta=1e-3, adapt_steps=10, seed=5),
               (vocab, store, oracle), (vocab_n, store_n, oracle_n))
         return {n: p.data.copy() for n, p in model.parameters()}
@@ -312,10 +312,10 @@ def test_adapt_at_alpha_zero_draws_no_source_episode(monkeypatch):
 
     monkeypatch.setattr(adaptation, "episode_stream", counted_stream)
     cfg = AdaptConfig(alpha=0.0, beta=1e-3, adapt_steps=3, batch_episodes=4, seed=5)
-    adapt(HiceModel.from_table(mc, oracle, vocab), cfg, (vocab, store, oracle),
+    adapt(HiceModel.from_table(mc, oracle), cfg, (vocab, store, oracle),
           (vocab_n, store_n, oracle_n))
     assert len(drawn_from) == 12 and all(s is store_n for s in drawn_from)
     drawn_from.clear()
-    adapt(HiceModel.from_table(mc, oracle, vocab), replace(cfg, alpha=1e-3),
+    adapt(HiceModel.from_table(mc, oracle), replace(cfg, alpha=1e-3),
           (vocab, store, oracle), (vocab_n, store_n, oracle_n))
     assert sum(s is store for s in drawn_from) == 12

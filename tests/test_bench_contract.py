@@ -52,6 +52,9 @@ def table():
 
 
 def test_model_constructors_and_inference_as_the_benchmark_calls_them(table, tiny_corpus):
+    # an episode carries the vocabulary its ids index, so the vocabulary
+    # passed to from_table and predict_vector is accepted and unused; the
+    # calls stay as the benchmark makes them until it drops that argument
     vocab, _ = tiny_corpus
     config = hice.HiceConfig(embed_dim=table.dim, seed=5)
     with_vocab = hice.HiceModel.from_table(config, table, vocab)   # train-planted

@@ -42,16 +42,16 @@ def make_corpus(n_sentences=40, n_words=30, seed=1):
     return vocab, SentenceStore.from_tokens(sentences, vocab)
 
 
-def make_model(table=None, vocab=None, **overrides):
+def make_model(table=None, **overrides):
     table = table or make_table()
     config = HiceConfig(embed_dim=table.dim, n_heads=2, char_emb_dim=4,
                         char_filters=3, seed=3, **overrides)
-    return HiceModel.from_table(config, table, vocab), table
+    return HiceModel.from_table(config, table), table
 
 
-def episode_of(contexts, word="w03"):
-    """An oracle-free episode with the given context token ids."""
-    return episode_reference.episode_of(word, contexts)
+def episode_of(contexts, word="w03", vocab=episode_reference.NO_WORDS):
+    """An oracle-free episode with the given context token ids of ``vocab``."""
+    return episode_reference.episode_of(word, contexts, vocab=vocab)
 
 
 def morph_features(model, *words):
@@ -239,7 +239,6 @@ def test_encoding_block_gradients(rng):
 def test_encode_context_unit_positional_weights_are_identity():
     model, _ = make_model()
     vocab, store = make_corpus()
-    model.bind_vocab(vocab)
     ep = sample_episode("w03", 1, np.random.default_rng(0), store)
     ids = ep.contexts[0]
     batch = model.batch([ep])
@@ -280,7 +279,7 @@ def test_mask_pool_last_block_matches_full_block_rows(blocks, contexts):
     # an unmasked context pools at position 0
     model, _ = make_model(n_context_blocks=blocks)
     vocab, _ = make_corpus()
-    batch = model.batch([episode_of(contexts)], vocab)
+    batch = model.batch([episode_of(contexts, vocab=vocab)])
     got = model.encode_context(batch).data
 
     x = model.embed_tokens(batch)
@@ -294,21 +293,19 @@ def test_mask_pool_last_block_matches_full_block_rows(blocks, contexts):
 
 def test_encode_context_single_mask_token_is_finite():
     model, _ = make_model()
-    vocab, _ = make_corpus()
-    out = model.encode_context(model.batch([episode_of([[MASK_ID]])], vocab))
+    out = model.encode_context(model.batch([episode_of([[MASK_ID]])]))
     assert out.data.shape == (1, model.config.d_model)
     assert np.isfinite(out.data).all()
 
 
 def test_encode_context_length_contracts():
     model, _ = make_model()
-    vocab, _ = make_corpus()
     with pytest.raises(InputError):
-        model.batch([episode_of([[MASK_ID], []])], vocab)
+        model.batch([episode_of([[MASK_ID], []])])
     with pytest.raises(InputError):
-        model.batch([episode_of([[MASK_ID] * (model.config.max_len + 1)])], vocab)
+        model.batch([episode_of([[MASK_ID] * (model.config.max_len + 1)])])
     with pytest.raises(InputError):
-        model.batch([], vocab)
+        model.batch([])
     with pytest.raises(InputError):  # the mask pool reads the last block
         make_model(n_context_blocks=0)
 
@@ -363,9 +360,9 @@ def test_a_model_holds_the_arrays_it_is_given():
 def test_a_fresh_model_keeps_every_parameter_on_the_vectors():
     vocab, store = make_corpus()
     table = make_table()
-    model, _ = make_model(table, vocab)
+    model, _ = make_model(table)
     assert model.parameters().grad is None
-    model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]])])
+    model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]], vocab=vocab)])
     assert model.parameters().grad is None  # inference allocates no gradient vector
     words = [w for w in vocab.words if w in table and len(contexts_of(w, store))]
     rng = np.random.default_rng(0)
@@ -375,9 +372,10 @@ def test_a_fresh_model_keeps_every_parameter_on_the_vectors():
 def test_a_dropped_model_frees_its_vectors_at_once():
     # no reference cycle waits for the cyclic collector to free the values
     vocab, store = make_corpus()
-    model, table = make_model(vocab=vocab)
+    model, table = make_model()
     with Graph():
-        backward(sum_all(model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]])])))
+        backward(sum_all(model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]],
+                                                   vocab=vocab)])))
     params = weakref.ref(model.parameters())
     assert model.parameters().grad is not None
     gc.disable()
@@ -395,7 +393,7 @@ def test_from_table_binds_the_table_it_is_given():
     assert model.table is table
     vocab, _ = make_corpus()
     rows = vocab.rows_in(table)
-    model.batch([episode_of([[MASK_ID, 1, 2]])], vocab)
+    model.batch([episode_of([[MASK_ID, 1, 2]], vocab=vocab)])
     assert vocab.rows_in(table) is rows
 
 
@@ -413,7 +411,6 @@ def test_model_shares_the_table_rows():
 def test_gradient_reaches_positional_weights():
     model, table = make_model()
     vocab, store = make_corpus()
-    model.bind_vocab(vocab)
     ep = sample_episode("w03", 2, np.random.default_rng(0), store, table)
     with Graph():
         pred = model.predict([ep])
@@ -491,7 +488,6 @@ def test_morphology_gradients(rng):
 def _training_episode(seed=0, k=3, **overrides):
     model, table = make_model(**overrides)
     vocab, store = make_corpus()
-    model.bind_vocab(vocab)
     ep = sample_episode("w03", k, np.random.default_rng(seed), store, table)
     return model, table, vocab, store, ep
 
@@ -499,7 +495,6 @@ def _training_episode(seed=0, k=3, **overrides):
 def test_predict_shape_and_finiteness_for_every_shot_count():
     model, table = make_model()
     vocab, store = make_corpus()
-    model.bind_vocab(vocab)
     for k in range(1, 7):
         ep = sample_episode("w03", k, np.random.default_rng(k), store, table)
         out = model.predict_vector(ep)
@@ -536,7 +531,7 @@ def test_predict_deterministic_across_constructions():
     b, _ = make_model(table=table)
     vocab, store = make_corpus()
     ep = sample_episode("w03", 3, np.random.default_rng(1), store, table)
-    assert np.array_equal(a.predict_vector(ep, vocab), b.predict_vector(ep, vocab))
+    assert np.array_equal(a.predict_vector(ep), b.predict_vector(ep))
 
 
 def test_overfit_single_episode():
@@ -559,11 +554,11 @@ def test_embed_tokens_gradient_only_reaches_special_rows(rng):
     # a frozen token reads its table row exactly, MASK and UNK read the
     # learned rows, and only those learned rows take a gradient
     vocab, _ = make_corpus()
-    model, table = make_model(vocab=vocab)
+    model, table = make_model()
     model.special_embed.data[...] = rng.normal(size=(2, DIM))
     a, b = vocab.words[:2]
     batch = model.batch([episode_of([[vocab.id_of(a), MASK_ID, UNK_ID,
-                                      vocab.id_of(b), MASK_ID]])])
+                                      vocab.id_of(b), MASK_ID]], vocab=vocab)])
     w = constant(rng.normal(size=(5, DIM)))
     with Graph():
         out = model.embed_tokens(batch)
@@ -587,23 +582,56 @@ def test_batch_rows_equal_a_lookup_of_each_token():
     small, _ = make_model(make_table(n_words=6))
     large, _ = make_model(make_table(n_words=30, seed=4))
     ids = [vocab.id_of(w) for w in vocab.words]
-    episodes = [episode_of([ids + [MASK_ID, UNK_ID], [MASK_ID], [UNK_ID, MASK_ID]]),
-                episode_of([ids[::-1], [vocab.id_of("zz"), MASK_ID]])]
+    episodes = [episode_of([ids + [MASK_ID, UNK_ID], [MASK_ID], [UNK_ID, MASK_ID]],
+                           vocab=vocab),
+                episode_of([ids[::-1], [vocab.id_of("zz"), MASK_ID]], vocab=vocab)]
     # one vocabulary with two tables, alternately: each keeps its own rows
     for model in (small, large, small, large):
-        rows = model.batch(episodes, vocab).frozen_rows
+        rows = model.batch(episodes).frozen_rows
         assert rows.tolist() == per_token(model, episodes, vocab)
-    assert large.batch(episodes, vocab).frozen_rows[:6].tolist() == [1, -1, 5, 29, -1, 0]
-    assert small.batch(episodes, vocab).frozen_rows[:6].tolist() == [1, -1, 5, -1, -1, 0]
-    # contexts of sentinels only resolve no vocabulary at all
+    assert large.batch(episodes).frozen_rows[:6].tolist() == [1, -1, 5, 29, -1, 0]
+    assert small.batch(episodes).frozen_rows[:6].tolist() == [1, -1, 5, -1, -1, 0]
+    # contexts of sentinels only map to no table row
     sentinels = [episode_of([[MASK_ID], [UNK_ID, MASK_ID, UNK_ID]])]
     assert small.batch(sentinels).frozen_rows.tolist() == [-1] * 4
     # the transient vocabulary of an inference episode
     ep, transient = episode_from_masked("w03", [["w02", MASK_TOKEN, "qq"],
                                                 [MASK_TOKEN, "w05", "w02", "w40"]])
+    assert ep.vocab is transient
     for model in (small, large):
-        assert model.batch([ep], transient).frozen_rows.tolist() == per_token(model, [ep],
-                                                                              transient)
+        assert model.batch([ep]).frozen_rows.tolist() == per_token(model, [ep], transient)
+
+
+def test_an_inference_episode_is_read_in_its_own_vocabulary():
+    # a model made with a training vocabulary reads an inference episode's
+    # ids in the episode's transient vocabulary, not the training one
+    vocab, _ = make_corpus()
+    config = HiceConfig(embed_dim=DIM, n_heads=2, char_emb_dim=4, char_filters=3, seed=3)
+    model = HiceModel.from_table(config, make_table(), vocab)
+    ep, transient = episode_from_masked("w03", [["w05", MASK_TOKEN, "w07", "w09"],
+                                                [MASK_TOKEN, "w09", "w11"]])
+    assert [vocab.words[t] for t in ep.tokens[ep.tokens >= 0]] != \
+        [transient.words[t] for t in ep.tokens[ep.tokens >= 0]]
+    got = model.predict_vector(ep)
+    assert np.array_equal(got, model.predict_vector(ep, transient))
+    assert np.array_equal(got, model.predict([ep]).data[0])
+    # the same contexts, written in the training vocabulary's ids
+    same = episode_of([[vocab.id_of("w05"), MASK_ID, vocab.id_of("w07"), vocab.id_of("w09")],
+                       [MASK_ID, vocab.id_of("w09"), vocab.id_of("w11")]], vocab=vocab)
+    assert np.array_equal(got, model.predict_vector(same))
+
+
+def test_a_batch_of_episodes_from_two_vocabularies_is_refused():
+    model, table = make_model()
+    _, store = make_corpus()
+    sampled = sample_episode("w03", 2, np.random.default_rng(0), store, table)
+    ep, _ = episode_from_masked("w05", [["w02", MASK_TOKEN, "w07"]])
+    for episodes in ([sampled, ep], [ep, sampled]):
+        with pytest.raises(InputError, match="another vocabulary"):
+            model.batch(episodes)
+    # two inference episodes each carry their own transient vocabulary
+    with pytest.raises(InputError, match="another vocabulary"):
+        model.predict([ep, episode_from_masked("w05", [["w02", MASK_TOKEN, "w07"]])[0]])
 
 
 def test_frozen_rows_never_receive_gradient():
@@ -632,7 +660,7 @@ def test_up_projection_when_dim_not_divisible():
     assert model.input_proj_w is not None
     vocab, store = make_corpus()
     ep = sample_episode("w03", 2, np.random.default_rng(0), store, table)
-    out = model.predict_vector(ep, vocab)
+    out = model.predict_vector(ep)
     assert out.shape == (6,)
 
 
@@ -680,14 +708,14 @@ def test_padded_batch_matches_episodes_one_at_a_time():
     from oov_forge.training import episode_loss
     model, table = make_model()
     vocab, store = make_corpus()
-    model.bind_vocab(vocab)
     rng = np.random.default_rng(11)
     words = [w for w in vocab.words if w in table]
     episodes = [sample_episode(words[i % len(words)], 2 + i % 5, rng, store, table)
                 for i in range(32)]
     three = episodes[3]                                   # a single-token context:
     episodes[3] = episode_reference.episode_of(
-        three.target_word, [three.contexts[0], [MASK_ID]] + three.contexts[2:], three.oracle)
+        three.target_word, [three.contexts[0], [MASK_ID]] + three.contexts[2:], three.oracle,
+        vocab=vocab)
     episodes[7].char_seq = char_sequence("a")             # shorter than every filter
     episodes[8].char_seq = char_sequence("a-much-longer-word")
     assert len({len(ids) for ep in episodes for ids in ep.contexts}) > 3

@@ -43,7 +43,7 @@ class _StubModel:
     def __init__(self, outputs):
         self.outputs = outputs
 
-    def batch(self, episodes, vocab=None):
+    def batch(self, episodes):
         return SimpleNamespace(words=[ep.target_word for ep in episodes],
                                oracles=np.stack([ep.oracle for ep in episodes]))
 
@@ -215,7 +215,7 @@ def test_a_training_step_records_15_nodes_of_the_12_tape_ops():
     rng = np.random.default_rng(0)
     words = eligible_targets(vocab, store, oracle)[:4]
     batch = [sample_episode(w, k, rng, store, oracle) for w, k in zip(words, (2, 3, 4, 6))]
-    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    model = HiceModel.from_table(small_model_config(), oracle)
     with Graph() as g:
         episode_loss(model, batch)
     ops = [node.op for node in g.nodes]
@@ -237,11 +237,11 @@ def test_divergence_aborts_with_step_number(monkeypatch):
     calls = {"n": 0}
     real = training_mod.episode_loss
 
-    def exploding(model, episodes, vocab=None):
+    def exploding(model, episodes):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise NumericError("cosine: non-finite value produced")
-        return real(model, episodes, vocab)
+        return real(model, episodes)
 
     monkeypatch.setattr(training_mod, "episode_loss", exploding)
     cfg = TrainConfig(steps=5, batch_episodes=2, validation_every=5, seed=0)
@@ -269,7 +269,7 @@ def test_train_report_csv_shape():
 
 def test_checkpoint_roundtrip_float32_identical(tmp_path):
     vocab, store, table, oracle, _ = small_task()
-    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    model = HiceModel.from_table(small_model_config(), oracle)
     path = tmp_path / "model.hice"
     save_checkpoint(model, path, extra_config={"note": "unit-test"})
     loaded = load_checkpoint(path)
@@ -290,7 +290,7 @@ def test_a_load_draws_no_random_numbers(tmp_path, monkeypatch):
     # the parameters come from the file's arrays, not from a seeded draw
     vocab, store, table, oracle, _ = small_task()
     path = tmp_path / "model.hice"
-    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle), path)
 
     def no_draws(*args, **kwargs):
         raise AssertionError("load_checkpoint drew random numbers")
@@ -309,7 +309,7 @@ def test_a_load_draws_no_random_numbers(tmp_path, monkeypatch):
 def test_a_load_leaves_no_file_open(tmp_path, monkeypatch):
     vocab, store, table, oracle, _ = small_task()
     path = tmp_path / "model.hice"
-    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle), path)
     unraisable = []  # a ResourceWarning raised while a file object is collected
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
     with warnings.catch_warnings():
@@ -380,7 +380,7 @@ def test_checkpoint_with_an_unexpected_array_is_a_format_error(tmp_path):
     # a config rewritten to drop the aggregator must not load without it
     vocab, store, table, oracle, _ = small_task()
     path = tmp_path / "model.hice"
-    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle), path)
     config, arrays = read_container(path, "HICE1")
     write_container(path, "HICE1", {**config, "n_agg_blocks": "0"}, arrays)
     with pytest.raises(FormatError, match="unexpected array 'agg0.wq'"):
@@ -389,7 +389,7 @@ def test_checkpoint_with_an_unexpected_array_is_a_format_error(tmp_path):
 
 def test_checkpoint_config_survives_textually(tmp_path):
     vocab, store, table, oracle, _ = small_task()
-    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    model = HiceModel.from_table(small_model_config(), oracle)
     path = tmp_path / "model.hice"
     save_checkpoint(model, path, extra_config={"run.note": "abc def", "adapted": "true"})
     config, _ = read_container(path, CHECKPOINT_MAGIC)
@@ -400,7 +400,7 @@ def test_checkpoint_config_survives_textually(tmp_path):
 
 def test_checkpoint_truncation_is_a_typed_error(tmp_path):
     vocab, store, table, oracle, _ = small_task()
-    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    model = HiceModel.from_table(small_model_config(), oracle)
     path = tmp_path / "model.hice"
     save_checkpoint(model, path)
     blob = path.read_bytes()
@@ -418,7 +418,7 @@ def test_checkpoint_truncation_is_a_typed_error(tmp_path):
 ])
 def test_checkpoint_frozen_block_must_be_whole(tmp_path, edit, message):
     vocab, store, table, oracle, _ = small_task()
-    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    model = HiceModel.from_table(small_model_config(), oracle)
     path = tmp_path / "model.hice"
     save_checkpoint(model, path)
     config, arrays = read_container(path, "HICE1")
@@ -438,7 +438,7 @@ def test_checkpoint_frozen_block_must_be_whole(tmp_path, edit, message):
 def test_checkpoint_with_an_unknown_context_pool_is_a_format_error(tmp_path, pool):
     vocab, store, table, oracle, _ = small_task()
     path = tmp_path / "model.hice"
-    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle), path)
     config, arrays = read_container(path, "HICE1")
     write_container(path, "HICE1", {**config, "context_pool": pool}, arrays)
     with pytest.raises(FormatError, match="context_pool"):
@@ -448,7 +448,7 @@ def test_checkpoint_with_an_unknown_context_pool_is_a_format_error(tmp_path, poo
 def test_per_head_checkpoint_is_a_format_error(tmp_path):
     # a file that keeps one array per head and projection does not load
     vocab, store, table, oracle, _ = small_task()
-    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    model = HiceModel.from_table(small_model_config(), oracle)
     path = tmp_path / "model.hice"
     save_checkpoint(model, path)
     config, arrays = read_container(path, "HICE1")
@@ -483,7 +483,7 @@ def test_per_head_checkpoint_is_a_format_error(tmp_path):
 def test_checkpoint_with_a_bad_config_value_is_a_format_error(tmp_path, edit):
     vocab, store, table, oracle, _ = small_task()
     path = tmp_path / "model.hice"
-    save_checkpoint(HiceModel.from_table(small_model_config(), oracle, vocab), path)
+    save_checkpoint(HiceModel.from_table(small_model_config(), oracle), path)
     config, arrays = read_container(path, "HICE1")
     config = {k: v for k, v in {**config, **edit}.items() if v is not None}
     write_container(path, "HICE1", config, arrays)
@@ -566,9 +566,9 @@ def test_train_and_a_load_keep_every_parameter_on_the_vectors(tmp_path):
     assert report.best_step > 0  # the best state was restored
     assert_on_vectors(model, _probes(vocab, store, oracle))
     loaded = load_checkpoint(path)
-    loaded.predict(_probes(vocab, store, oracle), vocab)
+    loaded.predict(_probes(vocab, store, oracle))
     assert loaded.parameters().grad is None  # inference allocates no gradient vector
-    assert_on_vectors(loaded, _probes(vocab, store, oracle), vocab)
+    assert_on_vectors(loaded, _probes(vocab, store, oracle))
 
 
 def test_adam_returns_the_gradient_norm_and_clip_factor():
@@ -619,7 +619,7 @@ def test_without_morphology_its_parameters_and_moments_stay_put(monkeypatch):
     vocab, store, table, oracle, _ = small_task()
     config = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3,
                         use_morph=False, seed=0)
-    model = HiceModel.from_table(config, oracle, vocab)
+    model = HiceModel.from_table(config, oracle)
     before = {name: p.data.tobytes() for name, p in model.parameters()}
     cfg = TrainConfig(steps=10, batch_episodes=8, validation_every=5, seed=1)
     train(cfg, vocab, store, oracle, model=model)
@@ -638,7 +638,7 @@ def test_without_morphology_its_parameters_and_moments_stay_put(monkeypatch):
 
 def test_a_checkpoint_with_a_nonfinite_payload_is_refused(tmp_path):
     vocab, store, table, oracle, _ = small_task()
-    model = HiceModel.from_table(small_model_config(), oracle, vocab)
+    model = HiceModel.from_table(small_model_config(), oracle)
     config = dict(model.config.as_dict(), format="hice-checkpoint")
     arrays = [(name, np.array(arr, dtype=np.float32)) for name, arr in model.state_arrays()
               if name != "frozen_words"] + [("frozen_words", model.state_arrays()[-1][1])]

@@ -6,7 +6,7 @@ from oov_forge.tensor import Graph, backward
 from oov_forge.training import episode_loss
 
 
-def assert_on_vectors(model, episodes, vocab=None):
+def assert_on_vectors(model, episodes):
     """Each parameter's value is its slice of the model's value vector, and
     after a backward pass over ``episodes`` each gradient is its slice of
     the gradient vector. Leaves the gradients zeroed."""
@@ -18,7 +18,7 @@ def assert_on_vectors(model, episodes, vocab=None):
         assert p.data.size == hi - lo and np.shares_memory(p.data, params.data[lo:hi]), name
     model.zero_grads()
     with Graph():
-        backward(episode_loss(model, episodes, vocab)[0])
+        backward(episode_loss(model, episodes)[0])
     assert any(p.grad is not None for _, p in params)
     for (name, p), lo, hi in spans:
         if p.grad is not None:
