@@ -113,12 +113,14 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
           source: tuple[Vocabulary, SentenceStore, EmbeddingTable] | None,
           target: tuple[Vocabulary, SentenceStore, EmbeddingTable]) -> HiceModel:
     """Run ``adapt_steps`` meta-updates against the target corpus. At alpha = 0
-    nothing is drawn from the source corpus, which may then be None."""
+    nothing is drawn from the source corpus, which may then be None. Each
+    corpus is (vocabulary, store, table); the vocabulary, kept for the
+    benchmark's pinned call, is not read: a store holds its own."""
     if cfg.alpha and source is None:
         raise AdaptationError("adaptation at alpha > 0 needs a source corpus")
-    vocab_t, store_t, table_t = source or (None, None, None)
-    vocab_n, store_n, table_n = target
-    words_n = eligible_targets(vocab_n, store_n, table_n, cfg.target_min_count)
+    _, store_t, table_t = source or (None, None, None)
+    _, store_n, table_n = target
+    words_n = eligible_targets(store_n.vocab, store_n, table_n, cfg.target_min_count)
     if not words_n:
         raise AdaptationError(
             "no eligible adaptation words: nothing in the new corpus is both "
@@ -126,10 +128,10 @@ def adapt(model: HiceModel, cfg: AdaptConfig,
         )
     if cfg.adapt_steps == 0:
         return model
-    stream_t = (episode_stream(vocab_t, store_t, table_t, ADAPT_K_RANGE, cfg.seed,
+    stream_t = (episode_stream(store_t, table_t, ADAPT_K_RANGE, cfg.seed,
                                batch=cfg.batch_episodes) if cfg.alpha else None)
-    stream_n = episode_stream(vocab_n, store_n, table_n, ADAPT_K_RANGE,
-                              cfg.seed + 1, batch=cfg.batch_episodes, words=words_n)
+    stream_n = episode_stream(store_n, table_n, ADAPT_K_RANGE, cfg.seed + 1,
+                              batch=cfg.batch_episodes, words=words_n)
     for _ in range(cfg.adapt_steps):
         batch_n = next(stream_n)
         batch_t = next(stream_t) if cfg.alpha else []

@@ -34,7 +34,7 @@ from .adaptation import AdaptConfig, adapt
 from .container import atomic_open, config_value
 from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
                      SentenceStore, Vocabulary, contexts_of, format_vector,
-                     load_embeddings, prepare_corpus, read_text)
+                     load_embeddings, load_stopwords, prepare_corpus, read_text)
 from .episode import (MASK_TOKEN, decode_context, eligible_targets,
                       episode_from_masked, sample_episodes, split_targets)
 from .errors import (AdaptationError, EvaluationError, FormatError,
@@ -155,20 +155,21 @@ SPLIT_FILE = "split.txt"
 RUN_CONFIG_FILE = "run_config.txt"
 
 
-def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable,
+def write_prepared(out_dir: Path, store: SentenceStore, table: EmbeddingTable,
                    run_cfg: dict[str, str]) -> tuple[list[str], list[str]]:
     """Write the four files of a prepared directory, with the training
     targets and split of ``split_targets``; no file is replaced until every
     write has succeeded."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_words, val_words = split_targets(vocab, store, table)
+    train_words, val_words = split_targets(store, table)
+    stopwords = load_stopwords()
     eligible = set(train_words + val_words)
     with ExitStack() as stack:
         vocab_fh, sent_fh, split_fh = (
             stack.enter_context(atomic_open(out_dir / name, "w", encoding="utf-8"))
             for name in (VOCAB_FILE, SENTENCES_FILE, SPLIT_FILE))
-        for i, word in enumerate(vocab.words):
-            vocab_fh.write(f"{word}\t{vocab.counts[i]}\t{int(vocab.stop_flags[i])}\t"
+        for word, count in zip(store.vocab.words, store.counts.tolist()):
+            vocab_fh.write(f"{word}\t{count}\t{int(word in stopwords)}\t"
                            f"{int(word in eligible)}\n")
         tokens, offsets = store.tokens.tolist(), store.offsets.tolist()
         for lo, hi in zip(offsets, offsets[1:]):
@@ -183,21 +184,24 @@ def write_prepared(out_dir: Path, vocab: Vocabulary, store: SentenceStore, table
     return train_words, val_words
 
 
-def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, str]]:
+def load_prepared(prepared_dir) -> tuple[SentenceStore, dict[str, str]]:
+    """The store and run config of a prepared directory. The count, stopword
+    and eligible columns of the vocabulary file are checked, then dropped:
+    they are what ``prepare`` found, and ``train`` recomputes them."""
     prepared_dir = Path(prepared_dir)
     run_cfg = load_config_file(prepared_dir / RUN_CONFIG_FILE)
     min_count = config_value(run_cfg, "min_count", int, str(DEFAULT_MIN_COUNT))
-    words, counts, stops, seen = [], [], [], set()
+    words, seen = [], set()
     vocab_lines = read_text(prepared_dir / VOCAB_FILE, "prepared").splitlines()
     for lineno, line in enumerate(vocab_lines, start=1):
         parts = line.split("\t")
         if len(parts) != 4:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: expected 4 fields")
         try:
-            counts.append(int(parts[1]))
+            count = int(parts[1])
         except ValueError:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: non-integer count") from None
-        if counts[-1] < 1:
+        if count < 1:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: count below 1")
         if not {parts[2], parts[3]} <= {"0", "1"}:
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: stop and eligible flags "
@@ -206,8 +210,7 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
             raise FormatError(f"{VOCAB_FILE}: line {lineno}: repeated word {parts[0]!r}")
         seen.add(parts[0])
         words.append(parts[0])
-        stops.append(parts[2] == "1")
-    vocab = Vocabulary(words, counts, stops, min_count)
+    vocab = Vocabulary(words, min_count)
     lines = [line.split() for line in
              read_text(prepared_dir / SENTENCES_FILE, "prepared").splitlines()]
     offsets = np.zeros(len(lines) + 1, dtype=np.intp)
@@ -234,7 +237,7 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
     bad = np.flatnonzero((tokens < 0) | (tokens >= len(words)))
     if bad.size:
         raise out_of_range(int(np.searchsorted(offsets, bad[0], side="right")))
-    return vocab, SentenceStore(tokens, offsets, vocab), run_cfg
+    return SentenceStore(tokens, offsets, vocab), run_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +246,7 @@ def load_prepared(prepared_dir) -> tuple[Vocabulary, SentenceStore, dict[str, st
 
 def cmd_prepare(args) -> int:
     min_count = effective(args, "min_count", DEFAULT_MIN_COUNT)
-    vocab, store = prepare_corpus(args.corpus, min_count=min_count)
+    _, store = prepare_corpus(args.corpus, min_count=min_count)
     table = load_embeddings(args.embeddings)
     run_cfg = run_config_dict("prepare", {
         "corpus": args.corpus,
@@ -252,8 +255,8 @@ def cmd_prepare(args) -> int:
         "tokenizer.lowercase": "true",
         "tokenizer.strip_chars": STRIP_CHARS,
     })
-    train_words, val_words = write_prepared(Path(args.out_dir), vocab, store, table, run_cfg)
-    print(f"vocabulary: {len(vocab)} words")
+    train_words, val_words = write_prepared(Path(args.out_dir), store, table, run_cfg)
+    print(f"vocabulary: {len(store.vocab)} words")
     print(f"sentences: {len(store)}")
     print(f"target-eligible (count > {min_count}, nonzero table row): "
           f"{len(train_words) + len(val_words)}")
@@ -270,13 +273,13 @@ def _embeddings(args, run_cfg: dict[str, str]) -> tuple[str, EmbeddingTable]:
 
 
 def cmd_train(args) -> int:
-    vocab, store, run_cfg = load_prepared(args.prepared_dir)
+    store, run_cfg = load_prepared(args.prepared_dir)
     emb_path, table = _embeddings(args, run_cfg)
     settings = resolve(args, TRAIN_SETTINGS)
     tc = TrainConfig(**config_fields(TrainConfig, TRAIN_SETTINGS, settings))
     mc = HiceConfig(embed_dim=table.dim, use_morph=not args.no_morph, seed=tc.seed,
                     **config_fields(HiceConfig, TRAIN_SETTINGS, settings))
-    model, report = train(tc, vocab, store, table, model=HiceModel.from_table(mc, table))
+    model, report = train(tc, store.vocab, store, table, model=HiceModel.from_table(mc, table))
     out = Path(args.out or (Path(args.prepared_dir) / "model.hice"))
     extra = run_config_dict("train", {
         "prepared_dir": args.prepared_dir,
@@ -309,7 +312,8 @@ def cmd_adapt(args) -> int:
     emb_path, table = _embeddings(args, run_cfg)
     model = load_checkpoint(args.checkpoint)
     vocab_n, store_n = prepare_corpus(args.target_corpus, min_count=1)
-    source = load_prepared(args.source_dir)[:2] + (table,) if cfg.alpha else None
+    store = load_prepared(args.source_dir)[0] if cfg.alpha else None
+    source = None if store is None else (store.vocab, store, table)
     adapt(model, cfg, source, (vocab_n, store_n, table))
     out = Path(args.out or (args.checkpoint + ".adapted"))
     extra = run_config_dict("adapt", {
@@ -401,14 +405,14 @@ def _load_or_fit(methods: list[str], args, table: EmbeddingTable):
             f"methods {sorted(need_fit)} need --prepared-dir (to fit) or a "
             "--alacarte-model/--ngram-model file"
         )
-    vocab, store, run_cfg = load_prepared(args.prepared_dir)
-    words = eligible_targets(vocab, store, table)[: args.fit_samples]
+    store, _ = load_prepared(args.prepared_dir)
+    words = eligible_targets(store.vocab, store, table)[: args.fit_samples]
     if "alacarte" in need_fit:
         rng = np.random.default_rng(effective(args, "seed", 0))
         pairs = []
         for ep in sample_episodes([(w, min(6, len(contexts_of(w, store)))) for w in words],
                                   rng, store, table):
-            ctxs = [decode_context(ids, vocab) for ids in ep.contexts]
+            ctxs = [decode_context(ids, ep.vocab) for ids in ep.contexts]
             base = baselines.additive(ctxs, table)
             if not base.empty:
                 pairs.append((base.vector, table[ep.target_word].astype(np.float64)))

@@ -14,7 +14,6 @@ import hashlib
 import io
 import os
 import string
-from collections import Counter
 from collections.abc import Iterator, Mapping
 from functools import cache, cached_property
 from importlib import resources
@@ -68,33 +67,22 @@ def load_stopwords() -> frozenset[str]:
 
 
 class Vocabulary:
-    """Dense word ids with occurrence counts and stopword flags.
+    """Dense word ids, in first-appearance order.
 
     All corpus words are retained (context lookup needs them); min_count is
     the default count that a training target must exceed
-    (``episode.eligible_targets``).
+    (``episode.eligible_targets``). The counts are the corpus's:
+    ``SentenceStore.counts``.
     """
 
-    def __init__(self, words: list[str], counts: list[int],
-                 stop_flags: list[bool], min_count: int):
+    def __init__(self, words: list[str], min_count: int):
         self.words = words
-        self.counts = counts
-        self.stop_flags = stop_flags
         self.min_count = min_count
         self.ids = {w: i for i, w in enumerate(words)}
         self._rows: tuple[EmbeddingTable, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.ids
-
-    def id_of(self, word: str) -> int | None:
-        return self.ids.get(word)
-
-    def word_of(self, wid: int) -> str:
-        return self.words[wid]
 
     def rows_in(self, table: EmbeddingTable) -> np.ndarray:
         """intp [V]: the row of each word in ``table``, -1 where it has none.
@@ -108,23 +96,20 @@ class Vocabulary:
 
 def build_vocab(sentences: list[list[str]],
                 min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
-    """Count words over tokenized sentences; ids follow first appearance."""
+    """The words of tokenized sentences; ids follow first appearance."""
     if min_count < 1:
         raise IngestionError(f"min_count must be >= 1, got {min_count}")
     if not any(sentences):
         raise IngestionError("empty corpus")
-    stopwords = load_stopwords()
-    counts = Counter(chain.from_iterable(sentences))  # keys in first-appearance order
-    words = list(counts)
-    return Vocabulary(words, list(counts.values()), [w in stopwords for w in words],
-                      min_count)
+    return Vocabulary(list(dict.fromkeys(chain.from_iterable(sentences))), min_count)
 
 
 class SentenceStore:
-    """The corpus as arrays. ``tokens`` holds every sentence's vocabulary
-    ids back to back (int32), sentence i being
-    ``tokens[offsets[i]:offsets[i + 1]]``. The inverted index is in CSR
-    form: the sentences that contain word w are
+    """The corpus as arrays, over its one vocabulary ``vocab``. ``tokens``
+    holds every sentence's vocabulary ids back to back (int32), sentence i
+    being ``tokens[offsets[i]:offsets[i + 1]]``, and ``counts[w]`` is the
+    number of tokens of word w. The inverted index is in CSR form: the
+    sentences that contain word w are
     ``index_sentences[index_ptr[w]:index_ptr[w + 1]]``, ascending, and the
     same slots of ``index_first`` hold w's first position in each.
 
@@ -139,7 +124,8 @@ class SentenceStore:
         self.tokens = np.asarray(tokens, dtype=np.int32)
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self.vocab = vocab
-        # the last [vocab, table, threshold, targets, split] of episode.eligible_targets
+        self.counts = np.bincount(self.tokens, minlength=len(vocab))
+        # the last [table, threshold, targets, split] of episode.eligible_targets
         self._targets: list | None = None
         sentence = np.repeat(np.arange(len(self), dtype=np.int32), np.diff(self.offsets))
         # the token slots grouped by word, each group in corpus order; the
@@ -164,8 +150,8 @@ class SentenceStore:
         del sentence
         slots -= self.offsets[self.index_sentences]
         self.index_first = slots.astype(np.int32)
-        for arr in (self.tokens, self.offsets, self.index_sentences, self.index_first,
-                    self.index_ptr):
+        for arr in (self.tokens, self.offsets, self.counts, self.index_sentences,
+                    self.index_first, self.index_ptr):
             arr.flags.writeable = False
 
     @classmethod
@@ -178,7 +164,7 @@ class SentenceStore:
 
     def slots_of(self, word: str) -> slice:
         """The word's slots of ``index_sentences`` and ``index_first``."""
-        wid = self.vocab.id_of(word)
+        wid = self.vocab.ids.get(word)
         if wid is None:
             raise IngestionError(f"unknown word: {word!r}")
         return slice(int(self.index_ptr[wid]), int(self.index_ptr[wid + 1]))

@@ -102,7 +102,7 @@ def decode_context(ids: list[int], vocab: Vocabulary) -> list[str]:
         elif tid == UNK_ID:
             out.append(UNK_TOKEN)
         else:
-            out.append(vocab.word_of(tid))
+            out.append(vocab.words[tid])
     return out
 
 
@@ -175,7 +175,7 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
         firsts.append(sent.index(MASK_TOKEN))
     words = dict.fromkeys(chain.from_iterable(masked_sentences))
     words.pop(MASK_TOKEN)
-    vocab = Vocabulary(list(words), [1] * len(words), [False] * len(words), min_count=1)
+    vocab = Vocabulary(list(words), min_count=1)
     ids = {MASK_TOKEN: MASK_ID, **vocab.ids}
     lengths = np.fromiter(map(len, masked_sentences), dtype=np.intp,
                           count=len(masked_sentences))
@@ -188,54 +188,54 @@ def episode_from_masked(word: str, masked_sentences: list[list[str]],
                    vocab), vocab
 
 
-def _targets(vocab: Vocabulary, store: SentenceStore, table: EmbeddingTable | None,
+def _targets(store: SentenceStore, table: EmbeddingTable | None,
              min_count: int | None) -> list:
-    """The [vocab, table, threshold, targets, split] kept on ``store``, made
-    anew when one of the arguments differs; the split is filled in when
+    """The [table, threshold, targets, split] kept on ``store``, made anew
+    when the table or the threshold differs; the split is filled in when
     first asked for."""
-    threshold = vocab.min_count if min_count is None else min_count
+    threshold = store.vocab.min_count if min_count is None else min_count
     kept = store._targets
-    if kept is None or kept[0] is not vocab or kept[1] is not table or kept[2] != threshold:
-        keep = np.asarray(vocab.counts) > threshold
+    if kept is None or kept[0] is not table or kept[1] != threshold:
+        keep = store.counts > max(threshold, 0)  # a word in no sentence counts 0
         if table is not None:
-            rows = vocab.rows_in(table)
+            rows = store.vocab.rows_in(table)
             keep &= rows >= 0
             keep[keep] = table.row_norms[rows[keep]] > 0
-        seen = np.diff(store.index_ptr) > 0
-        words = tuple(vocab.words[i] for i in np.flatnonzero(keep & seen))
-        kept = store._targets = [vocab, table, threshold, words, None]
+        words = tuple(store.vocab.words[i] for i in np.flatnonzero(keep))
+        kept = store._targets = [table, threshold, words, None]
     return kept
 
 
 def eligible_targets(vocab: Vocabulary, store: SentenceStore,
                      table: EmbeddingTable | None, min_count: int | None = None) -> list[str]:
-    """The training targets, in vocabulary order: words counted more than
-    ``min_count`` times (default ``vocab.min_count``), with a nonzero row
-    in the oracle table (cosine needs one), and in at least one sentence.
-    The last result is kept on the store, since a store's sentences and a
-    table are read-only."""
-    return list(_targets(vocab, store, table, min_count)[3])
+    """The training targets, in the order of ``store.vocab``: words that
+    occur in the store more than ``min_count`` times (default
+    ``store.vocab.min_count``) and have a nonzero row in the oracle table
+    (cosine needs one). The last result is kept on the store, since a
+    store's sentences and a table are read-only. ``vocab`` is accepted for
+    the benchmark's pinned call and not read: the store holds its own."""
+    return list(_targets(store, table, min_count)[2])
 
 
-def split_targets(vocab: Vocabulary, store: SentenceStore,
+def split_targets(store: SentenceStore,
                   table: EmbeddingTable | None) -> tuple[list[str], list[str]]:
-    """``split_words`` of ``eligible_targets(vocab, store, table)``, kept with
-    it. A tiny corpus can hash every target into one part: then, given two
-    or more targets, the last one is held out for validation."""
-    kept = _targets(vocab, store, table, None)
-    if kept[4] is None:
-        words = kept[3]
+    """``split_words`` of the store's targets (``eligible_targets``), kept
+    with them. A tiny corpus can hash every target into one part: then,
+    given two or more targets, the last one is held out for validation."""
+    kept = _targets(store, table, None)
+    if kept[3] is None:
+        words = kept[2]
         train, val = split_words(words)
         if len(words) >= 2 and not (train and val):
             train, val = words[:-1], words[-1:]
-        kept[4] = (tuple(train), tuple(val))
-    train, val = kept[4]
+        kept[3] = (tuple(train), tuple(val))
+    train, val = kept[3]
     return list(train), list(val)
 
 
-def episode_stream(vocab: Vocabulary, store: SentenceStore,
-                   table: EmbeddingTable | None, k: tuple[int, int], seed: int,
-                   batch: int, words: list[str] | None = None) -> Iterator[list[Episode]]:
+def episode_stream(store: SentenceStore, table: EmbeddingTable | None, k: tuple[int, int],
+                   seed: int, batch: int, words: list[str] | None = None
+                   ) -> Iterator[list[Episode]]:
     """Infinite deterministic-for-seed stream of episode batches: each
     ``next`` is one ``sample_episodes`` list of ``batch`` episodes.
 
@@ -245,7 +245,7 @@ def episode_stream(vocab: Vocabulary, store: SentenceStore,
     taken in order, do not depend on ``batch``.
     """
     if words is None:
-        words = eligible_targets(vocab, store, table)
+        words = _targets(store, table, None)[2]
     if not words:
         raise EpisodeError("no eligible target words")
     lo, hi = k

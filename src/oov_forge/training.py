@@ -167,12 +167,13 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
           table: EmbeddingTable, model: HiceModel | None = None
           ) -> tuple[HiceModel, TrainReport]:
     """Run episodic training of ``model``, by default a fresh model of the
-    default config seeded with ``config.seed``; returns the best-validation
-    model and report."""
+    default config seeded with ``config.seed``, on the targets of ``store``;
+    returns the best-validation model and report. ``vocab`` is accepted for
+    the benchmark's pinned call and not read: the store holds its own."""
     if model is None:
         model = HiceModel.from_table(HiceConfig(embed_dim=table.dim, seed=config.seed), table)
 
-    train_words, val_words = split_targets(vocab, store, table)
+    train_words, val_words = split_targets(store, table)
     if not (train_words and val_words):
         raise TrainingError("need at least 2 eligible target words to split, have "
                             f"{len(train_words) + len(val_words)}")
@@ -182,8 +183,8 @@ def train(config: TrainConfig, vocab: Vocabulary, store: SentenceStore,
         return model, report
 
     val_probes = model.batch(build_validation_episodes(val_words, store, table, config))
-    stream = episode_stream(vocab, store, table, (config.k_min, config.k_max),
-                            config.seed, batch=config.batch_episodes, words=train_words)
+    stream = episode_stream(store, table, (config.k_min, config.k_max), config.seed,
+                            batch=config.batch_episodes, words=train_words)
     opt = Adam(model.parameters(), config.learning_rate, GRAD_CLIP)
 
     best_state: np.ndarray | None = None

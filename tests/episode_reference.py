@@ -10,7 +10,7 @@ from oov_forge.episode import CONTEXT_WINDOW, MASK_ID, Episode, char_sequence
 from oov_forge.errors import EpisodeError, IngestionError
 
 # the id space of episodes whose tokens are all MASK_ID and UNK_ID
-NO_WORDS = Vocabulary([], [], [], min_count=1)
+NO_WORDS = Vocabulary([], min_count=1)
 
 
 class ListStore:
@@ -26,7 +26,7 @@ class ListStore:
                 self.index.setdefault(wid, []).append(sid)
 
     def contexts_of(self, word: str) -> list[int]:
-        wid = self.vocab.id_of(word)
+        wid = self.vocab.ids.get(word)
         if wid is None:
             raise IngestionError(f"unknown word: {word!r}")
         return list(self.index.get(wid, []))
@@ -49,7 +49,7 @@ def sample_episode(word: str, k: int, rng: np.random.Generator, store: ListStore
     sids = store.contexts_of(word)
     if not sids:
         raise EpisodeError(f"no contexts for {word!r}")
-    target_id = store.vocab.id_of(word)
+    target_id = store.vocab.ids[word]
     if len(sids) >= k:
         chosen = rng.choice(len(sids), size=k, replace=False)
     else:

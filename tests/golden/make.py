@@ -92,7 +92,7 @@ def _benchmark(table: EmbeddingTable) -> list[EvalItem]:
 def _model_outputs(workdir: Path, arrays: dict, texts: dict):
     vocab, store, table, _, _ = synthetic_task.planted_task(
         n_topics=6, words_per_topic=8, n_sentences=900, dim=16, seed=11, min_count=4)
-    words = sorted(w for w in table if vocab.id_of(w) is not None)
+    words = sorted(w for w in table if w in vocab.ids)
     # d=16: 40 training steps
     model, report = train(
         TrainConfig(steps=40, batch_episodes=8, seed=3, validation_every=20,

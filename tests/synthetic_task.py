@@ -98,6 +98,6 @@ def sentences_of(store: SentenceStore) -> list[list[int]]:
 
 def corpus_text(store: SentenceStore) -> str:
     """Render a store back to one-sentence-per-line text (CLI fixtures)."""
-    vocab = store.vocab
-    lines = [" ".join(vocab.word_of(t) for t in sent) for sent in sentences_of(store)]
+    words = store.vocab.words
+    lines = [" ".join(words[t] for t in sent) for sent in sentences_of(store)]
     return "\n".join(lines) + "\n"

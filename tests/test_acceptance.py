@@ -231,7 +231,7 @@ def test_criterion_2_permutation_invariance():
         n_topics=10, words_per_topic=12, n_sentences=3000, dim=16, seed=4,
         min_count=4)
     model = HiceModel.from_table(HiceConfig(embed_dim=16, seed=2), oracle)
-    stream = episode_stream(vocab, store, oracle, (2, 6), seed=8, batch=200)
+    stream = episode_stream(store, oracle, (2, 6), seed=8, batch=200)
     rng = np.random.default_rng(9)
     worst = 0.0
     for ep in next(stream):
@@ -269,7 +269,7 @@ def test_criterion_3_update_rule_fidelity():
         n_topics=5, words_per_topic=6, n_sentences=400, dim=8, seed=1,
         min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    stream = episode_stream(vocab, store, oracle, (2, 3), seed=6, batch=3)
+    stream = episode_stream(store, oracle, (2, 3), seed=6, batch=3)
     batch_t = next(stream)
     batch_n = next(stream)
     m1 = HiceModel.from_table(mc, oracle)
@@ -437,12 +437,12 @@ def test_criterion_7_real_benchmark_reproduction():
     detail = "; ".join(f"{s}-shot {report.mean_by_shot[s]:.4f}" for s in (2, 4, 6))
     if fit_dir and os.path.exists(fit_dir):
         from oov_forge.cli import load_prepared
-        vocab, store, _ = load_prepared(fit_dir)
+        store, _ = load_prepared(fit_dir)
         rng = np.random.default_rng(0)
         pairs = []
-        for w in eligible_targets(vocab, store, table)[:2000]:
+        for w in eligible_targets(store.vocab, store, table)[:2000]:
             ep = sample_episode(w, 6, rng, store, table)
-            ctxs = [decode_context(ids, vocab) for ids in ep.contexts]
+            ctxs = [decode_context(ids, ep.vocab) for ids in ep.contexts]
             res = additive(ctxs, table)
             if not res.empty:
                 pairs.append((res.vector, table[w].astype(np.float64)))

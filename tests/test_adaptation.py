@@ -87,7 +87,7 @@ def test_alpha_zero_equals_finetune_step_exactly():
         n_topics=5, words_per_topic=6, n_sentences=400, dim=8, seed=1, min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     beta = 3e-3
-    stream = episode_stream(vocab, store, oracle, (2, 3), seed=9, batch=3)
+    stream = episode_stream(store, oracle, (2, 3), seed=9, batch=3)
     batch_t = next(stream)
     batch_n = next(stream)
 
@@ -122,7 +122,7 @@ def test_a_second_order_update_records_60_nodes(monkeypatch):
     vocab, store, table, oracle, _ = synthetic_task.planted_task(
         n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    stream = episode_stream(vocab, store, oracle, (2, 6), seed=9, batch=8)
+    stream = episode_stream(store, oracle, (2, 6), seed=9, batch=8)
     batch_t, batch_n = next(stream), next(stream)
     nodes, real = [], adaptation.backward
 
@@ -140,7 +140,7 @@ def test_maml_step_reads_no_source_batch_at_alpha_zero():
     vocab, store, table, oracle, _ = synthetic_task.planted_task(
         n_topics=4, words_per_topic=5, n_sentences=200, dim=8, seed=2, min_count=2)
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
-    stream = episode_stream(vocab, store, oracle, (2, 3), seed=9, batch=3)
+    stream = episode_stream(store, oracle, (2, 3), seed=9, batch=3)
     batch_t = next(stream)
     batch_n = next(stream)
     m1 = HiceModel.from_table(mc, oracle)
@@ -224,7 +224,7 @@ def test_pseudo_targets_threshold():
     words = eligible_targets(vocab_n, store_n, oracle_n, min_count=4)
     assert words
     for w in words:
-        assert vocab_n.counts[vocab_n.id_of(w)] > 4
+        assert store_n.counts[vocab_n.ids[w]] > 4
         assert w in oracle_n
 
 
@@ -305,8 +305,8 @@ def test_adapt_at_alpha_zero_draws_no_source_episode(monkeypatch):
     mc = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3, seed=0)
     drawn_from = []
 
-    def counted_stream(vocab, store, table, k, seed, batch, words=None):
-        for episodes in episode_stream(vocab, store, table, k, seed, batch, words=words):
+    def counted_stream(store, table, k, seed, batch, words=None):
+        for episodes in episode_stream(store, table, k, seed, batch, words=words):
             drawn_from.extend([store] * len(episodes))
             yield episodes
 

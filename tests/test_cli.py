@@ -84,10 +84,9 @@ def test_prepare_writes_the_pinned_bytes_and_loads_back_its_store(workdir, prepa
     for name, digest in PREPARED_SHA256.items():
         assert hashlib.sha256((prepared / name).read_bytes()).hexdigest() == digest, name
     vocab, store = prepare_corpus(workdir / "corpus.txt", min_count=4)
-    loaded_vocab, loaded, _ = cli.load_prepared(prepared)
-    assert (loaded_vocab.words, loaded_vocab.counts, loaded_vocab.stop_flags) == \
-        (vocab.words, vocab.counts, vocab.stop_flags)
-    for name in ("tokens", "offsets", "index_ptr", "index_sentences", "index_first"):
+    loaded, _ = cli.load_prepared(prepared)
+    assert (loaded.vocab.words, loaded.vocab.min_count) == (vocab.words, vocab.min_count)
+    for name in ("tokens", "offsets", "counts", "index_ptr", "index_sentences", "index_first"):
         want, got = getattr(store, name), getattr(loaded, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -127,9 +126,9 @@ def _sixty_word_task(root, table_words, zero_word=None):
 
 def _prepared_targets(prep, table_path):
     """The targets and split that train reads from a prepared directory."""
-    vocab, store, _ = cli.load_prepared(prep)
+    store, _ = cli.load_prepared(prep)
     table = load_embeddings(table_path)
-    return eligible_targets(vocab, store, table), split_targets(vocab, store, table)
+    return eligible_targets(store.vocab, store, table), split_targets(store, table)
 
 
 def test_a_zero_table_row_is_no_target_of_train_or_adapt(tmp_path):
@@ -268,6 +267,37 @@ def test_load_prepared_refuses_a_vocab_row_prepare_never_writes(prepared, tmp_pa
         cli.load_prepared(bad)
     assert main(["train", str(bad), "--steps", "0", "--out", str(tmp_path / "m.hice")]) == 2
     assert f"vocab.tsv: line {lineno}: {message}" in capsys.readouterr().err
+
+
+def test_the_count_and_stopword_columns_of_vocab_tsv_are_informational(workdir, prepared,
+                                                                       tmp_path):
+    # they are what prepare found: load_prepared checks them, then the store
+    # recounts its sentences, so a valid edit changes neither counts nor targets
+    table = load_embeddings(workdir / "embeddings.txt")
+    store, _ = cli.load_prepared(prepared)
+    targets, split = eligible_targets(store.vocab, store, table), split_targets(store, table)
+    edited = tmp_path / "prep"
+    shutil.copytree(prepared, edited)
+    rows = [line.split("\t") for line in
+            (edited / cli.VOCAB_FILE).read_text(encoding="utf-8").splitlines()]
+    wid = store.vocab.ids[targets[0]]
+    other = (wid + 1) % len(rows)
+    rows[other][2] = "1" if rows[other][2] == "0" else "0"
+
+    def write_count(count: str) -> None:
+        rows[wid][1] = count
+        (edited / cli.VOCAB_FILE).write_text("".join("\t".join(r) + "\n" for r in rows),
+                                             encoding="utf-8")
+
+    write_count("1")
+    loaded, _ = cli.load_prepared(edited)
+    assert np.array_equal(loaded.counts, store.counts)
+    assert eligible_targets(loaded.vocab, loaded, table) == targets
+    assert split_targets(loaded, table) == split
+    for count, message in (("x", "non-integer count"), ("0", "count below 1")):
+        write_count(count)
+        with pytest.raises(FormatError, match=f"^vocab.tsv: line {wid + 1}: {message}$"):
+            cli.load_prepared(edited)
 
 
 # ---------------------------------------------------------------------------

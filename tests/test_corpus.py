@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oov_forge import cli
 from oov_forge.corpus import (BLOCK_LINES, VAL_FRACTION, EmbeddingTable, SentenceStore,
                               build_vocab, contexts_of, load_embeddings,
                               load_stopwords, parse_plain_block, parse_rows,
@@ -56,27 +57,35 @@ def test_build_vocab_matches_bruteforce_recount(rng):
         for _ in range(200)
     ]
     vocab = build_vocab(sentences, min_count=5)
+    store = SentenceStore.from_tokens(sentences, vocab)
     oracle = Counter(tok for sent in sentences for tok in sent)
     eligible = set(_targets_of(sentences, vocab))
+    assert vocab.words == list(oracle)  # first-appearance order
     for w, n in oracle.items():
-        assert vocab.counts[vocab.id_of(w)] == n
+        assert store.counts[vocab.ids[w]] == n
         assert (w in eligible) == (n > 5)
+    assert not store.counts.flags.writeable
 
 
 def test_build_vocab_counts_order_independent(rng):
     sentences = [["x", "y"], ["y", "z", "z"], ["x"]]
     v1 = build_vocab(sentences, min_count=1)
     v2 = build_vocab(sentences[::-1], min_count=1)
+    s1, s2 = (SentenceStore.from_tokens(s, v) for s, v in ((sentences, v1), (sentences[::-1], v2)))
     for w in ("x", "y", "z"):
-        assert v1.counts[v1.id_of(w)] == v2.counts[v2.id_of(w)]
+        assert s1.counts[v1.ids[w]] == s2.counts[v2.ids[w]]
 
 
-def test_stopword_list_is_reasonable():
+def test_stopword_list_is_reasonable(tmp_path):
     stops = load_stopwords()
     assert 120 <= len(stops) <= 200
     assert {"the", "and", "of", "we"} <= stops
-    vocab = build_vocab([["the", "scooter"]], min_count=1)
-    assert vocab.stop_flags == [True, False]   # "the", "scooter"
+    # the stopword column of a prepared vocabulary flags the words on the list
+    sentences = [["the", "scooter", "the"]]
+    vocab = build_vocab(sentences, min_count=1)
+    cli.write_prepared(tmp_path, SentenceStore.from_tokens(sentences, vocab),
+                       EmbeddingTable(dim=2), {"command": "prepare"})
+    assert (tmp_path / cli.VOCAB_FILE).read_text() == "the\t2\t1\t0\nscooter\t1\t0\t0\n"
 
 
 def test_stopword_list_is_read_once():
@@ -119,8 +128,7 @@ def test_sentence_index_equals_a_linear_scan(vocab_size):
     tokens = rng.choice(pool, 4000).astype(np.int32)
     offsets = np.r_[0, np.cumsum(rng.integers(1, 13, 800))]
     offsets = offsets[offsets < len(tokens)].tolist() + [len(tokens)]
-    vocab = Vocabulary([f"w{i}" for i in range(vocab_size)], [1] * vocab_size,
-                       [False] * vocab_size, 1)
+    vocab = Vocabulary([f"w{i}" for i in range(vocab_size)], 1)
     store = SentenceStore(tokens, np.array(offsets), vocab)
     found: dict[int, list[tuple[int, int]]] = {}
     for s in range(len(offsets) - 1):

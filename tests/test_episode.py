@@ -1,5 +1,7 @@
 import gc
 import weakref
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -73,7 +75,7 @@ def test_masking_is_total_and_in_place():
     ctx = ep.contexts[0]
     pos = tokens.index("scooter")
     assert ctx[pos] == MASK_ID
-    assert vocab.id_of("scooter") not in ctx
+    assert vocab.ids["scooter"] not in ctx
     assert decode_context(ctx, vocab)[pos] == MASK_TOKEN
 
 
@@ -84,7 +86,7 @@ def test_exhaustive_draw_when_k_equals_context_count():
     masked_sets = sorted(tuple(c) for c in ep.contexts)
     wid = {t for ctx in ep.contexts for t in ctx}
     assert len(ep.contexts) == 3
-    assert vocab.id_of("w") not in wid
+    assert vocab.ids["w"] not in wid
     # each of the three sentences contributes exactly once
     assert len(set(masked_sets)) == 3
 
@@ -105,7 +107,7 @@ def test_multiple_occurrences_all_masked_window_on_first():
     assert ctx[0] == MASK_ID                       # centered on first occurrence
     assert len(ctx) == 1 + CONTEXT_WINDOW          # nothing to the left
     assert ctx[6] == ctx[8] == MASK_ID
-    assert vocab.id_of("w") not in ctx
+    assert vocab.ids["w"] not in ctx
 
 
 def test_window_bounds_sequence_length():
@@ -143,7 +145,7 @@ def test_sampling_uniformity_over_four_contexts():
     vocab, store = _mini_store(sentences)
     rng = np.random.default_rng(7)
     freq = np.zeros(4)
-    marker_ids = [vocab.id_of(f"m{i}") for i in range(4)]
+    marker_ids = [vocab.ids[f"m{i}"] for i in range(4)]
     for _ in range(10_000):
         ep = sample_episode("t", 1, rng, store)
         marker = [t for t in ep.contexts[0] if t != MASK_ID][0]
@@ -218,7 +220,7 @@ def test_packed_stream_and_probes_equal_the_list_sampler(batch):
     words = eligible_targets(vocab, store, table, 0)
     coverage = dict.fromkeys(["first token", "last token", "short sentence",
                               "repeated target"], 0)
-    stream = episode_stream(vocab, store, table, (1, 6), seed=4, batch=batch, words=words)
+    stream = episode_stream(store, table, (1, 6), seed=4, batch=batch, words=words)
     reference = ref.episode_stream(words, listed, table, (1, 6), seed=4)
     for _ in range(100 // batch + 1):
         episodes = next(stream)
@@ -257,7 +259,7 @@ def test_stream_single_eligible_word_always_targets_it():
     sentences = [["solo", "x", "solo"], ["solo", "y"]]
     vocab, store = _mini_store(sentences)
     table = _table_for(vocab)
-    stream = episode_stream(vocab, store, table, (2, 2), seed=0, batch=10, words=["solo"])
+    stream = episode_stream(store, table, (2, 2), seed=0, batch=10, words=["solo"])
     for ep in next(stream):
         assert ep.target_word == "solo"
 
@@ -268,7 +270,7 @@ def test_stream_replay_first_100_identical():
     table = _table_for(vocab)
 
     def first100(seed):
-        stream = episode_stream(vocab, store, table, (2, 6), seed=seed, batch=100)
+        stream = episode_stream(store, table, (2, 6), seed=seed, batch=100)
         return [(e.target_word, tuple(map(tuple, e.contexts))) for e in next(stream)]
 
     assert first100(5) == first100(5)
@@ -278,7 +280,7 @@ def test_stream_replay_first_100_identical():
 def test_stream_supports_six_shot():
     sentences = [["t", f"w{i}"] for i in range(8)]
     vocab, store = _mini_store(sentences)
-    stream = episode_stream(vocab, store, None, (6, 6), seed=0, batch=1, words=["t"])
+    stream = episode_stream(store, None, (6, 6), seed=0, batch=1, words=["t"])
     ep, = next(stream)
     assert ep.k == 6
 
@@ -287,17 +289,17 @@ def test_stream_no_targets_raises():
     sentences = [["a", "b"]]
     vocab, store = _mini_store(sentences)
     with pytest.raises(EpisodeError):
-        episode_stream(vocab, store, None, (2, 2), seed=0, batch=1, words=[])
+        episode_stream(store, None, (2, 2), seed=0, batch=1, words=[])
 
 
 def test_no_episode_leaks_target_id():
     sentences = [[f"w{i % 7}", "t", f"w{(i + 1) % 7}", "t"] for i in range(30)]
     vocab, store = _mini_store(sentences)
     table = _table_for(vocab)
-    stream = episode_stream(vocab, store, table, (2, 6), seed=3, batch=200)
+    stream = episode_stream(store, table, (2, 6), seed=3, batch=200)
     for ep in next(stream):
         for ctx in ep.contexts:
-            assert vocab.id_of(ep.target_word) not in ctx
+            assert vocab.ids[ep.target_word] not in ctx
             assert MASK_ID in ctx
 
 
@@ -318,13 +320,13 @@ def test_episode_from_masked_masks_and_builds_transient_vocab():
     assert ep.k == 2
     assert all(MASK_ID in ctx for ctx in ep.contexts)
     assert vocab.words == ["a", "b", "c"]
-    assert ep.contexts[1] == [MASK_ID, MASK_ID, vocab.id_of("c")]
+    assert ep.contexts[1] == [MASK_ID, MASK_ID, vocab.ids["c"]]
 
 
 def test_episode_from_masked_returns_usable_vocab():
     masked = [["a", MASK_TOKEN, "b"], [MASK_TOKEN, "c"]]
     ep, vocab = episode_from_masked("word", masked)
-    assert ep.contexts[0] == [vocab.id_of("a"), MASK_ID, vocab.id_of("b")]
+    assert ep.contexts[0] == [vocab.ids["a"], MASK_ID, vocab.ids["b"]]
     assert ep.char_seq == char_sequence("word")
     with pytest.raises(EpisodeError):
         episode_from_masked("word", [["no", "marker"]])
@@ -382,11 +384,15 @@ def test_mask_window_equals_masking_the_sentence_then_windowing(data):
 # target selection
 # ---------------------------------------------------------------------------
 
-def _loop_eligible(vocab, store, table):
-    """The training targets as a loop over the vocabulary selected them."""
+def _loop_eligible(store, table, min_count=None):
+    """The training targets as a loop over the store's vocabulary selected
+    them, each word counted over the store's sentences."""
+    vocab = store.vocab
+    threshold = vocab.min_count if min_count is None else min_count
+    counts = Counter(chain.from_iterable(sentences_of(store)))
     out = []
     for wid, w in enumerate(vocab.words):
-        if vocab.counts[wid] <= vocab.min_count:
+        if counts[wid] <= threshold:
             continue
         if table is not None and (w not in table or not np.any(table[w])):
             continue
@@ -406,22 +412,16 @@ def _loop_split(words):
     return train, val
 
 
-def _loop_pseudo(vocab_n, store_n, table, min_count):
-    """The adaptation targets as a loop over the vocabulary selected them."""
-    return [word for wid, word in enumerate(vocab_n.words)
-            if vocab_n.counts[wid] > min_count and word in table and np.any(table[word])
-            and len(contexts_of(word, store_n))]
-
-
 def _target_corpus(seed):
-    """A vocabulary with counts 1..9, a store over only some of its
-    sentences (so some words have none) and a table missing some words,
-    with a zero row for some others."""
+    """A vocabulary of 60 sentences, a store over only 20 of them, taken
+    three times (so some words have none, and the store's counts reach past
+    the thresholds of 1-3 about as often as the vocabulary's would) and a
+    table missing some words, with a zero row for some others."""
     rng = np.random.default_rng(seed)
     sentences = [[f"w{int(rng.integers(40)):02d}" for _ in range(int(rng.integers(2, 6)))]
                  for _ in range(60)]
     vocab = build_vocab(sentences, min_count=int(rng.integers(1, 4)))
-    store = SentenceStore.from_tokens(sentences[:20], vocab)
+    store = SentenceStore.from_tokens(sentences[:20] * 3, vocab)
     rows = {w: rng.normal(size=3).astype(np.float32) * (rng.random() < 0.85)
             for w in vocab.words if rng.random() < 0.7}
     return vocab, store, EmbeddingTable(dim=3, vectors=rows)
@@ -430,55 +430,55 @@ def _target_corpus(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_eligible_targets_equals_the_loops_in_order(seed):
     vocab, store, table = _target_corpus(seed)
-    counts = sorted(set(vocab.counts))
+    counts = sorted(set(store.counts.tolist()))
     assert any(not len(contexts_of(w, store)) for w in vocab.words)
     assert any(w not in table for w in vocab.words)
     assert any(not np.any(table[w]) for w in table)
     for threshold in sorted({c + d for c in counts for d in (-1, 0)} | {0}):
         # interleaved calls with other arguments must not leak through the kept result
         assert eligible_targets(vocab, store, table, threshold) == \
-            _loop_pseudo(vocab, store, table, threshold), threshold
-        assert eligible_targets(vocab, store, None) == _loop_eligible(vocab, store, None)
-        at = Vocabulary(vocab.words, vocab.counts, vocab.stop_flags, min_count=threshold)
-        assert eligible_targets(at, store, table) == _loop_eligible(at, store, table)
-        assert eligible_targets(at, store, None) == _loop_eligible(at, store, None)
-        assert split_targets(at, store, table) == _loop_split(_loop_eligible(at, store, table))
+            _loop_eligible(store, table, threshold), threshold
+        assert eligible_targets(vocab, store, None) == _loop_eligible(store, None)
+        at = SentenceStore(store.tokens, store.offsets, Vocabulary(vocab.words, threshold))
+        assert eligible_targets(at.vocab, at, table) == _loop_eligible(at, table)
+        assert eligible_targets(at.vocab, at, None) == _loop_eligible(at, None)
+        assert split_targets(at, table) == _loop_split(_loop_eligible(at, table))
 
 
 def test_eligible_targets_hands_out_copies():
     vocab, store, table = _target_corpus(0)
     want = eligible_targets(vocab, store, table)
-    split = split_targets(vocab, store, table)
+    split = split_targets(store, table)
     got = eligible_targets(vocab, store, table)
     got.append("intruder")
     got.reverse()
-    for part in split_targets(vocab, store, table):
+    for part in split_targets(store, table):
         part.clear()
-    assert eligible_targets(vocab, store, table) == want == _loop_eligible(vocab, store, table)
-    assert split_targets(vocab, store, table) == split
+    assert eligible_targets(vocab, store, table) == want == _loop_eligible(store, table)
+    assert split_targets(store, table) == split
 
 
 def test_kept_targets_live_on_the_store():
     vocab, store, table = _target_corpus(2)
     want = eligible_targets(vocab, store, table)
-    split = split_targets(vocab, store, table)
-    kept_vocab, kept_table, threshold, words, kept_split = store._targets
-    assert kept_vocab is vocab and kept_table is table and threshold == vocab.min_count
+    split = split_targets(store, table)
+    kept_table, threshold, words, kept_split = store._targets
+    assert kept_table is table and threshold == vocab.min_count
     assert words == tuple(want) and kept_split == tuple(map(tuple, split))
     assert not hasattr(vocab, "_targets")
     # a second store over the same vocabulary keeps its own targets
     other = SentenceStore(store.tokens[:store.offsets[4]], store.offsets[:5], vocab)
-    assert eligible_targets(vocab, other, table) == _loop_eligible(vocab, other, table) != want
-    assert split_targets(vocab, other, table) == _loop_split(_loop_eligible(vocab, other, table))
+    assert eligible_targets(vocab, other, table) == _loop_eligible(other, table) != want
+    assert split_targets(other, table) == _loop_split(_loop_eligible(other, table))
     assert eligible_targets(vocab, store, table) == want
-    assert split_targets(vocab, store, table) == split
+    assert split_targets(store, table) == split
 
 
 def test_kept_targets_do_not_keep_the_store_alive():
     # the store holds the vocabulary and keeps the targets, and nothing
     # they hold refers back to it, so no cycle waits for the cyclic collector
     vocab, store, table = _target_corpus(1)
-    assert split_targets(vocab, store, table)[0]
+    assert split_targets(store, table)[0]
     store_ref = weakref.ref(store)
     gc.disable()
     try:

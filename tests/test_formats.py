@@ -278,7 +278,7 @@ def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypat
     def prepare(token_lists, note):
         vocab = build_vocab(token_lists, min_count=1)
         store = SentenceStore.from_tokens(token_lists, vocab)
-        cli.write_prepared(out, vocab, store, tiny_table,
+        cli.write_prepared(out, store, tiny_table,
                            {"command": "prepare", "note": note,
                             "tokenizer.strip_chars": cli.STRIP_CHARS})
 
@@ -305,18 +305,18 @@ def test_a_corrupted_prepared_directory_loads_or_is_a_typed_error(tmp_path_facto
                                      "the bike is on the road", "a band plays a song")]
     vocab = build_vocab(sentences, min_count=1)
     table = EmbeddingTable(dim=2, vectors={w: np.ones(2) for w in vocab.words})
-    cli.write_prepared(out, vocab, SentenceStore.from_tokens(sentences, vocab), table,
+    cli.write_prepared(out, SentenceStore.from_tokens(sentences, vocab), table,
                        {"command": "prepare", "min_count": "1"})
     blob = (out / name).read_bytes()
     at %= len(blob)
     (out / name).write_bytes(blob[:at] if byte is None
                              else blob[:at] + bytes([byte]) + blob[at + 1:])
     try:
-        vocab, store, _ = cli.load_prepared(out)
+        store, _ = cli.load_prepared(out)
     except OovForgeError:
         return
-    assert len(set(vocab.words)) == len(vocab.words)
-    assert all(0 <= t < len(vocab) for t in store.tokens.tolist())
+    assert len(set(store.vocab.words)) == len(store.vocab.words)
+    assert all(0 <= t < len(store.vocab) for t in store.tokens.tolist())
 
 
 @pytest.mark.parametrize("report", ["eval_summary.csv", "eval_items.csv", "chart.svg",

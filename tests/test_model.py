@@ -362,7 +362,7 @@ def test_a_fresh_model_keeps_every_parameter_on_the_vectors():
     table = make_table()
     model, _ = make_model(table)
     assert model.parameters().grad is None
-    model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]], vocab=vocab)])
+    model.predict([episode_of([[vocab.ids["w01"], MASK_ID]], vocab=vocab)])
     assert model.parameters().grad is None  # inference allocates no gradient vector
     words = [w for w in vocab.words if w in table and len(contexts_of(w, store))]
     rng = np.random.default_rng(0)
@@ -374,7 +374,7 @@ def test_a_dropped_model_frees_its_vectors_at_once():
     vocab, store = make_corpus()
     model, table = make_model()
     with Graph():
-        backward(sum_all(model.predict([episode_of([[vocab.id_of("w01"), MASK_ID]],
+        backward(sum_all(model.predict([episode_of([[vocab.ids["w01"], MASK_ID]],
                                                    vocab=vocab)])))
     params = weakref.ref(model.parameters())
     assert model.parameters().grad is not None
@@ -557,8 +557,8 @@ def test_embed_tokens_gradient_only_reaches_special_rows(rng):
     model, table = make_model()
     model.special_embed.data[...] = rng.normal(size=(2, DIM))
     a, b = vocab.words[:2]
-    batch = model.batch([episode_of([[vocab.id_of(a), MASK_ID, UNK_ID,
-                                      vocab.id_of(b), MASK_ID]], vocab=vocab)])
+    batch = model.batch([episode_of([[vocab.ids[a], MASK_ID, UNK_ID,
+                                      vocab.ids[b], MASK_ID]], vocab=vocab)])
     w = constant(rng.normal(size=(5, DIM)))
     with Graph():
         out = model.embed_tokens(batch)
@@ -581,10 +581,10 @@ def test_batch_rows_equal_a_lookup_of_each_token():
     vocab = build_vocab([["w01", "zz", "w05", "w29", "yy", "w00"]], min_count=1)
     small, _ = make_model(make_table(n_words=6))
     large, _ = make_model(make_table(n_words=30, seed=4))
-    ids = [vocab.id_of(w) for w in vocab.words]
+    ids = [vocab.ids[w] for w in vocab.words]
     episodes = [episode_of([ids + [MASK_ID, UNK_ID], [MASK_ID], [UNK_ID, MASK_ID]],
                            vocab=vocab),
-                episode_of([ids[::-1], [vocab.id_of("zz"), MASK_ID]], vocab=vocab)]
+                episode_of([ids[::-1], [vocab.ids["zz"], MASK_ID]], vocab=vocab)]
     # one vocabulary with two tables, alternately: each keeps its own rows
     for model in (small, large, small, large):
         rows = model.batch(episodes).frozen_rows
@@ -616,8 +616,8 @@ def test_an_inference_episode_is_read_in_its_own_vocabulary():
     assert np.array_equal(got, model.predict_vector(ep, transient))
     assert np.array_equal(got, model.predict([ep]).data[0])
     # the same contexts, written in the training vocabulary's ids
-    same = episode_of([[vocab.id_of("w05"), MASK_ID, vocab.id_of("w07"), vocab.id_of("w09")],
-                       [MASK_ID, vocab.id_of("w09"), vocab.id_of("w11")]], vocab=vocab)
+    same = episode_of([[vocab.ids["w05"], MASK_ID, vocab.ids["w07"], vocab.ids["w09"]],
+                       [MASK_ID, vocab.ids["w09"], vocab.ids["w11"]]], vocab=vocab)
     assert np.array_equal(got, model.predict_vector(same))
 
 

@@ -13,6 +13,7 @@ import synthetic_task
 from fd import mul
 import oov_forge.tensor as tc
 from oov_forge.container import pack_text, read_container, write_container
+from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
 from episode_reference import episode_of
 from oov_forge.episode import eligible_targets, sample_episode
 from oov_forge import training
@@ -196,9 +197,30 @@ def test_validation_words_never_targeted_in_training():
     words = eligible_targets(vocab, store, oracle)
     train_words, val_words = split_words(words)
     assert not set(train_words) & set(val_words)
-    stream = episode_stream(vocab, store, oracle, (2, 4), seed=0, batch=300, words=train_words)
+    stream = episode_stream(store, oracle, (2, 4), seed=0, batch=300, words=train_words)
     targets = {ep.target_word for ep in next(stream)}
     assert not targets & set(val_words)
+
+
+def test_train_and_its_targets_read_the_store_not_the_vocabulary_beside_it():
+    # two corpora of the same size over disjoint words: the vocabulary passed
+    # beside a store is not read, so passing the other corpus's changes nothing
+    rng = np.random.default_rng(5)
+    corpora = [[[f"{p}{i}" for i in rng.integers(0, 12, size=8)] for _ in range(120)]
+               for p in "ab"]
+    vocab_a, vocab_b = (build_vocab(sentences, min_count=2) for sentences in corpora)
+    store_b = SentenceStore.from_tokens(corpora[1], vocab_b)
+    assert len(vocab_a) == len(vocab_b)
+    table = EmbeddingTable(dim=8, vectors={w: rng.normal(size=8)
+                                           for w in vocab_a.words + vocab_b.words})
+    want = eligible_targets(vocab_b, store_b, table)
+    assert sorted(want) == sorted(vocab_b.words)
+    assert eligible_targets(vocab_a, store_b, table) == want
+    cfg = TrainConfig(steps=4, batch_episodes=4, validation_every=2, seed=1)
+    params = [train(cfg, vocab, store_b, table,
+                    model=HiceModel.from_table(small_model_config(), table))[0]
+              .parameters().data.tobytes() for vocab in (vocab_a, vocab_b)]
+    assert params[0] == params[1]
 
 
 # the ops the tape records: every public function of oov_forge.tensor that
