@@ -55,15 +55,16 @@ class EvalItem:
 def average_ranks(values) -> np.ndarray:
     """1-based ranks; ties get the mean of the rank span they occupy."""
     arr = np.asarray(values, dtype=np.float64)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=np.float64)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    order = arr.argsort(kind="stable")
+    s = arr[order]
+    # True where a run of equal sorted values starts, and at the end
+    edge = np.ones(len(arr) + 1, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=edge[1:-1])  # NaN ties nothing
+    bounds = edge.nonzero()[0]
+    lo, hi = bounds[:-1], bounds[1:]
+    ranks = np.empty(len(arr))
+    # the run [lo, hi) shares the rank (lo + hi + 1) / 2
+    ranks[order] = ((lo + hi + 1) / 2.0).repeat(hi - lo)
     return ranks
 
 
@@ -76,41 +77,86 @@ def spearman(a, b) -> float:
             f"spearman needs two equal-length lists of >= 2 values, got "
             f"{a.shape} and {b.shape}"
         )
+    n = len(a)
     ra = average_ranks(a)
     rb = average_ranks(b)
-    da = ra - ra.mean()
-    db = rb - rb.mean()
-    na = float(np.sqrt((da * da).sum()))
-    nb = float(np.sqrt((db * db).sum()))
+    da = ra - ra.sum() / n  # ndarray.mean's sum and division
+    db = rb - rb.sum() / n
+    na = math.sqrt((da * da).sum())
+    nb = math.sqrt((db * db).sum())
     if na == 0.0 or nb == 0.0:
         raise EvaluationError("spearman undefined: constant input")
     # identical / exactly reversed orderings are exact by rank construction
-    if np.array_equal(ra, rb):
+    if (ra == rb).all():
         return 1.0
-    if np.array_equal(ra + rb, np.full(len(ra), len(ra) + 1.0)):
+    if (ra + rb == n + 1.0).all():
         return -1.0
-    return float(np.clip((da * db).sum() / (na * nb), -1.0, 1.0))
+    return min(max(float((da * db).sum()) / (na * nb), -1.0), 1.0)
 
 
-def cosine_np(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine in the inputs' own precision; when a float32 square sum or dot
-    product overflows (numpy warns), it is recomputed in float64."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise EvaluationError("cosine undefined for a zero vector")
-    try:
-        dot = float(u @ v)
-    except ValueError:
-        raise EvaluationError(f"cosine of vectors of shapes {np.shape(u)} "
-                              f"and {np.shape(v)}") from None
-    if math.isfinite(dot) and math.isfinite(nu * nv):
-        return float(np.clip(dot / (nu * nv), -1.0, 1.0))
-    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    cos = float(u @ v) / float(np.linalg.norm(u)) / float(np.linalg.norm(v))
-    if not math.isfinite(cos):
-        raise EvaluationError("cosine is not finite even in float64")
-    return float(np.clip(cos, -1.0, 1.0))
+def cosine_np(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Cosine over the last axis, row by row: ``u`` and ``v`` are each a
+    vector or [n, d] rows, with the same n when both are rows. Two vectors
+    give a float, anything else a float64 array of one cosine per pair of
+    rows.
+
+    Each pair gets the arithmetic of a lone pair of C-contiguous vectors:
+    norms and dot product in the inputs' own precision, one BLAS dot per row
+    as ``np.linalg.norm`` and ``u @ v`` make, then the float64 quotient,
+    clamped to [-1, 1]. A pair whose dot or norm product is not finite (a
+    float32 square sum that overflows) is recomputed in float64. Inputs of
+    another layout are scored as their C-contiguous copies: a strided dot
+    can differ from the contiguous one in the last bit. A pair without a
+    cosine raises EvaluationError, and the first such pair in row order
+    decides which; so do shapes that pair no rows."""
+    u, v = np.asarray(u), np.asarray(v)
+    lead = u.shape[:-1] + v.shape[:-1]  # the row counts: () for two vectors
+    if not (1 <= u.ndim <= 2 and 1 <= v.ndim <= 2) or len(set(lead)) > 1 or (
+            0 in lead and u.shape[-1] != v.shape[-1]):
+        raise EvaluationError(f"cosine of vectors of shapes {u.shape} and {v.shape}")
+    if u.shape[-1] != v.shape[-1]:
+        raise _pair_error(u if u.ndim < 2 else u[0], v if v.ndim < 2 else v[0])
+    lone = not lead
+    cos = _row_cosines(u[None] if lone else u, v)
+    undefined = np.isnan(cos)
+    if undefined.any():
+        i = int(undefined.argmax())
+        raise _pair_error(u if u.ndim < 2 else u[i], v if v.ndim < 2 else v[i])
+    return float(cos[0]) if lone else cos
+
+
+def _row_cosines(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``cosine_np`` of rows of one length, at least one of ``u`` and ``v``
+    [n, d], with NaN for each pair that has no cosine."""
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(v)  # see cosine_np
+    with np.errstate(all="ignore"):  # a pair that raises a flag is redone or NaN
+        nu = np.sqrt(np.vecdot(u, u)).astype(np.float64)
+        nv = np.sqrt(np.vecdot(v, v)).astype(np.float64)
+        dot = np.vecdot(u, v).astype(np.float64)
+        prod = nu * nv
+        cos = np.minimum(np.maximum(dot / prod, -1.0), 1.0)  # np.clip, without its wrapper
+        redo = ~(np.isfinite(dot) & np.isfinite(prod))
+        if redo.any():
+            at = np.nonzero(redo)
+            shape = redo.shape + u.shape[-1:]
+            ru = np.broadcast_to(u, shape)[at].astype(np.float64)
+            rv = np.broadcast_to(v, shape)[at].astype(np.float64)
+            c = np.vecdot(ru, rv) / np.sqrt(np.vecdot(ru, ru)) / np.sqrt(np.vecdot(rv, rv))
+            cos[at] = np.where(np.isfinite(c), np.clip(c, -1.0, 1.0), np.nan)
+    # zero in the inputs' own precision, even where the float64 redo finds a norm
+    cos[(nu == 0.0) | (nv == 0.0)] = np.nan
+    return cos
+
+
+def _pair_error(u: np.ndarray, v: np.ndarray) -> EvaluationError:
+    """Why the pair of vectors ``u``, ``v`` has no cosine: a zero norm comes
+    first, then unequal lengths."""
+    with np.errstate(all="ignore"):
+        if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
+            return EvaluationError("cosine undefined for a zero vector")
+    if u.shape != v.shape:
+        return EvaluationError(f"cosine of vectors of shapes {u.shape} and {v.shape}")
+    return EvaluationError("cosine is not finite even in float64")
 
 
 @dataclass
@@ -146,29 +192,30 @@ def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
                     table: EmbeddingTable, method: str = "method") -> MethodReport:
     """Score one inference method over the benchmark.
 
-    Per item: infer a vector from the masked contexts, rank-correlate its
-    cosine similarities to the probes against the human ratings. Probes
-    missing from the table are dropped (and counted); items whose method
-    raises an OovForgeError keep a record but are excluded from the means.
-    Any other exception is a bug and propagates.
+    Per item: infer a vector from the masked contexts, score its cosines to
+    the probes' table rows with one ``cosine_np`` call, and rank-correlate
+    them against the human ratings. Probes missing from the table are
+    dropped (and counted); items whose method raises an OovForgeError keep a
+    record but are excluded from the means. Any other exception is a bug and
+    propagates.
     """
     report = MethodReport(method=method)
     pooled: dict[int, tuple[list[float], list[float]]] = {}
     for item in items:
-        probes, human, dropped = [], [], 0
+        rows, human = [], []
         for p, h in zip(item.probes, item.human):
-            if p in table:
-                probes.append(p)
+            r = table.index.get(p)
+            if r is not None:
+                rows.append(r)
                 human.append(h)
-            else:
-                dropped += 1
+        dropped = len(item.probes) - len(rows)
         report.dropped_probes += dropped
         try:
-            if len(probes) < 2:
+            if len(rows) < 2:
                 raise EvaluationError("fewer than 2 probes remain in the table")
             vec = infer_fn(item.pseudo_word, mask_contexts(item.pseudo_word,
                                                            item.contexts))
-            machine = [cosine_np(vec, table[p]) for p in probes]
+            machine = cosine_np(vec, table.matrix[rows]).tolist()
             rho = spearman(machine, human)
         except OovForgeError as e:  # a method failure must not kill the run
             report.items.append(ItemResult(item.pseudo_word, item.shot, None,
@@ -212,14 +259,14 @@ def nearest_neighbors(vector: np.ndarray, table: EmbeddingTable, top_k: int,
     the float32 rounding error of a length-dim dot product and a norm of the
     true cosine, so they differ by less than ``bound`` = 8 (dim + 2) 2^-24.
     Every row of the top k then scores at least the k-th best screened score
-    minus 2 ``bound``, and only such rows are scored exactly.
+    minus 2 ``bound``, and only such rows are scored exactly, as one block.
     """
     if top_k < 1:
         raise EvaluationError(f"top_k must be >= 1, got {top_k}")
     if np.shape(vector) != (table.dim,):
         raise EvaluationError(f"query vector of shape {np.shape(vector)} for a "
                               f"table of dimension {table.dim}")
-    q = np.asarray(vector)
+    q = np.ascontiguousarray(vector)
     if not np.isfinite(q).all():
         raise EvaluationError("query vector has a non-finite value")
     with np.errstate(over="ignore"):
@@ -242,13 +289,12 @@ def nearest_neighbors(vector: np.ndarray, table: EmbeddingTable, top_k: int,
         bound = 8 * (table.dim + 2) * 2.0 ** -24
         kth = np.partition(scores, len(scores) - n)[len(scores) - n]
         exact |= scores >= kth - 2 * bound
+    rows = np.flatnonzero(exact)
+    cos = _row_cosines(q, table.matrix[rows])
+    defined = ~np.isnan(cos)  # zero-norm table rows can never be neighbors
     words = table.words()
-    scored = []
-    for r in np.flatnonzero(exact).tolist():
-        try:
-            scored.append((words[r], cosine_np(q, table.matrix[r])))
-        except EvaluationError:
-            continue  # zero-norm table rows can never be neighbors
+    scored = [(words[r], c) for r, c in zip(rows[defined].tolist(),
+                                            cos[defined].tolist())]
     scored.sort(key=lambda wc: (-wc[1], wc[0]))
     return scored[:top_k]
 

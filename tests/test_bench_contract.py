@@ -129,3 +129,42 @@ def test_corpus_training_and_adaptation_as_the_benchmark_calls_them(tmp_path):
         assert all(episode.MASK_TOKEN in ctx and set(ctx) - {episode.MASK_TOKEN} <= set(vocab.ids)
                    for ctx in ctxs)
         assert not baselines.additive(ctxs, table).empty
+
+
+def test_scoring_reaches_the_spearman_and_tokenize_layers_the_benchmark_wraps(monkeypatch):
+    # bench/spans.py times evaluation.spearman and evaluation.tokenize by
+    # replacing the module attributes; a call that stops going through them
+    # drops the layer from the trace without an error
+    calls = {"spearman": 0, "tokenize": 0}
+
+    def counting(name):
+        fn = getattr(evaluation, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counting(name))
+    rng = np.random.default_rng(5)
+    words = [f"w{i}" for i in range(8)]
+    table = corpus.EmbeddingTable.from_rows(words, rng.normal(size=(8, 4)).astype(np.float32))
+    items = [evaluation.EvalItem(f"nonce{i}", [f"a nonce{i} here"] * (1 + i % 3),
+                                 words[i % 3:i % 3 + 4] if i != 5 else ["w0", "absent"],
+                                 [float(j) for j in range(4)] if i != 5 else [1.0, 2.0],
+                                 shot=2 + 2 * (i % 3))
+             for i in range(9)]
+
+    def method(w, ctxs):
+        if w == "nonce4":
+            raise evaluation.EvaluationError("no vector")
+        return rng.normal(size=4)
+
+    report = evaluation.evaluate_method(items, method, table)
+    scored = [r for r in report.items if not r.failed]
+    assert len(scored) == 7 and report.failed == 2
+    assert calls["spearman"] == len(scored) + len({r.shot for r in scored})
+    # the item with one probe left in the table fails before its contexts are read
+    assert calls["tokenize"] == sum(len(item.contexts) for item in items
+                                    if item.pseudo_word != "nonce5")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scoring_reference as reference
 from oov_forge.cli import main
 from oov_forge.corpus import EmbeddingTable
 from oov_forge.errors import (EvaluationError, FormatError, InferenceError,
@@ -289,10 +290,13 @@ def test_nearest_neighbors_equals_the_per_row_scan_among_near_ties(rng):
     table = EmbeddingTable(dim=24, vectors={
         f"r{i:04d}": v.astype(np.float32)
         for i, v in enumerate(rng.permutation(np.vstack([rows, other])))})
+    # the same rows in a Fortran-ordered matrix give the same neighbours
+    fortran = EmbeddingTable.from_rows(table.words(), np.asfortranarray(table.matrix))
     for query in (base, base.astype(np.float32), rng.normal(size=24)):
         for top_k in (1, 10, 450, 2000):
-            assert (nearest_neighbors(query, table, top_k, exclude=("r0003",))
-                    == per_row_nearest(query, table, top_k, ("r0003",)))
+            want = per_row_nearest(query, table, top_k, ("r0003",))
+            assert nearest_neighbors(query, table, top_k, exclude=("r0003",)) == want
+            assert nearest_neighbors(query, fortran, top_k, exclude=("r0003",)) == want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -319,6 +323,210 @@ def test_cosine_of_finite_inputs_keeps_its_arithmetic(rng):
             want = float(np.clip(float(u @ v) / (float(np.linalg.norm(u))
                                                  * float(np.linalg.norm(v))), -1.0, 1.0))
             assert cosine_np(u, v) == want
+
+
+# ---------------------------------------------------------------------------
+# the row-wise cosine against the per-pair reference
+# ---------------------------------------------------------------------------
+
+def _reference_cosines(pairs):
+    """The reference cosine of each pair in row order, or the message of the
+    first pair's error."""
+    out = []
+    with np.errstate(all="ignore"):  # the reference warns where float32 overflows
+        for u, v in pairs:
+            try:
+                out.append(reference.cosine(u, v))
+            except EvaluationError as e:
+                return str(e)
+    return out
+
+
+def _cosine_row(rng, kind, dim, dtype):
+    v = rng.normal(size=dim) * 10.0 ** rng.integers(-3, 4)
+    if kind == "zero":
+        v[:] = 0.0
+    elif kind == "huge":     # float32 squares overflow
+        v *= 1e20 / np.abs(v).max()
+    elif kind == "tiny":     # float32 squares underflow
+        v *= 1e-30 / np.abs(v).max()
+    elif kind == "spike":    # one entry whose float32 square overflows
+        v[rng.integers(dim)] = 1e20
+    elif kind in ("nan", "inf"):
+        v[rng.integers(dim)] = np.nan if kind == "nan" else rng.choice([-np.inf, np.inf])
+    return v.astype(dtype)
+
+
+def _laid_out(x, layout):
+    """``x``'s values in another memory layout."""
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "strided":   # every other element of a wider array
+        return np.repeat(x, 2, axis=-1)[..., ::2]
+    if layout == "reversed":  # a negative stride
+        return np.ascontiguousarray(x[..., ::-1])[..., ::-1]
+    return x
+
+
+@st.composite
+def _cosine_cases(draw):
+    """A vector or rows against a vector or rows, of float32 or float64, whose
+    rows may be zero, overflow or underflow float32 squares, hold NaN or inf,
+    or (rarely) have another length than the other side; each side C-ordered,
+    Fortran-ordered, strided or reversed."""
+    dim = draw(st.integers(1, 400))
+    dims = [dim, dim]
+    if draw(st.integers(0, 9)) == 0:
+        dims[1] = draw(st.sampled_from([d for d in (dim - 1, dim + 1, dim + 7) if d > 0]))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = st.sampled_from(["plain"] * 6 + ["zero", "huge", "tiny", "spike", "nan", "inf"])
+    sides = []
+    for rows, d in zip(draw(st.sampled_from([(False, True), (True, False), (True, True),
+                                             (False, False)])), dims):
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        kinds = draw(st.lists(kind, min_size=n, max_size=n)) if rows else [draw(kind)]
+        side = np.stack([_cosine_row(rng, k, d, dtype) for k in kinds])
+        layout = draw(st.sampled_from(["C"] * 3 + ["fortran", "strided", "reversed"]))
+        sides.append(_laid_out(side if rows else side[0], layout))
+    return tuple(sides)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_cosine_cases())
+def test_the_row_wise_cosine_is_the_per_pair_cosine_bit_for_bit(case):
+    # each pair's reference is the lone pair's cosine of C-contiguous vectors
+    u, v = case
+    rows = max(len(x) if x.ndim == 2 else 1 for x in (u, v))
+    pair = lambda x, i: np.ascontiguousarray(x[i] if x.ndim == 2 else x)  # noqa: E731
+    want = _reference_cosines((pair(u, i), pair(v, i)) for i in range(rows))
+    if isinstance(want, str):
+        with pytest.raises(EvaluationError) as e:
+            cosine_np(u, v)
+        assert str(e.value) == want
+        return
+    got = cosine_np(u, v)
+    if u.ndim == v.ndim == 1:
+        assert type(got) is float and repr(got) == repr(want[0])
+    else:
+        assert got.dtype == np.float64 and got.shape == (rows,)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_the_row_wise_cosine_errors_name_the_first_failing_pair():
+    rows = np.array([[1.0, 2.0], [0.0, 0.0], [np.nan, 1.0]])
+    with pytest.raises(EvaluationError, match="zero vector"):
+        cosine_np(np.ones(2), rows)
+    with pytest.raises(EvaluationError, match="not finite"):
+        cosine_np(np.ones(2), rows[[0, 2, 1]])
+    with pytest.raises(EvaluationError, match=r"^cosine of vectors of shapes \(3,\) and \(2,\)$"):
+        cosine_np(np.ones(3), rows)
+    with pytest.raises(EvaluationError, match="zero vector"):  # zero before shape
+        cosine_np(np.ones(3), rows[[1, 0]])
+    for scalar, other in ((np.float64(2.0), np.ones(3)), (np.array(2.0), np.array(3.0))):
+        with pytest.raises(EvaluationError, match=r"^cosine of vectors of shapes \(\)"):
+            cosine_np(scalar, other)  # a scalar is no vector
+    # shapes that pair no rows: unequal row counts, a third axis, or an empty
+    # block of another length, where no first pair can name the error
+    for a, b in (((2, 3), (3, 3)), ((3,), (2, 2, 3)), ((0, 5), (3,)), ((2, 3), (0, 5)),
+                 ((0, 3), (1, 3))):
+        with pytest.raises(EvaluationError, match=rf"^cosine of vectors of shapes "
+                           rf"\({a[0]},.*\) and \({b[0]},.*\)$"):
+            cosine_np(np.ones(a), np.ones(b))
+    for a, b in (((0, 3), (3,)), ((3,), (0, 3)), ((0, 3), (0, 3))):
+        empty = cosine_np(np.ones(a), np.ones(b))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# scoring against the per-probe reference
+# ---------------------------------------------------------------------------
+
+def _spearman_or_error(fn, a, b):
+    try:
+        return fn(a, b)
+    except EvaluationError as e:
+        return f"error: {e}"
+
+
+_RANK_VALUE = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e300, 5e-324, np.nan]) | st.floats()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(a=st.lists(_RANK_VALUE, max_size=14), data=st.data())
+def test_spearman_and_average_ranks_are_the_looped_reference_bit_for_bit(a, data):
+    b = data.draw(st.sampled_from([
+        "other", "same", "reversed", "constant", "longer"]).flatmap(lambda how: {
+            "other": st.lists(_RANK_VALUE, min_size=len(a), max_size=len(a)),
+            "same": st.just(list(a)),
+            "reversed": st.just([-x for x in a]),
+            "constant": st.just([7.0] * len(a)),
+            "longer": st.just(list(a) + [1.0]),
+        }[how]))
+    for values in (a, b):
+        assert average_ranks(values).tobytes() == reference.average_ranks(values).tobytes()
+    want = _spearman_or_error(reference.spearman, a, b)
+    got = _spearman_or_error(spearman, a, b)
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
+def test_spearman_is_the_reference_on_long_tied_inputs(rng):
+    # a pooled shot ranks thousands of values, many of them tied
+    for n in (7, 8, 9, 129, 2000, 5003):
+        a = rng.integers(0, 40, size=n) * 0.5
+        b = np.where(rng.random(n) < 0.5, a, rng.normal(size=n))
+        for x, y in ((a, b), (b, rng.normal(size=n)), (a, -a)):
+            assert average_ranks(x).tobytes() == reference.average_ranks(x).tobytes()
+            assert repr(spearman(x, y)) == repr(reference.spearman(x, y))
+
+
+@st.composite
+def _scoring_cases(draw):
+    """A small table whose rows repeat (tied cosines) and may be zero, items
+    whose probes may be absent (dropped) and whose ratings repeat (tied), and
+    a method that returns a vector, a zero vector, a vector of another
+    length, or raises."""
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = [rng.normal(size=dim).astype(np.float32) for _ in range(3)]
+    pool.append(np.zeros(dim, np.float32))
+    words = [f"w{i}" for i in range(draw(st.integers(2, 8)))]
+    picks = draw(st.lists(st.integers(0, 3), min_size=len(words), max_size=len(words)))
+    table = EmbeddingTable(dim=dim, vectors={w: pool[p] for w, p in zip(words, picks)})
+    items, outputs = [], {}
+    for i in range(draw(st.integers(1, 8))):
+        pw = f"nonce{i}"
+        probes = draw(st.lists(st.sampled_from(words + ["absent"]), min_size=2, max_size=7))
+        human = draw(st.lists(st.sampled_from([0.0, 1.0, 1.0, 2.5, 4.0]),
+                              min_size=len(probes), max_size=len(probes)))
+        items.append(EvalItem(pw, [f"a {pw} here", f"the {pw}"], probes, human,
+                              draw(st.sampled_from([2, 4, 6]))))
+        kind = draw(st.sampled_from(["vector"] * 5 + ["pooled", "zero", "short", "raise"]))
+        vec = rng.normal(size=dim)
+        if kind == "pooled":  # a table row: its cosines tie with the row's copies
+            vec = pool[int(rng.integers(3))].astype(np.float64)
+        elif kind == "zero":
+            vec = np.zeros(dim)
+        elif kind == "short":
+            vec = rng.normal(size=dim + 1)
+        outputs[pw] = None if kind == "raise" else vec.astype(
+            draw(st.sampled_from([np.float32, np.float64])))
+    return items, table, outputs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_scoring_cases())
+def test_evaluate_method_reports_equal_the_per_probe_reference(case):
+    items, table, outputs = case
+
+    def method(w, ctxs):
+        if outputs[w] is None:
+            raise InferenceError(f"nothing for {w}")
+        return outputs[w]
+
+    got = evaluate_method(items, method, table, method="m")
+    want = reference.evaluate_method(items, method, table, method="m")
+    assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("query", [[np.nan, 1.0], [np.inf, 0.0], [1e300, 1e300]],
