@@ -24,7 +24,6 @@ import csv
 import os
 import sys
 from contextlib import ExitStack
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +32,13 @@ from . import baselines
 from .adaptation import AdaptConfig, adapt
 from .container import atomic_open, config_value
 from .corpus import (DEFAULT_MIN_COUNT, STRIP_CHARS, EmbeddingTable,
-                     SentenceStore, Vocabulary, contexts_of, format_vector,
+                     SentenceStore, Vocabulary, contexts_of, format_vector, joined,
                      load_embeddings, load_stopwords, prepare_corpus, read_text)
 from .episode import (MASK_TOKEN, decode_context, eligible_targets,
                       episode_from_masked, sample_episodes, split_targets)
 from .errors import (AdaptationError, EvaluationError, FormatError,
                      InferenceError, IngestionError, OovForgeError)
-from .evaluation import (evaluate_method, load_benchmark_tsv, mask_contexts,
+from .evaluation import (evaluate_methods, load_benchmark_tsv, mask_contexts,
                          nearest_neighbors)
 from .model import HiceConfig, HiceModel
 from .training import (TrainConfig, load_checkpoint, save_checkpoint,
@@ -211,29 +210,25 @@ def load_prepared(prepared_dir) -> tuple[SentenceStore, dict[str, str]]:
         seen.add(parts[0])
         words.append(parts[0])
     vocab = Vocabulary(words, min_count)
-    lines = [line.split() for line in
-             read_text(prepared_dir / SENTENCES_FILE, "prepared").splitlines()]
-    offsets = np.zeros(len(lines) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, lines), dtype=np.intp, count=len(lines)), out=offsets[1:])
+    lines = read_text(prepared_dir / SENTENCES_FILE, "prepared").splitlines()
 
     def out_of_range(lineno: int) -> FormatError:
         return FormatError(f"{SENTENCES_FILE}: line {lineno}: token id out of range "
                            f"[0, {len(words)})")
 
     try:
-        tokens = np.fromiter(map(int, chain.from_iterable(lines)), dtype=np.int64,
-                             count=int(offsets[-1]))
+        tokens, offsets = joined(map(str.split, lines), int, np.int64)
     except (ValueError, OverflowError):  # the first line that is not ids in range
         for lineno, line in enumerate(lines, start=1):
             try:
-                ids = [int(t) for t in line]
+                ids = [int(t) for t in line.split()]
             except ValueError:
                 raise FormatError(f"{SENTENCES_FILE}: line {lineno}: "
                                   "non-integer token") from None
             if ids and (min(ids) < 0 or max(ids) >= len(words)):
                 raise out_of_range(lineno) from None
         raise
-    del lines  # the token strings are freed before the index is built
+    del lines  # the text is freed before the index is built
     bad = np.flatnonzero((tokens < 0) | (tokens >= len(words)))
     if bad.size:
         raise out_of_range(int(np.searchsorted(offsets, bad[0], side="right")))
@@ -473,10 +468,8 @@ def cmd_eval(args) -> int:
     if not methods:
         raise EvaluationError("no methods given")
     fitted = _load_or_fit(methods, args, table)
-    reports = []
-    for method in methods:
-        fn = _method_fn(method, fitted.get(method), table)
-        reports.append(evaluate_method(items, fn, table, method=method))
+    reports = evaluate_methods(
+        items, [(m, _method_fn(m, fitted.get(m), table)) for m in methods], table)
     out_dir = Path(args.out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     run_cfg = run_config_dict("eval", {

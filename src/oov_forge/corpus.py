@@ -1,5 +1,6 @@
 """Corpus ingestion: tokenization, vocabulary, embedding tables, and the
-word -> sentences inverted index.
+word -> sentences inverted index. A corpus is read in one pass, each token
+taking its vocabulary id as its line is tokenized, so it is never held as strings.
 
 File formats handled here:
   * corpus: UTF-8 plain text, one sentence per line
@@ -14,10 +15,11 @@ import hashlib
 import io
 import os
 import string
-from collections.abc import Iterator, Mapping
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import cache, cached_property
 from importlib import resources
-from itertools import chain, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -52,11 +54,6 @@ def read_text(path, what: str) -> str:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: invalid UTF-8 at byte {e.start}") from e
-
-
-def read_sentences(path) -> list[list[str]]:
-    """Read a one-sentence-per-line corpus into token lists."""
-    return [tokenize(line) for line in read_text(path, "corpus").splitlines()]
 
 
 @cache
@@ -94,24 +91,28 @@ class Vocabulary:
         return self._rows[1]
 
 
-def build_vocab(sentences: list[list[str]],
-                min_count: int = DEFAULT_MIN_COUNT) -> Vocabulary:
-    """The words of tokenized sentences; ids follow first appearance."""
-    if min_count < 1:
-        raise IngestionError(f"min_count must be >= 1, got {min_count}")
-    if not any(sentences):
-        raise IngestionError("empty corpus")
-    return Vocabulary(list(dict.fromkeys(chain.from_iterable(sentences))), min_count)
+def joined(sentences: Iterable[list], convert: Callable, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every item of every sentence through ``convert``, back to back, in one pass over
+    ``sentences``, and the offsets that cut them into sentences: 0, then each end."""
+    lengths = [0]
+
+    def counted(sentence: list) -> list:
+        lengths.append(len(sentence))
+        return sentence
+
+    items = np.fromiter(map(convert, chain.from_iterable(map(counted, sentences))), dtype)
+    return items, np.cumsum(lengths)
 
 
 class SentenceStore:
-    """The corpus as arrays, over its one vocabulary ``vocab``. ``tokens``
-    holds every sentence's vocabulary ids back to back (int32), sentence i
-    being ``tokens[offsets[i]:offsets[i + 1]]``, and ``counts[w]`` is the
-    number of tokens of word w. The inverted index is in CSR form: the
-    sentences that contain word w are
-    ``index_sentences[index_ptr[w]:index_ptr[w + 1]]``, ascending, and the
-    same slots of ``index_first`` hold w's first position in each.
+    """The corpus as arrays, over its one vocabulary ``vocab``; ``from_tokens``
+    builds both from token lists in one pass. ``tokens`` holds every
+    sentence's vocabulary ids back to back (int32), sentence i being
+    ``tokens[offsets[i]:offsets[i + 1]]``, and ``counts[w]`` is the number of
+    tokens of word w. The inverted index is in CSR form: the sentences that
+    contain word w are ``index_sentences[index_ptr[w]:index_ptr[w + 1]]``,
+    ascending, and the same slots of ``index_first`` hold w's first position
+    in each.
 
     The arrays are read-only; apart from the training targets and their
     split that ``episode.eligible_targets`` keeps here, a store is immutable
@@ -155,9 +156,16 @@ class SentenceStore:
             arr.flags.writeable = False
 
     @classmethod
-    def from_tokens(cls, sentences: list[list[str]], vocab: Vocabulary) -> "SentenceStore":
-        """The store of tokenized sentences, every word of which is in ``vocab``."""
-        return cls(*token_ids(sentences, vocab), vocab)
+    def from_tokens(cls, sentences: Iterable[list[str]], min_count: int) -> "SentenceStore":
+        """The store of tokenized sentences, read once, over their words with ids in first-
+        appearance order. A ``min_count`` below 1, then no token, raise IngestionError."""
+        if min_count < 1:
+            raise IngestionError(f"min_count must be >= 1, got {min_count}")
+        ids = defaultdict(count().__next__)  # an unseen word takes the next id
+        tokens, offsets = joined(sentences, ids.__getitem__, np.int32)
+        if not len(tokens):
+            raise IngestionError("empty corpus")
+        return cls(tokens, offsets, Vocabulary(list(ids), min_count))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -176,24 +184,12 @@ def contexts_of(word: str, store: SentenceStore) -> np.ndarray:
     return store.index_sentences[store.slots_of(word)]
 
 
-def token_ids(sentences: list[list[str]], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """The vocabulary ids of tokenized sentences back to back (int32), and
-    the offsets that cut them into sentences: 0, then each sentence's end."""
-    offsets = np.zeros(len(sentences) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, sentences), dtype=np.intp, count=len(sentences)),
-              out=offsets[1:])
-    tokens = np.fromiter(map(vocab.ids.__getitem__, chain.from_iterable(sentences)),
-                         dtype=np.int32, count=int(offsets[-1]))
-    return tokens, offsets
-
-
 def prepare_corpus(path, min_count: int = DEFAULT_MIN_COUNT):
-    """One-stop: read corpus file -> (Vocabulary, SentenceStore)."""
-    sentences = read_sentences(path)
-    vocab = build_vocab(sentences, min_count)
-    tokens, offsets = token_ids(sentences, vocab)
-    del sentences  # the token strings are freed before the index is built
-    return vocab, SentenceStore(tokens, offsets, vocab)
+    """One-stop: read corpus file -> (Vocabulary, SentenceStore), each line tokenized as
+    the store takes its ids; an unreadable or non-UTF-8 file fails before ``min_count``."""
+    store = SentenceStore.from_tokens(map(tokenize, read_text(path, "corpus").splitlines()),
+                                      min_count)
+    return store.vocab, store
 
 
 class EmbeddingTable(Mapping):

@@ -188,19 +188,20 @@ def mask_contexts(word: str, contexts: list[str]) -> list[list[str]]:
     return out
 
 
-def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
-                    table: EmbeddingTable, method: str = "method") -> MethodReport:
-    """Score one inference method over the benchmark.
+def evaluate_methods(items: list[EvalItem], methods: list[tuple[str, InferFn]],
+                     table: EmbeddingTable) -> list[MethodReport]:
+    """Score (name, inference function) pairs over the benchmark in one pass.
 
-    Per item: infer a vector from the masked contexts, score its cosines to
-    the probes' table rows with one ``cosine_np`` call, and rank-correlate
-    them against the human ratings. Probes missing from the table are
-    dropped (and counted); items whose method raises an OovForgeError keep a
-    record but are excluded from the means. Any other exception is a bug and
-    propagates.
+    Per item: mask its contexts once, then for each method infer a vector
+    from them (a method must not change them), score its cosines to the
+    probes' table rows with one ``cosine_np`` call, and rank-correlate them
+    against the human ratings. Probes missing from the table are dropped
+    (and counted); items whose method raises an OovForgeError keep a record
+    but are excluded from the means. Any other exception is a bug and
+    propagates. One report per pair, in order.
     """
-    report = MethodReport(method=method)
-    pooled: dict[int, tuple[list[float], list[float]]] = {}
+    reports = [MethodReport(method=name) for name, _ in methods]
+    pooled: list[dict[int, tuple[list[float], list[float]]]] = [{} for _ in methods]
     for item in items:
         rows, human = [], []
         for p, h in zip(item.probes, item.human):
@@ -209,35 +210,43 @@ def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
                 rows.append(r)
                 human.append(h)
         dropped = len(item.probes) - len(rows)
-        report.dropped_probes += dropped
-        try:
-            if len(rows) < 2:
-                raise EvaluationError("fewer than 2 probes remain in the table")
-            vec = infer_fn(item.pseudo_word, mask_contexts(item.pseudo_word,
-                                                           item.contexts))
-            machine = cosine_np(vec, table.matrix[rows]).tolist()
-            rho = spearman(machine, human)
-        except OovForgeError as e:  # a method failure must not kill the run
-            report.items.append(ItemResult(item.pseudo_word, item.shot, None,
-                                           failed=True, dropped_probes=dropped,
-                                           reason=str(e)))
-            report.failed += 1
-            continue
-        report.items.append(ItemResult(item.pseudo_word, item.shot, rho,
-                                       dropped_probes=dropped))
-        bucket = pooled.setdefault(item.shot, ([], []))
-        bucket[0].extend(machine)
-        bucket[1].extend(human)
-    for shot in sorted({r.shot for r in report.items}):
-        scored = [r.rho for r in report.items if r.shot == shot and not r.failed]
-        if scored:
-            report.mean_by_shot[shot] = float(np.mean(scored))
-        if shot in pooled and len(pooled[shot][0]) >= 2:
+        masked = mask_contexts(item.pseudo_word, item.contexts) if len(rows) >= 2 else None
+        for (_, infer_fn), report, by_shot in zip(methods, reports, pooled):
+            report.dropped_probes += dropped
             try:
-                report.pooled_by_shot[shot] = spearman(*pooled[shot])
-            except EvaluationError:
-                pass
-    return report
+                if len(rows) < 2:
+                    raise EvaluationError("fewer than 2 probes remain in the table")
+                vec = infer_fn(item.pseudo_word, masked)
+                machine = cosine_np(vec, table.matrix[rows]).tolist()
+                rho = spearman(machine, human)
+            except OovForgeError as e:  # a method failure must not kill the run
+                report.items.append(ItemResult(item.pseudo_word, item.shot, None,
+                                               failed=True, dropped_probes=dropped,
+                                               reason=str(e)))
+                report.failed += 1
+                continue
+            report.items.append(ItemResult(item.pseudo_word, item.shot, rho,
+                                           dropped_probes=dropped))
+            bucket = by_shot.setdefault(item.shot, ([], []))
+            bucket[0].extend(machine)
+            bucket[1].extend(human)
+    for report, by_shot in zip(reports, pooled):
+        for shot in sorted({r.shot for r in report.items}):
+            scored = [r.rho for r in report.items if r.shot == shot and not r.failed]
+            if scored:
+                report.mean_by_shot[shot] = float(np.mean(scored))
+            if shot in by_shot and len(by_shot[shot][0]) >= 2:
+                try:
+                    report.pooled_by_shot[shot] = spearman(*by_shot[shot])
+                except EvaluationError:
+                    pass
+    return reports
+
+
+def evaluate_method(items: list[EvalItem], infer_fn: InferFn,
+                    table: EmbeddingTable, method: str = "method") -> MethodReport:
+    """The report of one inference method: ``evaluate_methods`` of it alone."""
+    return evaluate_methods(items, [(method, infer_fn)], table)[0]
 
 
 # Rows whose float32 norm lies outside this range are scored exactly, never

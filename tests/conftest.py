@@ -10,7 +10,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab  # noqa: E402
+from oov_forge.corpus import EmbeddingTable, SentenceStore  # noqa: E402
 
 
 @pytest.fixture
@@ -43,6 +43,5 @@ def tiny_corpus():
         "music from the piano",
     ]
     token_lists = [s.split() for s in sentences]
-    vocab = build_vocab(token_lists, min_count=1)
-    store = SentenceStore.from_tokens(token_lists, vocab)
-    return vocab, store
+    store = SentenceStore.from_tokens(token_lists, min_count=1)
+    return store.vocab, store

@@ -11,7 +11,7 @@ cannot represent.
 
 import numpy as np
 
-from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
+from oov_forge.corpus import EmbeddingTable, SentenceStore
 
 
 def planted_task(n_topics=50, words_per_topic=40, n_sentences=50_000, dim=16,
@@ -56,9 +56,8 @@ def planted_task(n_topics=50, words_per_topic=40, n_sentences=50_000, dim=16,
         members = rng.integers(0, words_per_topic, size=length)
         sentences.append([f"t{t:02d}w{j:02d}" for j in members])
 
-    vocab = build_vocab(sentences, min_count=min_count)
-    store = SentenceStore.from_tokens(sentences, vocab)
-    return vocab, store, input_table, oracle_table, topic_of
+    store = SentenceStore.from_tokens(sentences, min_count)
+    return store.vocab, store, input_table, oracle_table, topic_of
 
 
 def _random_rotation(dim, rng):

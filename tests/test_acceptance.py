@@ -176,9 +176,9 @@ def test_criterion_1_gradient_integrity():
         f"w{i:02d}": rng.normal(size=8).astype(np.float32) for i in range(20)})
     sentences = [[f"w{int(rng.integers(20)):02d}" for _ in range(6)]
                  for _ in range(30)]
-    from oov_forge.corpus import SentenceStore, build_vocab
-    vocab = build_vocab(sentences, min_count=1)
-    store = SentenceStore.from_tokens(sentences, vocab)
+    from oov_forge.corpus import SentenceStore
+    store = SentenceStore.from_tokens(sentences, min_count=1)
+    vocab = store.vocab
     config = HiceConfig(embed_dim=8, n_heads=2, char_emb_dim=4, char_filters=3,
                         seed=1)
     model = HiceModel.from_table(config, table)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synthetic_task
-from oov_forge import cli
+from oov_forge import cli, evaluation
 from oov_forge.baselines import (ALACARTE_MAGIC, NGRAM_MAGIC, AlaCarteModel,
                                  ngram_fit)
 from oov_forge.cli import main
@@ -708,6 +708,29 @@ def test_eval_hice_runs(workdir, bench_tsv, checkpoint, tmp_path):
     assert code == 0
     text = (out / "eval_summary.csv").read_text()
     assert "hice," in text and "additive," in text
+
+
+def test_eval_tokenizes_each_context_once_for_all_methods(workdir, bench_tsv, checkpoint,
+                                                          fitted_files, tmp_path, monkeypatch):
+    contexts = [c for item in evaluation.load_benchmark_tsv(bench_tsv) for c in item.contexts]
+    calls = []
+    tokenize = evaluation.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(evaluation, "tokenize", counting)
+    code = main(["eval", str(bench_tsv), "--embeddings", str(workdir / "embeddings.txt"),
+                 "--methods", "hice,additive,alacarte,ngram,oracle",
+                 "--checkpoint", str(checkpoint), "--alacarte-model",
+                 str(fitted_files["alacarte"]), "--ngram-model", str(fitted_files["ngram"]),
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    summary = (tmp_path / "eval_summary.csv").read_text()
+    assert all(f"\n{m}," in summary for m in ("hice", "additive", "alacarte", "ngram", "oracle"))
+    # each context once as the benchmark loads (validate), then once for the five methods
+    assert sorted(calls) == sorted(contexts * 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -7,14 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpus_reference as ref
 from oov_forge import cli
 from oov_forge.corpus import (BLOCK_LINES, VAL_FRACTION, EmbeddingTable, SentenceStore,
-                              build_vocab, contexts_of, load_embeddings,
-                              load_stopwords, parse_plain_block, parse_rows,
-                              read_sentences, save_embeddings, split_words,
-                              tokenize, Vocabulary)
+                              contexts_of, load_embeddings, load_stopwords,
+                              parse_plain_block, parse_rows, prepare_corpus,
+                              save_embeddings, split_words, tokenize, Vocabulary)
 from oov_forge.episode import eligible_targets
-from oov_forge.errors import FormatError, IngestionError, InputError
+from oov_forge.errors import FormatError, IngestionError, InputError, OovForgeError
 
 
 def test_tokenize_basic():
@@ -34,20 +35,19 @@ def test_tokenize_strips_edges_keeps_inner_punctuation():
         ["don't", "quote", "state-of-the-art"]
 
 
-def _targets_of(sentences, vocab):
-    return eligible_targets(vocab, SentenceStore.from_tokens(sentences, vocab), None)
+def _targets_of(sentences, min_count):
+    store = SentenceStore.from_tokens(sentences, min_count)
+    return eligible_targets(store.vocab, store, None)
 
 
 def test_build_vocab_eligibility_threshold_is_strict():
-    vocab = build_vocab([["a", "a"]], min_count=1)
-    assert _targets_of([["a", "a"]], vocab) == ["a"]   # count 2 > 1
-    vocab2 = build_vocab([["a", "a"]], min_count=2)
-    assert _targets_of([["a", "a"]], vocab2) == []     # count 2 is not > 2
+    assert _targets_of([["a", "a"]], 1) == ["a"]   # count 2 > 1
+    assert _targets_of([["a", "a"]], 2) == []      # count 2 is not > 2
 
 
 def test_build_vocab_empty_corpus():
-    with pytest.raises(IngestionError):
-        build_vocab([[], []], min_count=1)
+    with pytest.raises(IngestionError, match="empty corpus"):
+        SentenceStore.from_tokens([[], []], min_count=1)
 
 
 def test_build_vocab_matches_bruteforce_recount(rng):
@@ -56,10 +56,10 @@ def test_build_vocab_matches_bruteforce_recount(rng):
         [words[int(rng.integers(30))] for _ in range(int(rng.integers(3, 9)))]
         for _ in range(200)
     ]
-    vocab = build_vocab(sentences, min_count=5)
-    store = SentenceStore.from_tokens(sentences, vocab)
+    store = SentenceStore.from_tokens(sentences, min_count=5)
+    vocab = store.vocab
     oracle = Counter(tok for sent in sentences for tok in sent)
-    eligible = set(_targets_of(sentences, vocab))
+    eligible = set(_targets_of(sentences, 5))
     assert vocab.words == list(oracle)  # first-appearance order
     for w, n in oracle.items():
         assert store.counts[vocab.ids[w]] == n
@@ -69,9 +69,8 @@ def test_build_vocab_matches_bruteforce_recount(rng):
 
 def test_build_vocab_counts_order_independent(rng):
     sentences = [["x", "y"], ["y", "z", "z"], ["x"]]
-    v1 = build_vocab(sentences, min_count=1)
-    v2 = build_vocab(sentences[::-1], min_count=1)
-    s1, s2 = (SentenceStore.from_tokens(s, v) for s, v in ((sentences, v1), (sentences[::-1], v2)))
+    s1, s2 = (SentenceStore.from_tokens(s, 1) for s in (sentences, sentences[::-1]))
+    v1, v2 = s1.vocab, s2.vocab
     for w in ("x", "y", "z"):
         assert s1.counts[v1.ids[w]] == s2.counts[v2.ids[w]]
 
@@ -81,9 +80,7 @@ def test_stopword_list_is_reasonable(tmp_path):
     assert 120 <= len(stops) <= 200
     assert {"the", "and", "of", "we"} <= stops
     # the stopword column of a prepared vocabulary flags the words on the list
-    sentences = [["the", "scooter", "the"]]
-    vocab = build_vocab(sentences, min_count=1)
-    cli.write_prepared(tmp_path, SentenceStore.from_tokens(sentences, vocab),
+    cli.write_prepared(tmp_path, SentenceStore.from_tokens([["the", "scooter", "the"]], 1),
                        EmbeddingTable(dim=2), {"command": "prepare"})
     assert (tmp_path / cli.VOCAB_FILE).read_text() == "the\t2\t1\t0\nscooter\t1\t0\t0\n"
 
@@ -93,9 +90,7 @@ def test_stopword_list_is_read_once():
 
 
 def test_contexts_of_order_and_dedup():
-    sentences = [["x"], ["y"], ["z"], ["w", "w"], ["q"], ["w"]]
-    vocab = build_vocab(sentences, min_count=1)
-    store = SentenceStore.from_tokens(sentences, vocab)
+    store = SentenceStore.from_tokens([["x"], ["y"], ["z"], ["w", "w"], ["q"], ["w"]], 1)
     assert contexts_of("w", store).tolist() == [3, 5]
     with pytest.raises(IngestionError):
         contexts_of("missing", store)
@@ -107,8 +102,7 @@ def test_contexts_of_matches_linear_scan(rng):
         [words[int(rng.integers(12))] for _ in range(int(rng.integers(2, 6)))]
         for _ in range(80)
     ]
-    vocab = build_vocab(sentences, min_count=1)
-    store = SentenceStore.from_tokens(sentences, vocab)
+    store = SentenceStore.from_tokens(sentences, min_count=1)
     for w in words:
         expected = [i for i, sent in enumerate(sentences) if w in sent]
         if expected:
@@ -142,6 +136,108 @@ def test_sentence_index_equals_a_linear_scan(vocab_size):
     assert store.index_ptr.tolist() == [0] + np.cumsum(counts).astype(int).tolist()
     assert store.index_sentences.tolist() == [s for s, _ in pairs]
     assert store.index_first.tolist() == [pos for _, pos in pairs]
+
+
+def _store_or_error(build, *args):
+    """The store ``build`` returns, or the type and text of its OovForgeError."""
+    try:
+        return build(*args)
+    except OovForgeError as e:
+        return type(e), str(e)
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        ref.assert_same_store(got, want)
+
+
+_WORDS = st.text(alphabet="abcé", min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(words=st.lists(_WORDS, min_size=1, max_size=12, unique=True),
+       picks=st.lists(st.lists(st.integers(0, 11), max_size=8), max_size=20),
+       late=st.lists(_WORDS, max_size=3), min_count=st.integers(-1, 4))
+def test_one_pass_store_equals_the_two_pass_reference(words, picks, late, min_count):
+    # empty sentences, repeated words, and words first seen in the last sentence;
+    # the sentences come from a generator, which can be read only once
+    sentences = [[words[i % len(words)] for i in pick] for pick in picks] + [late]
+    got = _store_or_error(SentenceStore.from_tokens, (list(s) for s in sentences), min_count)
+    _assert_same_outcome(got, _store_or_error(ref.reference_store, sentences, min_count))
+
+
+def test_one_pass_store_of_more_than_65536_words_equals_the_reference():
+    # ids at and past 65,536 take the second digit of the index's radix sort
+    rng = np.random.default_rng(3)
+    words = [f"w{i}" for i in rng.permutation(70_000)]
+    sentences = [words[lo:lo + 7] + [words[int(rng.integers(70_000))]]
+                 for lo in range(0, 70_000, 7)]
+    store = SentenceStore.from_tokens(sentences, min_count=2)
+    assert len(store.vocab) == 70_000
+    ref.assert_same_store(store, ref.reference_store(sentences, 2))
+
+
+_TEXT_PIECES = st.sampled_from([
+    "the", "Cat", "CAT", "cat.", "(cat)", "'quote'", "“curly”", "don't", "state-of-the-art",
+    "--", "...", "x1", "ÉTÉ", "ΣΟΦΟΣ", "naïve", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0b",
+    "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.lists(_TEXT_PIECES, max_size=60).map("".join), min_count=st.integers(0, 3))
+def test_prepare_corpus_equals_the_two_pass_reference(tmp_path_factory, text, min_count):
+    # every line break splitlines knows, edge punctuation, upper case, empty corpora
+    path = tmp_path_factory.getbasetemp() / "fuzzed_corpus.txt"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_same_outcome(_store_or_error(lambda: prepare_corpus(path, min_count)[1]),
+                         _store_or_error(lambda: ref.reference_prepare(path, min_count)[1]))
+
+
+@pytest.mark.parametrize("content", [b"", b"\n\n", b" \t\n\r\n...\n"],
+                         ids=["empty", "blank-lines", "punctuation-only"])
+def test_prepare_corpus_of_no_token_is_an_empty_corpus(tmp_path, content):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(content)
+    with pytest.raises(IngestionError, match="^empty corpus$"):
+        prepare_corpus(path, min_count=1)
+
+
+@pytest.mark.parametrize("content, min_count, message", [
+    (None, 0, "cannot read corpus"),             # a missing file comes first,
+    (b"ok \xff\n", 0, "invalid UTF-8 at byte 3"),  # then invalid UTF-8,
+    (b"\n", 0, "min_count must be >= 1, got 0"),   # then the count,
+    (b"\n", 1, "empty corpus"),                    # then an empty corpus
+])
+def test_prepare_corpus_errors_come_in_the_reference_order(tmp_path, content, min_count,
+                                                           message):
+    path = tmp_path / "corpus.txt"
+    if content is not None:
+        path.write_bytes(content)
+    got = _store_or_error(prepare_corpus, path, min_count)
+    assert got == _store_or_error(ref.reference_prepare, path, min_count)
+    assert got[0] is IngestionError and message in got[1]
+
+
+def test_prepare_corpus_holds_no_token_string_of_the_whole_corpus(tmp_path):
+    # the traced peak per token of a 200k-token corpus: the two-pass reference
+    # holds every token as a string in per-sentence lists and reads about 80
+    # bytes a token here, the one-pass build about 30
+    rng = np.random.default_rng(11)
+    words = np.array([f"t{t:02d}w{j:02d}" for t in range(50) for j in range(40)])
+    lengths = rng.integers(8, 13, 20_000)
+    cuts = np.cumsum(lengths)[:-1]
+    lines = [" ".join(s) for s in np.split(words[rng.integers(0, 2000, lengths.sum())], cuts)]
+    path = tmp_path / "corpus.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        _, store = prepare_corpus(path, min_count=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(store.tokens) < 50
 
 
 def test_embeddings_load_basic(tmp_path):
@@ -382,7 +478,7 @@ def test_invalid_utf8_reports_byte_offset(tmp_path):
     path = tmp_path / "corpus.txt"
     path.write_bytes(b"good line\nbad \xff\xfe line\n")
     with pytest.raises(IngestionError, match="byte 14"):
-        read_sentences(path)
+        prepare_corpus(path)
 
 
 def test_split_words_deterministic_and_disjoint():

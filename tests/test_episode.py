@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import episode_reference as ref
 from episode_reference import mask_window
-from oov_forge.corpus import (EmbeddingTable, SentenceStore, Vocabulary, build_vocab,
-                              contexts_of, split_words, tokenize)
+from corpus_reference import build_vocab, store_of
+from oov_forge.corpus import (EmbeddingTable, SentenceStore, Vocabulary, contexts_of,
+                              split_words, tokenize)
 from oov_forge.episode import (CHAR_BOW, CHAR_EOW, CHAR_IDS, CHAR_UNK, CONTEXT_WINDOW,
                                MASK_ID, MASK_TOKEN, MAX_LEN, N_CHARS, char_sequence,
                                decode_context, eligible_targets, episode_from_masked,
@@ -21,8 +22,8 @@ from synthetic_task import sentences_of
 
 
 def _mini_store(sentences):
-    vocab = build_vocab(sentences, min_count=1)
-    return vocab, SentenceStore.from_tokens(sentences, vocab)
+    store = SentenceStore.from_tokens(sentences, min_count=1)
+    return store.vocab, store
 
 
 def _table_for(vocab, dim=4, seed=0):
@@ -421,7 +422,7 @@ def _target_corpus(seed):
     sentences = [[f"w{int(rng.integers(40)):02d}" for _ in range(int(rng.integers(2, 6)))]
                  for _ in range(60)]
     vocab = build_vocab(sentences, min_count=int(rng.integers(1, 4)))
-    store = SentenceStore.from_tokens(sentences[:20] * 3, vocab)
+    store = store_of(sentences[:20] * 3, vocab)
     rows = {w: rng.normal(size=3).astype(np.float32) * (rng.random() < 0.85)
             for w in vocab.words if rng.random() < 0.7}
     return vocab, store, EmbeddingTable(dim=3, vectors=rows)

@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 from oov_forge import cli, container
 from oov_forge.container import (pack_text, read_container, unpack_text,
                                  write_container)
-from oov_forge.corpus import (EmbeddingTable, SentenceStore, build_vocab, prepare_corpus,
-                              save_embeddings)
+from oov_forge.corpus import EmbeddingTable, SentenceStore, prepare_corpus, save_embeddings
 from oov_forge.errors import FormatError, OovForgeError
 from oov_forge.evaluation import EvalItem, load_benchmark_tsv, save_benchmark_tsv
 from synthetic_task import sentences_of
@@ -276,8 +275,7 @@ def test_write_prepared_failed_write_keeps_the_previous_file(tmp_path, monkeypat
     out = tmp_path / "prep"
 
     def prepare(token_lists, note):
-        vocab = build_vocab(token_lists, min_count=1)
-        store = SentenceStore.from_tokens(token_lists, vocab)
+        store = SentenceStore.from_tokens(token_lists, min_count=1)
         cli.write_prepared(out, store, tiny_table,
                            {"command": "prepare", "note": note,
                             "tokenizer.strip_chars": cli.STRIP_CHARS})
@@ -303,10 +301,9 @@ def test_a_corrupted_prepared_directory_loads_or_is_a_typed_error(tmp_path_facto
     out = tmp_path_factory.getbasetemp() / "corrupted-prep"
     sentences = [s.split() for s in ("the car has a wheel", "we like the car on the road",
                                      "the bike is on the road", "a band plays a song")]
-    vocab = build_vocab(sentences, min_count=1)
-    table = EmbeddingTable(dim=2, vectors={w: np.ones(2) for w in vocab.words})
-    cli.write_prepared(out, SentenceStore.from_tokens(sentences, vocab), table,
-                       {"command": "prepare", "min_count": "1"})
+    store = SentenceStore.from_tokens(sentences, min_count=1)
+    table = EmbeddingTable(dim=2, vectors={w: np.ones(2) for w in store.vocab.words})
+    cli.write_prepared(out, store, table, {"command": "prepare", "min_count": "1"})
     blob = (out / name).read_bytes()
     at %= len(blob)
     (out / name).write_bytes(blob[:at] if byte is None

@@ -11,7 +11,7 @@ import oov_forge.tensor as tc
 from chain_reference import encoder_tail_reference, encoding_block_reference, layer_norm
 from fd import mul, rel_err
 from episode_reference import reordered
-from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab, contexts_of
+from oov_forge.corpus import EmbeddingTable, SentenceStore, contexts_of
 from oov_forge.episode import (MASK_ID, MAX_LEN, MAX_WORD_LEN, MASK_TOKEN, UNK_ID,
                                char_sequence, episode_from_masked, sample_episode)
 from oov_forge.errors import InputError
@@ -38,8 +38,8 @@ def make_corpus(n_sentences=40, n_words=30, seed=1):
         [f"w{int(rng.integers(n_words)):02d}" for _ in range(int(rng.integers(4, 9)))]
         for _ in range(n_sentences)
     ]
-    vocab = build_vocab(sentences, min_count=1)
-    return vocab, SentenceStore.from_tokens(sentences, vocab)
+    store = SentenceStore.from_tokens(sentences, min_count=1)
+    return store.vocab, store
 
 
 def make_model(table=None, **overrides):
@@ -578,7 +578,7 @@ def test_batch_rows_equal_a_lookup_of_each_token():
         return [model.table.index.get(vocab.words[t], -1) if t >= 0 else -1
                 for ep in episodes for ids in ep.contexts for t in ids]
 
-    vocab = build_vocab([["w01", "zz", "w05", "w29", "yy", "w00"]], min_count=1)
+    vocab = SentenceStore.from_tokens([["w01", "zz", "w05", "w29", "yy", "w00"]], 1).vocab
     small, _ = make_model(make_table(n_words=6))
     large, _ = make_model(make_table(n_words=30, seed=4))
     ids = [vocab.ids[w] for w in vocab.words]

@@ -13,7 +13,7 @@ import synthetic_task
 from fd import mul
 import oov_forge.tensor as tc
 from oov_forge.container import pack_text, read_container, write_container
-from oov_forge.corpus import EmbeddingTable, SentenceStore, build_vocab
+from oov_forge.corpus import EmbeddingTable, SentenceStore
 from episode_reference import episode_of
 from oov_forge.episode import eligible_targets, sample_episode
 from oov_forge import training
@@ -208,8 +208,8 @@ def test_train_and_its_targets_read_the_store_not_the_vocabulary_beside_it():
     rng = np.random.default_rng(5)
     corpora = [[[f"{p}{i}" for i in rng.integers(0, 12, size=8)] for _ in range(120)]
                for p in "ab"]
-    vocab_a, vocab_b = (build_vocab(sentences, min_count=2) for sentences in corpora)
-    store_b = SentenceStore.from_tokens(corpora[1], vocab_b)
+    store_a, store_b = (SentenceStore.from_tokens(sentences, 2) for sentences in corpora)
+    vocab_a, vocab_b = store_a.vocab, store_b.vocab
     assert len(vocab_a) == len(vocab_b)
     table = EmbeddingTable(dim=8, vectors={w: rng.normal(size=8)
                                            for w in vocab_a.words + vocab_b.words})
